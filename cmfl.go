@@ -22,6 +22,8 @@
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured results of every table and figure.
+//
+//cmfl:api-change PR 13: SecureRound, SecureMask, SecureAggregate and SimulateSecureRound are removed with internal/secagg, which no engine ever called (ROADMAP 3c wire-or-delete); there is no replacement
 package cmfl
 
 import (
@@ -36,7 +38,6 @@ import (
 	"cmfl/internal/mtl"
 	"cmfl/internal/nn"
 	"cmfl/internal/report"
-	"cmfl/internal/secagg"
 	"cmfl/internal/stats"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/tensor"
@@ -471,28 +472,6 @@ func NewFaultPlan() *FaultPlan { return emu.NewFaultPlan() }
 // a seeded stream.
 func RandomFaultPlan(seed int64, clients, rounds int, rates FaultRates) *FaultPlan {
 	return emu.RandomFaultPlan(seed, clients, rounds, rates)
-}
-
-// ---- Secure aggregation (internal/secagg) ----
-
-// SecureRound is the outcome of one pairwise-mask secure-aggregation round.
-type SecureRound = secagg.RoundResult
-
-// SecureMask applies a client's pairwise masks over the announced
-// participant set (Bonawitz-style secure aggregation, simulated after key
-// agreement).
-func SecureMask(session int64, round, client int, participants []int, update []float64) ([]float64, error) {
-	return secagg.Mask(session, round, client, participants, update)
-}
-
-// SecureAggregate sums masked updates; the pairwise masks cancel.
-func SecureAggregate(masked [][]float64) ([]float64, error) { return secagg.Aggregate(masked) }
-
-// SimulateSecureRound runs the two-phase filtered secure-aggregation round
-// (CMFL decisions in phase 1, masking over the announced upload set in
-// phase 2).
-func SimulateSecureRound(session int64, round int, updates [][]float64, decide secagg.UploadDecider) (*SecureRound, error) {
-	return secagg.SimulateRound(session, round, updates, decide)
 }
 
 // ---- Measurement (internal/stats, internal/report) ----

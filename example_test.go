@@ -97,24 +97,3 @@ func ExampleRunFederated() {
 		len(res.History), last.CumUploads, 5*len(res.History))
 	// Output: rounds=5 uploads=24 of 25 possible
 }
-
-// Secure aggregation composes with CMFL: masks cancel over the announced
-// upload set, so the server recovers only the average.
-func ExampleSecureAggregate() {
-	updates := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	participants := []int{0, 1, 2}
-	var masked [][]float64
-	for c, u := range updates {
-		m, err := cmfl.SecureMask(42, 1, c, participants, u)
-		if err != nil {
-			panic(err)
-		}
-		masked = append(masked, m)
-	}
-	sum, err := cmfl.SecureAggregate(masked)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("sum = [%.0f %.0f]\n", sum[0], sum[1])
-	// Output: sum = [9 12]
-}

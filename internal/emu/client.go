@@ -94,9 +94,9 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	if err := validateClient(&cfg); err != nil {
 		return nil, err
 	}
-	filter := cfg.Filter
-	if filter == nil {
-		filter = fl.Vanilla{}
+	step := fl.ClientStep{Epochs: cfg.Epochs, Batch: cfg.Batch, Filter: cfg.Filter, Compressor: cfg.Compressor}
+	if step.Filter == nil {
+		step.Filter = fl.Vanilla{}
 	}
 	res := &ClientResult{}
 	sess := &clientSession{
@@ -120,14 +120,24 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	network := cfg.Model()
 	rng := fl.ClientStream(cfg.Seed, cfg.ID)
 
-	// Codec scratch, reused across rounds: encodeUpdate2 copies the encoded
-	// payload into the staged frame, so overwriting encBuf next round can
-	// never corrupt a pending (resendable) reply.
-	var encBuf []byte
-	var decBuf []float64
-	var residual []float64 // EF-SGD residual; nil until first compressed upload
+	dim := network.NumParams()
 
-	var prevParams, feedback []float64
+	// Pack's payload aliases scratch; encodeUpdate2 copies it into the staged
+	// frame, so the next round can never corrupt a pending (resendable) reply.
+	var scratch fl.Scratch
+	if cfg.Compressor != nil && cfg.ErrorFeedback {
+		scratch.Residual = make([]float64, dim)
+	}
+
+	// Feedback is the previous global update, reconstructed as the difference
+	// between consecutive broadcasts (Sec. IV-A). x_t − x_{t−1} is computed
+	// in place over x_{t−1}, whose buffer is free once x_t has arrived, so no
+	// round allocates for it. It replaces the feedback only when non-zero: a
+	// fully skipped round leaves the model unchanged and carries no new
+	// direction information. signs is recomputed with it and nil until then.
+	feedback := make([]float64, dim)
+	var prevParams []float64
+	var signs []int8
 	for {
 		f, err := sess.nextFrame()
 		if err != nil {
@@ -142,69 +152,40 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("emu: client %d: frame kind %d on conn gen %d: %w", cfg.ID, f.kind, sess.res.Reconnects, err)
 			}
-			// Feedback is the previous global update, reconstructed as the
-			// difference between consecutive broadcasts (Sec. IV-A). Keep
-			// the last non-zero difference: a fully skipped round leaves
-			// the model unchanged and carries no new direction information.
-			if prevParams != nil {
-				diff := make([]float64, len(params))
-				for j := range params {
-					diff[j] = params[j] - prevParams[j]
-				}
-				if !core.AllZero(diff) {
-					feedback = diff
-				}
+			if len(params) != dim {
+				return nil, fmt.Errorf("emu: client %d: round %d model has %d params, local model %d", cfg.ID, round, len(params), dim)
 			}
-			if feedback == nil {
-				feedback = make([]float64, len(params))
+			if prevParams != nil {
+				for j := range params {
+					prevParams[j] = params[j] - prevParams[j]
+				}
+				if !core.AllZero(prevParams) {
+					feedback = prevParams
+					signs = core.SignsInto(signs[:0], feedback)
+				}
 			}
 			prevParams = params
 
 			sess.inj.beginRound(round)
-			delta, _, err := fl.LocalTrain(network, cfg.Data, params, cfg.LR.At(round), cfg.Epochs, cfg.Batch, rng)
+			b := fl.Broadcast{Round: round, LR: cfg.LR.At(round), Params: params, Feedback: feedback, Signs: signs}
+			r, err := step.Train(network, cfg.Data, rng, &b)
 			if err != nil {
-				return nil, fmt.Errorf("emu: client %d local training: %w", cfg.ID, err)
+				return nil, fmt.Errorf("emu: client %d %w", cfg.ID, err)
 			}
-			dec, err := filter.Check(delta, params, feedback, round)
+			payload, err := step.Pack(&scratch, &r)
 			if err != nil {
-				return nil, fmt.Errorf("emu: client %d filter: %w", cfg.ID, err)
+				return nil, fmt.Errorf("emu: client %d %w", cfg.ID, err)
 			}
-			if dec.Upload {
-				if cfg.Compressor != nil {
-					if cfg.ErrorFeedback {
-						// Fold the accumulated compression residual into the
-						// update post-gate: the upload decision saw the raw
-						// delta, the wire carries the corrected one.
-						if residual == nil {
-							residual = make([]float64, len(delta))
-						}
-						for j := range delta {
-							delta[j] += residual[j]
-						}
-					}
-					payload, err := cfg.Compressor.EncodeInto(encBuf, delta)
-					if err != nil {
-						return nil, fmt.Errorf("emu: client %d encode: %w", cfg.ID, err)
-					}
-					encBuf = payload
-					if cfg.ErrorFeedback {
-						decoded, err := cfg.Compressor.DecodeInto(decBuf, payload, len(delta))
-						if err != nil {
-							return nil, fmt.Errorf("emu: client %d residual decode: %w", cfg.ID, err)
-						}
-						decBuf = decoded
-						for j := range residual {
-							residual[j] = delta[j] - decoded[j]
-						}
-					}
-					sess.stage(msgUpdate2, encodeUpdate2(cfg.ID, round, dec.Metric, len(delta), payload))
-				} else {
-					sess.stage(msgUpdate, encodeUpdate(cfg.ID, round, dec.Metric, delta))
-				}
-				res.Uploads++
-			} else {
-				sess.stage(msgSkip, encodeSkip(cfg.ID, round, dec.Metric))
+			switch {
+			case !r.Upload:
+				sess.stage(msgSkip, encodeSkip(cfg.ID, round, r.Metric))
 				res.Skips++
+			case step.Compressor != nil:
+				sess.stage(msgUpdate2, encodeUpdate2(cfg.ID, round, r.Metric, len(r.Delta), payload))
+				res.Uploads++
+			default:
+				sess.stage(msgUpdate, encodeUpdate(cfg.ID, round, r.Metric, r.Delta))
+				res.Uploads++
 			}
 			if err := sess.flush(); err != nil {
 				return nil, fmt.Errorf("emu: client %d send round %d: %w", cfg.ID, round, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -236,6 +237,72 @@ func TestClusterCMFLSkips(t *testing.T) {
 	}
 	if totalSkips != serverSkips {
 		t.Fatalf("client-side skips %d != server-side skips %d", totalSkips, serverSkips)
+	}
+}
+
+// signProbe counts which gate path the emu client takes.
+type signProbe struct {
+	*core.Filter
+	slow, fast, bootstrap atomic.Int64
+}
+
+func (p *signProbe) Check(local, model, prevGlobal []float64, t int) (core.Decision, error) {
+	p.slow.Add(1)
+	return p.Filter.Check(local, model, prevGlobal, t)
+}
+
+func (p *signProbe) CheckSigns(local []float64, signs []int8, t int) (core.Decision, bool, error) {
+	p.fast.Add(1)
+	if len(signs) == 0 {
+		p.bootstrap.Add(1)
+	}
+	return p.Filter.CheckSigns(local, signs, t)
+}
+
+// slowOnly hides a filter's sign fast path, forcing Check on the float
+// feedback — the path the emu client took before it shared fl.ClientStep.
+type slowOnly struct{ fl.UploadFilter }
+
+// TestClientGatesOnSigns pins the emu client to the shared step's gate: it
+// decides on a sign vector computed once per received model (nil, hence an
+// upload with Metric 1, until the first non-zero model difference), and its
+// decisions and reported metrics equal the float-feedback path's.
+func TestClientGatesOnSigns(t *testing.T) {
+	const clients, rounds = 6, 12
+	probe := &signProbe{Filter: core.NewFilter(core.Constant(0.5))}
+	fast, err := RunCluster(clusterConfig(t, clients, rounds, probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.slow.Load() != 0 || probe.fast.Load() != clients*rounds {
+		t.Fatalf("gate calls: %d on float feedback, %d on signs, want 0 and %d", probe.slow.Load(), probe.fast.Load(), clients*rounds)
+	}
+	if probe.bootstrap.Load() != clients {
+		t.Fatalf("%d decisions without signs, want %d (round 1 only)", probe.bootstrap.Load(), clients)
+	}
+	if first := fast.Server.History[0]; first.Uploaded != clients || first.MeanRelevance != 1 {
+		t.Fatalf("bootstrap round: %d uploads, mean metric %v, want %d and 1", first.Uploaded, first.MeanRelevance, clients)
+	}
+
+	slow, err := RunCluster(clusterConfig(t, clients, rounds, slowOnly{core.NewFilter(core.Constant(0.5))}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := 0
+	for r, fs := range fast.Server.History {
+		ss := slow.Server.History[r]
+		if fs.Uploaded != ss.Uploaded || math.Float64bits(fs.MeanRelevance) != math.Float64bits(ss.MeanRelevance) {
+			t.Fatalf("round %d: sign path %d uploads, metric %v; float path %d, %v", r+1, fs.Uploaded, fs.MeanRelevance, ss.Uploaded, ss.MeanRelevance)
+		}
+		skipped += fs.Skipped
+	}
+	if skipped == 0 {
+		t.Fatal("the gate never skipped: the comparison is vacuous")
+	}
+	for j := range fast.Server.FinalParams {
+		if math.Float64bits(fast.Server.FinalParams[j]) != math.Float64bits(slow.Server.FinalParams[j]) {
+			t.Fatalf("param %d: sign path %v, float path %v", j, fast.Server.FinalParams[j], slow.Server.FinalParams[j])
+		}
 	}
 }
 

@@ -583,7 +583,7 @@ func (s *Server) Run() (res *ServerResult, err error) {
 			if err := global.SetParamVector(params); err != nil {
 				return nil, fmt.Errorf("emu: evaluator broadcast: %w", err)
 			}
-			stats.Accuracy = accuracyOf(global, s.cfg.TestData, s.cfg.EvalBatch)
+			stats.Accuracy = fl.Evaluate(global, s.cfg.TestData, s.cfg.EvalBatch)
 		}
 		res.History = append(res.History, stats)
 		res.Rejoins = s.rejoinCount()
@@ -867,25 +867,3 @@ type clientError struct {
 func (e clientError) Error() string { return fmt.Sprintf("client %d: %v", e.client, e.err) }
 
 func (e clientError) Unwrap() error { return e.err }
-
-// accuracyOf evaluates classification accuracy in bounded batches.
-func accuracyOf(net *nn.Network, test *dataset.Set, evalBatch int) float64 {
-	if test == nil || test.Len() == 0 {
-		return math.NaN()
-	}
-	correct := 0
-	for lo := 0; lo < test.Len(); lo += evalBatch {
-		hi := lo + evalBatch
-		if hi > test.Len() {
-			hi = test.Len()
-		}
-		x, y := test.BatchView(lo, hi)
-		pred := nn.Argmax(net.Forward(x))
-		for i, p := range pred {
-			if p == y[i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(test.Len())
-}

@@ -242,7 +242,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 			if err := global.SetParamVector(params); err != nil {
 				return nil, err
 			}
-			ev.Accuracy = evaluate(global, cfg.TestData, cfg.EvalBatch)
+			ev.Accuracy = Evaluate(global, cfg.TestData, cfg.EvalBatch)
 		}
 		res.Events = append(res.Events, ev)
 		if len(cfg.Observers) > 0 {

@@ -1,0 +1,174 @@
+package fl
+
+import (
+	"fmt"
+
+	"cmfl/internal/core"
+	"cmfl/internal/dataset"
+	"cmfl/internal/nn"
+	"cmfl/internal/tensor"
+	"cmfl/internal/xrand"
+)
+
+// ClientStep is the client half of Algorithm 1, written once for every
+// synchronous engine (Run, RunPartial, sim.Run, emu.RunClient): local solve,
+// differential-privacy noise, the upload gate, then — for an upload — the
+// error-feedback fold-in and the codec round trip. It holds what is the same
+// for every client and round; the engine supplies the rest per call. Methods
+// only read it, so one value serves all of an engine's goroutines.
+type ClientStep struct {
+	// Epochs, Batch and ProxMu parameterise LocalTrainProx.
+	Epochs int
+	Batch  int
+	ProxMu float64
+	// DPClip and DPNoiseSigma are Config.DPClip / Config.DPNoiseSigma.
+	DPClip       float64
+	DPNoiseSigma float64
+	// Filter gates uploads; it must be non-nil (Vanilla uploads everything).
+	Filter UploadFilter
+	// Compressor encodes uploads; nil uploads raw float64 vectors.
+	Compressor UpdateCodec
+}
+
+// Broadcast is what the server hands every participant of one round.
+type Broadcast struct {
+	Round int
+	LR    float64
+	// Params is the global parameter vector the round starts from.
+	Params []float64
+	// Feedback is the latest non-empty global update (all zeros before the
+	// first), and Signs its precomputed sign vector: nil exactly when
+	// Feedback is all zeros, which every gate reads as "no feedback yet,
+	// upload".
+	Feedback []float64
+	Signs    []int8
+}
+
+// Relevance is the Eq. 9 trace of delta against this round's feedback: NaN
+// while no feedback exists. It is a diagnostic, independent of the gate's
+// own metric (a Gaia or vanilla gate never computes it).
+func (b *Broadcast) Relevance(delta []float64) float64 {
+	if len(b.Signs) > 0 {
+		if r, err := core.SignAgreement(delta, b.Signs); err == nil {
+			return r
+		}
+	}
+	return nan()
+}
+
+// Reply is one client's answer to a Broadcast.
+type Reply struct {
+	// Delta is the update. After Pack it is what the server will aggregate:
+	// the codec's lossy reconstruction when a Compressor is set.
+	Delta []float64
+	// Loss is the mean local training loss.
+	Loss float64
+	// Metric is the value the gate decided on (Decision.Metric).
+	Metric float64
+	// Relevance is the engine's Eq. 9 trace (Broadcast.Relevance); the step
+	// leaves it zero.
+	Relevance float64
+	// Bytes is the uplink cost, set by Pack: the encoded payload, 8 per
+	// coordinate raw, SkipNotificationBytes for a withheld update.
+	Bytes  int64
+	Upload bool
+}
+
+// Scratch is the memory Pack reuses between calls. The codec buffers grow on
+// first use, so a raw client never allocates them; one Scratch serves many
+// clients in turn (a sim worker) as long as Residual is nil.
+type Scratch struct {
+	enc []byte
+	dec []float64
+	// Residual is one client's EF-SGD memory: what lossy compression has
+	// discarded so far, dim-sized. Nil turns error feedback off.
+	Residual []float64
+}
+
+// Train runs the local solver from the broadcast model and gates the result.
+// The order is the determinism contract: DP noise is drawn from rng after
+// the solver's draws, and the gate sees the post-DP delta.
+func (s *ClientStep) Train(net *nn.Network, data *dataset.Set, rng *xrand.Stream, b *Broadcast) (Reply, error) {
+	delta, loss, err := LocalTrainProx(net, data, b.Params, b.LR, s.Epochs, s.Batch, s.ProxMu, rng)
+	if err != nil {
+		return Reply{}, fmt.Errorf("local training: %w", err)
+	}
+	privatize(delta, s.DPClip, s.DPNoiseSigma, rng)
+	dec, err := checkUpload(s.Filter, delta, b.Params, b.Feedback, b.Signs, b.Round)
+	if err != nil {
+		return Reply{}, fmt.Errorf("filter: %w", err)
+	}
+	return Reply{Delta: delta, Loss: loss, Metric: dec.Metric, Upload: dec.Upload}, nil
+}
+
+// Pack prices the reply and, for a compressed upload, runs the codec round
+// trip: fold the EF residual into the delta (post-gate: the upload decision
+// saw the raw delta), encode, decode, keep residual = (delta + residual) −
+// decoded, and leave the decoded update in r.Delta. A withheld update leaves
+// the residual untouched. The returned payload is the wire form of the
+// upload; it aliases sc and is valid until sc is packed again. It is nil for
+// a skip or a raw upload.
+//
+//cmfl:hotpath
+func (s *ClientStep) Pack(sc *Scratch, r *Reply) ([]byte, error) {
+	switch {
+	case !r.Upload:
+		r.Bytes = SkipNotificationBytes
+		return nil, nil
+	case s.Compressor == nil:
+		r.Bytes = int64(len(r.Delta)) * 8
+		return nil, nil
+	}
+	if sc.Residual != nil {
+		tensor.Axpy(1, sc.Residual, r.Delta)
+	}
+	payload, err := s.Compressor.EncodeInto(sc.enc, r.Delta)
+	if err != nil {
+		return nil, fmt.Errorf("encode: %w", err)
+	}
+	sc.enc = payload
+	decoded, err := s.Compressor.DecodeInto(sc.dec, payload, len(r.Delta))
+	if err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	sc.dec = decoded
+	if sc.Residual != nil {
+		for j := range sc.Residual {
+			sc.Residual[j] = r.Delta[j] - decoded[j]
+		}
+	}
+	copy(r.Delta, decoded)
+	r.Bytes = int64(len(payload))
+	return payload, nil
+}
+
+// privatize applies client-level differential privacy to an update in
+// place: clip the L2 norm to clip (if positive), then add per-coordinate
+// Gaussian noise with stddev sigma (if positive).
+//
+//cmfl:hotpath
+func privatize(delta []float64, clip, sigma float64, rng *xrand.Stream) {
+	if clip > 0 {
+		if norm := tensor.Norm2(delta); norm > clip {
+			tensor.ScaleVec(clip/norm, delta)
+		}
+	}
+	if sigma > 0 {
+		for j := range delta {
+			delta[j] += sigma * rng.Norm()
+		}
+	}
+}
+
+// checkUpload routes the upload decision through the precomputed-sign fast
+// path when the filter supports it, falling back to the general Check.
+//
+//cmfl:hotpath
+func checkUpload(filter UploadFilter, delta, global, feedback []float64, feedbackSigns []int8, t int) (core.Decision, error) {
+	if sc, ok := filter.(SignChecker); ok {
+		if dec, handled, err := sc.CheckSigns(delta, feedbackSigns, t); handled || err != nil {
+			return dec, err
+		}
+	}
+	return filter.Check(delta, global, feedback, t)
+}

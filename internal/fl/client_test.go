@@ -1,0 +1,206 @@
+package fl
+
+import (
+	"math"
+	"testing"
+
+	"cmfl/internal/compress"
+	"cmfl/internal/core"
+	"cmfl/internal/nn"
+	"cmfl/internal/xrand"
+)
+
+// stepFixture is one client of the digit-logistic workload plus a broadcast
+// whose feedback is non-zero, so a CMFL gate has something to compare with.
+type stepFixture struct {
+	cfg Config
+	net *nn.Network
+	b   Broadcast
+}
+
+func newStepFixture(t *testing.T) *stepFixture {
+	t.Helper()
+	cfg := digitLogisticConfig(t, 8, true)
+	net := cfg.Model()
+	params := net.ParamVector()
+	feedback := xrand.New(31).NormVec(len(params), 0, 1)
+	return &stepFixture{cfg: cfg, net: net, b: Broadcast{
+		Round: 2, LR: 0.15, Params: params,
+		Feedback: feedback, Signs: core.SignsInto(nil, feedback),
+	}}
+}
+
+func (f *stepFixture) step(filter UploadFilter, codec UpdateCodec) *ClientStep {
+	return &ClientStep{Epochs: f.cfg.Epochs, Batch: f.cfg.Batch, Filter: filter, Compressor: codec}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, j, got[j], want[j])
+		}
+	}
+}
+
+// TestClientStep pins the order of operations inside the shared client step
+// — the determinism contract every engine now inherits from one place.
+func TestClientStep(t *testing.T) {
+	codec, err := compress.ParseName("top6+quantize8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	never := core.NewFilter(core.Constant(2)) // no relevance reaches 2: always skip
+
+	t.Run("skip leaves the residual untouched and costs a notification", func(t *testing.T) {
+		f := newStepFixture(t)
+		step := f.step(never, codec)
+		sc := Scratch{Residual: xrand.New(32).NormVec(len(f.b.Params), 0, 1)}
+		before := append([]float64(nil), sc.Residual...)
+		r, err := step.Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := step.Pack(&sc, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Upload || payload != nil || r.Bytes != SkipNotificationBytes {
+			t.Fatalf("skip: upload=%v payload=%d bytes, Bytes=%d", r.Upload, len(payload), r.Bytes)
+		}
+		sameBits(t, "residual", sc.Residual, before)
+	})
+
+	t.Run("error feedback keeps what the codec dropped", func(t *testing.T) {
+		f := newStepFixture(t)
+		step := f.step(Vanilla{}, codec)
+		sc := Scratch{Residual: xrand.New(32).NormVec(len(f.b.Params), 0, 1)}
+		r, err := step.Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrected := append([]float64(nil), r.Delta...)
+		for j := range corrected {
+			corrected[j] += sc.Residual[j]
+		}
+		payload, err := step.Pack(&sc, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Bytes != int64(len(payload)) || len(payload) == 0 {
+			t.Fatalf("Bytes = %d, payload %d bytes", r.Bytes, len(payload))
+		}
+		decoded, err := codec.DecodeInto(nil, payload, len(corrected))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "aggregated delta", r.Delta, decoded)
+		for j := range corrected {
+			corrected[j] -= decoded[j]
+		}
+		sameBits(t, "residual", sc.Residual, corrected)
+	})
+
+	t.Run("raw upload costs 8 bytes a coordinate and no codec scratch", func(t *testing.T) {
+		f := newStepFixture(t)
+		step := f.step(Vanilla{}, nil)
+		var sc Scratch
+		r, err := step.Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := append([]float64(nil), r.Delta...)
+		payload, err := step.Pack(&sc, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload != nil || r.Bytes != int64(8*len(f.b.Params)) {
+			t.Fatalf("raw: payload %d bytes, Bytes = %d, want %d", len(payload), r.Bytes, 8*len(f.b.Params))
+		}
+		if sc.enc != nil || sc.dec != nil {
+			t.Fatal("raw upload allocated codec scratch")
+		}
+		sameBits(t, "delta", r.Delta, sent)
+	})
+
+	t.Run("DP noise is drawn after the solver's draws", func(t *testing.T) {
+		f := newStepFixture(t)
+		step := f.step(Vanilla{}, nil)
+		step.DPNoiseSigma = 0.01
+		r, err := step.Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.New(33)
+		want, _, err := LocalTrainProx(f.cfg.Model(), f.cfg.ClientData[0], f.b.Params, f.b.LR, step.Epochs, step.Batch, 0, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			want[j] += step.DPNoiseSigma * rng.Norm()
+		}
+		sameBits(t, "delta", r.Delta, want)
+	})
+
+	t.Run("nil signs are the zero-feedback bootstrap", func(t *testing.T) {
+		cosine := core.NewFilter(core.Constant(2))
+		cosine.UseCosine = true // no sign fast path: falls back to Check on the float feedback
+		for _, filter := range []UploadFilter{never, cosine} {
+			f := newStepFixture(t)
+			f.b.Feedback, f.b.Signs = make([]float64, len(f.b.Params)), nil
+			r, err := f.step(filter, nil).Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Upload || r.Metric != 1 {
+				t.Fatalf("%s bootstrap: upload=%v metric=%v, want true, 1", filter.Name(), r.Upload, r.Metric)
+			}
+			if rel := f.b.Relevance(r.Delta); !math.IsNaN(rel) {
+				t.Fatalf("relevance trace without feedback = %v, want NaN", rel)
+			}
+		}
+	})
+
+	t.Run("the step allocates nothing over the bare solver", func(t *testing.T) {
+		f := newStepFixture(t)
+		data := f.cfg.ClientData[0]
+		rng := xrand.New(33)
+		bare := testing.AllocsPerRun(20, func() {
+			if _, _, err := LocalTrainProx(f.net, data, f.b.Params, f.b.LR, f.cfg.Epochs, f.cfg.Batch, 0, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		gate := core.NewFilter(core.Constant(0)) // sign path, always uploads
+		// quantize8 keeps no pooled scratch; top-k's sync.Pool drops items under
+		// the race detector, which would count as the step's allocations.
+		dense, err := compress.ParseName("quantize8")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]UpdateCodec{"raw": nil, "codec": dense} {
+			step := f.step(gate, c)
+			var sc Scratch
+			var kept Reply
+			run := func() {
+				r, err := step.Train(f.net, data, rng, &f.b)
+				if err == nil {
+					_, err = step.Pack(&sc, &r)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept = r
+			}
+			run() // warm-up: the codec buffers grow once
+			if got := testing.AllocsPerRun(20, run); got != bare {
+				t.Errorf("%s step: %v allocs per call, bare LocalTrainProx %v", name, got, bare)
+			}
+			if !kept.Upload {
+				t.Fatalf("%s step: expected an upload", name)
+			}
+		}
+	})
+}

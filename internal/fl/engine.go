@@ -18,212 +18,132 @@ import (
 func nan() float64         { return math.NaN() }
 func isNaN(v float64) bool { return math.IsNaN(v) }
 
-// client is one simulated edge device: a model replica, a private shard and
-// a private random stream for batch shuffling.
+// client is one simulated edge device: a model replica, a private shard, a
+// private random stream for batch shuffling and DP noise, and its codec
+// scratch (with the EF-SGD residual when error feedback is on).
 type client struct {
-	id   int
-	net  *nn.Network
-	data *dataset.Set
-	rng  *xrand.Stream
+	net     *nn.Network
+	data    *dataset.Set
+	rng     *xrand.Stream
+	scratch Scratch
 }
 
-// localResult is what a client reports back to the engine each round.
-type localResult struct {
-	delta        []float64
-	loss         float64
-	upload       bool
-	relevance    float64
-	significance float64
-	err          error
+// newClients builds one client per shard, each on ClientStream(seed, i).
+func newClients(cfg *Config) []*client {
+	clients := make([]*client, len(cfg.ClientData))
+	for i, data := range cfg.ClientData {
+		clients[i] = &client{net: cfg.Model(), data: data, rng: ClientStream(cfg.Seed, i)}
+	}
+	return clients
 }
 
-// Run executes a synchronous federated training following Algorithm 1.
+// trainAll runs fn for every listed client on at most parallelism
+// goroutines and returns the first error in list order.
+func trainAll(ids []int, parallelism int, fn func(i int) error) (int, error) {
+	errs := make([]error, len(ids))
+	sem := make(chan struct{}, parallelism)
+	var wg sync.WaitGroup
+	for k, i := range ids {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(k, i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			errs[k] = fn(i)
+		}(k, i)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			return ids[k], err
+		}
+	}
+	return 0, nil
+}
+
+// Run executes a synchronous federated training following Algorithm 1: the
+// client half is ClientStep, the server half Aggregator. What Run adds is
+// FedAvg's fraction sampling, the optional n_k/n weights, and the Fig. 2/3
+// traces (Gaia significance, mean relevance, Eq. 8).
 //
 //cmfl:deterministic
 func Run(cfg Config) (*Result, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	filter := cfg.Filter
-	if filter == nil {
-		filter = Vanilla{}
+	step := ClientStep{
+		Epochs: cfg.Epochs, Batch: cfg.Batch, ProxMu: cfg.ProxMu,
+		DPClip: cfg.DPClip, DPNoiseSigma: cfg.DPNoiseSigma,
+		Filter: cfg.Filter, Compressor: cfg.Compressor,
+	}
+	if step.Filter == nil {
+		step.Filter = Vanilla{}
 	}
 
 	global := cfg.Model()
-	params := global.ParamVector()
-	dim := len(params)
+	agg := NewAggregator(telemetry.EngineSync, global.ParamVector(), len(cfg.ClientData), step.Filter, cfg.Observers)
+	agg.momentum = cfg.ServerMomentum
+	agg.staleness = cfg.FeedbackStaleness
 
-	clients := make([]*client, len(cfg.ClientData))
-	for i, data := range cfg.ClientData {
-		clients[i] = &client{
-			id:   i,
-			net:  cfg.Model(),
-			data: data,
-			rng:  ClientStream(cfg.Seed, i),
+	clients := newClients(&cfg)
+	var weights []float64 // FedAvg's n_k; nil is Algorithm 1's plain mean
+	if cfg.WeightedAggregation {
+		weights = make([]float64, len(clients))
+	}
+	for i, c := range clients {
+		if cfg.Compressor != nil && cfg.ErrorFeedback {
+			c.scratch.Residual = make([]float64, len(agg.Params))
+		}
+		if weights != nil {
+			weights[i] = float64(c.data.Len())
 		}
 	}
 
 	res := &Result{
-		SkipCounts:   make([]int, len(clients)),
+		SkipCounts:   agg.SkipCounts,
 		ClientParams: make([][]float64, len(clients)),
-		FilterName:   filter.Name(),
+		FilterName:   step.Filter.Name(),
 	}
-
-	// feedback is the latest non-empty global update; feedbackHist keeps a
-	// short window for the staleness ablation.
-	feedback := make([]float64, dim) // all zeros: "no feedback yet"
-	feedbackHist := make([][]float64, 0, cfg.FeedbackStaleness+1)
+	replies := make([]Reply, len(clients))
+	significance := make([]float64, len(clients))
 	var prevGlobalUpdate []float64 // for the Eq. 8 trace
-
-	cumUploads := 0
-	var cumBytes int64
-	var serverVelocity []float64
-
-	results := make([]localResult, len(clients))
-	clientBytes := make([]int64, len(clients)) // per-round uplink cost per client
-
-	// Codec scratch, reused every round: the aggregation loop is sequential
-	// and Axpy consumes each decoded update before the next overwrite, so
-	// one encode buffer and one decode buffer suffice for all clients.
-	var encScratch []byte
-	var decScratch []float64
-	var residuals [][]float64 // per-client EF-SGD residual, lazily sized
-	if cfg.Compressor != nil && cfg.ErrorFeedback {
-		residuals = make([][]float64, len(clients))
-	}
-	sem := make(chan struct{}, cfg.Parallelism)
 	sampler := xrand.Derive(cfg.Seed, "fl-sampler", 0)
-	var signBuf []int8 // reused feedback sign vector, rebuilt each round
 
 	for t := 1; t <= cfg.Rounds; t++ {
-		lr := cfg.LR.At(t)
-		staleFeedback := feedback
-		if cfg.FeedbackStaleness > 1 && len(feedbackHist) >= cfg.FeedbackStaleness {
-			staleFeedback = feedbackHist[len(feedbackHist)-cfg.FeedbackStaleness]
-		}
-		// Precompute the feedback's sign vector once per round; every client
-		// reads it concurrently (read-only) for the Eq. 9 check and trace.
-		// nil signs signal "no feedback yet".
-		var feedbackSigns []int8
-		if !core.AllZero(staleFeedback) {
-			signBuf = core.SignsInto(signBuf[:0], staleFeedback)
-			feedbackSigns = signBuf
-		}
-
-		participants := sampleClients(clients, cfg.ClientFraction, sampler)
-		var wg sync.WaitGroup
-		for _, i := range participants {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				results[i] = clients[i].trainRound(params, staleFeedback, feedbackSigns, lr, cfg.Epochs, cfg.Batch, filter, t, cfg.DPClip, cfg.DPNoiseSigma, cfg.ProxMu)
-			}(i)
-		}
-		wg.Wait()
-		for _, i := range participants {
-			if results[i].err != nil {
-				return nil, fmt.Errorf("fl: round %d client %d: %w", t, i, results[i].err)
+		b := agg.Begin(t, cfg.LR.At(t))
+		participants := sampleClients(len(clients), cfg.ClientFraction, sampler)
+		if i, err := trainAll(participants, cfg.Parallelism, func(i int) error {
+			c := clients[i]
+			r, err := step.Train(c.net, c.data, c.rng, &b)
+			if err != nil {
+				return err
 			}
+			// The traces see the post-DP delta, before Pack makes it lossy.
+			r.Relevance = b.Relevance(r.Delta)
+			if significance[i], err = gaia.Significance(r.Delta, b.Params); err != nil {
+				return err
+			}
+			_, err = step.Pack(&c.scratch, &r)
+			replies[i] = r
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("fl: round %d client %d: %w", t, i, err)
 		}
 
-		// Aggregate uploaded updates by averaging (Algorithm 1 line 8),
-		// optionally weighted by sample counts (FedAvg's n_k/n).
-		globalUpdate := make([]float64, dim)
-		uploaded := 0
-		var lossSum, relSum, sigSum, weightSum float64
-		var uploadBytes int64
+		var lossSum, relSum, sigSum float64
 		relCount := 0
-		//cmfl:order-pinned the ascending-client FedAvg fold IS the parity reference every other engine reproduces bit-for-bit
+		//cmfl:order-pinned diagnostic means over the participants in sampled order; only fl.Run publishes them and no engine is compared on them
 		for _, i := range participants {
-			r := &results[i]
-			lossSum += r.loss
-			sigSum += r.significance
-			if !isNaN(r.relevance) {
-				relSum += r.relevance
+			lossSum += replies[i].Loss
+			sigSum += significance[i]
+			if !isNaN(replies[i].Relevance) {
+				relSum += replies[i].Relevance
 				relCount++
 			}
-			if !r.upload {
-				res.SkipCounts[i]++
-				clientBytes[i] = SkipNotificationBytes
-				continue
-			}
-			delta := r.delta
-			if cfg.Compressor != nil {
-				if residuals != nil {
-					// Error feedback: fold the residual of previous rounds'
-					// compression into the update before encoding. Applied
-					// post-gate, so the upload decision saw the raw delta.
-					if residuals[i] == nil {
-						residuals[i] = make([]float64, dim)
-					}
-					tensor.Axpy(1, residuals[i], delta)
-				}
-				payload, err := cfg.Compressor.EncodeInto(encScratch, delta)
-				if err != nil {
-					return nil, fmt.Errorf("fl: round %d client %d encode: %w", t, i, err)
-				}
-				encScratch = payload
-				decoded, err := cfg.Compressor.DecodeInto(decScratch, payload, dim)
-				if err != nil {
-					return nil, fmt.Errorf("fl: round %d client %d decode: %w", t, i, err)
-				}
-				decScratch = decoded
-				if residuals != nil {
-					for j := range residuals[i] {
-						residuals[i][j] = delta[j] - decoded[j]
-					}
-				}
-				delta = decoded
-				clientBytes[i] = int64(len(payload))
-			} else {
-				clientBytes[i] = int64(dim) * 8
-			}
-			uploadBytes += clientBytes[i]
-			weight := 1.0
-			if cfg.WeightedAggregation {
-				weight = float64(clients[i].data.Len())
-			}
-			tensor.Axpy(weight, delta, globalUpdate)
-			weightSum += weight
-			uploaded++
 		}
-		if uploaded > 0 {
-			tensor.ScaleVec(1/weightSum, globalUpdate)
-			if cfg.ServerMomentum > 0 {
-				if serverVelocity == nil {
-					serverVelocity = make([]float64, dim)
-				}
-				for j := range serverVelocity {
-					serverVelocity[j] = cfg.ServerMomentum*serverVelocity[j] + globalUpdate[j]
-				}
-				// The applied update (and the feedback clients see) is the
-				// momentum-smoothed velocity.
-				copy(globalUpdate, serverVelocity)
-			}
-			//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
-			tensor.Axpy(1, globalUpdate, params)
-		}
-
-		cumUploads += uploaded
-		cumBytes += uploadBytes + int64(len(participants)-uploaded)*SkipNotificationBytes
-
-		if obs, ok := filter.(FilterFeedback); ok {
-			obs.ObserveRound(t, uploaded, len(participants))
-		}
-
+		ev, globalUpdate := agg.Fold(t, len(participants), participants, replies, weights)
 		stats := RoundStats{
-			RoundEvent: telemetry.RoundEvent{
-				Engine:         telemetry.EngineSync,
-				Round:          t,
-				Participants:   len(participants),
-				Uploaded:       uploaded,
-				Skipped:        len(participants) - uploaded,
-				CumUploads:     cumUploads,
-				CumUplinkBytes: cumBytes,
-				Accuracy:       nan(),
-			},
+			RoundEvent:       ev,
 			TrainLoss:        lossSum / float64(len(participants)),
 			MeanSignificance: sigSum / float64(len(participants)),
 			MeanRelevance:    nan(),
@@ -232,59 +152,49 @@ func Run(cfg Config) (*Result, error) {
 		if relCount > 0 {
 			stats.MeanRelevance = relSum / float64(relCount)
 		}
-		if uploaded > 0 {
+		if globalUpdate != nil {
 			if prevGlobalUpdate != nil {
 				if du, err := core.DeltaUpdate(prevGlobalUpdate, globalUpdate); err == nil {
 					stats.DeltaUpdate = du
 				}
 			}
 			prevGlobalUpdate = append(prevGlobalUpdate[:0], globalUpdate...)
-			// Update feedback only with non-empty aggregates so a fully
-			// skipped round does not zero out the global-direction estimate.
-			feedback = globalUpdate
-			feedbackHist = append(feedbackHist, globalUpdate)
-			if len(feedbackHist) > cfg.FeedbackStaleness+1 {
-				feedbackHist = feedbackHist[1:]
-			}
 		}
 
-		if cfg.EvalEvery > 0 && (t%cfg.EvalEvery == 0 || t == cfg.Rounds) {
-			if err := global.SetParamVector(params); err != nil {
-				return nil, fmt.Errorf("fl: broadcast to evaluator: %w", err)
-			}
-			stats.Accuracy = evaluate(global, cfg.TestData, cfg.EvalBatch)
+		done, err := cfg.evalRound(global, agg.Params, &stats.RoundEvent)
+		if err != nil {
+			return nil, err
 		}
 		res.History = append(res.History, stats)
-		if len(cfg.Observers) > 0 {
-			for _, i := range participants {
-				telemetry.EmitClient(cfg.Observers, telemetry.ClientEvent{
-					Engine:      telemetry.EngineSync,
-					Round:       t,
-					Client:      i,
-					Uploaded:    results[i].upload,
-					Relevance:   results[i].relevance,
-					UplinkBytes: clientBytes[i],
-				})
-			}
-			telemetry.EmitRound(cfg.Observers, stats.RoundEvent)
-		}
-
-		if cfg.TargetAccuracy > 0 && !isNaN(stats.Accuracy) && stats.Accuracy >= cfg.TargetAccuracy {
+		agg.Emit(stats.RoundEvent, participants, replies)
+		if done {
 			break
 		}
 	}
 
-	res.FinalParams = append([]float64(nil), params...)
+	res.FinalParams = append([]float64(nil), agg.Params...)
 	for i, c := range clients {
 		res.ClientParams[i] = c.net.ParamVector()
 	}
 	return res, nil
 }
 
+// evalRound fills ev.Accuracy on the rounds EvalEvery selects (and the last
+// one) and reports whether TargetAccuracy has been reached.
+func (cfg *Config) evalRound(global *nn.Network, params []float64, ev *telemetry.RoundEvent) (done bool, err error) {
+	if cfg.EvalEvery <= 0 || (ev.Round%cfg.EvalEvery != 0 && ev.Round != cfg.Rounds) {
+		return false, nil
+	}
+	if err := global.SetParamVector(params); err != nil {
+		return false, fmt.Errorf("fl: broadcast to evaluator: %w", err)
+	}
+	ev.Accuracy = Evaluate(global, cfg.TestData, cfg.EvalBatch)
+	return cfg.TargetAccuracy > 0 && !isNaN(ev.Accuracy) && ev.Accuracy >= cfg.TargetAccuracy, nil
+}
+
 // LocalTrain runs E epochs of minibatch SGD on data starting from the
 // broadcast global parameter vector and returns the resulting update delta
-// and mean batch loss. It is the single local-optimisation code path shared
-// by the in-process simulation and the TCP emulation.
+// and mean batch loss: LocalTrainProx without the proximal term.
 func LocalTrain(net *nn.Network, data *dataset.Set, global []float64, lr float64, epochs, batch int, rng *xrand.Stream) (delta []float64, loss float64, err error) {
 	return LocalTrainProx(net, data, global, lr, epochs, batch, 0, rng)
 }
@@ -292,6 +202,8 @@ func LocalTrain(net *nn.Network, data *dataset.Set, global []float64, lr float64
 // LocalTrainProx is LocalTrain with FedProx's proximal term: every SGD step
 // additionally applies the gradient of μ/2·‖w − w_global‖², pulling the
 // local solution toward the broadcast model. mu = 0 recovers LocalTrain.
+// It is the single local-optimisation code path of the repository; every
+// synchronous engine reaches it through ClientStep.Train.
 func LocalTrainProx(net *nn.Network, data *dataset.Set, global []float64, lr float64, epochs, batch int, mu float64, rng *xrand.Stream) (delta []float64, loss float64, err error) {
 	if err := net.SetParamVector(global); err != nil {
 		return nil, 0, err
@@ -323,75 +235,9 @@ func LocalTrainProx(net *nn.Network, data *dataset.Set, global []float64, lr flo
 	return tensor.Sub(local, global), lossSum / math.Max(1, float64(batches)), nil
 }
 
-// privatize applies client-level differential privacy to an update in
-// place: clip the L2 norm to clip (if positive), then add per-coordinate
-// Gaussian noise with stddev sigma (if positive).
-//
-//cmfl:hotpath
-func privatize(delta []float64, clip, sigma float64, rng *xrand.Stream) {
-	if clip > 0 {
-		if norm := tensor.Norm2(delta); norm > clip {
-			tensor.ScaleVec(clip/norm, delta)
-		}
-	}
-	if sigma > 0 {
-		for j := range delta {
-			delta[j] += sigma * rng.Norm()
-		}
-	}
-}
-
-// trainRound runs the client's local optimisation from the broadcast global
-// parameters and produces its (possibly withheld) update. feedbackSigns is
-// the engine's per-round precomputed sign vector of feedback (nil when there
-// is no feedback yet).
-func (c *client) trainRound(global, feedback []float64, feedbackSigns []int8, lr float64, epochs, batch int, filter UploadFilter, t int, dpClip, dpSigma, proxMu float64) localResult {
-	delta, loss, err := LocalTrainProx(c.net, c.data, global, lr, epochs, batch, proxMu, c.rng)
-	if err != nil {
-		return localResult{err: err}
-	}
-	privatize(delta, dpClip, dpSigma, c.rng)
-
-	dec, err := CheckUpload(filter, delta, global, feedback, feedbackSigns, t)
-	if err != nil {
-		return localResult{err: err}
-	}
-	rel := nan()
-	if len(feedbackSigns) > 0 {
-		if r, err := core.SignAgreement(delta, feedbackSigns); err == nil {
-			rel = r
-		}
-	}
-	sig, err := gaia.Significance(delta, global)
-	if err != nil {
-		return localResult{err: err}
-	}
-	return localResult{
-		delta:        delta,
-		loss:         loss,
-		upload:       dec.Upload,
-		relevance:    rel,
-		significance: sig,
-	}
-}
-
-// CheckUpload routes the upload decision through the precomputed-sign fast
-// path when the filter supports it, falling back to the general Check.
-// Exported so the discrete-event simulation (internal/sim) gates uploads
-// with the exact decision path the in-process engine uses.
-//
-//cmfl:hotpath
-func CheckUpload(filter UploadFilter, delta, global, feedback []float64, feedbackSigns []int8, t int) (core.Decision, error) {
-	if sc, ok := filter.(SignChecker); ok {
-		if dec, handled, err := sc.CheckSigns(delta, feedbackSigns, t); handled || err != nil {
-			return dec, err
-		}
-	}
-	return filter.Check(delta, global, feedback, t)
-}
-
-// evaluate computes test accuracy in bounded-size forward batches.
-func evaluate(net *nn.Network, test *dataset.Set, evalBatch int) float64 {
+// Evaluate computes test accuracy in bounded-size forward batches; NaN
+// without test data. Every engine that reports accuracy calls it.
+func Evaluate(net *nn.Network, test *dataset.Set, evalBatch int) float64 {
 	if test == nil || test.Len() == 0 {
 		return nan()
 	}
@@ -414,8 +260,7 @@ func evaluate(net *nn.Network, test *dataset.Set, evalBatch int) float64 {
 
 // sampleClients returns the participant indices for one round: all clients
 // at full participation, otherwise a uniform sample of max(1, fraction·D).
-func sampleClients(clients []*client, fraction float64, rng *xrand.Stream) []int {
-	d := len(clients)
+func sampleClients(d int, fraction float64, rng *xrand.Stream) []int {
 	if fraction <= 0 || fraction >= 1 {
 		all := make([]int, d)
 		for i := range all {

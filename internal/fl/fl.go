@@ -8,6 +8,13 @@
 // relevance against the previous global update. The engine accounts for the
 // paper's two cost metrics — accumulated communication rounds (Eq. 4) and
 // uplink bytes — and records the traces needed for every figure.
+//
+// Algorithm 1 is written once: ClientStep is its client half and Aggregator
+// its server half. Run, RunPartial, internal/sim and the internal/emu client
+// are built from them and add only what is theirs (DESIGN.md, "Algorithm 1,
+// once"). RunAsync is a different algorithm and keeps its own loop.
+//
+//cmfl:api-change PR 13: CheckUpload is unexported (sim and emu now gate through ClientStep.Train, so nothing outside fl calls it); the step and fold they share are new exports: ClientStep, Broadcast, Reply, Scratch, Aggregator, Evaluate
 package fl
 
 import (

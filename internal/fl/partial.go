@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"cmfl/internal/core"
 	"cmfl/internal/telemetry"
-	"cmfl/internal/tensor"
 	"cmfl/internal/xrand"
 )
 
@@ -73,6 +71,10 @@ func (r *PartialResult) FinalAccuracy() float64 {
 }
 
 // RunPartial executes synchronous training with layerwise relevance gating.
+// Participation is its own (seeded dropout), and so are the per-segment gate
+// and per-segment mean; the local solve is ClientStep's, and applying the
+// aggregate, the feedback rule, the counters and the emission are
+// Aggregator's.
 //
 //cmfl:deterministic
 func RunPartial(cfg PartialConfig) (*PartialResult, error) {
@@ -90,8 +92,11 @@ func RunPartial(cfg PartialConfig) (*PartialResult, error) {
 	}
 
 	global := cfg.Model()
-	params := global.ParamVector()
-	dim := len(params)
+	// The whole-update gate is replaced by the per-segment one below, so the
+	// step runs with the always-upload filter and no codec.
+	step := ClientStep{Epochs: cfg.Epochs, Batch: cfg.Batch, Filter: Vanilla{}}
+	agg := NewAggregator(telemetry.EnginePartial, global.ParamVector(), len(cfg.ClientData), step.Filter, cfg.Observers)
+	dim := len(agg.Params)
 	segLens := global.ParamSegments()
 	segOff := make([]int, len(segLens)+1)
 	for i, l := range segLens {
@@ -101,91 +106,66 @@ func RunPartial(cfg PartialConfig) (*PartialResult, error) {
 		return nil, fmt.Errorf("fl: segments cover %d of %d params", segOff[len(segLens)], dim)
 	}
 
-	clients := make([]*client, len(cfg.ClientData))
-	for i, data := range cfg.ClientData {
-		clients[i] = &client{
-			id:   i,
-			net:  cfg.Model(),
-			data: data,
-			rng:  ClientStream(cfg.Seed, i),
-		}
-	}
-
-	feedback := make([]float64, dim)
+	clients := newClients(&cfg.Config)
 	res := &PartialResult{}
-	var cumBytes int64
 	totalSegs, uploadedSegs := 0, 0
-	cumUploads := 0
 
-	results := make([]partialResult, len(clients))
-	clientBytes := make([]int64, len(clients)) // per-round uplink cost per client
-	active := make([]bool, len(clients))
+	replies := make([]Reply, len(clients))
+	segUpload := make([][]bool, len(clients)) // this round's per-segment verdicts
+	for i := range segUpload {
+		segUpload[i] = make([]bool, len(segLens))
+	}
+	active := make([]int, 0, len(clients))
 	var dropRng *xrand.Stream
 	if cfg.DropoutRate > 0 {
 		dropRng = xrand.Derive(cfg.Seed, "partial-dropout", 0)
 	}
-	sem := make(chan struct{}, cfg.Parallelism)
 
 	for t := 1; t <= cfg.Rounds; t++ {
-		lr := cfg.LR.At(t)
+		b := agg.Begin(t, cfg.LR.At(t))
 		thr := cfg.Threshold.At(t)
 		// Dropout draws happen up front in client order: one Float64 per
 		// client per round, so the participation pattern is a pure function
 		// of the seed regardless of goroutine scheduling.
-		activeCount := 0
+		active = active[:0]
 		for i := range clients {
-			active[i] = dropRng == nil || dropRng.Float64() >= cfg.DropoutRate
-			if active[i] {
-				activeCount++
+			if dropRng == nil || dropRng.Float64() >= cfg.DropoutRate {
+				active = append(active, i)
 			}
 		}
-		var wg sync.WaitGroup
-		for i := range clients {
-			if !active[i] {
-				results[i] = partialResult{}
-				continue
+		if i, err := trainAll(active, cfg.Parallelism, func(i int) error {
+			c := clients[i]
+			r, err := step.Train(c.net, c.data, c.rng, &b)
+			if err != nil {
+				return err
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				results[i] = partialTrain(clients[i], params, feedback, segOff, lr, thr, cfg.Epochs, cfg.Batch, cfg.MinSegment)
-			}(i)
-		}
-		wg.Wait()
-		for i := range results {
-			if active[i] && results[i].err != nil {
-				return nil, fmt.Errorf("fl: partial round %d client %d: %w", t, i, results[i].err)
-			}
+			r.Relevance = math.NaN()
+			replies[i] = r
+			return gateSegments(segUpload[i], r.Delta, &b, segOff, thr, cfg.MinSegment)
+		}); err != nil {
+			return nil, fmt.Errorf("fl: partial round %d client %d: %w", t, i, err)
 		}
 
 		// Per-segment averaging over the active clients that uploaded the
 		// segment; dropped clients contribute nothing this round.
 		globalUpdate := make([]float64, dim)
-		segUp, segTot := 0, 0
-		var roundBytes int64
-		for i := range clientBytes {
-			clientBytes[i] = 0
+		segUp := 0
+		for _, i := range active {
+			replies[i].Bytes = 0
 		}
 		for s := 0; s < len(segLens); s++ {
 			lo, hi := segOff[s], segOff[s+1]
 			count := 0
-			for i := range results {
-				if !active[i] {
-					continue
-				}
-				r := &results[i]
-				segTot++
-				if !r.upload[s] {
+			for _, i := range active {
+				if !segUpload[i][s] {
 					continue
 				}
 				segUp++
 				count++
 				for j := lo; j < hi; j++ {
-					globalUpdate[j] += r.delta[j]
+					globalUpdate[j] += replies[i].Delta[j]
 				}
-				clientBytes[i] += int64(hi-lo)*8 + segmentUploadBytes
+				replies[i].Bytes += int64(hi-lo)*8 + segmentUploadBytes
 			}
 			if count > 0 {
 				inv := 1.0 / float64(count)
@@ -194,115 +174,65 @@ func RunPartial(cfg PartialConfig) (*PartialResult, error) {
 				}
 			}
 		}
-		// Active clients that uploaded nothing still send a skip
+		// A client counts as uploaded when it transferred at least one
+		// segment. Active clients that uploaded nothing still send a skip
 		// notification; dropped clients send nothing at all.
 		clientsUploaded := 0
-		for i := range results {
-			if !active[i] {
-				continue
-			}
-			if clientBytes[i] == 0 {
-				clientBytes[i] = SkipNotificationBytes
-			} else {
+		var roundBytes int64
+		for _, i := range active {
+			r := &replies[i]
+			r.Upload = r.Bytes > 0
+			if r.Upload {
 				clientsUploaded++
+			} else {
+				r.Bytes = SkipNotificationBytes
 			}
-			roundBytes += clientBytes[i]
+			roundBytes += r.Bytes
 		}
-		//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
-		tensor.Axpy(1, globalUpdate, params)
-		if !core.AllZero(globalUpdate) {
-			feedback = globalUpdate
-		}
-
-		cumBytes += roundBytes
+		segTot := len(active) * len(segLens)
 		uploadedSegs += segUp
 		totalSegs += segTot
-		cumUploads += clientsUploaded
+
 		st := PartialRoundStats{
-			RoundEvent: telemetry.RoundEvent{
-				Engine:         telemetry.EnginePartial,
-				Round:          t,
-				Participants:   activeCount,
-				Uploaded:       clientsUploaded,
-				Skipped:        activeCount - clientsUploaded,
-				CumUploads:     cumUploads,
-				CumUplinkBytes: cumBytes,
-				Dropped:        len(clients) - activeCount,
-				Accuracy:       math.NaN(),
-			},
+			RoundEvent:       agg.commit(t, len(active), len(active), clientsUploaded, roundBytes, globalUpdate),
 			SegmentsUploaded: segUp,
 			SegmentsTotal:    segTot,
 		}
-		if cfg.EvalEvery > 0 && (t%cfg.EvalEvery == 0 || t == cfg.Rounds) {
-			if err := global.SetParamVector(params); err != nil {
-				return nil, err
-			}
-			st.Accuracy = evaluate(global, cfg.TestData, cfg.EvalBatch)
+		// Clients that sat the round out are not participants here.
+		st.Dropped = len(clients) - len(active)
+		done, err := cfg.evalRound(global, agg.Params, &st.RoundEvent)
+		if err != nil {
+			return nil, err
 		}
 		res.History = append(res.History, st)
-		if len(cfg.Observers) > 0 {
-			for i := range results {
-				if !active[i] {
-					continue
-				}
-				uploadedAny := false
-				for _, u := range results[i].upload {
-					if u {
-						uploadedAny = true
-						break
-					}
-				}
-				telemetry.EmitClient(cfg.Observers, telemetry.ClientEvent{
-					Engine:      telemetry.EnginePartial,
-					Round:       t,
-					Client:      i,
-					Uploaded:    uploadedAny,
-					Relevance:   math.NaN(),
-					UplinkBytes: clientBytes[i],
-				})
-			}
-			telemetry.EmitRound(cfg.Observers, st.RoundEvent)
-		}
-		if cfg.TargetAccuracy > 0 && !math.IsNaN(st.Accuracy) && st.Accuracy >= cfg.TargetAccuracy {
+		agg.Emit(st.RoundEvent, active, replies)
+		if done {
 			break
 		}
 	}
-	res.FinalParams = params
+	res.FinalParams = agg.Params
 	if totalSegs > 0 {
 		res.SegmentUploadFraction = float64(uploadedSegs) / float64(totalSegs)
 	}
 	return res, nil
 }
 
-// partialResult is one client's gated update: the full delta plus a
-// per-segment upload decision.
-type partialResult struct {
-	delta  []float64
-	upload []bool
-	err    error
-}
-
-// partialTrain runs one client's local round and gates each parameter
-// segment independently. The first round (zero feedback) uploads all.
-func partialTrain(c *client, global, feedback []float64, segOff []int, lr, thr float64, epochs, batch, minSegment int) partialResult {
-	delta, _, err := LocalTrain(c.net, c.data, global, lr, epochs, batch, c.rng)
-	if err != nil {
-		return partialResult{err: err}
-	}
-	nSeg := len(segOff) - 1
-	upload := make([]bool, nSeg)
-	bootstrap := core.AllZero(feedback)
-	for s := 0; s < nSeg; s++ {
+// gateSegments decides each parameter segment of one client's update
+// independently. Zero feedback (the first round) uploads everything, and so
+// do segments shorter than minSegment.
+func gateSegments(upload []bool, delta []float64, b *Broadcast, segOff []int, thr float64, minSegment int) error {
+	bootstrap := len(b.Signs) == 0
+	for s := range upload {
 		lo, hi := segOff[s], segOff[s+1]
 		if bootstrap || hi-lo < minSegment {
 			upload[s] = true
 			continue
 		}
-		rel, err := core.Relevance(delta[lo:hi], feedback[lo:hi])
+		rel, err := core.Relevance(delta[lo:hi], b.Feedback[lo:hi])
 		if err != nil {
-			return partialResult{err: err}
+			return err
 		}
 		upload[s] = rel >= thr
 	}
-	return partialResult{delta: delta, upload: upload}
+	return nil
 }

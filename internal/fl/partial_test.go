@@ -169,3 +169,39 @@ func TestPartialMinSegmentBypassesSmallTensors(t *testing.T) {
 		}
 	}
 }
+
+// TestPartialParity pins what RunPartial shares with Run: with a threshold
+// no segment can fail and no dropout, the per-segment mean degenerates to
+// the plain mean, so the two engines must agree bit for bit.
+func TestPartialParity(t *testing.T) {
+	pcfg := partialConfig(t)
+	pcfg.Rounds = 6
+	pcfg.Threshold = core.Constant(-1)
+	cfg := pcfg.Config
+	cfg.Filter = Vanilla{}
+
+	pres, err := RunPartial(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pres.FinalParams) != len(res.FinalParams) {
+		t.Fatalf("param dims differ: partial %d, sync %d", len(pres.FinalParams), len(res.FinalParams))
+	}
+	for j := range res.FinalParams {
+		if math.Float64bits(pres.FinalParams[j]) != math.Float64bits(res.FinalParams[j]) {
+			t.Fatalf("param %d: partial %v != sync %v", j, pres.FinalParams[j], res.FinalParams[j])
+		}
+	}
+	if len(pres.History) != len(res.History) {
+		t.Fatalf("rounds differ: partial %d, sync %d", len(pres.History), len(res.History))
+	}
+	for r := range res.History {
+		if math.Float64bits(pres.History[r].Accuracy) != math.Float64bits(res.History[r].Accuracy) {
+			t.Fatalf("round %d accuracy: partial %v != sync %v", r+1, pres.History[r].Accuracy, res.History[r].Accuracy)
+		}
+	}
+}

@@ -1,0 +1,164 @@
+package fl
+
+import (
+	"cmfl/internal/core"
+	"cmfl/internal/telemetry"
+	"cmfl/internal/tensor"
+)
+
+// Aggregator is the server half of Algorithm 1, written once for Run,
+// RunPartial and sim.Run: the per-round feedback prelude, the FedAvg fold of
+// the accepted replies, the apply step with its feedback rule, the
+// cumulative communication counters and the telemetry emission. What stays
+// with each engine is who participates, whose reply is accepted, and the
+// diagnostics only that engine publishes.
+type Aggregator struct {
+	// Params is the global parameter vector, updated in place every round.
+	Params []float64
+	// SkipCounts is the number of withheld updates Fold saw per client.
+	SkipCounts []int
+
+	engine    string
+	filter    UploadFilter
+	observers []telemetry.Observer
+	momentum  float64 // Config.ServerMomentum
+	staleness int     // Config.FeedbackStaleness, at least 1
+
+	feedback   []float64   // latest non-empty aggregate; zeros before the first
+	history    [][]float64 // the last staleness+1 of them, kept when staleness > 1
+	signs      []int8      // sign buffer, rebuilt by Begin
+	velocity   []float64   // momentum state, allocated on first use
+	cumUploads int
+	cumBytes   int64
+}
+
+// NewAggregator starts a run at params for the given number of clients.
+// engine labels the emitted events; filter is told every round's upload
+// count when it implements FilterFeedback.
+func NewAggregator(engine string, params []float64, clients int, filter UploadFilter, observers []telemetry.Observer) *Aggregator {
+	return &Aggregator{
+		Params:     params,
+		SkipCounts: make([]int, clients),
+		engine:     engine,
+		filter:     filter,
+		observers:  observers,
+		staleness:  1,
+		feedback:   make([]float64, len(params)),
+	}
+}
+
+// Begin opens round t: it picks the feedback the clients compare against and
+// computes its sign vector once, for every client to read concurrently.
+func (a *Aggregator) Begin(t int, lr float64) Broadcast {
+	feedback := a.feedback
+	if a.staleness > 1 && len(a.history) >= a.staleness {
+		feedback = a.history[len(a.history)-a.staleness]
+	}
+	b := Broadcast{Round: t, LR: lr, Params: a.Params, Feedback: feedback}
+	if !core.AllZero(feedback) {
+		a.signs = core.SignsInto(a.signs[:0], feedback)
+		b.Signs = a.signs
+	}
+	return b
+}
+
+// Fold closes round t over the replies the engine accepted: replies[i] for
+// every i in accepted, in that order. Uploads are averaged (Algorithm 1
+// line 8; weights, indexed like replies, turns the plain mean into FedAvg's
+// n_k/n when non-nil) and applied; participants counts everyone who was sent
+// the broadcast, so participants − len(accepted) were dropped. It returns
+// the round's event with Accuracy left NaN, and the applied global update —
+// nil when nobody uploaded.
+//
+//cmfl:deterministic
+func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, weights []float64) (telemetry.RoundEvent, []float64) {
+	update := make([]float64, len(a.Params))
+	uploaded := 0
+	var weightSum float64
+	var bytes int64
+	//cmfl:order-pinned the FedAvg fold in the engine's accepted-client order IS the parity reference: fl.Run and sim.Run share this loop and must agree bit-for-bit
+	for _, i := range accepted {
+		r := &replies[i]
+		bytes += r.Bytes
+		if !r.Upload {
+			a.SkipCounts[i]++
+			continue
+		}
+		weight := 1.0
+		if weights != nil {
+			weight = weights[i]
+		}
+		tensor.Axpy(weight, r.Delta, update)
+		weightSum += weight
+		uploaded++
+	}
+	if uploaded == 0 {
+		return a.commit(t, participants, len(accepted), 0, bytes, nil), nil
+	}
+	tensor.ScaleVec(1/weightSum, update)
+	if a.momentum > 0 {
+		if a.velocity == nil {
+			a.velocity = make([]float64, len(update))
+		}
+		for j := range a.velocity {
+			a.velocity[j] = a.momentum*a.velocity[j] + update[j]
+		}
+		// The applied update (and the feedback clients see) is the
+		// momentum-smoothed velocity.
+		copy(update, a.velocity)
+	}
+	return a.commit(t, participants, len(accepted), uploaded, bytes, update), update
+}
+
+// commit applies a round's aggregate and does the bookkeeping every
+// synchronous engine shares. Only a non-empty aggregate (uploaded > 0)
+// moves the model and replaces the feedback, so a fully skipped round does
+// not zero out the global-direction estimate.
+func (a *Aggregator) commit(t, participants, replied, uploaded int, bytes int64, update []float64) telemetry.RoundEvent {
+	if uploaded > 0 {
+		//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
+		tensor.Axpy(1, update, a.Params)
+		a.feedback = update
+		if a.staleness > 1 { // Begin reads the window only then
+			a.history = append(a.history, update)
+			if len(a.history) > a.staleness+1 {
+				a.history = a.history[1:]
+			}
+		}
+	}
+	a.cumUploads += uploaded
+	a.cumBytes += bytes
+	if obs, ok := a.filter.(FilterFeedback); ok {
+		obs.ObserveRound(t, uploaded, participants)
+	}
+	return telemetry.RoundEvent{
+		Engine:         a.engine,
+		Round:          t,
+		Participants:   participants,
+		Uploaded:       uploaded,
+		Skipped:        replied - uploaded,
+		CumUploads:     a.cumUploads,
+		CumUplinkBytes: a.cumBytes,
+		Dropped:        participants - replied,
+		Accuracy:       nan(),
+	}
+}
+
+// Emit publishes the round: one ClientEvent per accepted reply, in accepted
+// order, then the RoundEvent.
+func (a *Aggregator) Emit(ev telemetry.RoundEvent, accepted []int, replies []Reply) {
+	if len(a.observers) == 0 {
+		return
+	}
+	for _, i := range accepted {
+		telemetry.EmitClient(a.observers, telemetry.ClientEvent{
+			Engine:      a.engine,
+			Round:       ev.Round,
+			Client:      i,
+			Uploaded:    replies[i].Upload,
+			Relevance:   replies[i].Relevance,
+			UplinkBytes: replies[i].Bytes,
+		})
+	}
+	telemetry.EmitRound(a.observers, ev)
+}

@@ -6,39 +6,32 @@ import (
 	"sync"
 	"time"
 
-	"cmfl/internal/core"
 	"cmfl/internal/emu"
 	"cmfl/internal/emu/shard"
 	"cmfl/internal/fl"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
-	"cmfl/internal/tensor"
 	"cmfl/internal/xrand"
 )
 
-// clientRound is one client's contribution to the current round, written by
-// its shard worker and consumed by the driving goroutine.
-type clientRound struct {
-	delta     []float64
-	loss      float64
-	upload    bool
-	relevance float64
-	bytes     int64
-	delay     time.Duration
+// shardWorker owns what a worker goroutine reuses across rounds: one model
+// replica (reset per client via SetParamVector inside the solver) and the
+// codec scratch. Workers touch only per-client state — their own scratch,
+// the client's streams, the client's reply and delay slots — so the result
+// is independent of how clients are partitioned onto workers.
+type shardWorker struct {
+	net     *nn.Network
+	scratch fl.Scratch // Residual stays nil: error feedback is not simulated
+
+	// The first failure in the worker's block this round, if any.
+	errClient int
 	err       error
 }
 
-// shardWorker owns the scratch a worker goroutine reuses across rounds: one
-// model replica (reset per client via SetParamVector inside the solver) and
-// one codec encode buffer. Workers touch only per-client state — their own
-// scratch, the client's streams, the client's results slot — so the result
-// is independent of how clients are partitioned onto workers.
-type shardWorker struct {
-	net        *nn.Network
-	encScratch []byte
-}
-
-// Run executes the simulated federated training in virtual time.
+// Run executes the simulated federated training in virtual time. Both halves
+// of Algorithm 1 are fl's (ClientStep in the workers, Aggregator on the
+// driving goroutine); what Run adds is availability, the event heap and the
+// quorum that decide whose reply is accepted, and the virtual-time record.
 //
 //cmfl:deterministic
 func Run(cfg Config) (*Result, error) {
@@ -46,9 +39,8 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	n := len(cfg.ClientData)
-	server := cfg.Model()
-	params := server.ParamVector()
-	dim := len(params)
+	step := fl.ClientStep{Epochs: cfg.Epochs, Batch: cfg.Batch, Filter: cfg.Filter, Compressor: cfg.Compressor}
+	agg := fl.NewAggregator(telemetry.EngineSim, cfg.Model().ParamVector(), n, cfg.Filter, cfg.Observers)
 
 	var met *Families
 	if cfg.Registry != nil {
@@ -77,7 +69,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		SkipCounts:      make([]int, n),
+		SkipCounts:      agg.SkipCounts,
 		StragglerCounts: make([]int, n),
 		FilterName:      cfg.Filter.Name(),
 	}
@@ -85,37 +77,25 @@ func Run(cfg Config) (*Result, error) {
 	q := emu.NewQuorum(n)
 	var heap eventHeap
 	expected := make([]bool, n)
-	results := make([]clientRound, n)
-
-	feedback := make([]float64, dim) // all zeros: "no feedback yet"
-	var signBuf []int8
-	cumUploads := 0
-	var cumBytes int64
-	var encScratch []byte
-	var decScratch []float64
+	replies := make([]fl.Reply, n)
+	delays := make([]time.Duration, n)
+	accepted := make([]int, 0, n)
 	var clock time.Duration // virtual now; rounds advance it monotonically
 
 	for t := 1; t <= cfg.Rounds; t++ {
-		lr := cfg.LR.At(t)
+		b := agg.Begin(t, cfg.LR.At(t))
 		roundStart := clock
-
-		var feedbackSigns []int8
-		if !core.AllZero(feedback) {
-			signBuf = core.SignsInto(signBuf[:0], feedback)
-			feedbackSigns = signBuf
-		}
 
 		// Availability draws happen here, on the driving goroutine in
 		// ascending client order, before any worker touches the round.
 		for c := 0; c < n; c++ {
 			expected[c] = cfg.Availability >= 1 || timingRng[c].Float64() < cfg.Availability
-			results[c] = clientRound{}
+			replies[c] = fl.Reply{}
 		}
 
-		// Fan the per-client work out to the shard workers: train, gate,
-		// size the payload, draw the reply delay. Contiguous blocks keep
-		// each worker's memory access local; any partition would produce
-		// the same results.
+		// Fan the per-client work out to the shard workers: the client step,
+		// then the reply-delay draw. Contiguous blocks keep each worker's
+		// memory access local; any partition would produce the same results.
 		var wg sync.WaitGroup
 		per := (n + cfg.Shards - 1) / cfg.Shards
 		for w := 0; w < cfg.Shards; w++ {
@@ -129,13 +109,13 @@ func Run(cfg Config) (*Result, error) {
 			wg.Add(1)
 			go func(w *shardWorker, lo, hi int) {
 				defer wg.Done()
-				w.round(&cfg, lo, hi, t, lr, params, feedback, feedbackSigns, expected, results, trainRng, timingRng)
+				w.errClient, w.err = w.round(&cfg, &step, &b, lo, hi, expected, replies, delays, trainRng, timingRng)
 			}(workers[w], lo, hi)
 		}
 		wg.Wait()
-		for c := 0; c < n; c++ {
-			if results[c].err != nil {
-				return nil, fmt.Errorf("sim: round %d client %d: %w", t, c, results[c].err)
+		for _, w := range workers { // blocks ascend with w: the first error is the lowest client's
+			if w.err != nil {
+				return nil, fmt.Errorf("sim: round %d client %d: %w", t, w.errClient, w.err)
 			}
 		}
 
@@ -146,7 +126,7 @@ func Run(cfg Config) (*Result, error) {
 		q.BeginRound(t, expected)
 		for c := 0; c < n; c++ {
 			if expected[c] {
-				heap.push(Event{At: roundStart + results[c].delay, Kind: EventArrive, Client: c, Round: t})
+				heap.push(Event{At: roundStart + delays[c], Kind: EventArrive, Client: c, Round: t})
 			}
 		}
 		if cfg.RoundDeadline > 0 {
@@ -186,7 +166,7 @@ func Run(cfg Config) (*Result, error) {
 					roundEnd = ev.At
 					if met != nil {
 						met.ReplyLatency.Observe((ev.At - roundStart).Seconds())
-						met.ReplyBytes.Observe(float64(results[ev.Client].bytes))
+						met.ReplyBytes.Observe(float64(replies[ev.Client].Bytes))
 					}
 				case emu.VerdictDuplicate, emu.VerdictLate, emu.VerdictFuture, emu.VerdictUnknown:
 					return nil, fmt.Errorf("sim: round %d: current-round reply from client %d classified %v", t, ev.Client, v)
@@ -196,88 +176,43 @@ func Run(cfg Config) (*Result, error) {
 				break
 			}
 		}
-		if accepted := q.Accepted(); accepted < cfg.MinQuorum {
+		if got := q.Accepted(); got < cfg.MinQuorum {
 			if deadlineFired {
 				return nil, fmt.Errorf("sim: round %d: quorum not met at deadline %v: %d of %d replies (minimum %d)",
-					t, cfg.RoundDeadline, accepted, q.Expected(), cfg.MinQuorum)
+					t, cfg.RoundDeadline, got, q.Expected(), cfg.MinQuorum)
 			}
-			return nil, fmt.Errorf("sim: round %d: only %d replies possible (minimum %d)", t, accepted, cfg.MinQuorum)
+			return nil, fmt.Errorf("sim: round %d: only %d replies possible (minimum %d)", t, got, cfg.MinQuorum)
 		}
 
-		// Aggregate the accepted uploads in ascending client order — the
-		// same accumulation order as fl.Run, regardless of arrival order
-		// or shard count. The scalar statistics go through exact
-		// accumulators, so they too are independent of any regrouping.
-		globalUpdate := make([]float64, dim)
-		uploaded := 0
+		// The accepted replies fold in ascending client order — the same
+		// order as fl.Run, regardless of arrival order or shard count. The
+		// scalar statistics cover every client that trained and go through
+		// exact accumulators, so they too are independent of any regrouping.
 		var lossAcc, relAcc shard.Scalar
-		var uploadBytes int64
 		trained, relCount := 0, 0
+		accepted = accepted[:0]
 		for c := 0; c < n; c++ {
 			if !expected[c] {
 				continue
 			}
-			r := &results[c]
-			lossAcc.Add(r.loss)
+			r := &replies[c]
+			lossAcc.Add(r.Loss)
 			trained++
-			if !math.IsNaN(r.relevance) {
-				relAcc.Add(r.relevance)
+			if !math.IsNaN(r.Relevance) {
+				relAcc.Add(r.Relevance)
 				relCount++
 			}
-			if !q.Replied(c) {
+			if q.Replied(c) {
+				accepted = append(accepted, c)
+			} else {
 				res.StragglerCounts[c]++
-				continue
 			}
-			if !r.upload {
-				res.SkipCounts[c]++
-				uploadBytes += fl.SkipNotificationBytes
-				continue
-			}
-			delta := r.delta
-			if cfg.Compressor != nil {
-				payload, err := cfg.Compressor.EncodeInto(encScratch, delta)
-				if err != nil {
-					return nil, fmt.Errorf("sim: round %d client %d encode: %w", t, c, err)
-				}
-				encScratch = payload
-				decoded, err := cfg.Compressor.DecodeInto(decScratch, payload, dim)
-				if err != nil {
-					return nil, fmt.Errorf("sim: round %d client %d decode: %w", t, c, err)
-				}
-				decScratch = decoded
-				delta = decoded
-			}
-			uploadBytes += r.bytes
-			//cmfl:order-pinned ascending-client FedAvg fold is the cross-engine parity reference (fl.Run folds identically)
-			tensor.Axpy(1, delta, globalUpdate)
-			uploaded++
 		}
-		if uploaded > 0 {
-			tensor.ScaleVec(1/float64(uploaded), globalUpdate)
-			//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
-			tensor.Axpy(1, globalUpdate, params)
-			feedback = globalUpdate
-		}
-		cumUploads += uploaded
-		cumBytes += uploadBytes
-
-		if obs, ok := cfg.Filter.(fl.FilterFeedback); ok {
-			obs.ObserveRound(t, uploaded, q.Expected())
-		}
+		ev, _ := agg.Fold(t, q.Expected(), accepted, replies, nil)
 
 		clock = roundEnd
 		stats := RoundStats{
-			RoundEvent: telemetry.RoundEvent{
-				Engine:         telemetry.EngineSim,
-				Round:          t,
-				Participants:   q.Expected(),
-				Uploaded:       uploaded,
-				Skipped:        q.Accepted() - uploaded,
-				CumUploads:     cumUploads,
-				CumUplinkBytes: cumBytes,
-				Dropped:        q.StragglerCount(),
-				Accuracy:       math.NaN(),
-			},
+			RoundEvent:    ev,
 			VirtualStart:  roundStart,
 			VirtualEnd:    roundEnd,
 			DeadlineFired: deadlineFired,
@@ -294,77 +229,39 @@ func Run(cfg Config) (*Result, error) {
 			met.RoundDuration.Observe((roundEnd - roundStart).Seconds())
 		}
 		res.History = append(res.History, stats)
-		if len(cfg.Observers) > 0 {
-			for c := 0; c < n; c++ {
-				if !q.Replied(c) {
-					continue
-				}
-				telemetry.EmitClient(cfg.Observers, telemetry.ClientEvent{
-					Engine:      telemetry.EngineSim,
-					Round:       t,
-					Client:      c,
-					Uploaded:    results[c].upload,
-					Relevance:   results[c].relevance,
-					UplinkBytes: results[c].bytes,
-				})
-			}
-			telemetry.EmitRound(cfg.Observers, stats.RoundEvent)
-		}
+		agg.Emit(ev, accepted, replies)
 	}
 
-	res.FinalParams = append([]float64(nil), params...)
+	res.FinalParams = append([]float64(nil), agg.Params...)
 	res.VirtualDuration = clock
 	return res, nil
 }
 
-// round processes the worker's client block for one round: local training,
-// the upload gate, payload sizing and the reply-delay draw. Everything here
-// is per-client pure computation — no event scheduling, no aggregation —
-// which is what makes the run invariant to the shard count.
-func (w *shardWorker) round(cfg *Config, lo, hi, t int, lr float64, params, feedback []float64, feedbackSigns []int8, expected []bool, results []clientRound, trainRng, timingRng []*xrand.Stream) {
-	dim := len(params)
+// round processes the worker's client block for one round: the client step
+// and the reply-delay draw. Everything here is per-client pure computation —
+// no event scheduling, no aggregation — which is what makes the run
+// invariant to the shard count. It stops at the first failing client.
+func (w *shardWorker) round(cfg *Config, step *fl.ClientStep, b *fl.Broadcast, lo, hi int, expected []bool, replies []fl.Reply, delays []time.Duration, trainRng, timingRng []*xrand.Stream) (int, error) {
 	for c := lo; c < hi; c++ {
 		if !expected[c] {
 			continue
 		}
-		r := &results[c]
-		delta, loss, err := fl.LocalTrainProx(w.net, cfg.ClientData[c], params, lr, cfg.Epochs, cfg.Batch, 0, trainRng[c])
+		r, err := step.Train(w.net, cfg.ClientData[c], trainRng[c], b)
+		if err == nil {
+			r.Relevance = b.Relevance(r.Delta)
+			_, err = step.Pack(&w.scratch, &r)
+		}
 		if err != nil {
-			r.err = err
-			continue
-		}
-		dec, err := fl.CheckUpload(cfg.Filter, delta, params, feedback, feedbackSigns, t)
-		if err != nil {
-			r.err = err
-			continue
-		}
-		rel := math.NaN()
-		if len(feedbackSigns) > 0 {
-			if v, err := core.SignAgreement(delta, feedbackSigns); err == nil {
-				rel = v
-			}
-		}
-		bytes := int64(fl.SkipNotificationBytes)
-		if dec.Upload {
-			if cfg.Compressor != nil {
-				payload, err := cfg.Compressor.EncodeInto(w.encScratch, delta)
-				if err != nil {
-					r.err = err
-					continue
-				}
-				w.encScratch = payload
-				bytes = int64(len(payload))
-			} else {
-				bytes = int64(dim) * 8
-			}
+			return c, err
 		}
 		delay := cfg.Arrival.Sample(timingRng[c]) + cfg.Latency.Sample(timingRng[c])
 		if cfg.BandwidthBytesPerSec > 0 {
-			delay += time.Duration(float64(bytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
+			delay += time.Duration(float64(r.Bytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
 		}
 		if delay < 0 {
 			delay = 0
 		}
-		r.delta, r.loss, r.upload, r.relevance, r.bytes, r.delay = delta, loss, dec.Upload, rel, bytes, delay
+		replies[c], delays[c] = r, delay
 	}
+	return 0, nil
 }

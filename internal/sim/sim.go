@@ -6,12 +6,13 @@
 // monotonically drained heap, ordered by (virtual time, schedule sequence).
 //
 // The engine reuses the repository's single sources of truth rather than
-// re-implementing them: local optimisation is fl.LocalTrainProx, the CMFL
-// relevance gate is fl.CheckUpload, codec byte accounting goes through the
-// same fl.UpdateCodec interface, and straggler/duplicate/late semantics are
-// the exported emu.Quorum state machine — so the simulation cannot drift
-// from the engines it models. With zero latency, full availability and no
-// deadline, Run is bit-identical to fl.Run (asserted by TestFLParity).
+// re-implementing them: both halves of Algorithm 1 are internal/fl's — each
+// worker runs fl.ClientStep (local solve, gate, one codec round trip per
+// upload) and the driving goroutine folds the accepted replies through
+// fl.Aggregator — and straggler/duplicate/late semantics are the exported
+// emu.Quorum state machine, so the simulation cannot drift from the engines
+// it models. With zero latency, full availability and no deadline, Run is
+// bit-identical to fl.Run (asserted by TestFLParity).
 //
 // Everything is a pure function of Config (including the seed): reruns and
 // different shard counts produce bit-identical final parameters, round
@@ -51,8 +52,10 @@ type Config struct {
 	// Filter gates uploads (nil = fl.Vanilla: upload everything).
 	Filter fl.UploadFilter
 	// Compressor lossily encodes uploads; nil uploads raw float64 vectors.
-	// Byte accounting and lossy aggregation match fl.Run; client-side
-	// error feedback (EF-SGD) is not simulated.
+	// Each upload is encoded and decoded once, in its worker, so the codec
+	// sees concurrent calls (the fl.UpdateCodec contract). Byte accounting
+	// and lossy aggregation match fl.Run; client-side error feedback
+	// (EF-SGD) is not simulated.
 	Compressor fl.UpdateCodec
 
 	// Rounds is the number of synchronous rounds.

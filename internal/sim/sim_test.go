@@ -150,6 +150,11 @@ func TestFLParity(t *testing.T) {
 				flCfg.Compressor = codec
 				simCfg.Compressor = codec
 			}
+			// Per-client uplink cost, in emission order: one packing step
+			// prices both engines' replies.
+			var flBytes, simBytes []int64
+			flCfg.Observers = []telemetry.Observer{telemetry.Funcs{Client: func(e telemetry.ClientEvent) { flBytes = append(flBytes, e.UplinkBytes) }}}
+			simCfg.Observers = []telemetry.Observer{telemetry.Funcs{Client: func(e telemetry.ClientEvent) { simBytes = append(simBytes, e.UplinkBytes) }}}
 
 			flRes, err := fl.Run(flCfg)
 			if err != nil {
@@ -178,6 +183,14 @@ func TestFLParity(t *testing.T) {
 			for c, n := range flRes.SkipCounts {
 				if simRes.SkipCounts[c] != n {
 					t.Fatalf("client %d skips: fl %d, sim %d", c, n, simRes.SkipCounts[c])
+				}
+			}
+			if len(flBytes) != 5*16 || len(simBytes) != len(flBytes) {
+				t.Fatalf("client events: fl %d, sim %d, want %d", len(flBytes), len(simBytes), 5*16)
+			}
+			for k := range flBytes {
+				if flBytes[k] != simBytes[k] {
+					t.Fatalf("client event %d uplink bytes: fl %d, sim %d", k, flBytes[k], simBytes[k])
 				}
 			}
 		})

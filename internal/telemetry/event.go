@@ -6,9 +6,10 @@
 // The paper's entire claim is measured in communication — accumulated
 // communication rounds (Eq. 4) and uplink bytes — so those quantities must
 // be observable *while* a run is in flight, not reconstructed from result
-// histories afterwards. Every engine (fl.Run, fl.RunPartial, fl.RunAsync,
-// mtl.Run and the TCP emulation master) emits the same RoundEvent through
-// the same Observer interface; Collector turns the event stream into
+// histories afterwards. Every engine (fl.Run, fl.RunPartial and sim.Run
+// through the shared fl.Aggregator; fl.RunAsync, mtl.Run and the TCP
+// emulation master on their own) emits the same RoundEvent through the same
+// Observer interface; Collector turns the event stream into
 // registry metrics, and Handler exposes the registry as a Prometheus-text
 // /metrics and JSON /healthz endpoint.
 //
@@ -51,7 +52,7 @@ type RoundEvent struct {
 	// application level (the paper's byte metric).
 	CumUplinkBytes int64
 	// Dropped is the number of clients excluded from this round's
-	// aggregation: stragglers cut at the quorum deadline (emu) or clients
+	// aggregation: stragglers cut at the quorum deadline (emu, sim) or clients
 	// that sat the round out entirely (fl-partial dropout). Always 0 for
 	// engines without partial participation.
 	Dropped int
