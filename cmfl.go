@@ -22,8 +22,6 @@
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured results of every table and figure.
-//
-//cmfl:api-change PR 13: SecureRound, SecureMask, SecureAggregate and SimulateSecureRound are removed with internal/secagg, which no engine ever called (ROADMAP 3c wire-or-delete); there is no replacement
 package cmfl
 
 import (

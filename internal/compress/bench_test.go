@@ -2,8 +2,6 @@ package compress
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"testing"
 
 	"cmfl/internal/xrand"
@@ -78,28 +76,12 @@ func BenchmarkCodecDecode(b *testing.B) {
 	}
 }
 
-// fullSortSelect is the pre-quickselect TopK selection: sort every index by
-// |value| descending, keep the first k. Retained here as the baseline for
-// BenchmarkTopKSelect.
-func fullSortSelect(u []float64, k int) []uint32 {
-	idx := make([]uint32, len(u))
-	for i := range idx {
-		idx[i] = uint32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return math.Abs(u[idx[a]]) > math.Abs(u[idx[b]])
-	})
-	idx = idx[:k]
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	return idx
-}
-
-// BenchmarkTopKSelect pits quickselect against the old full sort at the
-// acceptance point (100k dim, K=1000) and a few other K values.
+// BenchmarkTopKSelect measures the histogram selection at the acceptance
+// point (100k dim, K=1000) and a decade either side.
 func BenchmarkTopKSelect(b *testing.B) {
 	u := benchVec()
 	for _, k := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("quickselect/k=%d", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("histogram/k=%d", k), func(b *testing.B) {
 			c := TopK{K: k}
 			var idx []uint32
 			var vals []float64
@@ -117,32 +99,5 @@ func BenchmarkTopKSelect(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("fullsort/k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = fullSortSelect(u, k)
-			}
-		})
-	}
-}
-
-// TestTopKSelectMatchesFullSortThreshold keeps the benchmark baseline honest:
-// both selectors must keep values at or above the same magnitude threshold.
-func TestTopKSelectMatchesFullSortThreshold(t *testing.T) {
-	u := xrand.New(4).NormVec(5000, 0, 1)
-	k := 250
-	want := fullSortSelect(u, k)
-	idx, _, err := (TopK{K: k}).SelectInto(nil, nil, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	threshold := math.Inf(1)
-	for _, i := range want {
-		threshold = math.Min(threshold, math.Abs(u[i]))
-	}
-	for _, i := range idx {
-		if math.Abs(u[i]) < threshold {
-			t.Fatalf("quickselect kept |u[%d]|=%v below full-sort threshold %v", i, math.Abs(u[i]), threshold)
-		}
 	}
 }

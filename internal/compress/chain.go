@@ -75,43 +75,38 @@ func (c Chain) EncodeInto(dst []byte, update []float64) ([]byte, error) {
 	return dst, nil
 }
 
+// DecodeSparseInto implements SparseDecoder: the index block is the sparse
+// view's coordinates as it stands, and the value codec reconstructs only
+// the kept values.
+//
+//cmfl:hotpath
+func (c Chain) DecodeSparseInto(idx []uint32, vals []float64, payload []byte, dim int) ([]uint32, []float64, error) {
+	if err := c.validate(); err != nil {
+		return idx, vals, err
+	}
+	if dim < 0 || len(payload) < 4 {
+		return idx, vals, fmt.Errorf("%w: chain payload %d bytes", ErrCorruptPayload, len(payload))
+	}
+	nKept := int(getU32(payload[:4]))
+	if nKept > dim || len(payload) < 4+nKept*4 {
+		return idx, vals, fmt.Errorf("%w: chain keeps %d of dim %d in %d bytes", ErrCorruptPayload, nKept, dim, len(payload))
+	}
+	idx, err := decodeIndices(idx, payload[4:], nKept, 4, dim)
+	if err != nil {
+		return idx, vals, err
+	}
+	decoded, err := c.Values.DecodeInto(vals, payload[4+nKept*4:], nKept)
+	if err != nil {
+		return idx, vals, err
+	}
+	return idx, decoded, nil
+}
+
 // DecodeInto implements Codec.
 //
 //cmfl:hotpath
 func (c Chain) DecodeInto(dst []float64, payload []byte, dim int) ([]float64, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	if dim < 0 || len(payload) < 4 {
-		return nil, fmt.Errorf("%w: chain payload %d bytes", ErrCorruptPayload, len(payload))
-	}
-	nKept := int(getU32(payload[:4]))
-	if nKept > dim || len(payload) < 4+nKept*4 {
-		return nil, fmt.Errorf("%w: chain keeps %d of dim %d in %d bytes", ErrCorruptPayload, nKept, dim, len(payload))
-	}
-	idxBytes := payload[4 : 4+nKept*4]
-	vp := f64Scratch.Get().(*[]float64)
-	vals, err := c.Values.DecodeInto(*vp, payload[4+nKept*4:], nKept)
-	if err == nil {
-		*vp = vals
-		dst = growFloats(dst, dim)
-		for i := range dst {
-			dst[i] = 0
-		}
-		prev := -1
-		for j := 0; j < nKept; j++ {
-			i := int(getU32(idxBytes[j*4 : (j+1)*4]))
-			if i <= prev || i >= dim {
-				err = fmt.Errorf("%w: chain index %d (prev %d, dim %d)", ErrCorruptPayload, i, prev, dim)
-				break
-			}
-			dst[i] = vals[j]
-			prev = i
-		}
-	}
-	f64Scratch.Put(vp)
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
+	ip, vp := u32Scratch.Get().(*[]uint32), f64Scratch.Get().(*[]float64)
+	idx, vals, err := c.DecodeSparseInto(*ip, *vp, payload, dim)
+	return densify(dst, dim, ip, vp, idx, vals, err)
 }

@@ -53,6 +53,18 @@ type Selector interface {
 	SelectInto(idx []uint32, vals []float64, update []float64) ([]uint32, []float64, error)
 }
 
+// SparseDecoder is the decode-side mirror of Selector: a Codec whose payload
+// names the coordinates it carries, so a consumer can fold or scatter those
+// alone instead of walking a dim-long vector that is almost all zeros.
+type SparseDecoder interface {
+	Codec
+	// DecodeSparseInto parses and validates payload into idx, the carried
+	// coordinates (strictly ascending, below dim), and vals, their values,
+	// reusing both buffers' capacity; every coordinate not named is +0.
+	// DecodeInto is this view scattered over zeros: same payloads, same bits.
+	DecodeSparseInto(idx []uint32, vals []float64, payload []byte, dim int) ([]uint32, []float64, error)
+}
+
 // Encode is the allocating convenience form of EncodeInto.
 func Encode(c Codec, update []float64) ([]byte, error) { return c.EncodeInto(nil, update) }
 
@@ -132,10 +144,9 @@ func (Uniform8) DecodeInto(dst []float64, payload []byte, dim int) ([]float64, e
 // update"). Payload: K (index uint32, value float64) pairs in ascending
 // index order; all other coordinates decode to zero.
 //
-// Selection runs in O(n) via an in-place quickselect over a pooled index
-// scratch (plus an O(k log k) heapsort of the kept indices) — the previous
-// implementation allocated and fully sorted an n-entry index slice per
-// call, which dominated encode time whenever K ≪ n.
+// Which K is decided by a total order — |v| descending, then index
+// ascending, NaN ranking as +Inf — so equal magnitudes never make the kept
+// set arbitrary: the lower index wins.
 type TopK struct {
 	K int
 }
@@ -165,24 +176,58 @@ func (c TopK) EncodeInto(dst []byte, update []float64) ([]byte, error) {
 	return dst, nil
 }
 
-// selectIndices fills idx with the K largest-magnitude coordinate indices
-// of update, ascending, reusing idx's capacity.
+// selectIndices fills idx with the K first-ranked coordinate indices of
+// update, ascending, reusing idx's capacity. Pass one histograms every
+// magnitude by its leading bits and finds the bucket holding the K-th rank;
+// pass two collects, in index order, that bucket and everything above it.
+// Only the bucket's members are quickselected for the exact cut, and
+// dropping what ranks after it leaves the kept set already sorted.
+//
+//cmfl:hotpath
 func (c TopK) selectIndices(idx []uint32, update []float64) ([]uint32, error) {
 	if c.K <= 0 {
 		return idx, errors.New("compress: TopK requires K > 0")
 	}
-	k := c.K
-	if k > len(update) {
-		k = len(update)
+	k := min(c.K, len(update))
+	if k == 0 {
+		return idx[:0], nil
 	}
-	idx = growU32(idx, len(update))
-	for i := range idx {
-		idx[i] = uint32(i)
+	var hist [histBuckets]uint32
+	for _, v := range update {
+		hist[magKey(v)>>histShift]++
 	}
-	quickselectAbsDesc(idx, update, k)
-	idx = idx[:k]
-	sortU32(idx)
-	return idx, nil
+	// 1 <= k <= len(update): the walk ends at a non-empty bucket.
+	bucket, above := histBuckets-1, 0
+	for above+int(hist[bucket]) < k {
+		above += int(hist[bucket])
+		bucket--
+	}
+	m := int(hist[bucket])
+	// kept gets the bucket's members and everything above it; cand, behind
+	// it in the same buffer, a second copy of the members to reorder.
+	idx = growU32(idx, above+2*m)
+	kept, cand := idx[:above+m], idx[above+m:]
+	nk, nc := 0, 0
+	for i, v := range update {
+		if b := int(magKey(v) >> histShift); b >= bucket {
+			kept[nk] = uint32(i)
+			nk++
+			if b == bucket {
+				cand[nc] = uint32(i)
+				nc++
+			}
+		}
+	}
+	// The bucket owes k-above of its m members; the last of them is the cut.
+	cut := quickselectRank(cand, update, k-above)
+	nk = 0
+	for _, i := range kept {
+		if !ranksBefore(update, cut, i) {
+			kept[nk] = i
+			nk++
+		}
+	}
+	return kept[:nk], nil
 }
 
 // SelectInto implements Selector.
@@ -198,25 +243,32 @@ func (c TopK) SelectInto(idx []uint32, vals []float64, update []float64) ([]uint
 	return idx, vals, nil
 }
 
+// DecodeSparseInto implements SparseDecoder.
+//
+//cmfl:hotpath
+func (c TopK) DecodeSparseInto(idx []uint32, vals []float64, payload []byte, dim int) ([]uint32, []float64, error) {
+	n := len(payload) / 12
+	if dim < 0 || len(payload)%12 != 0 || n > dim {
+		return idx, vals, fmt.Errorf("%w: topk payload %d bytes for dim %d", ErrCorruptPayload, len(payload), dim)
+	}
+	idx, err := decodeIndices(idx, payload, n, 12, dim)
+	if err != nil {
+		return idx, vals, err
+	}
+	vals = growFloats(vals, n)
+	for j := range vals {
+		vals[j] = math.Float64frombits(getU64(payload[j*12+4 : j*12+12]))
+	}
+	return idx, vals, nil
+}
+
 // DecodeInto implements Codec.
 //
 //cmfl:hotpath
 func (c TopK) DecodeInto(dst []float64, payload []byte, dim int) ([]float64, error) {
-	if dim < 0 || len(payload)%12 != 0 || len(payload)/12 > dim {
-		return nil, fmt.Errorf("%w: topk payload %d bytes for dim %d", ErrCorruptPayload, len(payload), dim)
-	}
-	dst = growFloats(dst, dim)
-	for i := range dst {
-		dst[i] = 0
-	}
-	for off := 0; off < len(payload); off += 12 {
-		i := int(getU32(payload[off : off+4]))
-		if i < 0 || i >= dim {
-			return nil, fmt.Errorf("%w: topk index %d outside dim %d", ErrCorruptPayload, i, dim)
-		}
-		dst[i] = math.Float64frombits(getU64(payload[off+4 : off+12]))
-	}
-	return dst, nil
+	ip, vp := u32Scratch.Get().(*[]uint32), f64Scratch.Get().(*[]float64)
+	idx, vals, err := c.DecodeSparseInto(*ip, *vp, payload, dim)
+	return densify(dst, dim, ip, vp, idx, vals, err)
 }
 
 // RandomMask transmits a pseudo-random Fraction of coordinates chosen by a

@@ -667,18 +667,3 @@ func TestQuickselectThreshold(t *testing.T) {
 		}
 	}
 }
-
-func TestSortU32(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := xrand.New(seed)
-		a := make([]uint32, rng.Intn(200))
-		for i := range a {
-			a[i] = uint32(rng.Intn(50))
-		}
-		sortU32(a)
-		return sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] })
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -131,12 +131,14 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 
 	// Feedback is the previous global update, reconstructed as the difference
 	// between consecutive broadcasts (Sec. IV-A). x_t − x_{t−1} is computed
-	// in place over x_{t−1}, whose buffer is free once x_t has arrived, so no
-	// round allocates for it. It replaces the feedback only when non-zero: a
-	// fully skipped round leaves the model unchanged and carries no new
-	// direction information. signs is recomputed with it and nil until then.
+	// in place over x_{t−1}, whose buffer is free once x_t has arrived. It
+	// replaces the feedback only when non-zero: a fully skipped round leaves
+	// the model unchanged and carries no new direction information. signs is
+	// recomputed with it and nil until then. The buffer that swap retires —
+	// the old feedback, or the zero difference — receives the next broadcast:
+	// model, predecessor and feedback rotate over three buffers.
 	feedback := make([]float64, dim)
-	var prevParams []float64
+	var prevParams, spare []float64
 	var signs []int8
 	for {
 		f, err := sess.nextFrame()
@@ -148,19 +150,21 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			res.FaultsInjected = sess.faultsInjected()
 			return res, nil
 		case msgModel:
-			round, params, err := decodeModel(f.payload)
+			round, params, err := decodeModel(spare, f.payload)
 			if err != nil {
 				return nil, fmt.Errorf("emu: client %d: frame kind %d on conn gen %d: %w", cfg.ID, f.kind, sess.res.Reconnects, err)
 			}
 			if len(params) != dim {
 				return nil, fmt.Errorf("emu: client %d: round %d model has %d params, local model %d", cfg.ID, round, len(params), dim)
 			}
+			spare = nil
 			if prevParams != nil {
 				for j := range params {
 					prevParams[j] = params[j] - prevParams[j]
 				}
+				spare = prevParams
 				if !core.AllZero(prevParams) {
-					feedback = prevParams
+					feedback, spare = prevParams, feedback
 					signs = core.SignsInto(signs[:0], feedback)
 				}
 			}

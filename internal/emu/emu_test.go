@@ -70,7 +70,7 @@ func TestModelCodecRoundTrip(t *testing.T) {
 		rng := xrand.New(seed)
 		params := rng.NormVec(1+rng.Intn(50), 0, 3)
 		round := rng.Intn(10000)
-		got, gotParams, err := decodeModel(encodeModel(round, params))
+		got, gotParams, err := decodeModel(nil, encodeModel(round, params))
 		if err != nil || got != round || len(gotParams) != len(params) {
 			return false
 		}
@@ -91,7 +91,7 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 		rng := xrand.New(seed)
 		delta := rng.NormVec(1+rng.Intn(50), 0, 3)
 		id, round, metric := rng.Intn(100), rng.Intn(1000), rng.Float64()
-		gid, gr, gm, gd, err := decodeUpdate(encodeUpdate(id, round, metric, delta))
+		gid, gr, gm, gd, err := decodeUpdate(nil, encodeUpdate(id, round, metric, delta))
 		if err != nil || gid != id || gr != round || gm != metric || len(gd) != len(delta) {
 			return false
 		}
@@ -146,10 +146,10 @@ func TestHelloCodec(t *testing.T) {
 }
 
 func TestDecodeErrorsOnShortPayloads(t *testing.T) {
-	if _, _, err := decodeModel([]byte{1}); err == nil {
+	if _, _, err := decodeModel(nil, []byte{1}); err == nil {
 		t.Fatal("decodeModel should reject short payload")
 	}
-	if _, _, _, _, err := decodeUpdate([]byte{1, 2, 3}); err == nil {
+	if _, _, _, _, err := decodeUpdate(nil, []byte{1, 2, 3}); err == nil {
 		t.Fatal("decodeUpdate should reject short payload")
 	}
 	if _, _, _, err := decodeSkip([]byte{1}); err == nil {
@@ -157,7 +157,7 @@ func TestDecodeErrorsOnShortPayloads(t *testing.T) {
 	}
 	// Declared dim larger than payload.
 	p := encodeModel(1, []float64{1, 2})
-	if _, _, err := decodeModel(p[:len(p)-8]); err == nil {
+	if _, _, err := decodeModel(nil, p[:len(p)-8]); err == nil {
 		t.Fatal("decodeModel should reject inconsistent dim")
 	}
 }

@@ -23,8 +23,8 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 		// None of these may panic. Errors are fine; a "successful" decode is
 		// also fine when the garbage happens to be structurally valid.
 		decodeHello(garbage)
-		decodeModel(garbage)
-		decodeUpdate(garbage)
+		decodeModel(nil, garbage)
+		decodeUpdate(nil, garbage)
 		decodeSkip(garbage)
 		return true
 	}
@@ -93,8 +93,8 @@ func FuzzProtocol(f *testing.F) {
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeHello(data)
-		decodeModel(data)
-		decodeUpdate(data)
+		decodeModel(nil, data)
+		decodeUpdate(nil, data)
 		decodeSkip(data)
 		decodeUpdate2(data)
 		for _, kind := range []byte{msgUpdate, msgUpdate2, msgSkip, msgUpdateCRetired} {
@@ -146,7 +146,7 @@ func FuzzQuorum(f *testing.F) {
 func TestUpdateDecodeRejectsLyingDim(t *testing.T) {
 	p := encodeUpdate(1, 2, 0.5, []float64{1, 2, 3})
 	// Truncate the values but keep the declared dim.
-	if _, _, _, _, err := decodeUpdate(p[:len(p)-8]); err == nil {
+	if _, _, _, _, err := decodeUpdate(nil, p[:len(p)-8]); err == nil {
 		t.Fatal("expected error for short update payload")
 	}
 }

@@ -1,0 +1,152 @@
+package emu
+
+import (
+	"errors"
+	"math"
+	"net"
+	"testing"
+	"time"
+
+	"cmfl/internal/compress"
+	"cmfl/internal/emu/shard"
+)
+
+// scriptedClient speaks the wire protocol by hand as client id: a finite
+// update in round 1, then in round 2 either an update carrying a NaN
+// (hostile) or a skip, then skips until the server is done with it. codec
+// nil sends raw msgUpdate frames; otherwise the codec is negotiated in the
+// hello and updates travel as msgUpdate2.
+func scriptedClient(addr string, id int, codec compress.Codec, hostile bool) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	var spec []byte
+	if codec != nil {
+		if spec, err = compress.EncodeSpec(codec); err != nil {
+			return err
+		}
+	}
+	if _, err := writeFrame(conn, msgHello, encodeHello(id, spec)); err != nil {
+		return err
+	}
+	for {
+		f, err := readFrame(conn)
+		if err != nil {
+			return nil // the server hung up on us: expected once hostile
+		}
+		if f.kind != msgModel {
+			return nil
+		}
+		round, params, err := decodeModel(nil, f.payload)
+		if err != nil {
+			return err
+		}
+		if round > 2 || (round == 2 && !hostile) {
+			if _, err := writeFrame(conn, msgSkip, encodeSkip(id, round, 0)); err != nil {
+				return err
+			}
+			continue
+		}
+		delta := make([]float64, len(params))
+		for j := range delta {
+			delta[j] = 0.01 * float64(j%7-3)
+		}
+		if round == 2 {
+			delta[len(delta)/2] = math.NaN()
+		}
+		kind, payload := msgUpdate, encodeUpdate(id, round, 0, delta)
+		if codec != nil {
+			enc, err := compress.Encode(codec, delta)
+			if err != nil {
+				return err
+			}
+			kind, payload = msgUpdate2, encodeUpdate2(id, round, 0, len(delta), enc)
+		}
+		if _, err := writeFrame(conn, kind, payload); err != nil {
+			return err
+		}
+	}
+}
+
+// runWithScripted runs a 3-client server for 4 rounds: two honest clients
+// and scriptedClient as client 2.
+func runWithScripted(t *testing.T, codec compress.Codec, hostile, faultTolerant bool) (*ServerResult, error) {
+	t.Helper()
+	cfg := clusterConfig(t, 3, 4, nil)
+	srv, err := NewServer(ServerConfig{
+		Addr:         "127.0.0.1:0",
+		Clients:      3,
+		Model:        cfg.Model,
+		TestData:     cfg.TestData,
+		Rounds:       4,
+		RoundTimeout: 10 * time.Second,
+		Limits:       Limits{DialTimeout: 10 * time.Second, FaultTolerant: faultTolerant},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientErrs := make(chan error, 3)
+	for i := 0; i < 2; i++ {
+		go func(i int) {
+			_, err := RunClient(ClientConfig{
+				Addr: srv.Addr(), ID: i, Model: cfg.Model, Data: cfg.ClientData[i],
+				Epochs: cfg.Epochs, Batch: cfg.Batch, LR: cfg.LR, Seed: cfg.Seed,
+			})
+			clientErrs <- err
+		}(i)
+	}
+	go func() { clientErrs <- scriptedClient(srv.Addr(), 2, codec, hostile) }()
+	res, runErr := srv.Run()
+	for i := 0; i < 3; i++ {
+		if err := <-clientErrs; err != nil && runErr == nil {
+			t.Errorf("client failed under a healthy server: %v", err)
+		}
+	}
+	return res, runErr
+}
+
+// TestNonFiniteUpdateRejected sends the server a NaN through each route an
+// update can take — raw frame, dense codec, sparse codec. In fault-tolerant
+// mode the frame is dropped whole and the sender's connection with it: the
+// final model is finite and bit-identical to a run in which that client
+// withheld the update instead. In strict mode the run aborts naming the
+// cause.
+func TestNonFiniteUpdateRejected(t *testing.T) {
+	routes := []struct {
+		name  string
+		codec compress.Codec
+	}{
+		{"raw", nil},
+		{"identity", compress.Identity{}},
+		{"top-k", compress.TopK{K: 50}},
+		{"top-k+identity", compress.NewChain(compress.TopK{K: 50}, compress.Identity{})},
+	}
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			want, err := runWithScripted(t, rt.codec, false, true)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			got, err := runWithScripted(t, rt.codec, true, true)
+			if err != nil {
+				t.Fatalf("fault-tolerant run: %v", err)
+			}
+			if got.DroppedClients[2] != 2 {
+				t.Fatalf("dropped clients = %v, want client 2 in round 2", got.DroppedClients)
+			}
+			for j, v := range got.FinalParams {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("FinalParams[%d] = %v", j, v)
+				}
+				if math.Float64bits(v) != math.Float64bits(want.FinalParams[j]) {
+					t.Fatalf("FinalParams[%d] = %v, want %v as without the rejected update", j, v, want.FinalParams[j])
+				}
+			}
+			if _, err := runWithScripted(t, rt.codec, true, false); !errors.Is(err, shard.ErrNonFinite) {
+				t.Fatalf("strict run: error %v, want shard.ErrNonFinite", err)
+			}
+		})
+	}
+}

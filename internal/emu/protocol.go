@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"cmfl/internal/emu/shard"
 )
 
 // Message types on the wire.
@@ -102,16 +104,26 @@ func putFloats(buf []byte, vals []float64) []byte {
 	return buf
 }
 
-// getFloats decodes n big-endian float64 values.
-func getFloats(b []byte, n int) ([]float64, error) {
+// getFloats decodes n big-endian float64 values into dst, reusing its
+// capacity. A NaN or ±Inf is rejected in the same sweep: the server's exact
+// sum would never lose it (shard.ErrNonFinite), and a client has nothing to
+// learn from a model that carries one.
+func getFloats(dst []float64, b []byte, n int) ([]float64, error) {
 	if len(b) < n*8 {
-		return nil, fmt.Errorf("emu: float payload has %d bytes, need %d", len(b), n*8)
+		return dst, fmt.Errorf("emu: float payload has %d bytes, need %d", len(b), n*8)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[i*8 : (i+1)*8]))
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	return out, nil
+	dst = dst[:n]
+	for i := range dst {
+		bits := binary.BigEndian.Uint64(b[i*8 : (i+1)*8])
+		if bits<<1 >= 0x7FF<<53 { // exponent all ones: ±Inf or NaN
+			return dst, fmt.Errorf("emu: float payload coordinate %d = %v: %w", i, math.Float64frombits(bits), shard.ErrNonFinite)
+		}
+		dst[i] = math.Float64frombits(bits)
+	}
+	return dst, nil
 }
 
 // encodeHello builds a hello payload. A client sending raw float64 updates
@@ -160,13 +172,14 @@ func encodeModel(round int, params []float64) []byte {
 	return putFloats(buf, params)
 }
 
-func decodeModel(p []byte) (round int, params []float64, err error) {
+// decodeModel parses a model broadcast, the parameters into dst's capacity.
+func decodeModel(dst []float64, p []byte) (round int, params []float64, err error) {
 	if len(p) < 8 {
-		return 0, nil, fmt.Errorf("emu: model payload has %d bytes, want >= 8", len(p))
+		return 0, dst, fmt.Errorf("emu: model payload has %d bytes, want >= 8", len(p))
 	}
 	round = int(binary.BigEndian.Uint32(p[:4]))
 	dim := int(binary.BigEndian.Uint32(p[4:8]))
-	params, err = getFloats(p[8:], dim)
+	params, err = getFloats(dst, p[8:], dim)
 	return round, params, err
 }
 
@@ -182,15 +195,16 @@ func encodeUpdate(clientID, round int, metric float64, delta []float64) []byte {
 	return putFloats(buf, delta)
 }
 
-func decodeUpdate(p []byte) (clientID, round int, metric float64, delta []float64, err error) {
+// decodeUpdate parses a raw update, decoding the delta into dst's capacity.
+func decodeUpdate(dst []float64, p []byte) (clientID, round int, metric float64, delta []float64, err error) {
 	if len(p) < 20 {
-		return 0, 0, 0, nil, fmt.Errorf("emu: update payload has %d bytes, want >= 20", len(p))
+		return 0, 0, 0, dst, fmt.Errorf("emu: update payload has %d bytes, want >= 20", len(p))
 	}
 	clientID = int(binary.BigEndian.Uint32(p[:4]))
 	round = int(binary.BigEndian.Uint32(p[4:8]))
 	metric = math.Float64frombits(binary.BigEndian.Uint64(p[8:16]))
 	dim := int(binary.BigEndian.Uint32(p[16:20]))
-	delta, err = getFloats(p[20:], dim)
+	delta, err = getFloats(dst, p[20:], dim)
 	return clientID, round, metric, delta, err
 }
 

@@ -3,10 +3,12 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
 
+	"cmfl/internal/compress"
 	"cmfl/internal/emu/shard"
 )
 
@@ -87,7 +89,8 @@ type shardAgg struct {
 
 	q        *Quorum
 	acc      *shard.Accumulator
-	decBuf   []float64 // codec decode scratch; folded before the next decode
+	decBuf   []float64 // decoded values of one frame; folded before the next decode
+	decIdx   []uint32  // their coordinates, when the codec is sparse
 	expected []bool    // last broadcast outcome, indexed by global client id
 }
 
@@ -354,13 +357,17 @@ func (a *shardAgg) frameErr(ev connEvent, err error) error {
 }
 
 // fold decodes one accepted uplink frame and folds it into the shard's
-// exact partial sum (updates) or records it (skips). Compressed updates
-// decode through the client's negotiated codec into the shard's scratch;
-// the fold copies what it needs, so the scratch is free for the next frame.
+// exact partial sum (updates) or records it (skips). A compressed update
+// decodes through the client's negotiated codec into the shard's scratch —
+// a sparse codec to the coordinates that travelled, which alone are added,
+// any other to a dense vector. The fold copies what it needs, so the
+// scratch is free for the next frame. A non-finite value is a frame error
+// like an undecodable payload: nothing of the update reaches the sum.
 func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) error {
 	switch f.kind {
 	case msgUpdate:
-		_, _, metric, delta, err := decodeUpdate(f.payload)
+		_, _, metric, delta, err := decodeUpdate(a.decBuf, f.payload)
+		a.decBuf = delta
 		if err != nil {
 			return err
 		}
@@ -378,15 +385,22 @@ func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) err
 		if codec == nil {
 			return fmt.Errorf("emu: client %d sent a compressed update without negotiating a codec", id)
 		}
-		delta, err := codec.DecodeInto(a.decBuf, payload, dim)
+		if dim != d.dim {
+			return fatalError{fmt.Errorf("emu: round %d client %d sent %d params, want %d", d.round, id, dim, d.dim)}
+		}
+		if sparse, ok := codec.(compress.SparseDecoder); ok {
+			a.decIdx, a.decBuf, err = sparse.DecodeSparseInto(a.decIdx, a.decBuf, payload, dim)
+			if err == nil {
+				err = a.acc.AddSparse(a.decIdx, a.decBuf)
+			}
+		} else if a.decBuf, err = codec.DecodeInto(a.decBuf, payload, dim); err == nil {
+			if err = allFinite(a.decBuf); err == nil {
+				a.acc.Add(a.decBuf)
+			}
+		}
 		if err != nil {
 			return fmt.Errorf("emu: client %d payload: %w", id, err)
 		}
-		a.decBuf = delta
-		if len(delta) != d.dim {
-			return fatalError{fmt.Errorf("emu: round %d client %d sent %d params, want %d", d.round, id, len(delta), d.dim)}
-		}
-		a.acc.Add(delta)
 		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: int64(len(payload)), dim: dim, encoded: true})
 	case msgSkip:
 		_, _, metric, err := decodeSkip(f.payload)
@@ -396,6 +410,18 @@ func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) err
 		p.replies = append(p.replies, replyMeta{client: id, metric: metric, skip: true})
 	default:
 		return fmt.Errorf("emu: unexpected frame kind %d", f.kind)
+	}
+	return nil
+}
+
+// allFinite is the dense codecs' share of the non-finite rejection. Their
+// DecodeInto owns the loop that makes the values, so this is a sweep of its
+// own; raw frames and sparse views are checked as they are decoded.
+func allFinite(delta []float64) error {
+	for j, v := range delta {
+		if math.IsNaN(v - v) { // v-v is 0 for finite v, NaN otherwise
+			return fmt.Errorf("coordinate %d = %v: %w", j, v, shard.ErrNonFinite)
+		}
 	}
 	return nil
 }

@@ -23,7 +23,16 @@
 // flat in the client count, unlike buffering every client's delta.
 package shard
 
-import "math"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
+
+// ErrNonFinite reports a NaN or ±Inf value offered to an exact sum. Such a
+// term never leaves an expansion — every later TwoSum against it stores
+// another NaN — so it would grow without bound and poison the aggregate.
+var ErrNonFinite = errors.New("shard: non-finite value in update")
 
 // Accumulator sums float64 vectors exactly. The zero value is unusable;
 // call New (or Reset on a reused value).
@@ -81,6 +90,38 @@ func (a *Accumulator) Add(vec []float64) {
 	}
 }
 
+// AddSparse folds the vector holding vals[n] at coordinate idx[n] and zero
+// elsewhere — a sparse codec's view of an update — touching only the named
+// coordinates. idx must be strictly ascending and below Dim, vals finite
+// (ErrNonFinite); a vector failing either is rejected before any coordinate
+// changes.
+//
+// Round afterwards is bit for bit what it is after Add of the densified
+// vector: a zero never changes an expansion's exact sum, so the coordinates
+// Add would walk with one are skipped, and an exact sum has no memory of
+// which terms arrived densely. Signed zero is all a skipped +0 could change,
+// and Round leaves it nothing: a sum that is exactly zero rounds to +0
+// whether untouched, fed only −0, or cancelled. MaxTerms is outside the
+// equivalence — a passing zero can merge two terms that fit in one float.
+//
+//cmfl:hotpath
+func (a *Accumulator) AddSparse(idx []uint32, vals []float64) error {
+	prev := -1
+	for n, j := range idx {
+		if int(j) <= prev || int(j) >= a.dim {
+			return fmt.Errorf("shard: sparse coordinate %d after %d in dim %d", j, prev, a.dim)
+		}
+		if v := vals[n]; math.IsNaN(v - v) { // v-v is 0 for finite v, NaN otherwise
+			return fmt.Errorf("%w: coordinate %d = %v", ErrNonFinite, j, v)
+		}
+		prev = int(j)
+	}
+	for n, j := range idx {
+		a.add1(int(j), vals[n])
+	}
+	return nil
+}
+
 // Merge folds another accumulator's exact sum into this one. Every term of
 // an expansion is an ordinary float64 whose re-insertion is exact, so the
 // merged accumulator represents precisely the union of both input
@@ -126,6 +167,7 @@ func growExpansion(p []float64, x float64) []float64 {
 		}
 		x = hi
 	}
+	//cmfl:lint-ignore hotpathalloc amortized grow-only: Reset keeps each coordinate's term capacity, so steady-state rounds append in place
 	return append(p[:i], x)
 }
 
@@ -152,7 +194,7 @@ func (s *Scalar) Merge(b *Scalar) {
 }
 
 // Round returns the correctly rounded float64 of the exact sum (+0 when
-// empty), leaving the scalar untouched.
+// empty or exactly zero), leaving the scalar untouched.
 func (s *Scalar) Round() float64 { return roundExpansion(s.parts) }
 
 // Reset empties the scalar, retaining term capacity.
@@ -160,8 +202,9 @@ func (s *Scalar) Reset() { s.parts = s.parts[:0] }
 
 // Round writes the correctly rounded float64 value of each coordinate's
 // exact sum into dst (grown as needed) and returns it. An empty coordinate
-// rounds to +0. The accumulator is left untouched, so Round may be called
-// repeatedly and Merge may continue afterwards.
+// rounds to +0, as does any sum that is exactly zero. The accumulator is
+// left untouched, so Round may be called repeatedly and Merge may continue
+// afterwards.
 func (a *Accumulator) Round(dst []float64) []float64 {
 	if cap(dst) < a.dim {
 		dst = make([]float64, a.dim)
@@ -205,6 +248,11 @@ func roundExpansion(p []float64) float64 {
 		if math.Float64bits(y) == math.Float64bits(yr) {
 			hi = x
 		}
+	}
+	// The sign of a zero sum would only record whether its terms were −0, +0
+	// or absent — how sparsely each update arrived — so it is dropped.
+	if math.Float64bits(hi)<<1 == 0 {
+		return 0
 	}
 	return hi
 }

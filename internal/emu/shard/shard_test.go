@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -217,4 +219,186 @@ func BenchmarkShardMerge(b *testing.B) {
 	if dst[0] == math.Inf(1) {
 		b.Fatal("unreachable; keeps dst live")
 	}
+}
+
+// sparseVectors draws n sparse vectors over dim coordinates, each as the
+// (idx, vals) view and as its densification. Values span several decades
+// and include both zeros, so a coordinate can be named with −0, named with
+// +0, or not named at all — the three cases the signed-zero rule equates.
+func sparseVectors(n, dim, k int, seed int64) (idx [][]uint32, vals, dense [][]float64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		d := make([]float64, dim)
+		var ix []uint32
+		var vs []float64
+		for _, j := range rng.Perm(dim)[:1+rng.Intn(k)] {
+			ix = append(ix, uint32(j))
+		}
+		sort.Slice(ix, func(a, b int) bool { return ix[a] < ix[b] })
+		for _, j := range ix {
+			v := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(7)-3))
+			switch rng.Intn(8) {
+			case 0:
+				v = 0
+			case 1:
+				v = math.Copysign(0, -1)
+			}
+			vs = append(vs, v)
+			d[j] = v
+		}
+		idx, vals, dense = append(idx, ix), append(vals, vs), append(dense, d)
+	}
+	return idx, vals, dense
+}
+
+// TestAddSparseMatchesAdd is the equivalence AddSparse is specified by: over
+// any grouping of the same updates into shard accumulators, folding the
+// sparse views gives the Round bits that folding their densifications
+// gives. Small dim and k make coordinates collide often. MaxTerms is held
+// to the same flatness bound as TestMaxTermsStaysFlat, not to equality: it
+// measures the representation, and a dense pass of zeros can merge two
+// terms of an expansion that the sparse fold leaves apart.
+func TestAddSparseMatchesAdd(t *testing.T) {
+	const n, dim = 24, 31
+	for seed := int64(1); seed <= 40; seed++ {
+		idx, vals, dense := sparseVectors(n, dim, 9, seed)
+		var flatBits []uint64
+		for _, groups := range []int{1, 3, 8} {
+			denseRoot, sparseRoot := New(dim), New(dim)
+			for _, r := range Split(n, groups) {
+				denseAcc, sparseAcc := New(dim), New(dim)
+				for i := r.Lo; i < r.Hi; i++ {
+					denseAcc.Add(dense[i])
+					if err := sparseAcc.AddSparse(idx[i], vals[i]); err != nil {
+						t.Fatalf("seed %d vector %d: %v", seed, i, err)
+					}
+				}
+				if sparseAcc.MaxTerms() > 16 {
+					t.Fatalf("seed %d, %d groups: MaxTerms %d sparse (%d dense), want <= 16", seed, groups, sparseAcc.MaxTerms(), denseAcc.MaxTerms())
+				}
+				denseRoot.Merge(denseAcc)
+				sparseRoot.Merge(sparseAcc)
+			}
+			want, got := denseRoot.Round(nil), sparseRoot.Round(nil)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("seed %d, %d groups, coordinate %d: sparse %x, dense %x", seed, groups, j, got[j], want[j])
+				}
+			}
+			if flatBits == nil {
+				for _, v := range got {
+					flatBits = append(flatBits, math.Float64bits(v))
+				}
+			}
+			for j, v := range got {
+				if math.Float64bits(v) != flatBits[j] {
+					t.Fatalf("seed %d: %d groups differ from flat at coordinate %d", seed, groups, j)
+				}
+			}
+		}
+	}
+}
+
+// TestRoundZeroSumIsPositiveZero pins the signed-zero rule on every way a
+// coordinate can sum to zero.
+func TestRoundZeroSumIsPositiveZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	acc := New(4)
+	acc.Add([]float64{negZero, negZero, 1.5, 0})
+	acc.Add([]float64{negZero, 0, -1.5, 0})
+	if err := acc.AddSparse([]uint32{0}, []float64{negZero}); err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range acc.Round(nil) {
+		if math.Float64bits(v) != 0 {
+			t.Errorf("coordinate %d rounds to %v (bits %x), want +0", j, v, math.Float64bits(v))
+		}
+	}
+	var s Scalar
+	s.Add(negZero)
+	if v := s.Round(); math.Float64bits(v) != 0 {
+		t.Errorf("Scalar of −0 rounds to bits %x, want +0", math.Float64bits(v))
+	}
+}
+
+// TestAddSparseRejectsBeforeTouching feeds AddSparse every malformed view
+// with a valid prefix in front of the defect: the accumulator must come
+// back exactly as it went in.
+func TestAddSparseRejectsBeforeTouching(t *testing.T) {
+	const dim = 8
+	acc := New(dim)
+	acc.Add([]float64{1, 2, 3, 4, 5, 6, 7, 8})
+	before := append([]float64(nil), acc.Round(nil)...)
+	cases := []struct {
+		name      string
+		idx       []uint32
+		vals      []float64
+		nonFinite bool
+	}{
+		{"duplicate", []uint32{1, 3, 3}, []float64{1, 1, 1}, false},
+		{"descending", []uint32{1, 5, 4}, []float64{1, 1, 1}, false},
+		{"out-of-range", []uint32{1, 2, dim}, []float64{1, 1, 1}, false},
+		{"nan", []uint32{1, 2, 6}, []float64{1, 1, math.NaN()}, true},
+		{"+inf", []uint32{0, 7}, []float64{1, math.Inf(1)}, true},
+		{"-inf", []uint32{0, 7}, []float64{1, math.Inf(-1)}, true},
+	}
+	for _, tc := range cases {
+		err := acc.AddSparse(tc.idx, tc.vals)
+		if err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		if errors.Is(err, ErrNonFinite) != tc.nonFinite {
+			t.Fatalf("%s: error %v, want ErrNonFinite: %v", tc.name, err, tc.nonFinite)
+		}
+		for j, v := range acc.Round(nil) {
+			if math.Float64bits(v) != math.Float64bits(before[j]) {
+				t.Fatalf("%s: coordinate %d moved from %v to %v", tc.name, j, before[j], v)
+			}
+		}
+	}
+}
+
+// BenchmarkShardAddSparse folds one top-1000 update of a 102,538-dim model
+// (emu_wide_topk's shape) as its sparse view and, for the ratio, as the
+// dense vector the server used to build from it. The round's Reset is
+// outside the timer: both pay it alike.
+func BenchmarkShardAddSparse(b *testing.B) {
+	const dim, k = 102_538, 1000
+	rng := rand.New(rand.NewSource(6))
+	dense := make([]float64, dim)
+	for _, j := range rng.Perm(dim)[:k] {
+		dense[j] = rng.NormFloat64()
+	}
+	var idx []uint32
+	var vals []float64
+	for j, v := range dense {
+		if v != 0 {
+			idx, vals = append(idx, uint32(j)), append(vals, v)
+		}
+	}
+	acc := New(dim)
+	b.Run("sparse", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			if n%8 == 0 {
+				b.StopTimer()
+				acc.Reset(dim)
+				b.StartTimer()
+			}
+			if err := acc.AddSparse(idx, vals); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			if n%8 == 0 {
+				b.StopTimer()
+				acc.Reset(dim)
+				b.StartTimer()
+			}
+			acc.Add(dense)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cmfl/internal/compress"
 	"cmfl/internal/dataset"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
@@ -105,4 +106,23 @@ func BenchmarkInstrumentedLocalRound(b *testing.B) {
 			})
 		}
 	})
+}
+
+// BenchmarkPackTopKEF is the codec half of an emu_wide_topk client round:
+// Pack over a 102,538-dim delta with top1000+quantize8 and error feedback.
+// Steady state allocates nothing.
+func BenchmarkPackTopKEF(b *testing.B) {
+	const dim = 102_538
+	step := &ClientStep{Compressor: compress.NewChain(compress.TopK{K: 1000}, compress.Uniform8{})}
+	sc := Scratch{Residual: make([]float64, dim)}
+	fresh := xrand.New(3).NormVec(dim, 0, 0.01)
+	delta := make([]float64, dim)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(delta, fresh) // Pack leaves the decoded update in r.Delta
+		r := Reply{Delta: delta, Upload: true}
+		if _, err := step.Pack(&sc, &r); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

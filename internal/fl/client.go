@@ -79,7 +79,8 @@ type Reply struct {
 // clients in turn (a sim worker) as long as Residual is nil.
 type Scratch struct {
 	enc []byte
-	dec []float64
+	dec []float64 // decoded values: dim of them, or a sparse codec's k
+	idx []uint32  // the sparse codec's k coordinates
 	// Residual is one client's EF-SGD memory: what lossy compression has
 	// discarded so far, dim-sized. Nil turns error feedback off.
 	Residual []float64
@@ -102,12 +103,15 @@ func (s *ClientStep) Train(net *nn.Network, data *dataset.Set, rng *xrand.Stream
 }
 
 // Pack prices the reply and, for a compressed upload, runs the codec round
-// trip: fold the EF residual into the delta (post-gate: the upload decision
-// saw the raw delta), encode, decode, keep residual = (delta + residual) −
-// decoded, and leave the decoded update in r.Delta. A withheld update leaves
-// the residual untouched. The returned payload is the wire form of the
-// upload; it aliases sc and is valid until sc is packed again. It is nil for
-// a skip or a raw upload.
+// trip: fold the delta into the EF residual (post-gate: the upload decision
+// saw the raw delta), encode that sum, decode, keep residual = (delta +
+// residual) − decoded, and leave the decoded update in r.Delta. A codec
+// that offers the sparse view of its payload is decoded through it: the
+// residual changes at the k coordinates that travelled and r.Delta is one
+// clear plus k writes, never a dim-long decode, subtract and copy. A
+// withheld update leaves the residual untouched. The returned payload is
+// the wire form of the upload; it aliases sc and is valid until sc is packed
+// again. It is nil for a skip or a raw upload.
 //
 //cmfl:hotpath
 func (s *ClientStep) Pack(sc *Scratch, r *Reply) ([]byte, error) {
@@ -119,25 +123,41 @@ func (s *ClientStep) Pack(sc *Scratch, r *Reply) ([]byte, error) {
 		r.Bytes = int64(len(r.Delta)) * 8
 		return nil, nil
 	}
+	// Under error feedback the vector to encode is built in the residual's
+	// buffer: subtracting what the codec kept then finishes the residual.
+	send := r.Delta
 	if sc.Residual != nil {
-		tensor.Axpy(1, sc.Residual, r.Delta)
+		tensor.Axpy(1, r.Delta, sc.Residual)
+		send = sc.Residual
 	}
-	payload, err := s.Compressor.EncodeInto(sc.enc, r.Delta)
+	payload, err := s.Compressor.EncodeInto(sc.enc, send)
 	if err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
 	sc.enc = payload
-	decoded, err := s.Compressor.DecodeInto(sc.dec, payload, len(r.Delta))
-	if err != nil {
-		return nil, fmt.Errorf("decode: %w", err)
+	sparse, isSparse := s.Compressor.(sparseDecoder)
+	if isSparse {
+		sc.idx, sc.dec, err = sparse.DecodeSparseInto(sc.idx, sc.dec, payload, len(r.Delta))
+	} else {
+		sc.dec, err = s.Compressor.DecodeInto(sc.dec, payload, len(r.Delta))
 	}
-	sc.dec = decoded
-	if sc.Residual != nil {
-		for j := range sc.Residual {
-			sc.Residual[j] = r.Delta[j] - decoded[j]
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("decode: %w", err)
+	case isSparse:
+		clear(r.Delta)
+		for n, j := range sc.idx {
+			r.Delta[j] = sc.dec[n]
+			if sc.Residual != nil {
+				sc.Residual[j] -= sc.dec[n]
+			}
+		}
+	default:
+		copy(r.Delta, sc.dec)
+		if sc.Residual != nil {
+			tensor.Axpy(-1, sc.dec, sc.Residual)
 		}
 	}
-	copy(r.Delta, decoded)
 	r.Bytes = int64(len(payload))
 	return payload, nil
 }

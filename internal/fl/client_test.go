@@ -204,3 +204,52 @@ func TestClientStep(t *testing.T) {
 		}
 	})
 }
+
+// TestPackSparseEF holds Pack's sparse route — residual updated at the k
+// coordinates that travelled, Reply.Delta cleared and scattered — to the
+// dense definition of error feedback it replaces: send = delta + residual,
+// residual = send − decode(encode(send)), Reply.Delta = that decode. Twenty
+// rounds, so the residual the codec discards compounds through both.
+func TestPackSparseEF(t *testing.T) {
+	const dim = 4000
+	codec := compress.NewChain(compress.TopK{K: 1000}, compress.Uniform8{})
+	step := &ClientStep{Compressor: codec}
+	sc := Scratch{Residual: make([]float64, dim)}
+	residual := make([]float64, dim)
+	rng := xrand.New(9)
+	for round := 1; round <= 20; round++ {
+		delta := rng.NormVec(dim, 0, 0.1)
+		for j := 0; j < dim; j += 7 {
+			delta[j] = 0 // exact zeros, so some coordinates never travel
+		}
+		send := make([]float64, dim)
+		for j := range send {
+			send[j] = delta[j] + residual[j]
+		}
+		wantPayload, err := compress.Encode(codec, send)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDelta, err := compress.Decode(codec, wantPayload, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range residual {
+			residual[j] = send[j] - wantDelta[j]
+		}
+
+		r := Reply{Delta: delta, Upload: true}
+		payload, err := step.Pack(&sc, &r)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if string(payload) != string(wantPayload) {
+			t.Fatalf("round %d: payload differs from the dense formula's", round)
+		}
+		if r.Bytes != int64(len(wantPayload)) {
+			t.Fatalf("round %d: Bytes = %d, want %d", round, r.Bytes, len(wantPayload))
+		}
+		sameBits(t, "Reply.Delta", r.Delta, wantDelta)
+		sameBits(t, "residual", sc.Residual, residual)
+	}
+}

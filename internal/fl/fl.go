@@ -13,8 +13,6 @@
 // its server half. Run, RunPartial, internal/sim and the internal/emu client
 // are built from them and add only what is theirs (DESIGN.md, "Algorithm 1,
 // once"). RunAsync is a different algorithm and keeps its own loop.
-//
-//cmfl:api-change PR 13: CheckUpload is unexported (sim and emu now gate through ClientStep.Train, so nothing outside fl calls it); the step and fold they share are new exports: ClientStep, Broadcast, Reply, Scratch, Aggregator, Evaluate
 package fl
 
 import (
@@ -78,6 +76,13 @@ type UpdateCodec interface {
 	Name() string
 	EncodeInto(dst []byte, update []float64) ([]byte, error)
 	DecodeInto(dst []float64, payload []byte, dim int) ([]float64, error)
+}
+
+// sparseDecoder restates compress.SparseDecoder as UpdateCodec restates
+// compress.Codec: a payload that names the coordinates it carries decodes to
+// (strictly ascending idx below dim, vals), every other coordinate +0.
+type sparseDecoder interface {
+	DecodeSparseInto(idx []uint32, vals []float64, payload []byte, dim int) ([]uint32, []float64, error)
 }
 
 // SkipNotificationBytes is the size of the status message a client sends in
