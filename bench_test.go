@@ -216,15 +216,30 @@ func benchVectors(n int) (u, g []float64) {
 	return rng.NormVec(n, 0, 1), rng.NormVec(n, 0, 1)
 }
 
-// BenchmarkRelevanceEq9 measures the raw Eq. 9 computation at the paper's
-// model sizes.
+// benchSink receives benchmark results nobody else reads, so the compiler
+// cannot delete the loop that produced them.
+var benchSink float64
+
+// BenchmarkRelevanceEq9 measures core.Relevance, the scalar reference form of
+// Eq. 9 on two float vectors, at the paper's model sizes. It rotates over 32
+// local updates (a single repeated one lets the branch predictor memorise
+// its signs) and sinks the result. The path the engines gate on is
+// core.SignAgreement: BenchmarkSignsInto and BenchmarkSignAgreement in
+// internal/core, which scripts/bench.sh gates.
 func BenchmarkRelevanceEq9(b *testing.B) {
-	u, g := benchVectors(100_000)
+	rng := xrand.New(1)
+	g := rng.NormVec(100_000, 0, 1)
+	us := make([][]float64, 32)
+	for i := range us {
+		us[i] = rng.NormVec(len(g), 0, 1)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Relevance(u, g); err != nil {
+		rel, err := core.Relevance(us[i%len(us)], g)
+		if err != nil {
 			b.Fatal(err)
 		}
+		benchSink += rel
 	}
 }
 

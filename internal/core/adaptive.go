@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // AdaptiveFilter is a CMFL extension: instead of a hand-tuned threshold
 // schedule, it controls the relevance threshold to track a target upload
@@ -9,9 +12,10 @@ import "sync"
 // threshold up when too many uploaded and down when too few
 // (an integral controller with gain Gain, clamped to [Min, Max]).
 //
-// It is safe for concurrent Check calls; ObserveRound must be called from
-// the engine between rounds (the fl engine does this automatically for any
-// filter implementing its FilterFeedback interface).
+// It is safe for concurrent Check calls, which read the threshold without a
+// lock; ObserveRound must be called from the engine between rounds (the fl
+// engine does this automatically for any filter implementing its
+// FilterFeedback interface).
 type AdaptiveFilter struct {
 	// Target is the desired upload fraction in (0, 1).
 	Target float64
@@ -20,20 +24,15 @@ type AdaptiveFilter struct {
 	// Min and Max clamp the threshold (defaults 0.05 and 0.95).
 	Min, Max float64
 
-	mu        sync.Mutex
-	threshold float64
+	threshold atomic.Uint64 // float64 bits; written only by ObserveRound
 }
 
 // NewAdaptiveFilter creates an adaptive CMFL filter starting at threshold
 // start and tracking the target upload fraction.
 func NewAdaptiveFilter(start, target float64) *AdaptiveFilter {
-	return &AdaptiveFilter{
-		Target:    target,
-		Gain:      0.05,
-		Min:       0.05,
-		Max:       0.95,
-		threshold: start,
-	}
+	f := &AdaptiveFilter{Target: target, Gain: 0.05, Min: 0.05, Max: 0.95}
+	f.threshold.Store(math.Float64bits(start))
+	return f
 }
 
 // Name implements the fl.UploadFilter interface.
@@ -41,9 +40,7 @@ func (f *AdaptiveFilter) Name() string { return "cmfl-adaptive" }
 
 // Threshold returns the current threshold (for tracing).
 func (f *AdaptiveFilter) Threshold() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.threshold
+	return math.Float64frombits(f.threshold.Load())
 }
 
 // Check implements the fl.UploadFilter interface.
@@ -55,10 +52,7 @@ func (f *AdaptiveFilter) Check(local, model, prevGlobal []float64, t int) (Decis
 	if err != nil {
 		return Decision{}, err
 	}
-	f.mu.Lock()
-	thr := f.threshold
-	f.mu.Unlock()
-	return Decision{Upload: rel >= thr, Metric: rel}, nil
+	return Decision{Upload: rel >= f.Threshold(), Metric: rel}, nil
 }
 
 // ObserveRound implements the fl engine's FilterFeedback hook: it adjusts
@@ -68,13 +62,17 @@ func (f *AdaptiveFilter) ObserveRound(round, uploaded, participants int) {
 		return
 	}
 	frac := float64(uploaded) / float64(participants)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.threshold += f.Gain * (frac - f.Target)
-	if f.threshold < f.Min {
-		f.threshold = f.Min
-	}
-	if f.threshold > f.Max {
-		f.threshold = f.Max
+	for {
+		old := f.threshold.Load()
+		thr := math.Float64frombits(old) + f.Gain*(frac-f.Target)
+		if thr < f.Min {
+			thr = f.Min
+		}
+		if thr > f.Max {
+			thr = f.Max
+		}
+		if f.threshold.CompareAndSwap(old, math.Float64bits(thr)) {
+			return
+		}
 	}
 }

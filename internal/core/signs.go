@@ -1,5 +1,7 @@
 package core
 
+import "cmfl/internal/tensor"
+
 // Precomputed-sign fast path for the relevance check.
 //
 // Eq. 9 only consumes the signs of the feedback update, yet the feedback is
@@ -15,22 +17,33 @@ package core
 //
 //cmfl:hotpath
 func SignsInto(dst []int8, v []float64) []int8 {
-	if cap(dst) < len(v) {
-		//cmfl:lint-ignore hotpathalloc amortized grow: runs only when the caller-supplied buffer is too small
-		dst = make([]int8, len(v))
-	}
-	dst = dst[:len(v)]
-	for i, x := range v {
-		switch {
-		case x > 0:
-			dst[i] = 1
-		case x < 0:
-			dst[i] = -1
-		default:
-			dst[i] = 0
-		}
-	}
+	dst = signBuf(dst, len(v))
+	tensor.Signs(dst, v)
 	return dst
+}
+
+// signBuf resizes a caller's sign buffer to n, reallocating only when it is
+// too small.
+func signBuf(dst []int8, n int) []int8 {
+	if cap(dst) < n {
+		//cmfl:lint-ignore hotpathalloc amortized grow: runs only when the caller-supplied buffer is too small
+		dst = make([]int8, n)
+	}
+	return dst[:n]
+}
+
+// DiffSignsInto is the feedback prelude of a client that reconstructs the
+// global update from two consecutive model broadcasts, in one sweep: it
+// overwrites prev with cur − prev, writes that difference's signs into dst
+// (grown like SignsInto's) and reports whether the difference is non-zero
+// anywhere. It equals the subtraction loop, !AllZero(prev) and
+// SignsInto(dst[:0], prev) run one after the other. prev and cur must have
+// equal length.
+//
+//cmfl:hotpath
+func DiffSignsInto(dst []int8, prev, cur []float64) ([]int8, bool) {
+	dst = signBuf(dst, len(prev))
+	return dst, tensor.SubSigns(dst, prev, cur)
 }
 
 // SignAgreement computes Eq. 9 against a precomputed feedback sign vector:
@@ -45,19 +58,7 @@ func SignAgreement(local []float64, signs []int8) (float64, error) {
 	if len(local) == 0 {
 		return 0, nil
 	}
-	matches := 0
-	for i, v := range local {
-		var s int8
-		switch {
-		case v > 0:
-			s = 1
-		case v < 0:
-			s = -1
-		}
-		if s == signs[i] {
-			matches++
-		}
-	}
+	matches := tensor.SignMatches(local, signs)
 	return float64(matches) / float64(len(local)), nil
 }
 
@@ -92,8 +93,5 @@ func (f *AdaptiveFilter) CheckSigns(local []float64, feedbackSigns []int8, t int
 	if err != nil {
 		return Decision{}, true, err
 	}
-	f.mu.Lock()
-	thr := f.threshold
-	f.mu.Unlock()
-	return Decision{Upload: rel >= thr, Metric: rel}, true, nil
+	return Decision{Upload: rel >= f.Threshold(), Metric: rel}, true, nil
 }

@@ -131,15 +131,18 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 
 	// Feedback is the previous global update, reconstructed as the difference
 	// between consecutive broadcasts (Sec. IV-A). x_t − x_{t−1} is computed
-	// in place over x_{t−1}, whose buffer is free once x_t has arrived. It
-	// replaces the feedback only when non-zero: a fully skipped round leaves
-	// the model unchanged and carries no new direction information. signs is
-	// recomputed with it and nil until then. The buffer that swap retires —
-	// the old feedback, or the zero difference — receives the next broadcast:
-	// model, predecessor and feedback rotate over three buffers.
+	// in place over x_{t−1}, whose buffer is free once x_t has arrived, in
+	// the same sweep that takes its signs and tests it for zero. It replaces
+	// the feedback only when non-zero: a fully skipped round leaves the model
+	// unchanged and carries no new direction information. signs is replaced
+	// with it and nil until then. The buffer that swap retires — the old
+	// feedback, or the zero difference — receives the next broadcast: model,
+	// predecessor and feedback rotate over three buffers, the sign vectors
+	// over two. An ungated client reads neither and skips the sweep.
+	_, ungated := step.Filter.(fl.Vanilla)
 	feedback := make([]float64, dim)
 	var prevParams, spare []float64
-	var signs []int8
+	var signs, spareSigns []int8
 	for {
 		f, err := sess.nextFrame()
 		if err != nil {
@@ -157,15 +160,13 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			if len(params) != dim {
 				return nil, fmt.Errorf("emu: client %d: round %d model has %d params, local model %d", cfg.ID, round, len(params), dim)
 			}
-			spare = nil
-			if prevParams != nil {
-				for j := range params {
-					prevParams[j] = params[j] - prevParams[j]
-				}
-				spare = prevParams
-				if !core.AllZero(prevParams) {
+			spare = prevParams
+			if prevParams != nil && !ungated {
+				var nonZero bool
+				spareSigns, nonZero = core.DiffSignsInto(spareSigns[:0], prevParams, params)
+				if nonZero {
 					feedback, spare = prevParams, feedback
-					signs = core.SignsInto(signs[:0], feedback)
+					signs, spareSigns = spareSigns, signs
 				}
 			}
 			prevParams = params
@@ -219,6 +220,7 @@ type clientSession struct {
 
 	conn    net.Conn // injector-wrapped
 	pending *pendingReply
+	recvBuf []byte // payload of the frame nextFrame returned last
 }
 
 func (s *clientSession) close() {
@@ -296,7 +298,10 @@ func (s *clientSession) writePending() error {
 }
 
 // nextFrame reads the next server frame, transparently recovering the
-// connection (and resending any pending reply) when reconnection is on.
+// connection (and resending any pending reply) when reconnection is on. The
+// frame's payload is valid until the next call: every frame lands in one
+// reused buffer, since the round loop copies a model out (decodeModel)
+// before it asks for the next.
 func (s *clientSession) nextFrame() (*frame, error) {
 	for cycle := 0; ; cycle++ {
 		// I/O deadline only; read through the package clock hook.
@@ -306,8 +311,9 @@ func (s *clientSession) nextFrame() (*frame, error) {
 			}
 			continue
 		}
-		f, err := readFrame(s.conn)
+		f, err := readFrameInto(s.conn, s.recvBuf)
 		if err == nil {
+			s.recvBuf = f.payload[:0]
 			return f, nil
 		}
 		if rerr := s.recover(err, cycle); rerr != nil {

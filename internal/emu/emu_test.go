@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -302,6 +303,78 @@ func TestClientGatesOnSigns(t *testing.T) {
 	for j := range fast.Server.FinalParams {
 		if math.Float64bits(fast.Server.FinalParams[j]) != math.Float64bits(slow.Server.FinalParams[j]) {
 			t.Fatalf("param %d: sign path %v, float path %v", j, fast.Server.FinalParams[j], slow.Server.FinalParams[j])
+		}
+	}
+}
+
+// feedbackProbe records, per round, the sign vector and the float feedback the
+// client gates on (every client of a round holds the same pair, so the first
+// to arrive records it) and withholds every update of round empty.
+type feedbackProbe struct {
+	empty    int
+	mu       sync.Mutex
+	signs    map[int][]int8
+	feedback map[int][]float64
+}
+
+func (p *feedbackProbe) Name() string { return "feedback-probe" }
+
+// CheckSigns declines, so the step goes on to Check with the float feedback.
+func (p *feedbackProbe) CheckSigns(local []float64, signs []int8, t int) (core.Decision, bool, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, seen := p.signs[t]; !seen {
+		p.signs[t] = append([]int8(nil), signs...)
+	}
+	return core.Decision{}, false, nil
+}
+
+func (p *feedbackProbe) Check(local, model, prevGlobal []float64, t int) (core.Decision, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, seen := p.feedback[t]; !seen {
+		p.feedback[t] = append([]float64(nil), prevGlobal...)
+	}
+	return core.Decision{Upload: t != p.empty, Metric: 1}, nil
+}
+
+// TestClientFeedbackPrelude holds the client's one-sweep prelude to the rule
+// it replaced: every round's signs are the signs of that round's feedback,
+// the feedback is the difference of the last two distinct models, and a round
+// nobody uploaded in (x_t == x_{t−1}) leaves both untouched.
+func TestClientFeedbackPrelude(t *testing.T) {
+	const clients, rounds, empty = 3, 6, 3
+	probe := &feedbackProbe{empty: empty, signs: map[int][]int8{}, feedback: map[int][]float64{}}
+	res, err := RunCluster(clusterConfig(t, clients, rounds, probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := res.Server.History[empty-1]; h.Uploaded != 0 {
+		t.Fatalf("round %d: %d uploads, want none", empty, h.Uploaded)
+	}
+	if len(probe.signs[1]) != 0 || !core.AllZero(probe.feedback[1]) {
+		t.Fatalf("round 1 gated on %d signs and a non-zero feedback", len(probe.signs[1]))
+	}
+	for r := 2; r <= rounds; r++ {
+		fb, signs := probe.feedback[r], probe.signs[r]
+		if core.AllZero(fb) {
+			t.Fatalf("round %d: no feedback although round 1 uploaded", r)
+		}
+		want := core.SignsInto(nil, fb)
+		if len(signs) != len(want) {
+			t.Fatalf("round %d: %d signs for %d coordinates", r, len(signs), len(want))
+		}
+		for j := range want {
+			if signs[j] != want[j] {
+				t.Fatalf("round %d: signs[%d] = %d, feedback %v", r, j, signs[j], fb[j])
+			}
+		}
+		same := true
+		for j := range fb {
+			same = same && math.Float64bits(fb[j]) == math.Float64bits(probe.feedback[r-1][j])
+		}
+		if same != (r == empty+1) {
+			t.Fatalf("round %d: feedback unchanged since the round before = %v", r, same)
 		}
 	}
 }

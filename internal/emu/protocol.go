@@ -77,8 +77,13 @@ func writeFrame(w io.Writer, kind byte, payload []byte) (int64, error) {
 	return int64(frameOverhead + len(payload)), nil
 }
 
-// readFrame receives one frame.
-func readFrame(r io.Reader) (*frame, error) {
+// readFrame receives one frame into a payload of its own.
+func readFrame(r io.Reader) (*frame, error) { return readFrameInto(r, nil) }
+
+// readFrameInto receives one frame, reusing buf's capacity for the payload
+// when it is large enough. The caller must be done with whatever it last
+// read into buf.
+func readFrameInto(r io.Reader, buf []byte) (*frame, error) {
 	var hdr [frameOverhead]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("emu: read frame header: %w", err)
@@ -87,7 +92,10 @@ func readFrame(r io.Reader) (*frame, error) {
 	if n > maxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("emu: read frame payload: %w", err)
 	}

@@ -118,3 +118,12 @@ func reluFwdAVX(dst, x *float64, n uintptr)
 
 //go:noescape
 func reluBwdAVX(dst, grad, x *float64, n uintptr)
+
+//go:noescape
+func signsAVX(dst *int8, v *float64, n uintptr)
+
+//go:noescape
+func signMatchesAVX(v *float64, signs *int8, n uintptr) uintptr
+
+//go:noescape
+func subSignsAVX(dst *int8, prev, cur *float64, n uintptr) bool

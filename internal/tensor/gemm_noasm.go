@@ -28,3 +28,15 @@ func reluFwdAVX(dst, x *float64, n uintptr) {
 func reluBwdAVX(dst, grad, x *float64, n uintptr) {
 	panic("tensor: SIMD relu unavailable on this platform")
 }
+
+func signsAVX(dst *int8, v *float64, n uintptr) {
+	panic("tensor: SIMD signs unavailable on this platform")
+}
+
+func signMatchesAVX(v *float64, signs *int8, n uintptr) uintptr {
+	panic("tensor: SIMD signs unavailable on this platform")
+}
+
+func subSignsAVX(dst *int8, prev, cur *float64, n uintptr) bool {
+	panic("tensor: SIMD signs unavailable on this platform")
+}
