@@ -1,9 +1,14 @@
 package emu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,11 +17,12 @@ import (
 )
 
 // scriptedClient speaks the wire protocol by hand as client id: a finite
-// update in round 1, then in round 2 either an update carrying a NaN
-// (hostile) or a skip, then skips until the server is done with it. codec
-// nil sends raw msgUpdate frames; otherwise the codec is negotiated in the
-// hello and updates travel as msgUpdate2.
-func scriptedClient(addr string, id int, codec compress.Codec, hostile bool) error {
+// update in round 1, then in round 2 either an update with plant at its
+// middle coordinate (a NaN makes the frame hostile) or, when plant is zero,
+// a skip, then skips until the server is done with it. codec nil sends raw
+// msgUpdate frames; otherwise the codec is negotiated in the hello and
+// updates travel as msgUpdate2.
+func scriptedClient(addr string, id int, codec compress.Codec, plant float64) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -43,7 +49,7 @@ func scriptedClient(addr string, id int, codec compress.Codec, hostile bool) err
 		if err != nil {
 			return err
 		}
-		if round > 2 || (round == 2 && !hostile) {
+		if round > 2 || (round == 2 && plant == 0) {
 			if _, err := writeFrame(conn, msgSkip, encodeSkip(id, round, 0)); err != nil {
 				return err
 			}
@@ -54,7 +60,7 @@ func scriptedClient(addr string, id int, codec compress.Codec, hostile bool) err
 			delta[j] = 0.01 * float64(j%7-3)
 		}
 		if round == 2 {
-			delta[len(delta)/2] = math.NaN()
+			delta[len(delta)/2] = plant
 		}
 		kind, payload := msgUpdate, encodeUpdate(id, round, 0, delta)
 		if codec != nil {
@@ -97,7 +103,11 @@ func runWithScripted(t *testing.T, codec compress.Codec, hostile, faultTolerant 
 			clientErrs <- err
 		}(i)
 	}
-	go func() { clientErrs <- scriptedClient(srv.Addr(), 2, codec, hostile) }()
+	plant := 0.0
+	if hostile {
+		plant = math.NaN()
+	}
+	go func() { clientErrs <- scriptedClient(srv.Addr(), 2, codec, plant) }()
 	res, runErr := srv.Run()
 	for i := 0; i < 3; i++ {
 		if err := <-clientErrs; err != nil && runErr == nil {
@@ -148,5 +158,72 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 				t.Fatalf("strict run: error %v, want shard.ErrNonFinite", err)
 			}
 		})
+	}
+}
+
+// TestOverflowingSumFailsTheRound: two clients each send a finite update, so
+// no frame is at fault, but one coordinate of their sum overflows. Dividing
+// that by the upload count and adding it to the model would leave a
+// parameter non-finite for every later round; the server refuses the round
+// instead, whether or not it tolerates faulty clients.
+func TestOverflowingSumFailsTheRound(t *testing.T) {
+	for _, faultTolerant := range []bool{false, true} {
+		cfg := clusterConfig(t, 2, 4, nil)
+		srv, err := NewServer(ServerConfig{
+			Addr:         "127.0.0.1:0",
+			Clients:      2,
+			Model:        cfg.Model,
+			TestData:     cfg.TestData,
+			Rounds:       4,
+			RoundTimeout: 10 * time.Second,
+			Limits:       Limits{DialTimeout: 10 * time.Second, FaultTolerant: faultTolerant},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clientErrs := make(chan error, 2)
+		for id := 0; id < 2; id++ {
+			go func(id int) { clientErrs <- scriptedClient(srv.Addr(), id, nil, 1.5e308) }(id)
+		}
+		res, err := srv.Run()
+		if !errors.Is(err, shard.ErrNonFinite) || !strings.Contains(err.Error(), "round 2") {
+			t.Errorf("fault-tolerant %v: Run = %v, %v; want round 2 refused with shard.ErrNonFinite", faultTolerant, res, err)
+		}
+		for id := 0; id < 2; id++ {
+			<-clientErrs // each ends when the server hangs up
+		}
+	}
+}
+
+// TestFloatCodecWordByWord holds the four-words-a-step float codec to the
+// word-by-word definition of the format at every length around a group
+// boundary, and to naming the first non-finite coordinate wherever in a
+// group it sits.
+func TestFloatCodecWordByWord(t *testing.T) {
+	for n := 0; n <= 13; n++ {
+		vals := make([]float64, n)
+		want := []byte{0xAB} // putFloats appends
+		for i := range vals {
+			vals[i] = float64(i) - 2.5
+			want = binary.BigEndian.AppendUint64(want, math.Float64bits(vals[i]))
+		}
+		wire := putFloats([]byte{0xAB}, vals)
+		if !bytes.Equal(wire, want) {
+			t.Fatalf("n=%d: putFloats = %x, want %x", n, wire, want)
+		}
+		got, err := getFloats(nil, wire[1:], n)
+		if err != nil || !slices.Equal(got, vals) {
+			t.Fatalf("n=%d: getFloats = %v, %v", n, got, err)
+		}
+		for pos := 0; pos < n; pos++ {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				damaged := slices.Clone(vals)
+				damaged[pos], damaged[n-1] = bad, bad
+				_, err := getFloats(nil, putFloats(nil, damaged), n)
+				if !errors.Is(err, shard.ErrNonFinite) || !strings.Contains(err.Error(), fmt.Sprintf("coordinate %d = %v:", pos, bad)) {
+					t.Fatalf("n=%d, %v at %d: error %v", n, bad, pos, err)
+				}
+			}
+		}
 	}
 }

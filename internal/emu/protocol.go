@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"cmfl/internal/emu/shard"
 )
@@ -102,20 +103,35 @@ func readFrameInto(r io.Reader, buf []byte) (*frame, error) {
 	return &frame{kind: hdr[4], payload: payload}, nil
 }
 
-// putFloats appends vals as big-endian float64 bits.
+// putFloats appends vals as big-endian float64 bits: the buffer is sized
+// once, then written four words a step.
 func putFloats(buf []byte, vals []float64) []byte {
-	for _, v := range vals {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-		buf = append(buf, b[:]...)
+	n := len(buf)
+	buf = slices.Grow(buf, len(vals)*8)[:n+len(vals)*8]
+	out := buf[n:]
+	for len(vals) >= 4 && len(out) >= 32 {
+		binary.BigEndian.PutUint64(out[0:8], math.Float64bits(vals[0]))
+		binary.BigEndian.PutUint64(out[8:16], math.Float64bits(vals[1]))
+		binary.BigEndian.PutUint64(out[16:24], math.Float64bits(vals[2]))
+		binary.BigEndian.PutUint64(out[24:32], math.Float64bits(vals[3]))
+		vals, out = vals[4:], out[32:]
+	}
+	for i, v := range vals {
+		binary.BigEndian.PutUint64(out[i*8:i*8+8], math.Float64bits(v))
 	}
 	return buf
 }
 
+// expOnes is the smallest sign-shifted-out bit pattern whose exponent is all
+// ones: bits<<1 >= expOnes exactly when the float is ±Inf or NaN.
+const expOnes = 0x7FF << 53
+
 // getFloats decodes n big-endian float64 values into dst, reusing its
 // capacity. A NaN or ±Inf is rejected in the same sweep: the server's exact
 // sum would never lose it (shard.ErrNonFinite), and a client has nothing to
-// learn from a model that carries one.
+// learn from a model that carries one. The length is checked once and the
+// words are taken four a step; a group holding a non-finite one is left to
+// the word-by-word tail, which names the first.
 func getFloats(dst []float64, b []byte, n int) ([]float64, error) {
 	if len(b) < n*8 {
 		return dst, fmt.Errorf("emu: float payload has %d bytes, need %d", len(b), n*8)
@@ -124,12 +140,24 @@ func getFloats(dst []float64, b []byte, n int) ([]float64, error) {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		bits := binary.BigEndian.Uint64(b[i*8 : (i+1)*8])
-		if bits<<1 >= 0x7FF<<53 { // exponent all ones: ±Inf or NaN
-			return dst, fmt.Errorf("emu: float payload coordinate %d = %v: %w", i, math.Float64frombits(bits), shard.ErrNonFinite)
+	d, src := dst, b[:n*8]
+	for len(d) >= 4 && len(src) >= 32 {
+		w0, w1 := binary.BigEndian.Uint64(src[0:8]), binary.BigEndian.Uint64(src[8:16])
+		w2, w3 := binary.BigEndian.Uint64(src[16:24]), binary.BigEndian.Uint64(src[24:32])
+		if w0<<1 >= expOnes || w1<<1 >= expOnes || w2<<1 >= expOnes || w3<<1 >= expOnes {
+			break
 		}
-		dst[i] = math.Float64frombits(bits)
+		d[0], d[1] = math.Float64frombits(w0), math.Float64frombits(w1)
+		d[2], d[3] = math.Float64frombits(w2), math.Float64frombits(w3)
+		d, src = d[4:], src[32:]
+	}
+	for i := range d {
+		bits := binary.BigEndian.Uint64(src[i*8 : i*8+8])
+		if bits<<1 >= expOnes {
+			at := n - len(d) + i
+			return dst, fmt.Errorf("emu: float payload coordinate %d = %v: %w", at, math.Float64frombits(bits), shard.ErrNonFinite)
+		}
+		d[i] = math.Float64frombits(bits)
 	}
 	return dst, nil
 }

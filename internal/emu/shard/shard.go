@@ -7,31 +7,34 @@
 // sums merged at the root would drift bitwise from a flat server's
 // sequential sum — and from each other as the shard count changes. The
 // Accumulator sidesteps the problem entirely: each coordinate's running sum
-// is kept as a non-overlapping expansion of floats whose total is EXACT
-// (Shewchuk's grow-expansion, the same machinery behind Python's
-// math.fsum), and Round returns the correctly rounded float64 of that exact
-// value. The correctly rounded value of an exact sum is unique, so any
-// grouping of the same update multiset — one shard or eight, merged in any
-// order — rounds to identical bits. That is the determinism argument that
-// lets `Shards: N` reproduce the flat server's FinalParams bit-for-bit
-// under the chaos suite.
+// is kept EXACT — two floats hi + lo under error-free TwoSum additions, and
+// a spilled Shewchuk expansion (the machinery behind Python's math.fsum) for
+// the rare coordinate whose terms span more bits than two floats hold — and
+// Round returns the correctly rounded float64 of that exact value, which is
+// unique: any grouping of the same update multiset — one shard or eight,
+// merged in any order — rounds to identical bits. That is the determinism
+// argument that lets `Shards: N` reproduce the flat server's FinalParams
+// bit-for-bit under the chaos suite. (It holds while no partial sum
+// overflows; one that does rounds to a non-finite value for the caller to
+// reject.)
 //
-// Memory: an expansion holds one term per distinct "magnitude band" still
-// carrying information, not one term per input, so a shard folding each
-// accepted update into its accumulator as it arrives needs O(dim · terms)
-// floats with terms staying small (single digits for gradient-scale data) —
-// flat in the client count, unlike buffering every client's delta.
+// Memory is 16 B a coordinate plus a dim/64-word bitmap, flat in the client
+// count, and cost follows the bytes received: a dense update is a sweep, a
+// sparse one touches its own coordinates, and Reset, Merge and Round of a
+// sparsely filled accumulator walk the bitmap, not the dimension.
 package shard
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
-// ErrNonFinite reports a NaN or ±Inf value offered to an exact sum. Such a
-// term never leaves an expansion — every later TwoSum against it stores
-// another NaN — so it would grow without bound and poison the aggregate.
+// ErrNonFinite reports a NaN or ±Inf value offered to an exact sum, or an
+// exact sum that overflowed. Such a value never leaves the sum — every later
+// TwoSum against it stores another NaN — and would poison the aggregate.
 var ErrNonFinite = errors.New("shard: non-finite value in update")
 
 // Accumulator sums float64 vectors exactly. The zero value is unusable;
@@ -41,14 +44,24 @@ var ErrNonFinite = errors.New("shard: non-finite value in update")
 // accumulator and the root merges them single-threaded.
 type Accumulator struct {
 	dim int
-	// parts[j] is coordinate j's non-overlapping expansion, ordered by
-	// increasing magnitude; its exact real sum equals the exact sum of
-	// every value added to coordinate j since the last Reset.
-	parts [][]float64
-	// maxTerms tracks the widest expansion ever observed (across Resets):
-	// the per-coordinate memory high-water mark, exposed so tests can
-	// assert shard memory stays flat in the client count.
-	maxTerms int
+	// hi[j] + lo[j] + Σ spill[j] is, exactly, the sum of every value added
+	// to a live coordinate j since the last Reset. Coordinates that are not
+	// live sum to zero and hold stale floats of earlier rounds.
+	hi, lo []float64
+	// dense says every coordinate is live; otherwise the live ones are the
+	// set bits of mark (bit j&63 of word j>>6) and live counts them.
+	dense bool
+	mark  []uint64
+	live  int
+	// loZero, read only while dense: the sum is one vector, in hi over a
+	// zeroed lo — a gated shard's usual round — and merges as hi alone.
+	loZero bool
+	// spill[j] is the non-overlapping expansion of what hi[j] and lo[j]
+	// could not absorb: the second TwoSum's residual, non-zero only when a
+	// coordinate's terms span more than ~2^53 in magnitude.
+	spill    map[uint32][]float64
+	scratch  []float64 // Round's expansion of one spilled coordinate
+	maxSpill int       // widest spill observed, across Resets
 }
 
 // New returns an empty accumulator for dim-dimensional vectors.
@@ -59,34 +72,67 @@ func New(dim int) *Accumulator {
 }
 
 // Reset empties the accumulator and sets its dimension, retaining the
-// per-coordinate term capacity so steady-state reuse does not allocate.
+// arrays: it clears the bitmap and nothing else, so what a round left in hi
+// and lo stays there until a coordinate goes live again and overwrites it.
 func (a *Accumulator) Reset(dim int) {
-	if cap(a.parts) < dim {
-		old := a.parts
-		a.parts = make([][]float64, dim)
-		copy(a.parts, old)
+	words := (dim + 63) / 64
+	if cap(a.hi) < dim {
+		a.hi, a.lo, a.mark = make([]float64, dim), make([]float64, dim), make([]uint64, words)
 	}
-	a.parts = a.parts[:dim]
-	for j := range a.parts {
-		a.parts[j] = a.parts[j][:0]
+	clear(a.mark)
+	a.hi, a.lo, a.mark = a.hi[:dim], a.lo[:dim], a.mark[:words]
+	a.dim, a.dense, a.live = dim, false, 0
+	if a.spill == nil || len(a.spill) > 0 { // a fresh map: clear would keep a hostile round's buckets
+		a.spill = make(map[uint32][]float64)
 	}
-	a.dim = dim
 }
 
 // Dim returns the accumulator's vector dimension.
 func (a *Accumulator) Dim() int { return a.dim }
 
-// MaxTerms returns the largest per-coordinate expansion length observed so
-// far — the memory high-water mark in floats per coordinate.
-func (a *Accumulator) MaxTerms() int { return a.maxTerms }
+// MaxTerms returns the memory high-water mark in floats per coordinate: hi
+// and lo, plus the widest spill observed so far.
+func (a *Accumulator) MaxTerms() int { return 2 + a.maxSpill }
 
 // Add folds one vector into the running exact sum. len(vec) must equal Dim.
+//
+//cmfl:hotpath
 func (a *Accumulator) Add(vec []float64) {
 	if len(vec) != a.dim {
 		panic("shard: Add dimension mismatch")
 	}
-	for j, v := range vec {
-		a.add1(j, v)
+	if a.empty() { // the round's first vector is a copy
+		copy(a.hi, vec)
+		clear(a.lo)
+		a.dense, a.loZero = true, true
+		return
+	}
+	a.makeDense()
+	hi, lo := a.hi[:len(vec)], a.lo[:len(vec)]
+	for j, x := range vec {
+		s, e := twoSum(hi[j], x)
+		t, e2 := twoSum(lo[j], e)
+		hi[j], lo[j] = s, t
+		if math.Float64bits(e2)<<1 != 0 {
+			a.spillAt(j, e2)
+		}
+	}
+}
+
+// empty reports that no coordinate has come to life since Reset.
+func (a *Accumulator) empty() bool { return !a.dense && a.live == 0 }
+
+// makeDense brings every coordinate to life, as zero, ahead of a dense sweep.
+func (a *Accumulator) makeDense() {
+	a.loZero = false
+	if a.dense {
+		return
+	}
+	a.dense = true
+	for j := range a.hi {
+		if a.mark[j>>6]>>(j&63)&1 == 0 {
+			a.hi[j], a.lo[j] = 0, 0
+		}
 	}
 }
 
@@ -97,12 +143,11 @@ func (a *Accumulator) Add(vec []float64) {
 // changes.
 //
 // Round afterwards is bit for bit what it is after Add of the densified
-// vector: a zero never changes an expansion's exact sum, so the coordinates
-// Add would walk with one are skipped, and an exact sum has no memory of
-// which terms arrived densely. Signed zero is all a skipped +0 could change,
-// and Round leaves it nothing: a sum that is exactly zero rounds to +0
-// whether untouched, fed only −0, or cancelled. MaxTerms is outside the
-// equivalence — a passing zero can merge two terms that fit in one float.
+// vector: a zero never changes an exact sum, so the coordinates Add would
+// walk with one are skipped, and an exact sum has no memory of which terms
+// arrived densely. Signed zero is all a skipped +0 could change, and Round
+// leaves it nothing: a sum that is exactly zero rounds to +0 whether
+// untouched, fed only −0, or cancelled.
 //
 //cmfl:hotpath
 func (a *Accumulator) AddSparse(idx []uint32, vals []float64) error {
@@ -116,34 +161,99 @@ func (a *Accumulator) AddSparse(idx []uint32, vals []float64) error {
 		}
 		prev = int(j)
 	}
+	a.loZero = false
 	for n, j := range idx {
 		a.add1(int(j), vals[n])
 	}
 	return nil
 }
 
-// Merge folds another accumulator's exact sum into this one. Every term of
-// an expansion is an ordinary float64 whose re-insertion is exact, so the
-// merged accumulator represents precisely the union of both input
-// multisets — grouping leaves no trace.
+// Merge folds another accumulator's exact sum into this one. Every float b
+// holds is an ordinary float64 whose re-insertion is exact, so the merged
+// accumulator represents precisely the union of both input multisets —
+// grouping leaves no trace. A dense b costs one sweep (a copy into an empty
+// a), a sparse one its live coordinates.
+//
+//cmfl:hotpath
 func (a *Accumulator) Merge(b *Accumulator) {
 	if b.dim != a.dim {
 		panic("shard: Merge dimension mismatch")
 	}
-	for j, terms := range b.parts {
+	switch {
+	case !b.dense:
+		a.loZero = false
+		for w, word := range b.mark {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				a.add1(j, b.hi[j])
+				a.add1(j, b.lo[j])
+			}
+		}
+	case a.empty():
+		copy(a.hi, b.hi)
+		copy(a.lo, b.lo)
+		a.dense, a.loZero = true, b.loZero
+	case b.loZero:
+		a.Add(b.hi)
+	default:
+		a.makeDense()
+		hi, lo, bhi, blo := a.hi, a.lo[:len(a.hi)], b.hi[:len(a.hi)], b.lo[:len(a.hi)]
+		for j, x := range bhi {
+			s, e := twoSum(hi[j], x)
+			t, e2 := twoSum(lo[j], e)
+			t, e3 := twoSum(t, blo[j]) // b's lo is of lo's scale, not hi's: it joins lo directly
+			hi[j], lo[j] = s, t
+			if math.Float64bits(e2)<<1 != 0 {
+				a.spillAt(j, e2)
+			}
+			if math.Float64bits(e3)<<1 != 0 {
+				a.spillAt(j, e3)
+			}
+		}
+	}
+	for j, terms := range b.spill {
 		for _, v := range terms {
-			a.add1(j, v)
+			a.add1(int(j), v)
 		}
 	}
 }
 
-// add1 grows coordinate j's expansion by x.
+// add1 adds x to coordinate j, bringing it to life if it was not.
 func (a *Accumulator) add1(j int, x float64) {
-	p := growExpansion(a.parts[j], x)
-	a.parts[j] = p
-	if len(p) > a.maxTerms {
-		a.maxTerms = len(p)
+	if !a.dense {
+		if w, bit := j>>6, uint64(1)<<(j&63); a.mark[w]&bit == 0 {
+			a.mark[w] |= bit
+			a.live++
+			a.hi[j], a.lo[j] = x, 0
+			return
+		}
 	}
+	s, e := twoSum(a.hi[j], x)
+	t, e2 := twoSum(a.lo[j], e)
+	a.hi[j], a.lo[j] = s, t
+	if math.Float64bits(e2)<<1 != 0 {
+		a.spillAt(j, e2)
+	}
+}
+
+// twoSum is Knuth's branch-free error-free addition: s = fl(x+y) and
+// s + e = x + y exactly, whatever the operands' magnitudes.
+func twoSum(x, y float64) (s, e float64) {
+	s = x + y
+	v := s - x
+	return s, (x - (s - v)) + (y - v)
+}
+
+// spillAt keeps the residual e2 that neither hi[j] nor lo[j] could absorb,
+// so coordinate j's sum stays exact. A non-finite residual means a partial
+// sum overflowed: hi and lo already say so, and there is nothing to keep.
+func (a *Accumulator) spillAt(j int, e2 float64) {
+	if math.IsNaN(e2 - e2) {
+		return
+	}
+	p := growExpansion(a.spill[uint32(j)], e2)
+	a.spill[uint32(j)] = p
+	a.maxSpill = max(a.maxSpill, len(p))
 }
 
 // growExpansion folds x into a non-overlapping expansion: the TwoSum
@@ -167,7 +277,7 @@ func growExpansion(p []float64, x float64) []float64 {
 		}
 		x = hi
 	}
-	//cmfl:lint-ignore hotpathalloc amortized grow-only: Reset keeps each coordinate's term capacity, so steady-state rounds append in place
+	//cmfl:lint-ignore hotpathalloc amortized grow-only on a Scalar; on an Accumulator only the spill path gets here, which gradient-scale data never takes
 	return append(p[:i], x)
 }
 
@@ -201,19 +311,45 @@ func (s *Scalar) Round() float64 { return roundExpansion(s.parts) }
 func (s *Scalar) Reset() { s.parts = s.parts[:0] }
 
 // Round writes the correctly rounded float64 value of each coordinate's
-// exact sum into dst (grown as needed) and returns it. An empty coordinate
-// rounds to +0, as does any sum that is exactly zero. The accumulator is
-// left untouched, so Round may be called repeatedly and Merge may continue
-// afterwards.
+// exact sum into dst (grown as needed) and returns it. Where nothing
+// spilled that is fl(hi+lo): an IEEE addition returns the correctly rounded
+// sum of its two operands, and those two are the whole sum. A coordinate
+// that is not live rounds to +0, as does any sum that is exactly zero. The
+// accumulator's sum is left untouched, so Round may be called repeatedly and
+// Merge may continue afterwards.
+//
+//cmfl:hotpath
 func (a *Accumulator) Round(dst []float64) []float64 {
-	if cap(dst) < a.dim {
-		dst = make([]float64, a.dim)
+	dst = slices.Grow(dst[:0], a.dim)[:a.dim]
+	if a.dense {
+		hi, lo := a.hi[:len(dst)], a.lo[:len(dst)]
+		for j := range dst {
+			dst[j] = positiveZero(hi[j] + lo[j])
+		}
+	} else {
+		clear(dst)
+		for w, word := range a.mark {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				dst[j] = positiveZero(a.hi[j] + a.lo[j])
+			}
+		}
 	}
-	dst = dst[:a.dim]
-	for j, p := range a.parts {
-		dst[j] = roundExpansion(p)
+	for j, terms := range a.spill {
+		p := append(a.scratch[:0], terms...)
+		p = growExpansion(growExpansion(p, a.lo[j]), a.hi[j])
+		dst[j], a.scratch = roundExpansion(p), p
 	}
 	return dst
+}
+
+// positiveZero drops the sign of a zero sum, which would only record
+// whether its terms were −0, +0 or absent — how sparsely each update arrived.
+func positiveZero(v float64) float64 {
+	if math.Float64bits(v)<<1 == 0 {
+		return 0
+	}
+	return v
 }
 
 // roundExpansion returns the correctly rounded (nearest-even) float64 of a
@@ -249,12 +385,7 @@ func roundExpansion(p []float64) float64 {
 			hi = x
 		}
 	}
-	// The sign of a zero sum would only record whether its terms were −0, +0
-	// or absent — how sparsely each update arrived — so it is dropped.
-	if math.Float64bits(hi)<<1 == 0 {
-		return 0
-	}
-	return hi
+	return positiveZero(hi)
 }
 
 // Range is one shard's contiguous half-open client interval.

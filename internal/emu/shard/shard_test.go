@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -9,12 +10,12 @@ import (
 	"testing"
 )
 
-// refSum computes the correctly rounded sum of xs through math/big at 400
-// bits — wide enough that every partial sum of the test inputs is exact —
-// as the oracle for the expansion arithmetic.
+// refSum computes the correctly rounded sum of xs through math/big at 2200
+// bits — wider than the whole float64 range, so every partial sum of any
+// finite inputs is exact — as the oracle for the accumulator's arithmetic.
 func refSum(xs []float64) float64 {
-	acc := new(big.Float).SetPrec(400)
-	term := new(big.Float).SetPrec(400)
+	acc := new(big.Float).SetPrec(2200)
+	term := new(big.Float).SetPrec(2200)
 	for _, x := range xs {
 		acc.Add(acc, term.SetFloat64(x))
 	}
@@ -108,18 +109,28 @@ func TestGroupingInvariance(t *testing.T) {
 	}
 }
 
-// TestMaxTermsStaysFlat pins the memory model: folding 64 gradient-scale
-// clients into one accumulator keeps the per-coordinate expansion in the
-// single digits — per-shard memory does not grow with the client count the
-// way buffering every delta would.
+// TestMaxTermsStaysFlat pins the memory model: MaxTerms is hi and lo plus
+// the widest spill, and folding 64 gradient-scale clients spills nothing —
+// per-shard memory is two floats a coordinate whatever the client count. A
+// coordinate whose terms span more than two floats' bits does spill, and
+// MaxTerms says by how much.
 func TestMaxTermsStaysFlat(t *testing.T) {
 	const dim = 101
 	acc := New(dim)
 	for _, v := range testVectors(64, dim, 3) {
 		acc.Add(v)
 	}
-	if got := acc.MaxTerms(); got > 16 {
-		t.Fatalf("MaxTerms = %d after 64 clients, want <= 16 (memory should stay flat)", got)
+	if got := acc.MaxTerms(); got != 2 {
+		t.Fatalf("MaxTerms = %d after 64 gradient-scale clients, want 2 (no spill)", got)
+	}
+	wide := []float64{0x1p200, 1, 0x1p-200, 0x1p-400}
+	for _, x := range wide {
+		v := make([]float64, dim)
+		v[5] = x
+		acc.Add(v)
+	}
+	if got := acc.MaxTerms(); got <= 2 || got > 2+len(wide) {
+		t.Fatalf("MaxTerms = %d after a 600-bit-wide coordinate, want in (2, %d]", got, 2+len(wide))
 	}
 }
 
@@ -188,9 +199,14 @@ func TestSplitPanicsOutOfRange(t *testing.T) {
 	}
 }
 
+// benchSink keeps a benchmark's result alive: an unread result lets the
+// compiler delete the loop that made it (benchmarks/README.md).
+var benchSink float64
+
 // BenchmarkShardMerge is the tree's root-side hot path: 8 shard
 // accumulators, each having folded 8 clients of a 100k-dim model, merged
-// and rounded. Steady state reuses every expansion's capacity.
+// and rounded. Nothing grows with use, so the first iteration already is
+// steady state: 0 allocs/op.
 func BenchmarkShardMerge(b *testing.B) {
 	const shards, clientsPerShard, dim = 8, 8, 100_000
 	vecs := testVectors(shards*clientsPerShard, dim, 4)
@@ -215,9 +231,61 @@ func BenchmarkShardMerge(b *testing.B) {
 			root.Merge(acc)
 		}
 		dst = root.Round(dst)
+		benchSink += dst[n%dim]
 	}
-	if dst[0] == math.Inf(1) {
-		b.Fatal("unreachable; keeps dst live")
+}
+
+// BenchmarkShardAdd is the dense coordinate-add: one 102,538-dim update
+// folded into an accumulator that already holds one (the round's first Add
+// is a copy and would flatter the number). It rotates over 32 distinct
+// vectors — 27 MB, so the sweep pays for memory as the server's does.
+func BenchmarkShardAdd(b *testing.B) {
+	const dim, distinct = 102_538, 32
+	vecs := testVectors(distinct, dim, 7)
+	acc := New(dim)
+	acc.Add(vecs[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		acc.Add(vecs[n%distinct])
+	}
+	b.StopTimer()
+	benchSink += acc.Round(nil)[0]
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/dim, "ns/coord")
+}
+
+// BenchmarkShardRoundSparse is the whole server side of a top-k round: three
+// shards each fold one k=1000 update, the root merges, rounds and everything
+// resets. The cost should follow k: the second dimension is ten times the
+// first and may add only its clear(dst) and bitmap.
+func BenchmarkShardRoundSparse(b *testing.B) {
+	const shards, k = 3, 1000
+	for _, dim := range []int{102_538, 1_025_380} {
+		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(8))
+			idx, vals := make([][]uint32, shards), make([][]float64, shards)
+			parts := make([]*Accumulator, shards)
+			for i := range parts {
+				idx[i], vals[i], _ = topKUpdate(rng, dim, k)
+				parts[i] = New(dim)
+			}
+			root := New(dim)
+			dst := make([]float64, dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				root.Reset(dim)
+				for i, acc := range parts {
+					acc.Reset(dim)
+					if err := acc.AddSparse(idx[i], vals[i]); err != nil {
+						b.Fatal(err)
+					}
+					root.Merge(acc)
+				}
+				dst = root.Round(dst)
+				benchSink += dst[idx[0][0]]
+			}
+		})
 	}
 }
 
@@ -358,24 +426,28 @@ func TestAddSparseRejectsBeforeTouching(t *testing.T) {
 	}
 }
 
+// topKUpdate draws one update with exactly k non-zero coordinates of dim, as
+// the (idx, vals) view and as its densification.
+func topKUpdate(rng *rand.Rand, dim, k int) (idx []uint32, vals, dense []float64) {
+	dense = make([]float64, dim)
+	for _, j := range rng.Perm(dim)[:k] {
+		dense[j] = rng.NormFloat64()
+	}
+	for j, v := range dense {
+		if v != 0 {
+			idx, vals = append(idx, uint32(j)), append(vals, v)
+		}
+	}
+	return idx, vals, dense
+}
+
 // BenchmarkShardAddSparse folds one top-1000 update of a 102,538-dim model
 // (emu_wide_topk's shape) as its sparse view and, for the ratio, as the
 // dense vector the server used to build from it. The round's Reset is
 // outside the timer: both pay it alike.
 func BenchmarkShardAddSparse(b *testing.B) {
 	const dim, k = 102_538, 1000
-	rng := rand.New(rand.NewSource(6))
-	dense := make([]float64, dim)
-	for _, j := range rng.Perm(dim)[:k] {
-		dense[j] = rng.NormFloat64()
-	}
-	var idx []uint32
-	var vals []float64
-	for j, v := range dense {
-		if v != 0 {
-			idx, vals = append(idx, uint32(j)), append(vals, v)
-		}
-	}
+	idx, vals, dense := topKUpdate(rand.New(rand.NewSource(6)), dim, k)
 	acc := New(dim)
 	b.Run("sparse", func(b *testing.B) {
 		b.ReportAllocs()

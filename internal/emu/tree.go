@@ -131,6 +131,12 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	}
 	out.globalUpdate = s.rootAcc.Round(s.sumBuf)
 	s.sumBuf = out.globalUpdate
+	// Every update was finite, but their sum need not be: a coordinate that
+	// overflowed is nobody's frame to drop, and applying it would poison the
+	// model for good. The round fails instead, in either fault mode.
+	if err := allFinite(out.globalUpdate); err != nil {
+		return nil, fmt.Errorf("emu: round %d: sum of %d accepted updates: %w", t, accepted, err)
+	}
 
 	// Canonicalize reply order by global client id: float accumulation is
 	// already layout-proof, but MeanRelevance, telemetry emission, and the
