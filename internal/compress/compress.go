@@ -103,8 +103,8 @@ func (Uniform8) EncodeInto(dst []byte, update []float64) ([]byte, error) {
 		if !isFinite(v) {
 			return nil, fmt.Errorf("%w: quantize8 coordinate %d = %v", ErrNonFinite, i, v)
 		}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
+		lo = min(lo, v)
+		hi = max(hi, v)
 	}
 	if len(update) == 0 {
 		lo, hi = 0, 0

@@ -15,6 +15,7 @@ import (
 	"cmfl/internal/dataset"
 	"cmfl/internal/fl"
 	"cmfl/internal/nn"
+	"cmfl/internal/telemetry"
 	"cmfl/internal/xrand"
 )
 
@@ -241,6 +242,66 @@ func TestClusterCMFLSkips(t *testing.T) {
 	}
 }
 
+// TestObserverOrderingEmu pins the master's observer stream, the twin of
+// fl's checkOrdering: rounds arrive 1..n, every ClientEvent of round k lands
+// before round k's RoundEvent in ascending client id (updates and skips
+// interleaved, like every other engine), the stream adds up to the round
+// totals, and the observed RoundEvents are the history's.
+func TestObserverOrderingEmu(t *testing.T) {
+	cfg := clusterConfig(t, 8, 6, core.NewFilter(core.Constant(0.55)))
+	cfg.Topology = Topology{Shards: 3}
+	var rounds []telemetry.RoundEvent
+	var pending []telemetry.ClientEvent // the current round's, so far
+	var cumBytes int64
+	interleaved := false // some skip came before an update of the same round
+	cfg.Observers = []telemetry.Observer{telemetry.Funcs{
+		Client: func(e telemetry.ClientEvent) {
+			if e.Engine != telemetry.EngineEmu || e.Round != len(rounds)+1 {
+				t.Errorf("ClientEvent %+v while round %d was current", e, len(rounds)+1)
+			}
+			if n := len(pending); n > 0 && pending[n-1].Client >= e.Client {
+				t.Errorf("round %d: client %d emitted after client %d", e.Round, e.Client, pending[n-1].Client)
+			}
+			pending = append(pending, e)
+		},
+		Round: func(e telemetry.RoundEvent) {
+			if e.Engine != telemetry.EngineEmu || e.Round != len(rounds)+1 {
+				t.Errorf("RoundEvent %+v after %d rounds", e, len(rounds))
+			}
+			uploads := 0
+			for i, c := range pending {
+				cumBytes += c.UplinkBytes
+				if c.Uploaded {
+					uploads++
+					interleaved = interleaved || uploads <= i
+				}
+			}
+			if len(pending) != e.Participants || uploads != e.Uploaded || e.Uploaded+e.Skipped != e.Participants {
+				t.Errorf("round %d: %d client events with %d uploads, RoundEvent %+v", e.Round, len(pending), uploads, e)
+			}
+			if e.CumUplinkBytes != cumBytes {
+				t.Errorf("round %d: CumUplinkBytes = %d, client stream sums to %d", e.Round, e.CumUplinkBytes, cumBytes)
+			}
+			rounds, pending = append(rounds, e), pending[:0]
+		},
+	}}
+	res, err := RunCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rounds) != len(res.Server.History) {
+		t.Fatalf("observed %d rounds, history has %d", len(rounds), len(res.Server.History))
+	}
+	for i, e := range rounds {
+		if e != res.Server.History[i].RoundEvent {
+			t.Fatalf("round %d: observed event %+v != history %+v", i+1, e, res.Server.History[i].RoundEvent)
+		}
+	}
+	if !interleaved {
+		t.Fatal("no skip below an updating client id: the interleaving was not exercised")
+	}
+}
+
 // signProbe counts which gate path the emu client takes.
 type signProbe struct {
 	*core.Filter
@@ -411,38 +472,6 @@ func TestClusterEarlyStop(t *testing.T) {
 	}
 	if len(res.Server.History) == 50 {
 		t.Fatal("cluster did not stop early")
-	}
-}
-
-// TestClusterMatchesSimulation verifies the TCP path and the in-process
-// simulation compute identical models under vanilla FL (same seeds, same
-// aggregation, no filtering).
-func TestClusterMatchesSimulation(t *testing.T) {
-	ccfg := clusterConfig(t, 4, 6, nil)
-	cres, err := RunCluster(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := fl.Run(fl.Config{
-		Model:      ccfg.Model,
-		ClientData: ccfg.ClientData,
-		TestData:   ccfg.TestData,
-		Epochs:     ccfg.Epochs,
-		Batch:      ccfg.Batch,
-		LR:         ccfg.LR,
-		Rounds:     6,
-		Seed:       ccfg.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cres.Server.FinalParams) != len(sres.FinalParams) {
-		t.Fatal("dimension mismatch")
-	}
-	for i := range sres.FinalParams {
-		if math.Abs(cres.Server.FinalParams[i]-sres.FinalParams[i]) > 1e-12 {
-			t.Fatalf("param %d: cluster %v vs simulation %v", i, cres.Server.FinalParams[i], sres.FinalParams[i])
-		}
 	}
 }
 

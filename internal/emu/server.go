@@ -62,8 +62,8 @@ type ServerConfig struct {
 	RoundTimeout time.Duration
 
 	// Observers receive live telemetry: one telemetry.ClientEvent per
-	// reply (updates first, then skips, each in client order) followed by
-	// one telemetry.RoundEvent per round.
+	// accepted reply, in ascending client id, followed by one
+	// telemetry.RoundEvent per round (fl.Aggregator.Emit).
 	Observers []telemetry.Observer
 	// MetricsAddr, when non-empty (e.g. "127.0.0.1:0"), serves the
 	// master's metrics registry as a Prometheus-text /metrics and JSON
@@ -202,16 +202,14 @@ type Server struct {
 	handshakes chan struct{}
 
 	// The aggregation tree: shard aggregators in fixed index order, the
-	// client-to-shard routing table, the root's merge accumulator and its
-	// reusable scratch. All written once in NewServer (shards, shardOf) or
-	// only by the round loop (rootAcc, sumBuf, metaScratch, metaHas).
-	shards      []*shardAgg
-	shardOf     []int
-	shardStats  []shardCounters
-	rootAcc     *shard.Accumulator
-	sumBuf      []float64
-	metaScratch []replyMeta
-	metaHas     []bool
+	// client-to-shard routing table, the root's merge accumulator and the
+	// round's accepted replies by global client id. All written once in
+	// NewServer (shards, shardOf) or only by the round loop (rootAcc, replies).
+	shards     []*shardAgg
+	shardOf    []int
+	shardStats []shardCounters
+	rootAcc    *shard.Accumulator
+	replies    []fl.Reply
 
 	// wg tracks every connection-servicing goroutine the server spawns
 	// (acceptLoop, admit, readLoop); closeConns waits for all of them after
@@ -288,24 +286,23 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("emu: listen %s: %w", cfg.Addr, err)
 	}
 	s := &Server{
-		cfg:         cfg,
-		ln:          ln,
-		obs:         cfg.Observers,
-		ready:       make(chan struct{}),
-		stop:        make(chan struct{}),
-		quit:        make(chan struct{}),
-		handshakes:  make(chan struct{}, maxHandshakes),
-		conns:       make([]net.Conn, cfg.Clients),
-		alive:       make([]bool, cfg.Clients),
-		gens:        make([]int, cfg.Clients),
-		downGen:     make([]int, cfg.Clients),
-		pending:     make(map[net.Conn]struct{}),
-		codecs:      make([]fl.UpdateCodec, cfg.Clients),
-		helloErrs:   make(chan error, cfg.Clients),
-		shardOf:     make([]int, cfg.Clients),
-		rootAcc:     shard.New(0),
-		metaScratch: make([]replyMeta, cfg.Clients),
-		metaHas:     make([]bool, cfg.Clients),
+		cfg:        cfg,
+		ln:         ln,
+		obs:        cfg.Observers,
+		ready:      make(chan struct{}),
+		stop:       make(chan struct{}),
+		quit:       make(chan struct{}),
+		handshakes: make(chan struct{}, maxHandshakes),
+		conns:      make([]net.Conn, cfg.Clients),
+		alive:      make([]bool, cfg.Clients),
+		gens:       make([]int, cfg.Clients),
+		downGen:    make([]int, cfg.Clients),
+		pending:    make(map[net.Conn]struct{}),
+		codecs:     make([]fl.UpdateCodec, cfg.Clients),
+		helloErrs:  make(chan error, cfg.Clients),
+		shardOf:    make([]int, cfg.Clients),
+		rootAcc:    shard.New(0),
+		replies:    make([]fl.Reply, cfg.Clients),
 	}
 	for i, own := range shardAssignment(cfg.Clients, cfg.Topology) {
 		deadline, localQ := cfg.RoundDeadline, 0
@@ -501,14 +498,13 @@ func (s *Server) Run() (res *ServerResult, err error) {
 	}
 
 	global := s.cfg.Model()
-	params := global.ParamVector()
+	// The server half of Algorithm 1 is fl's: the tree hands Close each
+	// round's exact sum. The upload filter lives in the clients.
+	agg := fl.NewAggregator(telemetry.EngineEmu, global.ParamVector(), s.cfg.Clients, nil, s.obs)
 	res = &ServerResult{
-		SkipCounts:      make([]int, s.cfg.Clients),
+		SkipCounts:      agg.SkipCounts,
 		StragglerCounts: make([]int, s.cfg.Clients),
 	}
-
-	cumUploads := 0
-	var cumAppBytes int64 // paper-metric bytes: payload sizes only
 
 	for t := 1; t <= s.cfg.Rounds; t++ {
 		if s.stopping() {
@@ -516,7 +512,7 @@ func (s *Server) Run() (res *ServerResult, err error) {
 		}
 		// One tree round (Algorithm 1: distribute x_{t-1}, gather, merge;
 		// clients derive the feedback update from consecutive broadcasts).
-		out, err := s.runRound(t, params, res)
+		out, err := s.runRound(t, agg.Params, res)
 		if err != nil {
 			return nil, err
 		}
@@ -526,61 +522,26 @@ func (s *Server) Run() (res *ServerResult, err error) {
 		for _, id := range out.stragglers {
 			res.StragglerCounts[id]++
 		}
-		for _, u := range out.updates {
-			cumAppBytes += u.appBytes
-			if u.encoded {
-				res.CodecUpdates++
-				res.CodecEncodedBytes += u.appBytes
-				res.CodecRawBytes += int64(u.dim) * 8
-			}
+		var relevance shard.Scalar // exact, like the aggregate: no order to pin
+		for _, id := range out.accepted {
+			relevance.Add(s.replies[id].Relevance)
 		}
-		for _, sk := range out.skips {
-			res.SkipCounts[sk.client]++
-			cumAppBytes += fl.SkipNotificationBytes
-		}
-		if len(out.updates) > 0 {
-			// Mean-then-apply, same operation order as the flat server:
-			// one multiply and one add per coordinate on the exact sum.
-			inv := 1.0 / float64(len(out.updates))
-			for j, g := range out.globalUpdate {
-				params[j] += g * inv
-			}
-		}
-		cumUploads += len(out.updates)
-
+		ev, _ := agg.Close(t, len(out.accepted), out.accepted, s.replies, out.globalUpdate, float64(out.uploads))
+		// Stragglers were sent the broadcast but are not participants here.
+		ev.Dropped, ev.Faults = len(out.stragglers), out.faults
 		stats := RoundStats{
-			RoundEvent: telemetry.RoundEvent{
-				Engine:         telemetry.EngineEmu,
-				Round:          t,
-				Participants:   len(out.updates) + len(out.skips),
-				Uploaded:       len(out.updates),
-				Skipped:        len(out.skips),
-				CumUploads:     cumUploads,
-				CumUplinkBytes: cumAppBytes,
-				Dropped:        len(out.stragglers),
-				Faults:         out.faults,
-				Accuracy:       math.NaN(),
-			},
+			RoundEvent:           ev,
 			MeanRelevance:        math.NaN(),
 			CumUplinkWireBytes:   res.UplinkWireBytes,
 			CumDownlinkWireBytes: res.DownlinkWireBytes,
 			Stragglers:           out.stragglers,
 			LateFrames:           out.late,
 		}
-		if n := len(out.updates) + len(out.skips); n > 0 {
-			var msum float64
-			//cmfl:order-pinned diagnostic mean over the gather's canonical reply order; never compared across engines
-			for _, u := range out.updates {
-				msum += u.metric
-			}
-			//cmfl:order-pinned diagnostic mean over the gather's canonical reply order; never compared across engines
-			for _, sk := range out.skips {
-				msum += sk.metric
-			}
-			stats.MeanRelevance = msum / float64(n)
+		if n := len(out.accepted); n > 0 {
+			stats.MeanRelevance = relevance.Round() / float64(n)
 		}
 		if t%s.cfg.EvalEvery == 0 || t == s.cfg.Rounds {
-			if err := global.SetParamVector(params); err != nil {
+			if err := global.SetParamVector(agg.Params); err != nil {
 				return nil, fmt.Errorf("emu: evaluator broadcast: %w", err)
 			}
 			stats.Accuracy = fl.Evaluate(global, s.cfg.TestData, s.cfg.EvalBatch)
@@ -588,29 +549,7 @@ func (s *Server) Run() (res *ServerResult, err error) {
 		res.History = append(res.History, stats)
 		res.Rejoins = s.rejoinCount()
 		s.syncCounters(res)
-		if len(s.obs) > 0 {
-			for _, u := range out.updates {
-				telemetry.EmitClient(s.obs, telemetry.ClientEvent{
-					Engine:      telemetry.EngineEmu,
-					Round:       t,
-					Client:      u.client,
-					Uploaded:    true,
-					Relevance:   u.metric,
-					UplinkBytes: u.appBytes,
-				})
-			}
-			for _, sk := range out.skips {
-				telemetry.EmitClient(s.obs, telemetry.ClientEvent{
-					Engine:      telemetry.EngineEmu,
-					Round:       t,
-					Client:      sk.client,
-					Uploaded:    false,
-					Relevance:   sk.metric,
-					UplinkBytes: fl.SkipNotificationBytes,
-				})
-			}
-			telemetry.EmitRound(s.obs, stats.RoundEvent)
-		}
+		agg.Emit(stats.RoundEvent, out.accepted, s.replies)
 		if s.cfg.TargetAccuracy > 0 && !math.IsNaN(stats.Accuracy) && stats.Accuracy >= s.cfg.TargetAccuracy {
 			break
 		}
@@ -618,7 +557,7 @@ func (s *Server) Run() (res *ServerResult, err error) {
 
 	// Tell the surviving clients training is over.
 	s.directDone(res)
-	res.FinalParams = params
+	res.FinalParams = agg.Params
 	res.Rejoins = s.rejoinCount()
 	// Pin the counters to the final totals so a post-run scrape matches
 	// ServerResult bit-for-bit.

@@ -10,6 +10,7 @@ import (
 
 	"cmfl/internal/compress"
 	"cmfl/internal/emu/shard"
+	"cmfl/internal/fl"
 )
 
 // Directive kinds the root sends down the tree. Each directive produces
@@ -35,8 +36,7 @@ type shardDirective struct {
 type replyMeta struct {
 	client   int
 	metric   float64
-	appBytes int64
-	dim      int
+	appBytes int64 // paper-metric uplink cost: the payload, or the skip notice
 	encoded  bool
 	skip     bool
 }
@@ -54,7 +54,7 @@ type shardPartial struct {
 	// Gather phase. sum aliases the shard's accumulator; the root consumes
 	// it before issuing the next directive (strict phase alternation).
 	sum           *shard.Accumulator
-	replies       []replyMeta // accepted replies, ascending client id
+	replies       []replyMeta // accepted replies, in arrival order
 	accepted      int
 	expectedEnd   int // quorum expectation after promotions
 	deadlineFired bool
@@ -375,7 +375,7 @@ func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) err
 			return fatalError{fmt.Errorf("emu: round %d client %d sent %d params, want %d", d.round, id, len(delta), d.dim)}
 		}
 		a.acc.Add(delta)
-		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: int64(len(delta)) * 8, dim: len(delta)})
+		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: int64(len(delta)) * 8})
 	case msgUpdate2:
 		_, _, metric, dim, payload, err := decodeUpdate2(f.payload)
 		if err != nil {
@@ -401,13 +401,13 @@ func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) err
 		if err != nil {
 			return fmt.Errorf("emu: client %d payload: %w", id, err)
 		}
-		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: int64(len(payload)), dim: dim, encoded: true})
+		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: int64(len(payload)), encoded: true})
 	case msgSkip:
 		_, _, metric, err := decodeSkip(f.payload)
 		if err != nil {
 			return err
 		}
-		p.replies = append(p.replies, replyMeta{client: id, metric: metric, skip: true})
+		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: fl.SkipNotificationBytes, skip: true})
 	default:
 		return fmt.Errorf("emu: unexpected frame kind %d", f.kind)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cmfl/internal/fl"
 	"cmfl/internal/telemetry"
 )
 
@@ -12,11 +13,14 @@ import (
 // what the old flat round loop derived from its single inbox, rebuilt from
 // shard partials so the downstream accounting is layout-blind.
 type roundOutcome struct {
-	updates []replyMeta // accepted updates, ascending global client id
-	skips   []replyMeta // accepted skips, ascending global client id
+	// accepted lists the clients whose reply counted, ascending; the replies
+	// themselves are Server.replies[id]. uploads of them carried an update.
+	accepted []int
+	uploads  int
 	// globalUpdate is the correctly rounded exact sum of every accepted
-	// delta. Exactness makes it independent of the shard layout — the
-	// determinism contract (see internal/emu/shard).
+	// delta, in a fresh vector fl.Aggregator.Close takes over. Exactness
+	// makes it independent of the shard layout — the determinism contract
+	// (see internal/emu/shard).
 	globalUpdate []float64
 	stragglers   []int
 	late, dups   int
@@ -129,8 +133,7 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	for _, p := range parts {
 		s.rootAcc.Merge(p.sum)
 	}
-	out.globalUpdate = s.rootAcc.Round(s.sumBuf)
-	s.sumBuf = out.globalUpdate
+	out.globalUpdate = s.rootAcc.Round(nil)
 	// Every update was finite, but their sum need not be: a coordinate that
 	// overflowed is nobody's frame to drop, and applying it would poison the
 	// model for good. The round fails instead, in either fault mode.
@@ -139,27 +142,23 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	}
 
 	// Canonicalize reply order by global client id: float accumulation is
-	// already layout-proof, but MeanRelevance, telemetry emission, and the
-	// history records must read identically too.
-	for i := range s.metaHas {
-		s.metaHas[i] = false
-	}
+	// already layout-proof, but telemetry emission and the history records
+	// must read identically too.
 	for _, p := range parts {
 		for _, m := range p.replies {
-			s.metaScratch[m.client] = m
-			s.metaHas[m.client] = true
+			s.replies[m.client] = fl.Reply{Upload: !m.skip, Relevance: m.metric, Bytes: m.appBytes}
+			out.accepted = append(out.accepted, m.client)
+			if !m.skip {
+				out.uploads++
+			}
+			if m.encoded {
+				res.CodecUpdates++
+				res.CodecEncodedBytes += m.appBytes
+				res.CodecRawBytes += int64(len(params)) * 8
+			}
 		}
 	}
-	for id := 0; id < s.cfg.Clients; id++ {
-		if !s.metaHas[id] {
-			continue
-		}
-		if m := s.metaScratch[id]; m.skip {
-			out.skips = append(out.skips, m)
-		} else {
-			out.updates = append(out.updates, m)
-		}
-	}
+	sort.Ints(out.accepted)
 	return out, nil
 }
 

@@ -231,8 +231,9 @@ func LocalTrainProx(net *nn.Network, data *dataset.Set, global []float64, lr flo
 			batches++
 		}
 	}
-	local := net.ParamVector()
-	return tensor.Sub(local, global), lossSum / math.Max(1, float64(batches)), nil
+	delta = net.ParamVector() // a fresh copy, turned into local − global in place
+	tensor.Axpy(-1, global, delta)
+	return delta, lossSum / math.Max(1, float64(batches)), nil
 }
 
 // Evaluate computes test accuracy in bounded-size forward batches; NaN

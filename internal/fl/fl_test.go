@@ -616,6 +616,57 @@ func TestWeightedAggregation(t *testing.T) {
 	}
 }
 
+// TestFoldIgnoresArrivalOrder pins Algorithm 1 line 8 as an exact sum: the
+// same replies folded under any permutation of accepted give the same model
+// bits — plain and n_k-weighted, with and without server momentum. The
+// deltas mix magnitudes so that a sequential float sum would round
+// differently under each order.
+func TestFoldIgnoresArrivalOrder(t *testing.T) {
+	const dim, clients = 257, 7
+	rng := xrand.New(1234)
+	replies := make([]Reply, clients)
+	weights := make([]float64, clients)
+	for i := range replies {
+		delta := rng.NormVec(dim, 0, 1)
+		for j := range delta {
+			delta[j] *= math.Pow(10, float64(rng.Intn(9)-4))
+		}
+		replies[i] = Reply{Delta: delta, Upload: i != 3, Bytes: 8 * dim}
+		weights[i] = float64(10 + rng.Intn(500))
+	}
+	orders := [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {3, 0, 5, 1, 6, 2, 4}}
+	for _, tc := range []struct {
+		name     string
+		weights  []float64
+		momentum float64
+	}{
+		{"plain", nil, 0},
+		{"weighted", weights, 0},
+		{"plain+momentum", nil, 0.7},
+		{"weighted+momentum", weights, 0.7},
+	} {
+		var want []float64
+		for _, order := range orders {
+			agg := NewAggregator(telemetry.EngineSync, make([]float64, dim), clients, Vanilla{}, nil)
+			agg.momentum = tc.momentum
+			for round := 1; round <= 2; round++ { // the second round folds onto momentum state
+				if ev, _ := agg.Fold(round, clients, order, replies, tc.weights); ev.Uploaded != clients-1 || ev.Skipped != 1 {
+					t.Fatalf("%s: round %d uploaded %d skipped %d", tc.name, round, ev.Uploaded, ev.Skipped)
+				}
+			}
+			if want == nil {
+				want = agg.Params
+				continue
+			}
+			for j := range want {
+				if math.Float64bits(agg.Params[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s: order %v param %d = %v, order %v gave %v", tc.name, order, j, agg.Params[j], orders[0], want[j])
+				}
+			}
+		}
+	}
+}
+
 func seqIdx(lo, hi int) []int {
 	out := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {

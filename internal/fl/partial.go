@@ -6,7 +6,9 @@ import (
 	"math"
 
 	"cmfl/internal/core"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/telemetry"
+	"cmfl/internal/tensor"
 	"cmfl/internal/xrand"
 )
 
@@ -18,7 +20,10 @@ import (
 // longer forces a client to withhold its relevant layers.
 type PartialConfig struct {
 	// Config supplies the workload; its Filter and Compressor are ignored
-	// (the partial gate replaces them).
+	// (the partial gate replaces them). The options RunPartial does not
+	// implement — ProxMu, DPClip, DPNoiseSigma, ServerMomentum,
+	// FeedbackStaleness above 1, WeightedAggregation, ErrorFeedback and a
+	// fractional ClientFraction — are an error, not silently dropped.
 	Config
 	// Threshold is the per-segment relevance threshold schedule.
 	Threshold core.Schedule
@@ -90,6 +95,23 @@ func RunPartial(cfg PartialConfig) (*PartialResult, error) {
 	if cfg.DropoutRate < 0 || cfg.DropoutRate >= 1 {
 		return nil, fmt.Errorf("fl: DropoutRate %v outside [0, 1)", cfg.DropoutRate)
 	}
+	for _, unsupported := range []struct {
+		field string
+		set   bool
+	}{
+		{"ProxMu", cfg.ProxMu > 0},
+		{"DPClip", cfg.DPClip > 0},
+		{"DPNoiseSigma", cfg.DPNoiseSigma > 0},
+		{"ServerMomentum", cfg.ServerMomentum > 0},
+		{"FeedbackStaleness", cfg.FeedbackStaleness > 1},
+		{"WeightedAggregation", cfg.WeightedAggregation},
+		{"ErrorFeedback", cfg.ErrorFeedback},
+		{"ClientFraction", cfg.ClientFraction > 0 && cfg.ClientFraction < 1},
+	} {
+		if unsupported.set {
+			return nil, fmt.Errorf("fl: RunPartial does not support Config.%s", unsupported.field)
+		}
+	}
 
 	global := cfg.Model()
 	// The whole-update gate is replaced by the per-segment one below, so the
@@ -116,6 +138,7 @@ func RunPartial(cfg PartialConfig) (*PartialResult, error) {
 		segUpload[i] = make([]bool, len(segLens))
 	}
 	active := make([]int, 0, len(clients))
+	acc := shard.New(0) // one segment's exact sum at a time
 	var dropRng *xrand.Stream
 	if cfg.DropoutRate > 0 {
 		dropRng = xrand.Derive(cfg.Seed, "partial-dropout", 0)
@@ -147,7 +170,8 @@ func RunPartial(cfg PartialConfig) (*PartialResult, error) {
 		}
 
 		// Per-segment averaging over the active clients that uploaded the
-		// segment; dropped clients contribute nothing this round.
+		// segment, through the exact sum Fold takes over whole updates;
+		// dropped clients contribute nothing this round.
 		globalUpdate := make([]float64, dim)
 		segUp := 0
 		for _, i := range active {
@@ -156,22 +180,19 @@ func RunPartial(cfg PartialConfig) (*PartialResult, error) {
 		for s := 0; s < len(segLens); s++ {
 			lo, hi := segOff[s], segOff[s+1]
 			count := 0
+			acc.Reset(hi - lo)
 			for _, i := range active {
 				if !segUpload[i][s] {
 					continue
 				}
 				segUp++
 				count++
-				for j := lo; j < hi; j++ {
-					globalUpdate[j] += replies[i].Delta[j]
-				}
+				acc.Add(replies[i].Delta[lo:hi])
 				replies[i].Bytes += int64(hi-lo)*8 + segmentUploadBytes
 			}
 			if count > 0 {
-				inv := 1.0 / float64(count)
-				for j := lo; j < hi; j++ {
-					globalUpdate[j] *= inv
-				}
+				acc.Round(globalUpdate[lo:hi:hi])
+				tensor.ScaleVec(1/float64(count), globalUpdate[lo:hi])
 			}
 		}
 		// A client counts as uploaded when it transferred at least one

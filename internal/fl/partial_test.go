@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cmfl/internal/core"
@@ -103,6 +104,29 @@ func TestPartialValidation(t *testing.T) {
 	cfg.DropoutRate = -0.1
 	if _, err := RunPartial(cfg); err == nil {
 		t.Fatal("expected error for negative DropoutRate")
+	}
+	// Options of the embedded Config that RunPartial does not implement are
+	// refused by name, never silently dropped.
+	for field, set := range map[string]func(*Config){
+		"ProxMu":              func(c *Config) { c.ProxMu = 0.1 },
+		"DPClip":              func(c *Config) { c.DPClip = 1 },
+		"DPNoiseSigma":        func(c *Config) { c.DPNoiseSigma = 0.01 },
+		"ServerMomentum":      func(c *Config) { c.ServerMomentum = 0.9 },
+		"FeedbackStaleness":   func(c *Config) { c.FeedbackStaleness = 2 },
+		"WeightedAggregation": func(c *Config) { c.WeightedAggregation = true },
+		"ErrorFeedback":       func(c *Config) { c.ErrorFeedback = true },
+		"ClientFraction":      func(c *Config) { c.ClientFraction = 0.5 },
+	} {
+		cfg = partialConfig(t)
+		set(&cfg.Config)
+		if _, err := RunPartial(cfg); err == nil || !strings.Contains(err.Error(), "Config."+field) {
+			t.Fatalf("%s set: err = %v, want one naming the field", field, err)
+		}
+	}
+	cfg = partialConfig(t)
+	cfg.Rounds, cfg.FeedbackStaleness, cfg.ClientFraction = 1, 1, 1 // the explicit defaults are fine
+	if _, err := RunPartial(cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 

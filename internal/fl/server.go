@@ -2,20 +2,22 @@ package fl
 
 import (
 	"cmfl/internal/core"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/tensor"
 )
 
 // Aggregator is the server half of Algorithm 1, written once for Run,
-// RunPartial and sim.Run: the per-round feedback prelude, the FedAvg fold of
-// the accepted replies, the apply step with its feedback rule, the
-// cumulative communication counters and the telemetry emission. What stays
-// with each engine is who participates, whose reply is accepted, and the
-// diagnostics only that engine publishes.
+// RunPartial, sim.Run and the emu server: the per-round feedback prelude, the
+// exact FedAvg fold of the accepted replies, the apply step with its feedback
+// rule, the cumulative communication counters and the telemetry emission.
+// What stays with each engine is who participates, whose reply is accepted,
+// where the sum is accumulated (emu's shard tree hands Close a finished
+// one), and the diagnostics only that engine publishes.
 type Aggregator struct {
 	// Params is the global parameter vector, updated in place every round.
 	Params []float64
-	// SkipCounts is the number of withheld updates Fold saw per client.
+	// SkipCounts is the number of withheld updates Close saw per client.
 	SkipCounts []int
 
 	engine    string
@@ -24,10 +26,12 @@ type Aggregator struct {
 	momentum  float64 // Config.ServerMomentum
 	staleness int     // Config.FeedbackStaleness, at least 1
 
-	feedback   []float64   // latest non-empty aggregate; zeros before the first
-	history    [][]float64 // the last staleness+1 of them, kept when staleness > 1
-	signs      []int8      // sign buffer, rebuilt by Begin
-	velocity   []float64   // momentum state, allocated on first use
+	acc        *shard.Accumulator // Fold's exact sum, reused across rounds
+	weighted   []float64          // Fold's weight·delta scratch, when weighted
+	feedback   []float64          // latest non-empty aggregate; zeros before the first
+	history    [][]float64        // the last staleness+1 of them, kept when staleness > 1
+	signs      []int8             // sign buffer, rebuilt by Begin
+	velocity   []float64          // momentum state, allocated on first use
 	cumUploads int
 	cumBytes   int64
 }
@@ -43,6 +47,7 @@ func NewAggregator(engine string, params []float64, clients int, filter UploadFi
 		filter:     filter,
 		observers:  observers,
 		staleness:  1,
+		acc:        shard.New(0),
 		feedback:   make([]float64, len(params)),
 	}
 }
@@ -63,51 +68,73 @@ func (a *Aggregator) Begin(t int, lr float64) Broadcast {
 }
 
 // Fold closes round t over the replies the engine accepted: replies[i] for
-// every i in accepted, in that order. Uploads are averaged (Algorithm 1
-// line 8; weights, indexed like replies, turns the plain mean into FedAvg's
-// n_k/n when non-nil) and applied; participants counts everyone who was sent
-// the broadcast, so participants − len(accepted) were dropped. It returns
-// the round's event with Accuracy left NaN, and the applied global update —
-// nil when nobody uploaded.
+// every i in accepted. The uploads are summed exactly (Algorithm 1 line 8),
+// so the order of accepted, like any grouping of it, leaves no trace in the
+// result; weights, indexed like replies, turns the plain mean into FedAvg's
+// n_k/n when non-nil. Close does the rest.
 //
 //cmfl:deterministic
 func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, weights []float64) (telemetry.RoundEvent, []float64) {
-	update := make([]float64, len(a.Params))
+	a.acc.Reset(len(a.Params))
 	uploaded := 0
-	var weightSum float64
-	var bytes int64
-	//cmfl:order-pinned the FedAvg fold in the engine's accepted-client order IS the parity reference: fl.Run and sim.Run share this loop and must agree bit-for-bit
+	var weightSum shard.Scalar
 	for _, i := range accepted {
 		r := &replies[i]
-		bytes += r.Bytes
 		if !r.Upload {
-			a.SkipCounts[i]++
 			continue
 		}
-		weight := 1.0
-		if weights != nil {
-			weight = weights[i]
-		}
-		tensor.Axpy(weight, r.Delta, update)
-		weightSum += weight
 		uploaded++
+		if weights == nil {
+			a.acc.Add(r.Delta)
+			continue
+		}
+		a.weighted = append(a.weighted[:0], r.Delta...)
+		tensor.ScaleVec(weights[i], a.weighted)
+		a.acc.Add(a.weighted)
+		weightSum.Add(weights[i])
+	}
+	divisor := float64(uploaded)
+	if weights != nil {
+		divisor = weightSum.Round()
+	}
+	return a.Close(t, participants, accepted, replies, a.acc.Round(nil), divisor)
+}
+
+// Close finishes round t from sum, the exact sum of the accepted uploads
+// rounded once, wherever it was accumulated (Fold here, the shard tree in
+// emu): the mean sum/divisor, server momentum, the apply step, and the
+// bookkeeping over replies[i] for i in accepted. participants counts
+// everyone who was sent the broadcast, so participants − len(accepted) were
+// dropped. It takes ownership of sum, which becomes the applied global
+// update it returns — nil when nobody uploaded — and the next feedback. The
+// event comes back with Accuracy left NaN.
+func (a *Aggregator) Close(t, participants int, accepted []int, replies []Reply, sum []float64, divisor float64) (telemetry.RoundEvent, []float64) {
+	uploaded := 0
+	var bytes int64
+	for _, i := range accepted {
+		bytes += replies[i].Bytes
+		if replies[i].Upload {
+			uploaded++
+		} else {
+			a.SkipCounts[i]++
+		}
 	}
 	if uploaded == 0 {
 		return a.commit(t, participants, len(accepted), 0, bytes, nil), nil
 	}
-	tensor.ScaleVec(1/weightSum, update)
+	tensor.ScaleVec(1/divisor, sum)
 	if a.momentum > 0 {
 		if a.velocity == nil {
-			a.velocity = make([]float64, len(update))
+			a.velocity = make([]float64, len(sum))
 		}
 		for j := range a.velocity {
-			a.velocity[j] = a.momentum*a.velocity[j] + update[j]
+			a.velocity[j] = a.momentum*a.velocity[j] + sum[j]
 		}
 		// The applied update (and the feedback clients see) is the
 		// momentum-smoothed velocity.
-		copy(update, a.velocity)
+		copy(sum, a.velocity)
 	}
-	return a.commit(t, participants, len(accepted), uploaded, bytes, update), update
+	return a.commit(t, participants, len(accepted), uploaded, bytes, sum), sum
 }
 
 // commit applies a round's aggregate and does the bookkeeping every
@@ -145,7 +172,8 @@ func (a *Aggregator) commit(t, participants, replied, uploaded int, bytes int64,
 }
 
 // Emit publishes the round: one ClientEvent per accepted reply, in accepted
-// order, then the RoundEvent.
+// order (ascending client id from every engine but a fraction-sampling Run),
+// then the RoundEvent.
 func (a *Aggregator) Emit(ev telemetry.RoundEvent, accepted []int, replies []Reply) {
 	if len(a.observers) == 0 {
 		return

@@ -9,10 +9,10 @@ import (
 
 // FloatSum proves the grouping-invariance contract for float accumulation.
 // The headline guarantee — bit-identical results across reruns, shard
-// counts, and the sim/emu engine pair — requires every float reduction to
-// be either order-invariant (the Shewchuk exact accumulators in
-// internal/emu/shard) or pinned to an order that is provably part of the
-// algorithm's definition. In the packages that make that promise
+// counts, and the fl/sim/emu tiers — requires every float reduction to be
+// either order-invariant (the exact accumulators in internal/emu/shard,
+// which are also fl.Aggregator's FedAvg fold) or pinned to an order that is
+// provably part of the algorithm's definition. In the packages that make that promise
 // (FloatSumPackages), an order-sensitive accumulation inside a loop —
 // `sum += x`, `sum = sum + x`, or a tensor.Axpy folding into a
 // loop-invariant destination — is a finding unless

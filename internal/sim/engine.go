@@ -184,10 +184,11 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: round %d: only %d replies possible (minimum %d)", t, got, cfg.MinQuorum)
 		}
 
-		// The accepted replies fold in ascending client order — the same
-		// order as fl.Run, regardless of arrival order or shard count. The
-		// scalar statistics cover every client that trained and go through
-		// exact accumulators, so they too are independent of any regrouping.
+		// The accepted replies are listed in ascending client id, the order
+		// their ClientEvents go out in; the fold itself is exact, so arrival
+		// order and shard count could not show in it anyway. The scalar
+		// statistics cover every client that trained and go through exact
+		// accumulators too.
 		var lossAcc, relAcc shard.Scalar
 		trained, relCount := 0, 0
 		accepted = accepted[:0]

@@ -12,13 +12,15 @@
 // fl.Aggregator — and straggler/duplicate/late semantics are the exported
 // emu.Quorum state machine, so the simulation cannot drift from the engines
 // it models. With zero latency, full availability and no deadline, Run is
-// bit-identical to fl.Run (asserted by TestFLParity).
+// bit-identical to fl.Run (asserted by TestFLParity) and to emu.RunCluster at
+// any shard count (TestTierParity).
 //
 // Everything is a pure function of Config (including the seed): reruns and
 // different shard counts produce bit-identical final parameters, round
 // histories and registry histograms. Shard workers perform only per-client
-// computation on per-client streams; all event scheduling and float
-// aggregation happen on the driving goroutine in ascending client order.
+// computation on per-client streams; event scheduling happens on the driving
+// goroutine in ascending client order, and all float aggregation is exact
+// (fl.Aggregator.Fold, shard.Scalar), so no order is left to observe.
 package sim
 
 import (

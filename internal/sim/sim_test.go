@@ -9,6 +9,7 @@ import (
 
 	"cmfl/internal/compress"
 	"cmfl/internal/core"
+	"cmfl/internal/emu"
 	"cmfl/internal/fl"
 	"cmfl/internal/telemetry"
 )
@@ -194,6 +195,114 @@ func TestFLParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// tierRun is what TestTierParity compares across engines: the final model,
+// the per-round communication record and the per-client uplink byte stream in
+// emission order.
+type tierRun struct {
+	name   string
+	params []float64
+	rounds []telemetry.RoundEvent
+	bytes  []int64
+}
+
+func (r *tierRun) observers() []telemetry.Observer {
+	return []telemetry.Observer{telemetry.Funcs{
+		Round:  func(e telemetry.RoundEvent) { r.rounds = append(r.rounds, e) },
+		Client: func(e telemetry.ClientEvent) { r.bytes = append(r.bytes, e.UplinkBytes) },
+	}}
+}
+
+// TestTierParity is the three-tier identity: one spec run by fl.Run, by
+// sim.Run (compat streams, zero latency) and by emu.RunCluster at 1, 3 and 8
+// shards gives one model, bit for bit, and one communication record. Every
+// tier closes its rounds through fl.Aggregator over an exact sum, so neither
+// TCP arrival order nor the shard layout is observable.
+func TestTierParity(t *testing.T) {
+	const clients, rounds, seed = 12, 5, 7171
+	wl, err := SyntheticWorkload(clients, 16, 4, 8, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gate := range []struct {
+		name   string
+		filter fl.UploadFilter // stateless, so one value serves every tier
+	}{
+		{"vanilla", nil},
+		{"gated", core.NewFilter(core.Constant(0.55))},
+	} {
+		t.Run(gate.name, func(t *testing.T) {
+			ref := &tierRun{name: "fl"}
+			flRes, err := fl.Run(fl.Config{
+				Model: wl.Model, ClientData: wl.Shards, Epochs: 2, Batch: 4, LR: core.Constant(0.12),
+				Filter: gate.filter, Rounds: rounds, Seed: seed, Observers: ref.observers(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.params = flRes.FinalParams
+			if gate.filter != nil {
+				if last := ref.rounds[rounds-1]; last.CumUploads == 0 || last.CumUploads == clients*rounds {
+					t.Fatalf("gate uploaded %d of %d: the gated spec exercises only one branch", last.CumUploads, clients*rounds)
+				}
+			}
+
+			got := &tierRun{name: "sim"}
+			simRes, err := Run(Config{
+				Model: wl.Model, ClientData: wl.Shards, Epochs: 2, Batch: 4, LR: core.Constant(0.12),
+				Filter: gate.filter, Rounds: rounds, Seed: seed, Shards: 3, CompatStreams: true,
+				Observers: got.observers(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.params = simRes.FinalParams
+			ref.assertEqual(t, got)
+
+			for _, shards := range []int{1, 3, 8} {
+				got := &tierRun{name: fmt.Sprintf("emu/%d-shards", shards)}
+				cres, err := emu.RunCluster(emu.ClusterConfig{
+					Model: wl.Model, ClientData: wl.Shards, Epochs: 2, Batch: 4, LR: core.Constant(0.12),
+					Filter: gate.filter, Rounds: rounds, Seed: seed, Observers: got.observers(),
+					Topology: emu.Topology{Shards: shards},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.params = cres.Server.FinalParams
+				ref.assertEqual(t, got)
+			}
+		})
+	}
+}
+
+func (r *tierRun) assertEqual(t *testing.T, got *tierRun) {
+	t.Helper()
+	if len(got.params) != len(r.params) {
+		t.Fatalf("%s: %d params, %s has %d", got.name, len(got.params), r.name, len(r.params))
+	}
+	for j := range r.params {
+		if math.Float64bits(got.params[j]) != math.Float64bits(r.params[j]) {
+			t.Fatalf("%s param %d = %v, %s has %v (bit parity broken)", got.name, j, got.params[j], r.name, r.params[j])
+		}
+	}
+	if len(got.rounds) != len(r.rounds) {
+		t.Fatalf("%s: %d rounds, %s has %d", got.name, len(got.rounds), r.name, len(r.rounds))
+	}
+	for k, want := range r.rounds {
+		if e := got.rounds[k]; e.Uploaded != want.Uploaded || e.Skipped != want.Skipped || e.CumUplinkBytes != want.CumUplinkBytes {
+			t.Fatalf("round %d accounting diverged:\n  %s: %+v\n  %s: %+v", k+1, r.name, want, got.name, e)
+		}
+	}
+	if len(got.bytes) != len(r.bytes) {
+		t.Fatalf("%s: %d client events, %s has %d", got.name, len(got.bytes), r.name, len(r.bytes))
+	}
+	for k := range r.bytes {
+		if got.bytes[k] != r.bytes[k] {
+			t.Fatalf("client event %d uplink bytes: %s %d, %s %d", k, r.name, r.bytes[k], got.name, got.bytes[k])
+		}
 	}
 }
 

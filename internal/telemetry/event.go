@@ -6,9 +6,9 @@
 // The paper's entire claim is measured in communication — accumulated
 // communication rounds (Eq. 4) and uplink bytes — so those quantities must
 // be observable *while* a run is in flight, not reconstructed from result
-// histories afterwards. Every engine (fl.Run, fl.RunPartial and sim.Run
-// through the shared fl.Aggregator; fl.RunAsync, mtl.Run and the TCP
-// emulation master on their own) emits the same RoundEvent through the same
+// histories afterwards. Every engine (fl.Run, fl.RunPartial, sim.Run and
+// the TCP emulation master through the shared fl.Aggregator; fl.RunAsync and
+// mtl.Run on their own) emits the same RoundEvent through the same
 // Observer interface; Collector turns the event stream into
 // registry metrics, and Handler exposes the registry as a Prometheus-text
 // /metrics and JSON /healthz endpoint.
@@ -42,6 +42,14 @@ type RoundEvent struct {
 	// use the 1-based completion index.
 	Round int
 	// Participants is the number of clients that took part this round.
+	//
+	// The engines with a Dropped count differ on whether it is inside this
+	// number: sim counts every client the broadcast reached, so its
+	// deadline stragglers are participants (Participants = Uploaded +
+	// Skipped + Dropped), while emu and fl-partial count only the replies
+	// they aggregated (Participants = Uploaded + Skipped, Dropped beside
+	// it). Compare Uploaded, Skipped and the cumulative counters across
+	// engines, not Participants.
 	Participants int
 	// Uploaded / Skipped split the participants by the filter's verdict.
 	Uploaded int
