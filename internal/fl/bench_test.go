@@ -2,6 +2,9 @@ package fl
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cmfl/internal/compress"
@@ -67,6 +70,44 @@ func BenchmarkLocalTrainRound(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkConcurrentLocalRounds is BenchmarkLocalTrainRound/mnist-cnn with
+// GOMAXPROCS trainers at once, each through ClientStep.Train: the state every
+// engine is in for most of a round. One op is one client's local round; its
+// allocs/op stay those of the lone serial round, because no product is split
+// onto a core another round holds. Every trainer keeps a local-round mark of
+// its own until all have finished, so the run's tail (one trainer left,
+// splitting as a lone caller should) does not leak into the count.
+func BenchmarkConcurrentLocalRounds(b *testing.B) {
+	b.Run("mnist-cnn", func(b *testing.B) {
+		cfg := nn.CNNConfig{ImageSize: 28, Kernel: 5, Conv1: 16, Conv2: 32, Hidden: 128, Classes: 10}
+		step := &ClientStep{Epochs: 1, Batch: 2, Filter: Vanilla{}}
+		params := nn.NewCNN(cfg, xrand.New(1)).ParamVector()
+		bc := &Broadcast{Round: 1, LR: 0.05, Params: params, Feedback: make([]float64, len(params))}
+		var trainers atomic.Int64
+		var running sync.WaitGroup
+		running.Add(runtime.GOMAXPROCS(0))
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			id := trainers.Add(1)
+			net := nn.NewCNN(cfg, xrand.New(1))
+			shard := randomSet(20, []int{1, 28, 28}, 10, xrand.New(1+id))
+			rng := xrand.New(100 + id)
+			tensor.EnterLocalRound()
+			defer func() {
+				running.Done()
+				running.Wait()
+				tensor.LeaveLocalRound()
+			}()
+			for pb.Next() {
+				if _, err := step.Train(net, shard, rng, bc); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
 	})
 }
 

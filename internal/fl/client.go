@@ -88,8 +88,12 @@ type Scratch struct {
 
 // Train runs the local solver from the broadcast model and gates the result.
 // The order is the determinism contract: DP noise is drawn from rng after
-// the solver's draws, and the gate sees the post-DP delta.
+// the solver's draws, and the gate sees the post-DP delta. The solve is
+// marked as a local round in flight, so that concurrent clients' products are
+// not split onto each other's cores (tensor.EnterLocalRound).
 func (s *ClientStep) Train(net *nn.Network, data *dataset.Set, rng *xrand.Stream, b *Broadcast) (Reply, error) {
+	tensor.EnterLocalRound()
+	defer tensor.LeaveLocalRound()
 	delta, loss, err := LocalTrainProx(net, data, b.Params, b.LR, s.Epochs, s.Batch, s.ProxMu, rng)
 	if err != nil {
 		return Reply{}, fmt.Errorf("local training: %w", err)

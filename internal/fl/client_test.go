@@ -2,6 +2,8 @@ package fl
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"cmfl/internal/compress"
@@ -251,5 +253,46 @@ func TestPackSparseEF(t *testing.T) {
 		}
 		sameBits(t, "Reply.Delta", r.Delta, wantDelta)
 		sameBits(t, "residual", sc.Residual, residual)
+	}
+}
+
+// TestSplitRespectsBusyCores is the engine-level half of the tensor test of
+// the same name: as many CNN local rounds as there are cores, run side by
+// side (each product serial, its cores held by the other rounds), produce
+// bit-identical deltas and losses to the same rounds run one at a time (each
+// a lone caller whose large products split). Run with -race.
+func TestSplitRespectsBusyCores(t *testing.T) {
+	trainers := max(runtime.GOMAXPROCS(0), 2)
+	cfg := nn.CNNConfig{ImageSize: 28, Kernel: 5, Conv1: 8, Conv2: 16, Hidden: 64, Classes: 10} // conv2 crosses the split threshold
+	step := &ClientStep{Epochs: 1, Batch: 2, Filter: Vanilla{}}
+	params := nn.NewCNN(cfg, xrand.New(1)).ParamVector()
+	b := &Broadcast{Round: 1, LR: 0.05, Params: params, Feedback: make([]float64, len(params))}
+	round := func(i int) Reply {
+		shard := randomSet(6, []int{1, 28, 28}, 10, xrand.New(int64(10+i)))
+		r, err := step.Train(nn.NewCNN(cfg, xrand.New(1)), shard, xrand.New(int64(20+i)), b)
+		if err != nil {
+			t.Error(err)
+		}
+		return r
+	}
+	alone := make([]Reply, trainers)
+	for i := range alone {
+		alone[i] = round(i)
+	}
+	together := make([]Reply, trainers)
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			together[i] = round(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range alone {
+		sameBits(t, "delta of a round run beside others", together[i].Delta, alone[i].Delta)
+		if math.Float64bits(together[i].Loss) != math.Float64bits(alone[i].Loss) {
+			t.Errorf("trainer %d: loss %v beside others, %v alone", i, together[i].Loss, alone[i].Loss)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"cmfl/internal/tensor"
@@ -49,6 +50,50 @@ func BenchmarkConvBackward(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				layer.Backward(grad)
 			}
+		})
+	}
+}
+
+// BenchmarkConvStep measures Forward+Backward as one operation on the first
+// convolution of the cmfl-bench CNN (1→8 channels, 28×28, 5×5), as a later
+// layer (input gradient on): at the training batch, where Backward reads
+// Forward's im2col panels back, and at fl.Evaluate's batch of 64, which is
+// over the panel budget and unrolls the input twice.
+func BenchmarkConvStep(b *testing.B) {
+	for _, batch := range []int{2, 64} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			rng := xrand.New(6)
+			layer := NewConv2D(1, 8, 5, rng)
+			x := tensor.FromSlice(rng.NormVec(batch*28*28, 0, 1), batch, 1, 28, 28)
+			out := layer.Forward(x)
+			grad := tensor.FromSlice(rng.NormVec(out.Len(), 0, 1), out.Shape...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer.Forward(x)
+				layer.Backward(grad)
+			}
+		})
+	}
+}
+
+// BenchmarkMaxPool2Forward measures the 2×2 pool at the two shapes the
+// cmfl-bench CNN pools at its training batch of 2.
+func BenchmarkMaxPool2Forward(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		ch, h, w int
+	}{{"2x8x24x24", 8, 24, 24}, {"2x16x8x8", 16, 8, 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			pool := NewMaxPool2()
+			x := tensor.FromSlice(xrand.New(7).NormVec(2*c.ch*c.h*c.w, 0, 1), 2, c.ch, c.h, c.w)
+			outputs := pool.Forward(x).Len()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.Forward(x)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(outputs), "ns/output")
 		})
 	}
 }

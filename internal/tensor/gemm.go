@@ -83,12 +83,13 @@ func matMulNNInto(dst, a, b *Tensor, accum bool) *Tensor {
 	checkMatMulShapes("MatMulInto", dst, a, b, m, n)
 	// Serial fast path avoids materialising the closure below (one heap
 	// allocation per call — visible in allocation-free training loops).
-	if effectiveParallelism(m, m*k*n) <= 1 {
+	p := effectiveParallelism(m, m*k*n)
+	if p <= 1 {
 		gemmNN(dst.Data, a.Data, b.Data, k, n, 0, m, accum)
 		return dst
 	}
-	//cmfl:lint-ignore hotpathalloc parallel path: one closure per GEMM call, amortized over the m*k*n tile loop
-	run(m, k, n, func(lo, hi int) {
+	//cmfl:lint-ignore hotpathalloc parallel path: one closure per split GEMM call, amortized over the m*k*n tile loop
+	run(m, p, func(lo, hi int) {
 		gemmNN(dst.Data, a.Data, b.Data, k, n, lo, hi, accum)
 	})
 	return dst
@@ -207,12 +208,13 @@ func matMulTAInto(dst, a, b *Tensor, accum bool) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d vs %d", k, k2))
 	}
 	checkMatMulShapes("MatMulTransAInto", dst, a, b, m, n)
-	if effectiveParallelism(m, m*k*n) <= 1 {
+	p := effectiveParallelism(m, m*k*n)
+	if p <= 1 {
 		gemmTA(dst.Data, a.Data, b.Data, k, m, n, 0, m, accum)
 		return dst
 	}
-	//cmfl:lint-ignore hotpathalloc parallel path: one closure per GEMM call, amortized over the m*k*n tile loop
-	run(m, k, n, func(lo, hi int) {
+	//cmfl:lint-ignore hotpathalloc parallel path: one closure per split GEMM call, amortized over the m*k*n tile loop
+	run(m, p, func(lo, hi int) {
 		gemmTA(dst.Data, a.Data, b.Data, k, m, n, lo, hi, accum)
 	})
 	return dst
@@ -327,12 +329,13 @@ func matMulTBInto(dst, a, b *Tensor, accum bool) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d vs %d", k, k2))
 	}
 	checkMatMulShapes("MatMulTransBInto", dst, a, b, m, n)
-	if effectiveParallelism(m, m*k*n) <= 1 {
+	p := effectiveParallelism(m, m*k*n)
+	if p <= 1 {
 		gemmTB(dst.Data, a.Data, b.Data, k, n, 0, m, accum)
 		return dst
 	}
-	//cmfl:lint-ignore hotpathalloc parallel path: one closure per GEMM call, amortized over the m*k*n tile loop
-	run(m, k, n, func(lo, hi int) {
+	//cmfl:lint-ignore hotpathalloc parallel path: one closure per split GEMM call, amortized over the m*k*n tile loop
+	run(m, p, func(lo, hi int) {
 		gemmTB(dst.Data, a.Data, b.Data, k, n, lo, hi, accum)
 	})
 	return dst

@@ -127,3 +127,6 @@ func signMatchesAVX(v *float64, signs *int8, n uintptr) uintptr
 
 //go:noescape
 func subSignsAVX(dst *int8, prev, cur *float64, n uintptr) bool
+
+//go:noescape
+func maxPool2x2AVX(out *float64, argmax *int, x *float64, base, w, oh, ow uintptr)

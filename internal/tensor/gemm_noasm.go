@@ -40,3 +40,7 @@ func signMatchesAVX(v *float64, signs *int8, n uintptr) uintptr {
 func subSignsAVX(dst *int8, prev, cur *float64, n uintptr) bool {
 	panic("tensor: SIMD signs unavailable on this platform")
 }
+
+func maxPool2x2AVX(out *float64, argmax *int, x *float64, base, w, oh, ow uintptr) {
+	panic("tensor: SIMD max pool unavailable on this platform")
+}

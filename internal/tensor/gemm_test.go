@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -276,5 +278,61 @@ func TestGEMMSIMDMatchesGo(t *testing.T) {
 				t.Fatalf("par=%d element %d: %v != serial %v", par, i, got.Data[i], serial.Data[i])
 			}
 		}
+	}
+}
+
+// TestSplitRespectsBusyCores pins the split rule: a lone caller (no local
+// round in flight, or only its own) splits a large product across every
+// core; each further local round takes one core away, down to a serial
+// product; SetMatMulParallelism still caps the width; and products issued
+// from concurrent local rounds are bit-identical to the serial one. Run with
+// -race: the rounds' marks and the pool are shared state.
+func TestSplitRespectsBusyCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer SetMatMulParallelism(0)
+	const m, k, n = 16, 200, 64 // conv2 of the cmfl-bench CNN: above the split threshold
+	width := func() int { return effectiveParallelism(m, m*k*n) }
+	for rounds, want := range []int{4, 4, 3, 2, 1, 1} {
+		if got := width(); got != want {
+			t.Errorf("%d local rounds in flight: split width %d, want %d", rounds, got, want)
+		}
+		EnterLocalRound()
+	}
+	for localRounds.Load() > 0 {
+		LeaveLocalRound()
+	}
+	SetMatMulParallelism(2)
+	if got := width(); got != 2 {
+		t.Errorf("SetMatMulParallelism(2), lone caller: split width %d, want 2", got)
+	}
+	SetMatMulParallelism(0)
+
+	rng := rand.New(rand.NewSource(13))
+	a, b := randTensor(rng, m, k), randTensor(rng, k, n)
+	SetMatMulParallelism(1)
+	serial := MatMulInto(New(m, n), a, b)
+	SetMatMulParallelism(0)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := New(m, n)
+			for iter := 0; iter < 50; iter++ {
+				EnterLocalRound()
+				MatMulInto(dst, a, b)
+				LeaveLocalRound()
+				for i := range dst.Data {
+					if dst.Data[i] != serial.Data[i] {
+						t.Errorf("element %d: %v from a concurrent local round, %v serial", i, dst.Data[i], serial.Data[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := localRounds.Load(); got != 0 {
+		t.Errorf("%d local rounds still marked after every round left", got)
 	}
 }

@@ -31,7 +31,23 @@ var (
 	poolOnce    sync.Once
 	poolTasks   chan func()
 	parallelism atomic.Int64 // 0 = GOMAXPROCS at first use
+	localRounds atomic.Int64 // client local rounds in flight, see EnterLocalRound
 )
+
+// EnterLocalRound marks one client's local round — a long, single-goroutine
+// stretch of layer passes — as in flight until the matching LeaveLocalRound.
+// Every local round past the first is taken to hold a core of its own, and a
+// large product is split only across the cores left over: handing a row panel
+// to a core that is busy with another client's round costs a closure, a
+// WaitGroup and a channel send to gain nothing. The signal is rounds, not
+// products, in flight, because a concurrent round spends most of its time
+// outside GEMM (im2col, pooling, activations) and is just as much in the way
+// there. A lone caller — the server's evaluation, a one-client process, the
+// last straggler of a round — still splits across every core.
+func EnterLocalRound() { localRounds.Add(1) }
+
+// LeaveLocalRound ends the round EnterLocalRound began.
+func LeaveLocalRound() { localRounds.Add(-1) }
 
 // SetMatMulParallelism bounds the number of row panels a single large GEMM
 // is split into. n <= 0 restores the default (GOMAXPROCS at the time of the
@@ -62,15 +78,9 @@ func startPool() {
 	}
 }
 
-// run executes fn over the m output rows of an (m×k)·(k×n)-shaped product,
-// splitting into parallel row panels when the matrix is large enough.
-func run(m, k, n int, fn func(lo, hi int)) {
-	flops := m * k * n
-	p := effectiveParallelism(m, flops)
-	if p <= 1 {
-		fn(0, m)
-		return
-	}
+// run executes fn over the m output rows of a product in p > 1 parallel row
+// panels, p being what effectiveParallelism allowed it.
+func run(m, p int, fn func(lo, hi int)) {
 	poolOnce.Do(startPool)
 	chunk := (m + p - 1) / p
 	var wg sync.WaitGroup
@@ -95,19 +105,27 @@ func run(m, k, n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// effectiveParallelism is the split width of an m-row product: 1 (serial)
+// below gemmParallelFlops, otherwise bounded by SetMatMulParallelism, by the
+// cores no other local round holds, by m and by gemmMinChunkFlops per panel.
+//
+//cmfl:hotpath
 func effectiveParallelism(m, flops int) int {
 	if flops < gemmParallelFlops || m < 2 {
 		return 1
 	}
 	p := int(parallelism.Load())
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
+	others := max(int(localRounds.Load())-1, 0)
+	if p == 0 || others > 0 {
+		if free := max(runtime.GOMAXPROCS(0)-others, 1); p == 0 || p > free {
+			p = free
+		}
 	}
 	if p > m {
 		p = m
 	}
-	if max := flops / gemmMinChunkFlops; p > max {
-		p = max
+	if most := flops / gemmMinChunkFlops; p > most {
+		p = most
 	}
 	return p
 }

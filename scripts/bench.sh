@@ -18,6 +18,10 @@
 #   removing a benchmark does not require touching the baseline first).
 # - Benchmark numbers are only comparable on similar hardware. CI runners
 #   are noisy; keep the threshold loose there and tighten it locally.
+# - The baseline was taken at GOMAXPROCS=1 (names without a -N suffix), except
+#   BenchmarkConcurrentLocalRounds/mnist-cnn-2: that one measures GOMAXPROCS
+#   trainers at once and says nothing on one core. Run with GOMAXPROCS=1 to
+#   gate the rest by name, and with two cores to gate it.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
