@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"cmfl/internal/tensor"
 )
 
 // Codec turns an update vector into a compact byte payload and back.
@@ -86,7 +88,9 @@ var ErrNonFinite = errors.New("compress: non-finite coordinate in update")
 // Uniform8 quantises each coordinate to 8 bits over the update's own
 // [min, max] range (a "sketched update" in the paper's terminology).
 // Payload: min, max as float64 followed by one byte per coordinate —
-// an 8x reduction over float64.
+// an 8x reduction over float64. Byte b of a coordinate v is
+// math.Round((v−min)/(max−min)·255), 0 when max = min, and decodes to
+// min + b/255·(max−min).
 type Uniform8 struct{}
 
 // Name implements Codec.
@@ -94,36 +98,48 @@ func (Uniform8) Name() string { return "quantize8" }
 
 // EncodeInto implements Codec. A non-finite coordinate is rejected with
 // ErrNonFinite: it would silently poison lo/hi and thereby every decoded
-// value, not just its own.
+// value, not just its own. So is a finite update whose range max − min
+// overflows to +Inf, which would decode to NaN everywhere.
 //
 //cmfl:hotpath
 func (Uniform8) EncodeInto(dst []byte, update []float64) ([]byte, error) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, v := range update {
-		if !isFinite(v) {
-			return nil, fmt.Errorf("%w: quantize8 coordinate %d = %v", ErrNonFinite, i, v)
+	lo, hi, finite := tensor.FiniteRange(update)
+	if !finite {
+		for i, v := range update {
+			if !isFinite(v) { // the first bad coordinate
+				return nil, fmt.Errorf("%w: quantize8 coordinate %d = %v", ErrNonFinite, i, v)
+			}
 		}
-		lo = min(lo, v)
-		hi = max(hi, v)
 	}
 	if len(update) == 0 {
 		lo, hi = 0, 0
 	}
+	scale := hi - lo
+	if !isFinite(scale) {
+		return nil, fmt.Errorf("%w: quantize8 range [%v, %v] overflows", ErrNonFinite, lo, hi)
+	}
 	dst = growBytes(dst, 16+len(update))
 	putU64(dst[:8], math.Float64bits(lo))
 	putU64(dst[8:16], math.Float64bits(hi))
-	scale := hi - lo
-	for i, v := range update {
-		q := 0.0
-		if scale > 0 {
-			q = (v - lo) / scale * 255
-		}
-		dst[16+i] = byte(math.Round(q))
+	if scale > 0 {
+		tensor.Quantize8(dst[16:], update, lo, scale)
+	} else {
+		clear(dst[16:])
 	}
 	return dst, nil
 }
 
-// DecodeInto implements Codec.
+// q8Levels[b] is b/255, the fraction of the range byte b stands for.
+var q8Levels = func() (levels [256]float64) {
+	for b := range levels {
+		levels[b] = float64(b) / 255
+	}
+	return levels
+}()
+
+// DecodeInto implements Codec. A header whose bounds are not finite, are
+// out of order, or span a range that overflows is ErrCorruptPayload: no
+// encoder writes one, and it would decode to non-finite values.
 //
 //cmfl:hotpath
 func (Uniform8) DecodeInto(dst []float64, payload []byte, dim int) ([]float64, error) {
@@ -133,9 +149,21 @@ func (Uniform8) DecodeInto(dst []float64, payload []byte, dim int) ([]float64, e
 	lo := math.Float64frombits(getU64(payload[:8]))
 	hi := math.Float64frombits(getU64(payload[8:16]))
 	scale := hi - lo
+	if !isFinite(scale) || !(lo <= hi) {
+		return nil, fmt.Errorf("%w: quantize8 range [%v, %v]", ErrCorruptPayload, lo, hi)
+	}
 	dst = growFloats(dst, dim)
-	for i := range dst {
-		dst[i] = lo + float64(payload[16+i])/255*scale
+	body, levels := payload[16:16+len(dst)], &q8Levels
+	i := 0
+	for ; i+4 <= len(dst); i += 4 { // four a step halves the loop's own cost
+		d, b := dst[i:i+4:i+4], body[i:i+4:i+4]
+		d[0] = lo + levels[b[0]]*scale
+		d[1] = lo + levels[b[1]]*scale
+		d[2] = lo + levels[b[2]]*scale
+		d[3] = lo + levels[b[3]]*scale
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = lo + levels[body[i]]*scale
 	}
 	return dst, nil
 }

@@ -2,8 +2,10 @@ package compress
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -83,12 +85,80 @@ func TestUniform8ConstantVector(t *testing.T) {
 
 // Regression: a single NaN or Inf coordinate used to poison Uniform8's
 // lo/hi range silently, decoding every coordinate to NaN. It must be a
-// typed error instead.
+// typed error instead. The error names the first bad coordinate, wherever it
+// sits in the vector kernel's steps and tail, alone among finite values or
+// with a +Inf after it.
 func TestUniform8RejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		u := []float64{1, 2, bad, 4}
-		if _, err := Encode(Uniform8{}, u); !errors.Is(err, ErrNonFinite) {
+		if _, err := Encode(Uniform8{}, []float64{1, 2, bad, 4}); !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("Uniform8(%v) err = %v, want ErrNonFinite", bad, err)
+		}
+		for n := 1; n <= 19; n++ {
+			for at := 0; at < n; at++ {
+				for _, trailing := range []bool{false, true} {
+					if trailing && at == n-1 {
+						continue
+					}
+					u := xrand.New(int64(n)).NormVec(n, 0, 1)
+					u[at] = bad
+					if trailing {
+						u[n-1] = math.Inf(1)
+					}
+					_, err := Encode(Uniform8{}, u)
+					if !errors.Is(err, ErrNonFinite) {
+						t.Fatalf("Uniform8(%v) err = %v, want ErrNonFinite", u, err)
+					}
+					if want := fmt.Sprintf("coordinate %d = ", at); !strings.Contains(err.Error(), want) {
+						t.Fatalf("n=%d, %v at %d, trailing +Inf %v: %q does not name it", n, bad, at, trailing, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Regression: a finite update whose range overflows (hi − lo = +Inf) used to
+// encode without an error and decode to all NaN, so one such client poisoned
+// the global model on every tier without a wire-level check. The encoder
+// rejects it, and the decoder rejects any header no encoder writes.
+func TestUniform8RejectsRangeOverflow(t *testing.T) {
+	for _, u := range [][]float64{{-1e308, 0.5, 1e308}, {math.MaxFloat64, -math.MaxFloat64}} {
+		if p, err := Encode(Uniform8{}, u); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Uniform8(%v) = %v, %v; want ErrNonFinite", u, p, err)
+		}
+		if _, err := Encode(NewChain(TopK{K: 2}, Uniform8{}), u); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("top2+quantize8(%v) err = %v, want ErrNonFinite", u, err)
+		}
+	}
+	for _, r := range [][2]float64{
+		{-1e308, 1e308}, {1, -1}, {math.NaN(), 1}, {0, math.Inf(1)}, {math.Inf(-1), math.Inf(-1)},
+	} {
+		payload := make([]byte, 16+3)
+		putU64(payload[:8], math.Float64bits(r[0]))
+		putU64(payload[8:16], math.Float64bits(r[1]))
+		if got, err := Decode(Uniform8{}, payload, 3); !errors.Is(err, ErrCorruptPayload) {
+			t.Errorf("header [%v, %v] decoded to %v, %v; want ErrCorruptPayload", r[0], r[1], got, err)
+		}
+	}
+}
+
+// The decoder's level table gives the bits of lo + b/255·scale for every byte.
+func TestUniform8DecodeLevels(t *testing.T) {
+	payload := make([]byte, 16+256)
+	for b := 0; b < 256; b++ {
+		payload[16+b] = byte(b)
+	}
+	for _, r := range [][2]float64{{-1, 1}, {0, 0}, {-3.75, 0.001}, {1e-310, 3e-310}, {-1e307, 1e307}} {
+		putU64(payload[:8], math.Float64bits(r[0]))
+		putU64(payload[8:16], math.Float64bits(r[1]))
+		got, err := Decode(Uniform8{}, payload, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, v := range got {
+			if want := r[0] + float64(b)/255*(r[1]-r[0]); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("range %v byte %d: %v, want %v", r, b, v, want)
+			}
 		}
 	}
 }

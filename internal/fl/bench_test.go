@@ -167,3 +167,28 @@ func BenchmarkPackTopKEF(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAggregatorFold is sim_wide_q8's server fold: 192 uploads of 100,100
+// coordinates (eight distinct deltas in turn, 6.4 MB) summed exactly, rounded
+// and applied over GOMAXPROCS ranges, so `-cpu 1` measures the serial fold and
+// `-cpu 2` the two-range split. An op allocates the sum Close takes ownership
+// of, and a split one the task that hands its second range to a worker.
+func BenchmarkAggregatorFold(b *testing.B) {
+	const dim, uploads = 100_100, 192
+	deltas := make([][]float64, 8)
+	for i := range deltas {
+		deltas[i] = xrand.New(int64(i)).NormVec(dim, 0, 0.01)
+	}
+	replies := make([]Reply, uploads)
+	accepted := make([]int, uploads)
+	for i := range replies {
+		replies[i], accepted[i] = Reply{Delta: deltas[i%len(deltas)], Upload: true}, i
+	}
+	agg := NewAggregator(telemetry.EngineSim, make([]float64, dim), uploads, Vanilla{}, nil)
+	agg.Fold(1, uploads, accepted, replies, nil) // builds the split and its accumulators
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg.Fold(i+2, uploads, accepted, replies, nil)
+	}
+}

@@ -78,9 +78,9 @@ type Reply struct {
 // first use, so a raw client never allocates them; one Scratch serves many
 // clients in turn (a sim worker) as long as Residual is nil.
 type Scratch struct {
-	enc []byte
-	dec []float64 // decoded values: dim of them, or a sparse codec's k
-	idx []uint32  // the sparse codec's k coordinates
+	enc  []byte
+	idx  []uint32  // a sparse codec's k coordinates
+	vals []float64 // and their decoded values
 	// Residual is one client's EF-SGD memory: what lossy compression has
 	// discarded so far, dim-sized. Nil turns error feedback off.
 	Residual []float64
@@ -109,13 +109,16 @@ func (s *ClientStep) Train(net *nn.Network, data *dataset.Set, rng *xrand.Stream
 // Pack prices the reply and, for a compressed upload, runs the codec round
 // trip: fold the delta into the EF residual (post-gate: the upload decision
 // saw the raw delta), encode that sum, decode, keep residual = (delta +
-// residual) − decoded, and leave the decoded update in r.Delta. A codec
-// that offers the sparse view of its payload is decoded through it: the
-// residual changes at the k coordinates that travelled and r.Delta is one
-// clear plus k writes, never a dim-long decode, subtract and copy. A
-// withheld update leaves the residual untouched. The returned payload is
-// the wire form of the upload; it aliases sc and is valid until sc is packed
-// again. It is nil for a skip or a raw upload.
+// residual) − decoded, and leave the decoded update in r.Delta. A dense
+// codec decodes straight into r.Delta, whose contents the payload has
+// already captured; this relies on DecodeInto's contract of reusing a
+// destination whose capacity suffices. A codec that offers the sparse view
+// of its payload is decoded through it: the residual changes at the k
+// coordinates that travelled and r.Delta is one clear plus k writes, never a
+// dim-long decode and subtract. A withheld update leaves the residual
+// untouched. The returned payload is the wire form of the upload; it aliases
+// sc and is valid until sc is packed again. It is nil for a skip or a raw
+// upload.
 //
 //cmfl:hotpath
 func (s *ClientStep) Pack(sc *Scratch, r *Reply) ([]byte, error) {
@@ -140,10 +143,11 @@ func (s *ClientStep) Pack(sc *Scratch, r *Reply) ([]byte, error) {
 	}
 	sc.enc = payload
 	sparse, isSparse := s.Compressor.(sparseDecoder)
+	var dec []float64
 	if isSparse {
-		sc.idx, sc.dec, err = sparse.DecodeSparseInto(sc.idx, sc.dec, payload, len(r.Delta))
+		sc.idx, sc.vals, err = sparse.DecodeSparseInto(sc.idx, sc.vals, payload, len(r.Delta))
 	} else {
-		sc.dec, err = s.Compressor.DecodeInto(sc.dec, payload, len(r.Delta))
+		dec, err = s.Compressor.DecodeInto(r.Delta, payload, len(r.Delta))
 	}
 	switch {
 	case err != nil:
@@ -151,16 +155,15 @@ func (s *ClientStep) Pack(sc *Scratch, r *Reply) ([]byte, error) {
 	case isSparse:
 		clear(r.Delta)
 		for n, j := range sc.idx {
-			r.Delta[j] = sc.dec[n]
+			r.Delta[j] = sc.vals[n]
 			if sc.Residual != nil {
-				sc.Residual[j] -= sc.dec[n]
+				sc.Residual[j] -= sc.vals[n]
 			}
 		}
-	default:
-		copy(r.Delta, sc.dec)
-		if sc.Residual != nil {
-			tensor.Axpy(-1, sc.dec, sc.Residual)
-		}
+	case len(dec) > 0 && &dec[0] != &r.Delta[0]:
+		return nil, fmt.Errorf("decode: %s did not decode into the update's buffer", s.Compressor.Name())
+	case sc.Residual != nil:
+		tensor.Axpy(-1, r.Delta, sc.Residual)
 	}
 	r.Bytes = int64(len(payload))
 	return payload, nil

@@ -122,7 +122,7 @@ func TestClientStep(t *testing.T) {
 		if payload != nil || r.Bytes != int64(8*len(f.b.Params)) {
 			t.Fatalf("raw: payload %d bytes, Bytes = %d, want %d", len(payload), r.Bytes, 8*len(f.b.Params))
 		}
-		if sc.enc != nil || sc.dec != nil {
+		if sc.enc != nil || sc.vals != nil {
 			t.Fatal("raw upload allocated codec scratch")
 		}
 		sameBits(t, "delta", r.Delta, sent)

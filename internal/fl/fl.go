@@ -70,8 +70,9 @@ type FilterFeedback interface {
 // codecs in internal/compress (it is structurally identical to
 // compress.Codec, redeclared here to keep the dependency arrow pointing
 // from compress to fl's interface consumers). The Into forms reuse the
-// caller's buffer capacity so steady-state encode/decode is allocation-
-// free. Must be safe for concurrent use.
+// caller's buffer capacity, returning a slice that aliases it, so
+// steady-state encode/decode is allocation-free (and ClientStep.Pack
+// decodes into the update itself). Must be safe for concurrent use.
 type UpdateCodec interface {
 	Name() string
 	EncodeInto(dst []byte, update []float64) ([]byte, error)

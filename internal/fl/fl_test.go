@@ -7,6 +7,7 @@ import (
 	"cmfl/internal/compress"
 	"cmfl/internal/core"
 	"cmfl/internal/dataset"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/gaia"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
@@ -661,6 +662,86 @@ func TestFoldIgnoresArrivalOrder(t *testing.T) {
 			for j := range want {
 				if math.Float64bits(agg.Params[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("%s: order %v param %d = %v, order %v gave %v", tc.name, order, j, agg.Params[j], orders[0], want[j])
+				}
+			}
+		}
+	}
+}
+
+// foldOracle is Fold's sum as one accumulator took it before the split:
+// every upload added whole (weight·delta through one scratch), rounded once.
+func foldOracle(dim int, accepted []int, replies []Reply, weights []float64) []float64 {
+	acc := shard.New(dim)
+	var weighted []float64
+	for _, i := range accepted {
+		r := &replies[i]
+		if !r.Upload {
+			continue
+		}
+		if weights == nil {
+			acc.Add(r.Delta)
+			continue
+		}
+		weighted = append(weighted[:0], r.Delta...)
+		tensor.ScaleVec(weights[i], weighted)
+		acc.Add(weighted)
+	}
+	return acc.Round(nil)
+}
+
+// TestFoldRangesMatchOneAccumulator holds Fold's coordinate-range split to a
+// single accumulator over the whole vector, bit for bit, at every range count
+// 1…8 (forced below foldRangeMin) on dimensions around the 64-coordinate
+// alignment, plain and n_k-weighted. The coordinates on either side of every
+// possible range boundary spill (their terms span more than hi and lo hold),
+// and others sum to exactly zero, by cancellation or from −0 terms alone,
+// which must round to +0. Run with -race: the ranges fold concurrently.
+func TestFoldRangesMatchOneAccumulator(t *testing.T) {
+	const clients = 6
+	negZero := math.Copysign(0, -1)
+	for _, dim := range []int{1, 63, 64, 65, 4097, 100100} {
+		rng := xrand.New(int64(dim))
+		replies := make([]Reply, clients)
+		weights := make([]float64, clients)
+		for i := range replies {
+			replies[i] = Reply{Delta: rng.NormVec(dim, 0, 1), Upload: i != 2}
+			weights[i] = float64(1 + rng.Intn(300))
+		}
+		weights[1] = weights[0] // so that x and −x cancel under the weights too
+		d := func(i, j int) *float64 { return &replies[i].Delta[j] }
+		var zeros []int
+		for j := 0; j < dim; j++ {
+			switch j % 64 {
+			case 0, 63:
+				*d(0, j), *d(1, j), *d(3, j) = 1e300, 1, -1e300
+			case 5:
+				*d(1, j) = -*d(0, j)
+				*d(3, j), *d(4, j), *d(5, j) = 0, 0, 0
+				zeros = append(zeros, j)
+			case 6:
+				for i := range replies {
+					*d(i, j) = negZero
+				}
+				zeros = append(zeros, j)
+			}
+		}
+		accepted := []int{4, 0, 5, 2, 1, 3}
+		for _, w := range [][]float64{nil, weights} {
+			want := foldOracle(dim, accepted, replies, w)
+			for _, j := range zeros {
+				if math.Float64bits(want[j]) != 0 {
+					t.Fatalf("dim %d: the oracle rounds zero sum %d to %v", dim, j, want[j])
+				}
+			}
+			for k := 1; k <= 8; k++ {
+				agg := NewAggregator(telemetry.EngineSync, make([]float64, dim), clients, Vanilla{}, nil)
+				for round := 0; round < 2; round++ { // the second round reuses the split
+					got := agg.sum(accepted, replies, w, k)
+					for j := range want {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("dim %d, %d ranges, weighted %v: coordinate %d = %v, want %v", dim, k, w != nil, j, got[j], want[j])
+						}
+					}
 				}
 			}
 		}

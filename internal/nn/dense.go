@@ -12,6 +12,10 @@ import (
 // Input shape [batch, in]; output shape [batch, out]. Outputs alias a
 // persistent per-layer buffer (see scratch.go).
 type Dense struct {
+	// skipInputGrad is set by Network.Backward when this layer is first in
+	// the stack and its input gradient would be discarded.
+	skipInputGrad bool
+
 	// params/grads cache the Params()/Grads() slices so per-step
 	// optimizer sweeps do not allocate.
 	params, grads []*tensor.Tensor
@@ -66,9 +70,17 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			d.gb.Data[j] += v
 		}
 	}
+	if d.skipInputGrad {
+		return nil
+	}
 	gin := ensure(&d.gin, batch, d.In)
 	return tensor.MatMulTransBInto(gin, gradOut, d.w)
 }
+
+// setSkipInputGrad implements the nn-internal inputGradSkipper contract: a
+// Dense used as the network's first layer omits gradOut·Wᵀ and returns a nil
+// input gradient.
+func (d *Dense) setSkipInputGrad(skip bool) { d.skipInputGrad = skip }
 
 // Params implements Layer.
 func (d *Dense) Params() []*tensor.Tensor {

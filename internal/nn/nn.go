@@ -65,7 +65,8 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 // inputGradSkipper is implemented by layers that can omit their input
 // gradient. The first layer's input gradient is never consumed, so Backward
 // tells it to skip that work (for Conv2D: the dcols product and the col2im
-// scatter — a measurable share of a CNN training step).
+// scatter — a measurable share of a CNN training step; for Dense: the
+// gradOut·Wᵀ product, a third of a logistic model's arithmetic).
 type inputGradSkipper interface {
 	setSkipInputGrad(bool)
 }

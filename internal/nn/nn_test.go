@@ -63,6 +63,31 @@ func TestZeroGrads(t *testing.T) {
 	}
 }
 
+// TestDenseFirstLayerSkipsInputGrad: a Dense first in its network returns no
+// input gradient, and its parameter gradients are the bits of the same layer
+// behind a Flatten (which passes a 2-D batch through unchanged, so there the
+// Dense is not first and computes gradOut·Wᵀ).
+func TestDenseFirstLayerSkipsInputGrad(t *testing.T) {
+	x := tensor.FromSlice(xrand.New(8).NormVec(4*6, 0, 1), 4, 6)
+	labels := []int{0, 2, 1, 2}
+	build := func(first ...Layer) *Network {
+		return NewNetwork(append(first, NewDense(6, 5, xrand.New(9)), NewReLU(), NewDense(5, 3, xrand.New(10)))...)
+	}
+	var grads [2][]float64
+	for k, net := range []*Network{build(), build(NewFlatten())} {
+		_, grad := SoftmaxCrossEntropy(net.Forward(x.Clone()), labels)
+		if gin := net.Backward(grad); (gin == nil) != (k == 0) {
+			t.Fatalf("network %d: input gradient %v", k, gin)
+		}
+		grads[k] = net.GradVector()
+	}
+	for i := range grads[0] {
+		if math.Float64bits(grads[0][i]) != math.Float64bits(grads[1][i]) {
+			t.Fatalf("gradient %d: %v as the first layer, %v behind a Flatten", i, grads[0][i], grads[1][i])
+		}
+	}
+}
+
 func TestSGDStepMovesAgainstGradient(t *testing.T) {
 	rng := xrand.New(13)
 	net := NewLogistic(3, 2, rng)

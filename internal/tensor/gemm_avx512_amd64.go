@@ -130,3 +130,9 @@ func subSignsAVX(dst *int8, prev, cur *float64, n uintptr) bool
 
 //go:noescape
 func maxPool2x2AVX(out *float64, argmax *int, x *float64, base, w, oh, ow uintptr)
+
+//go:noescape
+func finiteRangeAVX(v *float64, n uintptr, lohi *[2]float64) bool
+
+//go:noescape
+func quantize8AVX(dst *byte, v *float64, n uintptr, lo, scale float64)

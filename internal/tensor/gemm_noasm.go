@@ -44,3 +44,11 @@ func subSignsAVX(dst *int8, prev, cur *float64, n uintptr) bool {
 func maxPool2x2AVX(out *float64, argmax *int, x *float64, base, w, oh, ow uintptr) {
 	panic("tensor: SIMD max pool unavailable on this platform")
 }
+
+func finiteRangeAVX(v *float64, n uintptr, lohi *[2]float64) bool {
+	panic("tensor: SIMD quantisation unavailable on this platform")
+}
+
+func quantize8AVX(dst *byte, v *float64, n uintptr, lo, scale float64) {
+	panic("tensor: SIMD quantisation unavailable on this platform")
+}

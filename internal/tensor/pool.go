@@ -6,9 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// The GEMM worker pool. One pool is shared by every goroutine in the
-// process (all simulated FL clients included): workers are started lazily on
-// the first large product, tasks are leaf computations that never submit
+// The worker pool behind split GEMMs and fl.Aggregator.Fold's coordinate
+// ranges. One pool is shared by every goroutine in the process (all
+// simulated FL clients included): workers are started lazily on the first
+// offloaded task, tasks are leaf computations that never submit
 // nested tasks, and submission falls back to running the task inline when
 // every worker is busy — so the pool can never deadlock and the total
 // compute concurrency stays bounded by GOMAXPROCS even when many clients
@@ -78,10 +79,23 @@ func startPool() {
 	}
 }
 
+// Offload hands task to an idle pool worker and reports whether one took it;
+// a task no worker took is the caller's to run, so offloading never waits
+// for a worker. Tasks are leaf computations that never offload nested work,
+// like a product's row panels.
+func Offload(task func()) bool {
+	poolOnce.Do(startPool)
+	select {
+	case poolTasks <- task:
+		return true
+	default:
+		return false
+	}
+}
+
 // run executes fn over the m output rows of a product in p > 1 parallel row
 // panels, p being what effectiveParallelism allowed it.
 func run(m, p int, fn func(lo, hi int)) {
-	poolOnce.Do(startPool)
 	chunk := (m + p - 1) / p
 	var wg sync.WaitGroup
 	lo := 0
@@ -92,9 +106,7 @@ func run(m, p int, fn func(lo, hi int)) {
 			defer wg.Done()
 			fn(l, h)
 		}
-		select {
-		case poolTasks <- task:
-		default:
+		if !Offload(task) {
 			// All workers busy (e.g. many FL clients multiplying at once):
 			// do the panel inline rather than queueing.
 			task()
