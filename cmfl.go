@@ -277,16 +277,7 @@ func NewNextWordLSTM(cfg LSTMConfig, rng *Stream) *Network { return nn.NewNextWo
 // NewMLP builds a ReLU multilayer perceptron over the given widths.
 func NewMLP(rng *Stream, widths ...int) *Network { return nn.NewMLP(rng, widths...) }
 
-// Optimizer updates a network from its accumulated gradients (SGD with
-// momentum, Adam).
-type Optimizer = nn.Optimizer
-
-// NewSGDOptimizer builds plain stochastic gradient descent (set Momentum and
-// WeightDecay on the returned value for the richer variants).
-func NewSGDOptimizer(lr float64) *nn.SGD { return nn.NewSGD(lr) }
-
-// NewAdamOptimizer builds Adam with standard hyperparameters.
-func NewAdamOptimizer(lr float64) *nn.Adam { return nn.NewAdam(lr) }
+//cmfl:api-change Optimizer, NewSGDOptimizer and NewAdamOptimizer are removed with the unused nn optimizers; every engine trains with plain SGD through LocalTrain, and no caller migrates.
 
 // NewLogistic builds a linear softmax classifier.
 func NewLogistic(in, classes int, rng *Stream) *Network { return nn.NewLogistic(in, classes, rng) }

@@ -138,7 +138,10 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	// with it and nil until then. The buffer that swap retires — the old
 	// feedback, or the zero difference — receives the next broadcast: model,
 	// predecessor and feedback rotate over three buffers, the sign vectors
-	// over two. An ungated client reads neither and skips the sweep.
+	// over two. An ungated client reads neither and skips the sweep. The
+	// retired buffer also holds the round's update until the next broadcast
+	// lands in it (the staged frame is a copy), so the update costs the client
+	// no buffer of its own.
 	_, ungated := step.Filter.(fl.Vanilla)
 	feedback := make([]float64, dim)
 	var prevParams, spare []float64
@@ -173,8 +176,8 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 
 			sess.inj.beginRound(round)
 			b := fl.Broadcast{Round: round, LR: cfg.LR.At(round), Params: params, Feedback: feedback, Signs: signs}
-			r, err := step.Train(network, cfg.Data, rng, &b)
-			if err != nil {
+			r := fl.Reply{Delta: spare}
+			if err := step.Train(&scratch, network, cfg.Data, rng, &b, &r); err != nil {
 				return nil, fmt.Errorf("emu: client %d %w", cfg.ID, err)
 			}
 			payload, err := step.Pack(&scratch, &r)
@@ -192,6 +195,7 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 				sess.stage(msgUpdate, encodeUpdate(cfg.ID, round, r.Metric, r.Delta))
 				res.Uploads++
 			}
+			spare = r.Delta
 			if err := sess.flush(); err != nil {
 				return nil, fmt.Errorf("emu: client %d send round %d: %w", cfg.ID, round, err)
 			}

@@ -175,6 +175,8 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	}
 
 	feedback := make([]float64, dim)
+	var sc Scratch // one workspace and one update buffer serve every event
+	var delta []float64
 	res := &AsyncResult{SkipCounts: make([]int, d)}
 	cumUploads := 0
 	var cumBytes int64
@@ -187,7 +189,8 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		k := c.client
 		// The engine charges one "round" of local training computed from
 		// the model snapshot the client pulled.
-		delta, _, err := LocalTrain(nets[k], cfg.ClientData[k], pulled[k], cfg.LR.At(events), cfg.Epochs, cfg.Batch, rngs[k])
+		var err error
+		delta, _, err = solve(&sc, nets[k], cfg.ClientData[k], pulled[k], cfg.LR.At(events), cfg.Epochs, cfg.Batch, 0, rngs[k], delta)
 		if err != nil {
 			return nil, fmt.Errorf("fl: async client %d: %w", k, err)
 		}
@@ -212,20 +215,19 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 			Accuracy:  math.NaN(),
 		}
 		if dec.Upload {
+			// The applied update scale·v moves the model and enters the
+			// feedback average in the same sweep.
 			scale := cfg.MixAlpha / math.Sqrt(1+float64(staleness))
-			applied := make([]float64, dim)
 			for j, v := range delta {
-				applied[j] = scale * v
-				params[j] += applied[j]
+				applied := scale * v
+				params[j] += applied
+				feedback[j] = cfg.FeedbackDecay*feedback[j] + (1-cfg.FeedbackDecay)*applied
 			}
 			version++
 			//cmfl:order-pinned completion events pop in deterministic virtual-time order; the event schedule is the algorithm
 			staleSum += float64(staleness)
 			cumUploads++
 			cumBytes += int64(dim) * 8
-			for j := range feedback {
-				feedback[j] = cfg.FeedbackDecay*feedback[j] + (1-cfg.FeedbackDecay)*applied[j]
-			}
 		} else {
 			res.SkipCounts[k]++
 			cumBytes += SkipNotificationBytes

@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -172,5 +175,54 @@ func TestAsyncValidation(t *testing.T) {
 		if _, err := RunAsync(cfg); err == nil {
 			t.Errorf("%s: expected validation error", tc.name)
 		}
+	}
+}
+
+// TestAsyncPinnedTrace pins one CMFL-gated asynchronous run bit for bit: the
+// final model, the skip counts and every field of every event. The hash was
+// taken before RunAsync trained through a reused workspace and folded each
+// scaled coordinate in one sweep; neither may move a bit.
+func TestAsyncPinnedTrace(t *testing.T) {
+	cfg := asyncConfig(t, 5)
+	cfg.Filter = core.NewFilter(core.Constant(0.5))
+	cfg.Updates = 60
+	res, err := RunAsync(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	for _, v := range res.FinalParams {
+		put(math.Float64bits(v))
+	}
+	for _, s := range res.SkipCounts {
+		put(uint64(s))
+	}
+	for _, ev := range res.Events {
+		uploaded := uint64(0)
+		if ev.Uploaded {
+			uploaded = 1
+		}
+		for _, u := range []uint64{
+			math.Float64bits(ev.Time), uint64(ev.Client), uint64(ev.Staleness), uploaded,
+			math.Float64bits(ev.Relevance), math.Float64bits(ev.Accuracy),
+			uint64(ev.CumUploads), uint64(ev.CumUplinkBytes),
+		} {
+			put(u)
+		}
+	}
+	// The vector kernels fuse the GEMM multiply-adds and the portable loops
+	// do not, so each path has its own bits.
+	const wantSIMD, wantPortable = "5005c2ce8d448db1ac13fb9b08e6ad561ca0e55426248b850413b4f12c91260d",
+		"c56abe34fb6530aa13a54d7d0df4ce8069a1ebaf461d1dbc69ca6b06ce7ab109"
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantSIMD && got != wantPortable {
+		t.Errorf("async run SHA-256 %s, want %s (AVX-512) or %s (portable)", got, wantSIMD, wantPortable)
+	}
+	if last := res.Events[len(res.Events)-1]; last.CumUploads == len(res.Events) {
+		t.Error("the gate withheld nothing: the pin does not cover a skip")
 	}
 }

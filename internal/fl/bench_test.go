@@ -30,43 +30,65 @@ func randomSet(n int, sampleShape []int, classes int, rng *xrand.Stream) *datase
 	return &dataset.Set{X: x, Y: y}
 }
 
+// tokenSet builds n next-word samples: windows of token ids and a target id.
+func tokenSet(n, window, vocab int, rng *xrand.Stream) *dataset.Set {
+	ids := make([]float64, n*window)
+	for i := range ids {
+		ids[i] = float64(rng.Intn(vocab))
+	}
+	set := &dataset.Set{X: tensor.FromSlice(ids, n, window), Y: make([]int, n)}
+	for i := range set.Y {
+		set.Y[i] = rng.Intn(vocab)
+	}
+	return set
+}
+
+// paperCNN is BenchmarkLocalTrainRound's 28×28/5×5 MNIST CNN.
+var paperCNN = nn.CNNConfig{ImageSize: 28, Kernel: 5, Conv1: 16, Conv2: 32, Hidden: 128, Classes: 10}
+
+// localRound returns one client's local round through ClientStep.Train, the
+// path every engine runs: the solver on a reused workspace, the update
+// written into a reused reply.
+func localRound(net *nn.Network, shard *dataset.Set, batch int, rng *xrand.Stream) func() error {
+	step := &ClientStep{Epochs: 1, Batch: batch, Filter: Vanilla{}}
+	params := net.ParamVector()
+	bc := &Broadcast{Round: 1, LR: 0.05, Params: params, Feedback: make([]float64, len(params))}
+	var sc Scratch
+	var r Reply
+	return func() error { return step.Train(&sc, net, shard, rng, bc, &r) }
+}
+
+// warm runs round once, so the buffers it reuses exist before the timer starts.
+func warm(b *testing.B, round func() error) {
+	if err := round(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+}
+
 // BenchmarkLocalTrainRound measures one client's full local round (E epochs
 // of minibatch SGD) on the two reproduction workloads at paper-like shapes:
 // the 28×28/5×5 MNIST CNN and the 2-layer next-word LSTM. This is the
 // quantity that bounds every experiment's wall-clock.
 func BenchmarkLocalTrainRound(b *testing.B) {
 	b.Run("mnist-cnn", func(b *testing.B) {
-		cfg := nn.CNNConfig{ImageSize: 28, Kernel: 5, Conv1: 16, Conv2: 32, Hidden: 128, Classes: 10}
-		net := nn.NewCNN(cfg, xrand.New(1))
-		shard := randomSet(20, []int{1, 28, 28}, 10, xrand.New(2))
-		params := net.ParamVector()
-		rng := xrand.New(3)
+		round := localRound(nn.NewCNN(paperCNN, xrand.New(1)), randomSet(20, []int{1, 28, 28}, 10, xrand.New(2)), 2, xrand.New(3))
 		b.ReportAllocs()
-		b.ResetTimer()
+		warm(b, round)
 		for i := 0; i < b.N; i++ {
-			if _, _, err := LocalTrain(net, shard, params, 0.05, 1, 2, rng); err != nil {
+			if err := round(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("nextword-lstm", func(b *testing.B) {
 		cfg := nn.LSTMConfig{Vocab: 500, Embed: 32, Hidden: 64, Layers: 2}
-		net := nn.NewNextWordLSTM(cfg, xrand.New(4))
 		rng := xrand.New(5)
-		n, window := 20, 10
-		ids := make([]float64, n*window)
-		for i := range ids {
-			ids[i] = float64(rng.Intn(cfg.Vocab))
-		}
-		shard := &dataset.Set{X: tensor.FromSlice(ids, n, window), Y: make([]int, n)}
-		for i := range shard.Y {
-			shard.Y[i] = rng.Intn(cfg.Vocab)
-		}
-		params := net.ParamVector()
+		round := localRound(nn.NewNextWordLSTM(cfg, xrand.New(4)), tokenSet(20, 10, cfg.Vocab, rng), 5, rng)
 		b.ReportAllocs()
-		b.ResetTimer()
+		warm(b, round)
 		for i := 0; i < b.N; i++ {
-			if _, _, err := LocalTrain(net, shard, params, 0.05, 1, 5, rng); err != nil {
+			if err := round(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -74,27 +96,26 @@ func BenchmarkLocalTrainRound(b *testing.B) {
 }
 
 // BenchmarkConcurrentLocalRounds is BenchmarkLocalTrainRound/mnist-cnn with
-// GOMAXPROCS trainers at once, each through ClientStep.Train: the state every
-// engine is in for most of a round. One op is one client's local round; its
-// allocs/op stay those of the lone serial round, because no product is split
-// onto a core another round holds. Every trainer keeps a local-round mark of
-// its own until all have finished, so the run's tail (one trainer left,
-// splitting as a lone caller should) does not leak into the count.
+// GOMAXPROCS trainers at once: the state every engine is in for most of a
+// round. One op is one client's local round; its allocs/op stay those of the
+// lone serial round, because no product is split onto a core another round
+// holds. Every trainer keeps a local-round mark of its own until all have
+// finished, so the run's tail (one trainer left, splitting as a lone caller
+// should) does not leak into the count.
 func BenchmarkConcurrentLocalRounds(b *testing.B) {
 	b.Run("mnist-cnn", func(b *testing.B) {
-		cfg := nn.CNNConfig{ImageSize: 28, Kernel: 5, Conv1: 16, Conv2: 32, Hidden: 128, Classes: 10}
-		step := &ClientStep{Epochs: 1, Batch: 2, Filter: Vanilla{}}
-		params := nn.NewCNN(cfg, xrand.New(1)).ParamVector()
-		bc := &Broadcast{Round: 1, LR: 0.05, Params: params, Feedback: make([]float64, len(params))}
+		rounds := make([]func() error, runtime.GOMAXPROCS(0))
+		for i := range rounds {
+			id := int64(i + 1)
+			rounds[i] = localRound(nn.NewCNN(paperCNN, xrand.New(1)), randomSet(20, []int{1, 28, 28}, 10, xrand.New(1+id)), 2, xrand.New(100+id))
+			warm(b, rounds[i])
+		}
 		var trainers atomic.Int64
 		var running sync.WaitGroup
-		running.Add(runtime.GOMAXPROCS(0))
+		running.Add(len(rounds))
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
-			id := trainers.Add(1)
-			net := nn.NewCNN(cfg, xrand.New(1))
-			shard := randomSet(20, []int{1, 28, 28}, 10, xrand.New(1+id))
-			rng := xrand.New(100 + id)
+			round := rounds[trainers.Add(1)-1]
 			tensor.EnterLocalRound()
 			defer func() {
 				running.Done()
@@ -102,7 +123,7 @@ func BenchmarkConcurrentLocalRounds(b *testing.B) {
 				tensor.LeaveLocalRound()
 			}()
 			for pb.Next() {
-				if _, err := step.Train(net, shard, rng, bc); err != nil {
+				if err := round(); err != nil {
 					b.Error(err)
 					return
 				}
@@ -118,21 +139,18 @@ func BenchmarkConcurrentLocalRounds(b *testing.B) {
 // uninstrumented round.
 func BenchmarkInstrumentedLocalRound(b *testing.B) {
 	b.Run("mnist-cnn", func(b *testing.B) {
-		cfg := nn.CNNConfig{ImageSize: 28, Kernel: 5, Conv1: 16, Conv2: 32, Hidden: 128, Classes: 10}
-		net := nn.NewCNN(cfg, xrand.New(1))
-		shard := randomSet(20, []int{1, 28, 28}, 10, xrand.New(2))
-		params := net.ParamVector()
-		rng := xrand.New(3)
+		net := nn.NewCNN(paperCNN, xrand.New(1))
+		dim := int64(net.NumParams())
+		round := localRound(net, randomSet(20, []int{1, 28, 28}, 10, xrand.New(2)), 2, xrand.New(3))
 		col := telemetry.NewCollector(telemetry.NewRegistry())
 		obs := []telemetry.Observer{col}
-		dim := int64(len(params))
 		// Warm the per-engine handle cache so the loop is steady state.
 		col.OnRound(telemetry.RoundEvent{Engine: telemetry.EngineSync, Accuracy: math.NaN()})
 		var cumBytes int64
 		b.ReportAllocs()
-		b.ResetTimer()
+		warm(b, round)
 		for i := 0; i < b.N; i++ {
-			if _, _, err := LocalTrain(net, shard, params, 0.05, 1, 2, rng); err != nil {
+			if err := round(); err != nil {
 				b.Fatal(err)
 			}
 			cumBytes += dim * 8

@@ -17,7 +17,7 @@ import (
 // for every client and round; the engine supplies the rest per call. Methods
 // only read it, so one value serves all of an engine's goroutines.
 type ClientStep struct {
-	// Epochs, Batch and ProxMu parameterise LocalTrainProx.
+	// Epochs, Batch and ProxMu parameterise the local solver (LocalTrainProx).
 	Epochs int
 	Batch  int
 	ProxMu float64
@@ -74,10 +74,12 @@ type Reply struct {
 	Upload bool
 }
 
-// Scratch is the memory Pack reuses between calls. The codec buffers grow on
-// first use, so a raw client never allocates them; one Scratch serves many
-// clients in turn (a sim worker) as long as Residual is nil.
+// Scratch is the memory Train and Pack reuse between calls. The buffers grow
+// on first use, so a raw client never allocates the codec's; one Scratch
+// serves many clients in turn (a sim worker) as long as Residual is nil.
 type Scratch struct {
+	perm []int             // the solver's sample order for one epoch
+	mb   dataset.Minibatch // and the minibatch gathered from it
 	enc  []byte
 	idx  []uint32  // a sparse codec's k coordinates
 	vals []float64 // and their decoded values
@@ -86,24 +88,28 @@ type Scratch struct {
 	Residual []float64
 }
 
-// Train runs the local solver from the broadcast model and gates the result.
-// The order is the determinism contract: DP noise is drawn from rng after
-// the solver's draws, and the gate sees the post-DP delta. The solve is
-// marked as a local round in flight, so that concurrent clients' products are
-// not split onto each other's cores (tensor.EnterLocalRound).
-func (s *ClientStep) Train(net *nn.Network, data *dataset.Set, rng *xrand.Stream, b *Broadcast) (Reply, error) {
+//cmfl:api-change ClientStep.Train takes the caller's Scratch and writes into the caller's Reply, so a steady-state round allocates nothing; callers pass the Scratch they hand to Pack and the reply slot they keep.
+
+// Train runs the local solver from the broadcast model on sc's buffers and
+// gates the result into r, whose Delta buffer it reuses: a steady-state round
+// allocates nothing. The order is the determinism contract: DP noise is drawn
+// from rng after the solver's draws, and the gate sees the post-DP delta. The
+// solve is marked as a local round in flight, so that concurrent clients'
+// products are not split onto each other's cores (tensor.EnterLocalRound).
+func (s *ClientStep) Train(sc *Scratch, net *nn.Network, data *dataset.Set, rng *xrand.Stream, b *Broadcast, r *Reply) error {
 	tensor.EnterLocalRound()
 	defer tensor.LeaveLocalRound()
-	delta, loss, err := LocalTrainProx(net, data, b.Params, b.LR, s.Epochs, s.Batch, s.ProxMu, rng)
+	delta, loss, err := solve(sc, net, data, b.Params, b.LR, s.Epochs, s.Batch, s.ProxMu, rng, r.Delta)
 	if err != nil {
-		return Reply{}, fmt.Errorf("local training: %w", err)
+		return fmt.Errorf("local training: %w", err)
 	}
 	privatize(delta, s.DPClip, s.DPNoiseSigma, rng)
 	dec, err := checkUpload(s.Filter, delta, b.Params, b.Feedback, b.Signs, b.Round)
 	if err != nil {
-		return Reply{}, fmt.Errorf("filter: %w", err)
+		return fmt.Errorf("filter: %w", err)
 	}
-	return Reply{Delta: delta, Loss: loss, Metric: dec.Metric, Upload: dec.Upload}, nil
+	*r = Reply{Delta: delta, Loss: loss, Metric: dec.Metric, Upload: dec.Upload}
+	return nil
 }
 
 // Pack prices the reply and, for a compressed upload, runs the codec round

@@ -8,6 +8,7 @@ import (
 
 	"cmfl/internal/compress"
 	"cmfl/internal/core"
+	"cmfl/internal/dataset"
 	"cmfl/internal/nn"
 	"cmfl/internal/xrand"
 )
@@ -36,6 +37,16 @@ func (f *stepFixture) step(filter UploadFilter, codec UpdateCodec) *ClientStep {
 	return &ClientStep{Epochs: f.cfg.Epochs, Batch: f.cfg.Batch, Filter: filter, Compressor: codec}
 }
 
+// train runs step for the fixture's client on sc's buffers.
+func (f *stepFixture) train(t *testing.T, step *ClientStep, sc *Scratch) Reply {
+	t.Helper()
+	var r Reply
+	if err := step.Train(sc, f.net, f.cfg.ClientData[0], xrand.New(33), &f.b, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -62,10 +73,7 @@ func TestClientStep(t *testing.T) {
 		step := f.step(never, codec)
 		sc := Scratch{Residual: xrand.New(32).NormVec(len(f.b.Params), 0, 1)}
 		before := append([]float64(nil), sc.Residual...)
-		r, err := step.Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := f.train(t, step, &sc)
 		payload, err := step.Pack(&sc, &r)
 		if err != nil {
 			t.Fatal(err)
@@ -80,10 +88,7 @@ func TestClientStep(t *testing.T) {
 		f := newStepFixture(t)
 		step := f.step(Vanilla{}, codec)
 		sc := Scratch{Residual: xrand.New(32).NormVec(len(f.b.Params), 0, 1)}
-		r, err := step.Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := f.train(t, step, &sc)
 		corrected := append([]float64(nil), r.Delta...)
 		for j := range corrected {
 			corrected[j] += sc.Residual[j]
@@ -110,10 +115,7 @@ func TestClientStep(t *testing.T) {
 		f := newStepFixture(t)
 		step := f.step(Vanilla{}, nil)
 		var sc Scratch
-		r, err := step.Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := f.train(t, step, &sc)
 		sent := append([]float64(nil), r.Delta...)
 		payload, err := step.Pack(&sc, &r)
 		if err != nil {
@@ -132,10 +134,7 @@ func TestClientStep(t *testing.T) {
 		f := newStepFixture(t)
 		step := f.step(Vanilla{}, nil)
 		step.DPNoiseSigma = 0.01
-		r, err := step.Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := f.train(t, step, new(Scratch))
 		rng := xrand.New(33)
 		want, _, err := LocalTrainProx(f.cfg.Model(), f.cfg.ClientData[0], f.b.Params, f.b.LR, step.Epochs, step.Batch, 0, rng)
 		if err != nil {
@@ -153,10 +152,7 @@ func TestClientStep(t *testing.T) {
 		for _, filter := range []UploadFilter{never, cosine} {
 			f := newStepFixture(t)
 			f.b.Feedback, f.b.Signs = make([]float64, len(f.b.Params)), nil
-			r, err := f.step(filter, nil).Train(f.net, f.cfg.ClientData[0], xrand.New(33), &f.b)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := f.train(t, f.step(filter, nil), new(Scratch))
 			if !r.Upload || r.Metric != 1 {
 				t.Fatalf("%s bootstrap: upload=%v metric=%v, want true, 1", filter.Name(), r.Upload, r.Metric)
 			}
@@ -167,14 +163,8 @@ func TestClientStep(t *testing.T) {
 	})
 
 	t.Run("the step allocates nothing over the bare solver", func(t *testing.T) {
+		// Nor does the solver: a steady-state Train+Pack allocates nothing.
 		f := newStepFixture(t)
-		data := f.cfg.ClientData[0]
-		rng := xrand.New(33)
-		bare := testing.AllocsPerRun(20, func() {
-			if _, _, err := LocalTrainProx(f.net, data, f.b.Params, f.b.LR, f.cfg.Epochs, f.cfg.Batch, 0, rng); err != nil {
-				t.Fatal(err)
-			}
-		})
 		gate := core.NewFilter(core.Constant(0)) // sign path, always uploads
 		// quantize8 keeps no pooled scratch; top-k's sync.Pool drops items under
 		// the race detector, which would count as the step's allocations.
@@ -182,26 +172,41 @@ func TestClientStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, c := range map[string]UpdateCodec{"raw": nil, "codec": dense} {
-			step := f.step(gate, c)
-			var sc Scratch
-			var kept Reply
-			run := func() {
-				r, err := step.Train(f.net, data, rng, &f.b)
-				if err == nil {
-					_, err = step.Pack(&sc, &r)
+		lstm := nn.LSTMConfig{Vocab: 40, Embed: 8, Hidden: 12, Layers: 2}
+		for _, m := range []struct {
+			name string
+			net  *nn.Network
+			data *dataset.Set
+		}{
+			{"flatten-dense", f.net, f.cfg.ClientData[0]},
+			{"logistic", nn.NewLogistic(20, 5, xrand.New(41)), randomSet(24, []int{20}, 5, xrand.New(42))},
+			{"cnn", nn.NewCNN(nn.DefaultCNNConfig(), xrand.New(43)), randomSet(12, []int{1, 14, 14}, 10, xrand.New(44))},
+			{"lstm", nn.NewNextWordLSTM(lstm, xrand.New(45)), tokenSet(16, 5, lstm.Vocab, xrand.New(46))},
+		} {
+			params := m.net.ParamVector()
+			feedback := xrand.New(31).NormVec(len(params), 0, 1)
+			b := Broadcast{Round: 2, LR: 0.05, Params: params, Feedback: feedback, Signs: core.SignsInto(nil, feedback)}
+			rng := xrand.New(33)
+			for name, c := range map[string]UpdateCodec{"raw": nil, "codec": dense} {
+				step := &ClientStep{Epochs: 2, Batch: 4, Filter: gate, Compressor: c}
+				var sc Scratch
+				var r Reply
+				run := func() {
+					err := step.Train(&sc, m.net, m.data, rng, &b, &r)
+					if err == nil {
+						_, err = step.Pack(&sc, &r)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err != nil {
-					t.Fatal(err)
+				run() // warm-up: the buffers grow once
+				if got := testing.AllocsPerRun(20, run); got != 0 {
+					t.Errorf("%s %s: %v allocs per Train+Pack, want 0", m.name, name, got)
 				}
-				kept = r
-			}
-			run() // warm-up: the codec buffers grow once
-			if got := testing.AllocsPerRun(20, run); got != bare {
-				t.Errorf("%s step: %v allocs per call, bare LocalTrainProx %v", name, got, bare)
-			}
-			if !kept.Upload {
-				t.Fatalf("%s step: expected an upload", name)
+				if !r.Upload {
+					t.Fatalf("%s %s: expected an upload", m.name, name)
+				}
 			}
 		}
 	})
@@ -269,8 +274,8 @@ func TestSplitRespectsBusyCores(t *testing.T) {
 	b := &Broadcast{Round: 1, LR: 0.05, Params: params, Feedback: make([]float64, len(params))}
 	round := func(i int) Reply {
 		shard := randomSet(6, []int{1, 28, 28}, 10, xrand.New(int64(10+i)))
-		r, err := step.Train(nn.NewCNN(cfg, xrand.New(1)), shard, xrand.New(int64(20+i)), b)
-		if err != nil {
+		var r Reply
+		if err := step.Train(new(Scratch), nn.NewCNN(cfg, xrand.New(1)), shard, xrand.New(int64(20+i)), b, &r); err != nil {
 			t.Error(err)
 		}
 		return r

@@ -113,8 +113,8 @@ func Run(cfg Config) (*Result, error) {
 		b := agg.Begin(t, cfg.LR.At(t))
 		participants := sampleClients(len(clients), cfg.ClientFraction, sampler)
 		if i, err := trainAll(participants, cfg.Parallelism, func(i int) error {
-			c := clients[i]
-			r, err := step.Train(c.net, c.data, c.rng, &b)
+			c, r := clients[i], &replies[i]
+			err := step.Train(&c.scratch, c.net, c.data, c.rng, &b, r)
 			if err != nil {
 				return err
 			}
@@ -123,8 +123,7 @@ func Run(cfg Config) (*Result, error) {
 			if significance[i], err = gaia.Significance(r.Delta, b.Params); err != nil {
 				return err
 			}
-			_, err = step.Pack(&c.scratch, &r)
-			replies[i] = r
+			_, err = step.Pack(&c.scratch, r)
 			return err
 		}); err != nil {
 			return nil, fmt.Errorf("fl: round %d client %d: %w", t, i, err)
@@ -201,27 +200,32 @@ func LocalTrain(net *nn.Network, data *dataset.Set, global []float64, lr float64
 
 // LocalTrainProx is LocalTrain with FedProx's proximal term: every SGD step
 // additionally applies the gradient of μ/2·‖w − w_global‖², pulling the
-// local solution toward the broadcast model. mu = 0 recovers LocalTrain.
-// It is the single local-optimisation code path of the repository; every
-// synchronous engine reaches it through ClientStep.Train.
+// local solution toward the broadcast model. mu = 0 recovers LocalTrain. It
+// runs the one local solver on a workspace of its own and returns a fresh
+// delta; the engines reach the solver through ClientStep.Train, which reuses
+// theirs.
 func LocalTrainProx(net *nn.Network, data *dataset.Set, global []float64, lr float64, epochs, batch int, mu float64, rng *xrand.Stream) (delta []float64, loss float64, err error) {
+	var sc Scratch
+	return solve(&sc, net, data, global, lr, epochs, batch, mu, rng, nil)
+}
+
+// solve is the single local-optimisation code path of the repository. It
+// loads global into net, runs the epochs on sc's sample order and minibatch,
+// and writes local − global into delta's backing array when its capacity
+// suffices. The seeded permutation per epoch is the SGD schedule.
+func solve(sc *Scratch, net *nn.Network, data *dataset.Set, global []float64, lr float64, epochs, batch int, mu float64, rng *xrand.Stream, delta []float64) ([]float64, float64, error) {
 	if err := net.SetParamVector(global); err != nil {
 		return nil, 0, err
 	}
 	var lossSum float64
 	batches := 0
 	n := data.Len()
-	var mb dataset.Minibatch // reused across minibatches: zero steady-state allocs
 	for e := 0; e < epochs; e++ {
-		order := rng.Perm(n)
+		sc.perm = rng.PermInto(sc.perm, n)
 		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			data.GatherInto(&mb, order[lo:hi])
+			data.GatherInto(&sc.mb, sc.perm[lo:min(lo+batch, n)])
 			//cmfl:order-pinned SGD minibatches fold in schedule order; the seeded permutation is the algorithm
-			lossSum += nn.TrainBatch(net, mb.X, mb.Y, lr)
+			lossSum += nn.TrainBatch(net, sc.mb.X, sc.mb.Y, lr)
 			if mu > 0 {
 				// Proximal pull toward the broadcast model, applied in place.
 				if err := net.DecayToward(global, lr*mu); err != nil {
@@ -231,7 +235,7 @@ func LocalTrainProx(net *nn.Network, data *dataset.Set, global []float64, lr flo
 			batches++
 		}
 	}
-	delta = net.ParamVector() // a fresh copy, turned into local − global in place
+	delta = net.ParamsInto(delta) // turned into local − global in place
 	tensor.Axpy(-1, global, delta)
 	return delta, lossSum / math.Max(1, float64(batches)), nil
 }

@@ -157,13 +157,11 @@ func RunPartial(cfg PartialConfig) (*PartialResult, error) {
 			}
 		}
 		if i, err := trainAll(active, cfg.Parallelism, func(i int) error {
-			c := clients[i]
-			r, err := step.Train(c.net, c.data, c.rng, &b)
-			if err != nil {
+			c, r := clients[i], &replies[i]
+			if err := step.Train(&c.scratch, c.net, c.data, c.rng, &b, r); err != nil {
 				return err
 			}
 			r.Relevance = math.NaN()
-			replies[i] = r
 			return gateSegments(segUpload[i], r.Delta, &b, segOff, thr, cfg.MinSegment)
 		}); err != nil {
 			return nil, fmt.Errorf("fl: partial round %d client %d: %w", t, i, err)

@@ -41,7 +41,7 @@ func BenchmarkConvBackward(b *testing.B) {
 	for _, c := range convBenchCases {
 		b.Run(c.name, func(b *testing.B) {
 			rng := xrand.New(2)
-			layer := NewConv2D(c.inC, c.outC, c.k, rng)
+			layer := inNetwork(NewConv2D(c.inC, c.outC, c.k, rng))
 			x := tensor.FromSlice(rng.NormVec(c.batch*c.inC*c.h*c.w, 0, 1), c.batch, c.inC, c.h, c.w)
 			out := layer.Forward(x)
 			grad := tensor.FromSlice(rng.NormVec(out.Len(), 0, 1), out.Shape...)
@@ -63,7 +63,7 @@ func BenchmarkConvStep(b *testing.B) {
 	for _, batch := range []int{2, 64} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			rng := xrand.New(6)
-			layer := NewConv2D(1, 8, 5, rng)
+			layer := inNetwork(NewConv2D(1, 8, 5, rng))
 			x := tensor.FromSlice(rng.NormVec(batch*28*28, 0, 1), batch, 1, 28, 28)
 			out := layer.Forward(x)
 			grad := tensor.FromSlice(rng.NormVec(out.Len(), 0, 1), out.Shape...)
@@ -110,7 +110,7 @@ func BenchmarkDenseStep(b *testing.B) {
 	}{{"cnn-head", 2, 512, 128, false}, {"first-layer", 8, 1000, 100, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := xrand.New(3)
-			layer := NewDense(c.in, c.out, rng)
+			layer := inNetwork(NewDense(c.in, c.out, rng))
 			layer.setSkipInputGrad(c.first)
 			x := tensor.FromSlice(rng.NormVec(c.batch*c.in, 0, 1), c.batch, c.in)
 			grad := tensor.FromSlice(rng.NormVec(c.batch*c.out, 0, 1), c.batch, c.out)

@@ -30,10 +30,6 @@ type Conv2D struct {
 	// the stack and its input gradient would be discarded.
 	skipInputGrad bool
 
-	// params/grads cache the Params()/Grads() slices so per-step
-	// optimizer sweeps do not allocate.
-	params, grads []*tensor.Tensor
-
 	InC, OutC, K int
 
 	w, b   *tensor.Tensor // w: [outC, inC, K, K], b: [outC]
@@ -78,15 +74,8 @@ func NewConv2D(inC, outC, k int, rng *xrand.Stream) *Conv2D {
 	fanIn := inC * k * k
 	fanOut := outC * k * k
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	return &Conv2D{
-		InC:  inC,
-		OutC: outC,
-		K:    k,
-		w:    tensor.FromSlice(rng.UniformVec(outC*inC*k*k, -limit, limit), outC, inC, k, k),
-		b:    tensor.New(outC),
-		gw:   tensor.New(outC, inC, k, k),
-		gb:   tensor.New(outC),
-	}
+	w, b := tensor.FromSlice(rng.UniformVec(outC*inC*k*k, -limit, limit), outC, inC, k, k), tensor.New(outC)
+	return &Conv2D{InC: inC, OutC: outC, K: k, w: w, b: b, gw: gradOf(w), gb: gradOf(b)}
 }
 
 // im2col unrolls sample n of x into cols: row (ic·K+ky)·K+kx holds the
@@ -216,20 +205,10 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 func (c *Conv2D) setSkipInputGrad(skip bool) { c.skipInputGrad = skip }
 
 // Params implements Layer.
-func (c *Conv2D) Params() []*tensor.Tensor {
-	if c.params == nil {
-		c.params = []*tensor.Tensor{c.w, c.b}
-	}
-	return c.params
-}
+func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.w, c.b} }
 
 // Grads implements Layer.
-func (c *Conv2D) Grads() []*tensor.Tensor {
-	if c.grads == nil {
-		c.grads = []*tensor.Tensor{c.gw, c.gb}
-	}
-	return c.grads
-}
+func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.gw, c.gb} }
 
 // MaxPool2 is a 2×2 max pooling layer with stride 2.
 //

@@ -103,7 +103,7 @@ func TestConvIm2colEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := xrand.New(77)
-			layer := NewConv2D(tc.inC, tc.outC, tc.k, rng)
+			layer := inNetwork(NewConv2D(tc.inC, tc.outC, tc.k, rng))
 			w, b := layer.Params()[0], layer.Params()[1]
 			for i := range b.Data { // nonzero biases to cover the bias path
 				b.Data[i] = rng.Norm()
@@ -168,8 +168,8 @@ func convPanelWorkspace(t *testing.T) {
 		t.Fatalf("test shape no longer sits on the budget %d", convPanelBudget)
 	}
 	rng := xrand.New(5)
-	over := NewConv2D(inC, outC, k, rng)
-	kept := NewConv2D(inC, outC, k, xrand.New(6))
+	over := inNetwork(NewConv2D(inC, outC, k, rng))
+	kept := inNetwork(NewConv2D(inC, outC, k, xrand.New(6)))
 	copy(kept.w.Data, over.w.Data)
 	for i := range over.b.Data {
 		over.b.Data[i] = rng.Norm()
@@ -212,8 +212,8 @@ func convPanelWorkspace(t *testing.T) {
 // Forward, so Forward(a), Forward(b), Backward yields b's gradients.
 func convBackwardFollowsLastForward(t *testing.T) {
 	rng := xrand.New(9)
-	layer := NewConv2D(2, 3, 3, rng)
-	ref := NewConv2D(2, 3, 3, xrand.New(10))
+	layer := inNetwork(NewConv2D(2, 3, 3, rng))
+	ref := inNetwork(NewConv2D(2, 3, 3, xrand.New(10)))
 	copy(ref.w.Data, layer.w.Data)
 	a := tensor.FromSlice(rng.NormVec(2*2*7*7, 0, 1), 2, 2, 7, 7)
 	b := tensor.FromSlice(rng.NormVec(2*2*7*7, 0, 1), 2, 2, 7, 7)
@@ -236,7 +236,7 @@ func convWorkspaceReuse(t *testing.T) {
 	defer tensor.SetMatMulParallelism(tensor.MatMulParallelism())
 	tensor.SetMatMulParallelism(1) // a split product allocates its closure
 	rng := xrand.New(11)
-	layer := NewConv2D(1, 8, 5, rng)
+	layer := inNetwork(NewConv2D(1, 8, 5, rng))
 	big := tensor.FromSlice(rng.NormVec(64*28*28, 0, 1), 64, 1, 28, 28)
 	small := tensor.FromSlice(rng.NormVec(2*28*28, 0, 1), 2, 1, 28, 28)
 	bigGrad := tensor.FromSlice(rng.NormVec(64*8*24*24, 0, 1), 64, 8, 24, 24)

@@ -16,10 +16,6 @@ type Dense struct {
 	// the stack and its input gradient would be discarded.
 	skipInputGrad bool
 
-	// params/grads cache the Params()/Grads() slices so per-step
-	// optimizer sweeps do not allocate.
-	params, grads []*tensor.Tensor
-
 	In, Out int
 
 	w, b   *tensor.Tensor // w: [in, out], b: [out]
@@ -34,14 +30,8 @@ type Dense struct {
 // drawn from rng, and zero biases.
 func NewDense(in, out int, rng *xrand.Stream) *Dense {
 	limit := math.Sqrt(6.0 / float64(in+out))
-	return &Dense{
-		In:  in,
-		Out: out,
-		w:   tensor.FromSlice(rng.UniformVec(in*out, -limit, limit), in, out),
-		b:   tensor.New(out),
-		gw:  tensor.New(in, out),
-		gb:  tensor.New(out),
-	}
+	w, b := tensor.FromSlice(rng.UniformVec(in*out, -limit, limit), in, out), tensor.New(out)
+	return &Dense{In: in, Out: out, w: w, b: b, gw: gradOf(w), gb: gradOf(b)}
 }
 
 // Forward implements Layer.
@@ -83,17 +73,7 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 func (d *Dense) setSkipInputGrad(skip bool) { d.skipInputGrad = skip }
 
 // Params implements Layer.
-func (d *Dense) Params() []*tensor.Tensor {
-	if d.params == nil {
-		d.params = []*tensor.Tensor{d.w, d.b}
-	}
-	return d.params
-}
+func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.w, d.b} }
 
 // Grads implements Layer.
-func (d *Dense) Grads() []*tensor.Tensor {
-	if d.grads == nil {
-		d.grads = []*tensor.Tensor{d.gw, d.gb}
-	}
-	return d.grads
-}
+func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.gw, d.gb} }

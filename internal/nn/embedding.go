@@ -14,10 +14,6 @@ import (
 // Output shape [batch, time, dim]. Ids are not differentiable, so Backward
 // returns a zero tensor of the input shape.
 type Embedding struct {
-	// params/grads cache the Params()/Grads() slices so per-step
-	// optimizer sweeps do not allocate.
-	params, grads []*tensor.Tensor
-
 	Vocab, Dim int
 
 	w  *tensor.Tensor // [vocab, dim]
@@ -31,12 +27,8 @@ type Embedding struct {
 
 // NewEmbedding creates an embedding table initialised from N(0, 1/sqrt(dim)).
 func NewEmbedding(vocab, dim int, rng *xrand.Stream) *Embedding {
-	return &Embedding{
-		Vocab: vocab,
-		Dim:   dim,
-		w:     tensor.FromSlice(rng.NormVec(vocab*dim, 0, 1/math.Sqrt(float64(dim))), vocab, dim),
-		gw:    tensor.New(vocab, dim),
-	}
+	w := tensor.FromSlice(rng.NormVec(vocab*dim, 0, 1/math.Sqrt(float64(dim))), vocab, dim)
+	return &Embedding{Vocab: vocab, Dim: dim, w: w, gw: gradOf(w)}
 }
 
 // Forward implements Layer.
@@ -77,17 +69,7 @@ func (e *Embedding) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (e *Embedding) Params() []*tensor.Tensor {
-	if e.params == nil {
-		e.params = []*tensor.Tensor{e.w}
-	}
-	return e.params
-}
+func (e *Embedding) Params() []*tensor.Tensor { return []*tensor.Tensor{e.w} }
 
 // Grads implements Layer.
-func (e *Embedding) Grads() []*tensor.Tensor {
-	if e.grads == nil {
-		e.grads = []*tensor.Tensor{e.gw}
-	}
-	return e.grads
-}
+func (e *Embedding) Grads() []*tensor.Tensor { return []*tensor.Tensor{e.gw} }

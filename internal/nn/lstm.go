@@ -21,10 +21,6 @@ import (
 // All per-timestep caches and BPTT scratch live in persistent per-layer
 // buffers (see scratch.go), so steady-state training allocates nothing here.
 type LSTM struct {
-	// params/grads cache the Params()/Grads() slices so per-step
-	// optimizer sweeps do not allocate.
-	params, grads []*tensor.Tensor
-
 	In, Hidden      int
 	ReturnSequences bool
 
@@ -48,21 +44,16 @@ type LSTM struct {
 // orthogonal-ish (normalised Gaussian) recurrent weights.
 func NewLSTM(in, hidden int, returnSequences bool, rng *xrand.Stream) *LSTM {
 	limit := math.Sqrt(6.0 / float64(in+4*hidden))
-	l := &LSTM{
-		In:              in,
-		Hidden:          hidden,
-		ReturnSequences: returnSequences,
-		wx:              tensor.FromSlice(rng.UniformVec(in*4*hidden, -limit, limit), in, 4*hidden),
-		wh:              tensor.FromSlice(rng.NormVec(hidden*4*hidden, 0, 1/math.Sqrt(float64(hidden))), hidden, 4*hidden),
-		b:               tensor.New(4 * hidden),
-		gwx:             tensor.New(in, 4*hidden),
-		gwh:             tensor.New(hidden, 4*hidden),
-		gb:              tensor.New(4 * hidden),
-	}
+	wx := tensor.FromSlice(rng.UniformVec(in*4*hidden, -limit, limit), in, 4*hidden)
+	wh := tensor.FromSlice(rng.NormVec(hidden*4*hidden, 0, 1/math.Sqrt(float64(hidden))), hidden, 4*hidden)
+	b := tensor.New(4 * hidden)
 	for j := hidden; j < 2*hidden; j++ { // forget-gate bias
-		l.b.Data[j] = 1
+		b.Data[j] = 1
 	}
-	return l
+	return &LSTM{
+		In: in, Hidden: hidden, ReturnSequences: returnSequences,
+		wx: wx, wh: wh, b: b, gwx: gradOf(wx), gwh: gradOf(wh), gb: gradOf(b),
+	}
 }
 
 // Forward implements Layer.
@@ -191,20 +182,10 @@ func (l *LSTM) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (l *LSTM) Params() []*tensor.Tensor {
-	if l.params == nil {
-		l.params = []*tensor.Tensor{l.wx, l.wh, l.b}
-	}
-	return l.params
-}
+func (l *LSTM) Params() []*tensor.Tensor { return []*tensor.Tensor{l.wx, l.wh, l.b} }
 
 // Grads implements Layer.
-func (l *LSTM) Grads() []*tensor.Tensor {
-	if l.grads == nil {
-		l.grads = []*tensor.Tensor{l.gwx, l.gwh, l.gb}
-	}
-	return l.grads
-}
+func (l *LSTM) Grads() []*tensor.Tensor { return []*tensor.Tensor{l.gwx, l.gwh, l.gb} }
 
 // timeSliceInto copies x[:, t, :] into the reusable buffer *buf as a
 // [batch, dim] tensor.

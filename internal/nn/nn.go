@@ -4,9 +4,11 @@
 // It provides the layers needed to reproduce the CMFL paper's workloads: a
 // convolutional digit classifier (MNIST-style CNN), a word-level LSTM
 // language model, and linear/logistic models for the multi-task experiments.
-// Every layer implements Layer; a Network chains layers and exposes its
-// parameters as one flat []float64 vector, which is the unit of exchange in
-// the federated-learning packages (updates are deltas of this vector).
+// Every layer implements Layer; a Network chains layers and stores all their
+// parameters in one flat []float64 and their gradients in a second, each
+// layer tensor a view of its segment. That vector is the unit of exchange in
+// the federated-learning packages (updates are deltas of it), and training
+// is plain SGD over it.
 //
 // Gradients are verified against numerical differentiation in the test
 // suite, so the federated results downstream rest on checked calculus rather
@@ -15,6 +17,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"cmfl/internal/tensor"
 )
@@ -31,22 +34,78 @@ type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward propagates gradOut (dLoss/dOutput) and returns dLoss/dInput.
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
-	// Params returns the layer's parameter tensors (possibly empty).
+	// Params returns the layer's parameter tensors (possibly empty). Every
+	// call returns the same tensors, and the layer reads their Data afresh
+	// on each pass: NewNetwork repoints it into the network's flat vector.
 	Params() []*tensor.Tensor
-	// Grads returns gradient tensors aligned with Params.
+	// Grads returns gradient tensors aligned with Params, on the same terms.
+	// They have storage once the layer's Network first trains.
 	Grads() []*tensor.Tensor
 }
 
-// Network is an ordered sequence of layers trained end to end.
+// gradOf returns the gradient tensor of parameter p: p's shape and no
+// storage, which the network supplies from its gradient vector.
+func gradOf(p *tensor.Tensor) *tensor.Tensor { return &tensor.Tensor{Shape: p.Shape} }
+
+// Network is an ordered sequence of layers trained end to end. Its
+// parameters are one flat vector and its gradients another, aligned with it:
+// every layer's parameter and gradient tensors are views of their segment of
+// the two, so loading, reading and stepping the model are single sweeps over
+// one []float64. Each view's capacity ends with its segment, so no append
+// can reach into the next one.
 type Network struct {
 	layers []Layer
+
+	params []float64
+	grads  []float64 // nil until the first pass that needs it (gradVector)
 
 	lossGrad *tensor.Tensor // TrainBatch scratch (see scratch.go)
 }
 
-// NewNetwork builds a network from the given layers.
+// NewNetwork builds a network from the given layers. It allocates the flat
+// parameter vector, copies each layer's initial parameters in at its
+// ParamSegments offset, and points the layer's parameter tensors at their
+// segments.
 func NewNetwork(layers ...Layer) *Network {
-	return &Network{layers: layers}
+	n := &Network{layers: layers}
+	dim := 0
+	for _, l := range layers {
+		for _, p := range l.Params() {
+			dim += p.Len()
+		}
+	}
+	n.params = make([]float64, dim)
+	off := 0
+	for _, l := range layers {
+		for _, p := range l.Params() {
+			end := off + p.Len()
+			copy(n.params[off:end], p.Data)
+			p.Data = n.params[off:end:end]
+			off = end
+		}
+	}
+	return n
+}
+
+// gradVector returns the gradient vector. The first call allocates it and
+// points every gradient tensor at its segment, so a network that only
+// evaluates (a server's global model) never holds one.
+//
+//cmfl:hotpath
+func (n *Network) gradVector() []float64 {
+	if n.grads == nil {
+		n.grads = slices.Grow(n.grads, len(n.params))[:len(n.params)] // once per network
+		off := 0
+		for _, l := range n.layers {
+			ps := l.Params()
+			for i, g := range l.Grads() {
+				end := off + ps[i].Len()
+				g.Data = n.grads[off:end:end]
+				off = end
+			}
+		}
+	}
+	return n.grads
 }
 
 // Layers returns the underlying layer slice (shared, not copied).
@@ -75,6 +134,7 @@ type inputGradSkipper interface {
 //
 //cmfl:hotpath
 func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	n.gradVector()
 	if len(n.layers) > 0 {
 		if s, ok := n.layers[0].(inputGradSkipper); ok {
 			s.setSkipInputGrad(true)
@@ -87,15 +147,7 @@ func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			total += p.Len()
-		}
-	}
-	return total
-}
+func (n *Network) NumParams() int { return len(n.params) }
 
 // ParamSegments returns the length of each parameter tensor in ParamVector
 // order, so callers can address per-tensor segments of the flat vector
@@ -110,85 +162,51 @@ func (n *Network) ParamSegments() []int {
 	return segs
 }
 
-// ParamVector copies all parameters into one flat vector.
-func (n *Network) ParamVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			out = append(out, p.Data...)
-		}
-	}
-	return out
+// ParamVector returns a copy of the parameter vector.
+func (n *Network) ParamVector() []float64 { return append([]float64(nil), n.params...) }
+
+// ParamsInto copies the parameter vector into dst, reusing its backing array
+// when the capacity suffices, and returns the filled slice.
+func (n *Network) ParamsInto(dst []float64) []float64 {
+	return append(dst[:0], n.params...)
 }
 
 // SetParamVector overwrites all parameters from a flat vector produced by
 // ParamVector. It returns an error if the length does not match.
 func (n *Network) SetParamVector(v []float64) error {
-	if len(v) != n.NumParams() {
-		return fmt.Errorf("nn: parameter vector has %d elements, network has %d", len(v), n.NumParams())
+	if len(v) != len(n.params) {
+		return fmt.Errorf("nn: parameter vector has %d elements, network has %d", len(v), len(n.params))
 	}
-	off := 0
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			copy(p.Data, v[off:off+p.Len()])
-			off += p.Len()
-		}
-	}
+	copy(n.params, v)
 	return nil
 }
 
-// GradVector copies all accumulated gradients into one flat vector aligned
-// with ParamVector.
-func (n *Network) GradVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, l := range n.layers {
-		for _, g := range l.Grads() {
-			out = append(out, g.Data...)
-		}
-	}
-	return out
-}
+// GradVector returns a copy of the accumulated gradients, aligned with
+// ParamVector.
+func (n *Network) GradVector() []float64 { return append([]float64(nil), n.gradVector()...) }
 
 // ZeroGrads resets all accumulated gradients.
 //
 //cmfl:hotpath
-func (n *Network) ZeroGrads() {
-	for _, l := range n.layers {
-		for _, g := range l.Grads() {
-			g.Zero()
-		}
-	}
-}
+func (n *Network) ZeroGrads() { clear(n.gradVector()) }
 
-// SGDStep applies one vanilla SGD update: p -= lr * grad.
+// SGDStep applies one vanilla SGD update: p -= lr * grad. Axpy rounds each
+// coordinate alone (one fused multiply-add in the vector body and the masked
+// tail alike, one multiply and add in the portable loop), so the flat sweep
+// gives the bits a per-tensor sweep would.
 //
 //cmfl:hotpath
-func (n *Network) SGDStep(lr float64) {
-	for _, l := range n.layers {
-		params, grads := l.Params(), l.Grads()
-		for i, p := range params {
-			p.AxpyInPlace(-lr, grads[i])
-		}
-	}
-}
+func (n *Network) SGDStep(lr float64) { tensor.Axpy(-lr, n.gradVector(), n.params) }
 
 // DecayToward pulls every parameter toward the flat target vector:
 // p -= factor * (p - target). This is the FedProx proximal correction
-// applied in place, equivalent to (but allocation-free compared with)
-// round-tripping through ParamVector/SetParamVector.
+// applied in place.
 func (n *Network) DecayToward(target []float64, factor float64) error {
-	if len(target) != n.NumParams() {
-		return fmt.Errorf("nn: target vector has %d elements, network has %d", len(target), n.NumParams())
+	if len(target) != len(n.params) {
+		return fmt.Errorf("nn: target vector has %d elements, network has %d", len(target), len(n.params))
 	}
-	off := 0
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			seg := target[off : off+p.Len()]
-			for i := range p.Data {
-				p.Data[i] -= factor * (p.Data[i] - seg[i])
-			}
-			off += p.Len()
-		}
+	for i, g := range target {
+		n.params[i] -= factor * (n.params[i] - g)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -264,6 +267,96 @@ func TestMLPLearnsXORish(t *testing.T) {
 	}
 	if acc := Accuracy(net, x, labels); acc < 1 {
 		t.Fatalf("MLP failed to fit XOR: accuracy %v", acc)
+	}
+}
+
+// inNetwork returns l after giving its gradients their storage in a network
+// of it, for tests that drive one layer by hand.
+func inNetwork[L Layer](l L) L {
+	NewNetwork(l).ZeroGrads()
+	return l
+}
+
+// vectorSHA is the SHA-256 of v's float64 bit patterns, little-endian.
+func vectorSHA(v []float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestNetworkIsOneVector: every model keeps its parameters in one slice and
+// its gradients in another. Each layer tensor is a view of its own segment
+// with the capacity clipped to it, so the parameter methods are single sweeps
+// over the two slices. The pinned hashes are the initial values the models
+// were constructed with before the flat layout, so construction keeps them.
+func TestNetworkIsOneVector(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		net  *Network
+		sha  string
+	}{
+		{"cnn", NewCNN(DefaultCNNConfig(), xrand.New(1)),
+			"c6050d68be3236b2227474dad9e06f5729432b6a2e46dd9e9ff6cb67fa2098d6"},
+		{"mlp", NewMLP(xrand.New(2), 20, 16, 4),
+			"d0f817ae03c03e7649b2a6fa826091247fc6581740b0a08360ba921d3be95747"},
+		{"logistic", NewLogistic(12, 3, xrand.New(3)),
+			"e07ba82d1a737f01d13a84ea99882266273580312b0522f8ea446c7e86203b8d"},
+		{"lstm", NewNextWordLSTM(DefaultLSTMConfig(30), xrand.New(4)),
+			"37ed9bfecf9d5c39747e8a9e8b85ecab5e0a67f78f62d327b3802f42f9c5925b"},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			net := m.net
+			if got := vectorSHA(net.ParamVector()); got != m.sha {
+				t.Errorf("initial ParamVector SHA-256 %s, want %s", got, m.sha)
+			}
+			if net.grads != nil {
+				t.Fatal("a network that has not trained holds a gradient vector")
+			}
+			net.ZeroGrads()
+			dim := net.NumParams()
+			want := make([]float64, dim)
+			for i := range want {
+				want[i] = float64(i) + 0.5
+			}
+			if err := net.SetParamVector(want); err != nil {
+				t.Fatal(err)
+			}
+			off := 0
+			for _, l := range net.Layers() {
+				ps, gs := l.Params(), l.Grads()
+				if len(ps) != len(gs) {
+					t.Fatalf("%T: %d params, %d grads", l, len(ps), len(gs))
+				}
+				for i, p := range ps {
+					n := len(p.Data)
+					if &p.Data[0] != &net.params[off] || &gs[i].Data[0] != &net.grads[off] {
+						t.Fatalf("%T tensor %d does not alias segment [%d, %d)", l, i, off, off+n)
+					}
+					if cap(p.Data) != n || cap(gs[i].Data) != n {
+						t.Fatalf("%T tensor %d: capacity %d/%d past its %d-long segment", l, i, cap(p.Data), cap(gs[i].Data), n)
+					}
+					for j, v := range p.Data {
+						if v != want[off+j] {
+							t.Fatalf("%T tensor %d[%d] = %v after SetParamVector, want %v", l, i, j, v, want[off+j])
+						}
+						gs[i].Data[j] = -want[off+j]
+					}
+					off += n
+				}
+			}
+			if off != dim {
+				t.Fatalf("segments cover %d of %d parameters", off, dim)
+			}
+			for i, g := range net.GradVector() {
+				if g != -want[i] {
+					t.Fatalf("GradVector[%d] = %v, want %v", i, g, -want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 
 // shardWorker owns what a worker goroutine reuses across rounds: one model
 // replica (reset per client via SetParamVector inside the solver) and the
-// codec scratch. Workers touch only per-client state — their own scratch,
-// the client's streams, the client's reply and delay slots — so the result
-// is independent of how clients are partitioned onto workers.
+// solver and codec scratch. Workers touch only per-client state — their own
+// scratch, the client's streams, the client's reply and delay slots — so the
+// result is independent of how clients are partitioned onto workers.
 type shardWorker struct {
 	net     *nn.Network
 	scratch fl.Scratch // Residual stays nil: error feedback is not simulated
@@ -90,7 +90,6 @@ func Run(cfg Config) (*Result, error) {
 		// ascending client order, before any worker touches the round.
 		for c := 0; c < n; c++ {
 			expected[c] = cfg.Availability >= 1 || timingRng[c].Float64() < cfg.Availability
-			replies[c] = fl.Reply{}
 		}
 
 		// Fan the per-client work out to the shard workers: the client step,
@@ -247,10 +246,11 @@ func (w *shardWorker) round(cfg *Config, step *fl.ClientStep, b *fl.Broadcast, l
 		if !expected[c] {
 			continue
 		}
-		r, err := step.Train(w.net, cfg.ClientData[c], trainRng[c], b)
+		r := &replies[c]
+		err := step.Train(&w.scratch, w.net, cfg.ClientData[c], trainRng[c], b, r)
 		if err == nil {
 			r.Relevance = b.Relevance(r.Delta)
-			_, err = step.Pack(&w.scratch, &r)
+			_, err = step.Pack(&w.scratch, r)
 		}
 		if err != nil {
 			return c, err
@@ -262,7 +262,7 @@ func (w *shardWorker) round(cfg *Config, step *fl.ClientStep, b *fl.Broadcast, l
 		if delay < 0 {
 			delay = 0
 		}
-		replies[c], delays[c] = r, delay
+		delays[c] = delay
 	}
 	return 0, nil
 }

@@ -114,7 +114,27 @@ func (s *Stream) UniformVec(n int, lo, hi float64) []float64 {
 }
 
 // Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
+func (s *Stream) Perm(n int) []int { return s.PermInto(nil, n) }
+
+// PermInto writes a random permutation of [0, n) into dst, reusing its
+// backing array when the capacity suffices, and returns it. It draws from
+// the stream exactly as math/rand's Perm does, so both yield the same
+// permutation and leave the stream in the same state.
+//
+//cmfl:hotpath
+func (s *Stream) PermInto(dst []int, n int) []int {
+	if cap(dst) < n {
+		//cmfl:lint-ignore hotpathalloc grows once to the largest n a caller asks for; steady state reuses dst
+		dst = make([]int, n)
+	}
+	m := dst[:n]
+	for i := range m {
+		j := s.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }

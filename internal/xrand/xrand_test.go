@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +251,51 @@ func TestDeriveCompactCrossCorrelation(t *testing.T) {
 		vb := sbb/n - (sb/n)*(sb/n)
 		if r := cov / math.Sqrt(va*vb); math.Abs(r) > 0.03 {
 			t.Errorf("%s: correlation = %v, want |r| < 0.03", p.name, r)
+		}
+	}
+}
+
+// TestPermIntoMatchesPerm: PermInto, into a fresh or a reused dirty buffer,
+// yields math/rand's Perm and leaves the stream where Perm leaves it, on both
+// sources. The permutation is the SGD schedule, so a single differing draw
+// would move every trained model.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	sizes := make([]int, 0, 72)
+	for n := 0; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 1000)
+	sources := map[string]func(seed int64) rand.Source{
+		"math/rand": rand.NewSource,
+		"splitmix64": func(seed int64) rand.Source {
+			return &splitmix64{state: uint64(seed)}
+		},
+	}
+	for name, src := range sources {
+		dirty := make([]int, 0, 1000)
+		for seed := int64(1); seed <= 5; seed++ {
+			for _, n := range sizes {
+				ref := rand.New(src(seed))
+				s := &Stream{rng: rand.New(src(seed))}
+				dirty = dirty[:cap(dirty)]
+				for k := range dirty {
+					dirty[k] = -1
+				}
+				wants := [][]int{ref.Perm(n), ref.Perm(n)}
+				for k, got := range [][]int{s.PermInto(dirty, n), s.Perm(n)} {
+					if len(got) != n {
+						t.Fatalf("%s seed %d n %d: length %d", name, seed, n, len(got))
+					}
+					for i, w := range wants[k] {
+						if got[i] != w {
+							t.Fatalf("%s seed %d n %d: [%d] = %d, want %d", name, seed, n, i, got[i], w)
+						}
+					}
+				}
+				if got, want := s.Int63(), ref.Int63(); got != want {
+					t.Fatalf("%s seed %d n %d: next draw %d, want %d", name, seed, n, got, want)
+				}
+			}
 		}
 	}
 }
