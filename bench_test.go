@@ -647,52 +647,3 @@ func BenchmarkAblationFedProx(b *testing.B) {
 		b.ReportMetric(proxRel, "fedprox-relevance")
 	}
 }
-
-// BenchmarkAblationPartialUpload compares the paper's all-or-nothing gate
-// with the layerwise partial gate: bytes to reach the first accuracy target
-// and the achieved accuracy.
-func BenchmarkAblationPartialUpload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mn := experiments.QuickMNIST()
-		fed, err := mn.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		target := mn.AccuracyTargets[0]
-
-		full, err := fl.Run(flConfigFor(mn, fed, core.NewFilter(core.Constant(mn.CMFLThreshold))))
-		if err != nil {
-			b.Fatal(err)
-		}
-		fullBytes := math.NaN()
-		for _, h := range full.History {
-			if !math.IsNaN(h.Accuracy) && h.Accuracy >= target {
-				fullBytes = float64(h.CumUplinkBytes)
-				break
-			}
-		}
-
-		// The per-segment gate needs a lower operating point than the full
-		// gate (segment relevances are noisier and mixing segments from
-		// different clients strains cross-layer consistency); 0.42 is the
-		// tuned value for this workload.
-		partial, err := fl.RunPartial(fl.PartialConfig{
-			Config:    flConfigFor(mn, fed, nil),
-			Threshold: core.Constant(0.42),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		partialBytes := math.NaN()
-		for _, h := range partial.History {
-			if !math.IsNaN(h.Accuracy) && h.Accuracy >= target {
-				partialBytes = float64(h.CumUplinkBytes)
-				break
-			}
-		}
-		b.ReportMetric(full.FinalAccuracy(), "full-gate-accuracy")
-		b.ReportMetric(partial.FinalAccuracy(), "partial-gate-accuracy")
-		b.ReportMetric(fullBytes/partialBytes, "partial-byte-advantage")
-		b.ReportMetric(partial.SegmentUploadFraction, "segment-upload-frac")
-	}
-}

@@ -209,21 +209,7 @@ func NewCodecChain(sel compress.Selector, values compress.Codec) CodecChain {
 // flags.
 func ParseCodec(name string) (UpdateCodec, error) { return compress.ParseName(name) }
 
-// PartialConfig configures the layerwise partial-upload extension: the
-// relevance gate runs per parameter tensor and clients upload only their
-// aligned segments.
-type PartialConfig = fl.PartialConfig
-
-// PartialResult is the outcome of RunPartialFederated.
-type PartialResult = fl.PartialResult
-
-// PartialRoundStats records one layerwise-gated round; its communication
-// core is the embedded RoundEvent.
-type PartialRoundStats = fl.PartialRoundStats
-
-// RunPartialFederated executes synchronous training with layerwise
-// relevance gating.
-func RunPartialFederated(cfg PartialConfig) (*PartialResult, error) { return fl.RunPartial(cfg) }
+//cmfl:api-change PartialConfig, PartialResult, PartialRoundStats and RunPartialFederated are removed with the layerwise partial-upload engine, whose only recorded result was negative; RunFederated covers full-update gating, and the simulator's Availability is the former DropoutRate.
 
 // AsyncConfig configures the asynchronous (FedAsync-style) extension with
 // simulated stragglers and staleness-damped aggregation.
@@ -276,8 +262,6 @@ func NewNextWordLSTM(cfg LSTMConfig, rng *Stream) *Network { return nn.NewNextWo
 
 // NewMLP builds a ReLU multilayer perceptron over the given widths.
 func NewMLP(rng *Stream, widths ...int) *Network { return nn.NewMLP(rng, widths...) }
-
-//cmfl:api-change Optimizer, NewSGDOptimizer and NewAdamOptimizer are removed with the unused nn optimizers; every engine trains with plain SGD through LocalTrain, and no caller migrates.
 
 // NewLogistic builds a linear softmax classifier.
 func NewLogistic(in, classes int, rng *Stream) *Network { return nn.NewLogistic(in, classes, rng) }

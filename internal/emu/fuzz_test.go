@@ -109,38 +109,6 @@ func FuzzProtocol(f *testing.F) {
 	})
 }
 
-// FuzzQuorum drives the round-reply state machine with arbitrary operation
-// sequences — begin-round with fuzz-chosen expected masks, classify with
-// in- and out-of-range client ids and rounds before, at, and past the
-// current one — and checks the bookkeeping invariants after every step
-// (the same ones TestQuorumInvariants spells out deterministically).
-// Run with `go test -fuzz '^FuzzQuorum$'`.
-func FuzzQuorum(f *testing.F) {
-	f.Add(uint8(3), []byte{0, 0x07, 1, 0x00, 5, 0x01, 9, 0x02})
-	f.Add(uint8(1), []byte{0, 0xFF, 4, 0x10, 0, 0x01, 8, 0x00})
-	f.Fuzz(func(t *testing.T, nClients uint8, ops []byte) {
-		clients := int(nClients%8) + 1
-		q := NewQuorum(clients)
-		round := 0
-		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i], ops[i+1]
-			if op%4 == 0 {
-				round++
-				expected := make([]bool, clients)
-				for j := range expected {
-					expected[j] = arg&(1<<(j%8)) != 0
-				}
-				q.BeginRound(round, expected)
-			} else {
-				// Client ids straddle [0, clients); rounds straddle the
-				// current one in both directions.
-				q.Classify(int(arg%16)-4, round+int(op%5)-2)
-			}
-			checkQuorumInvariants(t, q)
-		}
-	})
-}
-
 // TestUpdateDecodeRejectsLyingDim guards against a malicious client
 // declaring a huge dim with a short payload.
 func TestUpdateDecodeRejectsLyingDim(t *testing.T) {

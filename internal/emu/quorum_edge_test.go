@@ -6,143 +6,6 @@ import (
 	"time"
 )
 
-// TestQuorumDeadlineEdges drives the state machine through the reply
-// patterns a deadline can cut off, table-driven, and checks the quantities
-// tree.go judges the global quorum with: accepted vs the minimum at the
-// instant the deadline would fire.
-func TestQuorumDeadlineEdges(t *testing.T) {
-	cases := []struct {
-		name      string
-		clients   int
-		expected  []int // clients the broadcast reached
-		replies   []int // clients that reply in time, in order
-		minQuorum int
-		wantOK    bool // quorum met when the deadline fires
-		wantAcc   int
-		wantStrag int
-	}{
-		{
-			name:    "exactly met at deadline",
-			clients: 4, expected: []int{0, 1, 2, 3}, replies: []int{0, 2},
-			minQuorum: 2, wantOK: true, wantAcc: 2, wantStrag: 2,
-		},
-		{
-			name:    "one short at deadline",
-			clients: 4, expected: []int{0, 1, 2, 3}, replies: []int{3},
-			minQuorum: 2, wantOK: false, wantAcc: 1, wantStrag: 3,
-		},
-		{
-			name:    "all stragglers",
-			clients: 3, expected: []int{0, 1, 2}, replies: nil,
-			minQuorum: 1, wantOK: false, wantAcc: 0, wantStrag: 3,
-		},
-		{
-			name:    "promotion lifts accepted to the floor",
-			clients: 3, expected: []int{0}, replies: []int{1, 2},
-			minQuorum: 2, wantOK: true, wantAcc: 2, wantStrag: 1,
-		},
-		{
-			name:    "full quorum finishes before the deadline",
-			clients: 2, expected: []int{0, 1}, replies: []int{1, 0},
-			minQuorum: 2, wantOK: true, wantAcc: 2, wantStrag: 0,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			q := NewQuorum(tc.clients)
-			q.BeginRound(7, mask(tc.clients, tc.expected...))
-			for _, c := range tc.replies {
-				if v := q.Classify(c, 7); v != VerdictAccept {
-					t.Fatalf("reply from %d = %v, want accept", c, v)
-				}
-			}
-			if got := q.Accepted() >= tc.minQuorum; got != tc.wantOK {
-				t.Fatalf("quorum met = %v (accepted %d, min %d), want %v",
-					got, q.Accepted(), tc.minQuorum, tc.wantOK)
-			}
-			if q.Accepted() != tc.wantAcc {
-				t.Fatalf("accepted = %d, want %d", q.Accepted(), tc.wantAcc)
-			}
-			if q.StragglerCount() != tc.wantStrag {
-				t.Fatalf("straggler count = %d, want %d", q.StragglerCount(), tc.wantStrag)
-			}
-			if got := len(q.Stragglers()); got != tc.wantStrag {
-				t.Fatalf("len(Stragglers()) = %d, disagrees with StragglerCount %d", got, tc.wantStrag)
-			}
-			if full := q.Accepted() == q.Expected(); full != q.Complete() {
-				t.Fatalf("Complete() = %v, accepted %d of %d", q.Complete(), q.Accepted(), q.Expected())
-			}
-		})
-	}
-}
-
-// TestQuorumDuplicateAtRoundBoundary pins what happens to a resend that
-// crosses BeginRound: inside the round it is a duplicate; once the next
-// round is armed the same frame is late. Neither is ever aggregated, and
-// both drain tallies survive the boundary.
-func TestQuorumDuplicateAtRoundBoundary(t *testing.T) {
-	cases := []struct {
-		name  string
-		steps []struct {
-			client, round int
-			want          Verdict
-		}
-		wantLate, wantDup int
-	}{
-		{
-			name: "resend after accept, then round advances",
-			steps: []struct {
-				client, round int
-				want          Verdict
-			}{
-				{0, 1, VerdictAccept},
-				{0, 1, VerdictDuplicate}, // resend inside the round
-				{1, 1, VerdictAccept},
-				{0, 2, VerdictAccept},    // round advanced below
-				{0, 1, VerdictLate},      // same resend, now across the boundary
-				{0, 2, VerdictDuplicate}, // dup classification resets per round
-			},
-			wantLate: 1, wantDup: 2,
-		},
-		{
-			name: "duplicate storm straddling the boundary",
-			steps: []struct {
-				client, round int
-				want          Verdict
-			}{
-				{1, 1, VerdictAccept},
-				{1, 1, VerdictDuplicate},
-				{1, 1, VerdictDuplicate},
-				{1, 2, VerdictAccept}, // round advanced below
-				{1, 1, VerdictLate},
-				{1, 1, VerdictLate},
-			},
-			wantLate: 2, wantDup: 2,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			q := NewQuorum(2)
-			q.BeginRound(1, mask(2, 0, 1))
-			round := 1
-			for i, s := range tc.steps {
-				if s.round > round && s.want == VerdictAccept {
-					round = s.round
-					q.BeginRound(round, mask(2, 0, 1))
-				}
-				if v := q.Classify(s.client, s.round); v != s.want {
-					t.Fatalf("step %d: Classify(%d, %d) = %v, want %v", i, s.client, s.round, v, s.want)
-				}
-				checkQuorumInvariants(t, q)
-			}
-			late, dups := q.DrainCounts()
-			if late != tc.wantLate || dups != tc.wantDup {
-				t.Fatalf("drain counts = %d late / %d dup, want %d/%d", late, dups, tc.wantLate, tc.wantDup)
-			}
-		})
-	}
-}
-
 // TestChaosMinQuorumExactlyMetAtDeadline runs a real cluster where the
 // deadline fires with accepted == MinQuorum exactly: two of three clients
 // drop every reply, the floor is one. The round must aggregate (not abort)

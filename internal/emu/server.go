@@ -488,7 +488,15 @@ func (s *Server) Run() (res *ServerResult, err error) {
 			res, err = nil, cerr
 		}
 	}()
+	// A Close racing Run must see the accept loop counted before it waits,
+	// or not at all: both sides decide under mu.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, errors.New("emu: server closed before all clients connected")
+	}
 	s.wg.Add(1)
+	s.mu.Unlock()
 	go s.acceptLoop()
 	for _, a := range s.shards {
 		go a.run()

@@ -13,6 +13,8 @@ import (
 	"cmfl/internal/fl"
 )
 
+//cmfl:api-change Quorum, NewQuorum, Verdict and the Verdict constants moved unchanged to internal/fl, beside the synchronous loop whose sim schedule drives them too; callers replace emu. with fl. in those names.
+
 // Directive kinds the root sends down the tree. Each directive produces
 // exactly one shardPartial, so the root's alternating direct/collect per
 // phase can never deadlock.
@@ -87,7 +89,7 @@ type shardAgg struct {
 	dirs   chan shardDirective
 	parts  chan *shardPartial
 
-	q        *Quorum
+	q        *fl.Quorum
 	acc      *shard.Accumulator
 	decBuf   []float64 // decoded values of one frame; folded before the next decode
 	decIdx   []uint32  // their coordinates, when the codec is sparse
@@ -106,7 +108,7 @@ func newShardAgg(srv *Server, idx int, clients []int, deadline time.Duration, lo
 		events:      make(chan connEvent, queueDepth*len(clients)),
 		dirs:        make(chan shardDirective, 1),
 		parts:       make(chan *shardPartial, 1),
-		q:           NewQuorum(srv.cfg.Clients),
+		q:           fl.NewQuorum(srv.cfg.Clients),
 		acc:         shard.New(0),
 		expected:    make([]bool, srv.cfg.Clients),
 	}
@@ -326,7 +328,7 @@ func (a *shardAgg) handleEvent(d shardDirective, ev connEvent, p *shardPartial) 
 	}
 	p.wire += ev.wire
 	switch a.q.Classify(id, r) {
-	case VerdictAccept:
+	case fl.VerdictAccept:
 		if err := a.fold(d, ev.f, id, p); err != nil {
 			var fatal fatalError
 			if errors.As(err, &fatal) {
@@ -334,14 +336,14 @@ func (a *shardAgg) handleEvent(d shardDirective, ev connEvent, p *shardPartial) 
 			}
 			return a.connDown(ev.client, ev.gen, d.round, a.frameErr(ev, err), p)
 		}
-	case VerdictLate:
+	case fl.VerdictLate:
 		p.late++
-	case VerdictDuplicate:
+	case fl.VerdictDuplicate:
 		p.dups++
-	case VerdictFuture:
+	case fl.VerdictFuture:
 		return a.connDown(ev.client, ev.gen, d.round,
 			fmt.Errorf("emu: client %d answered future round %d during round %d", id, r, d.round), p)
-	default: // VerdictUnknown
+	default: // fl.VerdictUnknown
 		return a.connDown(ev.client, ev.gen, d.round,
 			fmt.Errorf("emu: reply from unknown client %d", id), p)
 	}

@@ -11,11 +11,12 @@ import (
 )
 
 // ClientStep is the client half of Algorithm 1, written once for every
-// synchronous engine (Run, RunPartial, sim.Run, emu.RunClient): local solve,
-// differential-privacy noise, the upload gate, then — for an upload — the
-// error-feedback fold-in and the codec round trip. It holds what is the same
-// for every client and round; the engine supplies the rest per call. Methods
-// only read it, so one value serves all of an engine's goroutines.
+// synchronous engine (the loop behind Run and sim.Run, and emu.RunClient):
+// local solve, differential-privacy noise, the upload gate, then — for an
+// upload — the error-feedback fold-in and the codec round trip. It holds
+// what is the same for every client and round; the engine supplies the rest
+// per call. Methods only read it, so one value serves all of an engine's
+// goroutines.
 type ClientStep struct {
 	// Epochs, Batch and ProxMu parameterise the local solver (LocalTrainProx).
 	Epochs int
@@ -76,7 +77,8 @@ type Reply struct {
 
 // Scratch is the memory Train and Pack reuse between calls. The buffers grow
 // on first use, so a raw client never allocates the codec's; one Scratch
-// serves many clients in turn (a sim worker) as long as Residual is nil.
+// serves many clients in turn (a worker of the synchronous loop) as long as
+// Residual is pointed at each client's own before Pack.
 type Scratch struct {
 	perm []int             // the solver's sample order for one epoch
 	mb   dataset.Minibatch // and the minibatch gathered from it
@@ -87,8 +89,6 @@ type Scratch struct {
 	// discarded so far, dim-sized. Nil turns error feedback off.
 	Residual []float64
 }
-
-//cmfl:api-change ClientStep.Train takes the caller's Scratch and writes into the caller's Reply, so a steady-state round allocates nothing; callers pass the Scratch they hand to Pack and the reply slot they keep.
 
 // Train runs the local solver from the broadcast model on sc's buffers and
 // gates the result into r, whose Delta buffer it reuses: a steady-state round

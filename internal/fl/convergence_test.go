@@ -139,43 +139,3 @@ func TestSeedChangesResults(t *testing.T) {
 		t.Fatal("different seeds produced identical models")
 	}
 }
-
-// dropoutAccuracyBand is the recorded tolerance for convergence under
-// client dropout: over 25 rounds of layerwise-CMFL training on the digits
-// workload, 20% per-round dropout may cost at most this much final
-// accuracy versus full participation. Calibrated empirically (full = 0.78,
-// dropout = 0.765 on the pinned seeds); the band leaves room for the
-// averaging noise a thinner quorum adds without letting convergence
-// regressions hide behind it.
-const dropoutAccuracyBand = 0.08
-
-// TestPartialDropoutConvergenceBand is the golden test for quorum-style
-// aggregation in the simulation engine: dropping 20% of clients per round
-// must not break convergence — per-segment averaging over whoever showed up
-// keeps the update unbiased, so accuracy stays within dropoutAccuracyBand
-// of the full-participation run.
-func TestPartialDropoutConvergenceBand(t *testing.T) {
-	run := func(rate float64) float64 {
-		cfg := PartialConfig{
-			Config:      digitLogisticConfig(t, 8, true),
-			Threshold:   core.Constant(0.5),
-			DropoutRate: rate,
-		}
-		cfg.Rounds = 25
-		res, err := RunPartial(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.FinalAccuracy()
-	}
-	full := run(0)
-	dropped := run(0.2)
-	t.Logf("accuracy: full=%v dropout(0.2)=%v band=%v", full, dropped, dropoutAccuracyBand)
-	if math.IsNaN(full) || math.IsNaN(dropped) {
-		t.Fatal("accuracy missing")
-	}
-	if dropped < full-dropoutAccuracyBand {
-		t.Fatalf("dropout accuracy %v fell more than %v below full participation %v",
-			dropped, dropoutAccuracyBand, full)
-	}
-}

@@ -4,10 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"cmfl/internal/core"
 	"cmfl/internal/dataset"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/gaia"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
@@ -18,58 +22,89 @@ import (
 func nan() float64         { return math.NaN() }
 func isNaN(v float64) bool { return math.IsNaN(v) }
 
-// client is one simulated edge device: a model replica, a private shard, a
-// private random stream for batch shuffling and DP noise, and its codec
-// scratch (with the EF-SGD residual when error feedback is on).
-type client struct {
-	net     *nn.Network
-	data    *dataset.Set
-	rng     *xrand.Stream
-	scratch Scratch
+// Schedule is what tells the synchronous engines apart: per round, which
+// clients train and whose replies count. The loop calls Participants and
+// Accept on its own goroutine and Packed on the worker right after client
+// c's Pack, so Packed may touch only c's state.
+type Schedule interface {
+	Participants(t int) []int                                    // distinct, ascending; read until Accept returns
+	Packed(t, c int, r *Reply)                                   // r as Pack priced it
+	Accept(t int, trained []int, replies []Reply) ([]int, error) // an ascending subset of trained
 }
 
-// newClients builds one client per shard, each on ClientStream(seed, i).
-func newClients(cfg *Config) []*client {
-	clients := make([]*client, len(cfg.ClientData))
-	for i, data := range cfg.ClientData {
-		clients[i] = &client{net: cfg.Model(), data: data, rng: ClientStream(cfg.Seed, i)}
-	}
-	return clients
-}
-
-// trainAll runs fn for every listed client on at most parallelism
-// goroutines and returns the first error in list order.
-func trainAll(ids []int, parallelism int, fn func(i int) error) (int, error) {
-	errs := make([]error, len(ids))
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for k, i := range ids {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k, i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[k] = fn(i)
-		}(k, i)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return ids[k], err
-		}
-	}
-	return 0, nil
-}
-
-// Run executes a synchronous federated training following Algorithm 1: the
-// client half is ClientStep, the server half Aggregator. What Run adds is
-// FedAvg's fraction sampling, the optional n_k/n weights, and the Fig. 2/3
-// traces (Gaia significance, mean relevance, Eq. 8).
+// Run executes Algorithm 1 on the synchronous loop under FedAvg's fraction
+// sampling, accepting every sampled reply. Only Run records the Fig. 1–3
+// traces: Gaia significance, Eq. 8 and ClientParams.
 //
 //cmfl:deterministic
 func Run(cfg Config) (*Result, error) {
+	streams := make([]*xrand.Stream, len(cfg.ClientData))
+	for c := range streams {
+		streams[c] = ClientStream(cfg.Seed, c)
+	}
+	return run(cfg, telemetry.EngineSync, newSampler(len(streams), cfg.ClientFraction, cfg.Seed), streams, true)
+}
+
+// RunSchedule executes the synchronous loop under s, which replaces
+// ClientFraction: client c trains on ClientData[c] drawing from streams[c],
+// and the events carry the engine label.
+//
+//cmfl:deterministic
+func RunSchedule(cfg Config, engine string, s Schedule, streams []*xrand.Stream) (*Result, error) {
+	return run(cfg, engine, s, streams, false)
+}
+
+// sampler is Run's schedule: every client, or FedAvg's uniform sample of
+// max(1, fraction·n) clients a round from the "fl-sampler" stream.
+type sampler struct {
+	ids []int
+	k   int
+	rng *xrand.Stream // nil at full participation
+}
+
+func newSampler(n int, fraction float64, seed int64) *sampler {
+	s := &sampler{ids: make([]int, n), k: n}
+	for c := range s.ids {
+		s.ids[c] = c
+	}
+	if fraction > 0 && fraction < 1 {
+		s.k, s.rng = max(1, int(fraction*float64(n))), xrand.Derive(seed, "fl-sampler", 0)
+	}
+	return s
+}
+
+func (s *sampler) Participants(int) []int {
+	if s.rng != nil {
+		slices.Sort(s.rng.PermInto(s.ids, len(s.ids))[:s.k])
+	}
+	return s.ids[:s.k]
+}
+
+func (*sampler) Packed(int, int, *Reply) {}
+
+func (*sampler) Accept(_ int, trained []int, _ []Reply) ([]int, error) { return trained, nil }
+
+// worker is what one training goroutine reuses across clients and rounds: a
+// model replica, which the solver reloads from the broadcast per client,
+// and the solver and codec scratch.
+type worker struct {
+	net    *nn.Network
+	sc     Scratch
+	client int // the client it failed on this round, with err
+	err    error
+}
+
+// run is the synchronous round loop of Algorithm 1, written once. Memory that
+// serves one client at a time is per worker; what outlives a round is per
+// client: the training stream, the EF residual and the reply slot. traced
+// adds the Fig. 1–3 traces, which only Run pays for.
+func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, traced bool) (*Result, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
+	}
+	n := len(cfg.ClientData)
+	if len(streams) != n {
+		return nil, fmt.Errorf("fl: %d training streams for %d clients", len(streams), n)
 	}
 	step := ClientStep{
 		Epochs: cfg.Epochs, Batch: cfg.Batch, ProxMu: cfg.ProxMu,
@@ -79,116 +114,158 @@ func Run(cfg Config) (*Result, error) {
 	if step.Filter == nil {
 		step.Filter = Vanilla{}
 	}
-
 	global := cfg.Model()
-	agg := NewAggregator(telemetry.EngineSync, global.ParamVector(), len(cfg.ClientData), step.Filter, cfg.Observers)
-	agg.momentum = cfg.ServerMomentum
-	agg.staleness = cfg.FeedbackStaleness
+	agg := NewAggregator(engine, global.ParamVector(), n, step.Filter, cfg.Observers)
+	agg.momentum, agg.staleness = cfg.ServerMomentum, cfg.FeedbackStaleness
 
-	clients := newClients(&cfg)
-	var weights []float64 // FedAvg's n_k; nil is Algorithm 1's plain mean
-	if cfg.WeightedAggregation {
-		weights = make([]float64, len(clients))
-	}
-	for i, c := range clients {
+	var weights []float64             // FedAvg's n_k; nil is Algorithm 1's plain mean
+	residuals := make([][]float64, n) // nil rows without error feedback
+	for c, data := range cfg.ClientData {
+		if cfg.WeightedAggregation {
+			weights = append(weights, float64(data.Len()))
+		}
 		if cfg.Compressor != nil && cfg.ErrorFeedback {
-			c.scratch.Residual = make([]float64, len(agg.Params))
+			residuals[c] = make([]float64, len(agg.Params))
 		}
-		if weights != nil {
-			weights[i] = float64(c.data.Len())
+	}
+	res := &Result{SkipCounts: agg.SkipCounts, FilterName: step.Filter.Name()}
+	var significance, prevUpdate []float64 // the Fig. 2a and Eq. 8 traces
+	if traced {
+		significance = make([]float64, n)
+		res.ClientParams = make([][]float64, n)
+		for c := range res.ClientParams { // what a client that never trains reports
+			res.ClientParams[c] = slices.Clone(agg.Params)
 		}
+	}
+	replies := make([]Reply, n)
+	workers := make([]worker, cfg.Parallelism)
+	for w := range workers {
+		workers[w].net = cfg.Model()
 	}
 
-	res := &Result{
-		SkipCounts:   agg.SkipCounts,
-		ClientParams: make([][]float64, len(clients)),
-		FilterName:   step.Filter.Name(),
+	var b Broadcast
+	client := func(w *worker, c int) (err error) {
+		r := &replies[c]
+		w.sc.Residual = residuals[c]
+		if err = step.Train(&w.sc, w.net, cfg.ClientData[c], streams[c], &b, r); err != nil {
+			return err
+		}
+		// The traces see the post-DP delta, before Pack makes it lossy.
+		r.Relevance = b.Relevance(r.Delta)
+		if traced {
+			w.net.ParamsInto(res.ClientParams[c])
+			if significance[c], err = gaia.Significance(r.Delta, b.Params); err != nil {
+				return err
+			}
+		}
+		if _, err = step.Pack(&w.sc, r); err == nil {
+			sched.Packed(b.Round, c, r)
+		}
+		return err
 	}
-	replies := make([]Reply, len(clients))
-	significance := make([]float64, len(clients))
-	var prevGlobalUpdate []float64 // for the Eq. 8 trace
-	sampler := xrand.Derive(cfg.Seed, "fl-sampler", 0)
 
 	for t := 1; t <= cfg.Rounds; t++ {
-		b := agg.Begin(t, cfg.LR.At(t))
-		participants := sampleClients(len(clients), cfg.ClientFraction, sampler)
-		if i, err := trainAll(participants, cfg.Parallelism, func(i int) error {
-			c, r := clients[i], &replies[i]
-			err := step.Train(&c.scratch, c.net, c.data, c.rng, &b, r)
-			if err != nil {
-				return err
-			}
-			// The traces see the post-DP delta, before Pack makes it lossy.
-			r.Relevance = b.Relevance(r.Delta)
-			if significance[i], err = gaia.Significance(r.Delta, b.Params); err != nil {
-				return err
-			}
-			_, err = step.Pack(&c.scratch, r)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("fl: round %d client %d: %w", t, i, err)
+		b = agg.Begin(t, cfg.LR.At(t))
+		trained := sched.Participants(t)
+		if c, err := train(workers, trained, client); err != nil {
+			return nil, fmt.Errorf("fl: round %d client %d: %w", t, c, err)
 		}
-
-		var lossSum, relSum, sigSum float64
-		relCount := 0
-		//cmfl:order-pinned diagnostic means over the participants in sampled order; only fl.Run publishes them and no engine is compared on them
-		for _, i := range participants {
-			lossSum += replies[i].Loss
-			sigSum += significance[i]
-			if !isNaN(replies[i].Relevance) {
-				relSum += replies[i].Relevance
-				relCount++
-			}
-		}
-		ev, globalUpdate := agg.Fold(t, len(participants), participants, replies, weights)
-		stats := RoundStats{
-			RoundEvent:       ev,
-			TrainLoss:        lossSum / float64(len(participants)),
-			MeanSignificance: sigSum / float64(len(participants)),
-			MeanRelevance:    nan(),
-			DeltaUpdate:      nan(),
-		}
-		if relCount > 0 {
-			stats.MeanRelevance = relSum / float64(relCount)
-		}
-		if globalUpdate != nil {
-			if prevGlobalUpdate != nil {
-				if du, err := core.DeltaUpdate(prevGlobalUpdate, globalUpdate); err == nil {
-					stats.DeltaUpdate = du
-				}
-			}
-			prevGlobalUpdate = append(prevGlobalUpdate[:0], globalUpdate...)
-		}
-
-		done, err := cfg.evalRound(global, agg.Params, &stats.RoundEvent)
+		accepted, err := sched.Accept(t, trained, replies)
 		if err != nil {
 			return nil, err
 		}
+
+		// The diagnostics cover every client that trained, summed exactly so
+		// that neither the schedule nor the workers can show in them.
+		var loss, rel, sig shard.Scalar
+		relCount := 0
+		for _, c := range trained {
+			loss.Add(replies[c].Loss)
+			if v := replies[c].Relevance; !isNaN(v) {
+				rel.Add(v)
+				relCount++
+			}
+			if traced {
+				sig.Add(significance[c])
+			}
+		}
+		ev, update := agg.Fold(t, len(trained), accepted, replies, weights)
+		stats := RoundStats{RoundEvent: ev, TrainLoss: mean(&loss, len(trained)), MeanRelevance: mean(&rel, relCount)}
+		stats.MeanSignificance, stats.DeltaUpdate = nan(), nan()
+		if traced {
+			stats.MeanSignificance = mean(&sig, len(trained))
+			if update != nil {
+				if du, err := core.DeltaUpdate(prevUpdate, update); err == nil { // a length mismatch before the first
+					stats.DeltaUpdate = du
+				}
+				prevUpdate = append(prevUpdate[:0], update...)
+			}
+		}
+		if cfg.TestData != nil && cfg.EvalEvery > 0 && (t%cfg.EvalEvery == 0 || t == cfg.Rounds) {
+			if err := global.SetParamVector(agg.Params); err != nil {
+				return nil, fmt.Errorf("fl: broadcast to evaluator: %w", err)
+			}
+			stats.Accuracy = Evaluate(global, cfg.TestData, cfg.EvalBatch)
+		}
 		res.History = append(res.History, stats)
-		agg.Emit(stats.RoundEvent, participants, replies)
-		if done {
+		agg.Emit(stats.RoundEvent, accepted, replies)
+		if cfg.TargetAccuracy > 0 && stats.Accuracy >= cfg.TargetAccuracy { // never while NaN
 			break
 		}
 	}
-
 	res.FinalParams = append([]float64(nil), agg.Params...)
-	for i, c := range clients {
-		res.ClientParams[i] = c.net.ParamVector()
-	}
 	return res, nil
 }
 
-// evalRound fills ev.Accuracy on the rounds EvalEvery selects (and the last
-// one) and reports whether TargetAccuracy has been reached.
-func (cfg *Config) evalRound(global *nn.Network, params []float64, ev *telemetry.RoundEvent) (done bool, err error) {
-	if cfg.EvalEvery <= 0 || (ev.Round%cfg.EvalEvery != 0 && ev.Round != cfg.Rounds) {
-		return false, nil
+// mean is s's exact sum over n terms, rounded once; NaN over none.
+func mean(s *shard.Scalar, n int) float64 {
+	if n == 0 {
+		return nan()
 	}
-	if err := global.SetParamVector(params); err != nil {
-		return false, fmt.Errorf("fl: broadcast to evaluator: %w", err)
+	return s.Round() / float64(n)
+}
+
+// train runs fn for every listed client on the workers, which claim
+// ascending chunks of the list as they go. A chunk is at most 1/64 of a
+// worker's share, so the round's tail, where one worker trains alone and its
+// products split onto the idle cores, is at most one short chunk; contiguous
+// halves leave whatever drift accumulates over the whole round. fn touches
+// only its worker's memory and the client's, so how the list falls onto the
+// workers cannot show in the result. A worker stops at its first failure,
+// and every client below it was claimed and has run, so the lowest failure
+// across workers is the lowest failing client's.
+func train(workers []worker, ids []int, fn func(w *worker, c int) error) (int, error) {
+	chunk := max(1, len(ids)/(64*len(workers)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for i := range workers {
+		w := &workers[i]
+		w.err = nil
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= len(ids) {
+					return
+				}
+				for _, c := range ids[lo:min(lo+chunk, len(ids))] {
+					if w.err = fn(w, c); w.err != nil {
+						w.client = c
+						return
+					}
+				}
+			}
+		}()
 	}
-	ev.Accuracy = Evaluate(global, cfg.TestData, cfg.EvalBatch)
-	return cfg.TargetAccuracy > 0 && !isNaN(ev.Accuracy) && ev.Accuracy >= cfg.TargetAccuracy, nil
+	wg.Wait()
+	failed, err := 0, error(nil)
+	for _, w := range workers {
+		if w.err != nil && (err == nil || w.client < failed) {
+			failed, err = w.client, w.err
+		}
+	}
+	return failed, err
 }
 
 // LocalTrain runs E epochs of minibatch SGD on data starting from the
@@ -248,11 +325,7 @@ func Evaluate(net *nn.Network, test *dataset.Set, evalBatch int) float64 {
 	}
 	correct := 0
 	for lo := 0; lo < test.Len(); lo += evalBatch {
-		hi := lo + evalBatch
-		if hi > test.Len() {
-			hi = test.Len()
-		}
-		x, y := test.BatchView(lo, hi)
+		x, y := test.BatchView(lo, min(lo+evalBatch, test.Len()))
 		pred := nn.Argmax(net.Forward(x))
 		for i, p := range pred {
 			if p == y[i] {
@@ -261,23 +334,6 @@ func Evaluate(net *nn.Network, test *dataset.Set, evalBatch int) float64 {
 		}
 	}
 	return float64(correct) / float64(test.Len())
-}
-
-// sampleClients returns the participant indices for one round: all clients
-// at full participation, otherwise a uniform sample of max(1, fraction·D).
-func sampleClients(d int, fraction float64, rng *xrand.Stream) []int {
-	if fraction <= 0 || fraction >= 1 {
-		all := make([]int, d)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	k := int(fraction * float64(d))
-	if k < 1 {
-		k = 1
-	}
-	return rng.Perm(d)[:k]
 }
 
 func validate(cfg *Config) error {
@@ -307,8 +363,9 @@ func validate(cfg *Config) error {
 		cfg.EvalBatch = 64
 	}
 	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = len(cfg.ClientData)
+		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	cfg.Parallelism = min(cfg.Parallelism, len(cfg.ClientData))
 	if cfg.FeedbackStaleness <= 0 {
 		cfg.FeedbackStaleness = 1
 	}

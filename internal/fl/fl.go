@@ -9,10 +9,13 @@
 // paper's two cost metrics — accumulated communication rounds (Eq. 4) and
 // uplink bytes — and records the traces needed for every figure.
 //
-// Algorithm 1 is written once: ClientStep is its client half and Aggregator
-// its server half. Run, RunPartial, internal/sim and the internal/emu client
-// are built from them and add only what is theirs (DESIGN.md, "Algorithm 1,
-// once"). RunAsync is a different algorithm and keeps its own loop.
+// Algorithm 1 is written once: ClientStep is its client half, Aggregator its
+// server half, and one synchronous loop drives both over a fixed set of
+// workers. Run is that loop under FedAvg's fraction sampling; internal/sim
+// plugs availability, reply delays and its event heap in through Schedule
+// and RunSchedule; the internal/emu client and server use the two halves
+// over TCP (DESIGN.md, "Algorithm 1, once"). RunAsync is a different
+// algorithm and keeps its own loop.
 package fl
 
 import (
@@ -22,6 +25,8 @@ import (
 	"cmfl/internal/telemetry"
 	"cmfl/internal/xrand"
 )
+
+//cmfl:api-change RunPartial, PartialConfig, PartialResult and PartialRoundStats are removed: the layerwise engine's only recorded result was negative and nothing reached it. Run covers full-update gating; sim.Config.Availability is the former DropoutRate.
 
 // UploadFilter is the client-side gate deciding whether a local update is
 // transferred to the server. Implementations must be safe for concurrent
@@ -95,9 +100,10 @@ const SkipNotificationBytes = 16
 // Config describes one federated training run.
 type Config struct {
 	// Model builds a fresh network with the experiment's architecture.
-	// Called once for the server and once per client; all instances are
-	// immediately overwritten with the broadcast global parameters, so the
-	// factory's weight initialisation only matters for the server's copy.
+	// Called once for the server and once per worker; every worker reloads
+	// the broadcast global parameters per client, so the factory's weight
+	// initialisation only matters for the server's copy (and for the
+	// ClientParams of a client that never trains).
 	Model func() *nn.Network
 
 	// ClientData holds one private shard per client.
@@ -172,8 +178,9 @@ type Config struct {
 	// EvalBatch is the forward-pass batch size during evaluation (default 64).
 	EvalBatch int
 
-	// Parallelism bounds concurrent client training goroutines
-	// (default: number of clients).
+	// Parallelism is the number of workers that train clients side by side,
+	// each with its own model replica (default: GOMAXPROCS; never more than
+	// the clients). Results do not depend on it.
 	Parallelism int
 	// Seed drives all engine randomness (shuffles), derived per client.
 	Seed int64
@@ -184,23 +191,20 @@ type Config struct {
 	FeedbackStaleness int
 
 	// Observers receive live telemetry: every round the engine emits one
-	// telemetry.ClientEvent per participant (in client order) followed by
+	// telemetry.ClientEvent per participant, in ascending client id, then
 	// one telemetry.RoundEvent, synchronously from the engine goroutine.
-	// Attach a telemetry.Collector to feed a metrics registry (round-level
-	// progress callbacks included — the former Progress shim).
+	// Attach a telemetry.Collector to feed a metrics registry.
 	Observers []telemetry.Observer
 }
 
-// RoundStats records one synchronous round. The communication-cost core
-// (round, participants, uploads, uplink bytes, accuracy) is the embedded
-// telemetry.RoundEvent shared by every engine; the remaining fields are
-// specific to the in-process synchronous simulation.
+// RoundStats records one synchronous round: the communication-cost core
+// every engine shares, embedded, and the loop's diagnostics. Only Run
+// records MeanSignificance and DeltaUpdate; RunSchedule leaves them NaN.
 type RoundStats struct {
 	telemetry.RoundEvent
 
-	// TrainLoss is the mean local training loss across clients.
+	// TrainLoss is the mean local training loss across clients that trained.
 	TrainLoss float64
-
 	// MeanSignificance is the client-mean of Gaia's ‖u‖/‖x‖ (Fig. 2a).
 	MeanSignificance float64
 	// MeanRelevance is the client-mean of CMFL's Eq. 9 against the
@@ -217,7 +221,8 @@ type Result struct {
 	// FinalParams is the global parameter vector after the last round.
 	FinalParams []float64
 	// ClientParams holds each client's locally trained parameter vector
-	// from the final round, for the Fig. 1 / Fig. 6 divergence analysis.
+	// from the last round it trained in (the initial model if none), for
+	// the Fig. 1 / Fig. 6 divergence analysis. Run only.
 	ClientParams [][]float64
 	// SkipCounts is the number of filtered (not uploaded) updates per
 	// client over the whole run.

@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -131,24 +134,56 @@ func TestGaiaFilterRuns(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossParallelism pins Run with every option it has on
+// (fraction sampling, top-k with error feedback, DP, prox, n_k weights,
+// server momentum, stale feedback) at one worker, three, and one per client:
+// the final model, every client's last local model, the skip counts and the
+// per-round communication record hash to one SHA-256. The diagnostics are
+// left out: only their last ulp may depend on how they are summed.
 func TestDeterministicAcrossParallelism(t *testing.T) {
-	cfg1 := digitLogisticConfig(t, 6, true)
-	cfg1.Rounds = 5
-	cfg1.Parallelism = 1
-	cfg2 := digitLogisticConfig(t, 6, true)
-	cfg2.Rounds = 5
-	cfg2.Parallelism = 6
-	r1, err := Run(cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.FinalParams {
-		if r1.FinalParams[i] != r2.FinalParams[i] {
-			t.Fatalf("parallelism changed results at param %d: %v vs %v", i, r1.FinalParams[i], r2.FinalParams[i])
+	const clients = 6
+	for _, workers := range []int{1, 3, clients} {
+		cfg := digitLogisticConfig(t, clients, true)
+		cfg.Rounds = 6
+		cfg.Parallelism = workers
+		cfg.Filter = core.NewFilter(core.Constant(0.5))
+		cfg.ClientFraction = 0.5
+		cfg.Compressor = compress.TopK{K: 50}
+		cfg.ErrorFeedback = true
+		cfg.DPClip, cfg.DPNoiseSigma = 5, 0.001
+		cfg.ProxMu = 0.1
+		cfg.WeightedAggregation = true
+		cfg.ServerMomentum = 0.5
+		cfg.FeedbackStaleness = 2
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var b [8]byte
+		put := func(u uint64) {
+			binary.LittleEndian.PutUint64(b[:], u)
+			h.Write(b[:])
+		}
+		for _, row := range append([][]float64{res.FinalParams}, res.ClientParams...) {
+			for _, v := range row {
+				put(math.Float64bits(v))
+			}
+		}
+		for _, s := range res.SkipCounts {
+			put(uint64(s))
+		}
+		for _, st := range res.History {
+			put(uint64(st.Uploaded))
+			put(uint64(st.Skipped))
+			put(uint64(st.CumUplinkBytes))
+		}
+		// The vector kernels fuse the multiply-adds and the portable loops do
+		// not, so each path has its own bits.
+		const wantSIMD, wantPortable = "7640131e81dae330892d5f935d48b08c834c121cdfccd150e8c37624f173a7f4",
+			"af530d482373bd0cf6f3e7448dea735b9803804c67837adf80ad0aad8b0fa2c7"
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantSIMD && got != wantPortable {
+			t.Errorf("Parallelism %d: SHA-256 %s, want %s (AVX-512) or %s (portable)", workers, got, wantSIMD, wantPortable)
 		}
 	}
 }

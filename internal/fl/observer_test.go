@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"math"
 	"testing"
 
 	"cmfl/internal/core"
@@ -92,57 +91,44 @@ func (r *eventRecorder) checkConsistency(t *testing.T) {
 	}
 }
 
+// TestObserverOrderingSync holds Run to the ordering contract at full
+// participation and under fraction sampling, where a round's ClientEvents
+// must still come in ascending client id.
 func TestObserverOrderingSync(t *testing.T) {
-	cfg := digitLogisticConfig(t, 4, true)
-	cfg.Rounds = 5
-	cfg.Filter = core.NewFilter(core.Constant(0.5))
-	rec := &eventRecorder{}
-	var progressRounds []int
-	cfg.Observers = []telemetry.Observer{
-		rec.observer(),
-		telemetry.Funcs{Round: func(e telemetry.RoundEvent) { progressRounds = append(progressRounds, e.Round) }},
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.checkOrdering(t, telemetry.EngineSync)
-	rec.checkConsistency(t)
-	if len(rec.rounds) != len(res.History) {
-		t.Fatalf("observed %d rounds, history has %d", len(rec.rounds), len(res.History))
-	}
-	for i, e := range rec.rounds {
-		if e != res.History[i].RoundEvent {
-			t.Fatalf("round %d: observed event %+v != history %+v", i+1, e, res.History[i].RoundEvent)
+	for _, fraction := range []float64{0, 0.5} {
+		cfg := digitLogisticConfig(t, 8, true)
+		cfg.Rounds = 5
+		cfg.Filter = core.NewFilter(core.Constant(0.5))
+		cfg.ClientFraction = fraction
+		rec := &eventRecorder{}
+		var progressRounds []int
+		cfg.Observers = []telemetry.Observer{
+			rec.observer(),
+			telemetry.Funcs{Round: func(e telemetry.RoundEvent) { progressRounds = append(progressRounds, e.Round) }},
 		}
-	}
-	// A plain Funcs observer is the progress-callback idiom: one round
-	// event per history entry, in order.
-	if len(progressRounds) != len(res.History) {
-		t.Fatalf("round observer fired %d times, want %d", len(progressRounds), len(res.History))
-	}
-}
-
-func TestObserverOrderingPartial(t *testing.T) {
-	cfg := partialConfig(t)
-	cfg.Rounds = 6
-	rec := &eventRecorder{}
-	cfg.Observers = []telemetry.Observer{rec.observer()}
-	res, err := RunPartial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.checkOrdering(t, telemetry.EnginePartial)
-	rec.checkConsistency(t)
-	for i, e := range rec.rounds {
-		if e != res.History[i].RoundEvent {
-			t.Fatalf("round %d: observed event %+v != history %+v", i+1, e, res.History[i].RoundEvent)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Partial uploads carry no scalar relevance; the stream reports NaN.
-	for _, e := range rec.clients {
-		if !math.IsNaN(e.Relevance) {
-			t.Fatalf("partial ClientEvent relevance = %v, want NaN", e.Relevance)
+		rec.checkOrdering(t, telemetry.EngineSync)
+		rec.checkConsistency(t)
+		for k := 1; k < len(rec.clients); k++ {
+			if prev, e := rec.clients[k-1], rec.clients[k]; prev.Round == e.Round && prev.Client >= e.Client {
+				t.Fatalf("fraction %v, round %d: ClientEvent for client %d after client %d; want ascending ids", fraction, e.Round, e.Client, prev.Client)
+			}
+		}
+		if len(rec.rounds) != len(res.History) {
+			t.Fatalf("observed %d rounds, history has %d", len(rec.rounds), len(res.History))
+		}
+		for i, e := range rec.rounds {
+			if e != res.History[i].RoundEvent {
+				t.Fatalf("round %d: observed event %+v != history %+v", i+1, e, res.History[i].RoundEvent)
+			}
+		}
+		// A plain Funcs observer is the progress-callback idiom: one round
+		// event per history entry, in order.
+		if len(progressRounds) != len(res.History) {
+			t.Fatalf("round observer fired %d times, want %d", len(progressRounds), len(res.History))
 		}
 	}
 }

@@ -10,13 +10,13 @@ import (
 	"cmfl/internal/tensor"
 )
 
-// Aggregator is the server half of Algorithm 1, written once for Run,
-// RunPartial, sim.Run and the emu server: the per-round feedback prelude, the
-// exact FedAvg fold of the accepted replies, the apply step with its feedback
-// rule, the cumulative communication counters and the telemetry emission.
-// What stays with each engine is who participates, whose reply is accepted,
-// where the sum is accumulated (emu's shard tree hands Close a finished
-// one), and the diagnostics only that engine publishes.
+// Aggregator is the server half of Algorithm 1, written once for the
+// synchronous loop (Run, and sim through RunSchedule) and the emu server: the
+// per-round feedback prelude, the exact FedAvg fold of the accepted replies,
+// the apply step with its feedback rule, the cumulative communication
+// counters and the telemetry emission. What the loop's Schedule or the emu
+// server decides is who participates and whose reply is accepted; emu also
+// accumulates the sum itself and hands Close a finished one.
 type Aggregator struct {
 	// Params is the global parameter vector, updated in place every round.
 	Params []float64
@@ -198,8 +198,10 @@ func (r *foldRange) fold(sum []float64, accepted []int, replies []Reply, weights
 // bookkeeping over replies[i] for i in accepted. participants counts
 // everyone who was sent the broadcast, so participants − len(accepted) were
 // dropped. It takes ownership of sum, which becomes the applied global
-// update it returns — nil when nobody uploaded — and the next feedback. The
-// event comes back with Accuracy left NaN.
+// update it returns — nil when nobody uploaded — and the next feedback. A
+// fully skipped round moves nothing and keeps the feedback, so it does not
+// zero out the global-direction estimate. The event comes back with
+// Accuracy left NaN.
 func (a *Aggregator) Close(t, participants int, accepted []int, replies []Reply, sum []float64, divisor float64) (telemetry.RoundEvent, []float64) {
 	uploaded := 0
 	var bytes int64
@@ -212,34 +214,25 @@ func (a *Aggregator) Close(t, participants int, accepted []int, replies []Reply,
 		}
 	}
 	if uploaded == 0 {
-		return a.commit(t, participants, len(accepted), 0, bytes, nil), nil
-	}
-	tensor.ScaleVec(1/divisor, sum)
-	if a.momentum > 0 {
-		if a.velocity == nil {
-			a.velocity = make([]float64, len(sum))
+		sum = nil
+	} else {
+		tensor.ScaleVec(1/divisor, sum)
+		if a.momentum > 0 {
+			if a.velocity == nil {
+				a.velocity = make([]float64, len(sum))
+			}
+			for j := range a.velocity {
+				a.velocity[j] = a.momentum*a.velocity[j] + sum[j]
+			}
+			// The applied update (and the feedback clients see) is the
+			// momentum-smoothed velocity.
+			copy(sum, a.velocity)
 		}
-		for j := range a.velocity {
-			a.velocity[j] = a.momentum*a.velocity[j] + sum[j]
-		}
-		// The applied update (and the feedback clients see) is the
-		// momentum-smoothed velocity.
-		copy(sum, a.velocity)
-	}
-	return a.commit(t, participants, len(accepted), uploaded, bytes, sum), sum
-}
-
-// commit applies a round's aggregate and does the bookkeeping every
-// synchronous engine shares. Only a non-empty aggregate (uploaded > 0)
-// moves the model and replaces the feedback, so a fully skipped round does
-// not zero out the global-direction estimate.
-func (a *Aggregator) commit(t, participants, replied, uploaded int, bytes int64, update []float64) telemetry.RoundEvent {
-	if uploaded > 0 {
 		//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
-		tensor.Axpy(1, update, a.Params)
-		a.feedback = update
+		tensor.Axpy(1, sum, a.Params)
+		a.feedback = sum
 		if a.staleness > 1 { // Begin reads the window only then
-			a.history = append(a.history, update)
+			a.history = append(a.history, sum)
 			if len(a.history) > a.staleness+1 {
 				a.history = a.history[1:]
 			}
@@ -255,17 +248,16 @@ func (a *Aggregator) commit(t, participants, replied, uploaded int, bytes int64,
 		Round:          t,
 		Participants:   participants,
 		Uploaded:       uploaded,
-		Skipped:        replied - uploaded,
+		Skipped:        len(accepted) - uploaded,
 		CumUploads:     a.cumUploads,
 		CumUplinkBytes: a.cumBytes,
-		Dropped:        participants - replied,
+		Dropped:        participants - len(accepted),
 		Accuracy:       nan(),
-	}
+	}, sum
 }
 
 // Emit publishes the round: one ClientEvent per accepted reply, in accepted
-// order (ascending client id from every engine but a fraction-sampling Run),
-// then the RoundEvent.
+// order (ascending client id from every engine), then the RoundEvent.
 func (a *Aggregator) Emit(ev telemetry.RoundEvent, accepted []int, replies []Reply) {
 	if len(a.observers) == 0 {
 		return

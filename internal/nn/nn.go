@@ -63,9 +63,9 @@ type Network struct {
 }
 
 // NewNetwork builds a network from the given layers. It allocates the flat
-// parameter vector, copies each layer's initial parameters in at its
-// ParamSegments offset, and points the layer's parameter tensors at their
-// segments.
+// parameter vector, copies each layer's initial parameters in, layer by
+// layer and tensor by tensor, and points the layer's parameter tensors at
+// their segments.
 func NewNetwork(layers ...Layer) *Network {
 	n := &Network{layers: layers}
 	dim := 0
@@ -148,19 +148,6 @@ func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // NumParams returns the total number of scalar parameters.
 func (n *Network) NumParams() int { return len(n.params) }
-
-// ParamSegments returns the length of each parameter tensor in ParamVector
-// order, so callers can address per-tensor segments of the flat vector
-// (e.g. layerwise partial uploads).
-func (n *Network) ParamSegments() []int {
-	var segs []int
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			segs = append(segs, p.Len())
-		}
-	}
-	return segs
-}
 
 // ParamVector returns a copy of the parameter vector.
 func (n *Network) ParamVector() []float64 { return append([]float64(nil), n.params...) }

@@ -1,32 +1,27 @@
 // Package sim is a deterministic discrete-event simulation of CMFL training
 // at population scales the TCP emulation cannot reach. Where internal/emu
 // gives every client a real socket and a goroutine, sim multiplexes many
-// simulated clients onto a few worker shards and replaces wall-clock time
-// with a virtual clock: client replies and round deadlines are events in a
+// simulated clients onto a few workers and replaces wall-clock time with a
+// virtual clock: client replies and round deadlines are events in a
 // monotonically drained heap, ordered by (virtual time, schedule sequence).
 //
-// The engine reuses the repository's single sources of truth rather than
-// re-implementing them: both halves of Algorithm 1 are internal/fl's — each
-// worker runs fl.ClientStep (local solve, gate, one codec round trip per
-// upload) and the driving goroutine folds the accepted replies through
-// fl.Aggregator — and straggler/duplicate/late semantics are the exported
-// emu.Quorum state machine, so the simulation cannot drift from the engines
-// it models. With zero latency, full availability and no deadline, Run is
-// bit-identical to fl.Run (asserted by TestFLParity) and to emu.RunCluster at
-// any shard count (TestTierParity).
+// Run is internal/fl's synchronous loop — the one behind fl.Run, with both
+// halves of Algorithm 1 — under sim's fl.Schedule: availability decides who
+// trains, each packed reply draws a virtual delay, and the heap drained
+// through fl.Quorum (the machine emu's shards drive with real frames) decides
+// whose reply the round folds. With zero latency, full availability and no
+// deadline, Run is bit-identical to fl.Run (TestFLParity) and to
+// emu.RunCluster at any shard count (TestTierParity).
 //
 // Everything is a pure function of Config (including the seed): reruns and
 // different shard counts produce bit-identical final parameters, round
-// histories and registry histograms. Shard workers perform only per-client
-// computation on per-client streams; event scheduling happens on the driving
-// goroutine in ascending client order, and all float aggregation is exact
-// (fl.Aggregator.Fold, shard.Scalar), so no order is left to observe.
+// histories and registry histograms. Workers touch only per-client state,
+// events are scheduled on the loop's goroutine in ascending client order,
+// and all float aggregation is exact, so no order is left to observe.
 package sim
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
 	"time"
 
 	"cmfl/internal/core"
@@ -150,40 +145,15 @@ type Result struct {
 	FilterName string
 }
 
+// validate checks and defaults what is sim's; fl.RunSchedule checks the rest.
 func validate(cfg *Config) error {
 	switch {
-	case cfg.Model == nil:
-		return errors.New("sim: Config.Model is required")
-	case len(cfg.ClientData) == 0:
-		return errors.New("sim: at least one client shard is required")
-	case cfg.Epochs <= 0:
-		return errors.New("sim: Epochs must be positive")
-	case cfg.Batch <= 0:
-		return errors.New("sim: Batch must be positive")
-	case cfg.LR == nil:
-		return errors.New("sim: LR schedule is required")
-	case cfg.Rounds <= 0:
-		return errors.New("sim: Rounds must be positive")
 	case cfg.RoundDeadline < 0:
 		return errors.New("sim: RoundDeadline must be non-negative")
 	case cfg.BandwidthBytesPerSec < 0:
 		return errors.New("sim: BandwidthBytesPerSec must be non-negative")
 	case cfg.Availability < 0 || cfg.Availability > 1:
 		return errors.New("sim: Availability must be in [0, 1]")
-	}
-	for i, d := range cfg.ClientData {
-		if d == nil || d.Len() == 0 {
-			return fmt.Errorf("sim: client %d has no data", i)
-		}
-	}
-	if cfg.Filter == nil {
-		cfg.Filter = fl.Vanilla{}
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Shards > len(cfg.ClientData) {
-		cfg.Shards = len(cfg.ClientData)
 	}
 	if cfg.Arrival == nil {
 		cfg.Arrival = FixedDist{}

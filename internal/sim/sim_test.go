@@ -9,9 +9,12 @@ import (
 
 	"cmfl/internal/compress"
 	"cmfl/internal/core"
+	"cmfl/internal/dataset"
 	"cmfl/internal/emu"
 	"cmfl/internal/fl"
+	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
+	"cmfl/internal/xrand"
 )
 
 // simConfig builds a small but fully featured simulation: heavy-tailed
@@ -406,6 +409,63 @@ func TestQuorumAbort(t *testing.T) {
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "replies possible (minimum 8)") {
 		t.Fatalf("under-quorum run must fail with the replies-possible error, got: %v", err)
+	}
+}
+
+// availabilityAccuracyBand is the recorded tolerance for convergence under
+// partial availability: over 25 rounds of FedAvg on the label-sorted digits
+// workload, 20% of clients missing each round may cost at most this much
+// final accuracy versus full availability. Measured on the pinned seeds:
+// full 0.865, availability 0.8 0.855 (seeds 26–29 stay within 0.05). The
+// band leaves room for the averaging noise a thinner round adds without
+// letting convergence regressions hide behind it.
+const availabilityAccuracyBand = 0.08
+
+// TestAvailabilityConvergenceBand is the golden test for aggregating
+// whoever showed up: with Availability 0.8 the mean over the clients the
+// broadcast reached keeps the update unbiased, so accuracy stays within
+// availabilityAccuracyBand of the fully available run. The gate is off: at
+// availability 0.8 a CMFL gate at 0.5 over the six or so clients a round
+// reaches ends anywhere from 0.59 to 0.85 across seeds 25–29, which measures
+// the gate's variance, not the averaging's.
+func TestAvailabilityConvergenceBand(t *testing.T) {
+	digits := func(samples int, seed int64) *dataset.Set {
+		s, err := dataset.Digits(dataset.DigitsConfig{Samples: samples, ImageSize: 10, Noise: 0.2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	shards, err := dataset.SortedShards(digits(600, 21), 8, 2, xrand.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := digits(200, 23)
+	model := func() *nn.Network {
+		return nn.NewNetwork(nn.NewFlatten(), nn.NewDense(100, 10, xrand.Derive(24, "init", 0)))
+	}
+	run := func(availability float64) float64 {
+		res, err := Run(Config{
+			Model: model, ClientData: shards, Epochs: 3, Batch: 4, LR: core.Constant(0.15),
+			Rounds: 25, Seed: 25, Availability: availability,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := model()
+		if err := net.SetParamVector(res.FinalParams); err != nil {
+			t.Fatal(err)
+		}
+		return fl.Evaluate(net, test, 64)
+	}
+	full, partial := run(1), run(0.8)
+	t.Logf("accuracy: full=%v availability(0.8)=%v band=%v", full, partial, availabilityAccuracyBand)
+	if math.IsNaN(full) || math.IsNaN(partial) {
+		t.Fatal("accuracy missing")
+	}
+	if partial < full-availabilityAccuracyBand {
+		t.Fatalf("accuracy at availability 0.8 %v fell more than %v below full availability %v",
+			partial, availabilityAccuracyBand, full)
 	}
 }
 

@@ -6,12 +6,12 @@
 // The paper's entire claim is measured in communication — accumulated
 // communication rounds (Eq. 4) and uplink bytes — so those quantities must
 // be observable *while* a run is in flight, not reconstructed from result
-// histories afterwards. Every engine (fl.Run, fl.RunPartial, sim.Run and
-// the TCP emulation master through the shared fl.Aggregator; fl.RunAsync and
-// mtl.Run on their own) emits the same RoundEvent through the same
-// Observer interface; Collector turns the event stream into
-// registry metrics, and Handler exposes the registry as a Prometheus-text
-// /metrics and JSON /healthz endpoint.
+// histories afterwards. Every engine (fl.Run and sim.Run, which share fl's
+// synchronous loop, and the TCP emulation master, all three through
+// fl.Aggregator; fl.RunAsync and mtl.Run on their own) emits the same
+// RoundEvent through the same Observer interface; Collector turns the event
+// stream into registry metrics, and Handler exposes the registry as a
+// Prometheus-text /metrics and JSON /healthz endpoint.
 //
 // Instrumentation stays off the per-step training hot path: events are
 // emitted once per round (or per async completion), never per minibatch,
@@ -20,19 +20,20 @@ package telemetry
 
 import "math"
 
+//cmfl:api-change EnginePartial is removed with fl.RunPartial, its only emitter; no engine reports "fl-partial" any more, and a consumer filtering on it matches nothing.
+
 // Engine labels used by the built-in engines when emitting events.
 const (
-	EngineSync    = "fl"
-	EnginePartial = "fl-partial"
-	EngineAsync   = "fl-async"
-	EngineMTL     = "mtl"
-	EngineEmu     = "emu"
-	EngineSim     = "sim"
+	EngineSync  = "fl"
+	EngineAsync = "fl-async"
+	EngineMTL   = "mtl"
+	EngineEmu   = "emu"
+	EngineSim   = "sim"
 )
 
 // RoundEvent is the communication-cost core every engine records per round:
 // who participated, who uploaded, what it cost so far, and where accuracy
-// stands. The per-engine stats types (fl.RoundStats, fl.PartialRoundStats,
+// stands. The per-engine stats types (fl.RoundStats, sim.RoundStats,
 // mtl.RoundStats, emu.RoundStats) embed it instead of re-declaring the
 // fields, so one schema serves result histories and live observation alike.
 type RoundEvent struct {
@@ -46,8 +47,8 @@ type RoundEvent struct {
 	// The engines with a Dropped count differ on whether it is inside this
 	// number: sim counts every client the broadcast reached, so its
 	// deadline stragglers are participants (Participants = Uploaded +
-	// Skipped + Dropped), while emu and fl-partial count only the replies
-	// they aggregated (Participants = Uploaded + Skipped, Dropped beside
+	// Skipped + Dropped), while emu counts only the replies it
+	// aggregated (Participants = Uploaded + Skipped, Dropped beside
 	// it). Compare Uploaded, Skipped and the cumulative counters across
 	// engines, not Participants.
 	Participants int
@@ -60,9 +61,8 @@ type RoundEvent struct {
 	// application level (the paper's byte metric).
 	CumUplinkBytes int64
 	// Dropped is the number of clients excluded from this round's
-	// aggregation: stragglers cut at the quorum deadline (emu, sim) or clients
-	// that sat the round out entirely (fl-partial dropout). Always 0 for
-	// engines without partial participation.
+	// aggregation: stragglers cut at the quorum deadline (emu, sim). Always 0
+	// for engines without a deadline.
 	Dropped int
 	// Faults is the number of transport faults observed this round:
 	// connection failures, malformed frames, protocol violations. Only the
