@@ -209,8 +209,6 @@ func NewCodecChain(sel compress.Selector, values compress.Codec) CodecChain {
 // flags.
 func ParseCodec(name string) (UpdateCodec, error) { return compress.ParseName(name) }
 
-//cmfl:api-change PartialConfig, PartialResult, PartialRoundStats and RunPartialFederated are removed with the layerwise partial-upload engine, whose only recorded result was negative; RunFederated covers full-update gating, and the simulator's Availability is the former DropoutRate.
-
 // AsyncConfig configures the asynchronous (FedAsync-style) extension with
 // simulated stragglers and staleness-damped aggregation.
 type AsyncConfig = fl.AsyncConfig

@@ -13,8 +13,6 @@ import (
 	"cmfl/internal/fl"
 )
 
-//cmfl:api-change Quorum, NewQuorum, Verdict and the Verdict constants moved unchanged to internal/fl, beside the synchronous loop whose sim schedule drives them too; callers replace emu. with fl. in those names.
-
 // Directive kinds the root sends down the tree. Each directive produces
 // exactly one shardPartial, so the root's alternating direct/collect per
 // phase can never deadlock.

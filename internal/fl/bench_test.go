@@ -9,6 +9,7 @@ import (
 
 	"cmfl/internal/compress"
 	"cmfl/internal/dataset"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/tensor"
@@ -186,27 +187,33 @@ func BenchmarkPackTopKEF(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregatorFold is sim_wide_q8's server fold: 192 uploads of 100,100
-// coordinates (eight distinct deltas in turn, 6.4 MB) summed exactly, rounded
-// and applied over GOMAXPROCS ranges, so `-cpu 1` measures the serial fold and
-// `-cpu 2` the two-range split. An op allocates the sum Close takes ownership
-// of, and a split one the task that hands its second range to a worker.
+// BenchmarkAggregatorFold is what the driver of sim_wide_q8's round still
+// does with the uploads once the workers have added them: merge GOMAXPROCS
+// dense worker partials of 100,100 coordinates, round the sum once and close
+// the round (mean, apply). `-cpu 1` is a lone worker's round (no merge), `-cpu
+// 2` merges two. An op allocates only the sum Close takes ownership of.
+// BenchmarkShardAdd prices the adds themselves, which run on the workers.
 func BenchmarkAggregatorFold(b *testing.B) {
 	const dim, uploads = 100_100, 192
-	deltas := make([][]float64, 8)
-	for i := range deltas {
-		deltas[i] = xrand.New(int64(i)).NormVec(dim, 0, 0.01)
+	workers := make([]worker, runtime.GOMAXPROCS(0))
+	for i := range workers {
+		workers[i].acc = shard.New(dim)
+		workers[i].acc.Add(xrand.New(int64(i)).NormVec(dim, 0, 0.01))
 	}
+	first := xrand.New(0).NormVec(dim, 0, 0.01)
 	replies := make([]Reply, uploads)
 	accepted := make([]int, uploads)
 	for i := range replies {
-		replies[i], accepted[i] = Reply{Delta: deltas[i%len(deltas)], Upload: true}, i
+		replies[i], accepted[i] = Reply{Upload: true}, i
 	}
 	agg := NewAggregator(telemetry.EngineSim, make([]float64, dim), uploads, Vanilla{}, nil)
-	agg.Fold(1, uploads, accepted, replies, nil) // builds the split and its accumulators
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg.Fold(i+2, uploads, accepted, replies, nil)
+		b.StopTimer() // restore the first partial, which the merge sums into
+		workers[0].acc.Reset(dim)
+		workers[0].acc.Add(first)
+		b.StartTimer()
+		agg.Fold(i+1, uploads, accepted, replies, nil, merge(workers))
 	}
 }

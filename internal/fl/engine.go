@@ -25,10 +25,13 @@ func isNaN(v float64) bool { return math.IsNaN(v) }
 // Schedule is what tells the synchronous engines apart: per round, which
 // clients train and whose replies count. The loop calls Participants and
 // Accept on its own goroutine and Packed on the worker right after client
-// c's Pack, so Packed may touch only c's state.
+// c's Pack, so Packed may touch only c's state. Packed's verdict is final:
+// the worker folds the upload of a reply it accepts and keeps no copy, so
+// Accept must return exactly the trained clients whose Packed returned true,
+// or the round fails. Replies reach Accept without their Delta.
 type Schedule interface {
 	Participants(t int) []int                                    // distinct, ascending; read until Accept returns
-	Packed(t, c int, r *Reply)                                   // r as Pack priced it
+	Packed(t, c int, r *Reply) bool                              // r as Pack priced it; whether Accept will take it if the round completes
 	Accept(t int, trained []int, replies []Reply) ([]int, error) // an ascending subset of trained
 }
 
@@ -80,24 +83,51 @@ func (s *sampler) Participants(int) []int {
 	return s.ids[:s.k]
 }
 
-func (*sampler) Packed(int, int, *Reply) {}
+func (*sampler) Packed(int, int, *Reply) bool { return true }
 
 func (*sampler) Accept(_ int, trained []int, _ []Reply) ([]int, error) { return trained, nil }
 
 // worker is what one training goroutine reuses across clients and rounds: a
-// model replica, which the solver reloads from the broadcast per client,
-// and the solver and codec scratch.
+// model replica, which the solver reloads from the broadcast per client, the
+// solver and codec scratch, the delta buffer it lends each client's reply,
+// and its partial sum of the round's accepted uploads.
 type worker struct {
-	net    *nn.Network
-	sc     Scratch
-	client int // the client it failed on this round, with err
-	err    error
+	net      *nn.Network
+	sc       Scratch
+	delta    []float64
+	acc      *shard.Accumulator
+	weighted []float64 // weight·delta scratch, dim-sized under FedAvg weights
+	client   int       // the client it failed on this round, with err
+	err      error
+}
+
+// add folds client c's accepted upload into the worker's partial sum; under
+// FedAvg weights, weights[c]·delta is rounded into the scratch first.
+//
+//cmfl:hotpath
+func (w *worker) add(delta, weights []float64, c int) {
+	if weights != nil {
+		copy(w.weighted, delta)
+		tensor.ScaleVec(weights[c], w.weighted)
+		delta = w.weighted
+	}
+	w.acc.Add(delta)
+}
+
+// merge sums every worker's partial into the first one's and returns it.
+func merge(workers []worker) *shard.Accumulator {
+	for i := 1; i < len(workers); i++ {
+		workers[0].acc.Merge(workers[i].acc)
+	}
+	return workers[0].acc
 }
 
 // run is the synchronous round loop of Algorithm 1, written once. Memory that
-// serves one client at a time is per worker; what outlives a round is per
-// client: the training stream, the EF residual and the reply slot. traced
-// adds the Fig. 1–3 traces, which only Run pays for.
+// serves one client at a time is per worker, and so is the sum of the
+// uploads: each worker adds the ones its schedule accepts as it packs them.
+// What outlives a round is per client: the training stream, the EF residual
+// and a reply slot without a delta. traced adds the Fig. 1–3 traces, which
+// only Run pays for.
 func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, traced bool) (*Result, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
@@ -138,15 +168,20 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 		}
 	}
 	replies := make([]Reply, n)
+	taken := make([]bool, n) // client c's Packed verdict this round
 	workers := make([]worker, cfg.Parallelism)
 	for w := range workers {
-		workers[w].net = cfg.Model()
+		workers[w].net, workers[w].acc = cfg.Model(), shard.New(0)
+		if weights != nil {
+			workers[w].weighted = make([]float64, len(agg.Params))
+		}
 	}
 
 	var b Broadcast
 	client := func(w *worker, c int) (err error) {
 		r := &replies[c]
-		w.sc.Residual = residuals[c]
+		r.Delta, w.sc.Residual = w.delta, residuals[c]
+		defer func() { w.delta, r.Delta = r.Delta, nil }()
 		if err = step.Train(&w.sc, w.net, cfg.ClientData[c], streams[c], &b, r); err != nil {
 			return err
 		}
@@ -158,19 +193,32 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 				return err
 			}
 		}
-		if _, err = step.Pack(&w.sc, r); err == nil {
-			sched.Packed(b.Round, c, r)
+		// Pack and the fold are this worker's local round too, so the other
+		// workers' products are not split onto its core.
+		tensor.EnterLocalRound()
+		defer tensor.LeaveLocalRound()
+		if _, err = step.Pack(&w.sc, r); err != nil {
+			return err
 		}
-		return err
+		if taken[c] = sched.Packed(b.Round, c, r); taken[c] && r.Upload {
+			w.add(r.Delta, weights, c)
+		}
+		return nil
 	}
 
 	for t := 1; t <= cfg.Rounds; t++ {
 		b = agg.Begin(t, cfg.LR.At(t))
 		trained := sched.Participants(t)
+		for w := range workers {
+			workers[w].acc.Reset(len(agg.Params))
+		}
 		if c, err := train(workers, trained, client); err != nil {
 			return nil, fmt.Errorf("fl: round %d client %d: %w", t, c, err)
 		}
 		accepted, err := sched.Accept(t, trained, replies)
+		if err == nil {
+			err = checkVerdicts(t, trained, accepted, taken)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +237,7 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 				sig.Add(significance[c])
 			}
 		}
-		ev, update := agg.Fold(t, len(trained), accepted, replies, weights)
+		ev, update := agg.Fold(t, len(trained), accepted, replies, weights, merge(workers))
 		stats := RoundStats{RoundEvent: ev, TrainLoss: mean(&loss, len(trained)), MeanRelevance: mean(&rel, relCount)}
 		stats.MeanSignificance, stats.DeltaUpdate = nan(), nan()
 		if traced {
@@ -215,6 +263,30 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 	}
 	res.FinalParams = append([]float64(nil), agg.Params...)
 	return res, nil
+}
+
+// checkVerdicts holds the schedule to its Packed verdicts: accepted, which
+// Accept returned for round t, must be exactly the clients of trained whose
+// verdict in taken was true, in ascending order. The workers have folded
+// those uploads and no others, and kept none of them.
+func checkVerdicts(t int, trained, accepted []int, taken []bool) error {
+	i := 0
+	for _, c := range trained {
+		in := i < len(accepted) && accepted[i] == c
+		if in {
+			i++
+		}
+		switch {
+		case in && !taken[c]:
+			return fmt.Errorf("fl: round %d client %d: the schedule accepted a reply its Packed rejected", t, c)
+		case !in && taken[c]:
+			return fmt.Errorf("fl: round %d client %d: the schedule dropped a reply its Packed accepted", t, c)
+		}
+	}
+	if i < len(accepted) {
+		return fmt.Errorf("fl: round %d client %d: accepted outside the ascending list of trained clients", t, accepted[i])
+	}
+	return nil
 }
 
 // mean is s's exact sum over n terms, rounded once; NaN over none.

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"cmfl/internal/compress"
@@ -653,10 +656,10 @@ func TestWeightedAggregation(t *testing.T) {
 }
 
 // TestFoldIgnoresArrivalOrder pins Algorithm 1 line 8 as an exact sum: the
-// same replies folded under any permutation of accepted give the same model
-// bits — plain and n_k-weighted, with and without server momentum. The
-// deltas mix magnitudes so that a sequential float sum would round
-// differently under each order.
+// same replies added by a worker and folded under any permutation of accepted
+// give the same model bits — plain and n_k-weighted, with and without server
+// momentum. The deltas mix magnitudes so that a sequential float sum would
+// round differently under each order.
 func TestFoldIgnoresArrivalOrder(t *testing.T) {
 	const dim, clients = 257, 7
 	rng := xrand.New(1234)
@@ -685,8 +688,15 @@ func TestFoldIgnoresArrivalOrder(t *testing.T) {
 		for _, order := range orders {
 			agg := NewAggregator(telemetry.EngineSync, make([]float64, dim), clients, Vanilla{}, nil)
 			agg.momentum = tc.momentum
+			w := worker{acc: shard.New(0), weighted: make([]float64, dim)}
 			for round := 1; round <= 2; round++ { // the second round folds onto momentum state
-				if ev, _ := agg.Fold(round, clients, order, replies, tc.weights); ev.Uploaded != clients-1 || ev.Skipped != 1 {
+				w.acc.Reset(dim)
+				for _, i := range order {
+					if replies[i].Upload {
+						w.add(replies[i].Delta, tc.weights, i)
+					}
+				}
+				if ev, _ := agg.Fold(round, clients, order, replies, tc.weights, w.acc); ev.Uploaded != clients-1 || ev.Skipped != 1 {
 					t.Fatalf("%s: round %d uploaded %d skipped %d", tc.name, round, ev.Uploaded, ev.Skipped)
 				}
 			}
@@ -703,8 +713,8 @@ func TestFoldIgnoresArrivalOrder(t *testing.T) {
 	}
 }
 
-// foldOracle is Fold's sum as one accumulator took it before the split:
-// every upload added whole (weight·delta through one scratch), rounded once.
+// foldOracle is the round's sum as one accumulator takes it: every upload
+// added whole (weight·delta through one scratch), rounded once.
 func foldOracle(dim int, accepted []int, replies []Reply, weights []float64) []float64 {
 	acc := shard.New(dim)
 	var weighted []float64
@@ -724,14 +734,16 @@ func foldOracle(dim int, accepted []int, replies []Reply, weights []float64) []f
 	return acc.Round(nil)
 }
 
-// TestFoldRangesMatchOneAccumulator holds Fold's coordinate-range split to a
-// single accumulator over the whole vector, bit for bit, at every range count
-// 1…8 (forced below foldRangeMin) on dimensions around the 64-coordinate
-// alignment, plain and n_k-weighted. The coordinates on either side of every
-// possible range boundary spill (their terms span more than hi and lo hold),
-// and others sum to exactly zero, by cancellation or from −0 terms alone,
-// which must round to +0. Run with -race: the ranges fold concurrently.
-func TestFoldRangesMatchOneAccumulator(t *testing.T) {
+// TestWorkerPartialsMatchOneAccumulator holds the loop's fold to a single
+// accumulator over every upload, bit for bit: the uploads are dealt onto 1…8
+// workers in a scrambled assignment, each worker adds its share on its own
+// goroutine (weight·delta through its own scratch when weighted), and merge
+// sums the partials — on dimensions around the 64-coordinate bitmap word,
+// plain and n_k-weighted, twice over reset accumulators. Some coordinates
+// spill (their terms span more than hi and lo hold), and others sum to
+// exactly zero, by cancellation or from −0 terms alone, which must round to
+// +0. Run with -race: the workers add concurrently.
+func TestWorkerPartialsMatchOneAccumulator(t *testing.T) {
 	const clients = 6
 	negZero := math.Copysign(0, -1)
 	for _, dim := range []int{1, 63, 64, 65, 4097, 100100} {
@@ -761,24 +773,96 @@ func TestFoldRangesMatchOneAccumulator(t *testing.T) {
 			}
 		}
 		accepted := []int{4, 0, 5, 2, 1, 3}
-		for _, w := range [][]float64{nil, weights} {
-			want := foldOracle(dim, accepted, replies, w)
+		for _, wts := range [][]float64{nil, weights} {
+			want := foldOracle(dim, accepted, replies, wts)
 			for _, j := range zeros {
 				if math.Float64bits(want[j]) != 0 {
 					t.Fatalf("dim %d: the oracle rounds zero sum %d to %v", dim, j, want[j])
 				}
 			}
 			for k := 1; k <= 8; k++ {
-				agg := NewAggregator(telemetry.EngineSync, make([]float64, dim), clients, Vanilla{}, nil)
-				for round := 0; round < 2; round++ { // the second round reuses the split
-					got := agg.sum(accepted, replies, w, k)
+				workers := make([]worker, k)
+				for w := range workers {
+					workers[w] = worker{acc: shard.New(0), weighted: make([]float64, dim)}
+				}
+				for round := 0; round < 2; round++ { // the second round reuses the accumulators
+					share := make([][]int, k)
+					for _, i := range accepted {
+						if replies[i].Upload {
+							w := rng.Intn(k)
+							share[w] = append(share[w], i)
+						}
+					}
+					var wg sync.WaitGroup
+					for w := range workers {
+						workers[w].acc.Reset(dim)
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for _, i := range share[w] {
+								workers[w].add(replies[i].Delta, wts, i)
+							}
+						}()
+					}
+					wg.Wait()
+					got := merge(workers).Round(nil)
 					for j := range want {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("dim %d, %d ranges, weighted %v: coordinate %d = %v, want %v", dim, k, w != nil, j, got[j], want[j])
+							t.Fatalf("dim %d, %d workers, weighted %v: coordinate %d = %v, want %v", dim, k, wts != nil, j, got[j], want[j])
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// lyingSchedule is Run's full participation with one broken verdict: client
+// 1's reply in round 2. With drop, Packed predicts it accepted and Accept
+// drops it; without, Packed predicts it rejected and Accept takes it.
+type lyingSchedule struct {
+	n        int
+	drop     bool
+	resident bool // Accept saw a reply still holding its delta
+}
+
+func (s *lyingSchedule) Participants(int) []int { return seqIdx(0, s.n) }
+
+func (s *lyingSchedule) Packed(t, c int, _ *Reply) bool { return s.drop || t != 2 || c != 1 }
+
+func (s *lyingSchedule) Accept(t int, trained []int, replies []Reply) ([]int, error) {
+	for _, c := range trained {
+		s.resident = s.resident || replies[c].Delta != nil
+	}
+	if s.drop && t == 2 {
+		return slices.DeleteFunc(slices.Clone(trained), func(c int) bool { return c == 1 }), nil
+	}
+	return trained, nil
+}
+
+// TestScheduleMustKeepPackedVerdicts: the workers fold what Packed accepts
+// and keep no delta, so an Accept that disagrees with Packed in either
+// direction must fail the run, naming the round and the client, rather than
+// return a Result that folded the wrong set. Before the lie, Accept sees no
+// reply holding a delta.
+func TestScheduleMustKeepPackedVerdicts(t *testing.T) {
+	for _, drop := range []bool{true, false} {
+		cfg := digitLogisticConfig(t, 4, false)
+		cfg.Rounds = 3
+		streams := make([]*xrand.Stream, len(cfg.ClientData))
+		for c := range streams {
+			streams[c] = ClientStream(cfg.Seed, c)
+		}
+		s := &lyingSchedule{n: len(streams), drop: drop}
+		res, err := RunSchedule(cfg, telemetry.EngineSync, s, streams)
+		if err == nil || res != nil {
+			t.Fatalf("drop=%v: RunSchedule returned %v, %v; want an error and no Result", drop, res, err)
+		}
+		if !strings.Contains(err.Error(), "round 2 client 1:") {
+			t.Fatalf("drop=%v: error %q does not name round 2 client 1", drop, err)
+		}
+		if s.resident {
+			t.Fatalf("drop=%v: Accept saw a reply still holding its delta", drop)
 		}
 	}
 }

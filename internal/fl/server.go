@@ -1,9 +1,6 @@
 package fl
 
 import (
-	"runtime"
-	"sync"
-
 	"cmfl/internal/core"
 	"cmfl/internal/emu/shard"
 	"cmfl/internal/telemetry"
@@ -29,7 +26,6 @@ type Aggregator struct {
 	momentum  float64 // Config.ServerMomentum
 	staleness int     // Config.FeedbackStaleness, at least 1
 
-	ranges     []foldRange // Fold's coordinate ranges, kept across rounds
 	feedback   []float64   // latest non-empty aggregate; zeros before the first
 	history    [][]float64 // the last staleness+1 of them, kept when staleness > 1
 	signs      []int8      // sign buffer, rebuilt by Begin
@@ -37,21 +33,6 @@ type Aggregator struct {
 	cumUploads int
 	cumBytes   int64
 }
-
-// foldRange is one contiguous range [lo, hi) of the coordinates, summed
-// exactly by an accumulator of its own.
-type foldRange struct {
-	lo, hi   int
-	acc      *shard.Accumulator
-	weighted []float64 // weight·delta[lo:hi] scratch, when weighted
-}
-
-// foldRangeMin is the fewest coordinates Fold gives a range of its split.
-// Handing a range to a worker costs about a microsecond of wake-up, and the
-// exact sum about 2.4 ns a coordinate an upload: 2^15 coordinates repay the
-// handoff on a round with a single upload. Narrower models (68 dims on
-// sim_100k_narrow, 20,522 on the paper's CNN) therefore fold serially.
-const foldRangeMin = 1 << 15
 
 // NewAggregator starts a run at params for the given number of clients.
 // engine labels the emitted events; filter is told every round's upload
@@ -84,18 +65,15 @@ func (a *Aggregator) Begin(t int, lr float64) Broadcast {
 }
 
 // Fold closes round t over the replies the engine accepted: replies[i] for
-// every i in accepted. The uploads are summed exactly (Algorithm 1 line 8),
-// so the order of accepted, like any grouping of it, leaves no trace in the
-// result; weights, indexed like replies, turns the plain mean into FedAvg's
-// n_k/n when non-nil. Close does the rest.
-//
-// A wide model's sum is split by coordinate range across up to GOMAXPROCS
-// goroutines, one exact accumulator per range. Each coordinate is still
-// summed by exactly one accumulator and rounded once, so the split is as
-// unobservable as the order.
+// every i in accepted. sum holds the exact sum of their uploads (Algorithm 1
+// line 8), each weights[i]·Delta when weights, indexed like replies, turns the
+// plain mean into FedAvg's n_k/n. The loop's workers add the uploads as they
+// pack them, and the driver merges their partial sums into one before Fold
+// rounds it once per coordinate: no order or grouping of the uploads leaves
+// a trace in the result. Close does the rest.
 //
 //cmfl:deterministic
-func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, weights []float64) (telemetry.RoundEvent, []float64) {
+func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, weights []float64, sum *shard.Accumulator) (telemetry.RoundEvent, []float64) {
 	uploaded := 0
 	var weightSum shard.Scalar
 	for _, i := range accepted {
@@ -113,83 +91,7 @@ func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, 
 	if weights != nil {
 		divisor = weightSum.Round()
 	}
-	sum := a.sum(accepted, replies, weights, min(runtime.GOMAXPROCS(0), len(a.Params)/foldRangeMin))
-	return a.Close(t, participants, accepted, replies, sum, divisor)
-}
-
-// sum returns the exact sum of the uploads among replies[accepted], rounded
-// once per coordinate, over at most k ranges folded side by side: idle pool
-// workers take the ranges past the first, and the caller folds the first and
-// any that no worker was free to take.
-func (a *Aggregator) sum(accepted []int, replies []Reply, weights []float64, k int) []float64 {
-	sum := make([]float64, len(a.Params))
-	ranges := a.foldRanges(len(sum), max(k, 1))
-	for i := range ranges {
-		r := &ranges[i]
-		r.acc.Reset(r.hi - r.lo)
-		if weights != nil && len(r.weighted) < r.hi-r.lo {
-			r.weighted = make([]float64, r.hi-r.lo)
-		}
-	}
-	if len(ranges) == 1 {
-		ranges[0].fold(sum, accepted, replies, weights)
-		return sum
-	}
-	var wg sync.WaitGroup // past the serial return: the tasks capture it, so it lives on the heap
-	for i := 1; i < len(ranges); i++ {
-		r := &ranges[i]
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			r.fold(sum, accepted, replies, weights)
-		}
-		if !tensor.Offload(task) {
-			task()
-		}
-	}
-	ranges[0].fold(sum, accepted, replies, weights)
-	wg.Wait()
-	return sum
-}
-
-// foldRanges returns dim coordinates split into at most k contiguous ranges
-// of a multiple of 64 coordinates each, the last taking the rest, so no two
-// ranges write one cache line of the sum. The split is kept across rounds and
-// rebuilt only when dim or k changes it.
-func (a *Aggregator) foldRanges(dim, k int) []foldRange {
-	size := max(((dim+k-1)/k+63)&^63, 64)
-	if n := len(a.ranges); n > 0 && a.ranges[0].hi == min(size, dim) && a.ranges[n-1].hi == dim {
-		return a.ranges
-	}
-	a.ranges = make([]foldRange, max((dim+size-1)/size, 1))
-	for i := range a.ranges {
-		r := &a.ranges[i]
-		r.lo, r.hi, r.acc = i*size, min((i+1)*size, dim), shard.New(0)
-	}
-	return a.ranges
-}
-
-// fold adds the range's share of every upload among replies[accepted] to its
-// reset accumulator and rounds it into the same range of sum. It writes only
-// what the range owns.
-//
-//cmfl:hotpath
-func (r *foldRange) fold(sum []float64, accepted []int, replies []Reply, weights []float64) {
-	for _, i := range accepted {
-		rep := &replies[i]
-		if !rep.Upload {
-			continue
-		}
-		delta := rep.Delta[r.lo:r.hi]
-		if weights != nil {
-			w := r.weighted[:len(delta)]
-			copy(w, delta)
-			tensor.ScaleVec(weights[i], w)
-			delta = w
-		}
-		r.acc.Add(delta)
-	}
-	r.acc.Round(sum[r.lo:r.hi])
+	return a.Close(t, participants, accepted, replies, sum.Round(make([]float64, len(a.Params))), divisor)
 }
 
 // Close finishes round t from sum, the exact sum of the accepted uploads

@@ -96,13 +96,16 @@ func (s *schedule) Participants(int) []int {
 }
 
 // Packed draws client c's reply delay: local arrival, network latency and
-// the payload's time on the uplink.
-func (s *schedule) Packed(_, c int, r *fl.Reply) {
+// the payload's time on the uplink. The delay alone decides the verdict: a
+// current-round reply is accepted unless it lands after the deadline, and
+// one landing exactly on it is accepted (Accept's drain holds it to this).
+func (s *schedule) Packed(_, c int, r *fl.Reply) bool {
 	delay := s.cfg.Arrival.Sample(s.timing[c]) + s.cfg.Latency.Sample(s.timing[c])
 	if s.cfg.BandwidthBytesPerSec > 0 {
 		delay += time.Duration(float64(r.Bytes) / s.cfg.BandwidthBytesPerSec * float64(time.Second))
 	}
 	s.delays[c] = max(delay, 0)
+	return s.cfg.RoundDeadline == 0 || s.delays[c] <= s.cfg.RoundDeadline
 }
 
 // Accept runs round t in virtual time and returns the replies that beat the

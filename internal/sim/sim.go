@@ -7,17 +7,19 @@
 //
 // Run is internal/fl's synchronous loop — the one behind fl.Run, with both
 // halves of Algorithm 1 — under sim's fl.Schedule: availability decides who
-// trains, each packed reply draws a virtual delay, and the heap drained
-// through fl.Quorum (the machine emu's shards drive with real frames) decides
-// whose reply the round folds. With zero latency, full availability and no
+// trains, each packed reply draws a virtual delay that decides against the
+// deadline whether the round folds it, and the heap drained through
+// fl.Quorum (the machine emu's shards drive with real frames) confirms those
+// verdicts and times the round. With zero latency, full availability and no
 // deadline, Run is bit-identical to fl.Run (TestFLParity) and to
 // emu.RunCluster at any shard count (TestTierParity).
 //
 // Everything is a pure function of Config (including the seed): reruns and
 // different shard counts produce bit-identical final parameters, round
-// histories and registry histograms. Workers touch only per-client state,
-// events are scheduled on the loop's goroutine in ascending client order,
-// and all float aggregation is exact, so no order is left to observe.
+// histories and registry histograms. Workers touch only per-client state
+// and their own exact partial sums, events are scheduled on the loop's
+// goroutine in ascending client order, and all float aggregation is exact,
+// so no order is left to observe.
 package sim
 
 import (
@@ -62,8 +64,11 @@ type Config struct {
 	Seed int64
 
 	// Shards is the number of worker goroutines clients are multiplexed
-	// onto (default: GOMAXPROCS). Results are bit-identical across shard
-	// counts; Shards only trades wall-clock speed for memory.
+	// onto (default: GOMAXPROCS). Each holds a model replica, the solver
+	// and codec scratch, one delta and a 16 B/coordinate accumulator of the
+	// round's accepted uploads, which it adds as it packs them. Results are
+	// bit-identical across shard counts; Shards only trades wall-clock speed
+	// for memory.
 	Shards int
 
 	// Arrival is the per-reply local delay before a client's reply leaves

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"strings"
@@ -63,8 +64,15 @@ func fingerprint(t *testing.T, res *Result, reg *telemetry.Registry) string {
 
 // TestDeterminism pins the tentpole property: the same seed produces
 // bit-identical final parameters, histories and registry histograms across
-// reruns AND across shard counts.
+// reruns AND across shard counts. Every run's fingerprint also hashes to the
+// one pinned while the loop kept each delta until Accept and folded on its
+// driver, so the workers' fold, with Packed's verdict standing in for the
+// drain's, changes nothing, deadline cuts included. The vector kernels fuse
+// the multiply-adds and the portable loops do not, so each path has its own
+// hash.
 func TestDeterminism(t *testing.T) {
+	const wantSIMD, wantPortable = "e0b312bcc3bda646b0312f44f24cc6614741a8904c8e4263215d1ea4d0900009",
+		"bdf1763f9e9c9e2644080396bacf59c7abd4632d592a705961574da2f80f3481"
 	var want string
 	for i, shards := range []int{1, 1, 3, 8, 64} {
 		cfg := simConfig(t, 96, shards)
@@ -74,6 +82,9 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		got := fingerprint(t, res, cfg.Registry)
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(got))); sum != wantSIMD && sum != wantPortable {
+			t.Fatalf("shards=%d: SHA-256 %s, want %s (AVX-512) or %s (portable)", shards, sum, wantSIMD, wantPortable)
+		}
 		if i == 0 {
 			want = got
 			continue

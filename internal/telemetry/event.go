@@ -20,8 +20,6 @@ package telemetry
 
 import "math"
 
-//cmfl:api-change EnginePartial is removed with fl.RunPartial, its only emitter; no engine reports "fl-partial" any more, and a consumer filtering on it matches nothing.
-
 // Engine labels used by the built-in engines when emitting events.
 const (
 	EngineSync  = "fl"

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// The worker pool behind split GEMMs and fl.Aggregator.Fold's coordinate
-// ranges. One pool is shared by every goroutine in the process (all
-// simulated FL clients included): workers are started lazily on the first
-// offloaded task, tasks are leaf computations that never submit
-// nested tasks, and submission falls back to running the task inline when
-// every worker is busy — so the pool can never deadlock and the total
+// The worker pool behind split GEMMs. One pool is shared by every goroutine
+// in the process (all simulated FL clients included): workers are started
+// lazily on the first offloaded task, tasks are leaf computations that never
+// submit nested tasks, and submission falls back to running the task inline
+// when every worker is busy — so the pool can never deadlock and the total
 // compute concurrency stays bounded by GOMAXPROCS even when many clients
 // train at once.
 //
@@ -79,11 +78,13 @@ func startPool() {
 	}
 }
 
-// Offload hands task to an idle pool worker and reports whether one took it;
+//cmfl:api-change Offload is unexported: its one caller outside tensor, the exact fold's coordinate-range split, is gone now that the synchronous loop's workers fold their own uploads.
+
+// offload hands task to an idle pool worker and reports whether one took it;
 // a task no worker took is the caller's to run, so offloading never waits
 // for a worker. Tasks are leaf computations that never offload nested work,
 // like a product's row panels.
-func Offload(task func()) bool {
+func offload(task func()) bool {
 	poolOnce.Do(startPool)
 	select {
 	case poolTasks <- task:
@@ -106,7 +107,7 @@ func run(m, p int, fn func(lo, hi int)) {
 			defer wg.Done()
 			fn(l, h)
 		}
-		if !Offload(task) {
+		if !offload(task) {
 			// All workers busy (e.g. many FL clients multiplying at once):
 			// do the panel inline rather than queueing.
 			task()

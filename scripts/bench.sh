@@ -20,10 +20,12 @@
 #   are noisy; keep the threshold loose there and tighten it locally.
 # - The baseline was taken at GOMAXPROCS=1 (names without a -N suffix), except
 #   BenchmarkConcurrentLocalRounds/mnist-cnn-2 and BenchmarkAggregatorFold-2:
-#   those measure GOMAXPROCS trainers, or fold ranges, at once and say nothing
-#   on one core. Run with GOMAXPROCS=1 to gate the rest by name, and with two
-#   cores to gate them (not `-cpu 1,2`: the worker pool is sized by the
-#   GOMAXPROCS of its first use, so a -2 run after a -1 run has no workers).
+#   those measure GOMAXPROCS trainers at once, or the merge of GOMAXPROCS
+#   workers' partial sums, and say nothing on one core. Run with
+#   GOMAXPROCS=1 to gate the rest by name, and with two cores to gate them
+#   (not `-cpu 1,2`: the worker pool the trainers split products onto is
+#   sized by the GOMAXPROCS of its first use, so a -2 run after a -1 run has
+#   no workers).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
