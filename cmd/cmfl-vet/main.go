@@ -10,37 +10,30 @@
 //
 // Usage:
 //
-//	cmfl-vet [-json] [-sarif file] [-fix] [-list] [-stats] [-pkg substr]
-//	         [-cache dir] [-diff ref] [-write-api-baseline] [-budget file]
-//	         [-cpuprofile file] [packages]
+//	cmfl-vet [-json] [-sarif file] [-fix] [-list] [-stats]
+//	         [-write-api-baseline] [-budget file] [-cpuprofile file] [packages]
 //
 // Packages default to ./... (every buildable package of the module,
-// excluding testdata). Directories may be named explicitly — including
-// testdata fixture packages, which is how the suite tests itself.
+// excluding testdata). Directories and import-path patterns narrow the
+// run; testdata fixture packages may be named explicitly, which is how the
+// suite tests itself. Every run loads and analyzes its packages from
+// scratch: module code is parsed and type-checked from source, the
+// standard library is read from the go command's export data (one
+// `go list -export -deps`, served from Go's build cache once `go vet` or
+// `go build` has run).
 //
 // -fix applies every finding that carries a mechanical rewrite (today:
 // wallclock's time.Now/Since/Sleep → package-hook rewrites), re-running
 // the suite after each apply round until no fixable findings remain.
 // Rewritten files are always gofmt-clean; the findings printed afterwards
-// are the unfixable remainder. Caching is bypassed while fixing.
+// are the unfixable remainder.
 //
 // -sarif writes the run's findings as a SARIF 2.1.0 log to the given file
 // ("-" for stdout), the format GitHub code scanning ingests.
 //
-// -diff ref narrows the run to the packages whose files differ from the
-// git ref (plus untracked files), extended by their forward and reverse
-// transitive import closures — the pre-commit entry point
-// (scripts/lint.sh --diff) uses it against the merge base. Within that
-// closure the findings match a full run's.
-//
 // -write-api-baseline regenerates benchmarks/api_baseline.json from the
 // run's exported-API facts; do this after an intentional, marker-waived
 // //cmfl:api-change.
-//
-// Results are cached per package under -cache (default .cmflvet-cache at
-// the module root, -cache "" to disable): when no file affecting a target
-// changed, the run replays findings without type-checking anything. Diff
-// runs keep their own records under <cache>-diff.
 //
 // Exit status: 0 when clean, 1 when findings were reported or the
 // suppression budget is exceeded, 2 on usage or load errors.
@@ -61,15 +54,12 @@ func main() {
 	sarifOut := flag.String("sarif", "", "write findings as a SARIF 2.1.0 log to this file (\"-\" for stdout)")
 	fix := flag.Bool("fix", false, "apply mechanical rewrites for fixable findings, re-running until none remain")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	stats := flag.Bool("stats", false, "report per-analyzer wall time and cache behavior")
-	pkgFilter := flag.String("pkg", "", "only analyze targets whose import path contains this substring")
-	cacheDir := flag.String("cache", lint.DefaultCacheDir, "cache directory (relative to the module root); empty disables caching")
-	diffRef := flag.String("diff", "", "analyze only packages affected by files differing from this git ref")
+	stats := flag.Bool("stats", false, "report load, wall and per-analyzer time")
 	writeBaseline := flag.Bool("write-api-baseline", false, "regenerate benchmarks/api_baseline.json from this run's exported-API facts")
 	budgetFile := flag.String("budget", "", "JSON budget file; fail when suppressions exceed its max_suppressed")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cmfl-vet [-json] [-sarif file] [-fix] [-list] [-stats] [-pkg substr] [-cache dir] [-diff ref] [-write-api-baseline] [-budget file] [-cpuprofile file] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: cmfl-vet [-json] [-sarif file] [-fix] [-list] [-stats] [-write-api-baseline] [-budget file] [-cpuprofile file] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-20s %s\n", a.Name, a.Doc)
 		}
@@ -99,10 +89,7 @@ func main() {
 		fatal(err)
 	}
 	runOpts := lint.RunOptions{
-		CacheDir:         *cacheDir,
 		Stats:            *stats || *jsonOut,
-		PkgFilter:        *pkgFilter,
-		DiffRef:          *diffRef,
 		WriteAPIBaseline: *writeBaseline,
 	}
 	var res lint.Result
@@ -186,8 +173,7 @@ func writeSARIFFile(path, root string, res lint.Result) error {
 }
 
 func printStats(s *lint.RunStats) {
-	fmt.Fprintf(os.Stderr, "cmfl-vet: load %dms, wall %dms, cache %d hit / %d miss\n",
-		s.LoadMS, s.WallMS, s.CacheHits, s.CacheMisses)
+	fmt.Fprintf(os.Stderr, "cmfl-vet: load %dms, wall %dms\n", s.LoadMS, s.WallMS)
 	for _, a := range s.Analyzers {
 		fmt.Fprintf(os.Stderr, "  %-20s %6dms  %d finding(s)\n", a.Name, a.MS, a.Findings)
 	}

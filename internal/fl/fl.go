@@ -26,8 +26,6 @@ import (
 	"cmfl/internal/xrand"
 )
 
-//cmfl:api-change Schedule.Packed returns its verdict, whether Accept will take the reply, and Aggregator.Fold takes the exact sum of the accepted uploads as a shard.Accumulator instead of summing their deltas: the synchronous loop's workers fold each upload as they pack it, so no reply keeps its delta until Accept.
-
 // UploadFilter is the client-side gate deciding whether a local update is
 // transferred to the server. Implementations must be safe for concurrent
 // use; the engine calls Check from one goroutine per client.

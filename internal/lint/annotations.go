@@ -84,12 +84,10 @@ func isGenerated(f *ast.File) bool {
 }
 
 // suppressionIndex maps (file, line, analyzer) to lint-ignore markers. It
-// also carries the malformed-marker findings discovered while scanning and
-// the serializable entry list the cache stores per package.
+// also carries the malformed-marker findings discovered while scanning.
 type suppressionIndex struct {
 	byKey     map[suppressionKey]bool
 	malformed []Finding
-	entries   []SuppressionEntry
 }
 
 type suppressionKey struct {
@@ -98,22 +96,8 @@ type suppressionKey struct {
 	analyzer string
 }
 
-// SuppressionEntry is one well-formed //cmfl:lint-ignore marker in cache
-// form.
-type SuppressionEntry struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-}
-
 func newSuppressionIndex() *suppressionIndex {
 	return &suppressionIndex{byKey: make(map[suppressionKey]bool)}
-}
-
-// add records one well-formed marker.
-func (s *suppressionIndex) add(e SuppressionEntry) {
-	s.byKey[suppressionKey{e.File, e.Line, e.Analyzer}] = true
-	s.entries = append(s.entries, e)
 }
 
 // addFile scans a file's comments for lint-ignore markers. Malformed
@@ -140,7 +124,7 @@ func (s *suppressionIndex) addFile(fset *token.FileSet, f *ast.File) {
 				})
 				continue
 			}
-			s.add(SuppressionEntry{File: pos.Filename, Line: pos.Line, Analyzer: fields[0]})
+			s.byKey[suppressionKey{pos.Filename, pos.Line, fields[0]}] = true
 		}
 	}
 }

@@ -116,10 +116,8 @@ func WriteFixes(files map[string][]byte) error {
 
 // RunFix runs the suite, applies every fixable finding, and repeats until
 // a run reports none — the final clean-of-fixables Result is returned
-// together with what changed. Caching is disabled internally: every
-// iteration must re-analyze the files it just rewrote.
+// together with what changed.
 func RunFix(dir string, patterns []string, analyzers []*Analyzer, opts RunOptions) (Result, FixSummary, error) {
-	opts.CacheDir = ""
 	var sum FixSummary
 	changed := make(map[string]bool)
 	for {

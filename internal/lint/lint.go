@@ -20,9 +20,9 @@ import (
 //
 // Run executes per package and may record cross-package facts on
 // pass.Facts; the optional Merge phase then runs once over every target's
-// facts — in package-path order, with no type information — which is what
-// lets merge-only conclusions (duplicate metric families, stream-purpose
-// collisions) be recomputed from the cache without reloading the module.
+// facts — in package-path order, with no type information — to reach the
+// merge-only conclusions (duplicate metric families, stream-purpose
+// collisions, lock-order cycles).
 type Analyzer struct {
 	Name  string
 	Doc   string
@@ -66,13 +66,11 @@ type Result struct {
 	Stats      *RunStats `json:"stats,omitempty"`
 }
 
-// RunStats reports where a run spent its time and how the cache behaved.
+// RunStats reports where a run spent its time.
 type RunStats struct {
-	Analyzers   []AnalyzerStat `json:"analyzers"`
-	CacheHits   int            `json:"cache_hits"`
-	CacheMisses int            `json:"cache_misses"`
-	LoadMS      int64          `json:"load_ms"`
-	WallMS      int64          `json:"wall_ms"`
+	Analyzers []AnalyzerStat `json:"analyzers"`
+	LoadMS    int64          `json:"load_ms"`
+	WallMS    int64          `json:"wall_ms"`
 }
 
 // AnalyzerStat is one analyzer's accumulated wall time across all packages
@@ -283,8 +281,7 @@ type TargetFacts struct {
 }
 
 // MergePass is the cross-package phase context: every target's facts in
-// package-path order, and nothing else — no syntax, no types — so merges
-// replay identically from cached facts.
+// package-path order, and nothing else — no syntax, no types.
 type MergePass struct {
 	Analyzer *Analyzer
 	Targets  []*TargetFacts
@@ -296,7 +293,7 @@ type MergePass struct {
 }
 
 // Reportf records a merge finding at an explicit position (facts carry
-// file/line/column; there is no token.Pos on the warm path).
+// file/line/column, not a token.Pos).
 func (mp *MergePass) Reportf(file string, line, col int, format string, args ...any) {
 	*mp.findings = append(*mp.findings, Finding{
 		Analyzer: mp.Analyzer.Name,
@@ -328,9 +325,37 @@ func All() []*Analyzer {
 	}
 }
 
-// passResult is the output of one (analyzer, package) pass.
-type passResult struct {
-	findings []Finding
+// RunOptions configures RunModule.
+type RunOptions struct {
+	// Stats attaches a RunStats to the Result.
+	Stats bool
+	// WriteAPIBaseline regenerates benchmarks/api_baseline.json from this
+	// run's apicompat facts after analysis.
+	WriteAPIBaseline bool
+}
+
+// RunModule is the cmfl-vet entry point: load the packages matching
+// patterns (see Load), run the analyzers over them, and report.
+func RunModule(dir string, patterns []string, analyzers []*Analyzer, opts RunOptions) (Result, error) {
+	start := time.Now()
+	targets, mod, err := Load(dir, patterns)
+	if err != nil {
+		return Result{}, err
+	}
+	var stats *RunStats
+	if opts.Stats {
+		stats = &RunStats{LoadMS: int64(time.Since(start) / time.Millisecond)}
+	}
+	res, tf := analyze(mod, targets, analyzers, stats)
+	if opts.WriteAPIBaseline {
+		if err := WriteAPIBaseline(mod.RootDir, tf); err != nil {
+			return Result{}, err
+		}
+	}
+	if stats != nil {
+		stats.WallMS = int64(time.Since(start) / time.Millisecond)
+	}
+	return res, nil
 }
 
 // Run executes the analyzers over the target packages, applies
@@ -338,25 +363,18 @@ type passResult struct {
 // sorted by position. Malformed suppression comments (missing analyzer
 // name or justification) are themselves findings: the whole point of the
 // marker is an auditable reason.
-//
-// Passes run in parallel across (analyzer, package) pairs; the Module's
-// lazily built shared structures (call graph, summaries, suppressions) are
-// protected by sync.Once.
 func Run(mod *Module, targets []*Package, analyzers []*Analyzer) Result {
-	perPkg, merged, _ := runPasses(mod, targets, analyzers, nil)
-	var findings []Finding
-	for _, pr := range perPkg {
-		findings = append(findings, pr.findings...)
-	}
-	findings = append(findings, merged...)
-	return finish(findings, mod.Suppressions(), nil)
+	res, _ := analyze(mod, targets, analyzers, nil)
+	return res
 }
 
-// runPasses executes every (analyzer, target) pass concurrently, then the
-// merge phase sequentially. It returns per-target pass findings (indexed
-// like targets; merge findings separate so the cache can store pass-level
-// findings only) and the per-target facts.
-func runPasses(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunStats) ([]passResult, []Finding, []*TargetFacts) {
+// analyze runs every (analyzer, target) pass concurrently, then the merge
+// phase sequentially over the per-target facts (returned for the API
+// baseline) in package-path order, then suppression. The Module's lazily
+// built shared structures (call graph, summaries, suppressions) are
+// protected by sync.Once. stats, when non-nil, receives per-analyzer
+// times and counts.
+func analyze(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunStats) (Result, []*TargetFacts) {
 	facts := make([]*PackageFacts, len(targets))
 	for i := range facts {
 		facts[i] = &PackageFacts{}
@@ -383,49 +401,36 @@ func runPasses(mod *Module, targets []*Package, analyzers []*Analyzer, stats *Ru
 	}
 	wg.Wait()
 
-	perPkg := make([]passResult, len(targets))
-	for ai := range analyzers {
-		for ti := range targets {
-			perPkg[ti].findings = append(perPkg[ti].findings, buffers[ai*len(targets)+ti]...)
-		}
-	}
-
 	tf := make([]*TargetFacts, len(targets))
 	for i, pkg := range targets {
 		tf[i] = &TargetFacts{Path: pkg.Path, Facts: facts[i]}
 	}
-	merged := runMerges(analyzers, tf, durations, mod.RootDir)
-
-	if stats != nil {
-		fillAnalyzerStats(stats, analyzers, durations, buffers, merged)
-	}
-	return perPkg, merged, tf
-}
-
-// runMerges executes the merge phase over target facts in package-path
-// order. durations, when non-nil, accumulates merge wall time per analyzer
-// index.
-func runMerges(analyzers []*Analyzer, tf []*TargetFacts, durations []int64, rootDir string) []Finding {
-	ordered := make([]*TargetFacts, len(tf))
-	copy(ordered, tf)
+	ordered := append([]*TargetFacts(nil), tf...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Path < ordered[j].Path })
-
 	var merged []Finding
 	for ai, a := range analyzers {
-		if a.Merge == nil {
-			continue
-		}
-		start := time.Now()
-		a.Merge(&MergePass{Analyzer: a, Targets: ordered, RootDir: rootDir, findings: &merged})
-		if durations != nil {
+		if a.Merge != nil {
+			start := time.Now()
+			a.Merge(&MergePass{Analyzer: a, Targets: ordered, RootDir: mod.RootDir, findings: &merged})
 			durations[ai] += int64(time.Since(start))
 		}
 	}
-	return merged
+
+	var findings []Finding
+	for ti := range targets {
+		for ai := range analyzers {
+			findings = append(findings, buffers[ai*len(targets)+ti]...)
+		}
+	}
+	findings = append(findings, merged...)
+	if stats != nil {
+		fillAnalyzerStats(stats, analyzers, durations, buffers, merged)
+	}
+	return finish(findings, mod.Suppressions(), stats), tf
 }
 
 // finish applies suppressions (including reporting malformed markers) and
-// sorts. supp may carry malformed-marker findings discovered at scan time.
+// sorts.
 func finish(findings []Finding, supp *suppressionIndex, stats *RunStats) Result {
 	findings = append(findings, supp.malformed...)
 	kept := make([]Finding, 0, len(findings))

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,7 +9,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -20,8 +23,11 @@ import (
 // files through the stdlib build-constraint matcher, parses them with
 // comments, and type-checks in dependency order. Imports inside the module
 // resolve to our own loaded packages; everything else (the standard
-// library) resolves through the stdlib source importer, so the whole
-// pipeline stays dependency-free.
+// library) resolves from the compiler's export data, located by one
+// `go list -export -deps` over exactly the non-module paths the parsed
+// files import. go list therefore never compiles module code: a module
+// package that does not type-check still reaches go/types and is reported
+// from there.
 
 // Package is one type-checked package of the module under analysis.
 type Package struct {
@@ -98,8 +104,10 @@ func (m *Module) FuncDecl(fn *types.Func) (*ast.FuncDecl, *Package) {
 type loader struct {
 	mod     *Module
 	ctx     build.Context
-	std     types.Importer
-	loading map[string]bool // import cycle detection
+	parsed  map[string]*Package // parsed module packages, Types still nil
+	std     map[string]bool     // non-module import paths of parsed files
+	gc      types.Importer      // export-data importer for the std paths
+	loading map[string]bool     // import cycle detection
 }
 
 // Load type-checks the packages matching patterns, which may be `./...`,
@@ -128,7 +136,8 @@ func Load(dir string, patterns []string) ([]*Package, *Module, error) {
 			funcDecls: make(map[*types.Func]funcRef),
 		},
 		ctx:     build.Default,
-		std:     importer.ForCompiler(fset, "source", nil),
+		parsed:  make(map[string]*Package),
+		std:     make(map[string]bool),
 		loading: make(map[string]bool),
 	}
 
@@ -136,15 +145,65 @@ func Load(dir string, patterns []string) ([]*Package, *Module, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	for _, p := range paths {
+		if err := ld.parse(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	exports, err := listExports(root, ld.std)
+	if err != nil {
+		return nil, nil, err
+	}
+	ld.gc = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("lint: no export data for %s", path)
+		}
+		return os.Open(file)
+	})
 	var targets []*Package
 	for _, p := range paths {
-		pkg, err := ld.load(p)
+		pkg, err := ld.check(p)
 		if err != nil {
 			return nil, nil, err
 		}
 		targets = append(targets, pkg)
 	}
 	return targets, ld.mod, nil
+}
+
+// listExports runs `go list -export -deps` once over the given non-module
+// import paths and maps each listed package to its export data file. A
+// path go list cannot resolve fails the load with go list's own message,
+// which names it. GOPROXY=off keeps a stray import from reaching the
+// network.
+func listExports(root string, paths map[string]bool) (map[string]string, error) {
+	exports := make(map[string]string)
+	if len(paths) == 0 {
+		return exports, nil
+	}
+	list := make([]string, 0, len(paths))
+	for p := range paths {
+		list = append(list, p)
+	}
+	sort.Strings(list)
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}", "--"}, list...)...)
+	cmd.Dir = root
+	cmd.Env = append(os.Environ(), "GOPROXY=off")
+	out, err := cmd.Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) && len(exit.Stderr) > 0 {
+			err = errors.New(strings.TrimSpace(string(exit.Stderr)))
+		}
+		return nil, fmt.Errorf("lint: resolving imports: %w", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			exports[path] = file
+		}
+	}
+	return exports, nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and reads the module
@@ -321,46 +380,65 @@ func (ld *loader) listGoFiles(dir string) ([]string, error) {
 	return files, nil
 }
 
-// load parses and type-checks one module package (and, recursively, its
-// module-internal dependencies), caching results on the Module.
-func (ld *loader) load(importPath string) (*Package, error) {
-	if pkg, ok := ld.mod.Pkgs[importPath]; ok {
-		return pkg, nil
+// parse reads one module package and, recursively, its module-internal
+// imports into ld.parsed, collecting every other import path into ld.std.
+func (ld *loader) parse(importPath string) error {
+	if _, ok := ld.parsed[importPath]; ok {
+		return nil
 	}
 	if ld.loading[importPath] {
-		return nil, fmt.Errorf("lint: import cycle through %s", importPath)
+		return fmt.Errorf("lint: import cycle through %s", importPath)
 	}
 	ld.loading[importPath] = true
 	defer delete(ld.loading, importPath)
 
 	dir, err := ld.importPathToDir(importPath)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	names, err := ld.listGoFiles(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
+		return fmt.Errorf("lint: no buildable Go files in %s", dir)
 	}
 
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(ld.mod.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		files = append(files, f)
 	}
-
-	// Load module-internal imports first so type checking below can resolve
-	// them from the cache.
 	for _, f := range files {
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
-			if p == ld.mod.Path || strings.HasPrefix(p, ld.mod.Path+"/") {
-				if _, err := ld.load(p); err != nil {
+			if !ld.inModule(p) {
+				ld.std[p] = true
+			} else if err := ld.parse(p); err != nil {
+				return err
+			}
+		}
+	}
+	ld.parsed[importPath] = &Package{Path: importPath, Dir: dir, Files: files}
+	return nil
+}
+
+// check type-checks one parsed package after its module-internal imports,
+// registering it (and its function declarations) on the Module.
+func (ld *loader) check(importPath string) (*Package, error) {
+	if pkg, ok := ld.mod.Pkgs[importPath]; ok {
+		return pkg, nil
+	}
+	// Check module imports first, so a failing one is reported as its own
+	// type-checking error rather than through this package's importer.
+	pkg := ld.parsed[importPath]
+	for _, f := range pkg.Files {
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); ld.inModule(p) {
+				if _, err := ld.check(p); err != nil {
 					return nil, err
 				}
 			}
@@ -376,15 +454,14 @@ func (ld *loader) load(importPath string) (*Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: importerFunc(ld.importFor)}
-	tpkg, err := conf.Check(importPath, ld.mod.Fset, files, info)
+	tpkg, err := conf.Check(importPath, ld.mod.Fset, pkg.Files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
 	}
-
-	pkg := &Package{Path: importPath, Dir: dir, Files: files, Types: tpkg, Info: info}
+	pkg.Types, pkg.Info = tpkg, info
 	ld.mod.Pkgs[importPath] = pkg
 
-	for _, f := range files {
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -396,6 +473,11 @@ func (ld *loader) load(importPath string) (*Package, error) {
 		}
 	}
 	return pkg, nil
+}
+
+// inModule reports whether an import path names a package of the module.
+func (ld *loader) inModule(path string) bool {
+	return path == ld.mod.Path || strings.HasPrefix(path, ld.mod.Path+"/")
 }
 
 // importPathToDir maps a module import path to its directory.
@@ -412,16 +494,16 @@ func (ld *loader) importPathToDir(importPath string) (string, error) {
 }
 
 // importFor is the types.Importer bridging module-internal imports to our
-// own loader and everything else to the stdlib source importer.
+// own loader and everything else to the export-data importer.
 func (ld *loader) importFor(path string) (*types.Package, error) {
-	if path == ld.mod.Path || strings.HasPrefix(path, ld.mod.Path+"/") {
-		pkg, err := ld.load(path)
+	if ld.inModule(path) {
+		pkg, err := ld.check(path)
 		if err != nil {
 			return nil, err
 		}
 		return pkg.Types, nil
 	}
-	return ld.std.Import(path)
+	return ld.gc.Import(path)
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -136,7 +136,7 @@ func TestProtoStateRepoFactsNonVacuous(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading internal/emu: %v", err)
 	}
-	_, _, tf := runPasses(mod, targets, []*Analyzer{ProtoState, APICompat}, &RunStats{})
+	_, tf := analyze(mod, targets, []*Analyzer{ProtoState, APICompat}, nil)
 	ops := make(map[string]int)
 	var apiSyms int
 	for _, target := range tf {

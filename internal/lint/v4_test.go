@@ -40,7 +40,7 @@ func TestFloatSumFixture(t *testing.T) {
 	}
 	matchWants(t, wants, rest)
 
-	_, _, tf := runPasses(mod, []*Package{pkg}, []*Analyzer{FloatSum}, &RunStats{})
+	_, tf := analyze(mod, []*Package{pkg}, []*Analyzer{FloatSum}, nil)
 	var pinned int
 	for _, target := range tf {
 		for _, f := range target.Facts.FloatSums {
@@ -104,7 +104,7 @@ func TestGoLifeFixture(t *testing.T) {
 	res := Run(mod, []*Package{pkg}, []*Analyzer{GoLife})
 	matchWants(t, wants, res)
 
-	_, _, tf := runPasses(mod, []*Package{pkg}, []*Analyzer{GoLife}, &RunStats{})
+	_, tf := analyze(mod, []*Package{pkg}, []*Analyzer{GoLife}, nil)
 	joins := make(map[string]int)
 	for _, target := range tf {
 		for _, f := range target.Facts.GoLife {
@@ -329,7 +329,7 @@ func TestV4RepoFactsNonVacuous(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading runtime packages: %v", err)
 	}
-	_, _, tf := runPasses(mod, targets, []*Analyzer{FloatSum, WallClock, GoLife}, &RunStats{})
+	_, tf := analyze(mod, targets, []*Analyzer{FloatSum, WallClock, GoLife}, nil)
 
 	floatKinds := make(map[string]int)
 	clockKinds := make(map[string]int)

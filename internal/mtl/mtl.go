@@ -168,6 +168,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	feedback := make([]float64, dim) // zero: no feedback yet
+	var feedbackSigns []int8
 	cumUploads := 0
 	var cumBytes int64
 
@@ -182,6 +183,10 @@ func Run(cfg Config) (*Result, error) {
 
 	for t := 1; t <= cfg.Rounds; t++ {
 		lr := cfg.LR.At(t)
+		haveFeedback := !core.AllZero(feedback)
+		if haveFeedback {
+			feedbackSigns = core.SignsInto(feedbackSigns, feedback)
+		}
 		var wg sync.WaitGroup
 		for k := 0; k < m; k++ {
 			wg.Add(1)
@@ -191,7 +196,6 @@ func Run(cfg Config) (*Result, error) {
 				defer func() { <-sem }()
 				delta := localSolve(tasks[k], w, omega, k, cfg.Lambda, lr, cfg.Epochs, cfg.Batch)
 				upload := true
-				rel := math.NaN()
 				if cfg.Filter != nil {
 					dec, err := cfg.Filter.Check(delta, w[k], feedback, t)
 					if err != nil {
@@ -199,9 +203,12 @@ func Run(cfg Config) (*Result, error) {
 						return
 					}
 					upload = dec.Upload
-					rel = dec.Metric
-				} else if !core.AllZero(feedback) {
-					if r, err := core.Relevance(delta, feedback); err == nil {
+				}
+				// The reported relevance is Eq. 9 whatever the gate
+				// decided with (a Gaia gate's metric is significance).
+				rel := math.NaN()
+				if haveFeedback {
+					if r, err := core.SignAgreement(delta, feedbackSigns); err == nil {
 						rel = r
 					}
 				}

@@ -1,9 +1,11 @@
 package mtl
 
 import (
+	"math"
 	"testing"
 
 	"cmfl/internal/core"
+	"cmfl/internal/fl"
 	"cmfl/internal/telemetry"
 )
 
@@ -70,6 +72,56 @@ func TestObserverOrdering(t *testing.T) {
 		if e.CumUplinkBytes != cumBytes {
 			t.Fatalf("round %d: CumUplinkBytes = %d, client stream sums to %d",
 				e.Round, e.CumUplinkBytes, cumBytes)
+		}
+	}
+}
+
+// TestRelevanceIndependentOfGate: the reported relevance is Eq. 9 against
+// the feedback whatever the gate decides with, and NaN in round 1, before
+// any feedback exists. A gate that always uploads therefore reports
+// exactly what no gate does, and CMFL's bootstrap round reports none.
+func TestRelevanceIndependentOfGate(t *testing.T) {
+	base, _ := harConfig(t, 6, 1)
+	base.Rounds = 4
+	m := len(base.Clients)
+	run := func(f fl.UploadFilter) (*Result, []float64) {
+		cfg := base
+		cfg.Filter = f
+		var rels []float64
+		cfg.Observers = []telemetry.Observer{telemetry.Funcs{
+			Client: func(e telemetry.ClientEvent) { rels = append(rels, e.Relevance) },
+		}}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rels
+	}
+
+	plain, plainRels := run(nil)
+	gated, gatedRels := run(fl.Vanilla{})
+	for i := range plain.History {
+		p, g := plain.History[i].MeanRelevance, gated.History[i].MeanRelevance
+		if math.Float64bits(p) != math.Float64bits(g) {
+			t.Errorf("round %d: mean relevance %v under an always-upload gate, %v without a gate", i+1, g, p)
+		}
+	}
+	for i := range plainRels {
+		if math.Float64bits(plainRels[i]) != math.Float64bits(gatedRels[i]) {
+			t.Errorf("client event %d: relevance %v under an always-upload gate, %v without a gate", i, gatedRels[i], plainRels[i])
+		}
+	}
+	if r := plain.History[1].MeanRelevance; math.IsNaN(r) || r < 0 || r > 1 {
+		t.Errorf("round 2 mean relevance = %v, want a fraction of agreeing signs", r)
+	}
+
+	cmfl, cmflRels := run(core.NewFilter(core.Constant(0.5)))
+	if r := cmfl.History[0].MeanRelevance; !math.IsNaN(r) {
+		t.Errorf("CMFL round 1 mean relevance = %v, want NaN (no feedback yet)", r)
+	}
+	for k, r := range cmflRels[:m] {
+		if !math.IsNaN(r) {
+			t.Errorf("CMFL round 1 task %d relevance = %v, want NaN (no feedback yet)", k, r)
 		}
 	}
 }

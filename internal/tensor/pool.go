@@ -78,8 +78,6 @@ func startPool() {
 	}
 }
 
-//cmfl:api-change Offload is unexported: its one caller outside tensor, the exact fold's coordinate-range split, is gone now that the synchronous loop's workers fold their own uploads.
-
 // offload hands task to an idle pool worker and reports whether one took it;
 // a task no worker took is the caller's to run, so offloading never waits
 // for a worker. Tasks are leaf computations that never offload nested work,

@@ -14,30 +14,20 @@
 #
 # Usage:
 #   scripts/lint.sh                  # whole module
-#   scripts/lint.sh --diff           # only packages affected by changes
-#                                    #   vs. the merge base with origin/main
-#                                    #   (falls back to HEAD); pre-commit mode
-#   scripts/lint.sh ./internal/fl    # restrict cmfl-vet to some packages
+#   scripts/lint.sh ./internal/fl    # restrict vet and cmfl-vet to some packages
 #
-# To run the --diff gate automatically before every commit:
+# To run the gate automatically before every commit:
 #   git config core.hooksPath .githooks
 #
 # cmfl-vet exits 1 on findings or a blown suppression budget, 2 on load
 # errors; pass -json through `go run ./cmd/cmfl-vet -json ./...` when you
-# want the machine-readable findings document instead. Results are cached
-# under .cmflvet-cache/ (.cmflvet-cache-diff/ for --diff runs), so the
-# second run is near-instant; -stats below shows the hit rate and
-# per-analyzer wall time.
+# want the machine-readable findings document instead. It reads the
+# standard library from the export data go vet has just left in Go's build
+# cache, so a whole-module run takes about half a second; -stats below
+# shows the load and per-analyzer wall time.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-DIFF_ARGS=()
-if [[ "${1:-}" == "--diff" ]]; then
-    shift
-    ref=$(git merge-base origin/main HEAD 2>/dev/null || echo HEAD)
-    DIFF_ARGS=(-diff "$ref")
-fi
 
 PKGS=("${@:-./...}")
 
@@ -53,4 +43,4 @@ echo "== go vet"
 go vet "${PKGS[@]}"
 
 echo "== cmfl-vet"
-go run ./cmd/cmfl-vet -stats -budget benchmarks/lint_budget.json ${DIFF_ARGS[@]+"${DIFF_ARGS[@]}"} "${PKGS[@]}"
+go run ./cmd/cmfl-vet -stats -budget benchmarks/lint_budget.json "${PKGS[@]}"
