@@ -11,6 +11,7 @@ import (
 	"cmfl/internal/dataset"
 	"cmfl/internal/fl"
 	"cmfl/internal/nn"
+	"cmfl/internal/tensor"
 	"cmfl/internal/xrand"
 )
 
@@ -177,7 +178,11 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			sess.inj.beginRound(round)
 			b := fl.Broadcast{Round: round, LR: cfg.LR.At(round), Params: params, Feedback: feedback, Signs: signs}
 			r := fl.Reply{Delta: spare}
-			if err := step.Train(&scratch, network, cfg.Data, rng, &b, &r); err != nil {
+			// Emulated clients share one process: each solve holds a core of its own.
+			tensor.EnterLocalRound()
+			err = step.Train(&scratch, network, cfg.Data, rng, &b, &r)
+			tensor.LeaveLocalRound()
+			if err != nil {
 				return nil, fmt.Errorf("emu: client %d %w", cfg.ID, err)
 			}
 			payload, err := step.Pack(&scratch, &r)

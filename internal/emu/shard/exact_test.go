@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,7 +127,9 @@ func fuzzUpdates(data []byte) (dim int, updates []update) {
 // folded through 1, 3 and 8 shard accumulators and merged forwards,
 // backwards or through a middle tier, must round to the bits of the exact
 // sum — the math/big reference and the Shewchuk oracle — and to +0 where it
-// is zero. A Round in mid-fold must not disturb anything.
+// is zero. A Round in mid-fold must not disturb anything. All of it runs on
+// the block kernels and on the scalar code alone, and the two roots must
+// hold the same state.
 func FuzzAccumulatorExact(f *testing.F) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 48; i++ {
@@ -140,37 +143,46 @@ func FuzzAccumulatorExact(f *testing.F) {
 		if len(updates) == 0 {
 			return
 		}
-		for _, groups := range []int{1, 3, 8} {
-			groups = min(groups, len(updates))
-			parts := make([]*Accumulator, groups)
-			for i, r := range Split(len(updates), groups) {
-				parts[i] = New(dim)
-				for _, u := range updates[r.Lo:r.Hi] {
-					u.foldInto(t, parts[i])
-					if groups == 3 {
-						parts[i].Round(nil)
+		defer func() { vectorSweeps = true }()
+		var roots [2]state
+		for path, vector := range []bool{false, true} {
+			vectorSweeps = vector
+			for _, groups := range []int{1, 3, 8} {
+				groups = min(groups, len(updates))
+				parts := make([]*Accumulator, groups)
+				for i, r := range Split(len(updates), groups) {
+					parts[i] = New(dim)
+					for _, u := range updates[r.Lo:r.Hi] {
+						u.foldInto(t, parts[i])
+						if groups == 3 {
+							parts[i].Round(nil)
+						}
 					}
 				}
+				root := New(dim)
+				switch groups {
+				case 3: // backwards
+					for i := groups - 1; i >= 0; i-- {
+						root.Merge(parts[i])
+					}
+				case 8: // through a middle tier of two
+					mid := []*Accumulator{New(dim), New(dim)}
+					for i, p := range parts {
+						mid[i%2].Merge(p)
+					}
+					root.Merge(mid[1])
+					root.Merge(mid[0])
+				default:
+					for _, p := range parts {
+						root.Merge(p)
+					}
+					roots[path] = snapshot(root)
+				}
+				checkExact(t, fmt.Sprintf("fuzz (vector sweeps %v)", vector), root, updates)
 			}
-			root := New(dim)
-			switch groups {
-			case 3: // backwards
-				for i := groups - 1; i >= 0; i-- {
-					root.Merge(parts[i])
-				}
-			case 8: // through a middle tier of two
-				mid := []*Accumulator{New(dim), New(dim)}
-				for i, p := range parts {
-					mid[i%2].Merge(p)
-				}
-				root.Merge(mid[1])
-				root.Merge(mid[0])
-			default:
-				for _, p := range parts {
-					root.Merge(p)
-				}
-			}
-			checkExact(t, "fuzz", root, updates)
+		}
+		if d := roots[1].diff(roots[0]); d != "" {
+			t.Fatalf("the vector path's %s differs from the scalar path's", d)
 		}
 	})
 }

@@ -30,6 +30,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"cmfl/internal/tensor"
 )
 
 // ErrNonFinite reports a NaN or ±Inf value offered to an exact sum, or an
@@ -97,27 +99,58 @@ func (a *Accumulator) MaxTerms() int { return 2 + a.maxSpill }
 // Add folds one vector into the running exact sum. len(vec) must equal Dim.
 //
 //cmfl:hotpath
-func (a *Accumulator) Add(vec []float64) {
+func (a *Accumulator) Add(vec []float64) { a.AddScaled(1, vec) }
+
+// AddScaled folds alpha·vec into the running exact sum, each product
+// rounded to a float64 first: the sum is exactly that of the rounded
+// products, as though the scaled vector had been built and then added.
+// len(vec) must equal Dim.
+//
+// The dense sweep runs eight coordinates at a time where the CPU has the
+// kernel (tensor.ExactAdd). A block that spills goes through the scalar
+// code below, as does the tail and every coordinate without the kernel;
+// either way each stored float comes from the same IEEE operations.
+//
+//cmfl:hotpath
+func (a *Accumulator) AddScaled(alpha float64, vec []float64) {
 	if len(vec) != a.dim {
 		panic("shard: Add dimension mismatch")
 	}
 	if a.empty() { // the round's first vector is a copy
 		copy(a.hi, vec)
+		if math.Float64bits(alpha) != oneBits { // x·1 is x
+			tensor.ScaleVec(alpha, a.hi)
+		}
 		clear(a.lo)
 		a.dense, a.loZero = true, true
 		return
 	}
 	a.makeDense()
 	hi, lo := a.hi[:len(vec)], a.lo[:len(vec)]
-	for j, x := range vec {
-		s, e := twoSum(hi[j], x)
-		t, e2 := twoSum(lo[j], e)
-		hi[j], lo[j] = s, t
-		if math.Float64bits(e2)<<1 != 0 {
-			a.spillAt(j, e2)
+	for j := 0; j < len(vec); {
+		end := len(vec)
+		if vectorSweeps {
+			j += tensor.ExactAdd(hi[j:], lo[j:], vec[j:], alpha)
+			end = min(j+tensor.ExactBlock, end) // the block that stopped the kernel, or the tail
+		}
+		for ; j < end; j++ {
+			s, e := twoSum(hi[j], float64(alpha*vec[j])) // rounded: never fused into the sum
+			t, e2 := twoSum(lo[j], e)
+			hi[j], lo[j] = s, t
+			if math.Float64bits(e2)<<1 != 0 {
+				a.spillAt(j, e2)
+			}
 		}
 	}
 }
+
+// oneBits is the bit pattern of 1.0.
+const oneBits = 0x3FF0000000000000
+
+// vectorSweeps routes the dense sweeps of Add, Merge and Round through the
+// tensor block kernels, which do nothing on a CPU without them. Turning it
+// off runs the scalar code alone; the tests compare the two.
+var vectorSweeps = true
 
 // empty reports that no coordinate has come to life since Reset.
 func (a *Accumulator) empty() bool { return !a.dense && a.live == 0 }
@@ -198,16 +231,23 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	default:
 		a.makeDense()
 		hi, lo, bhi, blo := a.hi, a.lo[:len(a.hi)], b.hi[:len(a.hi)], b.lo[:len(a.hi)]
-		for j, x := range bhi {
-			s, e := twoSum(hi[j], x)
-			t, e2 := twoSum(lo[j], e)
-			t, e3 := twoSum(t, blo[j]) // b's lo is of lo's scale, not hi's: it joins lo directly
-			hi[j], lo[j] = s, t
-			if math.Float64bits(e2)<<1 != 0 {
-				a.spillAt(j, e2)
+		for j := 0; j < len(hi); {
+			end := len(hi)
+			if vectorSweeps {
+				j += tensor.ExactMerge(hi[j:], lo[j:], bhi[j:], blo[j:])
+				end = min(j+tensor.ExactBlock, end)
 			}
-			if math.Float64bits(e3)<<1 != 0 {
-				a.spillAt(j, e3)
+			for ; j < end; j++ {
+				s, e := twoSum(hi[j], bhi[j])
+				t, e2 := twoSum(lo[j], e)
+				t, e3 := twoSum(t, blo[j]) // b's lo is of lo's scale, not hi's: it joins lo directly
+				hi[j], lo[j] = s, t
+				if math.Float64bits(e2)<<1 != 0 {
+					a.spillAt(j, e2)
+				}
+				if math.Float64bits(e3)<<1 != 0 {
+					a.spillAt(j, e3)
+				}
 			}
 		}
 	}
@@ -323,7 +363,11 @@ func (a *Accumulator) Round(dst []float64) []float64 {
 	dst = slices.Grow(dst[:0], a.dim)[:a.dim]
 	if a.dense {
 		hi, lo := a.hi[:len(dst)], a.lo[:len(dst)]
-		for j := range dst {
+		j := 0
+		if vectorSweeps {
+			j = tensor.ExactRound(dst, hi, lo)
+		}
+		for ; j < len(dst); j++ {
 			dst[j] = positiveZero(hi[j] + lo[j])
 		}
 	} else {

@@ -213,12 +213,13 @@ func Overhead(mn MNISTSetup) (*OverheadResult, error) {
 	}
 	localDur := time.Since(start)
 
-	feedback := make([]float64, dim)
-	copy(feedback, delta)
+	// The check the engines run: the broadcast carries the feedback's signs,
+	// taken once a round, and each client compares its update against them.
+	signs := core.SignsInto(nil, delta)
 	const reps = 1000
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := core.Relevance(delta, feedback); err != nil {
+		if _, err := core.SignAgreement(delta, signs); err != nil {
 			return nil, err
 		}
 	}

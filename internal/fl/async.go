@@ -176,6 +176,8 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 
 	feedback := make([]float64, dim)
 	var sc Scratch // one workspace and one update buffer serve every event
+	// Eq. 9 compares against the feedback's signs, taken whenever it changes.
+	var feedbackSigns []int8
 	var delta []float64
 	res := &AsyncResult{SkipCounts: make([]int, d)}
 	cumUploads := 0
@@ -201,7 +203,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		}
 		rel := math.NaN()
 		if !core.AllZero(feedback) {
-			if r, err := core.Relevance(delta, feedback); err == nil {
+			if r, err := core.SignAgreement(delta, feedbackSigns); err == nil {
 				rel = r
 			}
 		}
@@ -223,6 +225,7 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 				params[j] += applied
 				feedback[j] = cfg.FeedbackDecay*feedback[j] + (1-cfg.FeedbackDecay)*applied
 			}
+			feedbackSigns = core.SignsInto(feedbackSigns, feedback)
 			version++
 			//cmfl:order-pinned completion events pop in deterministic virtual-time order; the event schedule is the algorithm
 			staleSum += float64(staleness)

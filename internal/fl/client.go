@@ -93,12 +93,11 @@ type Scratch struct {
 // Train runs the local solver from the broadcast model on sc's buffers and
 // gates the result into r, whose Delta buffer it reuses: a steady-state round
 // allocates nothing. The order is the determinism contract: DP noise is drawn
-// from rng after the solver's draws, and the gate sees the post-DP delta. The
-// solve is marked as a local round in flight, so that concurrent clients'
-// products are not split onto each other's cores (tensor.EnterLocalRound).
+// from rng after the solver's draws, and the gate sees the post-DP delta. A
+// caller that trains clients concurrently marks each client's turn as a local
+// round in flight, so that their products are not split onto each other's
+// cores (tensor.EnterLocalRound).
 func (s *ClientStep) Train(sc *Scratch, net *nn.Network, data *dataset.Set, rng *xrand.Stream, b *Broadcast, r *Reply) error {
-	tensor.EnterLocalRound()
-	defer tensor.LeaveLocalRound()
 	delta, loss, err := solve(sc, net, data, b.Params, b.LR, s.Epochs, s.Batch, s.ProxMu, rng, r.Delta)
 	if err != nil {
 		return fmt.Errorf("local training: %w", err)

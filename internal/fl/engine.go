@@ -92,26 +92,24 @@ func (*sampler) Accept(_ int, trained []int, _ []Reply) ([]int, error) { return 
 // solver and codec scratch, the delta buffer it lends each client's reply,
 // and its partial sum of the round's accepted uploads.
 type worker struct {
-	net      *nn.Network
-	sc       Scratch
-	delta    []float64
-	acc      *shard.Accumulator
-	weighted []float64 // weight·delta scratch, dim-sized under FedAvg weights
-	client   int       // the client it failed on this round, with err
-	err      error
+	net    *nn.Network
+	sc     Scratch
+	delta  []float64
+	acc    *shard.Accumulator
+	client int // the client it failed on this round, with err
+	err    error
 }
 
 // add folds client c's accepted upload into the worker's partial sum; under
-// FedAvg weights, weights[c]·delta is rounded into the scratch first.
+// FedAvg weights the sweep rounds weights[c]·delta as it adds.
 //
 //cmfl:hotpath
 func (w *worker) add(delta, weights []float64, c int) {
-	if weights != nil {
-		copy(w.weighted, delta)
-		tensor.ScaleVec(weights[c], w.weighted)
-		delta = w.weighted
+	if weights == nil {
+		w.acc.Add(delta)
+		return
 	}
-	w.acc.Add(delta)
+	w.acc.AddScaled(weights[c], delta)
 }
 
 // merge sums every worker's partial into the first one's and returns it.
@@ -172,9 +170,6 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 	workers := make([]worker, cfg.Parallelism)
 	for w := range workers {
 		workers[w].net, workers[w].acc = cfg.Model(), shard.New(0)
-		if weights != nil {
-			workers[w].weighted = make([]float64, len(agg.Params))
-		}
 	}
 
 	var b Broadcast
@@ -182,6 +177,10 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 		r := &replies[c]
 		r.Delta, w.sc.Residual = w.delta, residuals[c]
 		defer func() { w.delta, r.Delta = r.Delta, nil }()
+		// The whole turn, from the solve to the fold, is this worker's local
+		// round, so the other workers' products are not split onto its core.
+		tensor.EnterLocalRound()
+		defer tensor.LeaveLocalRound()
 		if err = step.Train(&w.sc, w.net, cfg.ClientData[c], streams[c], &b, r); err != nil {
 			return err
 		}
@@ -193,10 +192,6 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 				return err
 			}
 		}
-		// Pack and the fold are this worker's local round too, so the other
-		// workers' products are not split onto its core.
-		tensor.EnterLocalRound()
-		defer tensor.LeaveLocalRound()
 		if _, err = step.Pack(&w.sc, r); err != nil {
 			return err
 		}

@@ -688,7 +688,7 @@ func TestFoldIgnoresArrivalOrder(t *testing.T) {
 		for _, order := range orders {
 			agg := NewAggregator(telemetry.EngineSync, make([]float64, dim), clients, Vanilla{}, nil)
 			agg.momentum = tc.momentum
-			w := worker{acc: shard.New(0), weighted: make([]float64, dim)}
+			w := worker{acc: shard.New(0)}
 			for round := 1; round <= 2; round++ { // the second round folds onto momentum state
 				w.acc.Reset(dim)
 				for _, i := range order {
@@ -737,7 +737,7 @@ func foldOracle(dim int, accepted []int, replies []Reply, weights []float64) []f
 // TestWorkerPartialsMatchOneAccumulator holds the loop's fold to a single
 // accumulator over every upload, bit for bit: the uploads are dealt onto 1…8
 // workers in a scrambled assignment, each worker adds its share on its own
-// goroutine (weight·delta through its own scratch when weighted), and merge
+// goroutine (weight·delta rounded in its sweep when weighted), and merge
 // sums the partials — on dimensions around the 64-coordinate bitmap word,
 // plain and n_k-weighted, twice over reset accumulators. Some coordinates
 // spill (their terms span more than hi and lo hold), and others sum to
@@ -783,7 +783,7 @@ func TestWorkerPartialsMatchOneAccumulator(t *testing.T) {
 			for k := 1; k <= 8; k++ {
 				workers := make([]worker, k)
 				for w := range workers {
-					workers[w] = worker{acc: shard.New(0), weighted: make([]float64, dim)}
+					workers[w] = worker{acc: shard.New(0)}
 				}
 				for round := 0; round < 2; round++ { // the second round reuses the accumulators
 					share := make([][]int, k)

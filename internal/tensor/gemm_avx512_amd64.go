@@ -136,3 +136,12 @@ func finiteRangeAVX(v *float64, n uintptr, lohi *[2]float64) bool
 
 //go:noescape
 func quantize8AVX(dst *byte, v *float64, n uintptr, lo, scale float64)
+
+//go:noescape
+func exactAddAVX(hi, lo, x *float64, blocks uintptr, w float64) uintptr
+
+//go:noescape
+func exactMergeAVX(hi, lo, bhi, blo *float64, blocks uintptr) uintptr
+
+//go:noescape
+func exactRoundAVX(dst, hi, lo *float64, blocks uintptr)

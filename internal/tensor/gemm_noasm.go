@@ -52,3 +52,15 @@ func finiteRangeAVX(v *float64, n uintptr, lohi *[2]float64) bool {
 func quantize8AVX(dst *byte, v *float64, n uintptr, lo, scale float64) {
 	panic("tensor: SIMD quantisation unavailable on this platform")
 }
+
+func exactAddAVX(hi, lo, x *float64, blocks uintptr, w float64) uintptr {
+	panic("tensor: SIMD exact sum unavailable on this platform")
+}
+
+func exactMergeAVX(hi, lo, bhi, blo *float64, blocks uintptr) uintptr {
+	panic("tensor: SIMD exact sum unavailable on this platform")
+}
+
+func exactRoundAVX(dst, hi, lo *float64, blocks uintptr) {
+	panic("tensor: SIMD exact sum unavailable on this platform")
+}

@@ -42,8 +42,11 @@ var (
 // WaitGroup and a channel send to gain nothing. The signal is rounds, not
 // products, in flight, because a concurrent round spends most of its time
 // outside GEMM (im2col, pooling, activations) and is just as much in the way
-// there. A lone caller — the server's evaluation, a one-client process, the
-// last straggler of a round — still splits across every core.
+// there. A round spans the client's whole turn on its goroutine: the
+// synchronous engine's worker holds one mark from the solve through the gate,
+// the codec and the fold of the upload, so it never looks idle between them.
+// A lone caller — the server's evaluation, a one-client process, the last
+// straggler of a round — still splits across every core.
 func EnterLocalRound() { localRounds.Add(1) }
 
 // LeaveLocalRound ends the round EnterLocalRound began.
