@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -101,10 +102,11 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	}
 	res := &ClientResult{}
 	sess := &clientSession{
-		cfg: &cfg,
-		res: res,
-		inj: newFaultInjector(cfg.Faults, cfg.ID),
-		rng: xrand.Derive(cfg.Seed, "emu-backoff", cfg.ID),
+		cfg:   &cfg,
+		res:   res,
+		inj:   newFaultInjector(cfg.Faults, cfg.ID),
+		rng:   xrand.Derive(cfg.Seed, "emu-backoff", cfg.ID),
+		chunk: make([]byte, chunkSize),
 	}
 	if cfg.Compressor != nil {
 		spec, err := compress.EncodeSpec(cfg.Compressor)
@@ -123,8 +125,9 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 
 	dim := network.NumParams()
 
-	// Pack's payload aliases scratch; encodeUpdate2 copies it into the staged
-	// frame, so the next round can never corrupt a pending (resendable) reply.
+	// Pack's payload aliases scratch, and the pending reply refers to it
+	// rather than copying it: the next Pack comes only after the reply was
+	// written.
 	var scratch fl.Scratch
 	if cfg.Compressor != nil && cfg.ErrorFeedback {
 		scratch.Residual = make([]float64, dim)
@@ -140,30 +143,27 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	// feedback, or the zero difference — receives the next broadcast: model,
 	// predecessor and feedback rotate over three buffers, the sign vectors
 	// over two. An ungated client reads neither and skips the sweep. The
-	// retired buffer also holds the round's update until the next broadcast
-	// lands in it (the staged frame is a copy), so the update costs the client
-	// no buffer of its own.
+	// retired buffer also holds the round's update, which the pending reply
+	// refers to, until the next broadcast lands in it, so the update costs the
+	// client no buffer of its own.
 	_, ungated := step.Filter.(fl.Vanilla)
 	feedback := make([]float64, dim)
 	var prevParams, spare []float64
 	var signs, spareSigns []int8
 	for {
-		f, err := sess.nextFrame()
+		if spare == nil {
+			spare = make([]float64, dim)
+		}
+		kind, round, err := sess.nextFrame(spare)
 		if err != nil {
 			return nil, fmt.Errorf("emu: client %d receive: %w", cfg.ID, err)
 		}
-		switch f.kind {
+		switch kind {
 		case msgDone:
 			res.FaultsInjected = sess.faultsInjected()
 			return res, nil
 		case msgModel:
-			round, params, err := decodeModel(spare, f.payload)
-			if err != nil {
-				return nil, fmt.Errorf("emu: client %d: frame kind %d on conn gen %d: %w", cfg.ID, f.kind, sess.res.Reconnects, err)
-			}
-			if len(params) != dim {
-				return nil, fmt.Errorf("emu: client %d: round %d model has %d params, local model %d", cfg.ID, round, len(params), dim)
-			}
+			params := spare
 			spare = prevParams
 			if prevParams != nil && !ungated {
 				var nonZero bool
@@ -191,13 +191,13 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			}
 			switch {
 			case !r.Upload:
-				sess.stage(msgSkip, encodeSkip(cfg.ID, round, r.Metric))
+				sess.stage(msgSkip, round, r.Metric, nil, nil)
 				res.Skips++
 			case step.Compressor != nil:
-				sess.stage(msgUpdate2, encodeUpdate2(cfg.ID, round, r.Metric, len(r.Delta), payload))
+				sess.stage(msgUpdate2, round, r.Metric, r.Delta, payload)
 				res.Uploads++
 			default:
-				sess.stage(msgUpdate, encodeUpdate(cfg.ID, round, r.Metric, r.Delta))
+				sess.stage(msgUpdate, round, r.Metric, r.Delta, nil)
 				res.Uploads++
 			}
 			spare = r.Delta
@@ -206,16 +206,33 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			}
 			res.Rounds++
 		default:
-			return nil, fmt.Errorf("emu: client %d: unexpected frame kind %d on conn gen %d", cfg.ID, f.kind, sess.res.Reconnects)
+			return nil, fmt.Errorf("emu: client %d: unexpected frame kind %d on conn gen %d", cfg.ID, kind, sess.res.Reconnects)
 		}
 	}
 }
 
-// pendingReply is the staged round reply, held until a write succeeds so a
-// reconnect can resend it (at-least-once; the server deduplicates).
+// chunkSize is the client's I/O unit, a multiple of 8: a model is read and
+// decoded, and a raw update encoded and written, this many bytes at a time.
+const chunkSize = 256 << 10
+
+// pendingReply is the round's reply, held until a write of it succeeds so a
+// reconnect can resend it (at-least-once; the server deduplicates). It refers
+// to the reply's body instead of copying it: the delta, encoded as it is
+// written, or Pack's payload. Both stay untouched until the next broadcast,
+// and a reply is written, or given up, before that arrives.
 type pendingReply struct {
-	kind    byte
-	payload []byte
+	kind  byte // 0: nothing pending
+	head  [replyHeaderSize]byte
+	delta []float64 // msgUpdate's body
+	body  []byte    // msgUpdate2's body
+}
+
+// headLen is the length of the reply's fixed prefix.
+func (p *pendingReply) headLen() int {
+	if p.kind == msgSkip {
+		return skipSize
+	}
+	return replyHeaderSize
 }
 
 // clientSession owns the client's connection lifecycle: dial, hello,
@@ -228,8 +245,10 @@ type clientSession struct {
 	spec []byte        // codec wire spec declared in every hello; nil = raw
 
 	conn    net.Conn // injector-wrapped
-	pending *pendingReply
-	recvBuf []byte // payload of the frame nextFrame returned last
+	pending pendingReply
+	// chunk carries every model frame in and every reply frame out, one
+	// piece at a time; reads and writes alternate, so one buffer serves both.
+	chunk []byte
 }
 
 func (s *clientSession) close() {
@@ -270,8 +289,14 @@ func (s *clientSession) hello() error {
 }
 
 // stage records the round's reply for flush (and any resend after a fault).
-func (s *clientSession) stage(kind byte, payload []byte) {
-	s.pending = &pendingReply{kind: kind, payload: payload}
+// delta is the update of a msgUpdate or msgUpdate2 (its dimension goes in
+// the header); body is msgUpdate2's codec payload.
+func (s *clientSession) stage(kind byte, round int, metric float64, delta []float64, body []byte) {
+	s.pending = pendingReply{kind: kind, body: body}
+	putReplyHeader(&s.pending.head, s.cfg.ID, round, metric, len(delta))
+	if kind == msgUpdate {
+		s.pending.delta = delta
+	}
 }
 
 // flush writes the staged reply, recovering the connection on failure.
@@ -287,46 +312,69 @@ func (s *clientSession) flush() error {
 	}
 }
 
-// writePending sends the staged reply on the current connection; the stage
-// is cleared only on success.
+// writePending sends the staged reply on the current connection as one
+// frame, a chunk per write: the frame header and the reply header lead the
+// first chunk, a raw delta is encoded into the chunk as it goes, a codec
+// payload copied. The stage is cleared only on success.
 func (s *clientSession) writePending() error {
-	if s.pending == nil {
+	p := &s.pending
+	if p.kind == 0 {
 		return nil
 	}
 	// I/O deadline only; read through the package clock hook.
 	if err := s.conn.SetWriteDeadline(now().Add(s.cfg.RoundTimeout)); err != nil {
 		return err
 	}
-	n, err := writeFrame(s.conn, s.pending.kind, s.pending.payload)
-	if err != nil {
-		return err
+	head := p.head[:p.headLen()]
+	size := len(head) + 8*len(p.delta) + len(p.body)
+	buf := binary.BigEndian.AppendUint32(s.chunk[:0], uint32(size))
+	buf = append(append(buf, p.kind), head...)
+	delta, body := p.delta, p.body
+	for {
+		if k := min((cap(buf)-len(buf))/8, len(delta)); k > 0 {
+			buf, delta = putFloats(buf, delta[:k]), delta[k:]
+		}
+		if k := min(cap(buf)-len(buf), len(body)); k > 0 {
+			buf, body = append(buf, body[:k]...), body[k:]
+		}
+		if _, err := s.conn.Write(buf); err != nil {
+			return fmt.Errorf("emu: write frame: %w", err)
+		}
+		if len(delta) == 0 && len(body) == 0 {
+			break
+		}
+		buf = s.chunk[:0]
 	}
-	s.res.SentWire += n
-	s.pending = nil
+	s.res.SentWire += int64(frameOverhead + size)
+	p.kind = 0
 	return nil
 }
 
 // nextFrame reads the next server frame, transparently recovering the
-// connection (and resending any pending reply) when reconnection is on. The
-// frame's payload is valid until the next call: every frame lands in one
-// reused buffer, since the round loop copies a model out (decodeModel)
-// before it asks for the next.
-func (s *clientSession) nextFrame() (*frame, error) {
+// connection (and resending any pending reply) when reconnection is on. A
+// model frame is decoded into params, which has the model's dimension, and
+// its round returned; any other frame is returned by kind alone, since the
+// only other frame a server sends, done, carries nothing. A model frame that
+// arrives whole but cannot be accepted is an error no reconnect cures.
+func (s *clientSession) nextFrame(params []float64) (kind byte, round int, err error) {
 	for cycle := 0; ; cycle++ {
 		// I/O deadline only; read through the package clock hook.
-		if err := s.conn.SetReadDeadline(now().Add(s.cfg.RoundTimeout)); err != nil {
-			if rerr := s.recover(err, cycle); rerr != nil {
-				return nil, rerr
-			}
-			continue
-		}
-		f, err := readFrameInto(s.conn, s.recvBuf)
+		err = s.conn.SetReadDeadline(now().Add(s.cfg.RoundTimeout))
 		if err == nil {
-			s.recvBuf = f.payload[:0]
-			return f, nil
+			var n int
+			if n, kind, err = readHeader(s.conn, s.chunk[:frameOverhead], maxFrame); err == nil && kind == msgModel {
+				round, err = readModel(s.conn, n, params, s.chunk)
+			}
+			if err == nil {
+				return kind, round, nil
+			}
+			var bad malformedFrame
+			if errors.As(err, &bad) {
+				return kind, round, fmt.Errorf("frame kind %d on conn gen %d: %w", kind, s.res.Reconnects, err)
+			}
 		}
 		if rerr := s.recover(err, cycle); rerr != nil {
-			return nil, rerr
+			return 0, 0, rerr
 		}
 	}
 }
@@ -358,7 +406,7 @@ func (s *clientSession) recover(cause error, cycle int) error {
 			continue
 		}
 		s.res.Reconnects++
-		if s.pending != nil {
+		if s.pending.kind != 0 {
 			if err := s.writePending(); err != nil {
 				lastErr = err
 				closeQuietly(s.conn)

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"sort"
@@ -191,15 +192,45 @@ type faultInjector struct {
 
 	mode  injectorMode
 	fault Fault
-	// swallowLeft counts the writes left to discard in modeSwallow. The
-	// swallow is scoped to the faulted frame only (writeFrame is exactly two
-	// writes: header, payload) — it must never outlive the frame, or it
-	// would eat the hello of a reconnect triggered by the fault itself.
-	swallowLeft int
+	// span follows the faulted frame's bytes in modeSwallow. The swallow
+	// ends after exactly that frame, however many writes carry it: it must
+	// never outlive the frame, or it would eat the hello of a reconnect
+	// triggered by the fault itself.
+	span frameSpan
+	// corrupt sends the swallowed frame's header with its length prefix
+	// poisoned (FaultCorruptFrame).
+	corrupt bool
 	// rejoinDelay is the crash downtime handed to the reconnect path.
 	rejoinDelay time.Duration
 	// injected counts faults actually fired (reported via ClientResult).
 	injected int
+}
+
+// frameSpan follows one frame through the writes that carry it: the
+// frame's length prefix, once its four bytes have passed, sizes the rest.
+type frameSpan struct {
+	seen   int // bytes of the frame seen so far
+	size   int // the whole frame's bytes; 0 until the prefix is complete
+	prefix [4]byte
+}
+
+// take consumes the leading bytes of b that belong to the frame, returning
+// how many, and reports whether the frame has ended.
+func (f *frameSpan) take(b []byte) (n int, done bool) {
+	for f.size == 0 && n < len(b) {
+		f.prefix[f.seen] = b[n]
+		f.seen++
+		n++
+		if f.seen == len(f.prefix) {
+			f.size = frameOverhead + int(binary.BigEndian.Uint32(f.prefix[:]))
+		}
+	}
+	if f.size > 0 {
+		k := min(f.size-f.seen, len(b)-n)
+		f.seen += k
+		n += k
+	}
+	return n, f.size > 0 && f.seen == f.size
 }
 
 // newFaultInjector returns nil when there is no plan; all methods tolerate a
@@ -218,7 +249,7 @@ func (in *faultInjector) beginRound(round int) {
 		return
 	}
 	in.mode = modePass
-	in.swallowLeft = 0
+	in.span, in.corrupt = frameSpan{}, false
 	if f, ok := in.plan.At(in.client, round); ok {
 		in.mode = modeArmed
 		in.fault = f
@@ -245,9 +276,9 @@ func (in *faultInjector) wrap(conn net.Conn) net.Conn {
 }
 
 // faultConn is the net.Conn wrapper that realises the armed fault on the
-// first write of the round. writeFrame issues two writes per frame (header,
-// then payload), so "first write" is the frame's length prefix — exactly
-// where real transport failures bite hardest.
+// first write of the round. That write starts the round's reply frame, so
+// it opens with the frame's length prefix — exactly where real transport
+// failures bite hardest.
 type faultConn struct {
 	net.Conn
 	in *faultInjector
@@ -259,11 +290,7 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	case modePass:
 		return c.Conn.Write(b)
 	case modeSwallow:
-		in.swallowLeft--
-		if in.swallowLeft <= 0 {
-			in.mode = modePass
-		}
-		return len(b), nil
+		return c.swallow(b)
 	case modeArmed:
 		// Fall through to the kind dispatch below: fire exactly once per
 		// round.
@@ -274,15 +301,16 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		// Armed with no fault: disarm below and write through.
 	case FaultDropUpdate:
 		in.mode = modeSwallow
-		in.swallowLeft = 1 // this header is gone; one payload write follows
-		return len(b), nil
+		return c.swallow(b)
 	case FaultDelay:
 		in.mode = modePass
 		sleep(in.fault.Delay)
 		return c.Conn.Write(b)
 	case FaultDisconnect:
+		// Half of the frame header goes out, however the frame is split
+		// into writes.
 		in.mode = modePass
-		n := len(b) / 2
+		n := min(len(b), frameOverhead) / 2
 		if n > 0 {
 			if wn, err := c.Conn.Write(b[:n]); err != nil {
 				n = wn
@@ -300,16 +328,42 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		// reporting success: the client moves on convinced it replied, the
 		// server rejects the frame and severs the connection.
 		in.mode = modeSwallow
-		in.swallowLeft = 1 // the frame's payload write
-		hdr := append([]byte(nil), b...)
-		if len(hdr) >= 4 {
-			hdr[0], hdr[1], hdr[2], hdr[3] = 0xFF, 0xFF, 0xFF, 0xFF
-		}
-		if _, err := c.Conn.Write(hdr); err != nil {
-			return len(b), nil // connection already dying; the swallow story holds
-		}
-		return len(b), nil
+		in.corrupt = true
+		return c.swallow(b)
 	}
 	in.mode = modePass
 	return c.Conn.Write(b)
+}
+
+// swallow discards the faulted frame's bytes in b and reports them written.
+// A corrupted frame's header still goes out, its length prefix all ones.
+// Bytes past the frame's end belong to whatever follows it and pass
+// through.
+func (c *faultConn) swallow(b []byte) (int, error) {
+	in := c.in
+	start := in.span.seen
+	n, done := in.span.take(b)
+	if in.corrupt && start < frameOverhead {
+		hdr := append([]byte(nil), b[:min(n, frameOverhead-start)]...)
+		for i := range hdr {
+			if start+i < 4 {
+				hdr[i] = 0xFF
+			}
+		}
+		if _, err := c.Conn.Write(hdr); err != nil {
+			// The connection is already dying. The client still believes
+			// the frame went out, and meets the failure on its next read.
+			in.mode = modePass
+			return len(b), nil
+		}
+	}
+	if !done {
+		return len(b), nil
+	}
+	in.mode = modePass
+	if n == len(b) {
+		return n, nil
+	}
+	m, err := c.Conn.Write(b[n:])
+	return n + m, err
 }

@@ -59,8 +59,8 @@ func TestReadFrameNeverPanicsOnGarbageStream(t *testing.T) {
 // FuzzProtocol is one of the native fuzz targets behind CI's fuzz-smoke
 // step: raw bytes go through the framing layer and every decoder. Nothing
 // may panic or allocate proportionally to a lying length field; returning
-// an error is the correct answer for garbage. The package now has two
-// Fuzz* functions (see FuzzQuorum), so `go test -fuzz` needs an anchored
+// an error is the correct answer for garbage. The package has two Fuzz*
+// functions (see FuzzWireFloats), so `go test -fuzz` needs an anchored
 // pattern selecting exactly one: `-fuzz '^FuzzProtocol$'`.
 func FuzzProtocol(f *testing.F) {
 	f.Add(encodeHello(3, nil))

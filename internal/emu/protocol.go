@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"cmfl/internal/emu/shard"
+	"cmfl/internal/tensor"
 )
 
 // Message types on the wire.
@@ -44,10 +45,15 @@ const helloV2 = 2
 // (64 MiB covers ~8.4M float64 parameters).
 const maxFrame = 64 << 20
 
+// maxHello bounds a hello frame: the v2 form's 7 bytes and a spec whose
+// length fits its 16-bit field.
+const maxHello = 7 + 0xFFFF
+
 // frameOverhead is the per-frame framing cost: 4-byte length + 1-byte type.
 const frameOverhead = 5
 
-// ErrFrameTooLarge reports a frame exceeding maxFrame.
+// ErrFrameTooLarge reports a frame longer than its reader's bound: maxFrame,
+// or less on a connection whose frames are known to be smaller.
 var ErrFrameTooLarge = errors.New("emu: frame exceeds maximum size")
 
 // frame is one decoded protocol message.
@@ -78,37 +84,56 @@ func writeFrame(w io.Writer, kind byte, payload []byte) (int64, error) {
 	return int64(frameOverhead + len(payload)), nil
 }
 
-// readFrame receives one frame into a payload of its own.
-func readFrame(r io.Reader) (*frame, error) { return readFrameInto(r, nil) }
+// readHeader reads a frame header into hdr (frameOverhead bytes) and returns
+// the payload length and the kind. A length above limit is ErrFrameTooLarge,
+// decided from the prefix alone, before any payload byte is read.
+func readHeader(r io.Reader, hdr []byte, limit int) (n int, kind byte, err error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, 0, fmt.Errorf("emu: read frame header: %w", err)
+	}
+	n64 := uint64(binary.BigEndian.Uint32(hdr[:4]))
+	if n64 > uint64(limit) {
+		return 0, 0, ErrFrameTooLarge
+	}
+	return int(n64), hdr[4], nil
+}
 
-// readFrameInto receives one frame, reusing buf's capacity for the payload
-// when it is large enough. The caller must be done with whatever it last
-// read into buf.
-func readFrameInto(r io.Reader, buf []byte) (*frame, error) {
-	var hdr [frameOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("emu: read frame header: %w", err)
+// readFrameInto receives one frame of at most limit payload bytes, reading
+// the header and then the payload into buf's capacity when it is large
+// enough. The caller must be done with whatever it last read into buf.
+func readFrameInto(r io.Reader, buf []byte, limit int) (frame, error) {
+	if cap(buf) < frameOverhead {
+		buf = make([]byte, frameOverhead)
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFrame {
-		return nil, ErrFrameTooLarge
+	n, kind, err := readHeader(r, buf[:frameOverhead], limit)
+	if err != nil {
+		return frame{}, err
 	}
-	if uint32(cap(buf)) < n {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("emu: read frame payload: %w", err)
+		return frame{}, fmt.Errorf("emu: read frame payload: %w", err)
 	}
-	return &frame{kind: hdr[4], payload: payload}, nil
+	return frame{kind: kind, payload: payload}, nil
 }
 
+// vectorWire routes the float codec's sweeps through the tensor block
+// kernels, which do nothing on a CPU without them. Turning it off runs the
+// scalar code alone; the tests compare the two.
+var vectorWire = true
+
 // putFloats appends vals as big-endian float64 bits: the buffer is sized
-// once, then written four words a step.
+// once, then written a kernel block, or four words, a step.
 func putFloats(buf []byte, vals []float64) []byte {
 	n := len(buf)
 	buf = slices.Grow(buf, len(vals)*8)[:n+len(vals)*8]
 	out := buf[n:]
+	if vectorWire {
+		j := tensor.EncodeBE(out, vals)
+		vals, out = vals[j:], out[8*j:]
+	}
 	for len(vals) >= 4 && len(out) >= 32 {
 		binary.BigEndian.PutUint64(out[0:8], math.Float64bits(vals[0]))
 		binary.BigEndian.PutUint64(out[8:16], math.Float64bits(vals[1]))
@@ -127,11 +152,7 @@ func putFloats(buf []byte, vals []float64) []byte {
 const expOnes = 0x7FF << 53
 
 // getFloats decodes n big-endian float64 values into dst, reusing its
-// capacity. A NaN or ±Inf is rejected in the same sweep: the server's exact
-// sum would never lose it (shard.ErrNonFinite), and a client has nothing to
-// learn from a model that carries one. The length is checked once and the
-// words are taken four a step; a group holding a non-finite one is left to
-// the word-by-word tail, which names the first.
+// capacity, and rejects a NaN or ±Inf as decodeFloats does.
 func getFloats(dst []float64, b []byte, n int) ([]float64, error) {
 	if len(b) < n*8 {
 		return dst, fmt.Errorf("emu: float payload has %d bytes, need %d", len(b), n*8)
@@ -140,7 +161,23 @@ func getFloats(dst []float64, b []byte, n int) ([]float64, error) {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	d, src := dst, b[:n*8]
+	return dst, decodeFloats(dst, b[:n*8], 0)
+}
+
+// decodeFloats decodes the big-endian words of b, 8·len(dst) bytes, into
+// dst. A NaN or ±Inf is rejected in the same sweep: the server's exact sum
+// would never lose it (shard.ErrNonFinite), and a client has nothing to
+// learn from a model that carries one. The error names the first such
+// coordinate, counted from base, the coordinate of dst[0] in the vector dst
+// is part of. The kernel takes whole blocks and stops before one holding a
+// non-finite word; the rest is taken four words a step, and a group holding
+// a non-finite one is left to the word-by-word tail, which names the first.
+func decodeFloats(dst []float64, b []byte, base int) error {
+	d, src := dst, b
+	if vectorWire {
+		j := tensor.DecodeBE(d, src)
+		d, src = d[j:], src[8*j:]
+	}
 	for len(d) >= 4 && len(src) >= 32 {
 		w0, w1 := binary.BigEndian.Uint64(src[0:8]), binary.BigEndian.Uint64(src[8:16])
 		w2, w3 := binary.BigEndian.Uint64(src[16:24]), binary.BigEndian.Uint64(src[24:32])
@@ -154,12 +191,12 @@ func getFloats(dst []float64, b []byte, n int) ([]float64, error) {
 	for i := range d {
 		bits := binary.BigEndian.Uint64(src[i*8 : i*8+8])
 		if bits<<1 >= expOnes {
-			at := n - len(d) + i
-			return dst, fmt.Errorf("emu: float payload coordinate %d = %v: %w", at, math.Float64frombits(bits), shard.ErrNonFinite)
+			at := base + len(dst) - len(d) + i
+			return fmt.Errorf("emu: float payload coordinate %d = %v: %w", at, math.Float64frombits(bits), shard.ErrNonFinite)
 		}
 		d[i] = math.Float64frombits(bits)
 	}
-	return dst, nil
+	return nil
 }
 
 // encodeHello builds a hello payload. A client sending raw float64 updates
@@ -200,41 +237,75 @@ func decodeHello(p []byte) (clientID int, codecSpec []byte, err error) {
 	return int(binary.BigEndian.Uint32(p[:4])), p[7:], nil
 }
 
-// encodeModel builds a model-broadcast payload: round, dim, params.
-func encodeModel(round int, params []float64) []byte {
-	buf := make([]byte, 8, 8+len(params)*8)
-	binary.BigEndian.PutUint32(buf[:4], uint32(round))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(params)))
+// appendModelFrame appends a whole model-broadcast frame to buf: the frame
+// header, then the payload (round, dim, params).
+func appendModelFrame(buf []byte, round int, params []float64) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(8+8*len(params)))
+	buf = append(buf, msgModel)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(round))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(params)))
 	return putFloats(buf, params)
 }
 
-// decodeModel parses a model broadcast, the parameters into dst's capacity.
-func decodeModel(dst []float64, p []byte) (round int, params []float64, err error) {
-	if len(p) < 8 {
-		return 0, dst, fmt.Errorf("emu: model payload has %d bytes, want >= 8", len(p))
+// malformedFrame marks a frame that arrived whole but cannot be accepted.
+// Unlike a transport error, reconnecting cannot cure it.
+type malformedFrame struct{ err error }
+
+func (e malformedFrame) Error() string { return e.err.Error() }
+func (e malformedFrame) Unwrap() error { return e.err }
+
+// readModel streams the n-byte payload of a model frame from r into params,
+// which must have the model's dimension: the round and dim, then the
+// parameters, read a chunk at a time (len(chunk) is a multiple of 8, at
+// least 8) and decoded straight into params. It returns I/O errors as they
+// come; a payload that disagrees with len(params), or that carries a NaN or
+// ±Inf, is a malformedFrame.
+func readModel(r io.Reader, n int, params []float64, chunk []byte) (round int, err error) {
+	if n < 8 {
+		return 0, malformedFrame{fmt.Errorf("emu: model payload has %d bytes, want >= 8", n)}
 	}
-	round = int(binary.BigEndian.Uint32(p[:4]))
-	dim := int(binary.BigEndian.Uint32(p[4:8]))
-	params, err = getFloats(dst, p[8:], dim)
-	return round, params, err
+	head := chunk[:8]
+	if _, err := io.ReadFull(r, head); err != nil {
+		return 0, fmt.Errorf("emu: read model: %w", err)
+	}
+	round = int(binary.BigEndian.Uint32(head[:4]))
+	if dim := int(binary.BigEndian.Uint32(head[4:8])); dim != len(params) || n-8 != 8*dim {
+		return round, malformedFrame{fmt.Errorf("emu: round %d model has %d params in %d bytes, local model %d", round, dim, n-8, len(params))}
+	}
+	step := len(chunk) / 8
+	for at := 0; at < len(params); at += step {
+		part := params[at:min(at+step, len(params))]
+		b := chunk[:8*len(part)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return round, fmt.Errorf("emu: read model: %w", err)
+		}
+		if err := decodeFloats(part, b, at); err != nil {
+			return round, malformedFrame{err}
+		}
+	}
+	return round, nil
 }
 
-// encodeUpdate builds an update payload: clientID, round, metric, dim, delta.
-func encodeUpdate(clientID, round int, metric float64, delta []float64) []byte {
-	buf := make([]byte, 16, 20+len(delta)*8)
-	binary.BigEndian.PutUint32(buf[:4], uint32(clientID))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(round))
-	binary.BigEndian.PutUint64(buf[8:16], math.Float64bits(metric))
-	var dimb [4]byte
-	binary.BigEndian.PutUint32(dimb[:], uint32(len(delta)))
-	buf = append(buf, dimb[:]...)
-	return putFloats(buf, delta)
+// replyHeaderSize is the fixed prefix of the update kinds: clientID, round,
+// metric, dim. A skip is its first skipSize bytes.
+const (
+	replyHeaderSize = 20
+	skipSize        = 16
+)
+
+// putReplyHeader fills an uplink reply's fixed prefix: clientID, round,
+// metric, dim. A skip notification uses the first skipSize bytes.
+func putReplyHeader(h *[replyHeaderSize]byte, clientID, round int, metric float64, dim int) {
+	binary.BigEndian.PutUint32(h[:4], uint32(clientID))
+	binary.BigEndian.PutUint32(h[4:8], uint32(round))
+	binary.BigEndian.PutUint64(h[8:16], math.Float64bits(metric))
+	binary.BigEndian.PutUint32(h[16:20], uint32(dim))
 }
 
 // decodeUpdate parses a raw update, decoding the delta into dst's capacity.
 func decodeUpdate(dst []float64, p []byte) (clientID, round int, metric float64, delta []float64, err error) {
-	if len(p) < 20 {
-		return 0, 0, 0, dst, fmt.Errorf("emu: update payload has %d bytes, want >= 20", len(p))
+	if len(p) < replyHeaderSize {
+		return 0, 0, 0, dst, fmt.Errorf("emu: update payload has %d bytes, want >= %d", len(p), replyHeaderSize)
 	}
 	clientID = int(binary.BigEndian.Uint32(p[:4]))
 	round = int(binary.BigEndian.Uint32(p[4:8]))
@@ -244,20 +315,12 @@ func decodeUpdate(dst []float64, p []byte) (clientID, round int, metric float64,
 	return clientID, round, metric, delta, err
 }
 
-// encodeSkip builds the skip-notification payload: clientID, round, metric.
+// decodeSkip parses the skip-notification payload: clientID, round, metric.
 // This is the paper's "status information" whose size is negligible next to
 // a full update.
-func encodeSkip(clientID, round int, metric float64) []byte {
-	buf := make([]byte, 16)
-	binary.BigEndian.PutUint32(buf[:4], uint32(clientID))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(round))
-	binary.BigEndian.PutUint64(buf[8:16], math.Float64bits(metric))
-	return buf
-}
-
 func decodeSkip(p []byte) (clientID, round int, metric float64, err error) {
-	if len(p) != 16 {
-		return 0, 0, 0, fmt.Errorf("emu: skip payload has %d bytes, want 16", len(p))
+	if len(p) != skipSize {
+		return 0, 0, 0, fmt.Errorf("emu: skip payload has %d bytes, want %d", len(p), skipSize)
 	}
 	clientID = int(binary.BigEndian.Uint32(p[:4]))
 	round = int(binary.BigEndian.Uint32(p[4:8]))
@@ -271,23 +334,11 @@ func decodeSkip(p []byte) (clientID, round int, metric float64, err error) {
 // pinned it), so the wire cost is exactly header + codec bytes: the
 // bit-reduction of the paper's related work measured on a real wire.
 
-// encodeUpdate2 builds the msgUpdate2 payload:
-// clientID, round, metric, dim, codec payload.
-func encodeUpdate2(clientID, round int, metric float64, dim int, payload []byte) []byte {
-	buf := make([]byte, 20+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(clientID))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(round))
-	binary.BigEndian.PutUint64(buf[8:16], math.Float64bits(metric))
-	binary.BigEndian.PutUint32(buf[16:20], uint32(dim))
-	copy(buf[20:], payload)
-	return buf
-}
-
 // decodeUpdate2 parses a msgUpdate2 payload; the returned codec payload
 // aliases p.
 func decodeUpdate2(p []byte) (clientID, round int, metric float64, dim int, payload []byte, err error) {
-	if len(p) < 20 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("emu: update2 payload has %d bytes, want >= 20", len(p))
+	if len(p) < replyHeaderSize {
+		return 0, 0, 0, 0, nil, fmt.Errorf("emu: update2 payload has %d bytes, want >= %d", len(p), replyHeaderSize)
 	}
 	clientID = int(binary.BigEndian.Uint32(p[:4]))
 	round = int(binary.BigEndian.Uint32(p[4:8]))

@@ -150,13 +150,16 @@ func (r *ServerResult) FinalAccuracy() float64 {
 
 // connEvent is what a connection reader hands to the round loop: one frame
 // or one terminal error, tagged with the connection generation so stale
-// readers can never corrupt a successor's accounting.
+// readers can never corrupt a successor's accounting. A frame's payload is
+// the reader's buffer: the shard signals release once it is done with it,
+// and only then does the reader read the next frame.
 type connEvent struct {
-	client int
-	gen    int
-	f      *frame
-	wire   int64
-	err    error
+	client  int
+	gen     int
+	f       frame
+	wire    int64
+	err     error
+	release chan<- struct{}
 }
 
 // Server is the master of Algorithm 1's GlobalOptimization, run over TCP.
@@ -210,6 +213,16 @@ type Server struct {
 	shardStats []shardCounters
 	rootAcc    *shard.Accumulator
 	replies    []fl.Reply
+
+	// global is the model the round loop evaluates; NewServer builds it to
+	// learn the dimension. rawFrame bounds a raw (v1) connection's frames:
+	// the largest it may send is an update, 20 + 8·dim bytes. modelFrame is
+	// the round's model broadcast, header included, encoded by the round
+	// loop into the same buffer every round: a broadcast's writes all finish
+	// before the next round encodes.
+	global     *nn.Network
+	rawFrame   int
+	modelFrame []byte
 
 	// wg tracks every connection-servicing goroutine the server spawns
 	// (acceptLoop, admit, readLoop); closeConns waits for all of them after
@@ -273,19 +286,21 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.Topology.validate(cfg.Clients); err != nil {
 		return nil, err
 	}
-	queueDepth := cfg.Topology.QueueDepth
-	if queueDepth <= 0 {
-		queueDepth = 8
-	}
 	maxHandshakes := cfg.Topology.MaxPendingHandshakes
 	if maxHandshakes <= 0 {
 		maxHandshakes = 4 * cfg.Topology.shardCount()
+	}
+	global := cfg.Model()
+	if dim := global.NumParams(); replyHeaderSize+8*dim > maxFrame {
+		return nil, fmt.Errorf("emu: a model of %d params does not fit a %d-byte frame", dim, maxFrame)
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("emu: listen %s: %w", cfg.Addr, err)
 	}
 	s := &Server{
+		global:     global,
+		rawFrame:   replyHeaderSize + 8*global.NumParams(),
 		cfg:        cfg,
 		ln:         ln,
 		obs:        cfg.Observers,
@@ -312,7 +327,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			}
 			localQ = cfg.Topology.ShardLimits[i].MinQuorum
 		}
-		s.shards = append(s.shards, newShardAgg(s, i, own, deadline, localQ, queueDepth))
+		s.shards = append(s.shards, newShardAgg(s, i, own, deadline, localQ))
 		for _, id := range own {
 			s.shardOf[id] = i
 		}
@@ -505,7 +520,7 @@ func (s *Server) Run() (res *ServerResult, err error) {
 		return nil, err
 	}
 
-	global := s.cfg.Model()
+	global := s.global
 	// The server half of Algorithm 1 is fl's: the tree hands Close each
 	// round's exact sum. The upload filter lives in the clients.
 	agg := fl.NewAggregator(telemetry.EngineEmu, global.ParamVector(), s.cfg.Clients, nil, s.obs)
@@ -626,7 +641,7 @@ func (s *Server) admit(conn net.Conn) {
 		closeQuietly(conn)
 		return
 	}
-	f, err := readFrame(conn)
+	f, err := readFrameInto(conn, nil, maxHello)
 	if err != nil || f.kind != msgHello {
 		closeQuietly(conn)
 		return
@@ -670,8 +685,12 @@ func (s *Server) admit(conn net.Conn) {
 		s.rejoin++
 	}
 	s.mu.Unlock()
+	limit := maxFrame
+	if codec == nil {
+		limit = s.rawFrame
+	}
 	s.wg.Add(1)
-	go s.readLoop(id, gen, conn)
+	go s.readLoop(id, gen, conn, limit)
 }
 
 // negotiateCodec resolves a hello's codec declaration against the server's
@@ -737,16 +756,32 @@ func (s *Server) rejoinCount() int {
 // (e.g. its reply was lost upstream) can be silent for many rounds without
 // being a transport failure — slowness is the quorum deadline's problem,
 // not the socket's. Blocked reads are released by closeConns.
-func (s *Server) readLoop(id, gen int, conn net.Conn) {
+//
+// The reader owns one payload buffer and reads the next frame into it only
+// once the shard has released the last one, so a connection holds at most
+// one received frame: a client that writes faster than the rounds consume
+// meets TCP backpressure, not server memory. A frame longer than limit is
+// refused from its length prefix alone.
+func (s *Server) readLoop(id, gen int, conn net.Conn, limit int) {
 	defer s.wg.Done()
 	agg := s.shards[s.shardOf[id]]
+	release := make(chan struct{}, 1)
+	var buf []byte
 	for {
-		f, err := readFrame(conn)
+		f, err := readFrameInto(conn, buf, limit)
 		if err != nil {
 			agg.post(connEvent{client: id, gen: gen, err: err})
 			return
 		}
-		agg.post(connEvent{client: id, gen: gen, f: f, wire: f.wireSize()})
+		buf = f.payload
+		if !agg.post(connEvent{client: id, gen: gen, f: f, wire: f.wireSize(), release: release}) {
+			return
+		}
+		select {
+		case <-release:
+		case <-s.stop:
+			return
+		}
 	}
 }
 
@@ -767,14 +802,6 @@ func (s *Server) markDown(id, gen int) bool {
 		}
 	}
 	return true
-}
-
-// kindOrZero lets error paths print a frame kind even when f is nil.
-func (f *frame) kindOrZero() byte {
-	if f == nil {
-		return 0
-	}
-	return f.kind
 }
 
 // liveTarget pins (id, generation, conn) at snapshot time so later rejoins

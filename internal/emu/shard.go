@@ -24,10 +24,10 @@ const (
 
 // shardDirective is one phase order from the root to a shard aggregator.
 type shardDirective struct {
-	kind    int
-	round   int
-	payload []byte // model frame payload (dirBroadcast)
-	dim     int    // model dimension (dirGather)
+	kind  int
+	round int
+	frame []byte // whole model frame, header included (dirBroadcast)
+	dim   int    // model dimension (dirGather)
 }
 
 // replyMeta is the root-visible record of one accepted reply. The update's
@@ -80,9 +80,11 @@ type shardAgg struct {
 	deadline    time.Duration
 	localQuorum int // per-shard reply floor (0 = none; global quorum is the root's)
 
-	// events is the shard's bounded reply queue: connection readers for
-	// owned clients post here and block when it is full, which stalls the
-	// offending TCP streams — per-shard backpressure by construction.
+	// events is the shard's reply queue: connection readers for owned
+	// clients post here. A reader posts one frame and waits for its release
+	// before reading the next, so two events per owned client (a frame and
+	// a terminal error) fill it only when clients redial; a reader that
+	// finds it full blocks, stalling its TCP stream.
 	events chan connEvent
 	dirs   chan shardDirective
 	parts  chan *shardPartial
@@ -94,16 +96,15 @@ type shardAgg struct {
 	expected []bool    // last broadcast outcome, indexed by global client id
 }
 
-// newShardAgg wires one shard over its owned clients. queueDepth is in
-// events per owned client.
-func newShardAgg(srv *Server, idx int, clients []int, deadline time.Duration, localQuorum, queueDepth int) *shardAgg {
+// newShardAgg wires one shard over its owned clients.
+func newShardAgg(srv *Server, idx int, clients []int, deadline time.Duration, localQuorum int) *shardAgg {
 	return &shardAgg{
 		srv:         srv,
 		idx:         idx,
 		clients:     clients,
 		deadline:    deadline,
 		localQuorum: localQuorum,
-		events:      make(chan connEvent, queueDepth*len(clients)),
+		events:      make(chan connEvent, 2*len(clients)),
 		dirs:        make(chan shardDirective, 1),
 		parts:       make(chan *shardPartial, 1),
 		q:           fl.NewQuorum(srv.cfg.Clients),
@@ -113,11 +114,13 @@ func newShardAgg(srv *Server, idx int, clients []int, deadline time.Duration, lo
 }
 
 // post delivers a reader event into the shard's queue unless the server is
-// shutting down.
-func (a *shardAgg) post(ev connEvent) {
+// shutting down, and reports whether it did.
+func (a *shardAgg) post(ev connEvent) bool {
 	select {
 	case a.events <- ev:
+		return true
 	case <-a.srv.stop:
+		return false
 	}
 }
 
@@ -193,13 +196,12 @@ func (a *shardAgg) broadcast(d shardDirective) *shardPartial {
 				errs[li] = err
 				return
 			}
-			n, err := writeFrame(conn, msgModel, d.payload)
-			if err != nil {
-				errs[li] = err
+			if _, err := conn.Write(d.frame); err != nil {
+				errs[li] = fmt.Errorf("emu: write model frame: %w", err)
 				return
 			}
 			mu.Lock()
-			sent += n
+			sent += int64(len(d.frame))
 			mu.Unlock()
 		}(li, tgt.conn)
 	}
@@ -274,7 +276,11 @@ func (a *shardAgg) gather(d shardDirective) *shardPartial {
 	for !a.q.Complete() {
 		select {
 		case ev := <-a.events:
-			if err := a.handleEvent(d, ev, p); err != nil {
+			err := a.handleEvent(d, &ev, p)
+			if ev.release != nil {
+				ev.release <- struct{}{}
+			}
+			if err != nil {
 				p.err = err
 				return p
 			}
@@ -311,11 +317,11 @@ func (e fatalError) Unwrap() error { return e.err }
 // (client, round) header, classify against the quorum state, and fold the
 // full body for accepted frames alone. Late and duplicate frames are never
 // decoded, so they cannot touch the decode scratch.
-func (a *shardAgg) handleEvent(d shardDirective, ev connEvent, p *shardPartial) error {
+func (a *shardAgg) handleEvent(d shardDirective, ev *connEvent, p *shardPartial) error {
 	if ev.err != nil {
 		return a.connDown(ev.client, ev.gen, d.round, ev.err, p)
 	}
-	id, r, err := parseReplyHeader(ev.f)
+	id, r, err := parseReplyHeader(&ev.f)
 	if err == nil && id != ev.client {
 		err = fmt.Errorf("emu: connection of client %d delivered a frame claiming client %d", ev.client, id)
 	}
@@ -327,7 +333,7 @@ func (a *shardAgg) handleEvent(d shardDirective, ev connEvent, p *shardPartial) 
 	p.wire += ev.wire
 	switch a.q.Classify(id, r) {
 	case fl.VerdictAccept:
-		if err := a.fold(d, ev.f, id, p); err != nil {
+		if err := a.fold(d, &ev.f, id, p); err != nil {
 			var fatal fatalError
 			if errors.As(err, &fatal) {
 				return fatal.err
@@ -351,9 +357,9 @@ func (a *shardAgg) handleEvent(d shardDirective, ev connEvent, p *shardPartial) 
 // frameErr stamps a frame-decode failure with the offending kind byte and
 // the connection generation it arrived on: a reconnecting client's stale
 // generation and its live one produce distinguishable errors.
-func (a *shardAgg) frameErr(ev connEvent, err error) error {
+func (a *shardAgg) frameErr(ev *connEvent, err error) error {
 	return fmt.Errorf("emu: shard %d: frame kind %d on client %d conn gen %d: %w",
-		a.idx, ev.f.kindOrZero(), ev.client, ev.gen, err)
+		a.idx, ev.f.kind, ev.client, ev.gen, err)
 }
 
 // fold decodes one accepted uplink frame and folds it into the shard's

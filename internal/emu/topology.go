@@ -37,6 +37,8 @@ type Limits struct {
 	FaultTolerant bool
 }
 
+//cmfl:api-change Topology.QueueDepth is removed: each connection reader holds at most one received frame and reads the next only once its shard released the last, so a shard's queue needs two events per owned client and the knob bounded nothing; callers drop the field.
+
 // Topology lays out the server's aggregation tree. The zero value is the
 // flat server: one aggregator owning every client.
 //
@@ -67,11 +69,6 @@ type Topology struct {
 	// extension point — the bit-identical parity guarantee is stated for
 	// uniform limits.
 	ShardLimits []ShardLimit
-	// QueueDepth bounds each shard's pending reply queue, in events per
-	// owned client (default 8). A full queue blocks that shard's
-	// connection readers, which stalls the offending TCP streams —
-	// backpressure instead of unbounded buffering.
-	QueueDepth int
 	// MaxPendingHandshakes bounds concurrently in-flight hello handshakes
 	// (default 4 per shard). Excess connections wait their turn — admission
 	// backpressure, not rejection, so a thundering-herd dial burst
@@ -110,9 +107,6 @@ func (t Topology) validate(clients int) error {
 	}
 	if len(t.ShardLimits) > n {
 		return fmt.Errorf("emu: %d ShardLimits for %d shards", len(t.ShardLimits), n)
-	}
-	if t.QueueDepth < 0 {
-		return fmt.Errorf("emu: Topology.QueueDepth %d is negative", t.QueueDepth)
 	}
 	if t.MaxPendingHandshakes < 0 {
 		return fmt.Errorf("emu: Topology.MaxPendingHandshakes %d is negative", t.MaxPendingHandshakes)

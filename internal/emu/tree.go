@@ -37,7 +37,7 @@ type roundOutcome struct {
 //
 //cmfl:deterministic
 func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOutcome, error) {
-	payload := encodeModel(t, params)
+	s.modelFrame = appendModelFrame(s.modelFrame[:0], t, params)
 	out := &roundOutcome{}
 
 	// Phase 1: broadcast. Shards run their model writes concurrently; the
@@ -45,7 +45,7 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	// only after the whole fleet received the round — same timing contract
 	// as the flat server's single broadcast barrier.
 	for _, a := range s.shards {
-		if err := a.direct(shardDirective{kind: dirBroadcast, round: t, payload: payload}); err != nil {
+		if err := a.direct(shardDirective{kind: dirBroadcast, round: t, frame: s.modelFrame}); err != nil {
 			return nil, err
 		}
 	}

@@ -3,7 +3,7 @@ package tensor
 import "os"
 
 // AVX-512 dispatch for the GEMM kernels (see gemm_avx512_amd64.s). The
-// assembly path is used when the CPU and OS support AVX-512F/DQ; the pure-Go
+// assembly path is used when the CPU and OS support AVX-512F/DQ/BW; the pure-Go
 // kernels in gemm.go remain the reference and the fallback. Set CMFL_NOSIMD=1
 // to force the Go path (debugging, cross-checking).
 
@@ -42,7 +42,8 @@ func detectAVX512() bool {
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	const avx512f = 1 << 16
 	const avx512dq = 1 << 17
-	return ebx7&avx512f != 0 && ebx7&avx512dq != 0
+	const avx512bw = 1 << 30 // VPSHUFB on ZMM, in the wire kernels
+	return ebx7&avx512f != 0 && ebx7&avx512dq != 0 && ebx7&avx512bw != 0
 }
 
 func gemmNNSIMD(dst, a, b []float64, k, n, lo, hi int, accum bool) {
@@ -145,3 +146,9 @@ func exactMergeAVX(hi, lo, bhi, blo *float64, blocks uintptr) uintptr
 
 //go:noescape
 func exactRoundAVX(dst, hi, lo *float64, blocks uintptr)
+
+//go:noescape
+func decodeBEAVX(dst *float64, src *byte, blocks uintptr) uintptr
+
+//go:noescape
+func encodeBEAVX(dst *byte, src *float64, blocks uintptr)

@@ -64,3 +64,11 @@ func exactMergeAVX(hi, lo, bhi, blo *float64, blocks uintptr) uintptr {
 func exactRoundAVX(dst, hi, lo *float64, blocks uintptr) {
 	panic("tensor: SIMD exact sum unavailable on this platform")
 }
+
+func decodeBEAVX(dst *float64, src *byte, blocks uintptr) uintptr {
+	panic("tensor: SIMD wire codec unavailable on this platform")
+}
+
+func encodeBEAVX(dst *byte, src *float64, blocks uintptr) {
+	panic("tensor: SIMD wire codec unavailable on this platform")
+}

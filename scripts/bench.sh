@@ -30,7 +30,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PKGS=${BENCH_PKGS:-"./internal/tensor ./internal/core ./internal/nn ./internal/fl ./internal/compress ./internal/emu/shard ./internal/sim"}
+PKGS=${BENCH_PKGS:-"./internal/tensor ./internal/core ./internal/nn ./internal/fl ./internal/compress ./internal/emu/shard ./internal/emu ./internal/sim"}
 MAX_PCT=${BENCH_MAX_REGRESSION_PCT:-10}
 BENCH_RE=${BENCH_RE:-.}
 OUT=benchmarks/latest.txt
