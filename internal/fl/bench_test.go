@@ -70,8 +70,27 @@ func warm(b *testing.B, round func() error) {
 // BenchmarkLocalTrainRound measures one client's full local round (E epochs
 // of minibatch SGD) on the two reproduction workloads at paper-like shapes:
 // the 28×28/5×5 MNIST CNN and the 2-layer next-word LSTM. This is the
-// quantity that bounds every experiment's wall-clock.
+// quantity that bounds every experiment's wall-clock. The wide rows are the
+// models of the wide benchmark workloads, 32 samples in batches of 8: the
+// 1000 → 100 logistic model of sim_wide_q8 and the 256-384-10 MLP of the
+// emu workloads, where the Dense step and the delta pass are all the work.
 func BenchmarkLocalTrainRound(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		widths []int
+	}{{"wide-logistic", []int{1000, 100}}, {"wide-mlp", []int{256, 384, 10}}} {
+		b.Run(c.name, func(b *testing.B) {
+			in, classes := c.widths[0], c.widths[len(c.widths)-1]
+			round := localRound(nn.NewMLP(xrand.New(6), c.widths...), randomSet(32, []int{in}, classes, xrand.New(7)), 8, xrand.New(8))
+			b.ReportAllocs()
+			warm(b, round)
+			for i := 0; i < b.N; i++ {
+				if err := round(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("mnist-cnn", func(b *testing.B) {
 		round := localRound(nn.NewCNN(paperCNN, xrand.New(1)), randomSet(20, []int{1, 28, 28}, 10, xrand.New(2)), 2, xrand.New(3))
 		b.ReportAllocs()
@@ -214,6 +233,6 @@ func BenchmarkAggregatorFold(b *testing.B) {
 		workers[0].acc.Reset(dim)
 		workers[0].acc.Add(first)
 		b.StartTimer()
-		agg.Fold(i+1, uploads, accepted, replies, nil, merge(workers))
+		agg.Fold(i+1, uploads, accepted, replies, merge(workers))
 	}
 }

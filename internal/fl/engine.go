@@ -100,18 +100,6 @@ type worker struct {
 	err    error
 }
 
-// add folds client c's accepted upload into the worker's partial sum; under
-// FedAvg weights the sweep rounds weights[c]·delta as it adds.
-//
-//cmfl:hotpath
-func (w *worker) add(delta, weights []float64, c int) {
-	if weights == nil {
-		w.acc.Add(delta)
-		return
-	}
-	w.acc.AddScaled(weights[c], delta)
-}
-
 // merge sums every worker's partial into the first one's and returns it.
 func merge(workers []worker) *shard.Accumulator {
 	for i := 1; i < len(workers); i++ {
@@ -146,13 +134,9 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 	agg := NewAggregator(engine, global.ParamVector(), n, step.Filter, cfg.Observers)
 	agg.momentum, agg.staleness = cfg.ServerMomentum, cfg.FeedbackStaleness
 
-	var weights []float64             // FedAvg's n_k; nil is Algorithm 1's plain mean
 	residuals := make([][]float64, n) // nil rows without error feedback
-	for c, data := range cfg.ClientData {
-		if cfg.WeightedAggregation {
-			weights = append(weights, float64(data.Len()))
-		}
-		if cfg.Compressor != nil && cfg.ErrorFeedback {
+	if cfg.Compressor != nil && cfg.ErrorFeedback {
+		for c := range residuals {
 			residuals[c] = make([]float64, len(agg.Params))
 		}
 	}
@@ -196,7 +180,7 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 			return err
 		}
 		if taken[c] = sched.Packed(b.Round, c, r); taken[c] && r.Upload {
-			w.add(r.Delta, weights, c)
+			w.acc.Add(r.Delta)
 		}
 		return nil
 	}
@@ -232,7 +216,7 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 				sig.Add(significance[c])
 			}
 		}
-		ev, update := agg.Fold(t, len(trained), accepted, replies, weights, merge(workers))
+		ev, update := agg.Fold(t, len(trained), accepted, replies, merge(workers))
 		stats := RoundStats{RoundEvent: ev, TrainLoss: mean(&loss, len(trained)), MeanRelevance: mean(&rel, relCount)}
 		stats.MeanSignificance, stats.DeltaUpdate = nan(), nan()
 		if traced {
@@ -379,8 +363,7 @@ func solve(sc *Scratch, net *nn.Network, data *dataset.Set, global []float64, lr
 			batches++
 		}
 	}
-	delta = net.ParamsInto(delta) // turned into local − global in place
-	tensor.Axpy(-1, global, delta)
+	delta = net.DeltaInto(delta, global)
 	return delta, lossSum / math.Max(1, float64(batches)), nil
 }
 

@@ -26,6 +26,8 @@ import (
 	"cmfl/internal/xrand"
 )
 
+//cmfl:api-change Config.WeightedAggregation is removed and Aggregator.Fold loses its weights parameter: no command, experiment or workload set the FedAvg n_k weighting, and every engine now averages the accepted uploads as Algorithm 1 line 8 does. Callers drop the field and the argument.
+
 // UploadFilter is the client-side gate deciding whether a local update is
 // transferred to the server. Implementations must be safe for concurrent
 // use; the engine calls Check from one goroutine per client.
@@ -146,11 +148,6 @@ type Config struct {
 	// (drift-limited updates align better with the global trend). Zero
 	// disables it (plain FedAvg local solver, as in the paper).
 	ProxMu float64
-
-	// WeightedAggregation averages uploaded updates weighted by each
-	// client's sample count (FedAvg's n_k/n weighting) instead of the
-	// paper's plain mean. Off by default to match Algorithm 1 line 8.
-	WeightedAggregation bool
 
 	// DPClip bounds each update's L2 norm before upload (client-level
 	// differential privacy, Geyer et al. — the privacy line of work the

@@ -138,8 +138,8 @@ func TestGaiaFilterRuns(t *testing.T) {
 }
 
 // TestDeterministicAcrossParallelism pins Run with every option it has on
-// (fraction sampling, top-k with error feedback, DP, prox, n_k weights,
-// server momentum, stale feedback) at one worker, three, and one per client:
+// (fraction sampling, top-k with error feedback, DP, prox, server
+// momentum, stale feedback) at one worker, three, and one per client:
 // the final model, every client's last local model, the skip counts and the
 // per-round communication record hash to one SHA-256. The diagnostics are
 // left out: only their last ulp may depend on how they are summed.
@@ -155,7 +155,6 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 		cfg.ErrorFeedback = true
 		cfg.DPClip, cfg.DPNoiseSigma = 5, 0.001
 		cfg.ProxMu = 0.1
-		cfg.WeightedAggregation = true
 		cfg.ServerMomentum = 0.5
 		cfg.FeedbackStaleness = 2
 		res, err := Run(cfg)
@@ -183,8 +182,8 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 		}
 		// The vector kernels fuse the multiply-adds and the portable loops do
 		// not, so each path has its own bits.
-		const wantSIMD, wantPortable = "7640131e81dae330892d5f935d48b08c834c121cdfccd150e8c37624f173a7f4",
-			"af530d482373bd0cf6f3e7448dea735b9803804c67837adf80ad0aad8b0fa2c7"
+		const wantSIMD, wantPortable = "152446877c4bd5bca273cfe8e390429943d3aacab6b7fd1fa472d8c7653cd02a",
+			"2c024f337cea46604c46f8bfb5e9de04a0130c9e604c2118ead9728da7067336"
 		if got := hex.EncodeToString(h.Sum(nil)); got != wantSIMD && got != wantPortable {
 			t.Errorf("Parallelism %d: SHA-256 %s, want %s (AVX-512) or %s (portable)", workers, got, wantSIMD, wantPortable)
 		}
@@ -603,9 +602,10 @@ func TestProxTrainingStillLearns(t *testing.T) {
 	}
 }
 
-func TestWeightedAggregation(t *testing.T) {
-	// Two clients with very different sizes: weighting must move the
-	// aggregate toward the larger client's update.
+// TestMeanAggregation: one round over two clients of very different sizes
+// moves the model by the plain mean of their raw deltas (Algorithm 1 line 8),
+// each reconstructed with LocalTrain from the client's stream.
+func TestMeanAggregation(t *testing.T) {
 	all, err := dataset.Digits(dataset.DigitsConfig{Samples: 300, ImageSize: 10, Noise: 0.2, Seed: 91})
 	if err != nil {
 		t.Fatal(err)
@@ -628,12 +628,6 @@ func TestWeightedAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.WeightedAggregation = true
-	weighted, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reconstruct each client's raw delta and check the weighted aggregate.
 	start := cfg.Model().ParamVector()
 	d0, _, err := LocalTrain(cfg.Model(), big, start, 0.1, 1, 8, ClientStream(93, 0))
 	if err != nil {
@@ -644,45 +638,34 @@ func TestWeightedAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range start {
-		wantPlain := start[j] + (d0[j]+d1[j])/2
-		wantWeighted := start[j] + (200*d0[j]+10*d1[j])/210
-		if math.Abs(plain.FinalParams[j]-wantPlain) > 1e-12 {
-			t.Fatalf("plain aggregation wrong at %d", j)
-		}
-		if math.Abs(weighted.FinalParams[j]-wantWeighted) > 1e-12 {
-			t.Fatalf("weighted aggregation wrong at %d", j)
+		if want := start[j] + (d0[j]+d1[j])/2; math.Abs(plain.FinalParams[j]-want) > 1e-12 {
+			t.Fatalf("mean aggregation wrong at %d", j)
 		}
 	}
 }
 
 // TestFoldIgnoresArrivalOrder pins Algorithm 1 line 8 as an exact sum: the
 // same replies added by a worker and folded under any permutation of accepted
-// give the same model bits — plain and n_k-weighted, with and without server
-// momentum. The deltas mix magnitudes so that a sequential float sum would
+// give the same model bits, with and without server momentum. The deltas mix magnitudes so that a sequential float sum would
 // round differently under each order.
 func TestFoldIgnoresArrivalOrder(t *testing.T) {
 	const dim, clients = 257, 7
 	rng := xrand.New(1234)
 	replies := make([]Reply, clients)
-	weights := make([]float64, clients)
 	for i := range replies {
 		delta := rng.NormVec(dim, 0, 1)
 		for j := range delta {
 			delta[j] *= math.Pow(10, float64(rng.Intn(9)-4))
 		}
 		replies[i] = Reply{Delta: delta, Upload: i != 3, Bytes: 8 * dim}
-		weights[i] = float64(10 + rng.Intn(500))
 	}
 	orders := [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {3, 0, 5, 1, 6, 2, 4}}
 	for _, tc := range []struct {
 		name     string
-		weights  []float64
 		momentum float64
 	}{
-		{"plain", nil, 0},
-		{"weighted", weights, 0},
-		{"plain+momentum", nil, 0.7},
-		{"weighted+momentum", weights, 0.7},
+		{"plain", 0},
+		{"momentum", 0.7},
 	} {
 		var want []float64
 		for _, order := range orders {
@@ -693,10 +676,10 @@ func TestFoldIgnoresArrivalOrder(t *testing.T) {
 				w.acc.Reset(dim)
 				for _, i := range order {
 					if replies[i].Upload {
-						w.add(replies[i].Delta, tc.weights, i)
+						w.acc.Add(replies[i].Delta)
 					}
 				}
-				if ev, _ := agg.Fold(round, clients, order, replies, tc.weights, w.acc); ev.Uploaded != clients-1 || ev.Skipped != 1 {
+				if ev, _ := agg.Fold(round, clients, order, replies, w.acc); ev.Uploaded != clients-1 || ev.Skipped != 1 {
 					t.Fatalf("%s: round %d uploaded %d skipped %d", tc.name, round, ev.Uploaded, ev.Skipped)
 				}
 			}
@@ -714,22 +697,13 @@ func TestFoldIgnoresArrivalOrder(t *testing.T) {
 }
 
 // foldOracle is the round's sum as one accumulator takes it: every upload
-// added whole (weight·delta through one scratch), rounded once.
-func foldOracle(dim int, accepted []int, replies []Reply, weights []float64) []float64 {
+// added whole, rounded once.
+func foldOracle(dim int, accepted []int, replies []Reply) []float64 {
 	acc := shard.New(dim)
-	var weighted []float64
 	for _, i := range accepted {
-		r := &replies[i]
-		if !r.Upload {
-			continue
+		if replies[i].Upload {
+			acc.Add(replies[i].Delta)
 		}
-		if weights == nil {
-			acc.Add(r.Delta)
-			continue
-		}
-		weighted = append(weighted[:0], r.Delta...)
-		tensor.ScaleVec(weights[i], weighted)
-		acc.Add(weighted)
 	}
 	return acc.Round(nil)
 }
@@ -737,9 +711,8 @@ func foldOracle(dim int, accepted []int, replies []Reply, weights []float64) []f
 // TestWorkerPartialsMatchOneAccumulator holds the loop's fold to a single
 // accumulator over every upload, bit for bit: the uploads are dealt onto 1…8
 // workers in a scrambled assignment, each worker adds its share on its own
-// goroutine (weight·delta rounded in its sweep when weighted), and merge
-// sums the partials — on dimensions around the 64-coordinate bitmap word,
-// plain and n_k-weighted, twice over reset accumulators. Some coordinates
+// goroutine, and merge sums the partials — on dimensions around the
+// 64-coordinate bitmap word, twice over reset accumulators. Some coordinates
 // spill (their terms span more than hi and lo hold), and others sum to
 // exactly zero, by cancellation or from −0 terms alone, which must round to
 // +0. Run with -race: the workers add concurrently.
@@ -749,12 +722,9 @@ func TestWorkerPartialsMatchOneAccumulator(t *testing.T) {
 	for _, dim := range []int{1, 63, 64, 65, 4097, 100100} {
 		rng := xrand.New(int64(dim))
 		replies := make([]Reply, clients)
-		weights := make([]float64, clients)
 		for i := range replies {
 			replies[i] = Reply{Delta: rng.NormVec(dim, 0, 1), Upload: i != 2}
-			weights[i] = float64(1 + rng.Intn(300))
 		}
-		weights[1] = weights[0] // so that x and −x cancel under the weights too
 		d := func(i, j int) *float64 { return &replies[i].Delta[j] }
 		var zeros []int
 		for j := 0; j < dim; j++ {
@@ -773,43 +743,41 @@ func TestWorkerPartialsMatchOneAccumulator(t *testing.T) {
 			}
 		}
 		accepted := []int{4, 0, 5, 2, 1, 3}
-		for _, wts := range [][]float64{nil, weights} {
-			want := foldOracle(dim, accepted, replies, wts)
-			for _, j := range zeros {
-				if math.Float64bits(want[j]) != 0 {
-					t.Fatalf("dim %d: the oracle rounds zero sum %d to %v", dim, j, want[j])
-				}
+		want := foldOracle(dim, accepted, replies)
+		for _, j := range zeros {
+			if math.Float64bits(want[j]) != 0 {
+				t.Fatalf("dim %d: the oracle rounds zero sum %d to %v", dim, j, want[j])
 			}
-			for k := 1; k <= 8; k++ {
-				workers := make([]worker, k)
-				for w := range workers {
-					workers[w] = worker{acc: shard.New(0)}
+		}
+		for k := 1; k <= 8; k++ {
+			workers := make([]worker, k)
+			for w := range workers {
+				workers[w] = worker{acc: shard.New(0)}
+			}
+			for round := 0; round < 2; round++ { // the second round reuses the accumulators
+				share := make([][]int, k)
+				for _, i := range accepted {
+					if replies[i].Upload {
+						w := rng.Intn(k)
+						share[w] = append(share[w], i)
+					}
 				}
-				for round := 0; round < 2; round++ { // the second round reuses the accumulators
-					share := make([][]int, k)
-					for _, i := range accepted {
-						if replies[i].Upload {
-							w := rng.Intn(k)
-							share[w] = append(share[w], i)
+				var wg sync.WaitGroup
+				for w := range workers {
+					workers[w].acc.Reset(dim)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for _, i := range share[w] {
+							workers[w].acc.Add(replies[i].Delta)
 						}
-					}
-					var wg sync.WaitGroup
-					for w := range workers {
-						workers[w].acc.Reset(dim)
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for _, i := range share[w] {
-								workers[w].add(replies[i].Delta, wts, i)
-							}
-						}()
-					}
-					wg.Wait()
-					got := merge(workers).Round(nil)
-					for j := range want {
-						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("dim %d, %d workers, weighted %v: coordinate %d = %v, want %v", dim, k, wts != nil, j, got[j], want[j])
-						}
+					}()
+				}
+				wg.Wait()
+				got := merge(workers).Round(nil)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("dim %d, %d workers: coordinate %d = %v, want %v", dim, k, j, got[j], want[j])
 					}
 				}
 			}

@@ -66,32 +66,23 @@ func (a *Aggregator) Begin(t int, lr float64) Broadcast {
 
 // Fold closes round t over the replies the engine accepted: replies[i] for
 // every i in accepted. sum holds the exact sum of their uploads (Algorithm 1
-// line 8), each weights[i]·Delta when weights, indexed like replies, turns the
-// plain mean into FedAvg's n_k/n. The loop's workers add the uploads as they
-// pack them, and the driver merges their partial sums into one before Fold
-// rounds it once per coordinate: no order or grouping of the uploads leaves
-// a trace in the result. Close does the rest.
+// line 8). The loop's workers add the uploads as they pack them, and the
+// driver merges their partial sums into one before Fold rounds it once per
+// coordinate: no order or grouping of the uploads leaves a trace in the
+// result. Close does the rest.
 //
 //cmfl:deterministic
-func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, weights []float64, sum *shard.Accumulator) (telemetry.RoundEvent, []float64) {
+func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, sum *shard.Accumulator) (telemetry.RoundEvent, []float64) {
 	uploaded := 0
-	var weightSum shard.Scalar
 	for _, i := range accepted {
 		if replies[i].Upload {
 			uploaded++
-			if weights != nil {
-				weightSum.Add(weights[i])
-			}
 		}
 	}
 	if uploaded == 0 {
 		return a.Close(t, participants, accepted, replies, nil, 0)
 	}
-	divisor := float64(uploaded)
-	if weights != nil {
-		divisor = weightSum.Round()
-	}
-	return a.Close(t, participants, accepted, replies, sum.Round(make([]float64, len(a.Params))), divisor)
+	return a.Close(t, participants, accepted, replies, sum.Round(make([]float64, len(a.Params))), float64(uploaded))
 }
 
 // Close finishes round t from sum, the exact sum of the accepted uploads

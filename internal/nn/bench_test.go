@@ -101,26 +101,36 @@ func BenchmarkMaxPool2Forward(b *testing.B) {
 // BenchmarkDenseStep measures one Dense forward+backward at the CNN head
 // shape (flattened conv output → hidden layer, input gradient computed) and
 // as the first layer of sim_wide_q8's logistic model (1000 → 100 at batch 8,
-// input gradient skipped).
+// input gradient skipped). Each shape runs twice: accumulating the weight
+// gradient, as a gradient check does, and -step, applying the SGD step
+// inside Backward, as TrainBatch does (the explicit path's ZeroGrads and
+// SGDStep sweeps are not in the first row).
 func BenchmarkDenseStep(b *testing.B) {
 	for _, c := range []struct {
 		name           string
 		batch, in, out int
 		first          bool
 	}{{"cnn-head", 2, 512, 128, false}, {"first-layer", 8, 1000, 100, true}} {
-		b.Run(c.name, func(b *testing.B) {
-			rng := xrand.New(3)
-			layer := inNetwork(NewDense(c.in, c.out, rng))
-			layer.setSkipInputGrad(c.first)
-			x := tensor.FromSlice(rng.NormVec(c.batch*c.in, 0, 1), c.batch, c.in)
-			grad := tensor.FromSlice(rng.NormVec(c.batch*c.out, 0, 1), c.batch, c.out)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				layer.Forward(x)
-				layer.Backward(grad)
+		for _, step := range []bool{false, true} {
+			name := c.name
+			if step {
+				name += "-step"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				rng := xrand.New(3)
+				layer := inNetwork(NewDense(c.in, c.out, rng))
+				layer.setSkipInputGrad(c.first)
+				layer.setStep(step, 1e-9)
+				x := tensor.FromSlice(rng.NormVec(c.batch*c.in, 0, 1), c.batch, c.in)
+				grad := tensor.FromSlice(rng.NormVec(c.batch*c.out, 0, 1), c.batch, c.out)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					layer.Forward(x)
+					layer.Backward(grad)
+				}
+			})
+		}
 	}
 }
 

@@ -15,6 +15,10 @@ type Dense struct {
 	// skipInputGrad is set by Network.Backward when this layer is first in
 	// the stack and its input gradient would be discarded.
 	skipInputGrad bool
+	// step and lr are set by the network's backward pass: in TrainBatch a
+	// Dense applies its own SGD step, w −= lr·xᵀ·gradOut, inside Backward.
+	step bool
+	lr   float64
 
 	In, Out int
 
@@ -49,28 +53,42 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Outside TrainBatch it accumulates dW += xᵀ·
+// gradOut and db += column sums of gradOut. In TrainBatch it steps instead:
+// the weights move by −lr·xᵀ·gradOut in one sweep, no weight gradient is
+// stored, and the bias by −lr times the column sums, formed in the bias
+// gradient. Either way dX = gradOut·Wᵀ comes from the weights Forward used.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	// dW += xᵀ · gradOut ; db += column sums ; dX = gradOut · Wᵀ
-	tensor.AddMatMulTransA(d.gw, d.x, gradOut)
 	batch := gradOut.Dim(0)
+	var gin *tensor.Tensor
+	if !d.skipInputGrad {
+		gin = tensor.MatMulTransBInto(ensure(&d.gin, batch, d.In), gradOut, d.w)
+	}
+	if d.step {
+		tensor.StepMatMulTransA(d.w, d.x, gradOut, -d.lr)
+		clear(d.gb.Data)
+	} else {
+		tensor.AddMatMulTransA(d.gw, d.x, gradOut)
+	}
 	for i := 0; i < batch; i++ {
 		row := gradOut.Data[i*d.Out : (i+1)*d.Out]
 		for j, v := range row {
 			d.gb.Data[j] += v
 		}
 	}
-	if d.skipInputGrad {
-		return nil
+	if d.step {
+		tensor.Axpy(-d.lr, d.gb.Data, d.b.Data)
 	}
-	gin := ensure(&d.gin, batch, d.In)
-	return tensor.MatMulTransBInto(gin, gradOut, d.w)
+	return gin
 }
 
 // setSkipInputGrad implements the nn-internal inputGradSkipper contract: a
 // Dense used as the network's first layer omits gradOut·Wᵀ and returns a nil
 // input gradient.
 func (d *Dense) setSkipInputGrad(skip bool) { d.skipInputGrad = skip }
+
+// setStep implements the nn-internal weightStepper contract.
+func (d *Dense) setStep(step bool, lr float64) { d.step, d.lr = step, lr }
 
 // Params implements Layer.
 func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.w, d.b} }

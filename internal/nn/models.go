@@ -90,14 +90,22 @@ func NewLogistic(in, classes int, rng *xrand.Stream) *Network {
 
 // TrainBatch runs one SGD step on a classification batch and returns the
 // batch loss. Inputs keep whatever shape the first layer expects; labels are
-// class indices.
+// class indices. The parameters end bit for bit where ZeroGrads, Forward,
+// the loss, Backward and SGDStep leave them, but Dense layers step their
+// own weights during the backward pass, so only the gradient segments of
+// the other layers are cleared and swept here: none for an MLP.
 func TrainBatch(net *Network, x *tensor.Tensor, labels []int, lr float64) float64 {
-	net.ZeroGrads()
+	grads := net.gradVector()
+	for _, s := range net.explicit {
+		clear(grads[s[0]:s[1]])
+	}
 	logits := net.Forward(x)
 	grad := ensure(&net.lossGrad, logits.Dim(0), logits.Dim(1))
 	loss := SoftmaxCrossEntropyInto(grad, logits, labels)
-	net.Backward(grad)
-	net.SGDStep(lr)
+	net.backward(grad, true, lr)
+	for _, s := range net.explicit {
+		tensor.Axpy(-lr, grads[s[0]:s[1]], net.params[s[0]:s[1]])
+	}
 	return loss
 }
 

@@ -59,13 +59,19 @@ type Network struct {
 	params []float64
 	grads  []float64 // nil until the first pass that needs it (gradVector)
 
+	// The layers that step their own weights in TrainBatch, and the
+	// [lo, hi) gradient segments of all other layers, adjacent ones merged,
+	// which TrainBatch clears and sweeps itself.
+	steppers []weightStepper
+	explicit [][2]int
+
 	lossGrad *tensor.Tensor // TrainBatch scratch (see scratch.go)
 }
 
 // NewNetwork builds a network from the given layers. It allocates the flat
 // parameter vector, copies each layer's initial parameters in, layer by
-// layer and tensor by tensor, and points the layer's parameter tensors at
-// their segments.
+// layer and tensor by tensor, points the layer's parameter tensors at their
+// segments, and records which layers step themselves in TrainBatch.
 func NewNetwork(layers ...Layer) *Network {
 	n := &Network{layers: layers}
 	dim := 0
@@ -77,11 +83,20 @@ func NewNetwork(layers ...Layer) *Network {
 	n.params = make([]float64, dim)
 	off := 0
 	for _, l := range layers {
+		lo := off
 		for _, p := range l.Params() {
 			end := off + p.Len()
 			copy(n.params[off:end], p.Data)
 			p.Data = n.params[off:end:end]
 			off = end
+		}
+		switch s, ok := l.(weightStepper); {
+		case ok:
+			n.steppers = append(n.steppers, s)
+		case off > lo && len(n.explicit) > 0 && n.explicit[len(n.explicit)-1][1] == lo:
+			n.explicit[len(n.explicit)-1][1] = off // the previous layer's segment grows
+		case off > lo:
+			n.explicit = append(n.explicit, [2]int{lo, off})
 		}
 	}
 	return n
@@ -130,11 +145,31 @@ type inputGradSkipper interface {
 	setSkipInputGrad(bool)
 }
 
-// Backward propagates the output gradient through all layers in reverse.
+// weightStepper is implemented by layers that can apply their SGD step
+// inside Backward instead of accumulating a gradient for SGDStep to read
+// back: a Dense layer's weights then take one sweep a step, not three.
+// TrainBatch turns the mode on; Backward turns it off, so gradient checks
+// and explicit ZeroGrads/Backward/SGDStep loops see plain gradients.
+type weightStepper interface {
+	setStep(step bool, lr float64)
+}
+
+// Backward propagates the output gradient through all layers in reverse,
+// accumulating every layer's parameter gradients.
 //
 //cmfl:hotpath
 func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return n.backward(grad, false, 0)
+}
+
+// backward is Backward, with the weightSteppers stepping by lr when step.
+//
+//cmfl:hotpath
+func (n *Network) backward(grad *tensor.Tensor, step bool, lr float64) *tensor.Tensor {
 	n.gradVector()
+	for _, s := range n.steppers {
+		s.setStep(step, lr)
+	}
 	if len(n.layers) > 0 {
 		if s, ok := n.layers[0].(inputGradSkipper); ok {
 			s.setSkipInputGrad(true)
@@ -156,6 +191,24 @@ func (n *Network) ParamVector() []float64 { return append([]float64(nil), n.para
 // when the capacity suffices, and returns the filled slice.
 func (n *Network) ParamsInto(dst []float64) []float64 {
 	return append(dst[:0], n.params...)
+}
+
+// DeltaInto writes the parameters minus base into dst, reusing its backing
+// array when the capacity suffices, and returns the filled slice: a local
+// update in one pass. A single subtraction rounds exactly as fma(−1, b, p)
+// and as p + (−1·b) do, so the bits are those of ParamsInto followed by
+// tensor.Axpy(-1, base, dst). base must be as long as the parameter vector.
+func (n *Network) DeltaInto(dst, base []float64) []float64 {
+	if len(base) != len(n.params) {
+		panic(fmt.Sprintf("nn: base vector has %d elements, network has %d", len(base), len(n.params)))
+	}
+	params := n.params
+	dst = slices.Grow(dst[:0], len(params))[:len(params)]
+	base = base[:len(params)]
+	for i := range params {
+		dst[i] = params[i] - base[i]
+	}
+	return dst
 }
 
 // SetParamVector overwrites all parameters from a flat vector produced by

@@ -9,7 +9,9 @@ import "fmt"
 //	MatMulTransAInto dst = aᵀ·b      (weight gradients)
 //	MatMulTransBInto dst = a·bᵀ      (input gradients)
 //
-// plus Add* accumulate variants for gradient accumulation. All kernels are
+// plus Add* accumulate variants for gradient accumulation and
+// StepMatMulTransA, which applies w += alpha·aᵀ·b without storing the
+// product (a Dense layer's SGD step). All kernels are
 // register-tiled: a 4×2 (NN, TransA) or 2×2 (TransB) block of the output is
 // accumulated in registers while the inner k-loop streams the operands, so
 // each load feeds several multiply-adds instead of one. Matrices whose flop
@@ -28,6 +30,49 @@ import "fmt"
 // implementation and the fallback everywhere else.
 var simdGEMM bool
 
+// gemmOp is what a product does with its destination.
+type gemmOp uint8
+
+const (
+	gemmSet  gemmOp = iota // dst = product
+	gemmAdd                // dst += product
+	gemmStep               // dst += alpha·product, the product never stored (TransA)
+)
+
+// gemmLayout is a product's operand layout.
+type gemmLayout uint8
+
+const (
+	layoutNN gemmLayout = iota // a·b
+	layoutTA                   // aᵀ·b
+	layoutTB                   // a·bᵀ
+)
+
+// product is one GEMM call: layout, op, operands, the inner dimension k,
+// m output rows of n columns, and the step's alpha. A row panel of it is
+// rows(lo, hi), so the pool takes panels as values (see pool.go).
+type product struct {
+	layout    gemmLayout
+	op        gemmOp
+	dst, a, b []float64
+	k, m, n   int
+	alpha     float64
+}
+
+// rows computes output rows [lo, hi) of g.
+//
+//cmfl:hotpath
+func (g *product) rows(lo, hi int) {
+	switch g.layout {
+	case layoutNN:
+		gemmNN(g.dst, g.a, g.b, g.k, g.n, lo, hi, g.op == gemmAdd)
+	case layoutTA:
+		gemmTA(g.dst, g.a, g.b, g.k, g.m, g.n, lo, hi, g.op, g.alpha)
+	case layoutTB:
+		gemmTB(g.dst, g.a, g.b, g.k, g.n, lo, hi, g.op == gemmAdd)
+	}
+}
+
 func gemmNN(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 	if simdGEMM {
 		gemmNNSIMD(dst, a, b, k, n, lo, hi, accum)
@@ -36,12 +81,15 @@ func gemmNN(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 	gemmNNGo(dst, a, b, k, n, lo, hi, accum)
 }
 
-func gemmTA(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
-	if simdGEMM {
-		gemmTASIMD(dst, a, b, k, m, n, lo, hi, accum)
-		return
+func gemmTA(dst, a, b []float64, k, m, n, lo, hi int, op gemmOp, alpha float64) {
+	switch {
+	case simdGEMM && op == gemmStep:
+		gemmStepTASIMD(dst, a, b, k, m, n, lo, hi, alpha)
+	case simdGEMM:
+		gemmTASIMD(dst, a, b, k, m, n, lo, hi, op == gemmAdd)
+	default:
+		gemmTAGo(dst, a, b, k, m, n, lo, hi, op != gemmSet, alpha)
 	}
-	gemmTAGo(dst, a, b, k, m, n, lo, hi, accum)
 }
 
 func gemmTB(dst, a, b []float64, k, n, lo, hi int, accum bool) {
@@ -65,33 +113,24 @@ func checkMatMulShapes(op string, dst, a, b *Tensor, m, n int) {
 // MatMulInto computes dst = a(m×k) · b(k×n) without allocating. dst must be
 // m×n and must not alias a or b.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	return matMulNNInto(dst, a, b, false)
+	return matMulNNInto(dst, a, b, gemmSet)
 }
 
 // AddMatMul computes dst += a(m×k) · b(k×n) without allocating.
 func AddMatMul(dst, a, b *Tensor) *Tensor {
-	return matMulNNInto(dst, a, b, true)
+	return matMulNNInto(dst, a, b, gemmAdd)
 }
 
 //cmfl:hotpath
-func matMulNNInto(dst, a, b *Tensor, accum bool) *Tensor {
+func matMulNNInto(dst, a, b *Tensor, op gemmOp) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
 	}
 	checkMatMulShapes("MatMulInto", dst, a, b, m, n)
-	// Serial fast path avoids materialising the closure below (one heap
-	// allocation per call — visible in allocation-free training loops).
-	p := effectiveParallelism(m, m*k*n)
-	if p <= 1 {
-		gemmNN(dst.Data, a.Data, b.Data, k, n, 0, m, accum)
-		return dst
-	}
-	//cmfl:lint-ignore hotpathalloc parallel path: one closure per split GEMM call, amortized over the m*k*n tile loop
-	run(m, p, func(lo, hi int) {
-		gemmNN(dst.Data, a.Data, b.Data, k, n, lo, hi, accum)
-	})
+	g := product{layout: layoutNN, op: op, dst: dst.Data, a: a.Data, b: b.Data, k: k, m: m, n: n}
+	compute(&g)
 	return dst
 }
 
@@ -191,41 +230,49 @@ func gemmNNGo(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 // MatMulTransAInto computes dst = aᵀ·b where a is k×m and b is k×n, without
 // allocating. dst must be m×n and must not alias a or b.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
-	return matMulTAInto(dst, a, b, false)
+	return matMulTAInto(dst, a, b, gemmSet, 1)
 }
 
 // AddMatMulTransA computes dst += aᵀ·b — the gradient-accumulation form
 // used for weight gradients (dW += xᵀ·dY).
 func AddMatMulTransA(dst, a, b *Tensor) *Tensor {
-	return matMulTAInto(dst, a, b, true)
+	return matMulTAInto(dst, a, b, gemmAdd, 1)
+}
+
+// StepMatMulTransA computes w += alpha·(aᵀ·b) where a is k×m and b is k×n,
+// without allocating and without storing aᵀ·b: each element's products are
+// summed from zero in registers and the sum is applied to w at once. It is
+// the in-place SGD step of a weight matrix, w −= lr·(xᵀ·gradOut), and every
+// element gets the bits that clearing a gradient, AddMatMulTransA into it
+// and Axpy(alpha, gradient, w) give: the sum is the one the accumulate form
+// forms from a zeroed lane, and the update is Axpy's, one fused
+// multiply-add in the vector kernel and y += alpha*x in the portable loop.
+// Rows split across the pool exactly as in MatMulTransAInto.
+func StepMatMulTransA(w, a, b *Tensor, alpha float64) *Tensor {
+	return matMulTAInto(w, a, b, gemmStep, alpha)
 }
 
 //cmfl:hotpath
-func matMulTAInto(dst, a, b *Tensor, accum bool) *Tensor {
+func matMulTAInto(dst, a, b *Tensor, op gemmOp, alpha float64) *Tensor {
 	k, m := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d vs %d", k, k2))
 	}
 	checkMatMulShapes("MatMulTransAInto", dst, a, b, m, n)
-	p := effectiveParallelism(m, m*k*n)
-	if p <= 1 {
-		gemmTA(dst.Data, a.Data, b.Data, k, m, n, 0, m, accum)
-		return dst
-	}
-	//cmfl:lint-ignore hotpathalloc parallel path: one closure per split GEMM call, amortized over the m*k*n tile loop
-	run(m, p, func(lo, hi int) {
-		gemmTA(dst.Data, a.Data, b.Data, k, m, n, lo, hi, accum)
-	})
+	g := product{layout: layoutTA, op: op, dst: dst.Data, a: a.Data, b: b.Data, k: k, m: m, n: n, alpha: alpha}
+	compute(&g)
 	return dst
 }
 
-// gemmTAGo computes rows [lo,hi) of dst = aᵀ·b (+= when accum) with a 4×2
-// register tile. Rows of dst correspond to columns of a, so the four a loads
-// per k-step are consecutive in memory.
+// gemmTAGo computes rows [lo,hi) of dst += alpha·(aᵀ·b), after clearing
+// them unless accum, with a 4×2 register tile. Rows of dst correspond to
+// columns of a, so the four a loads per k-step are consecutive in memory.
+// The products and accumulate forms pass alpha = 1, which scales every sum
+// exactly; StepMatMulTransA passes the step's.
 //
 //cmfl:hotpath
-func gemmTAGo(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
+func gemmTAGo(dst, a, b []float64, k, m, n, lo, hi int, accum bool, alpha float64) {
 	if !accum {
 		zeroRange(dst, lo*n, hi*n)
 	}
@@ -253,14 +300,14 @@ func gemmTAGo(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
 				s30 += a3 * b0
 				s31 += a3 * b1
 			}
-			d0[j] += s00
-			d0[j+1] += s01
-			d1[j] += s10
-			d1[j+1] += s11
-			d2[j] += s20
-			d2[j+1] += s21
-			d3[j] += s30
-			d3[j+1] += s31
+			d0[j] += alpha * s00
+			d0[j+1] += alpha * s01
+			d1[j] += alpha * s10
+			d1[j+1] += alpha * s11
+			d2[j] += alpha * s20
+			d2[j+1] += alpha * s21
+			d3[j] += alpha * s30
+			d3[j+1] += alpha * s31
 		}
 		if j < n {
 			var s0, s1, s2, s3 float64
@@ -274,10 +321,10 @@ func gemmTAGo(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
 				ai += m
 				bj += n
 			}
-			d0[j] += s0
-			d1[j] += s1
-			d2[j] += s2
-			d3[j] += s3
+			d0[j] += alpha * s0
+			d1[j] += alpha * s1
+			d2[j] += alpha * s2
+			d3[j] += alpha * s3
 		}
 	}
 	for ; i < hi; i++ {
@@ -293,8 +340,8 @@ func gemmTAGo(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
 				ai += m
 				bj += n
 			}
-			drow[j] += s0
-			drow[j+1] += s1
+			drow[j] += alpha * s0
+			drow[j+1] += alpha * s1
 		}
 		if j < n {
 			var s float64
@@ -304,7 +351,7 @@ func gemmTAGo(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
 				ai += m
 				bj += n
 			}
-			drow[j] += s
+			drow[j] += alpha * s
 		}
 	}
 }
@@ -312,32 +359,25 @@ func gemmTAGo(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
 // MatMulTransBInto computes dst = a(m×k) · bᵀ where b is n×k, without
 // allocating. dst must be m×n and must not alias a or b.
 func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
-	return matMulTBInto(dst, a, b, false)
+	return matMulTBInto(dst, a, b, gemmSet)
 }
 
 // AddMatMulTransB computes dst += a·bᵀ — the accumulation form used for
 // im2col weight gradients (dW += dY·colsᵀ).
 func AddMatMulTransB(dst, a, b *Tensor) *Tensor {
-	return matMulTBInto(dst, a, b, true)
+	return matMulTBInto(dst, a, b, gemmAdd)
 }
 
 //cmfl:hotpath
-func matMulTBInto(dst, a, b *Tensor, accum bool) *Tensor {
+func matMulTBInto(dst, a, b *Tensor, op gemmOp) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
 	n, k2 := b.Shape[0], b.Shape[1]
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d vs %d", k, k2))
 	}
 	checkMatMulShapes("MatMulTransBInto", dst, a, b, m, n)
-	p := effectiveParallelism(m, m*k*n)
-	if p <= 1 {
-		gemmTB(dst.Data, a.Data, b.Data, k, n, 0, m, accum)
-		return dst
-	}
-	//cmfl:lint-ignore hotpathalloc parallel path: one closure per split GEMM call, amortized over the m*k*n tile loop
-	run(m, p, func(lo, hi int) {
-		gemmTB(dst.Data, a.Data, b.Data, k, n, lo, hi, accum)
-	})
+	g := product{layout: layoutTB, op: op, dst: dst.Data, a: a.Data, b: b.Data, k: k, m: m, n: n}
+	compute(&g)
 	return dst
 }
 

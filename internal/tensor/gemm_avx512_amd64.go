@@ -18,6 +18,12 @@ func gemmTile4(a *float64, aRowB, aPB uintptr, b *float64, dst *float64, lddB ui
 func gemmTile1(a *float64, aPB uintptr, b *float64, dst *float64, k, n uintptr)
 
 //go:noescape
+func gemmStep4(a *float64, aPB uintptr, b *float64, w *float64, ldwB uintptr, k, n uintptr, alpha float64)
+
+//go:noescape
+func gemmStep1(a *float64, aPB uintptr, b *float64, w *float64, k, n uintptr, alpha float64)
+
+//go:noescape
 func dotTB4(x, y *float64, ldyB uintptr, rows, k uintptr, out *[4]float64)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -77,6 +83,26 @@ func gemmTASIMD(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
 	}
 	for ; i < hi; i++ {
 		gemmTile1(&a[i], mB, &b[0], &dst[i*n], uintptr(k), uintptr(n))
+	}
+}
+
+// gemmStepTASIMD applies rows [lo,hi) of w += alpha·(aᵀ·b). Unlike the
+// product kernels it has work to do when k == 0: w += alpha·0, which is what
+// an Axpy of a cleared gradient does to a −0 or a non-finite weight.
+func gemmStepTASIMD(w, a, b []float64, k, m, n, lo, hi int, alpha float64) {
+	if n == 0 || lo >= hi {
+		return
+	}
+	if k == 0 {
+		a, b = w, w // never read at k == 0; any valid pointers will do
+	}
+	mB, nB := uintptr(m)*8, uintptr(n)*8
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		gemmStep4(&a[i], mB, &b[0], &w[i*n], nB, uintptr(k), uintptr(n), alpha)
+	}
+	for ; i < hi; i++ {
+		gemmStep1(&a[i], mB, &b[0], &w[i*n], uintptr(k), uintptr(n), alpha)
 	}
 }
 

@@ -13,6 +13,10 @@ func gemmTASIMD(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
 	panic("tensor: SIMD GEMM unavailable on this platform")
 }
 
+func gemmStepTASIMD(w, a, b []float64, k, m, n, lo, hi int, alpha float64) {
+	panic("tensor: SIMD GEMM unavailable on this platform")
+}
+
 func gemmTBSIMD(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 	panic("tensor: SIMD GEMM unavailable on this platform")
 }

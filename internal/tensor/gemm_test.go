@@ -336,3 +336,34 @@ func TestSplitRespectsBusyCores(t *testing.T) {
 		t.Errorf("%d local rounds still marked after every round left", got)
 	}
 }
+
+// TestSplitProductAllocatesNothing: a product split across the pool hands
+// its row panels over as values and takes its split from a pool of them, so
+// a steady stream of split products allocates nothing (a closure, a
+// WaitGroup and a task each, before). The bound is below one per product
+// rather than zero because sync.Pool may drop a split at a GC, and drops
+// some on purpose under the race detector.
+func TestSplitProductAllocatesNothing(t *testing.T) {
+	defer SetMatMulParallelism(0)
+	SetMatMulParallelism(2)
+	rng := rand.New(rand.NewSource(14))
+	const m, k, n = 64, 64, 64 // 2^18 flops: above the split threshold
+	if effectiveParallelism(m, m*k*n) != 2 {
+		t.Fatal("the product does not split")
+	}
+	a, b, dst := randTensor(rng, m, k), randTensor(rng, k, n), New(m, n)
+	at := randTensor(rng, k, m)
+	for _, p := range []struct {
+		name string
+		f    func()
+	}{
+		{"NN", func() { MatMulInto(dst, a, b) }},
+		{"TA", func() { AddMatMulTransA(dst, at, b) }},
+		{"TB", func() { MatMulTransBInto(dst, a, b) }},
+		{"step", func() { StepMatMulTransA(dst, at, b, -1e-9) }},
+	} {
+		if avg := testing.AllocsPerRun(50, p.f); avg >= 1 {
+			t.Errorf("%s: %.2f allocations per split product", p.name, avg)
+		}
+	}
+}

@@ -8,11 +8,12 @@ import (
 
 // The worker pool behind split GEMMs. One pool is shared by every goroutine
 // in the process (all simulated FL clients included): workers are started
-// lazily on the first offloaded task, tasks are leaf computations that never
-// submit nested tasks, and submission falls back to running the task inline
-// when every worker is busy — so the pool can never deadlock and the total
-// compute concurrency stays bounded by GOMAXPROCS even when many clients
-// train at once.
+// lazily on the first offloaded panel, panels are leaf computations that
+// never submit nested work, and submission falls back to computing the panel
+// inline when every worker is busy — so the pool can never deadlock and the
+// total compute concurrency stays bounded by GOMAXPROCS even when many
+// clients train at once. A panel travels as a value naming its product's
+// split, and splits are reused, so a split product allocates nothing.
 //
 // Determinism: parallelism only changes *who* computes a row panel, never
 // the per-row accumulation order, so results are bitwise independent of the
@@ -29,7 +30,7 @@ const gemmMinChunkFlops = 1 << 15
 
 var (
 	poolOnce    sync.Once
-	poolTasks   chan func()
+	poolTasks   chan panel
 	parallelism atomic.Int64 // 0 = GOMAXPROCS at first use
 	localRounds atomic.Int64 // client local rounds in flight, see EnterLocalRound
 )
@@ -38,8 +39,8 @@ var (
 // stretch of layer passes — as in flight until the matching LeaveLocalRound.
 // Every local round past the first is taken to hold a core of its own, and a
 // large product is split only across the cores left over: handing a row panel
-// to a core that is busy with another client's round costs a closure, a
-// WaitGroup and a channel send to gain nothing. The signal is rounds, not
+// to a core that is busy with another client's round costs a channel send
+// and a wait to gain nothing. The signal is rounds, not
 // products, in flight, because a concurrent round spends most of its time
 // outside GEMM (im2col, pooling, activations) and is just as much in the way
 // there. A round spans the client's whole turn on its goroutine: the
@@ -69,54 +70,76 @@ func MatMulParallelism() int { return int(parallelism.Load()) }
 
 func startPool() {
 	n := runtime.GOMAXPROCS(0)
-	poolTasks = make(chan func())
+	poolTasks = make(chan panel)
 	// n-1 workers: the submitting goroutine always executes the last panel
 	// itself, so n panels run on n OS threads.
 	for i := 0; i < n-1; i++ {
 		go func() {
-			for task := range poolTasks {
-				task()
+			for t := range poolTasks {
+				t.s.rows(t.lo, t.hi)
+				t.s.wg.Done()
 			}
 		}()
 	}
 }
 
-// offload hands task to an idle pool worker and reports whether one took it;
-// a task no worker took is the caller's to run, so offloading never waits
-// for a worker. Tasks are leaf computations that never offload nested work,
-// like a product's row panels.
-func offload(task func()) bool {
+// split is a product in flight across the pool: the product's arguments and
+// the WaitGroup of its offloaded panels. splits holds the idle ones.
+type split struct {
+	product
+	wg sync.WaitGroup
+}
+
+var splits = sync.Pool{New: func() any { return new(split) }}
+
+// panel is rows [lo, hi) of a split product.
+type panel struct {
+	s      *split
+	lo, hi int
+}
+
+// offload hands t to an idle pool worker and reports whether one took it;
+// a panel no worker took is the caller's to compute, so offloading never
+// waits for a worker.
+//
+//cmfl:hotpath
+func offload(t panel) bool {
 	poolOnce.Do(startPool)
 	select {
-	case poolTasks <- task:
+	case poolTasks <- t:
 		return true
 	default:
 		return false
 	}
 }
 
-// run executes fn over the m output rows of a product in p > 1 parallel row
-// panels, p being what effectiveParallelism allowed it.
-func run(m, p int, fn func(lo, hi int)) {
-	chunk := (m + p - 1) / p
-	var wg sync.WaitGroup
+// compute runs product g, split into as many row panels as
+// effectiveParallelism allows; the caller computes the last panel itself.
+//
+//cmfl:hotpath
+func compute(g *product) {
+	p := effectiveParallelism(g.m, g.m*g.k*g.n)
+	if p <= 1 {
+		g.rows(0, g.m)
+		return
+	}
+	s := splits.Get().(*split)
+	s.product = *g
+	chunk := (g.m + p - 1) / p
 	lo := 0
-	for lo+chunk < m {
-		l, h := lo, lo+chunk
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			fn(l, h)
-		}
-		if !offload(task) {
+	for ; lo+chunk < g.m; lo += chunk {
+		s.wg.Add(1)
+		if !offload(panel{s, lo, lo + chunk}) {
 			// All workers busy (e.g. many FL clients multiplying at once):
 			// do the panel inline rather than queueing.
-			task()
+			s.wg.Done()
+			g.rows(lo, lo+chunk)
 		}
-		lo += chunk
 	}
-	fn(lo, m)
-	wg.Wait()
+	g.rows(lo, g.m)
+	s.wg.Wait()
+	s.product = product{} // hold no operand while idle
+	splits.Put(s)
 }
 
 // effectiveParallelism is the split width of an m-row product: 1 (serial)
