@@ -1,17 +1,19 @@
 // Command cmfl-vet runs the repo's static-analysis suite (internal/lint):
 // repo-specific analyzers that machine-check the invariants the benchmarks
 // and telemetry schema rely on — allocation-free hot paths (transitively,
-// through the call graph), deterministic aggregation order, the cmfl_*
-// metric contract, handled errors, epsilon float comparisons, goroutine
-// and mutex discipline in the emulated engine, seed-provenance taint,
-// client/server wire-protocol duality, lock-acquisition order, exhaustive
-// dispatch over the protocol's constant families, and the exported-API
-// baseline of the public packages.
+// through the call graph), deterministic aggregation order, exact or
+// pinned float folds, wall-clock-free engines, the cmfl_* metric contract,
+// handled errors, epsilon float comparisons, goroutine and mutex
+// discipline in the emulated engine, joinable goroutines that can leave
+// their loops, seed-provenance taint, client/server wire-protocol duality,
+// lock-acquisition order, exhaustive dispatch over the protocol's constant
+// families, and the exported-API baseline of the public packages. -h lists
+// the analyzers.
 //
 // Usage:
 //
-//	cmfl-vet [-json] [-sarif file] [-fix] [-list] [-stats]
-//	         [-write-api-baseline] [-budget file] [-cpuprofile file] [packages]
+//	cmfl-vet [-json] [-sarif file] [-stats] [-budget file]
+//	         [-write-api-baseline] [packages]
 //
 // Packages default to ./... (every buildable package of the module,
 // excluding testdata). Directories and import-path patterns narrow the
@@ -21,12 +23,6 @@
 // standard library is read from the go command's export data (one
 // `go list -export -deps`, served from Go's build cache once `go vet` or
 // `go build` has run).
-//
-// -fix applies every finding that carries a mechanical rewrite (today:
-// wallclock's time.Now/Since/Sleep → package-hook rewrites), re-running
-// the suite after each apply round until no fixable findings remain.
-// Rewritten files are always gofmt-clean; the findings printed afterwards
-// are the unfixable remainder.
 //
 // -sarif writes the run's findings as a SARIF 2.1.0 log to the given file
 // ("-" for stdout), the format GitHub code scanning ingests.
@@ -44,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 
 	"cmfl/internal/lint"
 )
@@ -52,37 +47,16 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON document")
 	sarifOut := flag.String("sarif", "", "write findings as a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-	fix := flag.Bool("fix", false, "apply mechanical rewrites for fixable findings, re-running until none remain")
-	list := flag.Bool("list", false, "list the analyzers and exit")
 	stats := flag.Bool("stats", false, "report load, wall and per-analyzer time")
 	writeBaseline := flag.Bool("write-api-baseline", false, "regenerate benchmarks/api_baseline.json from this run's exported-API facts")
 	budgetFile := flag.String("budget", "", "JSON budget file; fail when suppressions exceed its max_suppressed")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cmfl-vet [-json] [-sarif file] [-fix] [-list] [-stats] [-write-api-baseline] [-budget file] [-cpuprofile file] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: cmfl-vet [-json] [-sarif file] [-stats] [-budget file] [-write-api-baseline] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-20s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Printf("%-20s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -92,25 +66,9 @@ func main() {
 		Stats:            *stats || *jsonOut,
 		WriteAPIBaseline: *writeBaseline,
 	}
-	var res lint.Result
-	if *fix {
-		fixed, sum, err := lint.RunFix(cwd, flag.Args(), lint.All(), runOpts)
-		if err != nil {
-			fatal(err)
-		}
-		res = fixed
-		if len(sum.FilesChanged) > 0 {
-			fmt.Fprintf(os.Stderr, "cmfl-vet: fixed %d file(s) in %d pass(es):\n", len(sum.FilesChanged), sum.Iterations)
-			for _, p := range sum.FilesChanged {
-				fmt.Fprintf(os.Stderr, "  %s\n", p)
-			}
-		}
-	} else {
-		var err error
-		res, err = lint.RunModule(cwd, flag.Args(), lint.All(), runOpts)
-		if err != nil {
-			fatal(err)
-		}
+	res, err := lint.RunModule(cwd, flag.Args(), lint.All(), runOpts)
+	if err != nil {
+		fatal(err)
 	}
 	if *sarifOut != "" {
 		if err := writeSARIFFile(*sarifOut, cwd, res); err != nil {
@@ -146,13 +104,7 @@ func main() {
 	if *budgetFile != "" && !checkBudget(*budgetFile, res.Suppressed) {
 		exit = 1
 	}
-	if exit != 0 {
-		// os.Exit skips deferred pprof.StopCPUProfile; flush it first.
-		if *cpuprofile != "" {
-			pprof.StopCPUProfile()
-		}
-		os.Exit(exit)
-	}
+	os.Exit(exit)
 }
 
 // writeSARIFFile renders res as SARIF 2.1.0 to path ("-" for stdout).

@@ -15,10 +15,11 @@ import (
 //	    level deep) must be allocation-free. Checked by hotpathalloc.
 //
 //	//cmfl:deterministic
-//	    On a function's doc comment: the body must not iterate maps, read
-//	    wall-clock time, or draw from the global math/rand source — float
-//	    accumulation order there is part of the reproducibility contract.
-//	    Checked by deterministicorder.
+//	    On a function's doc comment: the body must not iterate maps —
+//	    float accumulation order there is part of the reproducibility
+//	    contract. Checked by deterministicorder. (Wall-clock reads and the
+//	    global math/rand source are banned package-wide in the engine
+//	    packages, annotated or not, by wallclock and seedtaint.)
 //
 //	//cmfl:lint-ignore <analyzer> <reason>
 //	    Silences <analyzer>'s findings on the comment's line and the line

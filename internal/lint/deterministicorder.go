@@ -11,82 +11,32 @@ import (
 // order is part of that contract because float addition does not commute
 // in rounding.
 //
-// Two rules:
-//
-//  1. Functions annotated //cmfl:deterministic (engine round loops,
-//     aggregation) must not range over maps, call time.Now, or draw from
-//     the global math/rand source.
-//  2. In the engine packages (EnginePackages), the global math/rand source
-//     is banned everywhere, annotated or not: per-run reproducibility
-//     requires every random draw to come from a seeded stream
-//     (internal/xrand or an explicit rand.New).
+// Functions annotated //cmfl:deterministic (engine round loops,
+// aggregation) must not range over maps. The other two ways such a
+// function could stop reproducing are owned elsewhere, package-wide:
+// wallclock bans wall-clock reads and seedtaint bans the global math/rand
+// source.
 var DeterministicOrder = &Analyzer{
 	Name: "deterministicorder",
-	Doc:  "no map iteration, wall-clock reads, or unseeded randomness where float accumulation order matters",
+	Doc:  "no map iteration in //cmfl:deterministic functions, where float accumulation order matters",
 	Run:  runDeterministicOrder,
 }
 
-// EnginePackages are the module packages whose round loops and aggregation
-// accumulate floats; rule 2 applies package-wide there. (Var, not const:
-// the fixture tests extend it.)
-var EnginePackages = map[string]bool{
-	"cmfl/internal/fl":   true,
-	"cmfl/internal/mtl":  true,
-	"cmfl/internal/emu":  true,
-	"cmfl/internal/core": true,
-	"cmfl/internal/sim":  true,
-}
-
 func runDeterministicOrder(pass *Pass) {
-	enginePkg := EnginePackages[pass.Pkg.Path]
 	for _, f := range pass.SourceFiles() {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			annotated := funcHasMarker(fd, markerDeterministic)
-			if !annotated && !enginePkg {
+			if !ok || fd.Body == nil || !funcHasMarker(fd, markerDeterministic) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.RangeStmt:
-					if annotated {
-						if _, isMap := pass.TypeOf(n.X).Underlying().(*types.Map); isMap {
-							pass.Reportf(n.Pos(), "map iteration in deterministic function %s: order is random and perturbs float accumulation", fd.Name.Name)
-						}
-					}
-				case *ast.CallExpr:
-					if fn := calleeFunc(pass.Pkg, n); fn != nil {
-						if annotated && fn.FullName() == "time.Now" {
-							pass.Reportf(n.Pos(), "time.Now in deterministic function %s: wall-clock reads are not reproducible", fd.Name.Name)
-						}
-						if isGlobalRand(fn) {
-							pass.Reportf(n.Pos(), "global math/rand source (%s) in %s: use a seeded stream (internal/xrand)", fn.Name(), fd.Name.Name)
-						}
+				if r, ok := n.(*ast.RangeStmt); ok {
+					if _, isMap := pass.TypeOf(r.X).Underlying().(*types.Map); isMap {
+						pass.Reportf(r.Pos(), "map iteration in deterministic function %s: order is random and perturbs float accumulation", fd.Name.Name)
 					}
 				}
 				return true
 			})
 		}
 	}
-}
-
-// isGlobalRand reports whether fn is a package-level math/rand (or
-// math/rand/v2) function drawing from the process-global source.
-// Constructors of explicit, seedable sources are fine.
-func isGlobalRand(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false // method on an explicit *rand.Rand
-	}
-	switch fn.Name() {
-	case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-		return false
-	}
-	return true
 }

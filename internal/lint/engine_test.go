@@ -40,8 +40,48 @@ func TestConcSafetyScopeGate(t *testing.T) {
 	}
 }
 
+// TestGoroLeakFixture pins the goroutine-leak cases golife owns: a spawned
+// body whose execution reaches a loop nothing leaves has no reachable exit,
+// whether the loop is in the literal itself or two calls below the spawned
+// function, while a loop whose stop case returns stays silent.
 func TestGoroLeakFixture(t *testing.T) {
-	checkScopedFixture(t, "goroleak", []*Analyzer{GoroLeak}, ConcurrencyPackages)
+	res := checkScopedFixture(t, "golife", []*Analyzer{GoLife}, GoLifePackages)
+	for _, want := range []string{
+		"spawns function literal with no reachable exit: the infinite loop at",
+		"spawns deep with no reachable exit",
+	} {
+		found := false
+		for _, f := range res.Findings {
+			if strings.Contains(f.Message, want) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no leak finding %q; findings: %v", want, res.Findings)
+		}
+	}
+}
+
+// TestDeterministicOrderEnginePackageRule pins the package-wide ban on the
+// global math/rand source, which seedtaint owns: inside its package scope an
+// unannotated function's rand.Intn is flagged, and deterministicorder, which
+// keeps only its map-range rule, does not report it a second time.
+func TestDeterministicOrderEnginePackageRule(t *testing.T) {
+	res := checkScopedFixture(t, "seedtaint", []*Analyzer{SeedTaint}, SeedTaintPackages)
+	found := false
+	for _, f := range res.Findings {
+		if strings.Contains(f.Message, "global math/rand source (Intn) in packageRand") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("the unannotated packageRand's global rand draw is not flagged; findings: %v", res.Findings)
+	}
+
+	pkg, mod := loadFixture(t, "seedtaint")
+	if got := Run(mod, []*Package{pkg}, []*Analyzer{DeterministicOrder}); len(got.Findings) != 0 {
+		t.Errorf("deterministicorder reports global rand draws seedtaint owns: %v", got.Findings)
+	}
 }
 
 func TestSeedTaintFixture(t *testing.T) {

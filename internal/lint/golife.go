@@ -24,14 +24,17 @@ import (
 //     force the goroutine to observe the close and exit;
 //   - context: a receive from (context.Context).Done — cancellation joins.
 //
+// and that same walk reaches no inescapable loop: a `for {}` or `for true
+// {}` that nothing leaves (see loopHasExit). Such a goroutine never ends,
+// so no evidence joins it — a stop-channel receive whose case only breaks
+// out of a select is exactly how a leak hides behind a join.
+//
 // Spawns whose target cannot be resolved statically (function values,
 // out-of-module callees) are findings: an unprovable join is treated as
-// no join. goroleak complements this with its infinite-loop heuristic;
-// golife is the lifecycle side — not "does it loop" but "can anyone wait
-// for it".
+// no join.
 var GoLife = &Analyzer{
 	Name: "golife",
-	Doc:  "every goroutine spawned in the runtime packages must have a provable join reachable from teardown",
+	Doc:  "every goroutine spawned in the runtime packages must have a provable join reachable from teardown and no loop it cannot leave",
 	Run:  runGoLife,
 }
 
@@ -93,65 +96,82 @@ func checkGoStmt(pass *Pass, idx *golifeIndex, fd *ast.FuncDecl, g *ast.GoStmt) 
 		body, bodyPkg = decl.Body, declPkg
 	}
 	search := &joinSearch{pass: pass, idx: idx, visited: make(map[*types.Func]bool)}
-	if kind := search.scan(body, bodyPkg); kind != "" {
+	search.scan(body, bodyPkg)
+	switch {
+	case search.loop != nil:
+		loop := pass.Fset().Position(search.loop.Pos())
+		pass.Reportf(g.Pos(), "%s spawns %s with no reachable exit: the infinite loop at %s:%d has no return, goto or break that leaves it, so nothing can join it", fd.Name.Name, target, shortFile(loop.Filename), loop.Line)
+	case search.kind != "":
 		pos := pass.Fset().Position(g.Pos())
 		pass.Facts.GoLife = append(pass.Facts.GoLife, GoLifeFact{
-			Join: kind, Func: fd.Name.Name,
+			Join: search.kind, Func: fd.Name.Name,
 			File: pos.Filename, Line: pos.Line, Column: pos.Column,
 		})
-		return
+	default:
+		pass.Reportf(g.Pos(), "%s spawns %s with no provable join: no WaitGroup.Done, no send/close on a channel anyone receives, no receive on a teardown-closed stop channel, no context cancellation — Shutdown/Close cannot wait for this goroutine", fd.Name.Name, target)
 	}
-	pass.Reportf(g.Pos(), "%s spawns %s with no provable join: no WaitGroup.Done, no send/close on a channel anyone receives, no receive on a teardown-closed stop channel, no context cancellation — Shutdown/Close cannot wait for this goroutine", fd.Name.Name, target)
 }
 
-// joinSearch walks a spawned body (and its module callees) for join
-// evidence.
+// joinSearch walks a spawned body (and its module callees) once, for join
+// evidence and for an inescapable loop.
 type joinSearch struct {
 	pass    *Pass
 	idx     *golifeIndex
 	visited map[*types.Func]bool
+	kind    string       // the first join evidence found, or ""
+	loop    *ast.ForStmt // the first inescapable loop found, which ends the walk
 }
 
-// scan returns the first join kind found in body, or "".
-func (s *joinSearch) scan(body *ast.BlockStmt, pkg *Package) string {
-	kind := ""
+// scan walks body, recording join evidence until it meets an inescapable
+// loop. Function literals are walked like the body around them: a deferred
+// or called literal runs on this goroutine, its Done and its loops alike.
+func (s *joinSearch) scan(body *ast.BlockStmt, pkg *Package) {
+	var labeled *ast.LabeledStmt // the last labeled statement entered
 	ast.Inspect(body, func(n ast.Node) bool {
-		if kind != "" {
+		if s.loop != nil {
 			return false
 		}
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			// A nested spawn's join evidence joins the nested goroutine,
-			// not this one.
+			// A nested spawn's joins and loops belong to the nested
+			// goroutine, not this one.
 			return false
+		case *ast.LabeledStmt:
+			labeled = n
+		case *ast.ForStmt:
+			label := ""
+			if labeled != nil && labeled.Stmt == n {
+				label = labeled.Label.Name
+			}
+			if isInfiniteLoop(pkg, n) && !loopHasExit(n, label) {
+				s.loop = n
+				return false
+			}
 		case *ast.SendStmt:
 			if obj := chanObjOf(pkg, n.Chan); obj != nil && s.idx.received[obj] {
-				kind = "done-channel"
-				return false
+				s.found("done-channel")
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				if k := s.classifyReceive(pkg, n.X); k != "" {
-					kind = k
-					return false
-				}
+				s.found(s.classifyReceive(pkg, n.X))
 			}
 		case *ast.RangeStmt:
 			if _, ok := pkg.Info.TypeOf(n.X).Underlying().(*types.Chan); ok {
-				if k := s.classifyReceive(pkg, n.X); k != "" {
-					kind = k
-					return false
-				}
+				s.found(s.classifyReceive(pkg, n.X))
 			}
 		case *ast.CallExpr:
-			if k := s.classifyCall(pkg, n); k != "" {
-				kind = k
-				return false
-			}
+			s.classifyCall(pkg, n)
 		}
 		return true
 	})
-	return kind
+}
+
+// found records kind as the spawn's join evidence unless some is already
+// recorded.
+func (s *joinSearch) found(kind string) {
+	if s.kind == "" {
+		s.kind = kind
+	}
 }
 
 // classifyReceive classifies the channel expression of a receive or range.
@@ -169,34 +189,92 @@ func (s *joinSearch) classifyReceive(pkg *Package, ch ast.Expr) string {
 	return ""
 }
 
-// classifyCall classifies a call as join evidence, descending into module
+// classifyCall records a call's join evidence, descending into module
 // callees.
-func (s *joinSearch) classifyCall(pkg *Package, call *ast.CallExpr) string {
+func (s *joinSearch) classifyCall(pkg *Package, call *ast.CallExpr) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pkg.Info.ObjectOf(id).(*types.Builtin); ok {
 			if b.Name() == "close" && len(call.Args) == 1 {
 				if obj := chanObjOf(pkg, call.Args[0]); obj != nil && s.idx.received[obj] {
-					return "done-channel"
+					s.found("done-channel")
 				}
 			}
-			return ""
+			return
 		}
 	}
 	fn := calleeFunc(pkg, call)
 	if fn == nil {
-		return ""
+		return
 	}
 	if fn.FullName() == "(*sync.WaitGroup).Done" {
-		return "waitgroup"
+		s.found("waitgroup")
+		return
 	}
 	if s.visited[fn] {
-		return ""
+		return
 	}
 	s.visited[fn] = true
 	if decl, declPkg := s.pass.Mod.FuncDecl(fn); decl != nil && decl.Body != nil {
-		return s.scan(decl.Body, declPkg)
+		s.scan(decl.Body, declPkg)
 	}
-	return ""
+}
+
+// isInfiniteLoop reports `for { ... }` and `for true { ... }`.
+func isInfiniteLoop(pkg *Package, loop *ast.ForStmt) bool {
+	if loop.Cond == nil {
+		return true
+	}
+	tv, ok := pkg.Info.Types[loop.Cond]
+	return ok && tv.Value != nil && tv.Value.String() == "true"
+}
+
+// loopHasExit reports whether control can leave loop (named label, or ""
+// when it has none) other than by panicking. The exits are a return; a
+// goto; an unlabeled break that is not inside a nested for, range, select
+// or switch (those only leave the nested statement); a labeled break whose
+// label is the loop's or an enclosing statement's; and a labeled continue
+// of an enclosing loop. Function literals are skipped: their control flow
+// is their own.
+func loopHasExit(loop *ast.ForStmt, label string) bool {
+	inner := make(map[string]bool) // labels declared inside the loop body
+	var exits func(root ast.Node, bare bool) bool
+	exits = func(root ast.Node, bare bool) bool {
+		found := false
+		ast.Inspect(root, func(n ast.Node) bool {
+			if found {
+				return false
+			}
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.LabeledStmt:
+				inner[n.Label.Name] = true
+			case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+				if bare {
+					found = exits(n, false) // an unlabeled break in here leaves n only
+					return false
+				}
+			case *ast.ReturnStmt:
+				found = true
+			case *ast.BranchStmt:
+				switch {
+				case n.Tok == token.GOTO:
+					found = true
+				case n.Label == nil:
+					found = bare && n.Tok == token.BREAK
+				case inner[n.Label.Name]:
+					// targets a statement inside the loop
+				case n.Tok == token.BREAK:
+					found = true
+				default:
+					found = n.Label.Name != label // continue of an enclosing loop
+				}
+			}
+			return !found
+		})
+		return found
+	}
+	return exits(loop.Body, true)
 }
 
 // golifeIndex is the module-wide channel-flow index the analyzer shares

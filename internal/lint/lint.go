@@ -31,25 +31,12 @@ type Analyzer struct {
 }
 
 // Finding is one reported violation, positioned for editors and CI logs.
-// Findings may carry machine-applicable Edits; `cmfl-vet -fix` applies them
-// (see fix.go) and re-runs the suite to prove convergence.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Column   int    `json:"column"`
 	Message  string `json:"message"`
-	// Edits, when non-empty, rewrite File so the finding no longer fires.
-	Edits []TextEdit `json:"edits,omitempty"`
-}
-
-// TextEdit is one byte-range replacement inside a finding's file: replace
-// [Start, End) with NewText. Offsets are 0-based byte positions into the
-// file contents the analysis saw.
-type TextEdit struct {
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
 }
 
 func (f Finding) String() string {
@@ -238,11 +225,6 @@ func (p *Pass) InModule(obj types.Object) bool {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportEdits(pos, nil, format, args...)
-}
-
-// ReportEdits records a finding at pos carrying machine-applicable edits.
-func (p *Pass) ReportEdits(pos token.Pos, edits []TextEdit, format string, args ...any) {
 	position := p.Mod.Fset.Position(pos)
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.Analyzer.Name,
@@ -250,15 +232,7 @@ func (p *Pass) ReportEdits(pos token.Pos, edits []TextEdit, format string, args 
 		Line:     position.Line,
 		Column:   position.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Edits:    edits,
 	})
-}
-
-// EditFor builds a TextEdit replacing node's source range with newText.
-// The offsets are byte positions in the node's file.
-func (p *Pass) EditFor(n ast.Node, newText string) TextEdit {
-	f := p.Mod.Fset.File(n.Pos())
-	return TextEdit{Start: f.Offset(n.Pos()), End: f.Offset(n.End()), NewText: newText}
 }
 
 // SourceFiles yields the package files an analyzer should inspect:
@@ -315,7 +289,6 @@ func All() []*Analyzer {
 		ErrCheck,
 		FloatEq,
 		ConcSafety,
-		GoroLeak,
 		GoLife,
 		SeedTaint,
 		ProtoState,

@@ -126,34 +126,7 @@ func TestHotPathAllocFixture(t *testing.T) {
 }
 
 func TestDeterministicOrderFixture(t *testing.T) {
-	res := checkFixture(t, "deterministicorder", []*Analyzer{DeterministicOrder})
-	// Rule 2 is scoped to EnginePackages: the unannotated packageRand must
-	// stay silent while the fixture is outside that set.
-	for _, f := range res.Findings {
-		if strings.Contains(f.Message, "packageRand") {
-			t.Errorf("rule 2 fired outside EnginePackages: %s", f)
-		}
-	}
-}
-
-func TestDeterministicOrderEnginePackageRule(t *testing.T) {
-	pkg, mod := loadFixture(t, "deterministicorder")
-	if EnginePackages[pkg.Path] {
-		t.Fatalf("fixture %s unexpectedly already an engine package", pkg.Path)
-	}
-	EnginePackages[pkg.Path] = true
-	defer delete(EnginePackages, pkg.Path)
-
-	res := Run(mod, []*Package{pkg}, []*Analyzer{DeterministicOrder})
-	found := false
-	for _, f := range res.Findings {
-		if strings.Contains(f.Message, "global math/rand source (Intn) in packageRand") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("promoting the fixture into EnginePackages did not flag packageRand's global rand draw; findings: %v", res.Findings)
-	}
+	checkFixture(t, "deterministicorder", []*Analyzer{DeterministicOrder})
 }
 
 func TestMetricSchemaFixture(t *testing.T) {

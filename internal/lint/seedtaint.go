@@ -19,7 +19,9 @@ import (
 //	R1  Raw sources are banned: math/rand.New/NewSource (and the v2
 //	    constructors), and xrand.New outside package xrand itself. A raw
 //	    source keyed on an arbitrary integer collides silently with every
-//	    other stream keyed near it.
+//	    other stream keyed near it. So is the process-global math/rand
+//	    source (rand.Float64, rand.Intn, …): it is seeded by nobody the
+//	    run controls, and every draw shifts every later one.
 //	R2  The purpose argument of xrand.Derive must be a compile-time
 //	    constant string — a dynamic purpose defeats static collision
 //	    checking and run-to-run auditability.
@@ -49,6 +51,7 @@ var SeedTaintPackages = map[string]bool{
 	"cmfl/internal/fl":    true,
 	"cmfl/internal/mtl":   true,
 	"cmfl/internal/emu":   true,
+	"cmfl/internal/core":  true,
 	"cmfl/internal/sim":   true,
 	"cmfl/internal/xrand": true,
 }
@@ -98,6 +101,11 @@ func checkSeedCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(), "raw %s in %s: derive a stream with xrand.Derive(seed, purpose, id) instead", full, fd.Name.Name)
 		return
 	}
+	// R1: the process-global source.
+	if isGlobalRand(fn) {
+		pass.Reportf(call.Pos(), "global math/rand source (%s) in %s: use a seeded stream (internal/xrand)", fn.Name(), fd.Name.Name)
+		return
+	}
 	// R1: xrand.New bypasses purpose-keyed derivation outside xrand itself.
 	if isXrandFunc(fn, "New") && !isXrandPackage(pass.Pkg.Path) {
 		pass.Reportf(call.Pos(), "xrand.New bypasses stream derivation in %s: use xrand.Derive(seed, purpose, id) so the stream is purpose-keyed", fd.Name.Name)
@@ -137,6 +145,25 @@ func checkSeedCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 			pass.Reportf(arg.Pos(), "raw seed crosses the package boundary into %s.%s: derive the stream at the source or route it through a blessed deriver", fn.Pkg().Name(), fn.Name())
 		}
 	}
+}
+
+// isGlobalRand reports whether fn is a package-level math/rand (or
+// math/rand/v2) function drawing from the process-global source.
+// Constructors of explicit, seedable sources are fine here (the raw-source
+// half of R1 owns them).
+func isGlobalRand(fn *types.Func) bool {
+	pkg := fn.Pkg()
+	if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
+		return false
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return false // method on an explicit *rand.Rand
+	}
+	switch fn.Name() {
+	case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
+		return false
+	}
+	return true
 }
 
 // isXrandDerive matches the purpose-keyed derivers: Derive and its

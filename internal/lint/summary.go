@@ -10,10 +10,10 @@ import (
 // Effect summaries answer "what can calling this function do?" for every
 // module function with a body, so analyzers can reason transitively instead
 // of re-walking callee syntax at every call site. Each summary records the
-// function's *direct* effects with positioned witnesses; the blocking
-// effect — the one concsafety needs across whole call chains — is also
-// closed transitively over non-spawn call edges with the call chain kept
-// for the finding message.
+// function's *direct* effects with positioned witnesses — only the two an
+// analyzer reads: allocation (hotpathalloc) and blocking (concsafety). The
+// blocking effect is also closed transitively over non-spawn call edges
+// with the call chain kept for the finding message.
 
 // Effect enumerates the tracked behaviors.
 type Effect uint8
@@ -21,16 +21,8 @@ type Effect uint8
 const (
 	EffAlloc Effect = iota // heap allocation (hotpathalloc's construct set)
 	EffBlock               // may park the calling goroutine
-	EffLock                // acquires a sync.(RW)Mutex
-	EffSpawn               // starts a goroutine
-	EffClock               // reads the wall clock
-	EffRand                // draws randomness
 	numEffects
 )
-
-var effectNames = [numEffects]string{"allocates", "blocks", "locks", "spawns", "reads-clock", "draws-rand"}
-
-func (e Effect) String() string { return effectNames[e] }
 
 // Witness is one positioned occurrence of an effect.
 type Witness struct {
@@ -54,9 +46,6 @@ type EffectSummary struct {
 	// directly or through in-module callees.
 	blocks *TransWitness
 }
-
-// Has reports a direct occurrence of e.
-func (s *EffectSummary) Has(e Effect) bool { return len(s.Direct[e]) > 0 }
 
 // Blocks returns the transitive blocking witness, or nil when the function
 // provably (up to the usual dynamic-call conservatism) never blocks.
@@ -120,9 +109,9 @@ func buildSummaries(mod *Module) map[*types.Func]*EffectSummary {
 	return sums
 }
 
-// scanDirectEffects records the body's own effects. Spawned function-literal
-// bodies are excluded from Block/Lock/Clock/Rand (they run on another
-// goroutine) but the `go` statement itself is a Spawn and an Alloc.
+// scanDirectEffects records the body's own effects. Spawned bodies are
+// excluded from Block (they run on another goroutine), but the `go`
+// statement itself is an Alloc.
 func scanDirectEffects(pkg *Package, body *ast.BlockStmt, s *EffectSummary) {
 	info := pkg.Info
 	add := func(e Effect, pos token.Pos, what string) {
@@ -132,7 +121,6 @@ func scanDirectEffects(pkg *Package, body *ast.BlockStmt, s *EffectSummary) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			add(EffSpawn, n.Pos(), "go statement")
 			return false
 		case *ast.SendStmt:
 			add(EffBlock, n.Pos(), "channel send")
@@ -151,21 +139,10 @@ func scanDirectEffects(pkg *Package, body *ast.BlockStmt, s *EffectSummary) {
 				}
 			}
 		case *ast.CallExpr:
-			fn := calleeFunc(pkg, n)
-			if fn == nil {
-				return true
-			}
-			if what := blockingCall(fn); what != "" {
-				add(EffBlock, n.Pos(), what)
-			}
-			if what := lockingCall(fn); what != "" {
-				add(EffLock, n.Pos(), what)
-			}
-			if fn.FullName() == "time.Now" {
-				add(EffClock, n.Pos(), "time.Now")
-			}
-			if drawsRand(fn) {
-				add(EffRand, n.Pos(), fn.FullName())
+			if fn := calleeFunc(pkg, n); fn != nil {
+				if what := blockingCall(fn); what != "" {
+					add(EffBlock, n.Pos(), what)
+				}
 			}
 		}
 		return true
@@ -215,34 +192,4 @@ func blockingCall(fn *types.Func) string {
 		return key
 	}
 	return ""
-}
-
-// lockingCall classifies mutex acquisitions.
-func lockingCall(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	recv := named(sig.Recv().Type())
-	if (recv == "sync.Mutex" || recv == "sync.RWMutex") && (fn.Name() == "Lock" || fn.Name() == "RLock") {
-		return recv + "." + fn.Name()
-	}
-	return ""
-}
-
-// drawsRand reports whether fn draws randomness: the global math/rand
-// source, methods on an explicit *rand.Rand, or the module's xrand streams.
-func drawsRand(fn *types.Func) bool {
-	if isGlobalRand(fn) {
-		return true
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	switch named(sig.Recv().Type()) {
-	case "math/rand.Rand", "math/rand/v2.Rand", "cmfl/internal/xrand.Stream":
-		return true
-	}
-	return false
 }

@@ -1,10 +1,5 @@
-// Package deterministicorder is a lint fixture for the determinism rules.
+// Package deterministicorder is a lint fixture for the map-order rule.
 package deterministicorder
-
-import (
-	"math/rand"
-	"time"
-)
 
 //cmfl:deterministic
 func aggregate(ws map[int][]float64, acc []float64) {
@@ -13,20 +8,22 @@ func aggregate(ws map[int][]float64, acc []float64) {
 			acc[i] += w[i]
 		}
 	}
-	_ = time.Now()           // want "time.Now in deterministic function aggregate"
-	acc[0] += rand.Float64() // want "global math/rand source .Float64. in aggregate"
 }
 
 //cmfl:deterministic
-func seededIsFine(acc []float64) {
-	r := rand.New(rand.NewSource(7)) // ok: explicit seedable source
-	for i := range acc {             // ok: slice iteration is ordered
-		acc[i] += r.Float64() // ok: method on an explicit *rand.Rand
+func orderedIsFine(ws [][]float64, acc []float64) {
+	for _, w := range ws { // ok: slice iteration is ordered
+		for i := range acc {
+			acc[i] += w[i]
+		}
 	}
 }
 
-// packageRand is NOT annotated: its global-rand draw only fires when the
-// test promotes this fixture into EnginePackages (rule 2 is package-wide).
-func packageRand() int {
-	return rand.Intn(10)
+// unannotated may range over a map: its order is not part of any
+// reproducibility contract.
+func unannotated(ws map[int]float64) (sum float64) {
+	for _, w := range ws {
+		sum += w
+	}
+	return sum
 }

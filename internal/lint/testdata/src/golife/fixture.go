@@ -1,4 +1,5 @@
-// Package golife is a lint fixture for the goroutine-lifecycle prover.
+// Package golife is a lint fixture for the goroutine-lifecycle prover: join
+// evidence, and the inescapable loops that void it.
 package golife
 
 import (
@@ -9,6 +10,7 @@ import (
 type server struct {
 	stop chan struct{}
 	done chan struct{}
+	work chan int
 	wg   sync.WaitGroup
 }
 
@@ -60,10 +62,8 @@ func (s *server) Close() {
 	<-s.done
 }
 
-func orphan() {
-	for {
-	}
-}
+// orphan ends, but nothing can wait for it to.
+func orphan() {}
 
 // watch joins through context cancellation.
 func watch(ctx context.Context) {
@@ -79,4 +79,105 @@ func nested(wg *sync.WaitGroup) {
 			wg.Done()
 		}()
 	}()
+}
+
+func (s *server) loops() {
+	go func() { // want "spawns function literal with no reachable exit: the infinite loop at"
+		for {
+			select {
+			case v := <-s.work:
+				_ = v
+			}
+		}
+	}()
+	go func() { // silent: the stop case returns
+		for {
+			select {
+			case <-s.stop:
+				return
+			case v := <-s.work:
+				_ = v
+			}
+		}
+	}()
+	go deep()           // want "spawns deep with no reachable exit"
+	go s.selectBreak()  // want "spawns selectBreak with no reachable exit"
+	go s.labeledBreak() // silent: break Loop leaves the loop
+	go s.innerLabel()   // want "spawns innerLabel with no reachable exit"
+	s.wg.Add(2)
+	go s.accept()        // want "spawns accept with no reachable exit"
+	go s.continueOuter() // silent: continue Outer leaves the inner loop
+}
+
+// deep hides the loop one call below the spawned function.
+func deep() {
+	helper()
+}
+
+func helper() {
+	n := 0
+	for {
+		n++
+	}
+}
+
+// selectBreak receives from the teardown-closed stop channel, but its break
+// only leaves the select: the goroutine outlives Close.
+func (s *server) selectBreak() {
+	for {
+		select {
+		case <-s.stop:
+			break
+		case v := <-s.work:
+			_ = v
+		}
+	}
+}
+
+func (s *server) labeledBreak() {
+Loop:
+	for {
+		select {
+		case <-s.stop:
+			break Loop
+		case v := <-s.work:
+			_ = v
+		}
+	}
+}
+
+// innerLabel's break names the select, not the loop.
+func (s *server) innerLabel() {
+	for {
+	Recv:
+		select {
+		case <-s.stop:
+			break Recv
+		case v := <-s.work:
+			_ = v
+		}
+	}
+}
+
+// accept has a WaitGroup join, but the loop it reaches first never ends,
+// so the Done never runs.
+func (s *server) accept() {
+	defer s.wg.Done()
+	for {
+		if _, ok := <-s.work; !ok {
+			continue
+		}
+	}
+}
+
+func (s *server) continueOuter() {
+	defer s.wg.Done()
+Outer:
+	for i := 0; i < 3; i++ {
+		for {
+			if v := <-s.work; v > i {
+				continue Outer
+			}
+		}
+	}
 }

@@ -1,5 +1,5 @@
-// Package seedtaint exercises the seed-provenance rules: banned raw
-// sources, constant and unique derivation purposes, whole seeds, and the
+// Package seedtaint exercises the seed-provenance rules: banned raw and
+// process-global sources, constant and unique derivation purposes, whole seeds, and the
 // blessed-deriver escape hatch for raw seeds crossing package boundaries.
 package seedtaint
 
@@ -12,6 +12,20 @@ import (
 
 func rawSource(seed int64) *mrand.Rand {
 	return mrand.New(mrand.NewSource(seed)) // want "raw math/rand.New in rawSource" "raw math/rand.NewSource in rawSource"
+}
+
+//cmfl:deterministic
+func aggregate(acc []float64) {
+	acc[0] += mrand.Float64() // want "global math/rand source .Float64. in aggregate"
+}
+
+// packageRand is not annotated: the global-source ban is package-wide.
+func packageRand() int {
+	return mrand.Intn(10) // want "global math/rand source .Intn. in packageRand"
+}
+
+func drawFrom(r *mrand.Rand) float64 {
+	return r.Float64() // silent: a method on an explicit source
 }
 
 func bypass(seed int64) *xrand.Stream {

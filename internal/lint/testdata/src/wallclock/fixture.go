@@ -7,14 +7,19 @@ import (
 	"cmfl/internal/lint/testdata/src/wallclock/inner"
 )
 
-// now is the package clock hook; declaring it makes time.Now and
-// time.Since findings carry mechanical rewrites.
-func now() time.Time { return time.Unix(0, 0) }
-
 func direct() time.Duration {
 	start := time.Now()          // want "direct calls time.Now directly"
 	time.Sleep(time.Millisecond) // want "direct calls time.Sleep directly"
 	return time.Since(start)     // want "direct calls time.Since directly"
+}
+
+// aggregate is annotated //cmfl:deterministic, but the clock ban is
+// package-wide: the annotation neither adds nor waives it.
+//
+//cmfl:deterministic
+func aggregate(acc []float64) {
+	_ = time.Now() // want "aggregate calls time.Now directly"
+	acc[0]++
 }
 
 func inLiteral() {

@@ -3,7 +3,6 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -56,35 +55,13 @@ func TestFloatSumFixture(t *testing.T) {
 	}
 }
 
-// TestWallClockFixture checks the virtual-clock prover's findings and that
-// the rewrite gating follows the declared hooks: the fixture declares now()
-// but not sleep(), so time.Now/time.Since findings carry edits while the
-// time.Sleep finding must not.
+// TestWallClockFixture checks the virtual-clock prover's findings, and
+// that the transitive witness names its two-hop chain through inner.
 func TestWallClockFixture(t *testing.T) {
 	res := checkScopedFixture(t, "wallclock", []*Analyzer{WallClock}, WallClockPackages)
-
 	for _, f := range res.Findings {
-		switch {
-		case strings.Contains(f.Message, "calls time.Now directly"):
-			if len(f.Edits) != 1 || f.Edits[0].NewText != "now()" {
-				t.Errorf("time.Now finding at %s:%d: edits = %v, want one now() rewrite", f.File, f.Line, f.Edits)
-			}
-		case strings.Contains(f.Message, "calls time.Since directly"):
-			if len(f.Edits) != 1 || f.Edits[0].NewText != "now().Sub(start)" {
-				t.Errorf("time.Since finding at %s:%d: edits = %v, want one now().Sub(start) rewrite", f.File, f.Line, f.Edits)
-			}
-		case strings.Contains(f.Message, "calls time.Sleep directly"):
-			if len(f.Edits) != 0 {
-				t.Errorf("time.Sleep finding carries edits %v, but the fixture declares no sleep hook", f.Edits)
-			}
-			if strings.Contains(f.Message, "fixable") {
-				t.Errorf("time.Sleep finding advertises a fix without a hook: %s", f.Message)
-			}
-		case strings.Contains(f.Message, "reaches time.Now"):
-			// The transitive witness must name the two-hop chain through inner.
-			if !strings.Contains(f.Message, "Stamp -> hidden") {
-				t.Errorf("transitive finding does not carry the call chain: %s", f.Message)
-			}
+		if strings.Contains(f.Message, "reaches time.Now") && !strings.Contains(f.Message, "Stamp -> hidden") {
+			t.Errorf("transitive finding does not carry the call chain: %s", f.Message)
 		}
 	}
 }
@@ -115,109 +92,6 @@ func TestGoLifeFixture(t *testing.T) {
 		if joins[kind] == 0 {
 			t.Errorf("no %q join proven in the fixture: the evidence path went vacuous (got %v)", kind, joins)
 		}
-	}
-}
-
-// TestFixGoldenTree is the end-to-end -fix proof: the input tree is copied
-// into a temp module, RunFix rewrites it, and the result must match the
-// golden tree byte-for-byte, converge in one pass, and be idempotent.
-func TestFixGoldenTree(t *testing.T) {
-	dir := t.TempDir()
-	copyFixtureTree(t, filepath.Join("testdata", "fixtree", "input"), dir)
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fixtree\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if WallClockPackages["fixtree"] {
-		t.Fatal("fixtree unexpectedly already in scope")
-	}
-	WallClockPackages["fixtree"] = true
-	defer delete(WallClockPackages, "fixtree")
-
-	res, sum, err := RunFix(dir, []string{"."}, []*Analyzer{WallClock}, RunOptions{})
-	if err != nil {
-		t.Fatalf("RunFix: %v", err)
-	}
-	if len(res.Findings) != 0 {
-		t.Errorf("post-fix findings remain: %v", res.Findings)
-	}
-	if sum.Iterations != 1 {
-		t.Errorf("iterations = %d, want 1 (all fixes apply in one pass)", sum.Iterations)
-	}
-	wantChanged := []string{filepath.Join(dir, "wall.go")}
-	if len(sum.FilesChanged) != 1 || sum.FilesChanged[0] != wantChanged[0] {
-		t.Errorf("files changed = %v, want %v", sum.FilesChanged, wantChanged)
-	}
-
-	goldenDir := filepath.Join("testdata", "fixtree", "golden")
-	entries, err := os.ReadDir(goldenDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		want, err := os.ReadFile(filepath.Join(goldenDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s diverges from golden after fix:\n--- got ---\n%s\n--- want ---\n%s", e.Name(), got, want)
-		}
-	}
-
-	// Idempotence: a second run must find nothing to do.
-	_, sum2, err := RunFix(dir, []string{"."}, []*Analyzer{WallClock}, RunOptions{})
-	if err != nil {
-		t.Fatalf("second RunFix: %v", err)
-	}
-	if sum2.Iterations != 0 || len(sum2.FilesChanged) != 0 {
-		t.Errorf("second RunFix not idempotent: iterations=%d changed=%v", sum2.Iterations, sum2.FilesChanged)
-	}
-}
-
-// copyFixtureTree copies every regular file in src into dst (flat trees
-// only — the fixtree fixture has no subdirectories).
-func copyFixtureTree(t *testing.T, src, dst string) {
-	t.Helper()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			t.Fatalf("fixture tree %s unexpectedly has subdirectory %s", src, e.Name())
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestApplyEdits pins the splice validator: overlap and out-of-bounds edits
-// must abort before anything is written.
-func TestApplyEdits(t *testing.T) {
-	src := []byte("abcdef")
-	got, err := applyEdits(src, []TextEdit{
-		{Start: 4, End: 5, NewText: "E"},
-		{Start: 1, End: 2, NewText: "B"},
-	})
-	if err != nil || string(got) != "aBcdEf" {
-		t.Errorf("applyEdits = %q, %v; want aBcdEf", got, err)
-	}
-	if _, err := applyEdits(src, []TextEdit{{Start: 1, End: 3}, {Start: 2, End: 4}}); err == nil {
-		t.Error("overlapping edits not rejected")
-	}
-	if _, err := applyEdits(src, []TextEdit{{Start: 4, End: 9}}); err == nil {
-		t.Error("out-of-bounds edit not rejected")
-	}
-	if _, err := applyEdits(src, []TextEdit{{Start: -1, End: 2}}); err == nil {
-		t.Error("negative offset not rejected")
 	}
 }
 

@@ -1,41 +1,39 @@
 package lint
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/types"
 	"strconv"
 )
 
-// WallClock proves that the simulation and emulation engines never read
-// the wall clock directly: every time source must flow through
-// internal/vclock (usually via a package-level hook like emu's now()).
-// A direct time.Now in round logic silently breaks virtual-clock replay —
-// the sim engine would advance by real elapsed time instead of simulated
-// time, and the divergence only shows up as flaky soak results.
+// WallClock proves that the engines never read the wall clock directly:
+// every time source must flow through internal/vclock (usually via a
+// package-level hook like emu's now()). A direct time.Now in round logic
+// silently breaks virtual-clock replay — the sim engine would advance by
+// real elapsed time instead of simulated time, and the divergence only
+// shows up as flaky soak results — and in the synchronous engines (fl,
+// mtl, core) a clock read is the one input a rerun cannot reproduce.
 //
 // The proof is transitive: a scope-package function that calls an
 // out-of-scope module helper whose body (or whose callees' bodies) reads
 // the wall clock is reported at the original call site. internal/vclock
 // itself is the sanctioned sink and is never descended into; other
 // scope packages are analyzed in their own right.
-//
-// Findings for time.Now, time.Since, and time.Sleep carry byte-offset
-// TextEdits when the package declares the corresponding hook
-// (func now() time.Time / func sleep(time.Duration)), so `cmfl-vet -fix`
-// can rewrite them mechanically.
 var WallClock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "sim and emu must read time through the internal/vclock hook, never the wall clock",
+	Doc:  "the engine packages read time through the internal/vclock hook, never the wall clock",
 	Run:  runWallClock,
 }
 
-// WallClockPackages are the virtual-clock domains. (Var, not const:
-// fixture tests extend it.)
+// WallClockPackages are the engine packages: the virtual-clock domains
+// (sim, emu) and the synchronous engines whose results must replay bit for
+// bit (fl, mtl, core). (Var, not const: fixture tests extend it.)
 var WallClockPackages = map[string]bool{
-	"cmfl/internal/sim": true,
-	"cmfl/internal/emu": true,
+	"cmfl/internal/fl":   true,
+	"cmfl/internal/mtl":  true,
+	"cmfl/internal/core": true,
+	"cmfl/internal/sim":  true,
+	"cmfl/internal/emu":  true,
 }
 
 // vclockPath is the sanctioned time source; calls into it are the goal
@@ -65,8 +63,6 @@ func runWallClock(pass *Pass) {
 		pass:     pass,
 		memo:     make(map[*types.Func]*timeWitness),
 		visiting: make(map[*types.Func]bool),
-		hasNow:   pkgHasHook(pass.Pkg, "now", 0),
-		hasSleep: pkgHasHook(pass.Pkg, "sleep", 1),
 	}
 	scanned := 0
 	for _, f := range pass.SourceFiles() {
@@ -84,23 +80,10 @@ func runWallClock(pass *Pass) {
 	}
 }
 
-// pkgHasHook reports whether the package declares a package-level function
-// hook with the given name and arity (the shape the fix engine rewrites to).
-func pkgHasHook(pkg *Package, name string, params int) bool {
-	fn, ok := pkg.Types.Scope().Lookup(name).(*types.Func)
-	if !ok {
-		return false
-	}
-	sig := fn.Type().(*types.Signature)
-	return sig.Params().Len() == params
-}
-
 type wallClockWalker struct {
 	pass     *Pass
 	memo     map[*types.Func]*timeWitness // out-of-scope callee -> first wall-clock read beneath it (nil = clean)
 	visiting map[*types.Func]bool         // cycle guard for the transitive scan
-	hasNow   bool
-	hasSleep bool
 }
 
 // scanScopeFunc walks one scope-package function body — including function
@@ -118,7 +101,8 @@ func (w *wallClockWalker) scanScopeFunc(fd *ast.FuncDecl) {
 		}
 		switch {
 		case fn.Pkg().Path() == "time" && bannedTimeFuncs[fn.Name()]:
-			w.reportDirect(fd, call, fn)
+			w.pass.Reportf(call.Pos(), "%s calls time.%s directly: the %s package must read time through the internal/vclock hook",
+				fd.Name.Name, fn.Name(), w.pass.Pkg.Types.Name())
 		case fn.Pkg().Path() == vclockPath:
 			pos := w.pass.Fset().Position(call.Pos())
 			w.pass.Facts.Clocks = append(w.pass.Facts.Clocks, ClockFact{
@@ -133,26 +117,6 @@ func (w *wallClockWalker) scanScopeFunc(fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// reportDirect reports a wall-clock read in a scope package itself,
-// attaching a mechanical rewrite when the package has the matching hook.
-func (w *wallClockWalker) reportDirect(fd *ast.FuncDecl, call *ast.CallExpr, fn *types.Func) {
-	var edits []TextEdit
-	var fixNote string
-	switch {
-	case fn.Name() == "Now" && w.hasNow:
-		edits = []TextEdit{w.pass.EditFor(call, "now()")}
-		fixNote = " (fixable: now())"
-	case fn.Name() == "Since" && w.hasNow && len(call.Args) == 1:
-		edits = []TextEdit{w.pass.EditFor(call, "now().Sub("+w.render(call.Args[0])+")")}
-		fixNote = " (fixable: now().Sub)"
-	case fn.Name() == "Sleep" && w.hasSleep && len(call.Args) == 1:
-		edits = []TextEdit{w.pass.EditFor(call, "sleep("+w.render(call.Args[0])+")")}
-		fixNote = " (fixable: sleep())"
-	}
-	w.pass.ReportEdits(call.Pos(), edits, "%s calls time.%s directly: the %s package must read time through the internal/vclock hook%s",
-		fd.Name.Name, fn.Name(), w.pass.Pkg.Types.Name(), fixNote)
 }
 
 // witnessFor finds the first wall-clock read beneath an out-of-scope
@@ -203,14 +167,6 @@ func (w *wallClockWalker) witnessFor(fn *types.Func) *timeWitness {
 	})
 	w.memo[fn] = found
 	return found
-}
-
-func (w *wallClockWalker) render(e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, w.pass.Fset(), e); err != nil {
-		return "..."
-	}
-	return buf.String()
 }
 
 func chain(hops []string) string {

@@ -4,7 +4,9 @@
 # For each entry it copies the working tree (tracked and untracked files,
 # ignored ones excluded) into a temporary directory, replaces the entry's
 # "-" lines, which must start at the entry's line, with its "+" lines, and
-# runs the entry's test there with -count=1. It prints one line per entry:
+# runs the entry's test there with -count=1. An entry with several "line:"
+# fields, each followed by its own "-" and "+" lines, mutates the file in
+# several places at once. It prints one line per entry:
 #
 #   killed    the test failed: the mutant was caught
 #   survived  the test passed: a blind spot, or an equivalent mutant when
@@ -25,31 +27,38 @@ filter=${1:-.}
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# Split the list into one directory per entry: meta (shell assignments),
-# from and to.
+# Split the list into one directory per entry: meta (shell assignments)
+# and, per hunk i, from$i and to$i.
 perl -e '
 	my ($list, $dir) = @ARGV;
 	open(my $in, "<", $list) or die "$list: $!\n";
-	my $n = 0; my %e; my ($from, $to) = ("", "");
+	my $n = 0; my %e; my @hunks; # [line, from, to]
 	sub flush {
 		return unless %e;
 		$n++;
 		mkdir "$dir/$n" or die;
+		$e{line} = join ",", map { $_->[0] } @hunks;
 		open(my $m, ">", "$dir/$n/meta") or die;
 		for my $k (qw(mutant file line test env expect)) {
 			my $v = $e{$k} // ""; $v =~ s/\x27/\x27\\\x27\x27/g;
 			print $m "$k=\x27$v\x27\n";
 		}
 		close $m;
-		open(my $f, ">", "$dir/$n/from") or die; print $f $from; close $f;
-		open(my $t, ">", "$dir/$n/to") or die; print $t $to; close $t;
-		%e = (); ($from, $to) = ("", "");
+		for my $i (0 .. $#hunks) {
+			open(my $f, ">", "$dir/$n/from$i") or die; print $f $hunks[$i][1]; close $f;
+			open(my $t, ">", "$dir/$n/to$i") or die; print $t $hunks[$i][2]; close $t;
+		}
+		%e = (); @hunks = ();
 	}
 	while (my $l = <$in>) {
 		next if $l =~ /^#/;
 		if ($l =~ /^\s*$/) { flush(); next; }
-		if ($l =~ /^-(.*\n?)/s) { $from .= $1; next; }
-		if ($l =~ /^\+(.*\n?)/s) { $to .= $1; next; }
+		if ($l =~ /^([-+])(.*\n?)/s) {
+			die "mutants.txt: line $. comes before any line: field\n" unless @hunks;
+			$hunks[-1][$1 eq "-" ? 1 : 2] .= $2;
+			next;
+		}
+		if ($l =~ /^line:\s*(\d+)\s*$/) { push @hunks, [$1, "", ""]; next; }
 		if ($l =~ /^(\w+):\s*(.*?)\s*$/) { $e{$1} = $2; next; }
 		die "mutants.txt: cannot read line $.: $l";
 	}
@@ -68,19 +77,24 @@ for entry in $(find "$work" -mindepth 1 -maxdepth 1 -name '[0-9]*' -printf '%f\n
 	copy="$work/copy"
 	rm -rf "$copy"
 	cp -a "$work/tree" "$copy"
+	# Hunks apply bottom-up, so each line: counts in the unmutated file.
 	if ! perl -e '
-		my ($path, $line, $fromf, $tof) = @ARGV;
+		my ($path, $dir, $lines) = @ARGV;
 		local $/;
-		open(my $f, "<", $fromf) or die; my $from = <$f>; close $f;
-		open(my $t, "<", $tof) or die; my $to = <$t>; close $t;
 		open(my $s, "<", $path) or die "$path: $!\n"; my $src = <$s>; close $s;
-		my @lines = split /^/, $src;
-		die "$path has no line $line\n" if $line < 1 || $line > @lines;
-		my $at = 0; $at += length($lines[$_]) for 0 .. $line - 2;
-		die "$path:$line does not start the text to mutate\n" if substr($src, $at, length $from) ne $from;
-		substr($src, $at, length $from) = $to;
+		my @at = split /,/, $lines;
+		for my $i (sort { $at[$b] <=> $at[$a] } 0 .. $#at) {
+			my $line = $at[$i];
+			open(my $f, "<", "$dir/from$i") or die; my $from = <$f> // ""; close $f;
+			open(my $t, "<", "$dir/to$i") or die; my $to = <$t> // ""; close $t;
+			my @lines = split /^/, $src;
+			die "$path has no line $line\n" if $line < 1 || $line > @lines;
+			my $off = 0; $off += length($lines[$_]) for 0 .. $line - 2;
+			die "$path:$line does not start the text to mutate\n" if substr($src, $off, length $from) ne $from;
+			substr($src, $off, length $from) = $to;
+		}
 		open(my $o, ">", $path) or die; print $o $src; close $o;
-	' "$copy/$file" "$line" "$work/$entry/from" "$work/$entry/to"; then
+	' "$copy/$file" "$work/$entry" "$line"; then
 		printf '%-9s %s\n' broken "$mutant"
 		bad=1
 		continue
