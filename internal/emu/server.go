@@ -521,7 +521,7 @@ func (s *Server) Run() (res *ServerResult, err error) {
 	}
 
 	global := s.global
-	// The server half of Algorithm 1 is fl's: the tree hands Close each
+	// The server half of Algorithm 1 is fl's: the tree hands Fold each
 	// round's exact sum. The upload filter lives in the clients.
 	agg := fl.NewAggregator(telemetry.EngineEmu, global.ParamVector(), s.cfg.Clients, nil, s.obs)
 	res = &ServerResult{
@@ -549,7 +549,12 @@ func (s *Server) Run() (res *ServerResult, err error) {
 		for _, id := range out.accepted {
 			relevance.Add(s.replies[id].Relevance)
 		}
-		ev, _ := agg.Close(t, len(out.accepted), out.accepted, s.replies, out.globalUpdate, float64(out.uploads))
+		// A sum that overflowed is nobody's frame to drop: Fold fails the
+		// round in either fault mode.
+		ev, _, err := agg.Fold(t, len(out.accepted), out.accepted, s.replies, s.rootAcc)
+		if err != nil {
+			return nil, fmt.Errorf("emu: %w", err)
+		}
 		// Stragglers were sent the broadcast but are not participants here.
 		ev.Dropped, ev.Faults = len(out.stragglers), out.faults
 		stats := RoundStats{

@@ -3,7 +3,6 @@ package emu
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -400,7 +399,7 @@ func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) err
 				err = a.acc.AddSparse(a.decIdx, a.decBuf)
 			}
 		} else if a.decBuf, err = codec.DecodeInto(a.decBuf, payload, dim); err == nil {
-			if err = allFinite(a.decBuf); err == nil {
+			if err = shard.CheckFinite(a.decBuf); err == nil {
 				a.acc.Add(a.decBuf)
 			}
 		}
@@ -416,18 +415,6 @@ func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) err
 		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: fl.SkipNotificationBytes, skip: true})
 	default:
 		return fmt.Errorf("emu: unexpected frame kind %d", f.kind)
-	}
-	return nil
-}
-
-// allFinite is the dense codecs' share of the non-finite rejection. Their
-// DecodeInto owns the loop that makes the values, so this is a sweep of its
-// own; raw frames and sparse views are checked as they are decoded.
-func allFinite(delta []float64) error {
-	for j, v := range delta {
-		if math.IsNaN(v - v) { // v-v is 0 for finite v, NaN otherwise
-			return fmt.Errorf("coordinate %d = %v: %w", j, v, shard.ErrNonFinite)
-		}
 	}
 	return nil
 }

@@ -39,6 +39,19 @@ import (
 // TwoSum against it stores another NaN — and would poison the aggregate.
 var ErrNonFinite = errors.New("shard: non-finite value in update")
 
+// CheckFinite names the first NaN or ±Inf coordinate of vec in an error
+// wrapping ErrNonFinite. It is the sweep for a vector made elsewhere: a dense
+// codec's decode, or a rounded sum, which overflows while every term is
+// finite.
+func CheckFinite(vec []float64) error {
+	for j, v := range vec {
+		if math.IsNaN(v - v) { // v-v is 0 for finite v, NaN otherwise
+			return fmt.Errorf("coordinate %d = %v: %w", j, v, ErrNonFinite)
+		}
+	}
+	return nil
+}
+
 // Accumulator sums float64 vectors exactly. The zero value is unusable;
 // call New (or Reset on a reused value).
 //

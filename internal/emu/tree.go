@@ -14,18 +14,15 @@ import (
 // shard partials so the downstream accounting is layout-blind.
 type roundOutcome struct {
 	// accepted lists the clients whose reply counted, ascending; the replies
-	// themselves are Server.replies[id]. uploads of them carried an update.
-	accepted []int
-	uploads  int
-	// globalUpdate is the correctly rounded exact sum of every accepted
-	// delta, in a fresh vector fl.Aggregator.Close takes over. Exactness
-	// makes it independent of the shard layout — the determinism contract
-	// (see internal/emu/shard).
-	globalUpdate []float64
-	stragglers   []int
-	late, dups   int
-	faults       int
-	wire         int64
+	// themselves are Server.replies[id], and the exact sum of their updates
+	// is Server.rootAcc, for fl.Aggregator.Fold to round. Exactness makes it
+	// independent of the shard layout — the determinism contract (see
+	// internal/emu/shard).
+	accepted   []int
+	stragglers []int
+	late, dups int
+	faults     int
+	wire       int64
 }
 
 // runRound drives one synchronous round through the aggregation tree: a
@@ -133,13 +130,6 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	for _, p := range parts {
 		s.rootAcc.Merge(p.sum)
 	}
-	out.globalUpdate = s.rootAcc.Round(nil)
-	// Every update was finite, but their sum need not be: a coordinate that
-	// overflowed is nobody's frame to drop, and applying it would poison the
-	// model for good. The round fails instead, in either fault mode.
-	if err := allFinite(out.globalUpdate); err != nil {
-		return nil, fmt.Errorf("emu: round %d: sum of %d accepted updates: %w", t, accepted, err)
-	}
 
 	// Canonicalize reply order by global client id: float accumulation is
 	// already layout-proof, but telemetry emission and the history records
@@ -148,9 +138,6 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 		for _, m := range p.replies {
 			s.replies[m.client] = fl.Reply{Upload: !m.skip, Relevance: m.metric, Bytes: m.appBytes}
 			out.accepted = append(out.accepted, m.client)
-			if !m.skip {
-				out.uploads++
-			}
 			if m.encoded {
 				res.CodecUpdates++
 				res.CodecEncodedBytes += m.appBytes

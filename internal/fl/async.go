@@ -130,39 +130,41 @@ func (q *completionQueue) Pop() interface{} {
 	return item
 }
 
-// RunAsync executes the asynchronous simulation.
+// RunAsync executes the asynchronous simulation. Each completion runs
+// Algorithm 1's client half, ClientStep's Train and Pack, against a
+// Broadcast of the model the client pulled and the feedback average.
 //
 //cmfl:deterministic
 func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	if err := validateAsync(&cfg); err != nil {
 		return nil, err
 	}
-	filter := cfg.Filter
-	if filter == nil {
-		filter = Vanilla{}
-	}
-
 	global := cfg.Model()
 	params := global.ParamVector()
-	dim := len(params)
 	version := 0
+	// Every completion trains on one network, scratch and reply: the solver
+	// reloads the network from the client's pulled snapshot.
+	step := ClientStep{Epochs: cfg.Epochs, Batch: cfg.Batch, Filter: cfg.Filter}
+	if step.Filter == nil {
+		step.Filter = Vanilla{}
+	}
+	net := cfg.Model()
+	var sc Scratch
+	var r Reply
 
 	d := len(cfg.ClientData)
-	nets := make([]*nn.Network, d)
 	rngs := make([]*xrand.Stream, d)
 	speeds := make([]float64, d)
 	pulled := make([][]float64, d) // model snapshot each client trains from
 	pulledVersion := make([]int, d)
 	durRng := xrand.Derive(cfg.Seed, "fl-async-durations", 0)
 	for k := 0; k < d; k++ {
-		nets[k] = cfg.Model()
 		rngs[k] = ClientStream(cfg.Seed, k)
 		speeds[k] = 0.5 + (cfg.StragglerFactor-0.5)*durRng.Float64()
 		pulled[k] = append([]float64(nil), params...)
 	}
 
 	q := &completionQueue{}
-	heap.Init(q)
 	seq := 0
 	schedule := func(k int, now float64) {
 		// Exponential-ish duration: speed factor × mean × U[0.5, 1.5).
@@ -174,11 +176,8 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		schedule(k, 0)
 	}
 
-	feedback := make([]float64, dim)
-	var sc Scratch // one workspace and one update buffer serve every event
-	// Eq. 9 compares against the feedback's signs, taken whenever it changes.
-	var feedbackSigns []int8
-	var delta []float64
+	feedback := make([]float64, len(params))
+	var signs []int8 // the feedback's, taken whenever it changes
 	res := &AsyncResult{SkipCounts: make([]int, d)}
 	cumUploads := 0
 	var cumBytes int64
@@ -189,54 +188,48 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		c := heap.Pop(q).(completion)
 		events++
 		k := c.client
-		// The engine charges one "round" of local training computed from
-		// the model snapshot the client pulled.
-		var err error
-		delta, _, err = solve(&sc, nets[k], cfg.ClientData[k], pulled[k], cfg.LR.At(events), cfg.Epochs, cfg.Batch, 0, rngs[k], delta)
+		// One "round" of local training from the snapshot the client pulled.
+		b := Broadcast{Round: events, LR: cfg.LR.At(events), Params: pulled[k], Feedback: feedback}
+		if !core.AllZero(feedback) {
+			b.Signs = signs
+		}
+		err := step.Train(&sc, net, cfg.ClientData[k], rngs[k], &b, &r)
+		if err == nil {
+			r.Relevance = b.Relevance(r.Delta)
+			_, err = step.Pack(&sc, &r)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("fl: async client %d: %w", k, err)
 		}
 		staleness := version - c.version
-		dec, err := filter.Check(delta, pulled[k], feedback, events)
-		if err != nil {
-			return nil, fmt.Errorf("fl: async client %d filter: %w", k, err)
-		}
-		rel := math.NaN()
-		if !core.AllZero(feedback) {
-			if r, err := core.SignAgreement(delta, feedbackSigns); err == nil {
-				rel = r
-			}
-		}
-
-		ev := AsyncEvent{
-			Time:      c.at,
-			Client:    k,
-			Staleness: staleness,
-			Uploaded:  dec.Upload,
-			Relevance: rel,
-			Accuracy:  math.NaN(),
-		}
-		if dec.Upload {
+		cumBytes += r.Bytes
+		if r.Upload {
 			// The applied update scale·v moves the model and enters the
 			// feedback average in the same sweep.
 			scale := cfg.MixAlpha / math.Sqrt(1+float64(staleness))
-			for j, v := range delta {
+			for j, v := range r.Delta {
 				applied := scale * v
 				params[j] += applied
 				feedback[j] = cfg.FeedbackDecay*feedback[j] + (1-cfg.FeedbackDecay)*applied
 			}
-			feedbackSigns = core.SignsInto(feedbackSigns, feedback)
+			signs = core.SignsInto(signs[:0], feedback)
 			version++
 			//cmfl:order-pinned completion events pop in deterministic virtual-time order; the event schedule is the algorithm
 			staleSum += float64(staleness)
 			cumUploads++
-			cumBytes += int64(dim) * 8
 		} else {
 			res.SkipCounts[k]++
-			cumBytes += SkipNotificationBytes
 		}
-		ev.CumUploads = cumUploads
-		ev.CumUplinkBytes = cumBytes
+		ev := AsyncEvent{
+			Time:           c.at,
+			Client:         k,
+			Staleness:      staleness,
+			Uploaded:       r.Upload,
+			Relevance:      r.Relevance,
+			Accuracy:       math.NaN(),
+			CumUploads:     cumUploads,
+			CumUplinkBytes: cumBytes,
+		}
 
 		// The client pulls the latest model and goes again.
 		copy(pulled[k], params)
@@ -251,19 +244,17 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		}
 		res.Events = append(res.Events, ev)
 		if len(cfg.Observers) > 0 {
-			uplink := int64(dim) * 8
-			uploadedN := 1
-			if !dec.Upload {
-				uplink = SkipNotificationBytes
-				uploadedN = 0
+			uploadedN := 0
+			if r.Upload {
+				uploadedN = 1
 			}
 			telemetry.EmitClient(cfg.Observers, telemetry.ClientEvent{
 				Engine:      telemetry.EngineAsync,
 				Round:       events,
 				Client:      k,
-				Uploaded:    dec.Upload,
-				Relevance:   rel,
-				UplinkBytes: uplink,
+				Uploaded:    r.Upload,
+				Relevance:   r.Relevance,
+				UplinkBytes: r.Bytes,
 			})
 			telemetry.EmitRound(cfg.Observers, telemetry.RoundEvent{
 				Engine:         telemetry.EngineAsync,

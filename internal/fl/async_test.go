@@ -226,3 +226,21 @@ func TestAsyncPinnedTrace(t *testing.T) {
 		t.Error("the gate withheld nothing: the pin does not cover a skip")
 	}
 }
+
+// TestAsyncTrainsOnOneNetwork: every completion trains on one network, so a
+// run builds two, that and the evaluator, whatever the client count.
+func TestAsyncTrainsOnOneNetwork(t *testing.T) {
+	cfg := asyncConfig(t, 5)
+	model, built := cfg.Model, 0
+	cfg.Model = func() *nn.Network {
+		built++
+		return model()
+	}
+	cfg.Updates = 10
+	if _, err := RunAsync(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if built != 2 {
+		t.Fatalf("RunAsync built %d networks, want 2", built)
+	}
+}

@@ -208,9 +208,10 @@ func BenchmarkPackTopKEF(b *testing.B) {
 
 // BenchmarkAggregatorFold is what the driver of sim_wide_q8's round still
 // does with the uploads once the workers have added them: merge GOMAXPROCS
-// dense worker partials of 100,100 coordinates, round the sum once and close
-// the round (mean, apply). `-cpu 1` is a lone worker's round (no merge), `-cpu
-// 2` merges two. An op allocates only the sum Close takes ownership of.
+// dense worker partials of 100,100 coordinates, round the sum once into the
+// Aggregator's next update buffer, check it is finite and close the round
+// (mean, apply). `-cpu 1` is a lone worker's round (no merge), `-cpu 2`
+// merges two. An op allocates nothing.
 // BenchmarkShardAdd prices the adds themselves, which run on the workers.
 func BenchmarkAggregatorFold(b *testing.B) {
 	const dim, uploads = 100_100, 192
@@ -233,6 +234,8 @@ func BenchmarkAggregatorFold(b *testing.B) {
 		workers[0].acc.Reset(dim)
 		workers[0].acc.Add(first)
 		b.StartTimer()
-		agg.Fold(i+1, uploads, accepted, replies, merge(workers))
+		if _, _, err := agg.Fold(i+1, uploads, accepted, replies, merge(workers)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // ClientStep is the client half of Algorithm 1, written once for every
-// synchronous engine (the loop behind Run and sim.Run, and emu.RunClient):
+// engine (the loop behind Run and sim.Run, emu.RunClient and RunAsync):
 // local solve, differential-privacy noise, the upload gate, then — for an
 // upload — the error-feedback fold-in and the codec round trip. It holds
 // what is the same for every client and round; the engine supplies the rest

@@ -131,8 +131,8 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 		step.Filter = Vanilla{}
 	}
 	global := cfg.Model()
-	agg := NewAggregator(engine, global.ParamVector(), n, step.Filter, cfg.Observers)
-	agg.momentum, agg.staleness = cfg.ServerMomentum, cfg.FeedbackStaleness
+	agg := newAggregator(engine, global.ParamVector(), n, step.Filter, cfg.Observers, cfg.FeedbackStaleness)
+	agg.momentum = cfg.ServerMomentum
 
 	residuals := make([][]float64, n) // nil rows without error feedback
 	if cfg.Compressor != nil && cfg.ErrorFeedback {
@@ -216,7 +216,10 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 				sig.Add(significance[c])
 			}
 		}
-		ev, update := agg.Fold(t, len(trained), accepted, replies, merge(workers))
+		ev, update, err := agg.Fold(t, len(trained), accepted, replies, merge(workers))
+		if err != nil {
+			return nil, fmt.Errorf("fl: %w", err)
+		}
 		stats := RoundStats{RoundEvent: ev, TrainLoss: mean(&loss, len(trained)), MeanRelevance: mean(&rel, relCount)}
 		stats.MeanSignificance, stats.DeltaUpdate = nan(), nan()
 		if traced {

@@ -14,8 +14,8 @@
 // workers. Run is that loop under FedAvg's fraction sampling; internal/sim
 // plugs availability, reply delays and its event heap in through Schedule
 // and RunSchedule; the internal/emu client and server use the two halves
-// over TCP (DESIGN.md, "Algorithm 1, once"). RunAsync is a different
-// algorithm and keeps its own loop.
+// over TCP (DESIGN.md, "Algorithm 1, once"). RunAsync runs the client half
+// under its own completion schedule and staleness-damped server mix.
 package fl
 
 import (
@@ -26,7 +26,7 @@ import (
 	"cmfl/internal/xrand"
 )
 
-//cmfl:api-change Config.WeightedAggregation is removed and Aggregator.Fold loses its weights parameter: no command, experiment or workload set the FedAvg n_k weighting, and every engine now averages the accepted uploads as Algorithm 1 line 8 does. Callers drop the field and the argument.
+//cmfl:api-change Aggregator.Close is removed and Aggregator.Fold returns an error: every engine, emu included, hands Fold the exact sum of the accepted uploads, and Fold refuses a sum that rounds to a non-finite value (wrapping shard.ErrNonFinite, which the new shard.CheckFinite reports) before it touches the model. Callers of Close build the sum in a shard.Accumulator and call Fold; callers of Fold handle the error.
 
 // UploadFilter is the client-side gate deciding whether a local update is
 // transferred to the server. Implementations must be safe for concurrent

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -679,8 +680,8 @@ func TestFoldIgnoresArrivalOrder(t *testing.T) {
 						w.acc.Add(replies[i].Delta)
 					}
 				}
-				if ev, _ := agg.Fold(round, clients, order, replies, w.acc); ev.Uploaded != clients-1 || ev.Skipped != 1 {
-					t.Fatalf("%s: round %d uploaded %d skipped %d", tc.name, round, ev.Uploaded, ev.Skipped)
+				if ev, _, err := agg.Fold(round, clients, order, replies, w.acc); err != nil || ev.Uploaded != clients-1 || ev.Skipped != 1 {
+					t.Fatalf("%s: round %d uploaded %d skipped %d, %v", tc.name, round, ev.Uploaded, ev.Skipped, err)
 				}
 			}
 			if want == nil {
@@ -692,6 +693,156 @@ func TestFoldIgnoresArrivalOrder(t *testing.T) {
 					t.Fatalf("%s: order %v param %d = %v, order %v gave %v", tc.name, order, j, agg.Params[j], orders[0], want[j])
 				}
 			}
+		}
+	}
+}
+
+// foldRound is one round for the Aggregator tests: every reply of accepted,
+// its upload summed exactly.
+func foldRound(agg *Aggregator, t int, accepted []int, replies []Reply) (telemetry.RoundEvent, []float64, error) {
+	sum := shard.New(len(agg.Params))
+	for _, i := range accepted {
+		if replies[i].Upload {
+			sum.Add(replies[i].Delta)
+		}
+	}
+	return agg.Fold(t, len(accepted), accepted, replies, sum)
+}
+
+// TestFoldRefusesOverflowingSum: two finite uploads whose sum overflows fail
+// the round with emu's error, and Fold changes nothing on the way out — not
+// the model, the skip counts, the counters or the feedback.
+func TestFoldRefusesOverflowingSum(t *testing.T) {
+	const dim = 5
+	params := []float64{0.5, -1, 2, 0, 3}
+	agg := NewAggregator(telemetry.EngineSync, params, 3, Vanilla{}, nil)
+	replies := []Reply{
+		{Delta: []float64{1, 2, 3, 4, 5}, Upload: true, Bytes: 8 * dim},
+		{Delta: []float64{-1, 0, 1, 0, 1}, Upload: true, Bytes: 8 * dim},
+		{Bytes: SkipNotificationBytes},
+	}
+	all := []int{0, 1, 2}
+	if _, _, err := foldRound(agg, 1, all, replies); err != nil {
+		t.Fatal(err)
+	}
+	wantParams, wantSkips := slices.Clone(agg.Params), slices.Clone(agg.SkipCounts)
+	wantUploads, wantBytes := agg.cumUploads, agg.cumBytes
+	wantFeedback := slices.Clone(agg.Begin(2, 0.1).Feedback)
+
+	replies[0].Delta = []float64{0, 0, 1e308, 0, 0}
+	replies[1].Delta = []float64{0, 0, 1e308, 0, 0}
+	ev, update, err := foldRound(agg, 2, all, replies)
+	if !errors.Is(err, shard.ErrNonFinite) || !strings.Contains(err.Error(), "round 2: sum of 2 accepted updates: coordinate 2 = ") {
+		t.Fatalf("Fold = %v, %v, %v; want round 2 refused with shard.ErrNonFinite", ev, update, err)
+	}
+	for j := range wantParams {
+		if math.Float64bits(agg.Params[j]) != math.Float64bits(wantParams[j]) {
+			t.Fatalf("Params[%d] = %v after the refusal, want %v", j, agg.Params[j], wantParams[j])
+		}
+	}
+	if !slices.Equal(agg.SkipCounts, wantSkips) || agg.cumUploads != wantUploads || agg.cumBytes != wantBytes {
+		t.Fatalf("skips %v, uploads %d, bytes %d after the refusal; want %v, %d, %d",
+			agg.SkipCounts, agg.cumUploads, agg.cumBytes, wantSkips, wantUploads, wantBytes)
+	}
+	if got := agg.Begin(3, 0.1).Feedback; !slices.Equal(got, wantFeedback) {
+		t.Fatalf("feedback %v after the refusal, want %v", got, wantFeedback)
+	}
+}
+
+// TestFoldAllocatesNothing: a steady-state Fold rounds into a buffer the
+// Aggregator already owns, at any feedback staleness.
+func TestFoldAllocatesNothing(t *testing.T) {
+	const dim, clients = 1000, 4
+	rng := xrand.New(5)
+	replies := make([]Reply, clients)
+	accepted := make([]int, clients)
+	sum := shard.New(dim)
+	for i := range replies {
+		replies[i], accepted[i] = Reply{Upload: i != 2, Bytes: 8 * dim}, i
+		if replies[i].Upload {
+			sum.Add(rng.NormVec(dim, 0, 0.01))
+		}
+	}
+	for _, staleness := range []int{1, 3} {
+		agg := newAggregator(telemetry.EngineSync, make([]float64, dim), clients, Vanilla{}, nil, staleness)
+		agg.momentum = 0.5
+		round := 0
+		fold := func() {
+			round++
+			agg.Begin(round, 0.1)
+			if _, _, err := agg.Fold(round, clients, accepted, replies, sum); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range staleness + 2 { // until every buffer of the ring has been written
+			fold()
+		}
+		if n := testing.AllocsPerRun(20, fold); n != 0 {
+			t.Errorf("staleness %d: Fold allocates %v times a round, want 0", staleness, n)
+		}
+	}
+}
+
+// TestFoldFeedbackRing holds the Aggregator's update buffers to the
+// staleness rule over eight rounds, one of them fully skipped: Begin's
+// feedback is, bit for bit, a copy of the update Fold returned three applied
+// rounds earlier (the latest one before there are three, zeros before the
+// first), and under momentum each update is μ times the one before plus the
+// round's mean. A ring that hands out a buffer still in use fails it.
+func TestFoldFeedbackRing(t *testing.T) {
+	const dim, clients, staleness = 67, 3, 3
+	for _, momentum := range []float64{0, 0.6} {
+		agg := newAggregator(telemetry.EngineSync, make([]float64, dim), clients, Vanilla{}, nil, staleness)
+		agg.momentum = momentum
+		rng := xrand.New(99)
+		var applied [][]float64 // a copy of every update Fold returned
+		for round := 1; round <= 8; round++ {
+			want := make([]float64, dim)
+			switch n := len(applied); {
+			case n >= staleness:
+				want = applied[n-staleness]
+			case n > 0:
+				want = applied[n-1]
+			}
+			b := agg.Begin(round, 0.1)
+			for j := range want {
+				if math.Float64bits(b.Feedback[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("momentum %v, round %d: feedback[%d] = %v, want %v (%d updates applied)", momentum, round, j, b.Feedback[j], want[j], len(applied))
+				}
+			}
+			if (b.Signs == nil) != core.AllZero(b.Feedback) {
+				t.Fatalf("momentum %v, round %d: signs %v for feedback %v", momentum, round, b.Signs, b.Feedback)
+			}
+			replies := make([]Reply, clients)
+			accepted := []int{0, 1, 2}
+			sum := shard.New(dim)
+			for i := range replies {
+				replies[i] = Reply{Delta: rng.NormVec(dim, 0, 1), Upload: round != 4 && i != round%clients}
+				if replies[i].Upload {
+					sum.Add(replies[i].Delta)
+				}
+			}
+			_, update, err := agg.Fold(round, clients, accepted, replies, sum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 4 {
+				if update != nil {
+					t.Fatalf("momentum %v: a fully skipped round returned an update", momentum)
+				}
+				continue
+			}
+			mean := sum.Round(nil)
+			for j := range mean {
+				mean[j] *= 0.5
+				if n := len(applied); momentum > 0 && n > 0 {
+					mean[j] = momentum*applied[n-1][j] + mean[j]
+				}
+				if math.Float64bits(update[j]) != math.Float64bits(mean[j]) {
+					t.Fatalf("momentum %v, round %d: update[%d] = %v, want %v", momentum, round, j, update[j], mean[j])
+				}
+			}
+			applied = append(applied, slices.Clone(update))
 		}
 	}
 }

@@ -1,23 +1,25 @@
 package fl
 
 import (
+	"fmt"
+
 	"cmfl/internal/core"
 	"cmfl/internal/emu/shard"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/tensor"
 )
 
-// Aggregator is the server half of Algorithm 1, written once for the
-// synchronous loop (Run, and sim through RunSchedule) and the emu server: the
+// Aggregator is the server half of Algorithm 1, written once for every
+// synchronous engine (the loop behind Run and sim, and the emu server): the
 // per-round feedback prelude, the exact FedAvg fold of the accepted replies,
 // the apply step with its feedback rule, the cumulative communication
 // counters and the telemetry emission. What the loop's Schedule or the emu
-// server decides is who participates and whose reply is accepted; emu also
-// accumulates the sum itself and hands Close a finished one.
+// server decides is who participates and whose reply is accepted; each hands
+// Fold the exact sum of the accepted uploads.
 type Aggregator struct {
 	// Params is the global parameter vector, updated in place every round.
 	Params []float64
-	// SkipCounts is the number of withheld updates Close saw per client.
+	// SkipCounts is the number of withheld updates Fold saw per client.
 	SkipCounts []int
 
 	engine    string
@@ -26,10 +28,13 @@ type Aggregator struct {
 	momentum  float64 // Config.ServerMomentum
 	staleness int     // Config.FeedbackStaleness, at least 1
 
-	feedback   []float64   // latest non-empty aggregate; zeros before the first
-	history    [][]float64 // the last staleness+1 of them, kept when staleness > 1
-	signs      []int8      // sign buffer, rebuilt by Begin
-	velocity   []float64   // momentum state, allocated on first use
+	// ring holds the applied global updates, the k-th in ring[k % len], so
+	// the staleness+1 latest stay intact while the next is rounded. The last
+	// buffer is first written after staleness+1 applied rounds: until the
+	// first, it is the all-zero feedback.
+	ring       [][]float64
+	applied    int
+	signs      []int8 // sign buffer, rebuilt by Begin
 	cumUploads int
 	cumBytes   int64
 }
@@ -38,97 +43,85 @@ type Aggregator struct {
 // engine labels the emitted events; filter is told every round's upload
 // count when it implements FilterFeedback.
 func NewAggregator(engine string, params []float64, clients int, filter UploadFilter, observers []telemetry.Observer) *Aggregator {
+	return newAggregator(engine, params, clients, filter, observers, 1)
+}
+
+// newAggregator is NewAggregator comparing against the feedback staleness
+// rounds back.
+func newAggregator(engine string, params []float64, clients int, filter UploadFilter, observers []telemetry.Observer, staleness int) *Aggregator {
+	ring := make([][]float64, staleness+2)
+	for i := range ring {
+		ring[i] = make([]float64, len(params))
+	}
 	return &Aggregator{
 		Params:     params,
 		SkipCounts: make([]int, clients),
 		engine:     engine,
 		filter:     filter,
 		observers:  observers,
-		staleness:  1,
-		feedback:   make([]float64, len(params)),
+		staleness:  staleness,
+		ring:       ring,
 	}
 }
 
-// Begin opens round t: it picks the feedback the clients compare against and
-// computes its sign vector once, for every client to read concurrently.
+// update returns the global update applied back rounds ago (1 is the
+// latest; the all-zero vector before the first), or with back = 0 the
+// buffer the next applied round is rounded into.
+func (a *Aggregator) update(back int) []float64 {
+	return a.ring[(a.applied-back+len(a.ring))%len(a.ring)]
+}
+
+// Begin opens round t: it picks the feedback the clients compare against —
+// the latest applied update, or the one FeedbackStaleness applied rounds
+// back once there are that many — and computes its sign vector once, for
+// every client to read concurrently.
 func (a *Aggregator) Begin(t int, lr float64) Broadcast {
-	feedback := a.feedback
-	if a.staleness > 1 && len(a.history) >= a.staleness {
-		feedback = a.history[len(a.history)-a.staleness]
+	back := 1
+	if a.applied >= a.staleness {
+		back = a.staleness
 	}
-	b := Broadcast{Round: t, LR: lr, Params: a.Params, Feedback: feedback}
-	if !core.AllZero(feedback) {
-		a.signs = core.SignsInto(a.signs[:0], feedback)
+	b := Broadcast{Round: t, LR: lr, Params: a.Params, Feedback: a.update(back)}
+	if !core.AllZero(b.Feedback) {
+		a.signs = core.SignsInto(a.signs[:0], b.Feedback)
 		b.Signs = a.signs
 	}
 	return b
 }
 
 // Fold closes round t over the replies the engine accepted: replies[i] for
-// every i in accepted. sum holds the exact sum of their uploads (Algorithm 1
-// line 8). The loop's workers add the uploads as they pack them, and the
-// driver merges their partial sums into one before Fold rounds it once per
-// coordinate: no order or grouping of the uploads leaves a trace in the
-// result. Close does the rest.
+// every i in accepted, of participants sent the broadcast. sum is the exact
+// sum of their uploads (Algorithm 1 line 8), however the engine gathered it;
+// Fold rounds it once per coordinate, so no order or grouping of the uploads
+// leaves a trace. Then come the mean, server momentum, the apply step and
+// the bookkeeping. A rounded sum that is not finite fails the round before
+// anything changes: no single update is at fault, and applying it would
+// poison the model for good.
+//
+// It returns the applied update, the next feedback, in a buffer the caller
+// must not modify and that stays valid for staleness+1 more applied rounds;
+// nil when nobody uploaded. A fully skipped round moves nothing and keeps
+// the feedback. The event's Accuracy is left NaN.
 //
 //cmfl:deterministic
-func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, sum *shard.Accumulator) (telemetry.RoundEvent, []float64) {
+func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, sum *shard.Accumulator) (telemetry.RoundEvent, []float64, error) {
 	uploaded := 0
 	for _, i := range accepted {
 		if replies[i].Upload {
 			uploaded++
 		}
 	}
-	if uploaded == 0 {
-		return a.Close(t, participants, accepted, replies, nil, 0)
+	var update []float64
+	if uploaded > 0 {
+		update = sum.Round(a.update(0))
+		if err := shard.CheckFinite(update); err != nil {
+			return telemetry.RoundEvent{}, nil, fmt.Errorf("round %d: sum of %d accepted updates: %w", t, uploaded, err)
+		}
 	}
-	return a.Close(t, participants, accepted, replies, sum.Round(make([]float64, len(a.Params))), float64(uploaded))
-}
-
-// Close finishes round t from sum, the exact sum of the accepted uploads
-// rounded once, wherever it was accumulated (Fold here, the shard tree in
-// emu): the mean sum/divisor, server momentum, the apply step, and the
-// bookkeeping over replies[i] for i in accepted. participants counts
-// everyone who was sent the broadcast, so participants − len(accepted) were
-// dropped. It takes ownership of sum, which becomes the applied global
-// update it returns — nil when nobody uploaded — and the next feedback. A
-// fully skipped round moves nothing and keeps the feedback, so it does not
-// zero out the global-direction estimate. The event comes back with
-// Accuracy left NaN.
-func (a *Aggregator) Close(t, participants int, accepted []int, replies []Reply, sum []float64, divisor float64) (telemetry.RoundEvent, []float64) {
-	uploaded := 0
 	var bytes int64
 	for _, i := range accepted {
 		bytes += replies[i].Bytes
-		if replies[i].Upload {
-			uploaded++
-		} else {
+		if !replies[i].Upload {
 			a.SkipCounts[i]++
-		}
-	}
-	if uploaded == 0 {
-		sum = nil
-	} else {
-		tensor.ScaleVec(1/divisor, sum)
-		if a.momentum > 0 {
-			if a.velocity == nil {
-				a.velocity = make([]float64, len(sum))
-			}
-			for j := range a.velocity {
-				a.velocity[j] = a.momentum*a.velocity[j] + sum[j]
-			}
-			// The applied update (and the feedback clients see) is the
-			// momentum-smoothed velocity.
-			copy(sum, a.velocity)
-		}
-		//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
-		tensor.Axpy(1, sum, a.Params)
-		a.feedback = sum
-		if a.staleness > 1 { // Begin reads the window only then
-			a.history = append(a.history, sum)
-			if len(a.history) > a.staleness+1 {
-				a.history = a.history[1:]
-			}
 		}
 	}
 	a.cumUploads += uploaded
@@ -136,7 +129,7 @@ func (a *Aggregator) Close(t, participants int, accepted []int, replies []Reply,
 	if obs, ok := a.filter.(FilterFeedback); ok {
 		obs.ObserveRound(t, uploaded, participants)
 	}
-	return telemetry.RoundEvent{
+	ev := telemetry.RoundEvent{
 		Engine:         a.engine,
 		Round:          t,
 		Participants:   participants,
@@ -146,7 +139,22 @@ func (a *Aggregator) Close(t, participants int, accepted []int, replies []Reply,
 		CumUplinkBytes: a.cumBytes,
 		Dropped:        participants - len(accepted),
 		Accuracy:       nan(),
-	}, sum
+	}
+	if uploaded == 0 {
+		return ev, nil, nil
+	}
+	tensor.ScaleVec(1/float64(uploaded), update)
+	if a.momentum > 0 {
+		// The applied update (and the feedback clients see) is the
+		// velocity v ← μv + ū, and v is the latest applied update.
+		for j, v := range a.update(1) {
+			update[j] = a.momentum*v + update[j]
+		}
+	}
+	//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
+	tensor.Axpy(1, update, a.Params)
+	a.applied++
+	return ev, update, nil
 }
 
 // Emit publishes the round: one ClientEvent per accepted reply, in accepted
