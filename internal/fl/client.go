@@ -94,9 +94,9 @@ type Scratch struct {
 // gates the result into r, whose Delta buffer it reuses: a steady-state round
 // allocates nothing. The order is the determinism contract: DP noise is drawn
 // from rng after the solver's draws, and the gate sees the post-DP delta. A
-// caller that trains clients concurrently marks each client's turn as a local
-// round in flight, so that their products are not split onto each other's
-// cores (tensor.EnterLocalRound).
+// caller that trains clients concurrently holds a local-round mark over its
+// turns, so that their products are not split onto each other's cores
+// (tensor.EnterLocalRound).
 func (s *ClientStep) Train(sc *Scratch, net *nn.Network, data *dataset.Set, rng *xrand.Stream, b *Broadcast, r *Reply) error {
 	delta, loss, err := solve(sc, net, data, b.Params, b.LR, s.Epochs, s.Batch, s.ProxMu, rng, r.Delta)
 	if err != nil {

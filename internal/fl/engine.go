@@ -161,10 +161,6 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 		r := &replies[c]
 		r.Delta, w.sc.Residual = w.delta, residuals[c]
 		defer func() { w.delta, r.Delta = r.Delta, nil }()
-		// The whole turn, from the solve to the fold, is this worker's local
-		// round, so the other workers' products are not split onto its core.
-		tensor.EnterLocalRound()
-		defer tensor.LeaveLocalRound()
 		if err = step.Train(&w.sc, w.net, cfg.ClientData[c], streams[c], &b, r); err != nil {
 			return err
 		}
@@ -287,7 +283,9 @@ func mean(s *shard.Scalar, n int) float64 {
 // only its worker's memory and the client's, so how the list falls onto the
 // workers cannot show in the result. A worker stops at its first failure,
 // and every client below it was claimed and has run, so the lowest failure
-// across workers is the lowest failing client's.
+// across workers is the lowest failing client's. A worker's whole share,
+// every turn from the solve to the fold, is one local round, so the other
+// workers' products are not split onto its core while it has clients left.
 func train(workers []worker, ids []int, fn func(w *worker, c int) error) (int, error) {
 	chunk := max(1, len(ids)/(64*len(workers)))
 	var next atomic.Int64
@@ -298,6 +296,8 @@ func train(workers []worker, ids []int, fn func(w *worker, c int) error) (int, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			tensor.EnterLocalRound()
+			defer tensor.LeaveLocalRound()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= len(ids) {

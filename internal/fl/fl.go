@@ -12,7 +12,7 @@
 // Algorithm 1 is written once: ClientStep is its client half, Aggregator its
 // server half, and one synchronous loop drives both over a fixed set of
 // workers. Run is that loop under FedAvg's fraction sampling; internal/sim
-// plugs availability, reply delays and its event heap in through Schedule
+// plugs availability, reply delays and its round close in through Schedule
 // and RunSchedule; the internal/emu client and server use the two halves
 // over TCP (DESIGN.md, "Algorithm 1, once"). RunAsync runs the client half
 // under its own completion schedule and staleness-damped server mix.

@@ -1,93 +1,116 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"cmfl/internal/core"
+	"cmfl/internal/fl"
 )
 
-// BenchmarkEventLoopSteadyState is the scheduler's inner loop in isolation:
-// one pop and one re-push against a warm heap, the operation the simulation
-// performs once per reply. The pinned baseline is 0 allocs/op — the heap's
-// capacity is retained across rounds, so steady state never touches the
-// allocator (the //cmfl:hotpath annotations make cmfl-vet prove it
-// statically; this benchmark measures it dynamically).
-func BenchmarkEventLoopSteadyState(b *testing.B) {
-	var h eventHeap
-	const inflight = 4096
-	for i := 0; i < inflight; i++ {
-		h.push(Event{At: time.Duration(i%97) * time.Millisecond, Kind: EventArrive, Client: i, Round: 1})
+// closeLoop is a schedule over n clients, every one available, whose reply
+// delays spread over 0–996 µs against a 900 µs deadline: about one reply in
+// ten is a straggler, and the next round drains it as a late frame. round
+// closes one round in virtual time, the whole of Run's serial work per round
+// minus training and the availability draws. The first two rounds size the
+// accepted and straggler lists: the second carries the first's stragglers
+// beside its own until it drains them.
+type closeLoop struct {
+	s       *schedule
+	replies []fl.Reply
+	t       int
+}
+
+func newCloseLoop(n int) *closeLoop {
+	cfg := &Config{RoundDeadline: 900 * time.Microsecond, Availability: 1, MinQuorum: 1}
+	l := &closeLoop{s: newSchedule(cfg, n), replies: make([]fl.Reply, n)}
+	for c := 0; c < n; c++ {
+		l.s.expected[c] = true
+		l.s.trained = append(l.s.trained, c)
+		l.s.delays[c] = time.Duration((c*7919)%997) * time.Microsecond
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev, ok := h.pop()
-		if !ok {
-			b.Fatal("heap drained")
-		}
-		ev.At += time.Duration(i%13) * time.Millisecond
-		h.push(ev)
+	return l
+}
+
+// warm closes the two rounds that size the lists.
+func (l *closeLoop) warm(tb testing.TB) *closeLoop {
+	l.round(tb)
+	l.round(tb)
+	return l
+}
+
+func (l *closeLoop) round(tb testing.TB) {
+	l.t++
+	l.s.res.History = l.s.res.History[:0]
+	if _, err := l.s.Accept(l.t, l.s.trained, l.replies); err != nil {
+		tb.Fatal(err)
 	}
 }
 
-// BenchmarkEventLoop100k is the 100k-client smoke at the event-loop level:
-// schedule one full round's replies plus the deadline, then drain to the
-// deadline — the exact push/drain pattern Run executes per round, minus
-// training. After the first round grows the heap to population size, every
-// subsequent round must run allocation-free inside the retained capacity.
-func BenchmarkEventLoop100k(b *testing.B) {
-	const clients = 100_000
-	var h eventHeap
-	// Warm the heap to population capacity; Run pays this growth once on the
-	// first round, and it is the only allocation the scheduler ever makes.
-	for c := 0; c <= clients; c++ {
-		h.push(Event{At: time.Duration(c), Round: 0})
-	}
-	for h.len() > 0 {
-		h.pop()
-	}
+// BenchmarkEventLoopSteadyState closes rounds of 4096 clients with
+// stragglers, 0 allocs/op once the lists are sized.
+func BenchmarkEventLoopSteadyState(b *testing.B) {
+	l := newCloseLoop(4096).warm(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for round := 1; round <= b.N; round++ {
-		base := time.Duration(round) * time.Second
-		for c := 0; c < clients; c++ {
-			h.push(Event{At: base + time.Duration((c*7919)%997)*time.Microsecond, Kind: EventArrive, Client: c, Round: round})
-		}
-		h.push(Event{At: base + time.Millisecond, Kind: EventDeadline, Round: round})
-		drained := 0
-		for {
-			ev, ok := h.pop()
-			if !ok {
-				b.Fatalf("round %d: heap drained after %d events", round, drained)
-			}
-			drained++
-			if ev.Kind == EventDeadline {
-				break
-			}
-		}
-		for h.len() > 0 {
-			h.pop()
-		}
+	for i := 0; i < b.N; i++ {
+		l.round(b)
+	}
+}
+
+// BenchmarkEventLoop100k is the 100k-client smoke at the round-close level:
+// one pass over a full round's replies, the stragglers carried and the last
+// round's drained, 0 allocs/op once the lists are sized.
+func BenchmarkEventLoop100k(b *testing.B) {
+	l := newCloseLoop(100_000).warm(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.round(b)
 	}
 }
 
 // TestEventLoopAllocFree enforces the 0 allocs/op contract directly: once
-// the heap has grown to its working set, pop+push cycles allocate nothing.
+// the lists are sized, closing a round with stragglers allocates nothing.
 func TestEventLoopAllocFree(t *testing.T) {
-	var h eventHeap
-	for i := 0; i < 1024; i++ {
-		h.push(Event{At: time.Duration(i%31) * time.Millisecond, Client: i})
+	l := newCloseLoop(1024).warm(t)
+	if allocs := testing.AllocsPerRun(100, func() { l.round(t) }); allocs != 0 {
+		t.Fatalf("a steady-state round close allocates %.1f times, want 0", allocs)
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		ev, ok := h.pop()
-		if !ok {
-			t.Fatal("heap drained")
-		}
-		ev.At += time.Duration(i%7) * time.Millisecond
-		i++
-		h.push(ev)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state pop+push allocates %.1f times per op, want 0", allocs)
+	if l.s.res.LateReplies == 0 {
+		t.Fatal("no straggler drained as a late reply; the loop no longer exercises the carried list")
+	}
+}
+
+// TestRunAllocsPerClient bounds what a simulated client costs the allocator
+// over a whole run: its two compact streams, one allocation each, and
+// nothing per round.
+func TestRunAllocsPerClient(t *testing.T) {
+	const clients = 20_000
+	wl, err := SyntheticWorkload(clients, 16, 4, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Model: wl.Model, ClientData: wl.Shards,
+		Epochs: 1, Batch: 8, LR: core.Constant(0.1),
+		Filter: core.NewFilter(core.Constant(0.6)),
+		Rounds: 3, Seed: 5, Shards: 2,
+		Arrival: LogNormalDist{Median: 200 * time.Millisecond, Sigma: 0.6}, Latency: ExpDist{Mean: 50 * time.Millisecond},
+		BandwidthBytesPerSec: 1e6, Availability: 0.9, RoundDeadline: 2 * time.Second,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LateReplies == 0 {
+		t.Fatal("no straggler drained; the run no longer exercises the deadline")
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / clients; per > 2.05 {
+		t.Fatalf("Run makes %.2f allocations per client, want at most 2.05", per)
 	}
 }

@@ -13,10 +13,33 @@ import (
 // Dist is a distribution over virtual durations. Every draw comes from the
 // caller's seeded stream, so a Dist value itself is stateless and safe to
 // share across clients — each client's sequence of draws is determined by
-// its own stream, independent of scheduling.
+// its own stream, independent of scheduling. A reply saturates each sample
+// at ±never.
 type Dist interface {
 	Name() string
 	Sample(rng *xrand.Stream) time.Duration
+}
+
+// never is the delay of a reply that never arrives, about 73 years. A reply
+// saturates each of its three delay terms at ±never, so they sum without
+// overflow, and its delay at never. The virtual clock saturates at never
+// too, so the clock plus a delay cannot overflow either.
+const never = time.Duration(1 << 61)
+
+// saturate clamps d to [-never, never].
+func saturate(d time.Duration) time.Duration { return min(max(d, -never), never) }
+
+// nanos converts a draw in nanoseconds to a Duration saturated at ±never:
+// converting a float64 beyond the int64 range is implementation-defined (on
+// amd64 it wraps to the most negative Duration), and NaN never arrives.
+func nanos(f float64) time.Duration {
+	switch {
+	case !(f < float64(never)):
+		return never
+	case f < -float64(never):
+		return -never
+	}
+	return time.Duration(f)
 }
 
 // FixedDist always returns D. It draws nothing from the stream, so swapping
@@ -38,7 +61,7 @@ func (d UniformDist) Name() string { return fmt.Sprintf("uniform:%v,%v", d.Lo, d
 
 // Sample implements Dist.
 func (d UniformDist) Sample(rng *xrand.Stream) time.Duration {
-	return d.Lo + time.Duration(rng.Float64()*float64(d.Hi-d.Lo))
+	return saturate(d.Lo) + nanos(rng.Float64()*(float64(d.Hi)-float64(d.Lo)))
 }
 
 // LogNormalDist draws log-normally with the given median and log-space
@@ -54,7 +77,7 @@ func (d LogNormalDist) Name() string { return fmt.Sprintf("lognormal:%v,%g", d.M
 
 // Sample implements Dist.
 func (d LogNormalDist) Sample(rng *xrand.Stream) time.Duration {
-	return time.Duration(float64(d.Median) * math.Exp(d.Sigma*rng.Norm()))
+	return nanos(float64(d.Median) * math.Exp(d.Sigma*rng.Norm()))
 }
 
 // ExpDist draws exponentially with the given mean.
@@ -65,7 +88,7 @@ func (d ExpDist) Name() string { return fmt.Sprintf("exp:%v", d.Mean) }
 
 // Sample implements Dist.
 func (d ExpDist) Sample(rng *xrand.Stream) time.Duration {
-	return time.Duration(-float64(d.Mean) * math.Log(1-rng.Float64()))
+	return nanos(-float64(d.Mean) * math.Log(1-rng.Float64()))
 }
 
 // ParseDist parses a distribution spec of the forms

@@ -11,38 +11,24 @@ import (
 
 // Run executes the simulated federated training in virtual time: fl's
 // synchronous loop under sim's schedule. Availability decides who trains,
-// each reply's virtual delay is drawn as soon as it is packed, and the event
-// heap drained through the quorum decides whose reply the round accepts.
+// each reply's virtual delay is drawn as soon as it is packed, and one pass
+// over the trained clients closes the round.
 //
 //cmfl:deterministic
 func Run(cfg Config) (*Result, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	n := len(cfg.ClientData)
-	s := &schedule{
-		cfg:      &cfg,
-		timing:   make([]*xrand.Stream, n),
-		expected: make([]bool, n),
-		delays:   make([]time.Duration, n),
-		q:        fl.NewQuorum(n),
-		res:      &Result{StragglerCounts: make([]int, n)},
-	}
-	if cfg.Registry != nil {
-		s.met = MetricFamilies(cfg.Registry)
-	}
-
+	s := newSchedule(&cfg, len(cfg.ClientData))
 	// Training shuffles come from fl.ClientStream in compat mode (bit parity
-	// with fl.Run), from the compact splitmix64 derivation otherwise; timing
-	// draws always use a compact stream of their own.
-	train := make([]*xrand.Stream, n)
-	for c := 0; c < n; c++ {
+	// with fl.Run), from the compact splitmix64 derivation otherwise.
+	train := make([]*xrand.Stream, len(cfg.ClientData))
+	for c := range train {
 		if cfg.CompatStreams {
 			train[c] = fl.ClientStream(cfg.Seed, c)
 		} else {
 			train[c] = xrand.DeriveCompact(cfg.Seed, "sim-train", c)
 		}
-		s.timing[c] = xrand.DeriveCompact(cfg.Seed, "sim-timing", c)
 	}
 
 	out, err := fl.RunSchedule(fl.Config{
@@ -74,12 +60,39 @@ type schedule struct {
 	timing   []*xrand.Stream // client c's availability, arrival and latency draws, in that order each round
 	expected []bool          // the broadcast reached client c this round
 	trained  []int
-	delays   []time.Duration // client c's reply delay this round
+	delays   []time.Duration // client c's reply delay this round, in [0, never]
 	accepted []int
+	late     []straggler // replies cut off by their round's deadline and not yet drained
 
 	q     *fl.Quorum
-	heap  eventHeap
-	clock time.Duration // virtual now; rounds advance it monotonically
+	clock time.Duration // virtual now; rounds advance it monotonically, saturating at never
+}
+
+// newSchedule builds the schedule of a validated cfg over n clients. Timing
+// draws use a compact stream per client of their own.
+func newSchedule(cfg *Config, n int) *schedule {
+	s := &schedule{
+		cfg:      cfg,
+		timing:   make([]*xrand.Stream, n),
+		expected: make([]bool, n),
+		delays:   make([]time.Duration, n),
+		q:        fl.NewQuorum(n),
+		res:      &Result{History: make([]RoundStats, 0, cfg.Rounds), StragglerCounts: make([]int, n)},
+	}
+	for c := range s.timing {
+		s.timing[c] = xrand.DeriveCompact(cfg.Seed, "sim-timing", c)
+	}
+	if cfg.Registry != nil {
+		s.met = MetricFamilies(cfg.Registry)
+	}
+	return s
+}
+
+// straggler is a reply its round's deadline cut off: it reaches the server
+// at virtual instant at, where a later round drains it as a late frame.
+type straggler struct {
+	at            time.Duration
+	client, round int
 }
 
 // Participants draws availability in ascending client order, before any
@@ -96,88 +109,85 @@ func (s *schedule) Participants(int) []int {
 }
 
 // Packed draws client c's reply delay: local arrival, network latency and
-// the payload's time on the uplink. The delay alone decides the verdict: a
-// current-round reply is accepted unless it lands after the deadline, and
-// one landing exactly on it is accepted (Accept's drain holds it to this).
+// the payload's time on the uplink, saturated at never. The delay alone
+// decides the verdict (onTime), and Accept reads it back from the same slot.
 func (s *schedule) Packed(_, c int, r *fl.Reply) bool {
-	delay := s.cfg.Arrival.Sample(s.timing[c]) + s.cfg.Latency.Sample(s.timing[c])
+	delay := saturate(s.cfg.Arrival.Sample(s.timing[c])) + saturate(s.cfg.Latency.Sample(s.timing[c]))
 	if s.cfg.BandwidthBytesPerSec > 0 {
-		delay += time.Duration(float64(r.Bytes) / s.cfg.BandwidthBytesPerSec * float64(time.Second))
+		delay += nanos(float64(r.Bytes) / s.cfg.BandwidthBytesPerSec * float64(time.Second))
 	}
-	s.delays[c] = max(delay, 0)
-	return s.cfg.RoundDeadline == 0 || s.delays[c] <= s.cfg.RoundDeadline
+	s.delays[c] = min(max(delay, 0), never)
+	return s.onTime(s.delays[c])
 }
 
-// Accept runs round t in virtual time and returns the replies that beat the
-// deadline, in ascending client id.
+// onTime reports whether a reply delayed by d beats the deadline: a reply
+// landing exactly on it does.
+func (s *schedule) onTime(d time.Duration) bool {
+	return s.cfg.RoundDeadline == 0 || d <= s.cfg.RoundDeadline
+}
+
+// at is the virtual instant d after start, saturating at never.
+func at(start, d time.Duration) time.Duration { return min(start+d, never) }
+
+// Accept closes round t in virtual time and returns the replies that beat
+// the deadline, in ascending client id. One pass over the trained clients
+// classifies each on-time reply through the quorum and carries each
+// straggler. The round ends at the deadline if a reply missed it, otherwise
+// at the last arrival. The carried stragglers of earlier rounds that land
+// by then drain as late frames: they are exactly the replies a virtual clock
+// draining every event in (time, schedule order) would deliver before the
+// round closes, since an earlier round's reply was always scheduled first.
 func (s *schedule) Accept(t int, trained []int, replies []fl.Reply) ([]int, error) {
 	roundStart := s.clock
-
-	// Schedule the round: every expected reply in ascending client order,
-	// then the deadline. The push order is the (time, seq) tie-break, so
-	// zero-latency replies drain in client order and a reply landing exactly
-	// on the deadline beats the deadline event.
+	roundEnd, deadlineFired := roundStart, false
 	s.q.BeginRound(t, s.expected)
-	for _, c := range trained {
-		s.heap.push(Event{At: roundStart + s.delays[c], Kind: EventArrive, Client: c, Round: t})
-	}
-	if s.cfg.RoundDeadline > 0 {
-		s.heap.push(Event{At: roundStart + s.cfg.RoundDeadline, Kind: EventDeadline, Round: t})
-	}
-
-	// Drain events in virtual-time order until the round closes: all
-	// expected replies in, or the deadline fires. Events tagged with earlier
-	// rounds are the straggler tail — replies drain as late frames; outrun
-	// deadlines are inert.
-	deadlineFired := false
-	roundEnd := roundStart
-	for !deadlineFired && !s.q.Complete() {
-		ev, ok := s.heap.pop()
-		if !ok {
-			return nil, fmt.Errorf("sim: round %d: event heap drained with %d of %d replies outstanding", t, s.q.Accepted(), s.q.Expected())
-		}
-		if ev.Round != t {
-			if ev.Kind == EventArrive {
-				if v := s.q.Classify(ev.Client, ev.Round); v != fl.VerdictLate {
-					return nil, fmt.Errorf("sim: round %d: stale reply from client %d classified %v, want late", t, ev.Client, v)
-				}
-				s.res.LateReplies++
-				if s.met != nil {
-					s.met.LateReplies.Inc()
-				}
-			}
-			continue
-		}
-		switch ev.Kind {
-		case EventDeadline:
-			deadlineFired = true
-			roundEnd = ev.At
-		case EventArrive:
-			if v := s.q.Classify(ev.Client, ev.Round); v != fl.VerdictAccept {
-				return nil, fmt.Errorf("sim: round %d: current-round reply from client %d classified %v", t, ev.Client, v)
-			}
-			roundEnd = ev.At
-			if s.met != nil {
-				s.met.ReplyLatency.Observe((ev.At - roundStart).Seconds())
-				s.met.ReplyBytes.Observe(float64(replies[ev.Client].Bytes))
-			}
-		}
-	}
-	if got := s.q.Accepted(); got < s.cfg.MinQuorum {
-		if deadlineFired {
-			return nil, fmt.Errorf("sim: round %d: quorum not met at deadline %v: %d of %d replies (minimum %d)",
-				t, s.cfg.RoundDeadline, got, s.q.Expected(), s.cfg.MinQuorum)
-		}
-		return nil, fmt.Errorf("sim: round %d: only %d replies possible (minimum %d)", t, got, s.cfg.MinQuorum)
-	}
-
 	s.accepted = s.accepted[:0]
 	for _, c := range trained {
-		if s.q.Replied(c) {
-			s.accepted = append(s.accepted, c)
-		} else {
+		d := s.delays[c]
+		if !s.onTime(d) {
+			deadlineFired = true
 			s.res.StragglerCounts[c]++
+			s.late = append(s.late, straggler{at: at(roundStart, d), client: c, round: t})
+			continue
 		}
+		if v := s.q.Classify(c, t); v != fl.VerdictAccept {
+			return nil, fmt.Errorf("sim: round %d: current-round reply from client %d classified %v", t, c, v)
+		}
+		s.accepted = append(s.accepted, c)
+		roundEnd = max(roundEnd, at(roundStart, d))
+		if s.met != nil {
+			s.met.ReplyLatency.Observe(d.Seconds())
+			s.met.ReplyBytes.Observe(float64(replies[c].Bytes))
+		}
+	}
+	if deadlineFired {
+		roundEnd = at(roundStart, s.cfg.RoundDeadline)
+	}
+
+	// This round's stragglers land after its close, or with it once the
+	// clock has saturated; either way they wait for a later round.
+	kept := s.late[:0]
+	for _, e := range s.late {
+		if e.round == t || e.at > roundEnd {
+			kept = append(kept, e)
+			continue
+		}
+		if v := s.q.Classify(e.client, e.round); v != fl.VerdictLate {
+			return nil, fmt.Errorf("sim: round %d: stale reply from client %d classified %v, want late", t, e.client, v)
+		}
+		s.res.LateReplies++
+		if s.met != nil {
+			s.met.LateReplies.Inc()
+		}
+	}
+	s.late = kept
+
+	if got := len(s.accepted); got < s.cfg.MinQuorum {
+		if deadlineFired {
+			return nil, fmt.Errorf("sim: round %d: quorum not met at deadline %v: %d of %d replies (minimum %d)",
+				t, s.cfg.RoundDeadline, got, len(trained), s.cfg.MinQuorum)
+		}
+		return nil, fmt.Errorf("sim: round %d: only %d replies possible (minimum %d)", t, got, s.cfg.MinQuorum)
 	}
 	s.clock = roundEnd
 	s.res.History = append(s.res.History, RoundStats{VirtualStart: roundStart, VirtualEnd: roundEnd, DeadlineFired: deadlineFired})

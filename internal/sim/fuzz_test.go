@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// FuzzSimSchedule drives the event heap with arbitrary batches of events —
-// timestamps drawn from a tiny set so equal-time collisions are the common
-// case, not the corner case — and asserts the scheduler's determinism
-// contract: the drain is monotone in (time, seq), equal timestamps drain in
-// exactly push order, nothing is lost or invented, and replaying the same
-// batch into a fresh heap reproduces the identical sequence.
+// FuzzSimSchedule drives the reference drain's event heap (drain_test.go)
+// with arbitrary batches of events — timestamps drawn from a tiny set so
+// equal-time collisions are the common case, not the corner case — and
+// asserts the heap's determinism contract: the drain is monotone in (time,
+// seq), equal timestamps drain in exactly push order, nothing is lost or
+// invented, and replaying the same batch into a fresh heap reproduces the
+// identical sequence.
 func FuzzSimSchedule(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 2})
 	f.Add([]byte{7, 3, 3, 3, 9, 0, 3})

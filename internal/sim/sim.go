@@ -1,25 +1,28 @@
-// Package sim is a deterministic discrete-event simulation of CMFL training
-// at population scales the TCP emulation cannot reach. Where internal/emu
-// gives every client a real socket and a goroutine, sim multiplexes many
-// simulated clients onto a few workers and replaces wall-clock time with a
-// virtual clock: client replies and round deadlines are events in a
-// monotonically drained heap, ordered by (virtual time, schedule sequence).
+// Package sim is a deterministic simulation of CMFL training at population
+// scales the TCP emulation cannot reach. Where internal/emu gives every
+// client a real socket and a goroutine, sim multiplexes many simulated
+// clients onto a few workers and replaces wall-clock time with a virtual
+// clock: each reply lands at the round's start plus a delay drawn from the
+// client's own stream, and a round ends at its deadline if a reply missed it,
+// otherwise at its last arrival.
 //
 // Run is internal/fl's synchronous loop — the one behind fl.Run, with both
 // halves of Algorithm 1 — under sim's fl.Schedule: availability decides who
 // trains, each packed reply draws a virtual delay that decides against the
-// deadline whether the round folds it, and the heap drained through
-// fl.Quorum (the machine emu's shards drive with real frames) confirms those
-// verdicts and times the round. With zero latency, full availability and no
-// deadline, Run is bit-identical to fl.Run (TestFLParity) and to
-// emu.RunCluster at any shard count (TestTierParity).
+// deadline whether the round folds it, and one pass over the trained clients
+// closes the round, classifying the on-time replies through fl.Quorum (the
+// machine emu's shards drive with real frames), carrying the stragglers and
+// draining earlier rounds' stragglers that land by the close as late frames.
+// With zero latency, full availability and no deadline, Run is bit-identical
+// to fl.Run (TestFLParity) and to emu.RunCluster at any shard count
+// (TestTierParity).
 //
 // Everything is a pure function of Config (including the seed): reruns and
 // different shard counts produce bit-identical final parameters, round
 // histories and registry histograms. Workers touch only per-client state
-// and their own exact partial sums, events are scheduled on the loop's
-// goroutine in ascending client order, and all float aggregation is exact,
-// so no order is left to observe.
+// and their own exact partial sums, the loop's goroutine draws availability
+// and closes rounds in ascending client order, and all float aggregation is
+// exact, so no order is left to observe.
 package sim
 
 import (
@@ -85,11 +88,9 @@ type Config struct {
 	Availability float64
 
 	// RoundDeadline bounds a round in virtual time: replies arriving later
-	// are excluded (stragglers) and drain as late frames in subsequent
-	// rounds. Zero waits for every expected reply. A reply landing exactly
-	// at the deadline instant is accepted: arrivals are scheduled before
-	// the deadline event, so the (time, seq) order resolves the tie in the
-	// reply's favour.
+	// are excluded (stragglers) and drain as late frames in the first round
+	// that closes at or after their arrival. Zero waits for every expected
+	// reply. A reply landing exactly at the deadline instant is accepted.
 	RoundDeadline time.Duration
 	// MinQuorum is the minimum number of replies a round must aggregate;
 	// fewer at the deadline aborts the run (default 1).

@@ -321,9 +321,9 @@ func (r *tierRun) assertEqual(t *testing.T, got *tierRun) {
 }
 
 // TestDeadlineSemantics pins the virtual-time deadline contract:
-// deadline-closed rounds end exactly RoundDeadline after they start, and a
-// reply landing exactly at the deadline instant is accepted (arrivals are
-// scheduled before the deadline event, so the seq tie-break favours them).
+// deadline-closed rounds end exactly RoundDeadline after they start, a reply
+// landing exactly at the deadline instant is accepted, and a reply whose
+// delay draw overflows a Duration misses every deadline.
 func TestDeadlineSemantics(t *testing.T) {
 	t.Run("fires exactly at RoundDeadline", func(t *testing.T) {
 		cfg := simConfig(t, 64, 4)
@@ -381,6 +381,42 @@ func TestDeadlineSemantics(t *testing.T) {
 			if got := rs.VirtualEnd - rs.VirtualStart; got != cfg.RoundDeadline {
 				t.Fatalf("round %d duration %v, want %v (last reply at the deadline instant)", rs.Round, got, cfg.RoundDeadline)
 			}
+		}
+	})
+
+	t.Run("a delay draw past the int64 range never arrives", func(t *testing.T) {
+		cfg := simConfig(t, 200, 2)
+		cfg.Arrival = FixedDist{}
+		lat := LogNormalDist{Median: time.Second, Sigma: 40}
+		cfg.Latency = lat
+		cfg.Availability = 1
+		cfg.RoundDeadline = 2 * time.Second
+		cfg.Rounds = 2
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With full availability and a fixed arrival, a client's timing
+		// stream holds only its latency draws, one a round: replay them.
+		overflowed := 0
+		for c, got := range res.StragglerCounts {
+			rng := xrand.DeriveCompact(cfg.Seed, "sim-timing", c)
+			want := 0
+			for range cfg.Rounds {
+				ns := float64(lat.Median) * math.Exp(lat.Sigma*rng.Norm())
+				if ns > float64(cfg.RoundDeadline) {
+					want++
+				}
+				if ns >= math.MaxInt64 {
+					overflowed++
+				}
+			}
+			if got != want {
+				t.Fatalf("client %d missed the deadline in %d rounds, want %d", c, got, want)
+			}
+		}
+		if overflowed == 0 {
+			t.Fatal("no delay draw left the int64 range; the scenario no longer exercises saturation")
 		}
 	})
 }
@@ -480,8 +516,8 @@ func TestAvailabilityConvergenceBand(t *testing.T) {
 	}
 }
 
-// TestVirtualClockHeap unit-tests the scheduler core: min ordering, FIFO
-// tie-breaking on equal timestamps, and monotone drain.
+// TestVirtualClockHeap unit-tests the reference drain's heap (drain_test.go):
+// min ordering, FIFO tie-breaking on equal timestamps, and monotone drain.
 func TestVirtualClockHeap(t *testing.T) {
 	var h eventHeap
 	times := []time.Duration{30, 10, 20, 10, 30, 10, 0}

@@ -43,9 +43,10 @@ var (
 // and a wait to gain nothing. The signal is rounds, not
 // products, in flight, because a concurrent round spends most of its time
 // outside GEMM (im2col, pooling, activations) and is just as much in the way
-// there. A round spans the client's whole turn on its goroutine: the
-// synchronous engine's worker holds one mark from the solve through the gate,
-// the codec and the fold of the upload, so it never looks idle between them.
+// there. A worker holds one mark for its share of the round: the synchronous
+// engine's worker takes it before its first client's solve and drops it after
+// its last client's fold, so it never looks idle between clients or between
+// the solve, the gate, the codec and the fold.
 // A lone caller — the server's evaluation, a one-client process, the last
 // straggler of a round — still splits across every core.
 func EnterLocalRound() { localRounds.Add(1) }

@@ -47,7 +47,8 @@ func Derive(seed int64, purpose string, id int) *Stream {
 // a population holds one stream per client — a million-client simulation
 // pays 8 bytes per client instead of 5 GB — and Derive when bit-compat
 // with existing Derive-seeded experiments matters. The two constructors
-// yield different sequences for equal arguments by design.
+// yield different sequences for equal arguments by design. The Stream,
+// its rand.Rand and the generator are one allocation.
 func DeriveCompact(seed int64, purpose string, id int) *Stream {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -56,7 +57,18 @@ func DeriveCompact(seed int64, purpose string, id int) *Stream {
 	h.Write([]byte(purpose))
 	putUint64(buf[:], uint64(id))
 	h.Write(buf[:])
-	return &Stream{rng: rand.New(&splitmix64{state: h.Sum64()})}
+	c := &compactStream{src: splitmix64{state: h.Sum64()}}
+	c.rng = *rand.New(&c.src)
+	c.Stream.rng = &c.rng
+	return &c.Stream
+}
+
+// compactStream is what DeriveCompact allocates: the Stream it returns and
+// everything that Stream points to, side by side.
+type compactStream struct {
+	Stream
+	rng rand.Rand
+	src splitmix64
 }
 
 // splitmix64 is Steele et al.'s SplitMix generator: 8 bytes of state, full

@@ -55,6 +55,14 @@ func TestDeriveCompactDeterministic(t *testing.T) {
 	}
 }
 
+// TestDeriveCompactOneAllocation holds a compact stream to one object: a
+// simulated population derives two per client.
+func TestDeriveCompactOneAllocation(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { DeriveCompact(42, "client", 7) }); n != 1 {
+		t.Fatalf("DeriveCompact allocates %v times, want 1", n)
+	}
+}
+
 func TestDeriveCompactIndependence(t *testing.T) {
 	pairs := []struct {
 		name string
