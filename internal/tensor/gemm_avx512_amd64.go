@@ -3,8 +3,8 @@ package tensor
 import "os"
 
 // AVX-512 dispatch for the GEMM kernels (see gemm_avx512_amd64.s). The
-// assembly path is used when the CPU and OS support AVX-512F/DQ/BW; the pure-Go
-// kernels in gemm.go remain the reference and the fallback. Set CMFL_NOSIMD=1
+// assembly path is used when the CPU and OS support AVX-512F/DQ/BW and FMA;
+// the pure-Go kernels in gemm.go remain the reference and the fallback. Set CMFL_NOSIMD=1
 // to force the Go path (debugging, cross-checking).
 
 func init() {
@@ -35,9 +35,10 @@ func detectAVX512() bool {
 		return false
 	}
 	_, _, ecx1, _ := cpuidAsm(1, 0)
+	const fma = 1 << 12 // math.archExp's FMA branch, which expAVX copies
 	const osxsave = 1 << 27
 	const avx = 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+	if ecx1&fma == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
 		return false
 	}
 	// XCR0 must enable XMM, YMM, opmask and both ZMM state components.
@@ -178,3 +179,12 @@ func decodeBEAVX(dst *float64, src *byte, blocks uintptr) uintptr
 
 //go:noescape
 func encodeBEAVX(dst *byte, src *float64, blocks uintptr)
+
+//go:noescape
+func expAVX(dst, x *float64, n uintptr) uintptr
+
+//go:noescape
+func logAVX(dst, x *float64, n uintptr) uintptr
+
+//go:noescape
+func maxShiftAVX(dst, x *float64, rows, cols uintptr)

@@ -76,3 +76,15 @@ func decodeBEAVX(dst *float64, src *byte, blocks uintptr) uintptr {
 func encodeBEAVX(dst *byte, src *float64, blocks uintptr) {
 	panic("tensor: SIMD wire codec unavailable on this platform")
 }
+
+func expAVX(dst, x *float64, n uintptr) uintptr {
+	panic("tensor: SIMD exp unavailable on this platform")
+}
+
+func logAVX(dst, x *float64, n uintptr) uintptr {
+	panic("tensor: SIMD log unavailable on this platform")
+}
+
+func maxShiftAVX(dst, x *float64, rows, cols uintptr) {
+	panic("tensor: SIMD softmax shift unavailable on this platform")
+}
