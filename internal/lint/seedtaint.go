@@ -166,10 +166,11 @@ func isGlobalRand(fn *types.Func) bool {
 	return true
 }
 
-// isXrandDerive matches the purpose-keyed derivers: Derive and its
-// compact-state sibling DeriveCompact share R2/R3/R4 and one purpose pool.
+// isXrandDerive matches the purpose-keyed derivers: Derive, its
+// compact-state sibling DeriveCompact and the Compact.Rederive method that
+// re-points one at a new key share R2/R3/R4 and one purpose pool.
 func isXrandDerive(fn *types.Func) bool {
-	return isXrandFunc(fn, "Derive") || isXrandFunc(fn, "DeriveCompact")
+	return isXrandFunc(fn, "Derive") || isXrandFunc(fn, "DeriveCompact") || isXrandFunc(fn, "Rederive")
 }
 
 // isXrandFunc matches the module's xrand package by path suffix so fixture

@@ -36,6 +36,10 @@ func dynamic(seed int64, purpose string) *xrand.Stream {
 	return xrand.Derive(seed, purpose, 1) // want "purpose must be a compile-time constant"
 }
 
+func redynamic(c *xrand.Compact, seed int64, purpose string) {
+	c.Rederive(seed, purpose, 1) // want "purpose must be a compile-time constant"
+}
+
 func arith(seed int64, id int) *xrand.Stream {
 	return xrand.Derive(seed+int64(id), "arith-stream", 0) // want "seed arithmetic feeding xrand.Derive"
 }
@@ -44,6 +48,10 @@ func collide(seed int64) (*xrand.Stream, *xrand.Stream) {
 	a := xrand.Derive(seed, "dup-purpose", 0)
 	b := xrand.Derive(seed, "dup-purpose", 1) // want "stream purpose .dup-purpose. already used"
 	return a, b
+}
+
+func recollide(c *xrand.Compact, seed int64) {
+	c.Rederive(seed, "dup-purpose", 2) // want "stream purpose .dup-purpose. already used"
 }
 
 func blessedHop(seed int64) *xrand.Stream {

@@ -22,3 +22,9 @@ func Derive(seed int64, purpose string, id int) *Stream {
 }
 
 func (s *Stream) Float64() float64 { return s.r.Float64() }
+
+// Compact is a stream that Rederive re-points at a new key.
+type Compact struct{ Stream }
+
+// Rederive keys c on (seed, purpose, id), as Derive keys a new stream.
+func (c *Compact) Rederive(seed int64, purpose string, id int) { c.Stream = *Derive(seed, purpose, id) }

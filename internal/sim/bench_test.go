@@ -114,3 +114,45 @@ func TestRunAllocsPerClient(t *testing.T) {
 		t.Fatalf("Run makes %.2f allocations per client, want at most 2.05", per)
 	}
 }
+
+// TestSyntheticWorkloadAllocsPerClient bounds what building a client costs
+// the allocator: its Set, X (header, shape and data) and Y, and nothing
+// else — the build workers re-point one stream and reuse one offset buffer.
+func TestSyntheticWorkloadAllocsPerClient(t *testing.T) {
+	const clients = 20_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wl, err := SyntheticWorkload(clients, 16, 4, 8, 5)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wl.Shards) != clients {
+		t.Fatalf("built %d shards, want %d", len(wl.Shards), clients)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / clients; per > 5.05 {
+		t.Fatalf("SyntheticWorkload makes %.2f allocations per client, want at most 5.05", per)
+	}
+}
+
+// BenchmarkSyntheticWorkload builds sim_100k_narrow's population (100k
+// training and 1k test clients, 8 samples of 16 features, 4 classes) and
+// sim_wide_q8's (256 clients, 32 samples of 1000 features, 100 classes).
+func BenchmarkSyntheticWorkload(b *testing.B) {
+	for _, c := range []struct {
+		name                                string
+		clients, features, classes, samples int
+	}{
+		{"narrow-101k", 101_000, 16, 4, 8},
+		{"wide-256", 256, 1000, 100, 32},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SyntheticWorkload(c.clients, c.features, c.classes, c.samples, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -98,8 +98,9 @@ func (d ExpDist) Sample(rng *xrand.Stream) time.Duration {
 //	lognormal:<med>,<sig>  e.g. lognormal:20ms,0.5
 //	exp:<mean>             e.g. exp:30ms
 //
-// Durations use Go syntax (time.ParseDuration). An empty spec or "none"
-// yields fixed:0.
+// Durations use Go syntax (time.ParseDuration) and must not be negative;
+// sigma must be finite and non-negative. An empty spec or "none" yields
+// fixed:0.
 func ParseDist(spec string) (Dist, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "none" {
@@ -108,7 +109,7 @@ func ParseDist(spec string) (Dist, error) {
 	kind, args, _ := strings.Cut(spec, ":")
 	switch kind {
 	case "fixed":
-		d, err := time.ParseDuration(args)
+		d, err := duration(args)
 		if err != nil {
 			return nil, fmt.Errorf("sim: dist %q: %v", spec, err)
 		}
@@ -118,10 +119,10 @@ func ParseDist(spec string) (Dist, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: dist %q: want uniform:<lo>,<hi>", spec)
 		}
-		loD, err1 := time.ParseDuration(strings.TrimSpace(lo))
-		hiD, err2 := time.ParseDuration(strings.TrimSpace(hi))
+		loD, err1 := duration(strings.TrimSpace(lo))
+		hiD, err2 := duration(strings.TrimSpace(hi))
 		if err1 != nil || err2 != nil || hiD < loD {
-			return nil, fmt.Errorf("sim: dist %q: want two durations with hi >= lo", spec)
+			return nil, fmt.Errorf("sim: dist %q: want two non-negative durations with hi >= lo", spec)
 		}
 		return UniformDist{Lo: loD, Hi: hiD}, nil
 	case "lognormal":
@@ -129,18 +130,27 @@ func ParseDist(spec string) (Dist, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: dist %q: want lognormal:<median>,<sigma>", spec)
 		}
-		medD, err1 := time.ParseDuration(strings.TrimSpace(med))
+		medD, err1 := duration(strings.TrimSpace(med))
 		sigF, err2 := strconv.ParseFloat(strings.TrimSpace(sig), 64)
-		if err1 != nil || err2 != nil || sigF < 0 {
-			return nil, fmt.Errorf("sim: dist %q: want a duration median and sigma >= 0", spec)
+		if err1 != nil || err2 != nil || !(sigF >= 0) || math.IsInf(sigF, 1) {
+			return nil, fmt.Errorf("sim: dist %q: want a non-negative duration median and a finite sigma >= 0", spec)
 		}
 		return LogNormalDist{Median: medD, Sigma: sigF}, nil
 	case "exp":
-		mean, err := time.ParseDuration(args)
+		mean, err := duration(args)
 		if err != nil {
 			return nil, fmt.Errorf("sim: dist %q: %v", spec, err)
 		}
 		return ExpDist{Mean: mean}, nil
 	}
 	return nil, fmt.Errorf("sim: unknown dist kind %q (want fixed, uniform, lognormal or exp)", kind)
+}
+
+// duration parses a Go duration that a delay model can mean: not negative.
+func duration(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %v", d)
+	}
+	return d, err
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -555,6 +556,45 @@ func TestVirtualClockHeap(t *testing.T) {
 	}
 }
 
+// TestSyntheticWorkloadBits pins the population's bits — every shard's X
+// and Y, hashed in client order — to what the serial builder produced, at
+// every worker count: 1 client, 13 (no multiple of any chunk), a narrow
+// population of many chunks, and a wide one of one client a chunk.
+func TestSyntheticWorkloadBits(t *testing.T) {
+	for _, c := range []struct {
+		clients, features, classes, samples int
+		seed                                int64
+		want                                string
+	}{
+		{1, 8, 3, 5, 11, "cbabab37a3f4a97108228138d7a372533b03d585e65b13dca3d6121c946cab9e"},
+		{13, 8, 3, 5, 12, "a4907294cb66419c76171b1f60db8b15c884fba28738d942dfa33895590401e6"},
+		{10_000, 16, 4, 8, 13, "271ccc26863ac4f5633b3cd854ad00f390567ee734ca53ede5362a4de1687c3d"},
+		{256, 1000, 100, 32, 14, "d5b01e293b5d7652592dc36b7888b609dcaacc6bbfa11ec7311ed880caceefd0"},
+	} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			wl, err := syntheticWorkload(c.clients, c.features, c.classes, c.samples, c.seed, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var b [8]byte
+			for _, set := range wl.Shards {
+				for _, x := range set.X.Data {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+					h.Write(b[:])
+				}
+				for _, y := range set.Y {
+					binary.LittleEndian.PutUint64(b[:], uint64(y))
+					h.Write(b[:])
+				}
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+				t.Fatalf("%d×%d×%d at %d workers: SHA-256 %s, want %s", c.clients, c.samples, c.features, workers, got, c.want)
+			}
+		}
+	}
+}
+
 // TestParseDist covers the CLI distribution grammar.
 func TestParseDist(t *testing.T) {
 	good := map[string]string{
@@ -574,7 +614,8 @@ func TestParseDist(t *testing.T) {
 			t.Fatalf("ParseDist(%q).Name() = %q, want %q", spec, d.Name(), name)
 		}
 	}
-	for _, spec := range []string{"bogus:1ms", "uniform:5ms", "uniform:50ms,5ms", "lognormal:10ms", "fixed:zzz", "lognormal:10ms,-1"} {
+	for _, spec := range []string{"bogus:1ms", "uniform:5ms", "uniform:50ms,5ms", "lognormal:10ms", "fixed:zzz", "lognormal:10ms,-1",
+		"lognormal:20ms,NaN", "lognormal:20ms,inf", "lognormal:20ms,+Inf", "fixed:-1s", "uniform:-5ms,1ms", "lognormal:-20ms,0.5", "exp:-5ms"} {
 		if _, err := ParseDist(spec); err == nil {
 			t.Fatalf("ParseDist(%q) accepted a malformed spec", spec)
 		}

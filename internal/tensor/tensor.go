@@ -21,29 +21,32 @@ type Tensor struct {
 	Data  []float64
 }
 
-// New allocates a zeroed tensor with the given shape.
+// New allocates a zeroed tensor with the given shape. It keeps a copy of
+// shape, so a caller's variadic shape stays on the caller's stack.
 func New(shape ...int) *Tensor {
+	own := append([]int(nil), shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range own {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, own))
 		}
 		n *= d
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	return &Tensor{Shape: own, Data: make([]float64, n)}
 }
 
 // FromSlice wraps data (not copied) in a tensor of the given shape.
 // It panics if the element count does not match the shape.
 func FromSlice(data []float64, shape ...int) *Tensor {
+	own := append([]int(nil), shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range own {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: %d elements cannot fill shape %v", len(data), shape))
+		panic(fmt.Sprintf("tensor: %d elements cannot fill shape %v", len(data), own))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	return &Tensor{Shape: own, Data: data}
 }
 
 // Len returns the total number of elements.

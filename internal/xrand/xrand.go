@@ -31,14 +31,7 @@ func New(seed int64) *Stream {
 // Two Derive calls with equal arguments yield identical streams; changing
 // any argument yields a statistically independent stream.
 func Derive(seed int64, purpose string, id int) *Stream {
-	h := fnv.New64a()
-	var buf [8]byte
-	putUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(purpose))
-	putUint64(buf[:], uint64(id))
-	h.Write(buf[:])
-	return New(int64(h.Sum64()))
+	return New(int64(key(seed, purpose, id)))
 }
 
 // DeriveCompact returns a child Stream keyed by (seed, purpose, id) like
@@ -50,6 +43,38 @@ func Derive(seed int64, purpose string, id int) *Stream {
 // yield different sequences for equal arguments by design. The Stream,
 // its rand.Rand and the generator are one allocation.
 func DeriveCompact(seed int64, purpose string, id int) *Stream {
+	c := new(Compact)
+	c.seed(key(seed, purpose, id))
+	return &c.Stream
+}
+
+// Compact is what DeriveCompact allocates: the Stream it returns and
+// everything that Stream points to, side by side. A caller that walks many
+// (seed, purpose, id) keys one after another holds one Compact and
+// re-points it at each key with Rederive instead of allocating a stream per
+// key. The zero value is ready for Rederive; a Compact must not be copied
+// once in use.
+type Compact struct {
+	Stream
+	rng rand.Rand
+	src splitmix64
+}
+
+// Rederive re-points c at key (seed, purpose, id): whatever c drew before,
+// it then draws exactly what DeriveCompact(seed, purpose, id) would. It
+// allocates nothing.
+func (c *Compact) Rederive(seed int64, purpose string, id int) { c.seed(key(seed, purpose, id)) }
+
+// seed points c at generator state state, with a fresh rand.Rand over it.
+func (c *Compact) seed(state uint64) {
+	c.src.state = state
+	c.rng = *rand.New(&c.src)
+	c.Stream.rng = &c.rng
+}
+
+// key hashes (seed, purpose, id) with 64-bit FNV-1a: the seed's eight
+// little-endian bytes, the purpose's bytes, then the id's.
+func key(seed int64, purpose string, id int) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	putUint64(buf[:], uint64(seed))
@@ -57,18 +82,7 @@ func DeriveCompact(seed int64, purpose string, id int) *Stream {
 	h.Write([]byte(purpose))
 	putUint64(buf[:], uint64(id))
 	h.Write(buf[:])
-	c := &compactStream{src: splitmix64{state: h.Sum64()}}
-	c.rng = *rand.New(&c.src)
-	c.Stream.rng = &c.rng
-	return &c.Stream
-}
-
-// compactStream is what DeriveCompact allocates: the Stream it returns and
-// everything that Stream points to, side by side.
-type compactStream struct {
-	Stream
-	rng rand.Rand
-	src splitmix64
+	return h.Sum64()
 }
 
 // splitmix64 is Steele et al.'s SplitMix generator: 8 bytes of state, full
@@ -109,11 +123,16 @@ func (s *Stream) Norm() float64 { return s.rng.NormFloat64() }
 
 // NormVec fills a fresh slice of length n with N(mu, sigma^2) draws.
 func (s *Stream) NormVec(n int, mu, sigma float64) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = mu + sigma*s.rng.NormFloat64()
+	return s.NormVecInto(make([]float64, n), mu, sigma)
+}
+
+// NormVecInto fills dst with N(mu, sigma^2) draws, the ones NormVec(len(dst),
+// mu, sigma) would return, and returns it.
+func (s *Stream) NormVecInto(dst []float64, mu, sigma float64) []float64 {
+	for i := range dst {
+		dst[i] = mu + sigma*s.rng.NormFloat64()
 	}
-	return v
+	return dst
 }
 
 // UniformVec fills a fresh slice of length n with U[lo, hi) draws.

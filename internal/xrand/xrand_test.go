@@ -63,6 +63,61 @@ func TestDeriveCompactOneAllocation(t *testing.T) {
 	}
 }
 
+// TestRederiveMatchesDeriveCompact re-points a stream in mid-sequence, and
+// a zero Compact, at a key and requires every kind of draw to match a fresh
+// DeriveCompact of that key. Only a *Compact has Rederive: a stream from New
+// or Derive cannot be re-pointed, and the types make the call impossible.
+func TestRederiveMatchesDeriveCompact(t *testing.T) {
+	used := new(Compact)
+	used.Rederive(1, "other", 2)
+	for i := 0; i < 13; i++ {
+		used.Norm()
+		used.Intn(7)
+	}
+	for name, c := range map[string]*Compact{"mid-sequence": used, "zero": new(Compact)} {
+		for _, id := range []int{0, 5, 1 << 33} {
+			c.Rederive(42, "sim-data", id)
+			fresh := DeriveCompact(42, "sim-data", id)
+			for i := 0; i < 50; i++ {
+				if a, b := c.Float64(), fresh.Float64(); a != b {
+					t.Fatalf("%s, id %d, draw %d: Float64 %v, want %v", name, id, i, a, b)
+				}
+				if a, b := c.Int63(), fresh.Int63(); a != b {
+					t.Fatalf("%s, id %d, draw %d: Int63 %v, want %v", name, id, i, a, b)
+				}
+				if a, b := c.Intn(1000+i), fresh.Intn(1000+i); a != b {
+					t.Fatalf("%s, id %d, draw %d: Intn %v, want %v", name, id, i, a, b)
+				}
+				if a, b := c.Norm(), fresh.Norm(); a != b {
+					t.Fatalf("%s, id %d, draw %d: Norm %v, want %v", name, id, i, a, b)
+				}
+			}
+			a, b := c.PermInto(nil, 40), fresh.PermInto(nil, 40)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%s, id %d: PermInto %v, want %v", name, id, a, b)
+				}
+			}
+			u, v := c.NormVecInto(make([]float64, 9), 0, 0.5), fresh.NormVec(9, 0, 0.5)
+			for i := range u {
+				if math.Float64bits(u[i]) != math.Float64bits(v[i]) {
+					t.Fatalf("%s, id %d: NormVecInto %v, want NormVec's %v", name, id, u, v)
+				}
+			}
+		}
+	}
+}
+
+// TestRederiveAllocFree holds re-pointing a stream to no allocation: a
+// population builder re-derives once per client.
+func TestRederiveAllocFree(t *testing.T) {
+	c := new(Compact)
+	id := 0
+	if n := testing.AllocsPerRun(100, func() { id++; c.Rederive(42, "sim-data", id) }); n != 0 {
+		t.Fatalf("Rederive allocates %v times, want 0", n)
+	}
+}
+
 func TestDeriveCompactIndependence(t *testing.T) {
 	pairs := []struct {
 		name string
