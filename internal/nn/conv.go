@@ -109,7 +109,9 @@ func (c *Conv2D) im2col(x *tensor.Tensor, n, h, w, oh, ow int, cols *tensor.Tens
 }
 
 // col2im scatters dcols back into sample n of gin, accumulating where
-// windows overlap — the adjoint of im2col.
+// windows overlap — the adjoint of im2col. Column row (ic·K+ky)·K+kx holds
+// oh rows of ow, which land on input rows ky.. of channel ic from column
+// kx: one strided row add each.
 func (c *Conv2D) col2im(dcols *tensor.Tensor, n, h, w, oh, ow int, gin *tensor.Tensor) {
 	p := oh * ow
 	row := 0
@@ -117,14 +119,7 @@ func (c *Conv2D) col2im(dcols *tensor.Tensor, n, h, w, oh, ow int, gin *tensor.T
 		chanBase := (n*c.InC + ic) * h * w
 		for ky := 0; ky < c.K; ky++ {
 			for kx := 0; kx < c.K; kx++ {
-				src := dcols.Data[row*p : (row+1)*p]
-				for oy := 0; oy < oh; oy++ {
-					dst := gin.Data[chanBase+(oy+ky)*w+kx:]
-					srcRow := src[oy*ow : (oy+1)*ow]
-					for i, v := range srcRow {
-						dst[i] += v
-					}
-				}
+				tensor.AddRows(gin.Data[chanBase+ky*w+kx:], w, dcols.Data[row*p:(row+1)*p], oh, ow)
 				row++
 			}
 		}
@@ -147,13 +142,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		c.im2col(x, n, h, w, oh, ow, cols)
 		outN := viewAs(&c.outView, out.Data[n*c.OutC*p:(n+1)*c.OutC*p], c.OutC, p)
 		tensor.MatMulInto(outN, w2d, cols)
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.b.Data[oc]
-			row := outN.Data[oc*p : (oc+1)*p]
-			for i := range row {
-				row[i] += bias
-			}
-		}
+		tensor.AddBias(outN.Data, c.b.Data, p)
 	}
 	return out
 }

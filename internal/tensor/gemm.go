@@ -11,14 +11,17 @@ import "fmt"
 //
 // plus Add* accumulate variants for gradient accumulation and
 // StepMatMulTransA, which applies w += alpha·aᵀ·b without storing the
-// product (a Dense layer's SGD step). All kernels are
-// register-tiled: a 4×2 (NN, TransA) or 2×2 (TransB) block of the output is
-// accumulated in registers while the inner k-loop streams the operands, so
-// each load feeds several multiply-adds instead of one. Matrices whose flop
-// count crosses gemmParallelFlops are split into row panels and executed on
-// the shared worker pool (see pool.go); each output element is produced by
-// exactly one goroutine with a fixed accumulation order, so results are
-// bitwise identical at any parallelism level.
+// product (a Dense layer's SGD step). All kernels are register-tiled: a
+// block of the output is accumulated in registers while the inner k-loop
+// streams the operands, so each load feeds several multiply-adds instead
+// of one. The portable kernels below use 4×2 (NN, TransA) and 2×2 (TransB)
+// blocks; the AVX-512 kernels (gemm_avx512_amd64.s) use 8×16, 4×8 and 1×16
+// tiles for NN, TransA and the step, and two-row and one-row dot-product
+// kernels for TransB. Matrices whose flop count crosses gemmParallelFlops
+// are split into row panels and executed on the shared worker pool (see
+// pool.go); each output element is produced by exactly one goroutine with
+// a fixed accumulation order, so results are bitwise identical at any
+// parallelism level.
 //
 // NN and TransA accumulate every output element in ascending-p order — bit
 // for bit the naive triple loop. TransB uses two-way partial sums (dot2),

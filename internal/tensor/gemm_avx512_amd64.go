@@ -15,16 +15,25 @@ func init() {
 func gemmTile4(a *float64, aRowB, aPB uintptr, b *float64, dst *float64, lddB uintptr, k, n uintptr)
 
 //go:noescape
+func gemmTile8(a *float64, aRowB, aPB uintptr, b *float64, dst *float64, lddB uintptr, k, n uintptr)
+
+//go:noescape
 func gemmTile1(a *float64, aPB uintptr, b *float64, dst *float64, k, n uintptr)
 
 //go:noescape
 func gemmStep4(a *float64, aPB uintptr, b *float64, w *float64, ldwB uintptr, k, n uintptr, alpha float64)
 
 //go:noescape
+func gemmStep8(a *float64, aPB uintptr, b *float64, w *float64, ldwB uintptr, k, n uintptr, alpha float64)
+
+//go:noescape
 func gemmStep1(a *float64, aPB uintptr, b *float64, w *float64, k, n uintptr, alpha float64)
 
 //go:noescape
 func dotTB4(x, y *float64, ldyB uintptr, rows, k uintptr, out *[4]float64)
+
+//go:noescape
+func dotTB8(a, b, dst *float64, k, n uintptr, accum bool)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
@@ -53,6 +62,13 @@ func detectAVX512() bool {
 	return ebx7&avx512f != 0 && ebx7&avx512dq != 0 && ebx7&avx512bw != 0
 }
 
+// tile8 reports whether products n columns wide take the 8×16 tiles. Up to
+// eight columns the 4×8 tile wastes no lane of its one block, and the
+// 8×16 tile's half-empty high block made those products slower.
+func tile8(n int) bool { return n > 8 }
+
+// gemmNNSIMD and gemmTASIMD run rows [lo,hi) in tiles of eight rows where
+// tile8 allows, then four, then one; a row gets the same bits in each.
 func gemmNNSIMD(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 	if !accum {
 		zeroRange(dst, lo*n, hi*n)
@@ -62,6 +78,9 @@ func gemmNNSIMD(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 	}
 	kB, nB := uintptr(k)*8, uintptr(n)*8
 	i := lo
+	for ; tile8(n) && i+8 <= hi; i += 8 {
+		gemmTile8(&a[i*k], kB, 8, &b[0], &dst[i*n], nB, uintptr(k), uintptr(n))
+	}
 	for ; i+4 <= hi; i += 4 {
 		gemmTile4(&a[i*k], kB, 8, &b[0], &dst[i*n], nB, uintptr(k), uintptr(n))
 	}
@@ -79,6 +98,9 @@ func gemmTASIMD(dst, a, b []float64, k, m, n, lo, hi int, accum bool) {
 	}
 	mB, nB := uintptr(m)*8, uintptr(n)*8
 	i := lo
+	for ; tile8(n) && i+8 <= hi; i += 8 {
+		gemmTile8(&a[i], 8, mB, &b[0], &dst[i*n], nB, uintptr(k), uintptr(n))
+	}
 	for ; i+4 <= hi; i += 4 {
 		gemmTile4(&a[i], 8, mB, &b[0], &dst[i*n], nB, uintptr(k), uintptr(n))
 	}
@@ -99,6 +121,9 @@ func gemmStepTASIMD(w, a, b []float64, k, m, n, lo, hi int, alpha float64) {
 	}
 	mB, nB := uintptr(m)*8, uintptr(n)*8
 	i := lo
+	for ; tile8(n) && i+8 <= hi; i += 8 {
+		gemmStep8(&a[i], mB, &b[0], &w[i*n], nB, uintptr(k), uintptr(n), alpha)
+	}
 	for ; i+4 <= hi; i += 4 {
 		gemmStep4(&a[i], mB, &b[0], &w[i*n], nB, uintptr(k), uintptr(n), alpha)
 	}
@@ -107,6 +132,9 @@ func gemmStepTASIMD(w, a, b []float64, k, m, n, lo, hi int, alpha float64) {
 	}
 }
 
+// gemmTBSIMD computes rows [lo,hi) of dst = a·bᵀ (+= when accum) two rows
+// at a time with dotTB8, which writes dst itself; an odd last row goes
+// through dotTB4, and dotTB8 gives each output the same bits.
 func gemmTBSIMD(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 	if k == 0 {
 		if !accum {
@@ -114,9 +142,16 @@ func gemmTBSIMD(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 		}
 		return
 	}
+	if n == 0 {
+		return
+	}
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		dotTB8(&a[i*k], &b[0], &dst[i*n], uintptr(k), uintptr(n), accum)
+	}
 	var out [4]float64
 	kB := uintptr(k) * 8
-	for i := lo; i < hi; i++ {
+	for ; i < hi; i++ {
 		arow := a[i*k : i*k+k]
 		orow := dst[i*n : i*n+n]
 		for j := 0; j < n; j += 4 {
@@ -140,6 +175,12 @@ func gemmTBSIMD(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 
 //go:noescape
 func axpyAVX(alpha float64, x, y *float64, n uintptr)
+
+//go:noescape
+func addRowsAVX(dst *float64, lddB uintptr, src *float64, rows, n uintptr)
+
+//go:noescape
+func addBiasAVX(dst, bias *float64, rows, n uintptr)
 
 //go:noescape
 func reluFwdAVX(dst, x *float64, n uintptr)

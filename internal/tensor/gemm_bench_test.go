@@ -95,3 +95,44 @@ func BenchmarkMatMulAlloc(b *testing.B) {
 		_ = MatMul(a, bb)
 	}
 }
+
+// BenchmarkNarrowProducts measures the products of the 68-parameter
+// logistic model that sim_100k_narrow trains: the 8×16×4 forward x·W and
+// the step W += α·xᵀ·g, both four columns wide and so on the 4-row tile.
+func BenchmarkNarrowProducts(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	x, w, g, out := randTensor(rng, 8, 16), randTensor(rng, 16, 4), randTensor(rng, 8, 4), New(8, 4)
+	b.Run("forward-8x16x4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MatMulInto(out, x, w)
+		}
+	})
+	b.Run("step-8x16x4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			StepMatMulTransA(w, x, g, -1e-12)
+		}
+	})
+}
+
+// BenchmarkConvWeightGrad measures dW += dY·colsᵀ for one sample of each
+// convolution of the cmfl-bench CNN, the A·Bᵀ products of its local round.
+func BenchmarkConvWeightGrad(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"conv1-8x576x25", 8, 576, 25},
+		{"conv2-16x64x200", 16, 64, 200},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(6))
+			dy, cols, gw := randTensor(rng, s.m, s.k), randTensor(rng, s.n, s.k), New(s.m, s.n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AddMatMulTransB(gw, dy, cols)
+			}
+		})
+	}
+}

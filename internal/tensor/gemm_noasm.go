@@ -25,6 +25,14 @@ func axpyAVX(alpha float64, x, y *float64, n uintptr) {
 	panic("tensor: SIMD axpy unavailable on this platform")
 }
 
+func addRowsAVX(dst *float64, lddB uintptr, src *float64, rows, n uintptr) {
+	panic("tensor: SIMD row add unavailable on this platform")
+}
+
+func addBiasAVX(dst, bias *float64, rows, n uintptr) {
+	panic("tensor: SIMD row add unavailable on this platform")
+}
+
 func reluFwdAVX(dst, x *float64, n uintptr) {
 	panic("tensor: SIMD relu unavailable on this platform")
 }

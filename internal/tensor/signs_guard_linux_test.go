@@ -9,17 +9,23 @@ import (
 // guardedPage maps two pages and revokes access to the second: a slice that
 // ends at the boundary faults the process on any read or write past its end.
 func guardedPage(t *testing.T) []byte {
+	return guardedBytes(t, syscall.Getpagesize())
+}
+
+// guardedBytes returns n bytes that end flush against an inaccessible page.
+func guardedBytes(t *testing.T, n int) []byte {
 	t.Helper()
 	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	size := (n + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
 	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // nothing to do about a failed unmap in a test
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	return mem[:page]
+	return mem[size-n : size]
 }
 
 // TestSignKernelsStayInBounds runs every tail length with all three operands

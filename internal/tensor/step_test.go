@@ -14,26 +14,11 @@ func stepReference(w, a, b *Tensor, alpha float64) {
 	Axpy(alpha, g.Data, w.Data)
 }
 
-// stepOperand is a k×m or w-shaped tensor of normal draws with about one
-// element in eight taken from signEdgeValues (both zeros, NaNs with their
-// payloads, infinities, denormals).
-func stepOperand(rng *rand.Rand, rows, cols int) *Tensor {
-	t := New(rows, cols)
-	for i := range t.Data {
-		if rng.Intn(8) == 0 {
-			t.Data[i] = signEdgeValues[rng.Intn(len(signEdgeValues))]
-		} else {
-			t.Data[i] = rng.NormFloat64()
-		}
-	}
-	return t
-}
-
 // checkStep runs one k×m×n step both ways from the same w and compares the
 // bits of every weight.
 func checkStep(t *testing.T, rng *rand.Rand, k, m, n int, alpha float64) {
 	t.Helper()
-	a, b, w := stepOperand(rng, k, m), stepOperand(rng, k, n), stepOperand(rng, m, n)
+	a, b, w := edgeOperand(rng, k, m, 8), edgeOperand(rng, k, n, 8), edgeOperand(rng, m, n, 8)
 	want := w.Clone()
 	stepReference(want, a, b, alpha)
 	StepMatMulTransA(w, a, b, alpha)

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# loc.sh — non-test, non-testdata Go lines per package.
+# loc.sh — non-test, non-testdata Go and assembly lines per package.
 #
 # ROADMAP counts net-negative lines as a success metric; this prints the
-# number it means: physical lines (wc -l) of every .go file that is not a
-# _test.go file and not under a testdata/ directory, summed per package
-# directory, with a total on the last line.
+# numbers it means: physical lines (wc -l) of every .go file that is not a
+# _test.go file and not under a testdata/ directory, and of every .s file,
+# summed per package directory, Go first and assembly second, with the
+# totals on the last line.
 #
 # Usage:
 #   scripts/loc.sh                                   # whole module
@@ -16,14 +17,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-find "${@:-.}" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 |
+find "${@:-.}" \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 |
 	xargs -0 wc -l |
 	awk '$2 != "total" {
 		dir = $2; sub(/\/[^\/]*$/, "", dir); sub(/^\.\//, "", dir)
-		lines[dir] += $1; total += $1
+		if ($2 ~ /\.s$/) { asm[dir] += $1; asmTotal += $1 } else { lines[dir] += $1; total += $1 }
+		seen[dir] = 1
 	}
 	END {
-		for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"
-		close("sort -k2")
-		printf "%7d  total\n", total
+		printf "%7s  %5s  %s\n", "go", "asm", "package"
+		for (d in seen) printf "%7d  %5d  %s\n", lines[d], asm[d], d | "sort -k3"
+		close("sort -k3")
+		printf "%7d  %5d  total\n", total, asmTotal
 	}'
