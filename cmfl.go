@@ -387,8 +387,8 @@ type Topology = emu.Topology
 // ShardLimit is one shard's local override of the global Limits.
 type ShardLimit = emu.ShardLimit
 
-// EmuRoundStats is the emulation master's round record: the shared
-// RoundEvent core plus wire-level running totals.
+// EmuRoundStats is the emulation master's round record: the record every
+// tier keeps (fl.RoundStats) plus wire-level running totals.
 type EmuRoundStats = emu.RoundStats
 
 // Server is the emulation master.

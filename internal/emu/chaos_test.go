@@ -13,6 +13,9 @@ import (
 // chaosCluster runs one cluster under the given plan with a fresh registry,
 // failing the test on server-side errors. Faulty clients may legitimately
 // end mid-recovery, so client errors are returned for per-case inspection.
+// Whatever the plan, every round's record and its published event must
+// balance: Uploaded + Skipped + Dropped == Participants, with the deadline's
+// stragglers, and only they, in Dropped.
 func chaosCluster(t *testing.T, clients, rounds int, deadline time.Duration, minQuorum int, plan *FaultPlan) *ClusterResult {
 	t.Helper()
 	cfg := clusterConfig(t, clients, rounds, nil)
@@ -21,9 +24,20 @@ func chaosCluster(t *testing.T, clients, rounds int, deadline time.Duration, min
 	cfg.MinQuorum = minQuorum
 	cfg.Faults = plan
 	cfg.Registry = telemetry.NewRegistry()
+	var events []telemetry.RoundEvent
+	cfg.Observers = []telemetry.Observer{telemetry.Funcs{Round: func(e telemetry.RoundEvent) { events = append(events, e) }}}
 	res, err := RunCluster(cfg)
 	if err != nil {
 		t.Fatalf("chaos cluster: %v", err)
+	}
+	if len(events) != len(res.Server.History) {
+		t.Fatalf("%d round events for %d rounds", len(events), len(res.Server.History))
+	}
+	for i, h := range res.Server.History {
+		if e := events[i]; e.Uploaded+e.Skipped+e.Dropped != e.Participants || e.Dropped != len(h.Stragglers) || e != h.RoundEvent {
+			t.Fatalf("round %d: %d uploaded + %d skipped + %d dropped for %d participants and stragglers %v; event %+v",
+				h.Round, h.Uploaded, h.Skipped, h.Dropped, h.Participants, h.Stragglers, e)
+		}
 	}
 	return res
 }
@@ -90,9 +104,9 @@ func TestChaos(t *testing.T) {
 					if h.Dropped != wantDropped || len(h.Stragglers) != wantDropped {
 						t.Fatalf("round %d: Dropped=%d Stragglers=%v, want %d", h.Round, h.Dropped, h.Stragglers, wantDropped)
 					}
-					if h.Participants+h.Dropped != clients {
-						t.Fatalf("round %d: participants %d + dropped %d != %d clients",
-							h.Round, h.Participants, h.Dropped, clients)
+					if h.Participants != clients {
+						t.Fatalf("round %d: %d participants, want all %d clients the broadcast reached",
+							h.Round, h.Participants, clients)
 					}
 				}
 			},

@@ -142,11 +142,10 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	// with it and nil until then. The buffer that swap retires — the old
 	// feedback, or the zero difference — receives the next broadcast: model,
 	// predecessor and feedback rotate over three buffers, the sign vectors
-	// over two. An ungated client reads neither and skips the sweep. The
-	// retired buffer also holds the round's update, which the pending reply
-	// refers to, until the next broadcast lands in it, so the update costs the
-	// client no buffer of its own.
-	_, ungated := step.Filter.(fl.Vanilla)
+	// over two. Every client takes the signs, gated or not: its reply
+	// carries the Eq. 9 trace. The retired buffer also holds the round's
+	// update, which the pending reply refers to, until the next broadcast
+	// lands in it, so the update costs the client no buffer of its own.
 	feedback := make([]float64, dim)
 	var prevParams, spare []float64
 	var signs, spareSigns []int8
@@ -165,7 +164,7 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 		case msgModel:
 			params := spare
 			spare = prevParams
-			if prevParams != nil && !ungated {
+			if prevParams != nil {
 				var nonZero bool
 				spareSigns, nonZero = core.DiffSignsInto(spareSigns[:0], prevParams, params)
 				if nonZero {
@@ -189,15 +188,16 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("emu: client %d %w", cfg.ID, err)
 			}
+			h := replyHeader{client: cfg.ID, round: round, relevance: r.Relevance, loss: r.Loss, dim: len(r.Delta)}
 			switch {
 			case !r.Upload:
-				sess.stage(msgSkip, round, r.Metric, nil, nil)
+				sess.stage(msgSkip, h, nil, nil)
 				res.Skips++
 			case step.Compressor != nil:
-				sess.stage(msgUpdate2, round, r.Metric, r.Delta, payload)
+				sess.stage(msgUpdate2, h, r.Delta, payload)
 				res.Uploads++
 			default:
-				sess.stage(msgUpdate, round, r.Metric, r.Delta, nil)
+				sess.stage(msgUpdate, h, r.Delta, nil)
 				res.Uploads++
 			}
 			spare = r.Delta
@@ -225,14 +225,6 @@ type pendingReply struct {
 	head  [replyHeaderSize]byte
 	delta []float64 // msgUpdate's body
 	body  []byte    // msgUpdate2's body
-}
-
-// headLen is the length of the reply's fixed prefix.
-func (p *pendingReply) headLen() int {
-	if p.kind == msgSkip {
-		return skipSize
-	}
-	return replyHeaderSize
 }
 
 // clientSession owns the client's connection lifecycle: dial, hello,
@@ -289,11 +281,11 @@ func (s *clientSession) hello() error {
 }
 
 // stage records the round's reply for flush (and any resend after a fault).
-// delta is the update of a msgUpdate or msgUpdate2 (its dimension goes in
-// the header); body is msgUpdate2's codec payload.
-func (s *clientSession) stage(kind byte, round int, metric float64, delta []float64, body []byte) {
+// delta is the update of a msgUpdate or msgUpdate2; body is msgUpdate2's
+// codec payload.
+func (s *clientSession) stage(kind byte, h replyHeader, delta []float64, body []byte) {
 	s.pending = pendingReply{kind: kind, body: body}
-	putReplyHeader(&s.pending.head, s.cfg.ID, round, metric, len(delta))
+	h.put(&s.pending.head)
 	if kind == msgUpdate {
 		s.pending.delta = delta
 	}
@@ -325,7 +317,10 @@ func (s *clientSession) writePending() error {
 	if err := s.conn.SetWriteDeadline(now().Add(s.cfg.RoundTimeout)); err != nil {
 		return err
 	}
-	head := p.head[:p.headLen()]
+	head := p.head[:]
+	if p.kind == msgSkip {
+		head = head[:skipSize]
+	}
 	size := len(head) + 8*len(p.delta) + len(p.body)
 	buf := binary.BigEndian.AppendUint32(s.chunk[:0], uint32(size))
 	buf = append(append(buf, p.kind), head...)

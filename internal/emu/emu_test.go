@@ -92,9 +92,9 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := xrand.New(seed)
 		delta := rng.NormVec(1+rng.Intn(50), 0, 3)
-		id, round, metric := rng.Intn(100), rng.Intn(1000), rng.Float64()
-		gid, gr, gm, gd, err := decodeUpdate(nil, encodeUpdate(id, round, metric, delta))
-		if err != nil || gid != id || gr != round || gm != metric || len(gd) != len(delta) {
+		want := replyHeader{client: rng.Intn(100), round: rng.Intn(1000), relevance: rng.Float64(), loss: rng.Float64(), dim: len(delta)}
+		h, gd, err := decodeUpdate(nil, encodeUpdate(want.client, want.round, want.relevance, want.loss, delta))
+		if err != nil || h != want || len(gd) != len(delta) {
 			return false
 		}
 		for i := range delta {
@@ -110,9 +110,9 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 }
 
 func TestSkipCodecRoundTrip(t *testing.T) {
-	id, round, metric, err := decodeSkip(encodeSkip(7, 42, 0.375))
-	if err != nil || id != 7 || round != 42 || metric != 0.375 {
-		t.Fatalf("skip round trip = %d %d %v %v", id, round, metric, err)
+	h, err := decodeSkip(encodeSkip(7, 42, 0.375, 1.25))
+	if want := (replyHeader{client: 7, round: 42, relevance: 0.375, loss: 1.25}); err != nil || h != want {
+		t.Fatalf("skip round trip = %+v %v, want %+v", h, err, want)
 	}
 }
 
@@ -151,11 +151,14 @@ func TestDecodeErrorsOnShortPayloads(t *testing.T) {
 	if _, _, err := decodeModel(nil, []byte{1}); err == nil {
 		t.Fatal("decodeModel should reject short payload")
 	}
-	if _, _, _, _, err := decodeUpdate(nil, []byte{1, 2, 3}); err == nil {
+	if _, _, err := decodeUpdate(nil, []byte{1, 2, 3}); err == nil {
 		t.Fatal("decodeUpdate should reject short payload")
 	}
-	if _, _, _, err := decodeSkip([]byte{1}); err == nil {
+	if _, err := decodeSkip([]byte{1}); err == nil {
 		t.Fatal("decodeSkip should reject short payload")
+	}
+	if _, err := decodeSkip(encodeUpdate(1, 2, 0.5, 0.25, nil)); err == nil {
+		t.Fatal("decodeSkip should reject an update-sized payload")
 	}
 	// Declared dim larger than payload.
 	p := encodeModel(1, []float64{1, 2})
@@ -327,8 +330,8 @@ type slowOnly struct{ fl.UploadFilter }
 
 // TestClientGatesOnSigns pins the emu client to the shared step's gate: it
 // decides on a sign vector computed once per received model (nil, hence an
-// upload with Metric 1, until the first non-zero model difference), and its
-// decisions and reported metrics equal the float-feedback path's.
+// upload and a NaN relevance, until the first non-zero model difference), and
+// its decisions and reported relevance equal the float-feedback path's.
 func TestClientGatesOnSigns(t *testing.T) {
 	const clients, rounds = 6, 12
 	probe := &signProbe{Filter: core.NewFilter(core.Constant(0.5))}
@@ -342,8 +345,8 @@ func TestClientGatesOnSigns(t *testing.T) {
 	if probe.bootstrap.Load() != clients {
 		t.Fatalf("%d decisions without signs, want %d (round 1 only)", probe.bootstrap.Load(), clients)
 	}
-	if first := fast.Server.History[0]; first.Uploaded != clients || first.MeanRelevance != 1 {
-		t.Fatalf("bootstrap round: %d uploads, mean metric %v, want %d and 1", first.Uploaded, first.MeanRelevance, clients)
+	if first := fast.Server.History[0]; first.Uploaded != clients || !math.IsNaN(first.MeanRelevance) {
+		t.Fatalf("bootstrap round: %d uploads, mean relevance %v, want %d and NaN", first.Uploaded, first.MeanRelevance, clients)
 	}
 
 	slow, err := RunCluster(clusterConfig(t, clients, rounds, slowOnly{core.NewFilter(core.Constant(0.5))}))
@@ -354,7 +357,7 @@ func TestClientGatesOnSigns(t *testing.T) {
 	for r, fs := range fast.Server.History {
 		ss := slow.Server.History[r]
 		if fs.Uploaded != ss.Uploaded || math.Float64bits(fs.MeanRelevance) != math.Float64bits(ss.MeanRelevance) {
-			t.Fatalf("round %d: sign path %d uploads, metric %v; float path %d, %v", r+1, fs.Uploaded, fs.MeanRelevance, ss.Uploaded, ss.MeanRelevance)
+			t.Fatalf("round %d: sign path %d uploads, relevance %v; float path %d, %v", r+1, fs.Uploaded, fs.MeanRelevance, ss.Uploaded, ss.MeanRelevance)
 		}
 		skipped += fs.Skipped
 	}
@@ -640,18 +643,18 @@ func TestStrictModeAbortsOnDeadClient(t *testing.T) {
 
 func TestUpdate2CodecRoundTrip(t *testing.T) {
 	payload := []byte{9, 8, 7}
-	p := encodeUpdate2(3, 14, 0.25, 100, payload)
-	id, round, metric, dim, got, err := decodeUpdate2(p)
+	p := encodeUpdate2(3, 14, 0.25, 2.5, 100, payload)
+	h, got, err := decodeUpdate2(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 3 || round != 14 || metric != 0.25 || dim != 100 {
-		t.Fatalf("header round trip: %d %d %v %d", id, round, metric, dim)
+	if want := (replyHeader{client: 3, round: 14, relevance: 0.25, loss: 2.5, dim: 100}); h != want {
+		t.Fatalf("header round trip: %+v, want %+v", h, want)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload = %v", got)
 	}
-	if _, _, _, _, _, err := decodeUpdate2([]byte{1, 2}); err == nil {
+	if _, _, err := decodeUpdate2([]byte{1, 2}); err == nil {
 		t.Fatal("expected error for short payload")
 	}
 }
@@ -661,9 +664,9 @@ func TestParseReplyHeader(t *testing.T) {
 		kind    byte
 		payload []byte
 	}{
-		{msgUpdate, encodeUpdate(7, 42, 0.5, []float64{1, 2})},
-		{msgUpdate2, encodeUpdate2(7, 42, 0.5, 2, []byte{1})},
-		{msgSkip, encodeSkip(7, 42, 0.5)},
+		{msgUpdate, encodeUpdate(7, 42, 0.5, 0.25, []float64{1, 2})},
+		{msgUpdate2, encodeUpdate2(7, 42, 0.5, 0.25, 2, []byte{1})},
+		{msgSkip, encodeSkip(7, 42, 0.5, 0.25)},
 	}
 	for _, tc := range cases {
 		id, round, err := parseReplyHeader(&frame{kind: tc.kind, payload: tc.payload})

@@ -146,14 +146,14 @@ func TestInjectorWriteSemantics(t *testing.T) {
 		raw := &countingConn{}
 		conn := in.wrap(raw)
 		in.beginRound(1)
-		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 1, 0.5)); err != nil {
+		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 1, 0.5, 0.25)); err != nil {
 			t.Fatalf("dropped write must report success, got %v", err)
 		}
 		if len(raw.writes) != 0 {
 			t.Fatalf("drop leaked %d writes to the socket", len(raw.writes))
 		}
 		in.beginRound(2)
-		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 2, 0.5)); err != nil {
+		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 2, 0.5, 0.25)); err != nil {
 			t.Fatal(err)
 		}
 		if len(raw.writes) != 2 { // header + payload
@@ -166,7 +166,7 @@ func TestInjectorWriteSemantics(t *testing.T) {
 		raw := &countingConn{}
 		conn := in.wrap(raw)
 		in.beginRound(1)
-		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 1, 0.5)); err != nil {
+		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 1, 0.5, 0.25)); err != nil {
 			t.Fatalf("corrupted write must report success, got %v", err)
 		}
 		if len(raw.writes) != 1 {
@@ -183,7 +183,7 @@ func TestInjectorWriteSemantics(t *testing.T) {
 		raw := &countingConn{}
 		conn := in.wrap(raw)
 		in.beginRound(1)
-		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 1, 0.5)); err == nil {
+		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 1, 0.5, 0.25)); err == nil {
 			t.Fatal("crash write must error")
 		}
 		if !raw.closed {
@@ -205,7 +205,7 @@ func TestInjectorWriteSemantics(t *testing.T) {
 		raw := &countingConn{}
 		conn := in.wrap(raw)
 		in.beginRound(1)
-		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 1, 0.5)); err == nil {
+		if _, err := writeFrame(conn, msgSkip, encodeSkip(0, 1, 0.5, 0.25)); err == nil {
 			t.Fatal("disconnect write must error")
 		}
 		if !raw.closed {

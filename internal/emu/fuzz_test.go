@@ -2,6 +2,7 @@ package emu
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -70,9 +71,18 @@ func FuzzProtocol(f *testing.F) {
 	}
 	f.Add(encodeHello(3, spec))
 	f.Add(encodeModel(7, []float64{1, 2, 3}))
-	f.Add(encodeUpdate(1, 2, 0.5, []float64{4, 5}))
-	f.Add(encodeSkip(2, 9, 0.75))
-	f.Add(encodeUpdate2(1, 2, 0.5, 4, []byte{1, 2, 3}))
+	f.Add(encodeUpdate(1, 2, 0.5, 2.25, []float64{4, 5}))
+	f.Add(encodeSkip(2, 9, 0.75, 2.25))
+	f.Add(encodeUpdate2(1, 2, 0.5, 2.25, 4, []byte{1, 2, 3}))
+	// A peer's relevance and loss are diagnostics the server never checks:
+	// these headers decode whole.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(encodeUpdate(1, 2, bad, 2.25, []float64{4, 5}))
+		f.Add(encodeUpdate(1, 2, 0.5, bad, []float64{4, 5}))
+		f.Add(encodeUpdate2(1, 2, bad, bad, 4, []byte{1, 2, 3}))
+		f.Add(encodeSkip(2, 9, bad, 2.25))
+		f.Add(encodeSkip(2, 9, 0.75, bad))
+	}
 
 	// Injector-shaped corpus: the wire damage the fault classes actually
 	// produce (see faults.go), so the fuzzer starts from realistic wrecks.
@@ -83,7 +93,7 @@ func FuzzProtocol(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	full := mkFrame(msgUpdate, encodeUpdate(0, 3, 0.9, []float64{1, -2, 3}))
+	full := mkFrame(msgUpdate, encodeUpdate(0, 3, 0.9, 2.25, []float64{1, -2, 3}))
 	f.Add(full[:2]) // FaultDisconnect: truncated length prefix, stream ends
 	oversize := append([]byte(nil), full...)
 	oversize[0], oversize[1], oversize[2], oversize[3] = 0xFF, 0xFF, 0xFF, 0xFF
@@ -94,9 +104,23 @@ func FuzzProtocol(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeHello(data)
 		decodeModel(nil, data)
-		decodeUpdate(nil, data)
-		decodeSkip(data)
-		decodeUpdate2(data)
+		// A reply that decodes re-encodes to its own bytes, whatever its
+		// header's diagnostics hold.
+		if h, delta, err := decodeUpdate(nil, data); err == nil {
+			if got := encodeUpdate(h.client, h.round, h.relevance, h.loss, delta); !bytes.HasPrefix(data, got) {
+				t.Fatalf("update %x re-encodes to %x", data, got)
+			}
+		}
+		if h, err := decodeSkip(data); err == nil {
+			if got := encodeSkip(h.client, h.round, h.relevance, h.loss); !bytes.Equal(got, data) {
+				t.Fatalf("skip %x re-encodes to %x", data, got)
+			}
+		}
+		if h, payload, err := decodeUpdate2(data); err == nil {
+			if got := encodeUpdate2(h.client, h.round, h.relevance, h.loss, h.dim, payload); !bytes.Equal(got, data) {
+				t.Fatalf("update2 %x re-encodes to %x", data, got)
+			}
+		}
 		for _, kind := range []byte{msgUpdate, msgUpdate2, msgSkip, msgUpdateCRetired} {
 			parseReplyHeader(&frame{kind: kind, payload: data})
 		}
@@ -112,9 +136,9 @@ func FuzzProtocol(f *testing.F) {
 // TestUpdateDecodeRejectsLyingDim guards against a malicious client
 // declaring a huge dim with a short payload.
 func TestUpdateDecodeRejectsLyingDim(t *testing.T) {
-	p := encodeUpdate(1, 2, 0.5, []float64{1, 2, 3})
+	p := encodeUpdate(1, 2, 0.5, 2.25, []float64{1, 2, 3})
 	// Truncate the values but keep the declared dim.
-	if _, _, _, _, err := decodeUpdate(nil, p[:len(p)-8]); err == nil {
+	if _, _, err := decodeUpdate(nil, p[:len(p)-8]); err == nil {
 		t.Fatal("expected error for short update payload")
 	}
 }

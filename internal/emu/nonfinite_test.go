@@ -19,10 +19,11 @@ import (
 // scriptedClient speaks the wire protocol by hand as client id: a finite
 // update in round 1, then in round 2 either an update with plant at its
 // middle coordinate (a NaN makes the frame hostile) or, when plant is zero,
-// a skip, then skips until the server is done with it. codec nil sends raw
-// msgUpdate frames; otherwise the codec is negotiated in the hello and
-// updates travel as msgUpdate2.
-func scriptedClient(addr string, id int, codec compress.Codec, plant float64) error {
+// a skip, then skips until the server is done with it. Every reply reports
+// diag as its relevance and its loss. codec nil sends raw msgUpdate frames;
+// otherwise the codec is negotiated in the hello and updates travel as
+// msgUpdate2.
+func scriptedClient(addr string, id int, codec compress.Codec, plant, diag float64) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -50,7 +51,7 @@ func scriptedClient(addr string, id int, codec compress.Codec, plant float64) er
 			return err
 		}
 		if round > 2 || (round == 2 && plant == 0) {
-			if _, err := writeFrame(conn, msgSkip, encodeSkip(id, round, 0)); err != nil {
+			if _, err := writeFrame(conn, msgSkip, encodeSkip(id, round, diag, diag)); err != nil {
 				return err
 			}
 			continue
@@ -62,13 +63,13 @@ func scriptedClient(addr string, id int, codec compress.Codec, plant float64) er
 		if round == 2 {
 			delta[len(delta)/2] = plant
 		}
-		kind, payload := msgUpdate, encodeUpdate(id, round, 0, delta)
+		kind, payload := msgUpdate, encodeUpdate(id, round, diag, diag, delta)
 		if codec != nil {
 			enc, err := compress.Encode(codec, delta)
 			if err != nil {
 				return err
 			}
-			kind, payload = msgUpdate2, encodeUpdate2(id, round, 0, len(delta), enc)
+			kind, payload = msgUpdate2, encodeUpdate2(id, round, diag, diag, len(delta), enc)
 		}
 		if _, err := writeFrame(conn, kind, payload); err != nil {
 			return err
@@ -78,7 +79,7 @@ func scriptedClient(addr string, id int, codec compress.Codec, plant float64) er
 
 // runWithScripted runs a 3-client server for 4 rounds: two honest clients
 // and scriptedClient as client 2.
-func runWithScripted(t *testing.T, codec compress.Codec, hostile, faultTolerant bool) (*ServerResult, error) {
+func runWithScripted(t *testing.T, codec compress.Codec, plant, diag float64, faultTolerant bool) (*ServerResult, error) {
 	t.Helper()
 	cfg := clusterConfig(t, 3, 4, nil)
 	srv, err := NewServer(ServerConfig{
@@ -103,11 +104,7 @@ func runWithScripted(t *testing.T, codec compress.Codec, hostile, faultTolerant 
 			clientErrs <- err
 		}(i)
 	}
-	plant := 0.0
-	if hostile {
-		plant = math.NaN()
-	}
-	go func() { clientErrs <- scriptedClient(srv.Addr(), 2, codec, plant) }()
+	go func() { clientErrs <- scriptedClient(srv.Addr(), 2, codec, plant, diag) }()
 	res, runErr := srv.Run()
 	for i := 0; i < 3; i++ {
 		if err := <-clientErrs; err != nil && runErr == nil {
@@ -135,11 +132,11 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 	}
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {
-			want, err := runWithScripted(t, rt.codec, false, true)
+			want, err := runWithScripted(t, rt.codec, 0, 0, true)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
-			got, err := runWithScripted(t, rt.codec, true, true)
+			got, err := runWithScripted(t, rt.codec, math.NaN(), 0, true)
 			if err != nil {
 				t.Fatalf("fault-tolerant run: %v", err)
 			}
@@ -154,10 +151,39 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 					t.Fatalf("FinalParams[%d] = %v, want %v as without the rejected update", j, v, want.FinalParams[j])
 				}
 			}
-			if _, err := runWithScripted(t, rt.codec, true, false); !errors.Is(err, shard.ErrNonFinite) {
+			if _, err := runWithScripted(t, rt.codec, math.NaN(), 0, false); !errors.Is(err, shard.ErrNonFinite) {
 				t.Fatalf("strict run: error %v, want shard.ErrNonFinite", err)
 			}
 		})
+	}
+}
+
+// TestNonFiniteDiagnosticsAreKept: a reply header's relevance and loss are
+// the client's own report, which the server averages and never checks. A NaN
+// or an infinity there, in an update or a skip, is taken without error in
+// strict mode, leaves the model as a finite report does, and is what the
+// round's mean loss reads, as the IEEE sum of the reports would be.
+func TestNonFiniteDiagnosticsAreKept(t *testing.T) {
+	want, err := runWithScripted(t, nil, 0, 0, false)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	for _, diag := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		got, err := runWithScripted(t, nil, 0, diag, false)
+		if err != nil {
+			t.Fatalf("%v reported: %v", diag, err)
+		}
+		if !slices.Equal(got.FinalParams, want.FinalParams) {
+			t.Fatalf("%v reported: the model moved", diag)
+		}
+		for _, h := range got.History {
+			if loss := h.TrainLoss; math.IsNaN(loss) != math.IsNaN(diag) || (!math.IsNaN(diag) && loss != diag) {
+				t.Fatalf("%v reported: round %d mean loss %v", diag, h.Round, loss)
+			}
+			if rel := h.MeanRelevance; !math.IsNaN(diag) && rel != diag {
+				t.Fatalf("%v reported: round %d mean relevance %v", diag, h.Round, rel)
+			}
+		}
 	}
 }
 
@@ -183,7 +209,7 @@ func TestOverflowingSumFailsTheRound(t *testing.T) {
 		}
 		clientErrs := make(chan error, 2)
 		for id := 0; id < 2; id++ {
-			go func(id int) { clientErrs <- scriptedClient(srv.Addr(), id, nil, 1.5e308) }(id)
+			go func(id int) { clientErrs <- scriptedClient(srv.Addr(), id, nil, 1.5e308, 0) }(id)
 		}
 		res, err := srv.Run()
 		if !errors.Is(err, shard.ErrNonFinite) || !strings.Contains(err.Error(), "round 2") {

@@ -26,15 +26,15 @@ import (
 const (
 	msgHello  byte = 1 // client -> server: clientID [+ codec spec, wire v2]
 	msgModel  byte = 2 // server -> client: round, params
-	msgUpdate byte = 3 // client -> server: clientID, round, metric, delta
-	msgSkip   byte = 4 // client -> server: clientID, round, metric
+	msgUpdate byte = 3 // client -> server: clientID, round, relevance, loss, dim, delta
+	msgSkip   byte = 4 // client -> server: clientID, round, relevance, loss
 	msgDone   byte = 5 // server -> client: training finished
 	// Kind 6 was msgUpdateC (wire v1): a compressed update whose payload
 	// repeated the codec name on every frame. Retired by wire v2 — the codec
 	// is negotiated once in the hello — and the id stays reserved so a stale
 	// v1 client fails loudly instead of being misparsed.
 	msgUpdateCRetired byte = 6
-	msgUpdate2        byte = 7 // client -> server: clientID, round, metric, dim, codec payload
+	msgUpdate2        byte = 7 // client -> server: clientID, round, relevance, loss, dim, codec payload
 )
 
 // helloV2 is the version tag of the extended hello payload. A 4-byte hello
@@ -287,64 +287,83 @@ func readModel(r io.Reader, n int, params []float64, chunk []byte) (round int, e
 }
 
 // replyHeaderSize is the fixed prefix of the update kinds: clientID, round,
-// metric, dim. A skip is its first skipSize bytes.
+// relevance, loss, dim. A skip is its first skipSize bytes.
 const (
-	replyHeaderSize = 20
-	skipSize        = 16
+	replyHeaderSize = 28
+	skipSize        = 24
 )
 
-// putReplyHeader fills an uplink reply's fixed prefix: clientID, round,
-// metric, dim. A skip notification uses the first skipSize bytes.
-func putReplyHeader(h *[replyHeaderSize]byte, clientID, round int, metric float64, dim int) {
-	binary.BigEndian.PutUint32(h[:4], uint32(clientID))
-	binary.BigEndian.PutUint32(h[4:8], uint32(round))
-	binary.BigEndian.PutUint64(h[8:16], math.Float64bits(metric))
-	binary.BigEndian.PutUint32(h[16:20], uint32(dim))
+// replyHeader is that prefix. relevance (Eq. 9 of the update against the
+// client's feedback, NaN before it has one) and loss (its mean local
+// training loss) are diagnostics: the server averages them and checks
+// nothing, so a NaN or an infinity there costs the round nothing but its
+// means.
+type replyHeader struct {
+	client, round   int
+	relevance, loss float64
+	dim             int // an update's; a skip carries none
+}
+
+// put fills an uplink reply's fixed prefix; a skip notification uses its
+// first skipSize bytes.
+func (h *replyHeader) put(b *[replyHeaderSize]byte) {
+	binary.BigEndian.PutUint32(b[:4], uint32(h.client))
+	binary.BigEndian.PutUint32(b[4:8], uint32(h.round))
+	binary.BigEndian.PutUint64(b[8:16], math.Float64bits(h.relevance))
+	binary.BigEndian.PutUint64(b[16:24], math.Float64bits(h.loss))
+	binary.BigEndian.PutUint32(b[24:28], uint32(h.dim))
+}
+
+// getReplyHeader parses the first n bytes of p, skipSize or replyHeaderSize,
+// as a reply's fixed prefix.
+func getReplyHeader(p []byte, n int) (replyHeader, error) {
+	if len(p) < n {
+		return replyHeader{}, fmt.Errorf("emu: reply payload has %d bytes, want >= %d", len(p), n)
+	}
+	dim := 0
+	if n == replyHeaderSize {
+		dim = int(binary.BigEndian.Uint32(p[24:28]))
+	}
+	return replyHeader{
+		client:    int(binary.BigEndian.Uint32(p[:4])),
+		round:     int(binary.BigEndian.Uint32(p[4:8])),
+		relevance: math.Float64frombits(binary.BigEndian.Uint64(p[8:16])),
+		loss:      math.Float64frombits(binary.BigEndian.Uint64(p[16:24])),
+		dim:       dim,
+	}, nil
 }
 
 // decodeUpdate parses a raw update, decoding the delta into dst's capacity.
-func decodeUpdate(dst []float64, p []byte) (clientID, round int, metric float64, delta []float64, err error) {
-	if len(p) < replyHeaderSize {
-		return 0, 0, 0, dst, fmt.Errorf("emu: update payload has %d bytes, want >= %d", len(p), replyHeaderSize)
+func decodeUpdate(dst []float64, p []byte) (replyHeader, []float64, error) {
+	h, err := getReplyHeader(p, replyHeaderSize)
+	if err != nil {
+		return h, dst, err
 	}
-	clientID = int(binary.BigEndian.Uint32(p[:4]))
-	round = int(binary.BigEndian.Uint32(p[4:8]))
-	metric = math.Float64frombits(binary.BigEndian.Uint64(p[8:16]))
-	dim := int(binary.BigEndian.Uint32(p[16:20]))
-	delta, err = getFloats(dst, p[20:], dim)
-	return clientID, round, metric, delta, err
+	delta, err := getFloats(dst, p[replyHeaderSize:], h.dim)
+	return h, delta, err
 }
 
-// decodeSkip parses the skip-notification payload: clientID, round, metric.
-// This is the paper's "status information" whose size is negligible next to
-// a full update.
-func decodeSkip(p []byte) (clientID, round int, metric float64, err error) {
+// decodeSkip parses the skip-notification payload: clientID, round,
+// relevance, loss. This is the paper's "status information" whose size is
+// negligible next to a full update.
+func decodeSkip(p []byte) (replyHeader, error) {
 	if len(p) != skipSize {
-		return 0, 0, 0, fmt.Errorf("emu: skip payload has %d bytes, want %d", len(p), skipSize)
+		return replyHeader{}, fmt.Errorf("emu: skip payload has %d bytes, want %d", len(p), skipSize)
 	}
-	clientID = int(binary.BigEndian.Uint32(p[:4]))
-	round = int(binary.BigEndian.Uint32(p[4:8]))
-	metric = math.Float64frombits(binary.BigEndian.Uint64(p[8:16]))
-	return clientID, round, metric, nil
+	return getReplyHeader(p, skipSize)
 }
 
-// Compressed-update support, wire v2: a client that negotiated a codec in
-// its hello sends msgUpdate2 — a fixed 20-byte header plus the codec's raw
-// byte payload. No codec metadata travels per frame (the connection's hello
-// pinned it), so the wire cost is exactly header + codec bytes: the
-// bit-reduction of the paper's related work measured on a real wire.
-
-// decodeUpdate2 parses a msgUpdate2 payload; the returned codec payload
-// aliases p.
-func decodeUpdate2(p []byte) (clientID, round int, metric float64, dim int, payload []byte, err error) {
-	if len(p) < replyHeaderSize {
-		return 0, 0, 0, 0, nil, fmt.Errorf("emu: update2 payload has %d bytes, want >= %d", len(p), replyHeaderSize)
+// decodeUpdate2 parses a msgUpdate2 payload, which a client that negotiated
+// a codec in its hello (wire v2) sends: the reply header and the codec's
+// payload, which the result aliases. No codec metadata travels per frame, so
+// the wire cost is exactly header + codec bytes: the bit-reduction of the
+// paper's related work measured on a real wire.
+func decodeUpdate2(p []byte) (replyHeader, []byte, error) {
+	h, err := getReplyHeader(p, replyHeaderSize)
+	if err != nil {
+		return h, nil, err
 	}
-	clientID = int(binary.BigEndian.Uint32(p[:4]))
-	round = int(binary.BigEndian.Uint32(p[4:8]))
-	metric = math.Float64frombits(binary.BigEndian.Uint64(p[8:16]))
-	dim = int(binary.BigEndian.Uint32(p[16:20]))
-	return clientID, round, metric, dim, p[20:], nil
+	return h, p[replyHeaderSize:], nil
 }
 
 // parseReplyHeader reads the (clientID, round) prefix shared by every

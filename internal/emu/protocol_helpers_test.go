@@ -34,24 +34,29 @@ func decodeModel(dst []float64, p []byte) (round int, params []float64, err erro
 	return round, params, err
 }
 
-// encodeUpdate builds an update payload: clientID, round, metric, dim, delta.
-func encodeUpdate(clientID, round int, metric float64, delta []float64) []byte {
-	var h [replyHeaderSize]byte
-	putReplyHeader(&h, clientID, round, metric, len(delta))
-	return putFloats(h[:], delta)
+// encodeUpdate builds an update payload: clientID, round, relevance, loss,
+// dim, delta.
+func encodeUpdate(clientID, round int, relevance, loss float64, delta []float64) []byte {
+	var b [replyHeaderSize]byte
+	h := replyHeader{client: clientID, round: round, relevance: relevance, loss: loss, dim: len(delta)}
+	h.put(&b)
+	return putFloats(b[:], delta)
 }
 
-// encodeUpdate2 builds the msgUpdate2 payload: clientID, round, metric, dim,
-// codec payload.
-func encodeUpdate2(clientID, round int, metric float64, dim int, payload []byte) []byte {
-	var h [replyHeaderSize]byte
-	putReplyHeader(&h, clientID, round, metric, dim)
-	return append(h[:], payload...)
+// encodeUpdate2 builds the msgUpdate2 payload: clientID, round, relevance,
+// loss, dim, codec payload.
+func encodeUpdate2(clientID, round int, relevance, loss float64, dim int, payload []byte) []byte {
+	var b [replyHeaderSize]byte
+	h := replyHeader{client: clientID, round: round, relevance: relevance, loss: loss, dim: dim}
+	h.put(&b)
+	return append(b[:], payload...)
 }
 
-// encodeSkip builds the skip-notification payload: clientID, round, metric.
-func encodeSkip(clientID, round int, metric float64) []byte {
-	var h [replyHeaderSize]byte
-	putReplyHeader(&h, clientID, round, metric, 0)
-	return h[:skipSize]
+// encodeSkip builds the skip-notification payload: clientID, round,
+// relevance, loss.
+func encodeSkip(clientID, round int, relevance, loss float64) []byte {
+	var b [replyHeaderSize]byte
+	h := replyHeader{client: clientID, round: round, relevance: relevance, loss: loss}
+	h.put(&b)
+	return b[:skipSize]
 }

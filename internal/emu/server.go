@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -80,17 +79,14 @@ type ServerConfig struct {
 	Registry *telemetry.Registry
 }
 
-// RoundStats is the emulation master's round record: the shared
-// communication core plus the wire-level running totals only the real
-// network stack can observe. It replaces the earlier reuse of fl.RoundStats,
-// which left the simulation-only fields (train loss, significance, Eq. 8
-// trace) silently zeroed.
-type RoundStats struct {
-	telemetry.RoundEvent
+//cmfl:api-change RoundStats embeds fl.RoundStats in place of telemetry.RoundEvent and its own MeanRelevance: the event's fields are promoted as before, MeanRelevance is now Eq. 9 as on every tier (NaN while no feedback exists), and TrainLoss, MeanSignificance and DeltaUpdate join it; a composite literal names RoundStats: fl.RoundStats{RoundEvent: ...}. Participants counts the deadline's stragglers, as sim's does.
 
-	// MeanRelevance is the mean reported filter metric across this round's
-	// updates and skips (NaN when no client reported).
-	MeanRelevance float64
+// RoundStats is the emulation master's round record: the record every tier
+// keeps, its diagnostics taken from the accepted replies' headers, plus the
+// wire-level running totals only the real network stack can observe.
+type RoundStats struct {
+	fl.RoundStats
+
 	// CumUplinkWireBytes / CumDownlinkWireBytes are the actual TCP payload
 	// bytes (frames incl. framing overhead) observed through this round.
 	CumUplinkWireBytes   int64
@@ -139,14 +135,7 @@ type ServerResult struct {
 }
 
 // FinalAccuracy returns the last evaluated accuracy, or NaN.
-func (r *ServerResult) FinalAccuracy() float64 {
-	for i := len(r.History) - 1; i >= 0; i-- {
-		if !math.IsNaN(r.History[i].Accuracy) {
-			return r.History[i].Accuracy
-		}
-	}
-	return math.NaN()
-}
+func (r *ServerResult) FinalAccuracy() float64 { return telemetry.FinalAccuracy(r.History) }
 
 // connEvent is what a connection reader hands to the round loop: one frame
 // or one terminal error, tagged with the connection generation so stale
@@ -167,25 +156,14 @@ type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
 
-	// Telemetry plumbing: observers include any configured Collector; the
-	// wire counters mirror ServerResult's exact TCP payload accounting.
-	obs           []telemetry.Observer
-	reg           *telemetry.Registry
-	metrics       *telemetry.MetricsServer
-	uplinkWire    *telemetry.Counter
-	downlinkWire  *telemetry.Counter
-	lateFrames    *telemetry.Counter
-	rejoins       *telemetry.Counter
-	codecUpdates  *telemetry.Counter
-	codecEncBytes *telemetry.Counter
-	codecRawBytes *telemetry.Counter
-	lastUpWire    int64
-	lastDownWire  int64
-	lastLate      int64
-	lastRejoins   int64
-	lastCodecUpd  int64
-	lastCodecEnc  int64
-	lastCodecRaw  int64
+	// Telemetry plumbing: observers include any configured Collector;
+	// pinned mirrors ServerResult's wire, fault and codec totals (see
+	// syncCounters), and pinnedAt holds what each was last synced to.
+	obs      []telemetry.Observer
+	reg      *telemetry.Registry
+	metrics  *telemetry.MetricsServer
+	pinned   []*telemetry.Counter
+	pinnedAt [7]int64
 
 	// Wire v2 codec negotiation: serverSpec is the byte spec of
 	// cfg.Compressor (nil when unset); helloErrs surfaces pre-barrier spec
@@ -346,13 +324,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			s.reg = telemetry.NewRegistry()
 		}
 		s.obs = append(append([]telemetry.Observer(nil), cfg.Observers...), telemetry.NewCollector(s.reg))
-		s.uplinkWire = s.reg.Counter(`cmfl_emu_uplink_wire_bytes_total`, "TCP payload bytes received from clients (frames incl. framing overhead).")
-		s.downlinkWire = s.reg.Counter(`cmfl_emu_downlink_wire_bytes_total`, "TCP payload bytes sent to clients (frames incl. framing overhead).")
-		s.lateFrames = s.reg.Counter(`cmfl_straggler_late_frames_total`, "Uplink frames drained after their round's deadline (received, never aggregated).")
-		s.rejoins = s.reg.Counter(`cmfl_fault_rejoins_total`, "Client connections re-accepted after training started.")
-		s.codecUpdates = s.reg.Counter(`cmfl_codec_updates_total`, "Aggregated updates that arrived codec-encoded (wire v2 msgUpdate2).")
-		s.codecEncBytes = s.reg.Counter(`cmfl_codec_encoded_bytes_total`, "Codec payload bytes of aggregated compressed updates.")
-		s.codecRawBytes = s.reg.Counter(`cmfl_codec_raw_bytes_total`, "Raw float64 bytes (dim x 8) the same compressed updates would have cost uncompressed.")
+		s.pinned = []*telemetry.Counter{ // in syncCounters' order
+			s.reg.Counter(`cmfl_emu_uplink_wire_bytes_total`, "TCP payload bytes received from clients (frames incl. framing overhead)."),
+			s.reg.Counter(`cmfl_emu_downlink_wire_bytes_total`, "TCP payload bytes sent to clients (frames incl. framing overhead)."),
+			s.reg.Counter(`cmfl_straggler_late_frames_total`, "Uplink frames drained after their round's deadline (received, never aggregated)."),
+			s.reg.Counter(`cmfl_fault_rejoins_total`, "Client connections re-accepted after training started."),
+			s.reg.Counter(`cmfl_codec_updates_total`, "Aggregated updates that arrived codec-encoded (wire v2 msgUpdate2)."),
+			s.reg.Counter(`cmfl_codec_encoded_bytes_total`, "Codec payload bytes of aggregated compressed updates."),
+			s.reg.Counter(`cmfl_codec_raw_bytes_total`, "Raw float64 bytes (dim x 8) the same compressed updates would have cost uncompressed."),
+		}
 		for i := range s.shards {
 			s.shardStats = append(s.shardStats, newShardCounters(s.reg, strconv.Itoa(i)))
 		}
@@ -437,27 +417,16 @@ func (s *Server) closeConns() error {
 	return err
 }
 
-// syncCounters pins the registry's wire-byte and fault counters to the
-// exact accounting in res — bit-for-bit, since both sides add the same
+// syncCounters pins the registry's wire-byte, fault and codec counters to
+// the exact accounting in res — bit-for-bit, since both sides add the same
 // deltas.
 func (s *Server) syncCounters(res *ServerResult) {
-	if s.uplinkWire == nil {
-		return
+	totals := [len(s.pinnedAt)]int64{res.UplinkWireBytes, res.DownlinkWireBytes, int64(res.LateFrames), int64(res.Rejoins),
+		int64(res.CodecUpdates), res.CodecEncodedBytes, res.CodecRawBytes}
+	for i, c := range s.pinned {
+		c.Add(totals[i] - s.pinnedAt[i])
+		s.pinnedAt[i] = totals[i]
 	}
-	s.uplinkWire.Add(res.UplinkWireBytes - s.lastUpWire)
-	s.lastUpWire = res.UplinkWireBytes
-	s.downlinkWire.Add(res.DownlinkWireBytes - s.lastDownWire)
-	s.lastDownWire = res.DownlinkWireBytes
-	s.lateFrames.Add(int64(res.LateFrames) - s.lastLate)
-	s.lastLate = int64(res.LateFrames)
-	s.rejoins.Add(int64(res.Rejoins) - s.lastRejoins)
-	s.lastRejoins = int64(res.Rejoins)
-	s.codecUpdates.Add(int64(res.CodecUpdates) - s.lastCodecUpd)
-	s.lastCodecUpd = int64(res.CodecUpdates)
-	s.codecEncBytes.Add(res.CodecEncodedBytes - s.lastCodecEnc)
-	s.lastCodecEnc = res.CodecEncodedBytes
-	s.codecRawBytes.Add(res.CodecRawBytes - s.lastCodecRaw)
-	s.lastCodecRaw = res.CodecRawBytes
 }
 
 // minQuorum is the effective reply minimum at the deadline.
@@ -520,19 +489,17 @@ func (s *Server) Run() (res *ServerResult, err error) {
 		return nil, err
 	}
 
-	global := s.global
-	// The server half of Algorithm 1 is fl's: the tree hands Fold each
-	// round's exact sum. The upload filter lives in the clients.
-	agg := fl.NewAggregator(telemetry.EngineEmu, global.ParamVector(), s.cfg.Clients, nil, s.obs)
+	// The server half of Algorithm 1 is fl's: the tree hands Finish each
+	// round's exact sum to fold, and Finish closes the round. The upload
+	// filter lives in the clients.
+	agg := fl.NewAggregator(telemetry.EngineEmu, s.global.ParamVector(), s.cfg.Clients, nil, s.obs)
+	agg.Eval = fl.Evaluation{Net: s.global, Test: s.cfg.TestData, Every: s.cfg.EvalEvery, Last: s.cfg.Rounds, Batch: s.cfg.EvalBatch, Target: s.cfg.TargetAccuracy}
 	res = &ServerResult{
 		SkipCounts:      agg.SkipCounts,
 		StragglerCounts: make([]int, s.cfg.Clients),
 	}
 
-	for t := 1; t <= s.cfg.Rounds; t++ {
-		if s.stopping() {
-			break
-		}
+	for t := 1; t <= s.cfg.Rounds && !s.stopping(); t++ {
 		// One tree round (Algorithm 1: distribute x_{t-1}, gather, merge;
 		// clients derive the feedback update from consecutive broadcasts).
 		out, err := s.runRound(t, agg.Params, res)
@@ -545,40 +512,25 @@ func (s *Server) Run() (res *ServerResult, err error) {
 		for _, id := range out.stragglers {
 			res.StragglerCounts[id]++
 		}
-		var relevance shard.Scalar // exact, like the aggregate: no order to pin
-		for _, id := range out.accepted {
-			relevance.Add(s.replies[id].Relevance)
-		}
-		// A sum that overflowed is nobody's frame to drop: Fold fails the
-		// round in either fault mode.
-		ev, _, err := agg.Fold(t, len(out.accepted), out.accepted, s.replies, s.rootAcc)
+		// A sum that overflowed is nobody's frame to drop: Finish fails the
+		// round in either fault mode. The stragglers were sent the broadcast,
+		// so they count among the participants, and in Dropped.
+		done, err := agg.Finish(t, out.expected, out.accepted, s.replies, s.rootAcc, func(st *fl.RoundStats, _ []float64) {
+			st.Faults = out.faults
+			res.History = append(res.History, RoundStats{
+				RoundStats:           *st,
+				CumUplinkWireBytes:   res.UplinkWireBytes,
+				CumDownlinkWireBytes: res.DownlinkWireBytes,
+				Stragglers:           out.stragglers,
+				LateFrames:           out.late,
+			})
+			res.Rejoins = s.rejoinCount()
+			s.syncCounters(res) // before the round is published
+		})
 		if err != nil {
 			return nil, fmt.Errorf("emu: %w", err)
 		}
-		// Stragglers were sent the broadcast but are not participants here.
-		ev.Dropped, ev.Faults = len(out.stragglers), out.faults
-		stats := RoundStats{
-			RoundEvent:           ev,
-			MeanRelevance:        math.NaN(),
-			CumUplinkWireBytes:   res.UplinkWireBytes,
-			CumDownlinkWireBytes: res.DownlinkWireBytes,
-			Stragglers:           out.stragglers,
-			LateFrames:           out.late,
-		}
-		if n := len(out.accepted); n > 0 {
-			stats.MeanRelevance = relevance.Round() / float64(n)
-		}
-		if t%s.cfg.EvalEvery == 0 || t == s.cfg.Rounds {
-			if err := global.SetParamVector(agg.Params); err != nil {
-				return nil, fmt.Errorf("emu: evaluator broadcast: %w", err)
-			}
-			stats.Accuracy = fl.Evaluate(global, s.cfg.TestData, s.cfg.EvalBatch)
-		}
-		res.History = append(res.History, stats)
-		res.Rejoins = s.rejoinCount()
-		s.syncCounters(res)
-		agg.Emit(stats.RoundEvent, out.accepted, s.replies)
-		if s.cfg.TargetAccuracy > 0 && !math.IsNaN(stats.Accuracy) && stats.Accuracy >= s.cfg.TargetAccuracy {
+		if done {
 			break
 		}
 	}

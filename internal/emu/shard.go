@@ -29,15 +29,15 @@ type shardDirective struct {
 	dim   int    // model dimension (dirGather)
 }
 
-// replyMeta is the root-visible record of one accepted reply. The update's
-// delta itself is NOT here: shards fold deltas into their exact partial sum
-// as frames arrive, so per-shard memory stays flat in the client count.
+// replyMeta is the root-visible record of one accepted reply: the reply as
+// fl.Aggregator reads it, its Bytes the paper-metric uplink cost (the
+// payload, or the skip notice). The update's delta itself is NOT here:
+// shards fold deltas into their exact partial sum as frames arrive, so
+// per-shard memory stays flat in the client count.
 type replyMeta struct {
-	client   int
-	metric   float64
-	appBytes int64 // paper-metric uplink cost: the payload, or the skip notice
-	encoded  bool
-	skip     bool
+	client  int
+	reply   fl.Reply
+	encoded bool
 }
 
 // droppedClient records one connection death for the root's DroppedClients
@@ -369,36 +369,37 @@ func (a *shardAgg) frameErr(ev *connEvent, err error) error {
 // scratch is free for the next frame. A non-finite value is a frame error
 // like an undecodable payload: nothing of the update reaches the sum.
 func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) error {
+	var h replyHeader
+	var err error
+	m := replyMeta{client: id}
 	switch f.kind {
 	case msgUpdate:
-		_, _, metric, delta, err := decodeUpdate(a.decBuf, f.payload)
-		a.decBuf = delta
-		if err != nil {
+		if h, a.decBuf, err = decodeUpdate(a.decBuf, f.payload); err != nil {
 			return err
 		}
-		if len(delta) != d.dim {
-			return fatalError{fmt.Errorf("emu: round %d client %d sent %d params, want %d", d.round, id, len(delta), d.dim)}
+		if len(a.decBuf) != d.dim {
+			return fatalError{fmt.Errorf("emu: round %d client %d sent %d params, want %d", d.round, id, len(a.decBuf), d.dim)}
 		}
-		a.acc.Add(delta)
-		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: int64(len(delta)) * 8})
+		a.acc.Add(a.decBuf)
+		m.reply = fl.Reply{Upload: true, Bytes: int64(d.dim) * 8}
 	case msgUpdate2:
-		_, _, metric, dim, payload, err := decodeUpdate2(f.payload)
-		if err != nil {
+		var payload []byte
+		if h, payload, err = decodeUpdate2(f.payload); err != nil {
 			return err
 		}
 		codec := a.srv.clientCodec(id)
 		if codec == nil {
 			return fmt.Errorf("emu: client %d sent a compressed update without negotiating a codec", id)
 		}
-		if dim != d.dim {
-			return fatalError{fmt.Errorf("emu: round %d client %d sent %d params, want %d", d.round, id, dim, d.dim)}
+		if h.dim != d.dim {
+			return fatalError{fmt.Errorf("emu: round %d client %d sent %d params, want %d", d.round, id, h.dim, d.dim)}
 		}
 		if sparse, ok := codec.(compress.SparseDecoder); ok {
-			a.decIdx, a.decBuf, err = sparse.DecodeSparseInto(a.decIdx, a.decBuf, payload, dim)
+			a.decIdx, a.decBuf, err = sparse.DecodeSparseInto(a.decIdx, a.decBuf, payload, h.dim)
 			if err == nil {
 				err = a.acc.AddSparse(a.decIdx, a.decBuf)
 			}
-		} else if a.decBuf, err = codec.DecodeInto(a.decBuf, payload, dim); err == nil {
+		} else if a.decBuf, err = codec.DecodeInto(a.decBuf, payload, h.dim); err == nil {
 			if err = shard.CheckFinite(a.decBuf); err == nil {
 				a.acc.Add(a.decBuf)
 			}
@@ -406,16 +407,17 @@ func (a *shardAgg) fold(d shardDirective, f *frame, id int, p *shardPartial) err
 		if err != nil {
 			return fmt.Errorf("emu: client %d payload: %w", id, err)
 		}
-		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: int64(len(payload)), encoded: true})
+		m.reply, m.encoded = fl.Reply{Upload: true, Bytes: int64(len(payload))}, true
 	case msgSkip:
-		_, _, metric, err := decodeSkip(f.payload)
-		if err != nil {
+		if h, err = decodeSkip(f.payload); err != nil {
 			return err
 		}
-		p.replies = append(p.replies, replyMeta{client: id, metric: metric, appBytes: fl.SkipNotificationBytes, skip: true})
+		m.reply = fl.Reply{Bytes: fl.SkipNotificationBytes}
 	default:
 		return fmt.Errorf("emu: unexpected frame kind %d", f.kind)
 	}
+	m.reply.Loss, m.reply.Relevance = h.loss, h.relevance
+	p.replies = append(p.replies, m)
 	return nil
 }
 

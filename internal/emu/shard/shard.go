@@ -340,28 +340,52 @@ func growExpansion(p []float64, x float64) []float64 {
 // grouping-invariant. Unlike Accumulator, the zero value is empty and
 // ready to use.
 //
+// A NaN or ±Inf term stays out of the expansion, as out of an Accumulator's
+// spill: every later TwoSum against it would leave one more part behind. The
+// non-finite terms are summed in IEEE arithmetic, which is order-free over
+// them, and that sum is the result. So is a finite partial sum that
+// overflows: the order can then decide the result, as in an Accumulator.
+//
 // Not safe for concurrent use.
 type Scalar struct {
-	parts []float64
+	parts     []float64
+	nonFinite float64 // the IEEE sum of the non-finite terms; 0 while none
 }
 
 // Add folds one value into the running exact sum.
-func (s *Scalar) Add(x float64) { s.parts = growExpansion(s.parts, x) }
+func (s *Scalar) Add(x float64) {
+	if math.IsNaN(x - x) {
+		s.nonFinite += x
+		return
+	}
+	s.parts = growExpansion(s.parts, x)
+	if top := s.parts[len(s.parts)-1]; math.IsNaN(top - top) {
+		s.nonFinite += top
+		s.parts = s.parts[:0]
+	}
+}
 
 // Merge folds another scalar's exact sum into this one; like
 // Accumulator.Merge, grouping leaves no trace.
 func (s *Scalar) Merge(b *Scalar) {
 	for _, v := range b.parts {
-		s.parts = growExpansion(s.parts, v)
+		s.Add(v)
 	}
+	s.nonFinite += b.nonFinite
 }
 
 // Round returns the correctly rounded float64 of the exact sum (+0 when
-// empty or exactly zero), leaving the scalar untouched.
-func (s *Scalar) Round() float64 { return roundExpansion(s.parts) }
+// empty or exactly zero), or the sum of its non-finite terms when there are
+// any, leaving the scalar untouched.
+func (s *Scalar) Round() float64 {
+	if math.IsNaN(s.nonFinite - s.nonFinite) {
+		return s.nonFinite
+	}
+	return roundExpansion(s.parts)
+}
 
 // Reset empties the scalar, retaining term capacity.
-func (s *Scalar) Reset() { s.parts = s.parts[:0] }
+func (s *Scalar) Reset() { s.parts, s.nonFinite = s.parts[:0], 0 }
 
 // Round writes the correctly rounded float64 value of each coordinate's
 // exact sum into dst (grown as needed) and returns it. Where nothing

@@ -389,6 +389,49 @@ func TestRoundZeroSumIsPositiveZero(t *testing.T) {
 	}
 }
 
+// TestScalarNonFiniteTerms holds a Scalar that met a NaN or an infinity to
+// the cost of a finite one: the expansion stays a few parts long however
+// many terms follow, and the result is the IEEE sum of the non-finite terms
+// whatever the finite ones add up to, merged or not.
+func TestScalarNonFiniteTerms(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		terms []float64
+		want  float64
+	}{
+		{"nan", []float64{math.NaN()}, math.NaN()},
+		{"+inf", []float64{inf}, inf},
+		{"-inf", []float64{-inf}, -inf},
+		{"+inf-inf", []float64{inf, -inf}, math.NaN()},
+		{"overflow", []float64{math.MaxFloat64, math.MaxFloat64}, inf},
+	} {
+		var s, half Scalar
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 40000; i++ {
+			if i < len(tc.terms) {
+				s.Add(tc.terms[i])
+			}
+			x := rng.NormFloat64()
+			if i%2 == 0 {
+				s.Add(x)
+			} else {
+				half.Add(x)
+			}
+			if len(s.parts) > 8 {
+				t.Fatalf("%s: %d parts after %d terms", tc.name, len(s.parts), i+1)
+			}
+		}
+		s.Merge(&half)
+		if got := s.Round(); math.IsNaN(tc.want) != math.IsNaN(got) || (!math.IsNaN(got) && got != tc.want) {
+			t.Errorf("%s: rounds to %v, want %v", tc.name, got, tc.want)
+		}
+		if s.Reset(); s.Round() != 0 {
+			t.Errorf("%s: a reset scalar rounds to %v", tc.name, s.Round())
+		}
+	}
+}
+
 // TestAddSparseRejectsBeforeTouching feeds AddSparse every malformed view
 // with a valid prefix in front of the defect: the accumulator must come
 // back exactly as it went in.

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cmfl/internal/emu/shard"
@@ -140,19 +141,8 @@ func shardAssignment(clients int, topo Topology) [][]int {
 	ranges := shard.Split(clients, topo.shardCount())
 	out := make([][]int, len(ranges))
 	for i, r := range ranges {
-		own := append([]int(nil), order[r.Lo:r.Hi]...)
-		insertionSortInts(own)
-		out[i] = own
+		out[i] = slices.Clone(order[r.Lo:r.Hi])
+		slices.Sort(out[i])
 	}
 	return out
-}
-
-// insertionSortInts keeps the tiny ascending sort dependency-free (the
-// slices are per-shard client lists, a handful of entries each).
-func insertionSortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -218,7 +218,7 @@ func TestReadModelStreamsAtChunkBoundaries(t *testing.T) {
 // the hello always reaches the socket whole.
 func TestInjectorCountsFrameBytes(t *testing.T) {
 	var reply, hello bytes.Buffer
-	if _, err := writeFrame(&reply, msgUpdate, encodeUpdate(0, 1, 0.5, []float64{1, 2, 3})); err != nil {
+	if _, err := writeFrame(&reply, msgUpdate, encodeUpdate(0, 1, 0.5, 0.25, []float64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := writeFrame(&hello, msgHello, encodeHello(0, nil)); err != nil {
@@ -284,7 +284,7 @@ func TestReaderHoldsOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frame bytes.Buffer
-	if _, err := writeFrame(&frame, msgUpdate, encodeUpdate(1, 1, 0, make([]float64, model().NumParams()))); err != nil {
+	if _, err := writeFrame(&frame, msgUpdate, encodeUpdate(1, 1, 0, 0, make([]float64, model().NumParams()))); err != nil {
 		t.Fatal(err)
 	}
 

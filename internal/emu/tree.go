@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"cmfl/internal/fl"
 	"cmfl/internal/telemetry"
 )
 
@@ -17,8 +16,10 @@ type roundOutcome struct {
 	// themselves are Server.replies[id], and the exact sum of their updates
 	// is Server.rootAcc, for fl.Aggregator.Fold to round. Exactness makes it
 	// independent of the shard layout — the determinism contract (see
-	// internal/emu/shard).
+	// internal/emu/shard). expected is the quorum's Expected summed over
+	// the shards: the clients the broadcast reached, and any promoted.
 	accepted   []int
+	expected   int
 	stragglers []int
 	late, dups int
 	faults     int
@@ -92,7 +93,7 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	}
 
 	// Merge the drain/fault tallies in fixed shard order.
-	accepted, expectedEnd, deadlineFired := 0, 0, false
+	accepted, deadlineFired := 0, false
 	for _, p := range parts {
 		out.wire += p.wire
 		out.late += p.late
@@ -100,7 +101,7 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 		out.faults += p.faults
 		s.applyDropped(p.dropped, res)
 		accepted += p.accepted
-		expectedEnd += p.expectedEnd
+		out.expected += p.expectedEnd
 		deadlineFired = deadlineFired || p.deadlineFired
 		out.stragglers = append(out.stragglers, p.stragglers...)
 	}
@@ -113,7 +114,7 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	if accepted < minQ {
 		if deadlineFired {
 			return nil, fmt.Errorf("emu: round %d: quorum not met at deadline %v: %d of %d replies (minimum %d)",
-				t, s.cfg.RoundDeadline, accepted, expectedEnd, minQ)
+				t, s.cfg.RoundDeadline, accepted, out.expected, minQ)
 		}
 		return nil, fmt.Errorf("emu: round %d: only %d replies possible (minimum %d)", t, accepted, minQ)
 	}
@@ -136,11 +137,11 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	// must read identically too.
 	for _, p := range parts {
 		for _, m := range p.replies {
-			s.replies[m.client] = fl.Reply{Upload: !m.skip, Relevance: m.metric, Bytes: m.appBytes}
+			s.replies[m.client] = m.reply
 			out.accepted = append(out.accepted, m.client)
 			if m.encoded {
 				res.CodecUpdates++
-				res.CodecEncodedBytes += m.appBytes
+				res.CodecEncodedBytes += m.reply.Bytes
 				res.CodecRawBytes += int64(len(params)) * 8
 			}
 		}

@@ -195,7 +195,6 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		}
 		err := step.Train(&sc, net, cfg.ClientData[k], rngs[k], &b, &r)
 		if err == nil {
-			r.Relevance = b.Relevance(r.Delta)
 			_, err = step.Pack(&sc, &r)
 		}
 		if err != nil {

@@ -64,10 +64,8 @@ type Reply struct {
 	Delta []float64
 	// Loss is the mean local training loss.
 	Loss float64
-	// Metric is the value the gate decided on (Decision.Metric).
-	Metric float64
-	// Relevance is the engine's Eq. 9 trace (Broadcast.Relevance); the step
-	// leaves it zero.
+	// Relevance is the Eq. 9 trace of the update Train gated
+	// (Broadcast.Relevance), whatever the gate decided on.
 	Relevance float64
 	// Bytes is the uplink cost, set by Pack: the encoded payload, 8 per
 	// coordinate raw, SkipNotificationBytes for a withheld update.
@@ -93,10 +91,10 @@ type Scratch struct {
 // Train runs the local solver from the broadcast model on sc's buffers and
 // gates the result into r, whose Delta buffer it reuses: a steady-state round
 // allocates nothing. The order is the determinism contract: DP noise is drawn
-// from rng after the solver's draws, and the gate sees the post-DP delta. A
-// caller that trains clients concurrently holds a local-round mark over its
-// turns, so that their products are not split onto each other's cores
-// (tensor.EnterLocalRound).
+// from rng after the solver's draws, and the gate and the relevance trace see
+// the post-DP delta. A caller that trains clients concurrently holds a
+// local-round mark over its turns, so that their products are not split onto
+// each other's cores (tensor.EnterLocalRound).
 func (s *ClientStep) Train(sc *Scratch, net *nn.Network, data *dataset.Set, rng *xrand.Stream, b *Broadcast, r *Reply) error {
 	delta, loss, err := solve(sc, net, data, b.Params, b.LR, s.Epochs, s.Batch, s.ProxMu, rng, r.Delta)
 	if err != nil {
@@ -107,7 +105,7 @@ func (s *ClientStep) Train(sc *Scratch, net *nn.Network, data *dataset.Set, rng 
 	if err != nil {
 		return fmt.Errorf("filter: %w", err)
 	}
-	*r = Reply{Delta: delta, Loss: loss, Metric: dec.Metric, Upload: dec.Upload}
+	*r = Reply{Delta: delta, Loss: loss, Relevance: b.Relevance(delta), Upload: dec.Upload}
 	return nil
 }
 

@@ -153,11 +153,8 @@ func TestClientStep(t *testing.T) {
 			f := newStepFixture(t)
 			f.b.Feedback, f.b.Signs = make([]float64, len(f.b.Params)), nil
 			r := f.train(t, f.step(filter, nil), new(Scratch))
-			if !r.Upload || r.Metric != 1 {
-				t.Fatalf("%s bootstrap: upload=%v metric=%v, want true, 1", filter.Name(), r.Upload, r.Metric)
-			}
-			if rel := f.b.Relevance(r.Delta); !math.IsNaN(rel) {
-				t.Fatalf("relevance trace without feedback = %v, want NaN", rel)
+			if !r.Upload || !math.IsNaN(r.Relevance) {
+				t.Fatalf("%s bootstrap: upload=%v relevance=%v, want true, NaN", filter.Name(), r.Upload, r.Relevance)
 			}
 		}
 	})

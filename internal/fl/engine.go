@@ -133,6 +133,7 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 	global := cfg.Model()
 	agg := newAggregator(engine, global.ParamVector(), n, step.Filter, cfg.Observers, cfg.FeedbackStaleness)
 	agg.momentum = cfg.ServerMomentum
+	agg.Eval = Evaluation{Net: global, Test: cfg.TestData, Every: cfg.EvalEvery, Last: cfg.Rounds, Batch: cfg.EvalBatch, Target: cfg.TargetAccuracy}
 
 	residuals := make([][]float64, n) // nil rows without error feedback
 	if cfg.Compressor != nil && cfg.ErrorFeedback {
@@ -165,7 +166,6 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 			return err
 		}
 		// The traces see the post-DP delta, before Pack makes it lossy.
-		r.Relevance = b.Relevance(r.Delta)
 		if traced {
 			w.net.ParamsInto(res.ClientParams[c])
 			if significance[c], err = gaia.Significance(r.Delta, b.Params); err != nil {
@@ -198,44 +198,26 @@ func run(cfg Config, engine string, sched Schedule, streams []*xrand.Stream, tra
 			return nil, err
 		}
 
-		// The diagnostics cover every client that trained, summed exactly so
-		// that neither the schedule nor the workers can show in them.
-		var loss, rel, sig shard.Scalar
-		relCount := 0
-		for _, c := range trained {
-			loss.Add(replies[c].Loss)
-			if v := replies[c].Relevance; !isNaN(v) {
-				rel.Add(v)
-				relCount++
+		done, err := agg.Finish(t, len(trained), accepted, replies, merge(workers), func(st *RoundStats, update []float64) {
+			if traced { // Run accepts every client that trained
+				var sig shard.Scalar
+				for _, c := range accepted {
+					sig.Add(significance[c])
+				}
+				st.MeanSignificance = mean(&sig, len(accepted))
+				if update != nil {
+					if du, err := core.DeltaUpdate(prevUpdate, update); err == nil { // a length mismatch before the first
+						st.DeltaUpdate = du
+					}
+					prevUpdate = append(prevUpdate[:0], update...)
+				}
 			}
-			if traced {
-				sig.Add(significance[c])
-			}
-		}
-		ev, update, err := agg.Fold(t, len(trained), accepted, replies, merge(workers))
+			res.History = append(res.History, *st)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("fl: %w", err)
 		}
-		stats := RoundStats{RoundEvent: ev, TrainLoss: mean(&loss, len(trained)), MeanRelevance: mean(&rel, relCount)}
-		stats.MeanSignificance, stats.DeltaUpdate = nan(), nan()
-		if traced {
-			stats.MeanSignificance = mean(&sig, len(trained))
-			if update != nil {
-				if du, err := core.DeltaUpdate(prevUpdate, update); err == nil { // a length mismatch before the first
-					stats.DeltaUpdate = du
-				}
-				prevUpdate = append(prevUpdate[:0], update...)
-			}
-		}
-		if cfg.TestData != nil && cfg.EvalEvery > 0 && (t%cfg.EvalEvery == 0 || t == cfg.Rounds) {
-			if err := global.SetParamVector(agg.Params); err != nil {
-				return nil, fmt.Errorf("fl: broadcast to evaluator: %w", err)
-			}
-			stats.Accuracy = Evaluate(global, cfg.TestData, cfg.EvalBatch)
-		}
-		res.History = append(res.History, stats)
-		agg.Emit(stats.RoundEvent, accepted, replies)
-		if cfg.TargetAccuracy > 0 && stats.Accuracy >= cfg.TargetAccuracy { // never while NaN
+		if done {
 			break
 		}
 	}

@@ -26,6 +26,8 @@ import (
 	"cmfl/internal/xrand"
 )
 
+//cmfl:api-change Reply.Metric is removed: Train sets Reply.Relevance, Eq. 9 whatever the gate, and no engine reads the gate's metric. Aggregator.Emit is unexported: Aggregator.Finish, which also takes the round's means, evaluates per Aggregator.Eval and calls the engine's keep, publishes the round; callers of Emit call Finish after Fold.
+
 //cmfl:api-change Aggregator.Close is removed and Aggregator.Fold returns an error: every engine, emu included, hands Fold the exact sum of the accepted uploads, and Fold refuses a sum that rounds to a non-finite value (wrapping shard.ErrNonFinite, which the new shard.CheckFinite reports) before it touches the model. Callers of Close build the sum in a shard.Accumulator and call Fold; callers of Fold handle the error.
 
 // UploadFilter is the client-side gate deciding whether a local update is
@@ -91,10 +93,10 @@ type sparseDecoder interface {
 	DecodeSparseInto(idx []uint32, vals []float64, payload []byte, dim int) ([]uint32, []float64, error)
 }
 
-// SkipNotificationBytes is the size of the status message a client sends in
-// place of a full update when its update is filtered out (client id + round
-// + metric), mirroring the paper's EC2 implementation note that this cost is
-// negligible next to a full weight vector.
+// SkipNotificationBytes is the paper's price of the status message a client
+// sends in place of a filtered-out update (client id + round + relevance;
+// emu's frame adds the loss, a diagnostic left unpriced), negligible next to
+// a full weight vector, as its EC2 implementation note says.
 const SkipNotificationBytes = 16
 
 // Config describes one federated training run.
@@ -192,18 +194,19 @@ type Config struct {
 	Observers []telemetry.Observer
 }
 
-// RoundStats records one synchronous round: the communication-cost core
-// every engine shares, embedded, and the loop's diagnostics. Only Run
-// records MeanSignificance and DeltaUpdate; RunSchedule leaves them NaN.
+// RoundStats records one synchronous round on every tier (sim's and emu's
+// records embed it): the communication-cost core and the diagnostics
+// Aggregator.Finish takes over the accepted replies. Only Run records
+// MeanSignificance and DeltaUpdate; the other engines leave them NaN.
 type RoundStats struct {
 	telemetry.RoundEvent
 
-	// TrainLoss is the mean local training loss across clients that trained.
+	// TrainLoss is the mean local training loss of the accepted replies.
 	TrainLoss float64
 	// MeanSignificance is the client-mean of Gaia's ‖u‖/‖x‖ (Fig. 2a).
 	MeanSignificance float64
-	// MeanRelevance is the client-mean of CMFL's Eq. 9 against the
-	// feedback update (Fig. 2b); NaN while no feedback exists.
+	// MeanRelevance is the accepted replies' mean Eq. 9 relevance against
+	// the feedback update (Fig. 2b), whatever the gate; NaN without one.
 	MeanRelevance float64
 	// DeltaUpdate is Eq. 8 between this round's and the previous round's
 	// global updates (Fig. 3); NaN when undefined.
@@ -227,14 +230,7 @@ type Result struct {
 }
 
 // FinalAccuracy returns the last evaluated accuracy, or NaN if none.
-func (r *Result) FinalAccuracy() float64 {
-	for i := len(r.History) - 1; i >= 0; i-- {
-		if !isNaN(r.History[i].Accuracy) {
-			return r.History[i].Accuracy
-		}
-	}
-	return nan()
-}
+func (r *Result) FinalAccuracy() float64 { return telemetry.FinalAccuracy(r.History) }
 
 // ClientStream derives the engine's per-client randomness. The emulated
 // engine calls this too, so both engines draw bit-identical client streams

@@ -750,7 +750,8 @@ func TestFoldRefusesOverflowingSum(t *testing.T) {
 }
 
 // TestFoldAllocatesNothing: a steady-state Fold rounds into a buffer the
-// Aggregator already owns, at any feedback staleness.
+// Aggregator already owns, at any feedback staleness, and the Finish around
+// it reuses its record and its sums of loss and relevance.
 func TestFoldAllocatesNothing(t *testing.T) {
 	const dim, clients = 1000, 4
 	rng := xrand.New(5)
@@ -758,7 +759,7 @@ func TestFoldAllocatesNothing(t *testing.T) {
 	accepted := make([]int, clients)
 	sum := shard.New(dim)
 	for i := range replies {
-		replies[i], accepted[i] = Reply{Upload: i != 2, Bytes: 8 * dim}, i
+		replies[i], accepted[i] = Reply{Upload: i != 2, Bytes: 8 * dim, Loss: 0.3 / float64(i+1), Relevance: 0.7 / float64(i+1)}, i
 		if replies[i].Upload {
 			sum.Add(rng.NormVec(dim, 0, 0.01))
 		}
@@ -767,10 +768,11 @@ func TestFoldAllocatesNothing(t *testing.T) {
 		agg := newAggregator(telemetry.EngineSync, make([]float64, dim), clients, Vanilla{}, nil, staleness)
 		agg.momentum = 0.5
 		round := 0
+		history := make([]RoundStats, 0, 64)
 		fold := func() {
 			round++
 			agg.Begin(round, 0.1)
-			if _, _, err := agg.Fold(round, clients, accepted, replies, sum); err != nil {
+			if _, err := agg.Finish(round, clients, accepted, replies, sum, func(st *RoundStats, _ []float64) { history = append(history, *st) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -778,7 +780,7 @@ func TestFoldAllocatesNothing(t *testing.T) {
 			fold()
 		}
 		if n := testing.AllocsPerRun(20, fold); n != 0 {
-			t.Errorf("staleness %d: Fold allocates %v times a round, want 0", staleness, n)
+			t.Errorf("staleness %d: Finish allocates %v times a round, want 0", staleness, n)
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"cmfl/internal/core"
+	"cmfl/internal/dataset"
 	"cmfl/internal/emu/shard"
+	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/tensor"
 )
@@ -13,14 +15,16 @@ import (
 // synchronous engine (the loop behind Run and sim, and the emu server): the
 // per-round feedback prelude, the exact FedAvg fold of the accepted replies,
 // the apply step with its feedback rule, the cumulative communication
-// counters and the telemetry emission. What the loop's Schedule or the emu
-// server decides is who participates and whose reply is accepted; each hands
-// Fold the exact sum of the accepted uploads.
+// counters, and the round tail: diagnostics, evaluation and telemetry. What
+// the loop's Schedule or the emu server decides is who participates and whose
+// reply is accepted; each hands Finish the exact sum of the accepted uploads.
 type Aggregator struct {
 	// Params is the global parameter vector, updated in place every round.
 	Params []float64
 	// SkipCounts is the number of withheld updates Fold saw per client.
 	SkipCounts []int
+	// Eval is how Finish measures accuracy; the zero value never does.
+	Eval Evaluation
 
 	engine    string
 	filter    UploadFilter
@@ -37,6 +41,8 @@ type Aggregator struct {
 	signs      []int8 // sign buffer, rebuilt by Begin
 	cumUploads int
 	cumBytes   int64
+	st         RoundStats   // the record Finish hands keep
+	loss, rel  shard.Scalar // and its sums, reset every round
 }
 
 // NewAggregator starts a run at params for the given number of clients.
@@ -157,21 +163,55 @@ func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, 
 	return ev, update, nil
 }
 
-// Emit publishes the round: one ClientEvent per accepted reply, in accepted
-// order (ascending client id from every engine), then the RoundEvent.
-func (a *Aggregator) Emit(ev telemetry.RoundEvent, accepted []int, replies []Reply) {
-	if len(a.observers) == 0 {
-		return
+// Evaluation is when and how Finish measures the model: after every Every-th
+// round and after round Last, Net loads the global parameters and Evaluate
+// scores it on Test in Batch-sized passes; nothing is measured without Test.
+// An accuracy of at least Target ends the run; 0 never does.
+type Evaluation struct {
+	Net                *nn.Network
+	Test               *dataset.Set
+	Every, Last, Batch int
+	Target             float64
+}
+
+// Finish closes round t for every synchronous engine: Fold, the means of the
+// accepted replies' loss and relevance (exact sums rounded once, so neither
+// arrival order nor the workers show in them), the evaluation, then keep,
+// which is given the applied update (nil if nobody uploaded) and stores a
+// copy of the record, the next round's to reuse. What keep sets on it is
+// published: a ClientEvent per accepted reply, in accepted order, then the
+// RoundEvent. Finish reports whether the run reached its target accuracy.
+// MeanSignificance and DeltaUpdate are NaN for keep to fill.
+func (a *Aggregator) Finish(t, participants int, accepted []int, replies []Reply, sum *shard.Accumulator, keep func(st *RoundStats, update []float64)) (bool, error) {
+	ev, update, err := a.Fold(t, participants, accepted, replies, sum)
+	if err != nil {
+		return false, err
 	}
+	a.loss.Reset()
+	a.rel.Reset()
+	rels := 0
 	for _, i := range accepted {
+		a.loss.Add(replies[i].Loss)
+		if v := replies[i].Relevance; !isNaN(v) {
+			a.rel.Add(v)
+			rels++
+		}
+	}
+	st := &a.st
+	*st = RoundStats{RoundEvent: ev, TrainLoss: mean(&a.loss, len(accepted)), MeanRelevance: mean(&a.rel, rels), MeanSignificance: nan(), DeltaUpdate: nan()}
+	if e := &a.Eval; e.Test != nil && e.Every > 0 && (t%e.Every == 0 || t == e.Last) {
+		if err := e.Net.SetParamVector(a.Params); err != nil {
+			return false, fmt.Errorf("round %d: evaluator: %w", t, err)
+		}
+		st.Accuracy = Evaluate(e.Net, e.Test, e.Batch)
+	}
+	keep(st, update)
+	for _, i := range accepted {
+		r := &replies[i]
 		telemetry.EmitClient(a.observers, telemetry.ClientEvent{
-			Engine:      a.engine,
-			Round:       ev.Round,
-			Client:      i,
-			Uploaded:    replies[i].Upload,
-			Relevance:   replies[i].Relevance,
-			UplinkBytes: replies[i].Bytes,
+			Engine: a.engine, Round: t, Client: i, Uploaded: r.Upload, Relevance: r.Relevance, UplinkBytes: r.Bytes,
 		})
 	}
-	telemetry.EmitRound(a.observers, ev)
+	telemetry.EmitRound(a.observers, st.RoundEvent)
+	return a.Eval.Target > 0 && st.Accuracy >= a.Eval.Target, nil // never while NaN
 }

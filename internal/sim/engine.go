@@ -41,13 +41,11 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := s.res
 	for i, st := range out.History {
-		h := &res.History[i]
-		h.RoundEvent, h.TrainLoss, h.MeanRelevance = st.RoundEvent, st.TrainLoss, st.MeanRelevance
+		s.res.History[i].RoundStats = st
 	}
-	res.FinalParams, res.SkipCounts, res.FilterName, res.VirtualDuration = out.FinalParams, out.SkipCounts, out.FilterName, s.clock
-	return res, nil
+	s.res.FinalParams, s.res.SkipCounts, s.res.FilterName, s.res.VirtualDuration = out.FinalParams, out.SkipCounts, out.FilterName, s.clock
+	return s.res, nil
 }
 
 // schedule is sim's fl.Schedule. Everything but Packed runs on the loop's

@@ -112,10 +112,10 @@ type Config struct {
 	Observers []telemetry.Observer
 }
 
-// RoundStats records one simulated round: the engine-shared communication
-// core plus the virtual-time quantities only a simulation can measure.
+// RoundStats records one simulated round: the record every tier keeps plus
+// the virtual-time quantities only a simulation can measure.
 type RoundStats struct {
-	telemetry.RoundEvent
+	fl.RoundStats
 
 	// VirtualStart / VirtualEnd bound the round in virtual time; the next
 	// round starts where this one ended.
@@ -124,12 +124,6 @@ type RoundStats struct {
 	// DeadlineFired reports whether the round closed at its deadline
 	// (true) or because every expected reply arrived (false).
 	DeadlineFired bool
-
-	// TrainLoss is the mean local loss over clients that trained.
-	TrainLoss float64
-	// MeanRelevance is the client-mean CMFL Eq. 9 relevance (NaN while no
-	// feedback exists).
-	MeanRelevance float64
 }
 
 // Result is the outcome of a simulated run.

@@ -14,6 +14,7 @@ import (
 	"cmfl/internal/dataset"
 	"cmfl/internal/emu"
 	"cmfl/internal/fl"
+	"cmfl/internal/gaia"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/xrand"
@@ -65,15 +66,15 @@ func fingerprint(t *testing.T, res *Result, reg *telemetry.Registry) string {
 
 // TestDeterminism pins the tentpole property: the same seed produces
 // bit-identical final parameters, histories and registry histograms across
-// reruns AND across shard counts. Every run's fingerprint also hashes to the
-// one pinned while the loop kept each delta until Accept and folded on its
-// driver, so the workers' fold, with Packed's verdict standing in for the
-// drain's, changes nothing, deadline cuts included. The vector kernels fuse
-// the multiply-adds and the portable loops do not, so each path has its own
-// hash.
+// reruns AND across shard counts. Every run's fingerprint also hashes to a
+// pinned value. The pins moved once, when the round record became
+// fl.RoundStats and its mean loss and relevance left out the deadline's
+// stragglers; the parameters, counts, virtual times and histograms they
+// cover did not. The vector kernels fuse the multiply-adds and the portable
+// loops do not, so each path has its own hash.
 func TestDeterminism(t *testing.T) {
-	const wantSIMD, wantPortable = "e0b312bcc3bda646b0312f44f24cc6614741a8904c8e4263215d1ea4d0900009",
-		"bdf1763f9e9c9e2644080396bacf59c7abd4632d592a705961574da2f80f3481"
+	const wantSIMD, wantPortable = "ab3dd3cba9bf240ccaac5676aab92b66b25807af85f960d3fe05f33bc856ac0d",
+		"0744b7f626851be4b5837109dd16f200f28fe830efba0e70819b00a7ab131a56"
 	var want string
 	for i, shards := range []int{1, 1, 3, 8, 64} {
 		cfg := simConfig(t, 96, shards)
@@ -214,27 +215,49 @@ func TestFLParity(t *testing.T) {
 }
 
 // tierRun is what TestTierParity compares across engines: the final model,
-// the per-round communication record and the per-client uplink byte stream in
-// emission order.
+// the round records and the client events in emission order.
 type tierRun struct {
-	name   string
-	params []float64
-	rounds []telemetry.RoundEvent
-	bytes  []int64
+	name    string
+	params  []float64
+	rounds  []roundKey
+	clients []clientKey
+}
+
+// roundKey is a round record as the tiers must agree on it: all of it but the
+// engine label and the two traces only fl.Run takes (MeanSignificance,
+// DeltaUpdate), its floats as bits.
+type roundKey struct {
+	ev                        telemetry.RoundEvent // Engine and Accuracy cleared
+	accuracy, loss, relevance uint64
+}
+
+func (r *tierRun) record(s fl.RoundStats) {
+	ev := s.RoundEvent
+	ev.Engine, ev.Accuracy = "", 0
+	r.rounds = append(r.rounds, roundKey{ev, math.Float64bits(s.Accuracy), math.Float64bits(s.TrainLoss), math.Float64bits(s.MeanRelevance)})
+}
+
+// clientKey is a client event but its engine label, the relevance as bits.
+type clientKey struct {
+	ev        telemetry.ClientEvent // Engine and Relevance cleared
+	relevance uint64
 }
 
 func (r *tierRun) observers() []telemetry.Observer {
-	return []telemetry.Observer{telemetry.Funcs{
-		Round:  func(e telemetry.RoundEvent) { r.rounds = append(r.rounds, e) },
-		Client: func(e telemetry.ClientEvent) { r.bytes = append(r.bytes, e.UplinkBytes) },
-	}}
+	return []telemetry.Observer{telemetry.Funcs{Client: func(e telemetry.ClientEvent) {
+		rel := math.Float64bits(e.Relevance)
+		e.Engine, e.Relevance = "", 0
+		r.clients = append(r.clients, clientKey{e, rel})
+	}}}
 }
 
 // TestTierParity is the three-tier identity: one spec run by fl.Run, by
 // sim.Run (compat streams, zero latency) and by emu.RunCluster at 1, 3 and 8
-// shards gives one model, bit for bit, and one communication record. Every
-// tier closes its rounds through fl.Aggregator over an exact sum, so neither
-// TCP arrival order nor the shard layout is observable.
+// shards gives one model, bit for bit, and one record of every round and
+// client, under an ungated, a CMFL and a Gaia gate. Every tier closes its
+// rounds through fl.Aggregator over an exact sum, so neither TCP arrival
+// order nor the shard layout is observable, and every client reports Eq. 9,
+// whatever its gate decided on.
 func TestTierParity(t *testing.T) {
 	const clients, rounds, seed = 12, 5, 7171
 	wl, err := SyntheticWorkload(clients, 16, 4, 8, seed)
@@ -247,6 +270,7 @@ func TestTierParity(t *testing.T) {
 	}{
 		{"vanilla", nil},
 		{"gated", core.NewFilter(core.Constant(0.55))},
+		{"gaia", gaia.NewFilter(core.Constant(0.2))},
 	} {
 		t.Run(gate.name, func(t *testing.T) {
 			ref := &tierRun{name: "fl"}
@@ -258,8 +282,11 @@ func TestTierParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref.params = flRes.FinalParams
+			for _, h := range flRes.History {
+				ref.record(h)
+			}
 			if gate.filter != nil {
-				if last := ref.rounds[rounds-1]; last.CumUploads == 0 || last.CumUploads == clients*rounds {
+				if last := flRes.History[rounds-1]; last.CumUploads == 0 || last.CumUploads == clients*rounds {
 					t.Fatalf("gate uploaded %d of %d: the gated spec exercises only one branch", last.CumUploads, clients*rounds)
 				}
 			}
@@ -274,6 +301,9 @@ func TestTierParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			got.params = simRes.FinalParams
+			for _, h := range simRes.History {
+				got.record(h.RoundStats)
+			}
 			ref.assertEqual(t, got)
 
 			for _, shards := range []int{1, 3, 8} {
@@ -287,6 +317,9 @@ func TestTierParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				got.params = cres.Server.FinalParams
+				for _, h := range cres.Server.History {
+					got.record(h.RoundStats)
+				}
 				ref.assertEqual(t, got)
 			}
 		})
@@ -307,16 +340,16 @@ func (r *tierRun) assertEqual(t *testing.T, got *tierRun) {
 		t.Fatalf("%s: %d rounds, %s has %d", got.name, len(got.rounds), r.name, len(r.rounds))
 	}
 	for k, want := range r.rounds {
-		if e := got.rounds[k]; e.Uploaded != want.Uploaded || e.Skipped != want.Skipped || e.CumUplinkBytes != want.CumUplinkBytes {
-			t.Fatalf("round %d accounting diverged:\n  %s: %+v\n  %s: %+v", k+1, r.name, want, got.name, e)
+		if e := got.rounds[k]; e != want {
+			t.Fatalf("round %d record diverged:\n  %s: %+v\n  %s: %+v", k+1, r.name, want, got.name, e)
 		}
 	}
-	if len(got.bytes) != len(r.bytes) {
-		t.Fatalf("%s: %d client events, %s has %d", got.name, len(got.bytes), r.name, len(r.bytes))
+	if len(got.clients) != len(r.clients) {
+		t.Fatalf("%s: %d client events, %s has %d", got.name, len(got.clients), r.name, len(r.clients))
 	}
-	for k := range r.bytes {
-		if got.bytes[k] != r.bytes[k] {
-			t.Fatalf("client event %d uplink bytes: %s %d, %s %d", k, r.name, r.bytes[k], got.name, got.bytes[k])
+	for k, want := range r.clients {
+		if e := got.clients[k]; e != want {
+			t.Fatalf("client event %d diverged:\n  %s: %+v\n  %s: %+v", k, r.name, want, got.name, e)
 		}
 	}
 }

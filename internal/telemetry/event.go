@@ -32,24 +32,19 @@ const (
 
 // RoundEvent is the communication-cost core every engine records per round:
 // who participated, who uploaded, what it cost so far, and where accuracy
-// stands. The per-engine stats types (fl.RoundStats, sim.RoundStats,
-// mtl.RoundStats, emu.RoundStats) embed it instead of re-declaring the
-// fields, so one schema serves result histories and live observation alike.
+// stands. The per-engine stats types embed it instead of re-declaring the
+// fields (fl.RoundStats, which sim.RoundStats and emu.RoundStats embed in
+// turn, and mtl.RoundStats), so one schema serves result histories and live
+// observation alike.
 type RoundEvent struct {
 	// Engine identifies the emitting engine (see the Engine* constants).
 	Engine string
 	// Round is the 1-based synchronous round number; asynchronous engines
 	// use the 1-based completion index.
 	Round int
-	// Participants is the number of clients that took part this round.
-	//
-	// The engines with a Dropped count differ on whether it is inside this
-	// number: sim counts every client the broadcast reached, so its
-	// deadline stragglers are participants (Participants = Uploaded +
-	// Skipped + Dropped), while emu counts only the replies it
-	// aggregated (Participants = Uploaded + Skipped, Dropped beside
-	// it). Compare Uploaded, Skipped and the cumulative counters across
-	// engines, not Participants.
+	// Participants is the number of clients the round's broadcast reached
+	// (in emu, plus any whose reply promoted it): Uploaded + Skipped +
+	// Dropped.
 	Participants int
 	// Uploaded / Skipped split the participants by the filter's verdict.
 	Uploaded int
@@ -86,6 +81,17 @@ type Eventer interface {
 	Event() RoundEvent
 }
 
+// FinalAccuracy returns the accuracy of history's last evaluated round, or
+// NaN when no round was evaluated.
+func FinalAccuracy[E Eventer](history []E) float64 {
+	for i := len(history) - 1; i >= 0; i-- {
+		if e := history[i].Event(); e.Evaluated() {
+			return e.Accuracy
+		}
+	}
+	return math.NaN()
+}
+
 // ClientEvent records one client's upload/skip decision inside a round —
 // the per-client stream behind upload-fraction and relevance-distribution
 // observability.
@@ -99,8 +105,9 @@ type ClientEvent struct {
 	Client int
 	// Uploaded reports the filter's verdict for this client's update.
 	Uploaded bool
-	// Relevance is the CMFL Eq. 9 metric at the decision (NaN when no
-	// feedback existed or the filter does not compute it).
+	// Relevance is Eq. 9 of the client's update against the round's
+	// feedback, whatever the filter decided on; NaN while no feedback
+	// exists.
 	Relevance float64
 	// UplinkBytes is what the decision cost: the payload size for uploads,
 	// the skip-notification size otherwise.
