@@ -384,9 +384,6 @@ type Limits = emu.Limits
 // the flat one by construction).
 type Topology = emu.Topology
 
-// ShardLimit is one shard's local override of the global Limits.
-type ShardLimit = emu.ShardLimit
-
 // EmuRoundStats is the emulation master's round record: the record every
 // tier keeps (fl.RoundStats) plus wire-level running totals.
 type EmuRoundStats = emu.RoundStats

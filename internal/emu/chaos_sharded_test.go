@@ -3,6 +3,7 @@ package emu
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -234,86 +235,6 @@ func TestChaosShardedCodecChain(t *testing.T) {
 	}
 }
 
-// TestChaosShardedShuffleAssignment pins the seeded shard layout: Shuffle
-// derives the client permutation from the topology seed, the same seed must
-// reproduce the run bit for bit, and — exact aggregation being layout-blind —
-// even a different permutation must land on the identical global model.
-func TestChaosShardedShuffleAssignment(t *testing.T) {
-	plan := NewFaultPlan().Add(1, 2, Fault{Kind: FaultDropUpdate})
-	run := func(topo Topology) *ClusterResult {
-		cfg := clusterConfig(t, 6, 3, nil)
-		cfg.DialTimeout = 10 * time.Second
-		cfg.RoundDeadline = 1200 * time.Millisecond
-		cfg.MinQuorum = 1
-		cfg.Faults = plan
-		cfg.Topology = topo
-		cfg.Registry = telemetry.NewRegistry()
-		res, err := RunCluster(cfg)
-		if err != nil {
-			t.Fatalf("shuffled sharded cluster: %v", err)
-		}
-		return res
-	}
-	contiguous := run(Topology{Shards: 3})
-	shuffledA := run(Topology{Shards: 3, Shuffle: true, Seed: 7})
-	shuffledB := run(Topology{Shards: 3, Shuffle: true, Seed: 7})
-	assertShardParity(t, "same shuffle seed", shuffledA.Server, shuffledB.Server)
-	assertRegistryParity(t, "same shuffle seed", shuffledA.Registry, shuffledB.Registry)
-	assertShardParity(t, "shuffled vs contiguous", contiguous.Server, shuffledA.Server)
-}
-
-// TestChaosShardedPerShardLimits gives one shard a local quorum floor and a
-// tighter local deadline: with no faults the extensions must stay invisible
-// (parity with the flat run), and the per-shard floor must fail loudly when
-// that shard's clients go silent.
-func TestChaosShardedPerShardLimits(t *testing.T) {
-	t.Run("invisible when met", func(t *testing.T) {
-		t.Parallel()
-		flat := chaosClusterSharded(t, 6, 3, 1200*time.Millisecond, 1, NewFaultPlan(), 1)
-		cfg := clusterConfig(t, 6, 3, nil)
-		cfg.DialTimeout = 10 * time.Second
-		cfg.RoundDeadline = 1200 * time.Millisecond
-		cfg.MinQuorum = 1
-		cfg.Faults = NewFaultPlan()
-		cfg.Topology = Topology{
-			Shards:      3,
-			ShardLimits: []ShardLimit{{MinQuorum: 2}, {MinQuorum: 1}},
-		}
-		cfg.Registry = telemetry.NewRegistry()
-		res, err := RunCluster(cfg)
-		if err != nil {
-			t.Fatalf("per-shard limits cluster: %v", err)
-		}
-		assertShardParity(t, "per-shard limits", flat.Server, res.Server)
-	})
-	t.Run("local floor fails loudly", func(t *testing.T) {
-		t.Parallel()
-		// Shard 0 owns clients 0-1 at 6 clients / 3 shards; silence both
-		// from round 2 on and demand 2 local replies.
-		plan := NewFaultPlan()
-		for r := 2; r <= 3; r++ {
-			plan.Add(0, r, Fault{Kind: FaultDropUpdate})
-			plan.Add(1, r, Fault{Kind: FaultDropUpdate})
-		}
-		cfg := clusterConfig(t, 6, 3, nil)
-		cfg.DialTimeout = 10 * time.Second
-		cfg.RoundDeadline = 700 * time.Millisecond
-		cfg.MinQuorum = 1
-		cfg.Faults = plan
-		cfg.Topology = Topology{
-			Shards:      3,
-			ShardLimits: []ShardLimit{{MinQuorum: 2}},
-		}
-		_, err := RunCluster(cfg)
-		if err == nil || !strings.Contains(err.Error(), "quorum") {
-			t.Fatalf("starved per-shard quorum must fail with a quorum error, got: %v", err)
-		}
-		if !strings.Contains(err.Error(), "shard 0") {
-			t.Fatalf("per-shard quorum failure must name the shard, got: %v", err)
-		}
-	})
-}
-
 // TestShardedScale64 is the scale acceptance check: a 64-client round over an
 // 8-shard tree completes, and the per-shard counter families sum back to the
 // global accounting (the invariant the dashboards rely on).
@@ -420,6 +341,101 @@ func TestServerShutdownMidRun(t *testing.T) {
 	}
 	// Idempotent and safe post-Run.
 	srv.Shutdown()
+}
+
+// TestCloseEndsShardWork closes a fault-tolerant sharded server while a
+// shard gathers towards a distant deadline: client 2 withholds its round-2
+// reply and the deadline is 30 s away. Close must end the shard's gather
+// with the rest of the run, so the process is back to its goroutines of
+// before the run within 2 s.
+func TestCloseEndsShardWork(t *testing.T) {
+	cfg := clusterConfig(t, 3, 5, nil)
+	// Start whatever the process starts once, on its first run, before
+	// counting.
+	warm := cfg
+	warm.ClientData, warm.Rounds = cfg.ClientData[:1], 1
+	if _, err := RunCluster(warm); err != nil {
+		t.Fatal(err)
+	}
+	before := settledGoroutines()
+
+	gathering := make(chan struct{})
+	srv, err := NewServer(ServerConfig{
+		Addr:     "127.0.0.1:0",
+		Clients:  3,
+		Model:    cfg.Model,
+		TestData: cfg.TestData,
+		Rounds:   5,
+		Limits:   Limits{DialTimeout: 10 * time.Second, RoundDeadline: 30 * time.Second, FaultTolerant: true},
+		Topology: Topology{Shards: 3},
+		Observers: []telemetry.Observer{telemetry.Funcs{Round: func(e telemetry.RoundEvent) {
+			if e.Round == 1 {
+				close(gathering)
+			}
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() {
+		_, err := srv.Run()
+		ran <- err
+	}()
+	plan := NewFaultPlan().Add(2, 2, Fault{Kind: FaultDropUpdate})
+	for i := range 3 {
+		ccfg := ClientConfig{Addr: srv.Addr(), ID: i, Model: cfg.Model, Data: cfg.ClientData[i],
+			Epochs: cfg.Epochs, Batch: cfg.Batch, LR: cfg.LR, Seed: cfg.Seed}
+		if i == 2 {
+			ccfg.Faults = plan
+		}
+		go func() {
+			// Every client ends on the closed connection; the goroutine
+			// count below waits for them too.
+			_, _ = RunClient(ccfg)
+		}()
+	}
+	select {
+	case <-gathering:
+	case <-time.After(20 * time.Second):
+		t.Fatal("round 1 did not finish")
+	}
+	time.Sleep(300 * time.Millisecond) // round 2 is out; shard 2 waits for client 2
+
+	closed := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-ran:
+		if err == nil {
+			t.Fatal("Run succeeded although the server closed mid-round")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run did not return within 2 s of Close")
+	}
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Since(closed) > 2*time.Second {
+			t.Fatalf("%d goroutines 2 s after Close, %d before the run", n, before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// settledGoroutines returns the goroutine count once two reads 10 ms apart
+// agree (or after half a second), so goroutines still exiting from earlier
+// work are not counted.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for range 50 {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 // TestRunClusterFastFailReleasesServer pins the strict-mode leak fix: when a

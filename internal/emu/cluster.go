@@ -42,8 +42,7 @@ type ClusterConfig struct {
 	// is implied by Faults.
 	Limits
 	// Topology lays out the server's aggregation tree (see emu.Topology).
-	// The zero value is the flat server. When Shuffle is set and
-	// Topology.Seed is zero, the cluster Seed keys the shard assignment.
+	// The zero value is the flat server.
 	Topology Topology
 	// Faults wires a deterministic FaultPlan into every client, enables
 	// client reconnection, and implies FaultTolerant. Client errors are
@@ -90,9 +89,6 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	if cfg.Faults != nil {
 		cfg.FaultTolerant = true
-	}
-	if cfg.Topology.Shuffle && cfg.Topology.Seed == 0 {
-		cfg.Topology.Seed = cfg.Seed
 	}
 	// The raw I/O safety net sits well above the aggregation deadline so it
 	// only ever fires on a truly wedged transport.

@@ -237,11 +237,16 @@ func decodeHello(p []byte) (clientID int, codecSpec []byte, err error) {
 	return int(binary.BigEndian.Uint32(p[:4])), p[7:], nil
 }
 
+// appendFrameHeader appends the header of a frame of the given kind whose
+// payload is n bytes long.
+func appendFrameHeader(buf []byte, kind byte, n int) []byte {
+	return append(binary.BigEndian.AppendUint32(buf, uint32(n)), kind)
+}
+
 // appendModelFrame appends a whole model-broadcast frame to buf: the frame
 // header, then the payload (round, dim, params).
 func appendModelFrame(buf []byte, round int, params []float64) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(8+8*len(params)))
-	buf = append(buf, msgModel)
+	buf = appendFrameHeader(buf, msgModel, 8+8*len(params))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(round))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(params)))
 	return putFloats(buf, params)

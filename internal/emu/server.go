@@ -178,19 +178,25 @@ type Server struct {
 	// (Shutdown); stop is the hard teardown signal.
 	quit     chan struct{}
 	quitOnce sync.Once
-	// handshakes is the admission semaphore: at most MaxPendingHandshakes
-	// hellos are in flight at once, the rest wait their turn.
+	// handshakes is the admission semaphore: at most handshakesPerShard
+	// hellos per shard are in flight at once, the rest wait their turn.
 	handshakes chan struct{}
 
-	// The aggregation tree: shard aggregators in fixed index order, the
-	// client-to-shard routing table, the root's merge accumulator and the
-	// round's accepted replies by global client id. All written once in
-	// NewServer (shards, shardOf) or only by the round loop (rootAcc, replies).
+	// The aggregation tree: shard aggregators in fixed index order over
+	// ascending contiguous client ranges, the client-to-shard routing table,
+	// and the round loop's state — the root's merge accumulator, the round's
+	// accepted replies and broadcast mask by global client id, the writer's
+	// targets and errors, and the merged outcome. All written once in
+	// NewServer (shards, shardOf) or only by the round loop.
 	shards     []*shardAgg
 	shardOf    []int
 	shardStats []shardCounters
 	rootAcc    *shard.Accumulator
 	replies    []fl.Reply
+	expected   []bool
+	targets    []liveTarget
+	sendErrs   []error
+	out        roundOutcome
 
 	// global is the model the round loop evaluates; NewServer builds it to
 	// learn the dimension. rawFrame bounds a raw (v1) connection's frames:
@@ -205,7 +211,8 @@ type Server struct {
 	// wg tracks every connection-servicing goroutine the server spawns
 	// (acceptLoop, admit, readLoop); closeConns waits for all of them after
 	// closing the sockets they may be blocked on, so Close returns only
-	// once no server goroutine can touch a connection again.
+	// once no server goroutine can touch a connection again. The round
+	// loop joins its own writers and gathers, which end on stop.
 	wg sync.WaitGroup
 
 	mu     sync.Mutex
@@ -264,10 +271,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.Topology.validate(cfg.Clients); err != nil {
 		return nil, err
 	}
-	maxHandshakes := cfg.Topology.MaxPendingHandshakes
-	if maxHandshakes <= 0 {
-		maxHandshakes = 4 * cfg.Topology.shardCount()
-	}
 	global := cfg.Model()
 	if dim := global.NumParams(); replyHeaderSize+8*dim > maxFrame {
 		return nil, fmt.Errorf("emu: a model of %d params does not fit a %d-byte frame", dim, maxFrame)
@@ -285,7 +288,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ready:      make(chan struct{}),
 		stop:       make(chan struct{}),
 		quit:       make(chan struct{}),
-		handshakes: make(chan struct{}, maxHandshakes),
+		handshakes: make(chan struct{}, handshakesPerShard*cfg.Topology.shardCount()),
 		conns:      make([]net.Conn, cfg.Clients),
 		alive:      make([]bool, cfg.Clients),
 		gens:       make([]int, cfg.Clients),
@@ -296,17 +299,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		shardOf:    make([]int, cfg.Clients),
 		rootAcc:    shard.New(0),
 		replies:    make([]fl.Reply, cfg.Clients),
+		expected:   make([]bool, cfg.Clients),
+		targets:    make([]liveTarget, 0, cfg.Clients),
+		sendErrs:   make([]error, cfg.Clients),
 	}
-	for i, own := range shardAssignment(cfg.Clients, cfg.Topology) {
-		deadline, localQ := cfg.RoundDeadline, 0
-		if i < len(cfg.Topology.ShardLimits) {
-			if sl := cfg.Topology.ShardLimits[i]; sl.RoundDeadline > 0 {
-				deadline = sl.RoundDeadline
-			}
-			localQ = cfg.Topology.ShardLimits[i].MinQuorum
-		}
-		s.shards = append(s.shards, newShardAgg(s, i, own, deadline, localQ))
-		for _, id := range own {
+	for i, r := range shard.Split(cfg.Clients, cfg.Topology.shardCount()) {
+		s.shards = append(s.shards, newShardAgg(s, i, r))
+		for id := r.Lo; id < r.Hi; id++ {
 			s.shardOf[id] = i
 		}
 	}
@@ -482,9 +481,6 @@ func (s *Server) Run() (res *ServerResult, err error) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 	go s.acceptLoop()
-	for _, a := range s.shards {
-		go a.run()
-	}
 	if err := s.awaitClients(); err != nil {
 		return nil, err
 	}
@@ -535,8 +531,15 @@ func (s *Server) Run() (res *ServerResult, err error) {
 		}
 	}
 
-	// Tell the surviving clients training is over.
-	s.directDone(res)
+	// Tell the surviving clients training is over. A failed write here
+	// carries nothing the result depends on, and counting it as a fault
+	// would make the counters hostage to teardown races.
+	targets, errs := s.sendAll(appendFrameHeader(nil, msgDone, 0))
+	for i := range targets {
+		if errs[i] == nil {
+			res.DownlinkWireBytes += frameOverhead
+		}
+	}
 	res.FinalParams = agg.Params
 	res.Rejoins = s.rejoinCount()
 	// Pin the counters to the final totals so a post-run scrape matches
@@ -568,7 +571,7 @@ func (s *Server) acceptLoop() {
 // replaces any previous connection for the same id (latest wins).
 func (s *Server) admit(conn net.Conn) {
 	defer s.wg.Done()
-	// Admission backpressure: at most MaxPendingHandshakes hellos in
+	// Admission backpressure: at most handshakesPerShard hellos per shard in
 	// flight; excess connections queue here (each slot is released within
 	// DialTimeout by the read deadline below).
 	select {
@@ -768,18 +771,17 @@ type liveTarget struct {
 	conn    net.Conn
 }
 
-// liveTargetsOf snapshots the live connections among the given client ids,
-// in the given (ascending) order.
-func (s *Server) liveTargetsOf(ids []int) []liveTarget {
+// liveTargets appends a snapshot of the live connections to dst, in
+// ascending client id.
+func (s *Server) liveTargets(dst []liveTarget) []liveTarget {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]liveTarget, 0, len(ids))
-	for _, i := range ids {
-		if s.alive[i] && s.conns[i] != nil {
-			out = append(out, liveTarget{id: i, gen: s.gens[i], conn: s.conns[i]})
+	for i, c := range s.conns {
+		if s.alive[i] && c != nil {
+			dst = append(dst, liveTarget{id: i, gen: s.gens[i], conn: c})
 		}
 	}
-	return out
+	return dst
 }
 
 // clientCodec snapshots the decoder negotiated by id's latest hello.

@@ -3,14 +3,15 @@ package emu
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"cmfl/internal/telemetry"
 )
 
-// roundOutcome is the root's merged, canonically ordered view of one round:
-// what the old flat round loop derived from its single inbox, rebuilt from
-// shard partials so the downstream accounting is layout-blind.
+// roundOutcome is the root's merged, canonically ordered view of one round,
+// rebuilt from the shard partials so the downstream accounting is
+// layout-blind.
 type roundOutcome struct {
 	// accepted lists the clients whose reply counted, ascending; the replies
 	// themselves are Server.replies[id], and the exact sum of their updates
@@ -26,90 +27,80 @@ type roundOutcome struct {
 	wire       int64
 }
 
-// runRound drives one synchronous round through the aggregation tree: a
-// broadcast phase fanned out to every shard in fixed order, global failure
-// checks over the collected broadcast partials, then a gather phase, the
-// global quorum decision, and the merge. Directives go out in fixed shard
-// order and partials are collected in the same order, so root-side state
-// never depends on shard timing.
+// runRound drives one synchronous round as a fork-join: the root writes the
+// model to every live client, every shard gathers its own clients' replies
+// on a goroutine of its own, and the root joins them and merges their
+// partials in fixed shard order, so root-side state never depends on shard
+// timing. The outcome is the server's, reused by the next round.
 //
 //cmfl:deterministic
 func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOutcome, error) {
 	s.modelFrame = appendModelFrame(s.modelFrame[:0], t, params)
-	out := &roundOutcome{}
+	out := &s.out
+	*out = roundOutcome{accepted: out.accepted[:0]}
 
-	// Phase 1: broadcast. Shards run their model writes concurrently; the
-	// root waits for all of them so every shard's gather deadline starts
-	// only after the whole fleet received the round — same timing contract
-	// as the flat server's single broadcast barrier.
-	for _, a := range s.shards {
-		if err := a.direct(shardDirective{kind: dirBroadcast, round: t, frame: s.modelFrame}); err != nil {
-			return nil, err
+	// Broadcast. Every write finishes before any shard's deadline starts:
+	// the whole fleet has the round when the gathers begin.
+	targets, errs := s.sendAll(s.modelFrame)
+	clear(s.expected)
+	reached := 0
+	for i, tgt := range targets {
+		if errs[i] == nil {
+			res.DownlinkWireBytes += int64(len(s.modelFrame))
+			s.expected[tgt.id] = true
+			reached++
+			continue
+		}
+		if s.markDown(tgt.id, tgt.gen) {
+			out.faults++
+			noteDropped(res, tgt.id, t)
+			if !s.cfg.FaultTolerant {
+				return nil, fmt.Errorf("emu: round %d broadcast: %w", t, clientError{client: tgt.id, err: fmt.Errorf("emu: write model frame: %w", errs[i])})
+			}
 		}
 	}
-	expectedTotal := 0
-	var bcastErr error
-	for _, a := range s.shards {
-		p, err := a.collect()
-		if err != nil {
-			return nil, err
-		}
-		res.DownlinkWireBytes += p.sent
-		out.faults += p.faults
-		s.applyDropped(p.dropped, res)
-		expectedTotal += p.expected
-		if p.err != nil && bcastErr == nil {
-			bcastErr = p.err
-		}
-	}
-	if bcastErr != nil {
-		return nil, fmt.Errorf("emu: round %d broadcast: %w", t, bcastErr)
-	}
-	if expectedTotal == 0 {
-		// No shard reached anyone — a global judgement no single shard can
-		// make (one shard losing all of its clients is survivable).
+	if reached == 0 {
+		// One shard losing all of its clients is survivable; the whole fleet
+		// is not.
 		return nil, fmt.Errorf("emu: round %d broadcast: %w", t, errors.New("emu: all clients failed"))
 	}
 
-	// Phase 2: gather. Each shard drains its own clients against its own
-	// deadline; the root collects the partials in shard order.
+	// Gather. Each shard drains its own clients against the round deadline.
+	var wg sync.WaitGroup
 	for _, a := range s.shards {
-		if err := a.direct(shardDirective{kind: dirGather, round: t, dim: len(params)}); err != nil {
-			return nil, err
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.gather(t, len(params), s.expected[a.lo:a.hi])
+		}()
 	}
-	parts := make([]*shardPartial, len(s.shards))
-	for i, a := range s.shards {
-		p, err := a.collect()
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = p
-	}
-	for _, p := range parts {
-		if p.err != nil {
-			return nil, fmt.Errorf("emu: round %d gather: %w", t, p.err)
+	wg.Wait()
+	for _, a := range s.shards {
+		if err := a.part.err; err != nil {
+			return nil, fmt.Errorf("emu: round %d gather: %w", t, err)
 		}
 	}
 
-	// Merge the drain/fault tallies in fixed shard order.
+	// Merge the drain/fault tallies in fixed shard order. Shards own
+	// ascending contiguous ranges, so their stragglers concatenate in order.
 	accepted, deadlineFired := 0, false
-	for _, p := range parts {
+	for _, a := range s.shards {
+		p := &a.part
 		out.wire += p.wire
 		out.late += p.late
 		out.dups += p.dups
 		out.faults += p.faults
-		s.applyDropped(p.dropped, res)
+		for _, id := range p.dropped {
+			noteDropped(res, id, t)
+		}
 		accepted += p.accepted
-		out.expected += p.expectedEnd
+		out.expected += p.expected
 		deadlineFired = deadlineFired || p.deadlineFired
 		out.stragglers = append(out.stragglers, p.stragglers...)
 	}
-	sort.Ints(out.stragglers)
 
 	// The quorum is GLOBAL: replies are summed across shards and judged
-	// here, with the flat server's exact failure modes. Per-shard quorum
-	// floors (ShardLimits.MinQuorum) already failed inside gather.
+	// here, so the shard layout never changes a quorum decision.
 	minQ := s.minQuorum()
 	if accepted < minQ {
 		if deadlineFired {
@@ -120,23 +111,23 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 	}
 	// Only rounds that aggregate advance the per-shard counters, matching
 	// how the global families are pinned to ServerResult's accounting.
-	for i, p := range parts {
-		s.bumpShardCounters(i, p)
+	for i, a := range s.shards {
+		s.bumpShardCounters(i, &a.part)
 	}
 
 	// Merge the exact partial sums in fixed shard order — the order is
 	// cosmetic, since exact accumulation is grouping- and order-invariant,
 	// but fixing it keeps the loop deterministic to inspection too.
 	s.rootAcc.Reset(len(params))
-	for _, p := range parts {
-		s.rootAcc.Merge(p.sum)
+	for _, a := range s.shards {
+		s.rootAcc.Merge(a.acc)
 	}
 
 	// Canonicalize reply order by global client id: float accumulation is
 	// already layout-proof, but telemetry emission and the history records
 	// must read identically too.
-	for _, p := range parts {
-		for _, m := range p.replies {
+	for _, a := range s.shards {
+		for _, m := range a.part.replies {
 			s.replies[m.client] = m.reply
 			out.accepted = append(out.accepted, m.client)
 			if m.encoded {
@@ -146,41 +137,41 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 			}
 		}
 	}
-	sort.Ints(out.accepted)
+	slices.Sort(out.accepted)
 	return out, nil
 }
 
-// directDone fans the final best-effort done frame out to every shard and
-// folds the written bytes into the result.
-func (s *Server) directDone(res *ServerResult) {
-	for _, a := range s.shards {
-		if a.direct(shardDirective{kind: dirDone}) != nil {
-			return
-		}
+// sendAll writes frame to every live client, one goroutine per client, each
+// write bounded by RoundTimeout, and returns the clients it wrote to,
+// ascending, with each one's error (nil when the whole frame went out).
+// Both slices are the server's, reused by the next call.
+func (s *Server) sendAll(frame []byte) ([]liveTarget, []error) {
+	s.targets = s.liveTargets(s.targets[:0])
+	errs := s.sendErrs[:len(s.targets)]
+	var wg sync.WaitGroup
+	for i, tgt := range s.targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// I/O deadline only; read through the package clock hook, and
+			// wall-clock never enters aggregation.
+			if errs[i] = tgt.conn.SetWriteDeadline(now().Add(s.cfg.RoundTimeout)); errs[i] == nil {
+				_, errs[i] = tgt.conn.Write(frame)
+			}
+		}()
 	}
-	for _, a := range s.shards {
-		p, err := a.collect()
-		if err != nil {
-			return
-		}
-		res.DownlinkWireBytes += p.sent
-	}
+	wg.Wait()
+	return s.targets, errs
 }
 
-// applyDropped folds shard-reported connection deaths into DroppedClients,
-// first failing round wins (partials arrive in round order, so the first
-// record seen is the first failure).
-func (s *Server) applyDropped(dropped []droppedClient, res *ServerResult) {
-	if len(dropped) == 0 {
-		return
-	}
+// noteDropped records client id's connection death in round t in
+// DroppedClients; the first failing round wins.
+func noteDropped(res *ServerResult, id, t int) {
 	if res.DroppedClients == nil {
 		res.DroppedClients = make(map[int]int)
 	}
-	for _, d := range dropped {
-		if _, ok := res.DroppedClients[d.id]; !ok {
-			res.DroppedClients[d.id] = d.round
-		}
+	if _, ok := res.DroppedClients[id]; !ok {
+		res.DroppedClients[id] = t
 	}
 }
 

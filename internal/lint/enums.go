@@ -17,7 +17,7 @@ import (
 //     type, so a switch whose tag has that static type binds the family
 //     even when no case mentions a member.
 //   - prefix families: one `const` block whose ≥3 integer members share a
-//     common name prefix (msg*, dir*, spec*). These are the untyped wire
+//     common name prefix (msg*, spec*). These are the untyped wire
 //     alphabets; a switch binds the family through its case expressions.
 //
 // String-valued blocks (annotation markers, metric names) are never

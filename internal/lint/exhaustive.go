@@ -7,17 +7,16 @@ import (
 )
 
 // Exhaustive enforces total dispatch over the repo's enum-like constant
-// families (frame kinds, shard directives, codec spec tags, quorum
-// verdicts, fault kinds, injector modes): a switch over a family must
-// either name every member or carry a default clause that fails loudly.
-// A silent default on a protocol alphabet is how an unknown frame kind or
-// directive gets routed to the wrong handler instead of severing the
-// connection — the exact bug class the wire-v2 retirement of kind 6 was
+// families (frame kinds, codec spec tags, quorum verdicts, fault kinds,
+// injector modes): a switch over a family must either name every member or
+// carry a default clause that fails loudly. A silent default on a protocol
+// alphabet is how an unknown frame kind gets routed to the wrong handler
+// instead of severing the connection — the exact bug class the wire-v2 retirement of kind 6 was
 // designed to surface.
 //
 // A switch is "over" a family when its tag's static type is the family's
 // named type, or when at least two of its case expressions resolve to
-// members of one prefix family (msg*, dir*, spec*). Type switches and
+// members of one prefix family (msg*, spec*). Type switches and
 // tagless switches are out of scope, as are string-valued const blocks.
 var Exhaustive = &Analyzer{
 	Name: "exhaustive",

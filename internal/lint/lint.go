@@ -103,12 +103,12 @@ type StreamFact struct {
 }
 
 // ProtoFact is one wire-protocol event site recorded by protostate: a
-// frame kind written or read, or a shard directive sent or dispatched.
+// frame kind written or read.
 // Side is the peer attribution ("client", "server", "both", or "" when
 // the function is reachable from neither entry point).
 type ProtoFact struct {
 	Kind   string `json:"kind"`
-	Op     string `json:"op"` // frame-write | frame-read | dir-send | dir-case
+	Op     string `json:"op"` // frame-write | frame-read
 	Side   string `json:"side,omitempty"`
 	Func   string `json:"func"`
 	File   string `json:"file"`

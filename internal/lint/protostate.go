@@ -20,21 +20,17 @@ import (
 //	                call-graph reachability from the side's entry points
 //	reads           msg* constants consumed in switch cases or ==/!=
 //	                comparisons
-//	directives      the dir* family: shardDirective composite literals the
-//	                root sends versus the aggregator's dispatch cases
 //
 // and checks, in the merge phase over every package's facts:
 //
 //	D1  every frame kind one side writes has a reader on the other side;
-//	D2  every directive kind the root sends has an aggregator case, and
-//	    every handled directive is actually sent (mirror-image sequences);
 //
 // plus two per-package rules with full type information:
 //
-//	D3  a switch dispatching on frame kinds rejects unknown kinds loudly
+//	D2  a switch dispatching on frame kinds rejects unknown kinds loudly
 //	    (a default clause that returns an error — silent fall-through is
 //	    how a stale peer gets misparsed instead of severed);
-//	D4  on a freshly dialed connection the first frame written is the
+//	D3  on a freshly dialed connection the first frame written is the
 //	    hello: no kind is writable before version/codec negotiation
 //	    completes.
 //
@@ -42,7 +38,7 @@ import (
 // kinds (msgUpdateCRetired) deliberately keep a loud reader.
 var ProtoState = &Analyzer{
 	Name:  "protostate",
-	Doc:   "client/server wire-protocol duality: every written frame kind has an opposite-side reader, unknown kinds are rejected loudly, nothing precedes the hello, directive send/handle sets mirror",
+	Doc:   "client/server wire-protocol duality: every written frame kind has an opposite-side reader, unknown kinds are rejected loudly, nothing precedes the hello",
 	Run:   runProtoState,
 	Merge: mergeProtoState,
 }
@@ -50,9 +46,8 @@ var ProtoState = &Analyzer{
 // Protocol roles are declared by name so fixture packages bind the same
 // rules as internal/emu. (Vars, not consts: tests may extend them.)
 var (
-	// protoFramePrefix / protoDirPrefix name the constant families.
+	// protoFramePrefix names the frame-kind constant family.
 	protoFramePrefix = "msg*"
-	protoDirPrefix   = "dir*"
 	// protoClientFuncs are the client side's entry points.
 	protoClientFuncs = map[string]bool{"RunClient": true}
 	// protoServerTypes are the receiver types whose methods form the
@@ -78,20 +73,17 @@ func sideName(mask int) string {
 }
 
 func runProtoState(pass *Pass) {
-	var frameFam, dirFam *constFamily
+	var frameFam *constFamily
 	for _, fam := range constFamilies(pass.Pkg) {
-		switch fam.name {
-		case protoFramePrefix:
+		if fam.name == protoFramePrefix {
 			frameFam = fam
-		case protoDirPrefix:
-			dirFam = fam
 		}
 	}
-	if frameFam == nil && dirFam == nil {
+	if frameFam == nil {
 		return
 	}
 
-	ps := &protoScan{pass: pass, frames: frameFam, dirs: dirFam, firstKind: make(map[*types.Func]string)}
+	ps := &protoScan{pass: pass, frames: frameFam, firstKind: make(map[*types.Func]string)}
 	ps.classifySides()
 	for _, f := range pass.SourceFiles() {
 		for _, decl := range f.Decls {
@@ -108,7 +100,6 @@ func runProtoState(pass *Pass) {
 type protoScan struct {
 	pass   *Pass
 	frames *constFamily
-	dirs   *constFamily
 	// side maps each package function to the side(s) whose entry points
 	// reach it (bitmask of sideClient/sideServer).
 	side map[*types.Func]int
@@ -199,7 +190,7 @@ func recvTypeName(fd *ast.FuncDecl) string {
 }
 
 // scanFunc collects one function's protocol facts and runs the in-package
-// rules (D3 loud rejection, D4 hello-first).
+// rules (D2 loud rejection, D3 hello-first).
 func (ps *protoScan) scanFunc(fd *ast.FuncDecl) {
 	pass := ps.pass
 	pkg := pass.Pkg
@@ -224,29 +215,16 @@ func (ps *protoScan) scanFunc(fd *ast.FuncDecl) {
 					if obj := ps.frameConst(e); obj != nil {
 						ps.record("frame-read", obj.Name(), side, fd.Name.Name, e.Pos())
 					}
-					if obj := ps.dirConst(e); obj != nil {
-						ps.record("dir-case", obj.Name(), side, fd.Name.Name, e.Pos())
-					}
 				}
 			}
 		case *ast.SwitchStmt:
 			ps.scanSwitch(n, side, fd.Name.Name)
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				v := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					v = kv.Value
-				}
-				if obj := ps.dirConst(v); obj != nil {
-					ps.record("dir-send", obj.Name(), side, fd.Name.Name, v.Pos())
-				}
-			}
 		}
 		return true
 	})
 
-	// D4: the first frame written after a dial must be the hello.
-	if len(dialPos) > 0 && ps.frames != nil {
+	// D3: the first frame written after a dial must be the hello.
+	if len(dialPos) > 0 {
 		hello := ps.helloKind()
 		if hello != "" {
 			for _, dp := range dialPos {
@@ -259,7 +237,7 @@ func (ps *protoScan) scanFunc(fd *ast.FuncDecl) {
 }
 
 // scanSwitch records read facts for family members in case clauses and
-// enforces D3 on frame-kind dispatch switches.
+// enforces D2 on frame-kind dispatch switches.
 func (ps *protoScan) scanSwitch(sw *ast.SwitchStmt, side, fname string) {
 	if sw.Tag == nil {
 		return
@@ -282,9 +260,6 @@ func (ps *protoScan) scanSwitch(sw *ast.SwitchStmt, side, fname string) {
 				frameCases++
 				ps.record("frame-read", obj.Name(), side, fname, e.Pos())
 			}
-			if obj := ps.dirConst(e); obj != nil {
-				ps.record("dir-case", obj.Name(), side, fname, e.Pos())
-			}
 		}
 	}
 	if frameCases > 0 {
@@ -297,20 +272,7 @@ func (ps *protoScan) scanSwitch(sw *ast.SwitchStmt, side, fname string) {
 }
 
 func (ps *protoScan) frameConst(e ast.Expr) types.Object {
-	if ps.frames == nil {
-		return nil
-	}
 	if obj := caseConst(ps.pass.Pkg, e); obj != nil && ps.frames.member(obj) {
-		return obj
-	}
-	return nil
-}
-
-func (ps *protoScan) dirConst(e ast.Expr) types.Object {
-	if ps.dirs == nil {
-		return nil
-	}
-	if obj := caseConst(ps.pass.Pkg, e); obj != nil && ps.dirs.member(obj) {
 		return obj
 	}
 	return nil
@@ -429,8 +391,7 @@ func isDialCall(pkg *Package, call *ast.CallExpr) bool {
 	return p == "net" || hasSuffixSegment(p, "net")
 }
 
-// mergeProtoState checks D1 (frame duality) and D2 (directive mirroring)
-// over every package's facts.
+// mergeProtoState checks D1 (frame duality) over every package's facts.
 func mergeProtoState(mp *MergePass) {
 	var all []ProtoFact
 	for _, t := range mp.Targets {
@@ -450,53 +411,31 @@ func mergeProtoState(mp *MergePass) {
 	// readers[kind] accumulates the side mask of every read site; "" and
 	// "both" satisfy either side.
 	readers := make(map[string]int)
-	dirSent := make(map[string]bool)
-	dirHandled := make(map[string]bool)
 	for _, f := range all {
-		switch f.Op {
-		case "frame-read":
+		if f.Op == "frame-read" {
 			readers[f.Kind] |= sideMask(f.Side)
-		case "dir-send":
-			dirSent[f.Kind] = true
-		case "dir-case":
-			dirHandled[f.Kind] = true
 		}
 	}
 
 	reported := make(map[string]bool)
 	for _, f := range all {
-		if reported[f.Op+"\x00"+f.Kind] {
+		if f.Op != "frame-write" || reported[f.Kind] {
 			continue
 		}
-		switch f.Op {
-		case "frame-write":
-			var need int
-			switch f.Side {
-			case "client":
-				need = sideServer
-			case "server":
-				need = sideClient
-			default:
-				continue // unattributed writes cannot demand a dual
-			}
-			if readers[f.Kind]&need == 0 {
-				reported[f.Op+"\x00"+f.Kind] = true
-				mp.Reportf(f.File, f.Line, f.Column,
-					"frame kind %s is written on the %s side but has no %s-side reader: the peer cannot consume it",
-					f.Kind, f.Side, sideName(need))
-			}
-		case "dir-send":
-			if !dirHandled[f.Kind] {
-				reported[f.Op+"\x00"+f.Kind] = true
-				mp.Reportf(f.File, f.Line, f.Column,
-					"directive kind %s is sent but no dispatch case handles it: the aggregator cannot mirror the root's sequence", f.Kind)
-			}
-		case "dir-case":
-			if !dirSent[f.Kind] {
-				reported[f.Op+"\x00"+f.Kind] = true
-				mp.Reportf(f.File, f.Line, f.Column,
-					"directive kind %s is handled but never sent: dead protocol state or a missing root phase", f.Kind)
-			}
+		var need int
+		switch f.Side {
+		case "client":
+			need = sideServer
+		case "server":
+			need = sideClient
+		default:
+			continue // unattributed writes cannot demand a dual
+		}
+		if readers[f.Kind]&need == 0 {
+			reported[f.Kind] = true
+			mp.Reportf(f.File, f.Line, f.Column,
+				"frame kind %s is written on the %s side but has no %s-side reader: the peer cannot consume it",
+				f.Kind, f.Side, sideName(need))
 		}
 	}
 }

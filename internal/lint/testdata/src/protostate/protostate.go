@@ -1,8 +1,7 @@
 // Package protostate exercises the wire-protocol duality rules: a frame
-// kind written by one side with no opposite-side reader (D1), directive
-// send/handle sets that fail to mirror (D2), a frame-kind dispatch switch
-// with a silent default (D3), and a write on a freshly dialed connection
-// before the hello (D4). RunClient and the Server methods anchor the two
+// kind written by one side with no opposite-side reader (D1), a frame-kind
+// dispatch switch with a silent default (D2), and a write on a freshly
+// dialed connection before the hello (D3). RunClient and the Server methods anchor the two
 // call-graph sides by name, exactly as in internal/emu.
 package protostate
 
@@ -20,21 +19,9 @@ const (
 	msgPing
 )
 
-// dir* is the root→aggregator directive alphabet.
-const (
-	dirStart = iota
-	dirStop
-	dirFlush
-)
-
 type frame struct {
 	kind    byte
 	payload []byte
-}
-
-type directive struct {
-	kind  int
-	round int
 }
 
 func writeFrame(c net.Conn, kind byte, payload []byte) error {
@@ -62,7 +49,7 @@ func RunClient() error {
 }
 
 // connect dials and immediately negotiates: the first kind after the Dial
-// is the hello, so D4 stays quiet.
+// is the hello, so D3 stays quiet.
 func connect() (net.Conn, error) {
 	c := net.Dial("emu")
 	if err := hello(c); err != nil {
@@ -98,13 +85,13 @@ func (s *Server) ping(c net.Conn) error {
 }
 
 // preNegotiate writes a data frame on a connection it just dialed,
-// before any hello: D4 fires at the write.
+// before any hello: D3 fires at the write.
 func preNegotiate() {
 	c := net.Dial("emu")
 	_ = writeFrame(c, msgData, nil) // want "frame kind msgData written on a freshly dialed connection before the msgHello handshake"
 }
 
-// classify dispatches on frame kinds but swallows unknown ones: D3.
+// classify dispatches on frame kinds but swallows unknown ones: D2.
 func classify(f frame) int {
 	switch f.kind { // want "frame-kind dispatch in classify swallows unknown kinds in its default"
 	case msgData:
@@ -113,23 +100,5 @@ func classify(f frame) int {
 		return 2
 	default:
 		return 0
-	}
-}
-
-// runRoot sends dirStart and dirStop; the handler below answers dirStart
-// and dirFlush. The mismatch in both directions is D2.
-func runRoot(ds chan<- directive) {
-	ds <- directive{kind: dirStart, round: 1}
-	ds <- directive{kind: dirStop, round: 1} // want "directive kind dirStop is sent but no dispatch case handles it"
-}
-
-func handleDirective(d directive) error {
-	switch d.kind {
-	case dirStart:
-		return nil
-	case dirFlush: // want "directive kind dirFlush is handled but never sent"
-		return nil
-	default:
-		return errors.New("unknown directive")
 	}
 }

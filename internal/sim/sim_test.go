@@ -48,16 +48,24 @@ func simConfig(t *testing.T, clients, shards int) Config {
 }
 
 // fingerprint reduces a Result plus its registry to a deterministic string:
-// bit-exact params, the full round history (NaNs render stably through %v),
-// and the complete Prometheus exposition of every sim histogram.
+// bit-exact params, each round's record by named field (the bits of its
+// floats), the per-client counts, and the complete Prometheus exposition of
+// every sim histogram.
 func fingerprint(t *testing.T, res *Result, reg *telemetry.Registry) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, p := range res.FinalParams {
 		fmt.Fprintf(&sb, "%x;", math.Float64bits(p))
 	}
-	fmt.Fprintf(&sb, "\n%v\n%v\n%v\nlate=%d dur=%v\n",
-		res.History, res.SkipCounts, res.StragglerCounts, res.LateReplies, res.VirtualDuration)
+	sb.WriteString("\n")
+	for _, r := range res.History {
+		fmt.Fprintf(&sb, "round=%d participants=%d uploaded=%d skipped=%d dropped=%d cum_uploads=%d cum_bytes=%d loss=%x relevance=%x accuracy=%x start=%d end=%d deadline=%t\n",
+			r.Round, r.Participants, r.Uploaded, r.Skipped, r.Dropped, r.CumUploads, r.CumUplinkBytes,
+			math.Float64bits(r.TrainLoss), math.Float64bits(r.MeanRelevance), math.Float64bits(r.Accuracy),
+			r.VirtualStart, r.VirtualEnd, r.DeadlineFired)
+	}
+	fmt.Fprintf(&sb, "%v\n%v\nlate=%d dur=%v\n",
+		res.SkipCounts, res.StragglerCounts, res.LateReplies, res.VirtualDuration)
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +75,12 @@ func fingerprint(t *testing.T, res *Result, reg *telemetry.Registry) string {
 // TestDeterminism pins the tentpole property: the same seed produces
 // bit-identical final parameters, histories and registry histograms across
 // reruns AND across shard counts. Every run's fingerprint also hashes to a
-// pinned value. The pins moved once, when the round record became
-// fl.RoundStats and its mean loss and relevance left out the deadline's
-// stragglers; the parameters, counts, virtual times and histograms they
-// cover did not. The vector kernels fuse the multiply-adds and the portable
-// loops do not, so each path has its own hash.
+// pinned value; it prints values by name, so reordering or adding a record
+// field moves no pin. The vector kernels fuse the multiply-adds and the
+// portable loops do not, so each path has its own hash.
 func TestDeterminism(t *testing.T) {
-	const wantSIMD, wantPortable = "ab3dd3cba9bf240ccaac5676aab92b66b25807af85f960d3fe05f33bc856ac0d",
-		"0744b7f626851be4b5837109dd16f200f28fe830efba0e70819b00a7ab131a56"
+	const wantSIMD, wantPortable = "5dd9d05ccd0c388da08ac5c94a4ce50aedf327212c3947a690654f0f5189903a",
+		"3e7904796530c2fd42f668356e482438116a22b5bc8bf80549ad12ae97146c39"
 	var want string
 	for i, shards := range []int{1, 1, 3, 8, 64} {
 		cfg := simConfig(t, 96, shards)

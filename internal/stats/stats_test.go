@@ -220,34 +220,3 @@ func TestSummaryMatchesBatchComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram([]float64{0, 0.1, 0.2, 0.9, 1.0}, 2)
-	if h.Total != 5 {
-		t.Fatalf("Total = %d", h.Total)
-	}
-	if h.Counts[0] != 3 || h.Counts[1] != 2 {
-		t.Fatalf("Counts = %v, want [3 2]", h.Counts)
-	}
-	if math.Abs(h.Fraction(0)-0.6) > 1e-12 {
-		t.Fatalf("Fraction(0) = %v", h.Fraction(0))
-	}
-	if out := h.Render(20); out == "" || out == "(no data)\n" {
-		t.Fatal("histogram render empty")
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram([]float64{5, 5, 5}, 4)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("degenerate histogram lost samples: %v", h.Counts)
-	}
-	empty := NewHistogram(nil, 3)
-	if empty.Render(20) != "(no data)\n" {
-		t.Fatal("empty histogram should render no data")
-	}
-}

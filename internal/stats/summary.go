@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds streaming moments of a sample (Welford's algorithm), used
@@ -74,88 +73,4 @@ func (s *Summary) String() string {
 		return fmt.Sprintf("%.3f (n=1)", s.mean)
 	}
 	return fmt.Sprintf("%.3f ± %.3f [%.3f, %.3f] (n=%d)", s.Mean(), s.Std(), s.min, s.max, s.n)
-}
-
-// Histogram bins a sample into equal-width buckets over [min, max].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram builds a histogram with the given number of bins. NaN values
-// are dropped; a degenerate range puts everything in one bin.
-func NewHistogram(samples []float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	clean := make([]float64, 0, len(samples))
-	for _, v := range samples {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-		}
-	}
-	h := &Histogram{Counts: make([]int, bins)}
-	if len(clean) == 0 {
-		return h
-	}
-	sort.Float64s(clean)
-	h.Lo, h.Hi = clean[0], clean[len(clean)-1]
-	width := (h.Hi - h.Lo) / float64(bins)
-	for _, v := range clean {
-		idx := 0
-		if width > 0 {
-			idx = int((v - h.Lo) / width)
-			if idx >= bins {
-				idx = bins - 1
-			}
-		}
-		h.Counts[idx]++
-		h.Total++
-	}
-	return h
-}
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
-// Render draws a horizontal ASCII bar chart.
-func (h *Histogram) Render(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	if h.Total == 0 {
-		return "(no data)\n"
-	}
-	maxCount := 0
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	out := ""
-	bins := len(h.Counts)
-	binWidth := (h.Hi - h.Lo) / float64(bins)
-	for i, c := range h.Counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * width / maxCount
-		}
-		lo := h.Lo + float64(i)*binWidth
-		out += fmt.Sprintf("%10.3g |%s %d\n", lo, repeat('#', bar), c)
-	}
-	return out
-}
-
-func repeat(r byte, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = r
-	}
-	return string(b)
 }

@@ -468,25 +468,6 @@ func gemmTBGo(dst, a, b []float64, k, n, lo, hi int, accum bool) {
 	}
 }
 
-// axpyUnrolled computes y += alpha*x with a 4-way unrolled loop. len(x)
-// must not exceed len(y); accumulation order is left-to-right, matching the
-// naive loop bitwise.
-//
-//cmfl:hotpath
-func axpyUnrolled(alpha float64, x, y []float64) {
-	y = y[:len(x)]
-	i := 0
-	for ; i+3 < len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
 // dot2 returns ⟨x, y⟩ using even/odd partial sums — the exact accumulation
 // order gemmTB's tiled path follows per element (reassociates relative to a
 // naive loop; covered by the 1e-12 equivalence tests).

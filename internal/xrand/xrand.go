@@ -167,9 +167,6 @@ func (s *Stream) PermInto(dst []int, n int) []int {
 	return m
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
-
 // Categorical samples an index proportionally to the non-negative weights.
 // A zero-sum weight vector falls back to the uniform distribution.
 func (s *Stream) Categorical(weights []float64) int {
