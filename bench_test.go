@@ -522,7 +522,8 @@ func BenchmarkAblationServerMomentum(b *testing.B) {
 }
 
 // BenchmarkAblationAsync ports CMFL to the asynchronous extension: vanilla
-// async vs async+CMFL, upload share and accuracy under stragglers.
+// async vs async+CMFL under the adaptive controller, upload share and
+// accuracy under stragglers.
 func BenchmarkAblationAsync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mn := experiments.QuickMNIST()
@@ -549,8 +550,8 @@ func BenchmarkAblationAsync(b *testing.B) {
 			return res.FinalAccuracy(), last.CumUploads, res.MeanStaleness
 		}
 		vAcc, vUp, vStale := run(nil)
-		// The sync-tuned constant threshold over-filters against the async
-		// EMA feedback; the adaptive controller finds the workable point.
+		// Every completion reports its upload to the controller, which
+		// steers the upload fraction to its 0.7 target.
 		aAcc, aUp, _ := run(core.NewAdaptiveFilter(0.45, 0.7))
 		b.ReportMetric(vAcc, "vanilla-accuracy")
 		b.ReportMetric(aAcc, "cmfl-adaptive-accuracy")

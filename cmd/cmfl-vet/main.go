@@ -28,8 +28,8 @@
 // ("-" for stdout), the format GitHub code scanning ingests.
 //
 // -write-api-baseline regenerates benchmarks/api_baseline.json from the
-// run's exported-API facts; do this after an intentional, marker-waived
-// //cmfl:api-change.
+// run's exported-API facts; do this for an intentional break, and add a
+// //cmfl:api-change marker saying how callers migrate.
 //
 // Exit status: 0 when clean, 1 when findings were reported or the
 // suppression budget is exceeded, 2 on usage or load errors.

@@ -79,8 +79,6 @@ type ServerConfig struct {
 	Registry *telemetry.Registry
 }
 
-//cmfl:api-change RoundStats embeds fl.RoundStats in place of telemetry.RoundEvent and its own MeanRelevance: the event's fields are promoted as before, MeanRelevance is now Eq. 9 as on every tier (NaN while no feedback exists), and TrainLoss, MeanSignificance and DeltaUpdate join it; a composite literal names RoundStats: fl.RoundStats{RoundEvent: ...}. Participants counts the deadline's stragglers, as sim's does.
-
 // RoundStats is the emulation master's round record: the record every tier
 // keeps, its diagnostics taken from the accepted replies' headers, plus the
 // wire-level running totals only the real network stack can observe.

@@ -34,8 +34,6 @@ type Limits struct {
 	FaultTolerant bool
 }
 
-//cmfl:api-change Topology is {Shards}: Shuffle, Seed, ShardLimits with the ShardLimit type (and its facade alias cmfl.ShardLimit), and MaxPendingHandshakes are removed. Shards own contiguous client ranges under the global Limits, and admission allows 4 hellos per shard in flight; callers drop the fields.
-
 // Topology lays out the server's aggregation tree. The zero value is the
 // flat server: one aggregator owning every client.
 //

@@ -1,16 +1,28 @@
 package fl
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"cmfl/internal/core"
 	"cmfl/internal/dataset"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/xrand"
+)
+
+//cmfl:api-change AsyncConfig loses MixAlpha, FeedbackDecay and MeanDuration, now the constants 0.6, 0.5 and 1; callers drop the fields. AsyncEvent embeds RoundStats, the record every tier keeps, and adds only Time, Client and Staleness: Uploaded is the upload count (0 or 1), Relevance is MeanRelevance, and CumUploads and CumUplinkBytes are promoted from the event. RunAsync refuses a non-finite update with an error wrapping shard.ErrNonFinite and returns the run so far with it.
+
+// The asynchronous server's mix: an update with staleness s is applied as
+// x ← x + mixAlpha/√(1+s) · u, and the feedback clients check against is the
+// moving average f ← feedbackDecay·f + (1−feedbackDecay)·applied.
+const (
+	mixAlpha      = 0.6
+	feedbackDecay = 0.5
 )
 
 // AsyncConfig describes an asynchronous federated run: clients train at
@@ -31,17 +43,10 @@ type AsyncConfig struct {
 	LR     core.Schedule
 	Filter UploadFilter
 
-	// MixAlpha is the base server mixing rate: an update with staleness s
-	// is applied as x ← x + MixAlpha/√(1+s) · u. Default 0.6.
-	MixAlpha float64
-	// FeedbackDecay is the EMA coefficient for the feedback update
-	// (default 0.5): f ← FeedbackDecay·f + (1−FeedbackDecay)·applied.
-	FeedbackDecay float64
-
-	// MeanDuration is the average simulated local-training duration; each
-	// client draws a personal speed factor in [0.5, StragglerFactor] so
-	// slow clients produce stale updates. Default straggler factor 4.
-	MeanDuration    float64
+	// StragglerFactor bounds the personal speed factor each client draws in
+	// [0.5, StragglerFactor); one local training takes speed × U[0.5, 1.5)
+	// units of virtual time, so slow clients produce stale updates.
+	// Default 4.
 	StragglerFactor float64
 
 	// Updates is the total number of client completions to simulate (the
@@ -56,15 +61,16 @@ type AsyncConfig struct {
 	TargetAccuracy float64
 	Seed           int64
 
-	// Observers receive live telemetry. The asynchronous engine treats
-	// each client completion as a one-participant round: it emits one
-	// telemetry.ClientEvent followed by one telemetry.RoundEvent per
-	// completion, with Round set to the 1-based completion index.
+	// Observers receive live telemetry. Each client completion closes as a
+	// one-participant round: one telemetry.ClientEvent, then one
+	// telemetry.RoundEvent with Round set to the 1-based completion index.
 	Observers []telemetry.Observer
 }
 
-// AsyncEvent records one client completion in the simulated timeline.
+// AsyncEvent records one client completion: the one-participant round it
+// closed, and where it sits in the simulated timeline.
 type AsyncEvent struct {
+	RoundStats
 	// Time is the virtual completion time.
 	Time float64
 	// Client is the finishing client.
@@ -72,15 +78,6 @@ type AsyncEvent struct {
 	// Staleness counts how many global model versions were applied between
 	// this client's pull and its completion.
 	Staleness int
-	// Uploaded reports whether the update passed the filter.
-	Uploaded bool
-	// Relevance is the CMFL metric at the check (NaN before feedback).
-	Relevance float64
-	// Accuracy is the global accuracy if evaluated at this event (else NaN).
-	Accuracy float64
-	// CumUploads / CumUplinkBytes mirror the synchronous accounting.
-	CumUploads     int
-	CumUplinkBytes int64
 }
 
 // AsyncResult is the outcome of RunAsync.
@@ -93,16 +90,9 @@ type AsyncResult struct {
 }
 
 // FinalAccuracy returns the last evaluated accuracy, or NaN.
-func (r *AsyncResult) FinalAccuracy() float64 {
-	for i := len(r.Events) - 1; i >= 0; i-- {
-		if !math.IsNaN(r.Events[i].Accuracy) {
-			return r.Events[i].Accuracy
-		}
-	}
-	return math.NaN()
-}
+func (r *AsyncResult) FinalAccuracy() float64 { return telemetry.FinalAccuracy(r.Events) }
 
-// completion is a pending client-finish event in the simulation queue.
+// completion is a client's pending finish; every client has exactly one.
 type completion struct {
 	at      float64
 	client  int
@@ -110,67 +100,54 @@ type completion struct {
 	seq     int // tie-breaker for determinism
 }
 
-type completionQueue []completion
-
-func (q completionQueue) Len() int { return len(q) }
-func (q completionQueue) Less(i, j int) bool {
-	//cmfl:lint-ignore floateq bit-exact compare keeps the completion heap strictly ordered and deterministic
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q completionQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *completionQueue) Push(x interface{}) { *q = append(*q, x.(completion)) }
-func (q *completionQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
-}
+// earlier orders completions by time, then by when they were scheduled.
+func earlier(a, b completion) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq)) }
 
 // RunAsync executes the asynchronous simulation. Each completion runs
 // Algorithm 1's client half, ClientStep's Train and Pack, against a
-// Broadcast of the model the client pulled and the feedback average.
+// Broadcast of the model the client pulled and the feedback average, then
+// closes as a one-participant round through Aggregator.Finish: the
+// staleness-damped update is the round's sum, so the evaluation, the
+// telemetry, the filter's feedback and the refusal of a non-finite update
+// are the synchronous engines'. On such a refusal it returns the run so far,
+// the model as it stood before that update, with the error.
 //
 //cmfl:deterministic
 func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	if err := validateAsync(&cfg); err != nil {
 		return nil, err
 	}
-	global := cfg.Model()
-	params := global.ParamVector()
-	version := 0
-	// Every completion trains on one network, scratch and reply: the solver
-	// reloads the network from the client's pulled snapshot.
 	step := ClientStep{Epochs: cfg.Epochs, Batch: cfg.Batch, Filter: cfg.Filter}
 	if step.Filter == nil {
 		step.Filter = Vanilla{}
 	}
+	global := cfg.Model()
+	d := len(cfg.ClientData)
+	agg := NewAggregator(telemetry.EngineAsync, global.ParamVector(), d, step.Filter, cfg.Observers)
+	agg.Eval = Evaluation{Net: global, Test: cfg.TestData, Every: cfg.EvalEvery, Last: cfg.Updates, Batch: cfg.EvalBatch, Target: cfg.TargetAccuracy}
+	params := agg.Params
+	// Every completion trains on one network, scratch and reply: the solver
+	// reloads the network from the client's pulled snapshot.
 	net := cfg.Model()
 	var sc Scratch
 	var r Reply
+	replies := make([]Reply, d) // Finish reads the finishing client's slot
+	sum := shard.New(len(params))
 
-	d := len(cfg.ClientData)
 	rngs := make([]*xrand.Stream, d)
 	speeds := make([]float64, d)
 	pulled := make([][]float64, d) // model snapshot each client trains from
-	pulledVersion := make([]int, d)
 	durRng := xrand.Derive(cfg.Seed, "fl-async-durations", 0)
 	for k := 0; k < d; k++ {
 		rngs[k] = ClientStream(cfg.Seed, k)
 		speeds[k] = 0.5 + (cfg.StragglerFactor-0.5)*durRng.Float64()
 		pulled[k] = append([]float64(nil), params...)
 	}
-
-	q := &completionQueue{}
-	seq := 0
+	next := make([]completion, d) // client k's pending completion
+	version, seq := 0, 0
 	schedule := func(k int, now float64) {
-		// Exponential-ish duration: speed factor × mean × U[0.5, 1.5).
-		dur := speeds[k] * cfg.MeanDuration * (0.5 + durRng.Float64())
 		seq++
-		heap.Push(q, completion{at: now + dur, client: k, version: pulledVersion[k], seq: seq})
+		next[k] = completion{at: now + speeds[k]*(0.5+durRng.Float64()), client: k, version: version, seq: seq}
 	}
 	for k := 0; k < d; k++ {
 		schedule(k, 0)
@@ -178,18 +155,12 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 
 	feedback := make([]float64, len(params))
 	var signs []int8 // the feedback's, taken whenever it changes
-	res := &AsyncResult{SkipCounts: make([]int, d)}
-	cumUploads := 0
-	var cumBytes int64
-	var staleSum float64
-	events := 0
-
-	for events < cfg.Updates && q.Len() > 0 {
-		c := heap.Pop(q).(completion)
-		events++
-		k := c.client
-		// One "round" of local training from the snapshot the client pulled.
-		b := Broadcast{Round: events, LR: cfg.LR.At(events), Params: pulled[k], Feedback: feedback}
+	res := &AsyncResult{SkipCounts: agg.SkipCounts, FinalParams: params}
+	staleSum := 0
+	for t := 1; t <= cfg.Updates; t++ {
+		c := slices.MinFunc(next, earlier)
+		k, staleness := c.client, version-c.version
+		b := Broadcast{Round: t, LR: cfg.LR.At(t), Params: pulled[k], Feedback: feedback}
 		if !core.AllZero(feedback) {
 			b.Signs = signs
 		}
@@ -200,79 +171,32 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fl: async client %d: %w", k, err)
 		}
-		staleness := version - c.version
-		cumBytes += r.Bytes
+		replies[k] = r
+		sum.Reset(len(params))
 		if r.Upload {
-			// The applied update scale·v moves the model and enters the
-			// feedback average in the same sweep.
-			scale := cfg.MixAlpha / math.Sqrt(1+float64(staleness))
-			for j, v := range r.Delta {
-				applied := scale * v
-				params[j] += applied
-				feedback[j] = cfg.FeedbackDecay*feedback[j] + (1-cfg.FeedbackDecay)*applied
+			sum.AddScaled(mixAlpha/math.Sqrt(1+float64(staleness)), r.Delta)
+		}
+		done, err := agg.Finish(t, 1, []int{k}, replies, sum, func(st *RoundStats, update []float64) {
+			if update != nil { // the applied update enters the feedback average
+				for j, u := range update {
+					feedback[j] = feedbackDecay*feedback[j] + (1-feedbackDecay)*u
+				}
+				signs = core.SignsInto(signs[:0], feedback)
+				version++
+				staleSum += staleness
+				res.MeanStaleness = float64(staleSum) / float64(version)
 			}
-			signs = core.SignsInto(signs[:0], feedback)
-			version++
-			//cmfl:order-pinned completion events pop in deterministic virtual-time order; the event schedule is the algorithm
-			staleSum += float64(staleness)
-			cumUploads++
-		} else {
-			res.SkipCounts[k]++
+			res.Events = append(res.Events, AsyncEvent{RoundStats: *st, Time: c.at, Client: k, Staleness: staleness})
+		})
+		if err != nil {
+			return res, fmt.Errorf("fl: async client %d, completion %d: %w", k, t, err)
 		}
-		ev := AsyncEvent{
-			Time:           c.at,
-			Client:         k,
-			Staleness:      staleness,
-			Uploaded:       r.Upload,
-			Relevance:      r.Relevance,
-			Accuracy:       math.NaN(),
-			CumUploads:     cumUploads,
-			CumUplinkBytes: cumBytes,
-		}
-
 		// The client pulls the latest model and goes again.
 		copy(pulled[k], params)
-		pulledVersion[k] = version
 		schedule(k, c.at)
-
-		if events%cfg.EvalEvery == 0 || events == cfg.Updates {
-			if err := global.SetParamVector(params); err != nil {
-				return nil, err
-			}
-			ev.Accuracy = Evaluate(global, cfg.TestData, cfg.EvalBatch)
-		}
-		res.Events = append(res.Events, ev)
-		if len(cfg.Observers) > 0 {
-			uploadedN := 0
-			if r.Upload {
-				uploadedN = 1
-			}
-			telemetry.EmitClient(cfg.Observers, telemetry.ClientEvent{
-				Engine:      telemetry.EngineAsync,
-				Round:       events,
-				Client:      k,
-				Uploaded:    r.Upload,
-				Relevance:   r.Relevance,
-				UplinkBytes: r.Bytes,
-			})
-			telemetry.EmitRound(cfg.Observers, telemetry.RoundEvent{
-				Engine:         telemetry.EngineAsync,
-				Round:          events,
-				Participants:   1,
-				Uploaded:       uploadedN,
-				Skipped:        1 - uploadedN,
-				CumUploads:     cumUploads,
-				CumUplinkBytes: cumBytes,
-				Accuracy:       ev.Accuracy,
-			})
-		}
-		if cfg.TargetAccuracy > 0 && !math.IsNaN(ev.Accuracy) && ev.Accuracy >= cfg.TargetAccuracy {
+		if done {
 			break
 		}
-	}
-	res.FinalParams = params
-	if cumUploads > 0 {
-		res.MeanStaleness = staleSum / float64(cumUploads)
 	}
 	return res, nil
 }
@@ -296,15 +220,6 @@ func validateAsync(cfg *AsyncConfig) error {
 		if s == nil || s.Len() == 0 {
 			return fmt.Errorf("fl: async client %d has no data", i)
 		}
-	}
-	if cfg.MixAlpha <= 0 {
-		cfg.MixAlpha = 0.6
-	}
-	if cfg.FeedbackDecay <= 0 || cfg.FeedbackDecay >= 1 {
-		cfg.FeedbackDecay = 0.5
-	}
-	if cfg.MeanDuration <= 0 {
-		cfg.MeanDuration = 1
 	}
 	if cfg.StragglerFactor < 1 {
 		cfg.StragglerFactor = 4

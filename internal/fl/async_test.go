@@ -4,11 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cmfl/internal/core"
 	"cmfl/internal/dataset"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/nn"
 	"cmfl/internal/xrand"
 )
@@ -203,13 +207,9 @@ func TestAsyncPinnedTrace(t *testing.T) {
 		put(uint64(s))
 	}
 	for _, ev := range res.Events {
-		uploaded := uint64(0)
-		if ev.Uploaded {
-			uploaded = 1
-		}
 		for _, u := range []uint64{
-			math.Float64bits(ev.Time), uint64(ev.Client), uint64(ev.Staleness), uploaded,
-			math.Float64bits(ev.Relevance), math.Float64bits(ev.Accuracy),
+			math.Float64bits(ev.Time), uint64(ev.Client), uint64(ev.Staleness), uint64(ev.Uploaded),
+			math.Float64bits(ev.MeanRelevance), math.Float64bits(ev.Accuracy),
 			uint64(ev.CumUploads), uint64(ev.CumUplinkBytes),
 		} {
 			put(u)
@@ -242,5 +242,45 @@ func TestAsyncTrainsOnOneNetwork(t *testing.T) {
 	}
 	if built != 2 {
 		t.Fatalf("RunAsync built %d networks, want 2", built)
+	}
+}
+
+// TestAsyncAdaptiveGateAdapts: every completion reports its one-participant
+// round to the filter, so an AdaptiveFilter steers the upload fraction to its
+// target from either side. A gate that is never told stays at its start
+// threshold and uploads one fraction whatever the target.
+func TestAsyncAdaptiveGateAdapts(t *testing.T) {
+	for _, target := range []float64{0.3, 0.9} {
+		cfg := asyncConfig(t, 8)
+		cfg.Filter = core.NewAdaptiveFilter(0.5, target)
+		res, err := RunAsync(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(res.Events)
+		uploads := res.Events[n-1].CumUploads - res.Events[n/2-1].CumUploads
+		if frac := float64(uploads) / float64(n-n/2); math.Abs(frac-target) > 0.1 {
+			t.Errorf("target %v: second-half upload fraction %.3f, want within 0.1", target, frac)
+		}
+	}
+}
+
+// TestAsyncRefusesNonFiniteUpdate: a client whose data holds one +Inf
+// feature trains to a non-finite update. RunAsync refuses it, naming the
+// client and the completion, and the model it returns is the finite one from
+// before that completion.
+func TestAsyncRefusesNonFiniteUpdate(t *testing.T) {
+	cfg := asyncConfig(t, 4)
+	const bad = 2
+	cfg.ClientData[bad].X.Data[0] = math.Inf(1)
+	res, err := RunAsync(cfg)
+	if !errors.Is(err, shard.ErrNonFinite) {
+		t.Fatalf("err = %v, want one wrapping shard.ErrNonFinite", err)
+	}
+	if want := fmt.Sprintf("client %d, completion %d:", bad, len(res.Events)+1); !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %q, want it to name %q", err, want)
+	}
+	if err := shard.CheckFinite(res.FinalParams); err != nil {
+		t.Errorf("the returned model: %v", err)
 	}
 }

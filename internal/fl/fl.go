@@ -14,8 +14,8 @@
 // workers. Run is that loop under FedAvg's fraction sampling; internal/sim
 // plugs availability, reply delays and its round close in through Schedule
 // and RunSchedule; the internal/emu client and server use the two halves
-// over TCP (DESIGN.md, "Algorithm 1, once"). RunAsync runs the client half
-// under its own completion schedule and staleness-damped server mix.
+// over TCP (DESIGN.md, "Algorithm 1, once"). RunAsync runs both halves too,
+// closing each client completion as a round of one.
 package fl
 
 import (
@@ -25,10 +25,6 @@ import (
 	"cmfl/internal/telemetry"
 	"cmfl/internal/xrand"
 )
-
-//cmfl:api-change Reply.Metric is removed: Train sets Reply.Relevance, Eq. 9 whatever the gate, and no engine reads the gate's metric. Aggregator.Emit is unexported: Aggregator.Finish, which also takes the round's means, evaluates per Aggregator.Eval and calls the engine's keep, publishes the round; callers of Emit call Finish after Fold.
-
-//cmfl:api-change Aggregator.Close is removed and Aggregator.Fold returns an error: every engine, emu included, hands Fold the exact sum of the accepted uploads, and Fold refuses a sum that rounds to a non-finite value (wrapping shard.ErrNonFinite, which the new shard.CheckFinite reports) before it touches the model. Callers of Close build the sum in a shard.Accumulator and call Fold; callers of Fold handle the error.
 
 // UploadFilter is the client-side gate deciding whether a local update is
 // transferred to the server. Implementations must be safe for concurrent
@@ -65,9 +61,9 @@ type SignChecker interface {
 }
 
 // FilterFeedback is an optional extension of UploadFilter: after every
-// synchronous round the engine reports how many of the participants
-// uploaded, letting stateful filters (e.g. core.AdaptiveFilter) adjust
-// their thresholds. It is the filter-facing feedback channel; the
+// round, and every RunAsync completion, the engine reports how many of the
+// participants uploaded, letting stateful filters (e.g. core.AdaptiveFilter)
+// adjust their thresholds. It is the filter-facing feedback channel; the
 // telemetry-facing hook is telemetry.Observer (Config.Observers).
 type FilterFeedback interface {
 	ObserveRound(round, uploaded, participants int)

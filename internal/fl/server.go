@@ -12,7 +12,7 @@ import (
 )
 
 // Aggregator is the server half of Algorithm 1, written once for every
-// synchronous engine (the loop behind Run and sim, and the emu server): the
+// engine (the loop behind Run and sim, the emu server and RunAsync): the
 // per-round feedback prelude, the exact FedAvg fold of the accepted replies,
 // the apply step with its feedback rule, the cumulative communication
 // counters, and the round tail: diagnostics, evaluation and telemetry. What
@@ -174,7 +174,7 @@ type Evaluation struct {
 	Target             float64
 }
 
-// Finish closes round t for every synchronous engine: Fold, the means of the
+// Finish closes round t for every engine: Fold, the means of the
 // accepted replies' loss and relevance (exact sums rounded once, so neither
 // arrival order nor the workers show in them), the evaluation, then keep,
 // which is given the applied update (nil if nobody uploaded) and stores a

@@ -27,9 +27,10 @@ import (
 //	    reported.
 //
 //	//cmfl:api-change <reason>
-//	    Anywhere in a public package: waives the apicompat baseline for
-//	    that package this run, acknowledging an intentional breaking
-//	    change. Remove it after regenerating the baseline.
+//	    Anywhere in a public package: the migration note of an intentional
+//	    breaking change, committed with the regenerated apicompat baseline
+//	    (CI refuses a baseline diff without one). It waives nothing; the
+//	    reason is mandatory. Remove it in a later change.
 //
 //	//cmfl:order-pinned <reason>
 //	    On (or directly above) an order-sensitive float accumulation, or on

@@ -13,21 +13,22 @@ import (
 
 // APICompat gates the exported surface of the public packages against a
 // committed snapshot, benchmarks/api_baseline.json. Removing or changing
-// the declaration of a symbol the baseline records is a finding unless the
-// package carries a //cmfl:api-change <reason> marker — the PR-7 MIGRATION
-// discipline (breaking changes ship with a written migration) turned into
-// a gate cmfl-vet enforces instead of reviewers remembering it.
+// the declaration of a symbol the baseline records is a finding — the PR-7
+// MIGRATION discipline (breaking changes ship with a written migration)
+// turned into a gate cmfl-vet enforces instead of reviewers remembering it.
 //
 // Additions are always fine: the baseline is a floor, not a mirror. To
-// accept an intentional break, add the marker to any file of the package
-// (with the reason that would otherwise go in MIGRATION.md) and regenerate
-// the snapshot with `cmfl-vet -write-api-baseline`.
+// accept an intentional break, regenerate the snapshot with
+// `cmfl-vet -write-api-baseline` and add a //cmfl:api-change <reason>
+// marker to any file of the package, the reason that would otherwise go in
+// MIGRATION.md. The marker waives nothing; CI refuses a regenerated
+// baseline whose diff carries none.
 //
 // Declarations are rendered without parameter names, so renaming a
 // parameter is not a break; changing its type is.
 var APICompat = &Analyzer{
 	Name:  "apicompat",
-	Doc:   "exported API of public packages must not break the committed baseline without a //cmfl:api-change marker",
+	Doc:   "exported API of public packages must not break the committed baseline",
 	Run:   runAPICompat,
 	Merge: mergeAPICompat,
 }
@@ -60,7 +61,7 @@ func runAPICompat(pass *Pass) {
 	if !APIPackages[pass.Pkg.Path] {
 		return
 	}
-	collectAPIChangeMarkers(pass)
+	checkAPIChangeMarkers(pass)
 
 	scope := pass.Pkg.Types.Scope()
 	qual := types.RelativeTo(pass.Pkg.Types)
@@ -196,27 +197,15 @@ func sigString(sig *types.Signature, qual types.Qualifier) string {
 	return b.String()
 }
 
-// collectAPIChangeMarkers records //cmfl:api-change markers (which waive
-// this package's baseline for the run) and reports reasonless ones: the
+// checkAPIChangeMarkers reports reasonless //cmfl:api-change markers: the
 // marker exists to carry the migration story.
-func collectAPIChangeMarkers(pass *Pass) {
+func checkAPIChangeMarkers(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//"+markerAPIChange)
-				if !ok {
-					continue
-				}
-				reason := strings.TrimSpace(text)
-				if reason == "" {
+				if text, ok := strings.CutPrefix(c.Text, "//"+markerAPIChange); ok && strings.TrimSpace(text) == "" {
 					pass.Reportf(c.Pos(), "cmfl:api-change marker without a reason: state what breaks and how callers migrate")
-					continue
 				}
-				position := pass.Fset().Position(c.Pos())
-				pass.Facts.APIChanges = append(pass.Facts.APIChanges, APIChangeFact{
-					Reason: reason,
-					File:   position.Filename, Line: position.Line, Column: position.Column,
-				})
 			}
 		}
 	}
@@ -224,8 +213,8 @@ func collectAPIChangeMarkers(pass *Pass) {
 
 // mergeAPICompat diffs every package's recorded surface against the
 // committed baseline. Packages absent from the baseline (new public
-// packages), packages with no recorded facts (filtered out of this run),
-// and packages carrying an api-change marker are skipped.
+// packages) and packages with no recorded facts (filtered out of this run)
+// are skipped.
 func mergeAPICompat(mp *MergePass) {
 	base, baselineFile, err := loadAPIBaseline(mp.RootDir)
 	if err != nil {
@@ -237,7 +226,7 @@ func mergeAPICompat(mp *MergePass) {
 	}
 	for _, t := range mp.Targets {
 		want, ok := base.Packages[t.Path]
-		if !ok || len(t.Facts.API) == 0 || len(t.Facts.APIChanges) > 0 {
+		if !ok || len(t.Facts.API) == 0 {
 			continue
 		}
 		got := make(map[string]*APISymbolFact, len(t.Facts.API))

@@ -73,15 +73,14 @@ type AnalyzerStat struct {
 // (metricschema → Metrics, seedtaint → Streams), which is what makes
 // concurrent passes over the same package race-free.
 type PackageFacts struct {
-	Metrics    []MetricFact    `json:"metrics,omitempty"`
-	Streams    []StreamFact    `json:"streams,omitempty"`
-	Proto      []ProtoFact     `json:"proto,omitempty"`
-	LockEdges  []LockEdgeFact  `json:"lock_edges,omitempty"`
-	API        []APISymbolFact `json:"api,omitempty"`
-	APIChanges []APIChangeFact `json:"api_changes,omitempty"`
-	FloatSums  []FloatSumFact  `json:"float_sums,omitempty"`
-	Clocks     []ClockFact     `json:"clocks,omitempty"`
-	GoLife     []GoLifeFact    `json:"golife,omitempty"`
+	Metrics   []MetricFact    `json:"metrics,omitempty"`
+	Streams   []StreamFact    `json:"streams,omitempty"`
+	Proto     []ProtoFact     `json:"proto,omitempty"`
+	LockEdges []LockEdgeFact  `json:"lock_edges,omitempty"`
+	API       []APISymbolFact `json:"api,omitempty"`
+	FloatSums []FloatSumFact  `json:"float_sums,omitempty"`
+	Clocks    []ClockFact     `json:"clocks,omitempty"`
+	GoLife    []GoLifeFact    `json:"golife,omitempty"`
 }
 
 // MetricFact is one telemetry metric-family registration site.
@@ -131,15 +130,6 @@ type LockEdgeFact struct {
 type APISymbolFact struct {
 	Sym    string `json:"sym"`
 	Decl   string `json:"decl"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-}
-
-// APIChangeFact is one //cmfl:api-change marker, waiving the package's
-// API baseline for this run.
-type APIChangeFact struct {
-	Reason string `json:"reason"`
 	File   string `json:"file"`
 	Line   int    `json:"line"`
 	Column int    `json:"column"`

@@ -93,16 +93,30 @@ func TestAPICompatBaselineDiff(t *testing.T) {
 	}
 }
 
-func TestAPICompatMarkerWaivesBreak(t *testing.T) {
-	pkg, mod := loadFixture(t, "apicompatok")
+// TestAPICompatMarkerWaivesNothing: a package carrying a reasoned
+// //cmfl:api-change marker is checked like any other. An intentional break
+// regenerates the baseline; the marker is its migration note.
+func TestAPICompatMarkerWaivesNothing(t *testing.T) {
+	pkg, mod := loadFixture(t, "apicompatmarked")
 	writeTestBaseline(t, pkg.Path, map[string]string{
 		"Old":     "func Old(int) string",
 		"Removed": "func Removed()",
 	})
 
 	res := Run(mod, []*Package{pkg}, []*Analyzer{APICompat})
-	if len(res.Findings) != 0 {
-		t.Errorf("findings = %v, want none: the reasoned marker waives the package", res.Findings)
+	var removed, changed int
+	for _, f := range res.Findings {
+		switch {
+		case strings.Contains(f.Message, "Removed was removed"):
+			removed++
+		case strings.Contains(f.Message, "Old changed from"):
+			changed++
+		default:
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	if removed != 1 || changed != 1 {
+		t.Errorf("removed/changed = %d/%d, want 1/1: the marked package must still be checked: %v", removed, changed, res.Findings)
 	}
 }
 

@@ -7,9 +7,8 @@
 // communication rounds (Eq. 4) and uplink bytes — so those quantities must
 // be observable *while* a run is in flight, not reconstructed from result
 // histories afterwards. Every engine (fl.Run and sim.Run, which share fl's
-// synchronous loop, and the TCP emulation master, all three through
-// fl.Aggregator; fl.RunAsync, whose completions train through
-// fl.ClientStep, and mtl.Run directly) emits the same
+// synchronous loop, the TCP emulation master and fl.RunAsync, all four
+// through fl.Aggregator, and mtl.Run directly) emits the same
 // RoundEvent through the same Observer interface; Collector turns the event
 // stream into registry metrics, and Handler exposes the registry as a
 // Prometheus-text /metrics and JSON /healthz endpoint.
