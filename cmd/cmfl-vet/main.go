@@ -6,9 +6,10 @@
 // handled errors, epsilon float comparisons, goroutine and mutex
 // discipline in the emulated engine, joinable goroutines that can leave
 // their loops, seed-provenance taint, client/server wire-protocol duality,
-// lock-acquisition order, exhaustive dispatch over the protocol's constant
-// families, and the exported-API baseline of the public packages. -h lists
-// the analyzers.
+// exhaustive dispatch over the protocol's constant families, and the
+// baseline of the API an importer of the module can reach. -h lists the
+// analyzers; -stats counts each one's subjects, the sites where its rule
+// applied and held.
 //
 // Usage:
 //
@@ -47,7 +48,7 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON document")
 	sarifOut := flag.String("sarif", "", "write findings as a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-	stats := flag.Bool("stats", false, "report load, wall and per-analyzer time")
+	stats := flag.Bool("stats", false, "report load and wall time, and per-analyzer time, findings and subjects")
 	writeBaseline := flag.Bool("write-api-baseline", false, "regenerate benchmarks/api_baseline.json from this run's exported-API facts")
 	budgetFile := flag.String("budget", "", "JSON budget file; fail when suppressions exceed its max_suppressed")
 	flag.Usage = func() {
@@ -127,7 +128,7 @@ func writeSARIFFile(path, root string, res lint.Result) error {
 func printStats(s *lint.RunStats) {
 	fmt.Fprintf(os.Stderr, "cmfl-vet: load %dms, wall %dms\n", s.LoadMS, s.WallMS)
 	for _, a := range s.Analyzers {
-		fmt.Fprintf(os.Stderr, "  %-20s %6dms  %d finding(s)\n", a.Name, a.MS, a.Findings)
+		fmt.Fprintf(os.Stderr, "  %-20s %6dms  %d finding(s)  %d subject(s)\n", a.Name, a.MS, a.Findings, a.Subjects)
 	}
 }
 

@@ -42,6 +42,8 @@ import (
 	"cmfl/internal/xrand"
 )
 
+//cmfl:api-change the API contract is what an importer can reach: internal/* packages, which Go forbids importing from outside the module, leave the baseline, and every root alias to a module type now carries that type's exported fields and methods under the alias name. No declaration changed; callers migrate nothing.
+
 // ---- The paper's contribution (internal/core, internal/gaia) ----
 
 // Relevance computes the paper's Eq. 9: the fraction of same-sign

@@ -70,7 +70,7 @@ func TestPropRelevanceSignFlipSymmetry(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("unexpected error: %v %v", err1, err2)
 		}
-		return a == b //cmfl:lint-ignore floateq both sides are exact ratios of the same integers
+		return a == b // both sides are exact ratios of the same integers
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestPropRelevanceSelfIsOne(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unexpected error: %v", err)
 		}
-		return rel == 1 //cmfl:lint-ignore floateq matches/len is exactly 1 when all coordinates agree
+		return rel == 1 // matches/len is exactly 1 when all coordinates agree
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestPropRelevanceScaleInvariance(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("unexpected error: %v %v", err1, err2)
 		}
-		return a == b //cmfl:lint-ignore floateq positive scaling cannot change any sign, so the ratio is identical
+		return a == b // positive scaling cannot change any sign, so the ratio is identical
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestPropSignAgreementMatchesRelevance(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("unexpected error: %v %v", err1, err2)
 		}
-		return got == want //cmfl:lint-ignore floateq both paths compute the identical integer ratio
+		return got == want // both paths compute the identical integer ratio
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)

@@ -15,8 +15,6 @@ import (
 	"cmfl/internal/xrand"
 )
 
-//cmfl:api-change AsyncConfig loses MixAlpha, FeedbackDecay and MeanDuration, now the constants 0.6, 0.5 and 1; callers drop the fields. AsyncEvent embeds RoundStats, the record every tier keeps, and adds only Time, Client and Staleness: Uploaded is the upload count (0 or 1), Relevance is MeanRelevance, and CumUploads and CumUplinkBytes are promoted from the event. RunAsync refuses a non-finite update with an error wrapping shard.ErrNonFinite and returns the run so far with it.
-
 // The asynchronous server's mix: an update with staleness s is applied as
 // x ← x + mixAlpha/√(1+s) · u, and the feedback clients check against is the
 // moving average f ← feedbackDecay·f + (1−feedbackDecay)·applied.

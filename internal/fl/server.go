@@ -157,7 +157,7 @@ func (a *Aggregator) Fold(t, participants int, accepted []int, replies []Reply, 
 			update[j] = a.momentum*v + update[j]
 		}
 	}
-	//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
+	// Rounds apply to the model strictly sequentially; t-order is the algorithm.
 	tensor.Axpy(1, update, a.Params)
 	a.applied++
 	return ev, update, nil

@@ -27,19 +27,21 @@ import (
 //	    reported.
 //
 //	//cmfl:api-change <reason>
-//	    Anywhere in a public package: the migration note of an intentional
-//	    breaking change, committed with the regenerated apicompat baseline
-//	    (CI refuses a baseline diff without one). It waives nothing; the
-//	    reason is mandatory. Remove it in a later change.
+//	    On its own line in a changed Go file: the migration note of an
+//	    intentional change to the API an importer can reach (the root
+//	    package and the module types its aliases name), committed with the
+//	    regenerated apicompat baseline (CI refuses a baseline diff without
+//	    one). It waives nothing; the reason is mandatory. Remove it in a
+//	    later change.
 //
 //	//cmfl:order-pinned <reason>
 //	    On (or directly above) an order-sensitive float accumulation, or on
 //	    any of its enclosing loops: asserts the accumulation order is part
-//	    of the algorithm's definition (e.g. fl.Run's ascending-client
-//	    FedAvg order is the parity reference). floatsum honors the marker
+//	    of the algorithm's definition (e.g. local SGD folds minibatch
+//	    losses in the seeded schedule's order). floatsum honors the marker
 //	    only when it can prove every enclosing loop drains in deterministic
-//	    order; a reasonless marker, or one on a nondeterministic drain, is
-//	    itself a finding.
+//	    order; a reasonless marker, one on a nondeterministic drain, or one
+//	    that pins no reduction is itself a finding.
 
 const (
 	markerHotPath       = "cmfl:hotpath"

@@ -11,39 +11,36 @@ import (
 	"strings"
 )
 
-// APICompat gates the exported surface of the public packages against a
-// committed snapshot, benchmarks/api_baseline.json. Removing or changing
-// the declaration of a symbol the baseline records is a finding — the PR-7
-// MIGRATION discipline (breaking changes ship with a written migration)
-// turned into a gate cmfl-vet enforces instead of reviewers remembering it.
+// APICompat gates the exported surface an importer of the module can
+// reach against a committed snapshot, benchmarks/api_baseline.json.
+// Removing or changing the declaration of a symbol the baseline records is
+// a finding — breaking changes ship with a written migration, as a gate
+// cmfl-vet enforces instead of reviewers remembering it. Go forbids
+// importing internal/* from outside the module, so the surface is the root
+// package: its own declarations, plus the exported fields and methods of
+// every module type a root alias names, recorded under the alias.
 //
 // Additions are always fine: the baseline is a floor, not a mirror. To
 // accept an intentional break, regenerate the snapshot with
 // `cmfl-vet -write-api-baseline` and add a //cmfl:api-change <reason>
-// marker to any file of the package, the reason that would otherwise go in
-// MIGRATION.md. The marker waives nothing; CI refuses a regenerated
-// baseline whose diff carries none.
+// marker line to a Go file of the change (checked for a reason in every
+// package), the reason that would otherwise go in MIGRATION.md. The marker
+// waives nothing; CI refuses a regenerated baseline whose diff carries
+// none.
 //
 // Declarations are rendered without parameter names, so renaming a
 // parameter is not a break; changing its type is.
 var APICompat = &Analyzer{
 	Name:  "apicompat",
-	Doc:   "exported API of public packages must not break the committed baseline",
+	Doc:   "the exported API an importer can reach must not break the committed baseline",
 	Run:   runAPICompat,
 	Merge: mergeAPICompat,
 }
 
-// APIPackages are the packages whose exported surface is under contract.
-// (Var, not const: the fixture tests extend it.)
-var APIPackages = map[string]bool{
-	"cmfl":                    true,
-	"cmfl/internal/compress":  true,
-	"cmfl/internal/emu":       true,
-	"cmfl/internal/emu/shard": true,
-	"cmfl/internal/fl":        true,
-	"cmfl/internal/mtl":       true,
-	"cmfl/internal/telemetry": true,
-}
+// APIPackages are the packages whose exported surface is under contract:
+// the root, the only one an importer can reach. (Var, not const: the
+// fixture tests extend it.)
+var APIPackages = map[string]bool{"cmfl": true}
 
 // APIBaselinePath locates the snapshot, relative to the module root
 // (absolute in tests).
@@ -58,10 +55,10 @@ type apiBaseline struct {
 const apiBaselineComment = "exported API snapshot enforced by cmfl-vet apicompat; regenerate with cmfl-vet -write-api-baseline after an intentional //cmfl:api-change"
 
 func runAPICompat(pass *Pass) {
+	checkAPIChangeMarkers(pass)
 	if !APIPackages[pass.Pkg.Path] {
 		return
 	}
-	checkAPIChangeMarkers(pass)
 
 	scope := pass.Pkg.Types.Scope()
 	qual := types.RelativeTo(pass.Pkg.Types)
@@ -70,7 +67,7 @@ func runAPICompat(pass *Pass) {
 		if !obj.Exported() {
 			continue
 		}
-		for _, sym := range renderAPISymbol(obj, qual) {
+		for _, sym := range renderAPISymbol(pass, obj, qual) {
 			position := pass.Fset().Position(sym.pos)
 			pass.Facts.API = append(pass.Facts.API, APISymbolFact{
 				Sym: sym.key, Decl: sym.decl,
@@ -89,8 +86,9 @@ type apiSym struct {
 
 // renderAPISymbol flattens one scope object into surface entries: the
 // object itself, plus one entry per exported field and method for types
-// (so moving a field is attributed to the field, not a whole-struct diff).
-func renderAPISymbol(obj types.Object, qual types.Qualifier) []apiSym {
+// and for aliases of module types (so moving a field is attributed to the
+// field, not a whole-struct diff).
+func renderAPISymbol(pass *Pass, obj types.Object, qual types.Qualifier) []apiSym {
 	switch obj := obj.(type) {
 	case *types.Const:
 		return []apiSym{{obj.Name(), "const " + obj.Name() + " " + types.TypeString(obj.Type(), qual), obj.Pos()}}
@@ -100,61 +98,57 @@ func renderAPISymbol(obj types.Object, qual types.Qualifier) []apiSym {
 		sig, _ := obj.Type().(*types.Signature)
 		return []apiSym{{obj.Name(), "func " + obj.Name() + sigString(sig, qual), obj.Pos()}}
 	case *types.TypeName:
+		named, _ := types.Unalias(obj.Type()).(*types.Named)
 		if obj.IsAlias() {
-			return []apiSym{{obj.Name(), "type " + obj.Name() + " = " + types.TypeString(obj.Type(), qual), obj.Pos()}}
+			out := []apiSym{{obj.Name(), "type " + obj.Name() + " = " + types.TypeString(obj.Type(), qual), obj.Pos()}}
+			if named != nil && pass.InModule(named.Obj()) {
+				out = append(out, memberSyms(obj.Name(), named, qual)...)
+			}
+			return out
 		}
-		named, ok := obj.Type().(*types.Named)
-		if !ok {
+		if named == nil {
 			return nil
 		}
-		var out []apiSym
-		switch u := named.Underlying().(type) {
+		decl := "type " + obj.Name() + " " + types.TypeString(named.Underlying(), qual)
+		switch named.Underlying().(type) {
 		case *types.Struct:
-			out = append(out, apiSym{obj.Name(), "type " + obj.Name() + " struct", obj.Pos()})
-			for i := 0; i < u.NumFields(); i++ {
-				f := u.Field(i)
-				if !f.Exported() {
-					continue
-				}
-				out = append(out, apiSym{
-					obj.Name() + "." + f.Name(),
-					f.Name() + " " + types.TypeString(f.Type(), qual),
-					f.Pos(),
-				})
-			}
+			decl = "type " + obj.Name() + " struct"
 		case *types.Interface:
-			out = append(out, apiSym{obj.Name(), "type " + obj.Name() + " interface", obj.Pos()})
-			for i := 0; i < u.NumMethods(); i++ {
-				m := u.Method(i)
-				if !m.Exported() {
-					continue
-				}
-				sig, _ := m.Type().(*types.Signature)
-				out = append(out, apiSym{
-					obj.Name() + "." + m.Name(),
-					m.Name() + sigString(sig, qual),
-					m.Pos(),
-				})
-			}
-			return out // interface methods are the method set; skip NumMethods below
-		default:
-			out = append(out, apiSym{obj.Name(), "type " + obj.Name() + " " + types.TypeString(named.Underlying(), qual), obj.Pos()})
+			decl = "type " + obj.Name() + " interface"
 		}
-		for i := 0; i < named.NumMethods(); i++ {
-			m := named.Method(i)
-			if !m.Exported() {
-				continue
-			}
+		return append([]apiSym{{obj.Name(), decl, obj.Pos()}}, memberSyms(obj.Name(), named, qual)...)
+	}
+	return nil
+}
+
+// memberSyms renders the exported fields and methods of named under name:
+// struct fields, then the method set (an interface's methods are its
+// method set).
+func memberSyms(name string, named *types.Named, qual types.Qualifier) []apiSym {
+	var out []apiSym
+	method := func(m *types.Func, decl string) {
+		if m.Exported() {
 			sig, _ := m.Type().(*types.Signature)
-			out = append(out, apiSym{
-				obj.Name() + "." + m.Name(),
-				"func (" + obj.Name() + ") " + m.Name() + sigString(sig, qual),
-				m.Pos(),
-			})
+			out = append(out, apiSym{name + "." + m.Name(), decl + m.Name() + sigString(sig, qual), m.Pos()})
+		}
+	}
+	switch u := named.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if f := u.Field(i); f.Exported() {
+				out = append(out, apiSym{name + "." + f.Name(), f.Name() + " " + types.TypeString(f.Type(), qual), f.Pos()})
+			}
+		}
+	case *types.Interface:
+		for i := 0; i < u.NumMethods(); i++ {
+			method(u.Method(i), "")
 		}
 		return out
 	}
-	return nil
+	for i := 0; i < named.NumMethods(); i++ {
+		method(named.Method(i), "func ("+name+") ")
+	}
+	return out
 }
 
 // sigString renders a signature without parameter names: renames are not
@@ -249,6 +243,8 @@ func mergeAPICompat(mp *MergePass) {
 				mp.Reportf(cur.File, cur.Line, cur.Column,
 					"%s: exported symbol %s changed from %q to %q: breaking change needs //cmfl:api-change <reason> and a regenerated baseline",
 					t.Path, sym, want[sym], cur.Decl)
+			default:
+				mp.Subject()
 			}
 		}
 	}

@@ -10,9 +10,8 @@ import (
 
 // The call graph is the whole-module substrate the v2 analyzers share:
 // hotpathalloc walks it to prove allocation freedom through entire call
-// chains, concsafety uses its goroutine origins to decide which struct
-// fields are written from more than one goroutine, and golife follows it
-// from every Close/Shutdown/Stop method to the channels teardown closes.
+// chains, and concsafety uses its goroutine origins to decide which struct
+// fields are written from more than one goroutine.
 //
 // Resolution is static and deliberately conservative:
 //

@@ -29,7 +29,9 @@ import (
 //     owns the emulator's round lock stalls every connection.
 //
 // Both checks are scoped to ConcurrencyPackages; findings elsewhere would
-// mostly restate Go folklore, here they break the chaos suite.
+// mostly restate Go folklore, here they break the chaos suite. Each shared
+// field whose writes are all guarded, and each body whose critical
+// sections never block, is a subject.
 var ConcSafety = &Analyzer{
 	Name: "concsafety",
 	Doc:  "shared fields need a guarding mutex or atomic; held mutexes must not span blocking operations",
@@ -111,13 +113,14 @@ func checkSharedFields(pass *Pass) {
 			continue
 		}
 		descs := strings.Join(g.OriginDescs(union), ", ")
-		for _, w := range ws {
-			if w.guarded {
-				continue
+		pass.proveClean(func() {
+			for _, w := range ws {
+				if !w.guarded {
+					pass.Reportf(w.pos, "field %s is written from multiple goroutines (%s) without a guarding mutex: lock it, make it atomic, or justify with //cmfl:lint-ignore concsafety",
+						fieldDisplayName(pass.Pkg, field), descs)
+				}
 			}
-			pass.Reportf(w.pos, "field %s is written from multiple goroutines (%s) without a guarding mutex: lock it, make it atomic, or justify with //cmfl:lint-ignore concsafety",
-				fieldDisplayName(pass.Pkg, field), descs)
-		}
+		})
 	}
 }
 
@@ -296,18 +299,26 @@ func checkLockAcrossBlocking(pass *Pass) {
 	}
 }
 
+// checkBodyBlocking reports each statement of body that blocks while a mutex
+// is held; a body with critical sections none of which blocks is a subject.
 func checkBodyBlocking(pass *Pass, sums map[*types.Func]*EffectSummary, body *ast.BlockStmt) {
+	locked, blocked := false, false
 	trackLocks(pass.Pkg, body, func(stmt ast.Stmt, held lockState) {
 		if len(held) == 0 {
 			return
 		}
+		locked = true
 		pos, what := stmtBlocks(pass, sums, stmt)
 		if what == "" {
 			return
 		}
+		blocked = true
 		pass.Reportf(pos, "%s held across %s: shrink the critical section or justify with //cmfl:lint-ignore concsafety",
 			heldNames(held), what)
 	})
+	if locked && !blocked {
+		pass.Subject()
+	}
 }
 
 // stmtBlocks classifies the blocking behavior of stmt's own work (nested

@@ -15,7 +15,7 @@ import (
 // aggregation) must not range over maps. The other two ways such a
 // function could stop reproducing are owned elsewhere, package-wide:
 // wallclock bans wall-clock reads and seedtaint bans the global math/rand
-// source.
+// source. Each annotated function found free of map ranges is a subject.
 var DeterministicOrder = &Analyzer{
 	Name: "deterministicorder",
 	Doc:  "no map iteration in //cmfl:deterministic functions, where float accumulation order matters",
@@ -29,13 +29,15 @@ func runDeterministicOrder(pass *Pass) {
 			if !ok || fd.Body == nil || !funcHasMarker(fd, markerDeterministic) {
 				continue
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if r, ok := n.(*ast.RangeStmt); ok {
-					if _, isMap := pass.TypeOf(r.X).Underlying().(*types.Map); isMap {
-						pass.Reportf(r.Pos(), "map iteration in deterministic function %s: order is random and perturbs float accumulation", fd.Name.Name)
+			pass.proveClean(func() {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if r, ok := n.(*ast.RangeStmt); ok {
+						if _, isMap := pass.TypeOf(r.X).Underlying().(*types.Map); isMap {
+							pass.Reportf(r.Pos(), "map iteration in deterministic function %s: order is random and perturbs float accumulation", fd.Name.Name)
+						}
 					}
-				}
-				return true
+					return true
+				})
 			})
 		}
 	}

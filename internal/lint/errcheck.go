@@ -16,7 +16,8 @@ import (
 //     error results are documented to always be nil.
 //
 // Anything else needs handling, propagation, or an auditable
-// //cmfl:lint-ignore errcheck <reason>.
+// //cmfl:lint-ignore errcheck <reason>. Each error result assigned to a
+// name is a subject.
 var ErrCheck = &Analyzer{
 	Name: "errcheck",
 	Doc:  "no discarded error results outside tests, including `_ =` assignments",
@@ -69,17 +70,22 @@ func checkBlankErrAssign(pass *Pass, n *ast.AssignStmt) {
 			return
 		}
 		for i := 0; i < tuple.Len() && i < len(n.Lhs); i++ {
-			if blankAt(i) && isErrorType(tuple.At(i).Type()) {
+			switch {
+			case !isErrorType(tuple.At(i).Type()):
+			case blankAt(i):
 				pass.Reportf(n.Lhs[i].Pos(), "error result assigned to _: handle it, propagate it, or justify with //cmfl:lint-ignore")
+			default:
+				pass.Subject()
 			}
 		}
 		return
 	}
 	for i, rhs := range n.Rhs {
-		if i >= len(n.Lhs) || !blankAt(i) {
+		if i >= len(n.Lhs) || !isErrorType(pass.TypeOf(rhs)) {
 			continue
 		}
-		if !isErrorType(pass.TypeOf(rhs)) {
+		if !blankAt(i) {
+			pass.Subject()
 			continue
 		}
 		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isExcludedCallee(pass, call) {

@@ -18,6 +18,7 @@ import (
 // named type, or when at least two of its case expressions resolve to
 // members of one prefix family (msg*, spec*). Type switches and
 // tagless switches are out of scope, as are string-valued const blocks.
+// Each switch bound to a family that passes is a subject.
 var Exhaustive = &Analyzer{
 	Name: "exhaustive",
 	Doc:  "switches over enum-like const families cover every member or reject the rest through an error-returning default",
@@ -64,10 +65,8 @@ func checkExhaustiveSwitch(pass *Pass, fams []*constFamily, sw *ast.SwitchStmt) 
 		return
 	}
 	missing := fam.missing(covered)
-	if len(missing) == 0 {
-		return
-	}
-	if hasDefault && loudDefault(pass.Pkg, defaultBody) {
+	if len(missing) == 0 || hasDefault && loudDefault(pass.Pkg, defaultBody) {
+		pass.Subject()
 		return
 	}
 	what := "and there is no default clause"

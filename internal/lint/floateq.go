@@ -12,7 +12,8 @@ import (
 // accumulated rounding; compare with core.ApproxEqual and an explicit
 // tolerance instead. The rare intentional bit-exact comparison (an
 // all-zeros "no feedback yet" sentinel, an IEEE special case) is annotated
-// //cmfl:lint-ignore floateq <reason> so the intent is auditable.
+// //cmfl:lint-ignore floateq <reason> so the intent is auditable. Each
+// ordered comparison (<, <=, >, >=) of float operands is a subject.
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "no ==/!= on float operands; use core.ApproxEqual with an explicit tolerance",
@@ -24,16 +25,18 @@ func runFloatEq(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
-				if n.Op != token.EQL && n.Op != token.NEQ {
-					return true
-				}
 				if !isFloatExpr(pass, n.X) && !isFloatExpr(pass, n.Y) {
 					return true
 				}
-				if isConst(pass, n.X) && isConst(pass, n.Y) {
-					return true // folded at compile time; no runtime comparison
+				switch {
+				case n.Op != token.EQL && n.Op != token.NEQ:
+					if n.Op.Precedence() == token.EQL.Precedence() {
+						pass.Subject() // <, <=, > or >=
+					}
+				case !isConst(pass, n.X) || !isConst(pass, n.Y):
+					// Two constants fold at compile time: no runtime comparison.
+					pass.Reportf(n.Pos(), "float %s comparison: use core.ApproxEqual (or justify bit-exact intent with //cmfl:lint-ignore)", n.Op)
 				}
-				pass.Reportf(n.Pos(), "float %s comparison: use core.ApproxEqual (or justify bit-exact intent with //cmfl:lint-ignore)", n.Op)
 			case *ast.SwitchStmt:
 				if n.Tag != nil && isFloatExpr(pass, n.Tag) {
 					pass.Reportf(n.Pos(), "switch on float value compares with ==: use explicit epsilon comparisons")

@@ -17,8 +17,8 @@ import (
 // `sum += x`, `sum = sum + x`, or a tensor.Axpy folding into a
 // loop-invariant destination — is a finding unless
 //
-//   - it routes through shard.Accumulator (Add/Merge/Round are recorded as
-//     "accumulator" facts, the proof surface the repo-facts guard checks), or
+//   - it routes through shard.Accumulator (each Add/Merge/Round call is a
+//     subject), or
 //   - it carries //cmfl:order-pinned <reason> (on the statement, the line
 //     above it, or any enclosing loop) AND the analyzer can prove every
 //     enclosing loop drains in deterministic order: ranging over a slice,
@@ -28,6 +28,8 @@ import (
 //
 // Element-wise writes (`delta[j] += x` under `for j := range`) address a
 // different slot each iteration and are exempt: they are not reductions.
+// A marker that covers no order-sensitive reduction is stale and reported:
+// it outlived the code it pinned.
 var FloatSum = &Analyzer{
 	Name: "floatsum",
 	Doc:  "order-sensitive float accumulation in grouping-invariance packages must use shard.Accumulator or a proven //cmfl:order-pinned annotation",
@@ -61,13 +63,20 @@ func runFloatSum(pass *Pass) {
 			v := &floatSumVisitor{pass: pass, pins: pins}
 			ast.Walk(v, fd.Body)
 		}
-		recordAccumulatorFacts(pass, f)
+		for _, pin := range pins {
+			if !pin.used {
+				pass.Reportf(pin.pos, "//cmfl:order-pinned pins no order-sensitive reduction: delete the stale marker")
+			}
+		}
+		countAccumulatorRoutings(pass, f)
 	}
 }
 
-// orderPin is one parsed //cmfl:order-pinned marker.
+// orderPin is one parsed //cmfl:order-pinned marker; used is set once it
+// covers a reduction.
 type orderPin struct {
-	reason string
+	pos  token.Pos
+	used bool
 }
 
 // collectOrderPins indexes a file's order-pinned markers by line, reporting
@@ -82,12 +91,11 @@ func collectOrderPins(pass *Pass, f *ast.File) map[int]*orderPin {
 			if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
 				continue
 			}
-			reason := strings.TrimSpace(rest)
-			if reason == "" {
+			if strings.TrimSpace(rest) == "" {
 				pass.Reportf(c.Pos(), "malformed //cmfl:order-pinned: want `//cmfl:order-pinned <reason>`")
 				continue
 			}
-			pins[pass.Fset().Position(c.Pos()).Line] = &orderPin{reason: reason}
+			pins[pass.Fset().Position(c.Pos()).Line] = &orderPin{pos: c.Pos()}
 		}
 	}
 	return pins
@@ -241,13 +249,14 @@ func (v *floatSumVisitor) flag(pos token.Pos, target ast.Expr, what string) {
 		return
 	}
 	if pin := v.pinAt(pos); pin != nil {
+		pin.used = true
 		if bad, why := nonDeterministicLoop(v.pass, hazard); bad != nil {
 			loopPos := v.pass.Fset().Position(bad.Pos())
 			v.pass.Reportf(pos, "%s is //cmfl:order-pinned, but the enclosing loop at %s:%d %s: the drain order is not reproducible — use shard.Accumulator",
 				what, shortFile(loopPos.Filename), loopPos.Line, why)
 			return
 		}
-		v.pass.Facts.FloatSums = append(v.pass.Facts.FloatSums, v.fact("pinned", pin.reason, pos))
+		v.pass.Subject()
 		return
 	}
 	v.pass.Reportf(pos, "%s depends on iteration order, which perturbs float rounding across groupings: route it through shard.Accumulator or annotate //cmfl:order-pinned <reason> on a provably deterministic loop", what)
@@ -356,11 +365,6 @@ func (v *floatSumVisitor) sameObject(e ast.Expr, obj types.Object) bool {
 	return ok && v.pass.ObjectOf(id) == obj
 }
 
-func (v *floatSumVisitor) fact(kind, detail string, pos token.Pos) FloatSumFact {
-	position := v.pass.Fset().Position(pos)
-	return FloatSumFact{Kind: kind, Detail: detail, File: position.Filename, Line: position.Line, Column: position.Column}
-}
-
 // renderLHS renders a small expression for finding messages.
 func renderLHS(e ast.Expr) string {
 	switch e := e.(type) {
@@ -376,9 +380,9 @@ func renderLHS(e ast.Expr) string {
 	return "expression"
 }
 
-// recordAccumulatorFacts records every shard.Accumulator fold call — the
-// order-invariant reduction sites the non-vacuousness guard asserts exist.
-func recordAccumulatorFacts(pass *Pass, f *ast.File) {
+// countAccumulatorRoutings counts every shard.Accumulator fold call — the
+// order-invariant reduction sites — as a subject.
+func countAccumulatorRoutings(pass *Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -397,11 +401,7 @@ func recordAccumulatorFacts(pass *Pass, f *ast.File) {
 			if obj.Pkg() != nil && obj.Pkg().Path() == accumulatorPath && (obj.Name() == "Accumulator" || obj.Name() == "Scalar") {
 				switch fn.Name() {
 				case "Add", "Merge", "Round":
-					position := pass.Fset().Position(call.Pos())
-					pass.Facts.FloatSums = append(pass.Facts.FloatSums, FloatSumFact{
-						Kind: "accumulator", Detail: fn.Name(),
-						File: position.Filename, Line: position.Line, Column: position.Column,
-					})
+					pass.Subject()
 				}
 			}
 		}

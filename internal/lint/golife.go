@@ -12,29 +12,27 @@ import (
 // it past teardown (where it races the next test, holds sockets open, or
 // trips the race detector long after its parent returned).
 //
-// A spawn is joined when the spawned body (followed transitively through
-// module callees, but not into nested spawns — their joins are their own
-// obligation) contains at least one of:
+// A spawn is joined — a subject — when the spawned body (followed
+// transitively through module callees, but not into nested spawns — their
+// joins are their own obligation) contains at least one of:
 //
 //   - waitgroup: a (*sync.WaitGroup).Done call — the classic wg.Wait join;
 //   - done-channel: a send on, or close of, a channel the module receives
 //     from somewhere — a completion signal with a waiter;
-//   - stop-channel: a receive or select on a channel that is closed in a
-//     function reachable from a Close/Shutdown/Stop method — teardown can
-//     force the goroutine to observe the close and exit;
-//   - context: a receive from (context.Context).Done — cancellation joins.
 //
 // and that same walk reaches no inescapable loop: a `for {}` or `for true
 // {}` that nothing leaves (see loopHasExit). Such a goroutine never ends,
-// so no evidence joins it — a stop-channel receive whose case only breaks
-// out of a select is exactly how a leak hides behind a join.
+// so no evidence joins it — a Done deferred above a loop whose stop case
+// only breaks out of a select is exactly how a leak hides behind a join.
+// A goroutine that only observes a stop channel or a context can be told
+// to stop but not waited for, so it is not joined.
 //
 // Spawns whose target cannot be resolved statically (function values,
 // out-of-module callees) are findings: an unprovable join is treated as
 // no join.
 var GoLife = &Analyzer{
 	Name: "golife",
-	Doc:  "every goroutine spawned in the runtime packages must have a provable join reachable from teardown and no loop it cannot leave",
+	Doc:  "every goroutine spawned in the runtime packages must have a provable join (WaitGroup.Done or a done channel) and no loop it cannot leave",
 	Run:  runGoLife,
 }
 
@@ -47,15 +45,11 @@ var GoLifePackages = map[string]bool{
 	"cmfl/internal/telemetry": true,
 }
 
-// teardownNames are the method names whose transitive call closure counts
-// as "reachable from teardown" for stop-channel classification.
-var teardownNames = map[string]bool{"Close": true, "Shutdown": true, "Stop": true}
-
 func runGoLife(pass *Pass) {
 	if !GoLifePackages[pass.Pkg.Path] {
 		return
 	}
-	idx := pass.Mod.golife()
+	received := pass.Mod.receivedChans()
 	for _, f := range pass.SourceFiles() {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -67,7 +61,7 @@ func runGoLife(pass *Pass) {
 				if !ok {
 					return true
 				}
-				checkGoStmt(pass, idx, fd, g)
+				checkGoStmt(pass, received, fd, g)
 				return true
 			})
 		}
@@ -75,7 +69,7 @@ func runGoLife(pass *Pass) {
 }
 
 // checkGoStmt classifies one spawn's join or reports its absence.
-func checkGoStmt(pass *Pass, idx *golifeIndex, fd *ast.FuncDecl, g *ast.GoStmt) {
+func checkGoStmt(pass *Pass, received map[types.Object]bool, fd *ast.FuncDecl, g *ast.GoStmt) {
 	var body *ast.BlockStmt
 	var bodyPkg *Package
 	target := "function literal"
@@ -95,31 +89,27 @@ func checkGoStmt(pass *Pass, idx *golifeIndex, fd *ast.FuncDecl, g *ast.GoStmt) 
 		}
 		body, bodyPkg = decl.Body, declPkg
 	}
-	search := &joinSearch{pass: pass, idx: idx, visited: make(map[*types.Func]bool)}
+	search := &joinSearch{pass: pass, received: received, visited: make(map[*types.Func]bool)}
 	search.scan(body, bodyPkg)
 	switch {
 	case search.loop != nil:
 		loop := pass.Fset().Position(search.loop.Pos())
 		pass.Reportf(g.Pos(), "%s spawns %s with no reachable exit: the infinite loop at %s:%d has no return, goto or break that leaves it, so nothing can join it", fd.Name.Name, target, shortFile(loop.Filename), loop.Line)
-	case search.kind != "":
-		pos := pass.Fset().Position(g.Pos())
-		pass.Facts.GoLife = append(pass.Facts.GoLife, GoLifeFact{
-			Join: search.kind, Func: fd.Name.Name,
-			File: pos.Filename, Line: pos.Line, Column: pos.Column,
-		})
+	case search.joined:
+		pass.Subject()
 	default:
-		pass.Reportf(g.Pos(), "%s spawns %s with no provable join: no WaitGroup.Done, no send/close on a channel anyone receives, no receive on a teardown-closed stop channel, no context cancellation — Shutdown/Close cannot wait for this goroutine", fd.Name.Name, target)
+		pass.Reportf(g.Pos(), "%s spawns %s with no provable join: no WaitGroup.Done, no send/close on a channel anyone receives — Shutdown/Close cannot wait for this goroutine", fd.Name.Name, target)
 	}
 }
 
 // joinSearch walks a spawned body (and its module callees) once, for join
 // evidence and for an inescapable loop.
 type joinSearch struct {
-	pass    *Pass
-	idx     *golifeIndex
-	visited map[*types.Func]bool
-	kind    string       // the first join evidence found, or ""
-	loop    *ast.ForStmt // the first inescapable loop found, which ends the walk
+	pass     *Pass
+	received map[types.Object]bool // channels the module receives from
+	visited  map[*types.Func]bool
+	joined   bool         // join evidence found
+	loop     *ast.ForStmt // the first inescapable loop found, which ends the walk
 }
 
 // scan walks body, recording join evidence until it meets an inescapable
@@ -148,17 +138,7 @@ func (s *joinSearch) scan(body *ast.BlockStmt, pkg *Package) {
 				return false
 			}
 		case *ast.SendStmt:
-			if obj := chanObjOf(pkg, n.Chan); obj != nil && s.idx.received[obj] {
-				s.found("done-channel")
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				s.found(s.classifyReceive(pkg, n.X))
-			}
-		case *ast.RangeStmt:
-			if _, ok := pkg.Info.TypeOf(n.X).Underlying().(*types.Chan); ok {
-				s.found(s.classifyReceive(pkg, n.X))
-			}
+			s.joined = s.joined || s.isReceived(pkg, n.Chan)
 		case *ast.CallExpr:
 			s.classifyCall(pkg, n)
 		}
@@ -166,27 +146,11 @@ func (s *joinSearch) scan(body *ast.BlockStmt, pkg *Package) {
 	})
 }
 
-// found records kind as the spawn's join evidence unless some is already
-// recorded.
-func (s *joinSearch) found(kind string) {
-	if s.kind == "" {
-		s.kind = kind
-	}
-}
-
-// classifyReceive classifies the channel expression of a receive or range.
-func (s *joinSearch) classifyReceive(pkg *Package, ch ast.Expr) string {
-	ch = ast.Unparen(ch)
-	if call, ok := ch.(*ast.CallExpr); ok {
-		if fn := calleeFunc(pkg, call); fn != nil && fn.FullName() == "(context.Context).Done" {
-			return "context"
-		}
-		return ""
-	}
-	if obj := chanObjOf(pkg, ch); obj != nil && s.idx.teardownClosed[obj] {
-		return "stop-channel"
-	}
-	return ""
+// isReceived reports whether ch names a channel the module receives from:
+// a send on or close of it is a done signal with a waiter.
+func (s *joinSearch) isReceived(pkg *Package, ch ast.Expr) bool {
+	obj := chanObjOf(pkg, ch)
+	return obj != nil && s.received[obj]
 }
 
 // classifyCall records a call's join evidence, descending into module
@@ -195,9 +159,7 @@ func (s *joinSearch) classifyCall(pkg *Package, call *ast.CallExpr) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pkg.Info.ObjectOf(id).(*types.Builtin); ok {
 			if b.Name() == "close" && len(call.Args) == 1 {
-				if obj := chanObjOf(pkg, call.Args[0]); obj != nil && s.idx.received[obj] {
-					s.found("done-channel")
-				}
+				s.joined = s.joined || s.isReceived(pkg, call.Args[0])
 			}
 			return
 		}
@@ -207,7 +169,7 @@ func (s *joinSearch) classifyCall(pkg *Package, call *ast.CallExpr) {
 		return
 	}
 	if fn.FullName() == "(*sync.WaitGroup).Done" {
-		s.found("waitgroup")
+		s.joined = true
 		return
 	}
 	if s.visited[fn] {
@@ -277,96 +239,36 @@ func loopHasExit(loop *ast.ForStmt, label string) bool {
 	return exits(loop.Body, true)
 }
 
-// golifeIndex is the module-wide channel-flow index the analyzer shares
-// across packages: which channel objects anyone receives from, and which
-// are closed on a teardown path.
-type golifeIndex struct {
-	received       map[types.Object]bool
-	teardownClosed map[types.Object]bool
-}
-
-// golife builds the index once per module (concurrent passes share it).
-func (m *Module) golife() *golifeIndex {
-	m.golOnce.Do(func() {
-		idx := &golifeIndex{
-			received:       make(map[types.Object]bool),
-			teardownClosed: make(map[types.Object]bool),
-		}
+// receivedChans indexes, once per module (concurrent passes share it), the
+// channel objects anyone receives from.
+func (m *Module) receivedChans() map[types.Object]bool {
+	m.recvOnce.Do(func() {
+		m.received = make(map[types.Object]bool)
 		for _, pkg := range m.Pkgs {
 			for _, f := range pkg.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
+					var ch ast.Expr
 					switch n := n.(type) {
 					case *ast.UnaryExpr:
 						if n.Op == token.ARROW {
-							if obj := chanObjOf(pkg, n.X); obj != nil {
-								idx.received[obj] = true
-							}
+							ch = n.X
 						}
 					case *ast.RangeStmt:
 						if t := pkg.Info.TypeOf(n.X); t != nil {
 							if _, ok := t.Underlying().(*types.Chan); ok {
-								if obj := chanObjOf(pkg, n.X); obj != nil {
-									idx.received[obj] = true
-								}
+								ch = n.X
 							}
 						}
+					}
+					if obj := chanObjOf(pkg, ch); obj != nil {
+						m.received[obj] = true
 					}
 					return true
 				})
 			}
 		}
-		m.indexTeardownCloses(idx)
-		m.gol = idx
 	})
-	return m.gol
-}
-
-// indexTeardownCloses records every channel closed in the transitive
-// (non-spawn) call closure of the module's Close/Shutdown/Stop functions.
-func (m *Module) indexTeardownCloses(idx *golifeIndex) {
-	cg := m.CallGraph()
-	var work []*types.Func
-	seen := make(map[*types.Func]bool)
-	for fn := range m.funcDecls {
-		if teardownNames[fn.Name()] {
-			work = append(work, fn)
-			seen[fn] = true
-		}
-	}
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		ref, ok := m.funcDecls[fn]
-		if !ok || ref.Decl.Body == nil {
-			continue
-		}
-		ast.Inspect(ref.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if b, ok := ref.Pkg.Info.ObjectOf(id).(*types.Builtin); ok && b.Name() == "close" && len(call.Args) == 1 {
-					if obj := chanObjOf(ref.Pkg, call.Args[0]); obj != nil {
-						idx.teardownClosed[obj] = true
-					}
-					return true
-				}
-			}
-			return true
-		})
-		if node := cg.Nodes[fn]; node != nil {
-			for _, site := range node.Sites {
-				if site.Spawn || site.Callee == nil || seen[site.Callee] {
-					continue
-				}
-				if _, inModule := m.funcDecls[site.Callee]; inModule {
-					seen[site.Callee] = true
-					work = append(work, site.Callee)
-				}
-			}
-		}
-	}
+	return m.received
 }
 
 // chanObjOf resolves a channel expression to the variable or field object

@@ -47,12 +47,14 @@ func runHotPathAlloc(pass *Pass) {
 			if !ok {
 				continue
 			}
-			if s := sums[fn]; s != nil {
-				for _, w := range s.Direct[EffAlloc] {
-					pass.Reportf(w.Pos, "%s in hot path %s", w.What, fd.Name.Name)
+			pass.proveClean(func() {
+				if s := sums[fn]; s != nil {
+					for _, w := range s.Direct[EffAlloc] {
+						pass.Reportf(w.Pos, "%s in hot path %s", w.What, fd.Name.Name)
+					}
 				}
-			}
-			scanHotCallees(pass, graph, sums, fd, fn)
+				scanHotCallees(pass, graph, sums, fd, fn)
+			})
 		}
 	}
 }

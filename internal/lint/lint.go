@@ -22,7 +22,8 @@ import (
 // pass.Facts; the optional Merge phase then runs once over every target's
 // facts — in package-path order, with no type information — to reach the
 // merge-only conclusions (duplicate metric families, stream-purpose
-// collisions, lock-order cycles).
+// collisions, protocol duality, API drift). Both phases count their
+// subjects: the repo sites where the analyzer's rule applied and held.
 type Analyzer struct {
 	Name  string
 	Doc   string
@@ -61,26 +62,26 @@ type RunStats struct {
 }
 
 // AnalyzerStat is one analyzer's accumulated wall time across all packages
-// (passes run in parallel, so these can sum to more than WallMS).
+// (passes run in parallel, so these can sum to more than WallMS), its
+// findings before suppression, and its subjects: the sites where its rule
+// applied and held. An analyzer with no subjects proved nothing.
 type AnalyzerStat struct {
 	Name     string `json:"name"`
 	MS       int64  `json:"ms"`
 	Findings int    `json:"findings"`
+	Subjects int    `json:"subjects"`
 }
 
 // PackageFacts is the serializable cross-package state one package
-// contributes to the merge phase. Each analyzer owns exactly one field
-// (metricschema → Metrics, seedtaint → Streams), which is what makes
-// concurrent passes over the same package race-free.
+// contributes to the merge phase. Each merging analyzer owns exactly one
+// field (metricschema → Metrics, seedtaint → Streams, protostate → Proto,
+// apicompat → API), which is what makes concurrent passes over the same
+// package race-free.
 type PackageFacts struct {
-	Metrics   []MetricFact    `json:"metrics,omitempty"`
-	Streams   []StreamFact    `json:"streams,omitempty"`
-	Proto     []ProtoFact     `json:"proto,omitempty"`
-	LockEdges []LockEdgeFact  `json:"lock_edges,omitempty"`
-	API       []APISymbolFact `json:"api,omitempty"`
-	FloatSums []FloatSumFact  `json:"float_sums,omitempty"`
-	Clocks    []ClockFact     `json:"clocks,omitempty"`
-	GoLife    []GoLifeFact    `json:"golife,omitempty"`
+	Metrics []MetricFact    `json:"metrics,omitempty"`
+	Streams []StreamFact    `json:"streams,omitempty"`
+	Proto   []ProtoFact     `json:"proto,omitempty"`
+	API     []APISymbolFact `json:"api,omitempty"`
 }
 
 // MetricFact is one telemetry metric-family registration site.
@@ -115,60 +116,10 @@ type ProtoFact struct {
 	Column int    `json:"column"`
 }
 
-// LockEdgeFact is one observed lock-order edge: To was acquired at the
-// recorded site while From was provably held.
-type LockEdgeFact struct {
-	From   string `json:"from"`
-	To     string `json:"to"`
-	Func   string `json:"func"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-}
-
 // APISymbolFact is one exported-surface entry of a public package.
 type APISymbolFact struct {
 	Sym    string `json:"sym"`
 	Decl   string `json:"decl"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-}
-
-// FloatSumFact is floatsum's proof surface in a grouping-invariance
-// package: Kind "accumulator" records one exact-summation fold site
-// (shard.Accumulator Add/Merge/Round), Kind "pinned" records one
-// order-sensitive accumulation whose //cmfl:order-pinned annotation the
-// analyzer proved against its enclosing loops. Detail carries the
-// accumulator method or the pin reason.
-type FloatSumFact struct {
-	Kind   string `json:"kind"`
-	Detail string `json:"detail,omitempty"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-}
-
-// ClockFact is wallclock's proof surface: Kind "hook-read" records one
-// call into internal/vclock (the sanctioned time source), Kind "scope"
-// records, once per package, how many function bodies were scanned (Count)
-// — the non-vacuousness guard asserts the scan saw real code.
-type ClockFact struct {
-	Kind   string `json:"kind"`
-	Func   string `json:"func,omitempty"`
-	Count  int    `json:"count,omitempty"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-}
-
-// GoLifeFact is one proven goroutine join: a `go` statement in a
-// lifecycle-scoped package whose spawned body golife tied to a WaitGroup,
-// a done channel the module receives from, a stop channel closed on the
-// Shutdown/Close path, or a context cancellation.
-type GoLifeFact struct {
-	Join   string `json:"join"` // waitgroup | done-channel | stop-channel | context
-	Func   string `json:"func,omitempty"`
 	File   string `json:"file"`
 	Line   int    `json:"line"`
 	Column int    `json:"column"`
@@ -186,6 +137,7 @@ type Pass struct {
 	Facts *PackageFacts
 
 	findings *[]Finding
+	subjects int
 }
 
 // Fset returns the run's file set.
@@ -225,6 +177,19 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// Subject counts one site where the analyzer's rule applied and held.
+func (p *Pass) Subject() { p.subjects++ }
+
+// proveClean runs check over one site and counts the site as a subject
+// when check reported nothing.
+func (p *Pass) proveClean(check func()) {
+	n := len(*p.findings)
+	check()
+	if len(*p.findings) == n {
+		p.Subject()
+	}
+}
+
 // SourceFiles yields the package files an analyzer should inspect:
 // generated files are skipped wholesale (test files never reach the loader).
 func (p *Pass) SourceFiles() []*ast.File {
@@ -254,6 +219,7 @@ type MergePass struct {
 	RootDir string
 
 	findings *[]Finding
+	subjects int
 }
 
 // Reportf records a merge finding at an explicit position (facts carry
@@ -267,6 +233,9 @@ func (mp *MergePass) Reportf(file string, line, col int, format string, args ...
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
+
+// Subject counts one merge-phase site where the rule applied and held.
+func (mp *MergePass) Subject() { mp.subjects++ }
 
 // All returns every analyzer of the suite, in reporting order.
 func All() []*Analyzer {
@@ -282,7 +251,6 @@ func All() []*Analyzer {
 		GoLife,
 		SeedTaint,
 		ProtoState,
-		LockOrder,
 		Exhaustive,
 		APICompat,
 	}
@@ -336,7 +304,7 @@ func Run(mod *Module, targets []*Package, analyzers []*Analyzer) Result {
 // baseline) in package-path order, then suppression. The Module's lazily
 // built shared structures (call graph, summaries, suppressions) are
 // protected by sync.Once. stats, when non-nil, receives per-analyzer
-// times and counts.
+// times, finding counts and subject counts.
 func analyze(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunStats) (Result, []*TargetFacts) {
 	facts := make([]*PackageFacts, len(targets))
 	for i := range facts {
@@ -344,6 +312,7 @@ func analyze(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunS
 	}
 	buffers := make([][]Finding, len(analyzers)*len(targets))
 	durations := make([]int64, len(analyzers))
+	subjects := make([]int64, len(analyzers))
 
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
@@ -356,9 +325,11 @@ func analyze(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunS
 				defer func() { <-sem }()
 				start := time.Now()
 				var local []Finding
-				a.Run(&Pass{Analyzer: a, Mod: mod, Pkg: pkg, Facts: facts[ti], findings: &local})
+				pass := &Pass{Analyzer: a, Mod: mod, Pkg: pkg, Facts: facts[ti], findings: &local}
+				a.Run(pass)
 				buffers[ai*len(targets)+ti] = local
 				atomic.AddInt64(&durations[ai], int64(time.Since(start)))
+				atomic.AddInt64(&subjects[ai], int64(pass.subjects))
 			}(ai, ti, a, pkg)
 		}
 	}
@@ -374,8 +345,10 @@ func analyze(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunS
 	for ai, a := range analyzers {
 		if a.Merge != nil {
 			start := time.Now()
-			a.Merge(&MergePass{Analyzer: a, Targets: ordered, RootDir: mod.RootDir, findings: &merged})
+			mp := &MergePass{Analyzer: a, Targets: ordered, RootDir: mod.RootDir, findings: &merged}
+			a.Merge(mp)
 			durations[ai] += int64(time.Since(start))
+			subjects[ai] += int64(mp.subjects)
 		}
 	}
 
@@ -387,7 +360,7 @@ func analyze(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunS
 	}
 	findings = append(findings, merged...)
 	if stats != nil {
-		fillAnalyzerStats(stats, analyzers, durations, buffers, merged)
+		fillAnalyzerStats(stats, analyzers, durations, subjects, buffers, merged)
 	}
 	return finish(findings, mod.Suppressions(), stats), tf
 }
@@ -421,8 +394,9 @@ func finish(findings []Finding, supp *suppressionIndex, stats *RunStats) Result 
 	return Result{Findings: kept, Suppressed: suppressed, Stats: stats}
 }
 
-// fillAnalyzerStats aggregates per-analyzer durations and finding counts.
-func fillAnalyzerStats(stats *RunStats, analyzers []*Analyzer, durations []int64, buffers [][]Finding, merged []Finding) {
+// fillAnalyzerStats aggregates per-analyzer durations, finding counts and
+// subject counts.
+func fillAnalyzerStats(stats *RunStats, analyzers []*Analyzer, durations, subjects []int64, buffers [][]Finding, merged []Finding) {
 	mergeCounts := make(map[string]int)
 	for _, f := range merged {
 		mergeCounts[f.Analyzer]++
@@ -440,6 +414,7 @@ func fillAnalyzerStats(stats *RunStats, analyzers []*Analyzer, durations []int64
 			Name:     a.Name,
 			MS:       durations[ai] / int64(time.Millisecond),
 			Findings: count,
+			Subjects: int(subjects[ai]),
 		})
 	}
 }

@@ -101,6 +101,17 @@ func matchWants(t *testing.T, wants map[string][]*expectation, res Result) {
 	}
 }
 
+// subjects runs analyzers over targets with stats and returns the result
+// and each analyzer's subject count by name.
+func subjects(mod *Module, targets []*Package, analyzers []*Analyzer) (Result, map[string]int) {
+	res, _ := analyze(mod, targets, analyzers, &RunStats{})
+	counts := make(map[string]int)
+	for _, a := range res.Stats.Analyzers {
+		counts[a.Name] = a.Subjects
+	}
+	return res, counts
+}
+
 // checkScopedFixture is checkFixture for analyzers gated on a package-scope
 // set (ConcurrencyPackages, SeedTaintPackages): the fixture package is
 // promoted into the scope for the duration of the run.
@@ -219,7 +230,9 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 // TestRepoClean is the acceptance gate: the repository itself must carry no
-// findings (every true positive was fixed or audited in place), and `./...`
+// findings (every true positive was fixed or audited in place), every
+// analyzer must have proved its rule on at least one repo site (zero
+// findings from an analyzer with no subjects proves nothing), and `./...`
 // expansion must never descend into testdata.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
@@ -234,9 +247,14 @@ func TestRepoClean(t *testing.T) {
 			t.Errorf("./... expansion descended into %s", pkg.Path)
 		}
 	}
-	res := Run(mod, targets, All())
+	res, counts := subjects(mod, targets, All())
 	for _, f := range res.Findings {
 		t.Errorf("repo finding: %s", f)
+	}
+	for _, a := range All() {
+		if counts[a.Name] == 0 {
+			t.Errorf("%s has no subject in the repository: its rule applied nowhere, so its silence proves nothing", a.Name)
+		}
 	}
 	if res.Suppressed == 0 {
 		t.Error("suppressed = 0: the audited //cmfl:lint-ignore markers went unseen")

@@ -66,8 +66,8 @@ type Module struct {
 	suppOnce sync.Once
 	supp     *suppressionIndex
 
-	golOnce sync.Once
-	gol     *golifeIndex
+	recvOnce sync.Once
+	received map[types.Object]bool
 }
 
 // Suppressions returns the module-wide //cmfl:lint-ignore index, built once

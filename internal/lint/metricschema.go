@@ -94,6 +94,7 @@ func mergeMetricSchema(mp *MergePass) {
 		prev, seen := first[m.Family]
 		if !seen {
 			first[m.Family] = m
+			mp.Subject()
 			continue
 		}
 		if prev.File == m.File && prev.Line == m.Line && prev.Column == m.Column {

@@ -28,20 +28,15 @@ func TestProtoStateFixture(t *testing.T) {
 	}
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	res := checkScopedFixture(t, "lockorder", []*Analyzer{LockOrder}, ConcurrencyPackages)
-	// One cycle, one finding — not one per edge or per participating lock.
-	if len(res.Findings) != 1 {
-		t.Errorf("findings = %d, want exactly 1 for the two-lock cycle: %v", len(res.Findings), res.Findings)
-	}
-}
-
-// writeTestBaseline marshals a baseline for pkgPath into a temp file and
-// points APIBaselinePath at it (with APIPackages extended) for the test's
-// duration.
-func writeTestBaseline(t *testing.T, pkgPath string, symbols map[string]string) {
+// writeTestBaseline marshals a baseline for pkgPath (and any others) into a
+// temp file and points APIBaselinePath at it, with APIPackages extended by
+// pkgPath alone, for the test's duration.
+func writeTestBaseline(t *testing.T, pkgPath string, symbols map[string]string, others map[string]map[string]string) {
 	t.Helper()
 	base := apiBaseline{Comment: apiBaselineComment, Packages: map[string]map[string]string{pkgPath: symbols}}
+	for path, syms := range others {
+		base.Packages[path] = syms
+	}
 	data, err := json.MarshalIndent(&base, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +61,7 @@ func TestAPICompatBaselineDiff(t *testing.T) {
 		"Removed":   "func Removed()",       // absent from the fixture: removed
 		"Cfg":       "type Cfg struct",      // matches
 		"Cfg.Limit": "Limit int",            // matches
-	})
+	}, nil)
 
 	res := Run(mod, []*Package{pkg}, []*Analyzer{APICompat})
 	var removed, changed, reasonless int
@@ -101,7 +96,7 @@ func TestAPICompatMarkerWaivesNothing(t *testing.T) {
 	writeTestBaseline(t, pkg.Path, map[string]string{
 		"Old":     "func Old(int) string",
 		"Removed": "func Removed()",
-	})
+	}, nil)
 
 	res := Run(mod, []*Package{pkg}, []*Analyzer{APICompat})
 	var removed, changed int
@@ -128,7 +123,7 @@ func TestAPICompatAdditionsAreFree(t *testing.T) {
 	writeTestBaseline(t, pkg.Path, map[string]string{
 		"Cfg":       "type Cfg struct",
 		"Cfg.Limit": "Limit int",
-	})
+	}, nil)
 
 	res := Run(mod, []*Package{pkg}, []*Analyzer{APICompat})
 	for _, f := range res.Findings {
@@ -138,32 +133,60 @@ func TestAPICompatAdditionsAreFree(t *testing.T) {
 	}
 }
 
-// TestProtoStateRepoFactsNonVacuous guards the analyzer against silently
-// matching nothing on the real module: internal/emu must yield writes and
-// reads on both sides, or the zero-findings acceptance run proves nothing.
+// TestAPICompatAliasReach: the contract follows a root alias into the
+// module type it names, so removing a field of the aliased type is a
+// finding, and stops there: a package outside APIPackages renames freely,
+// even when an old baseline still records its symbols.
+func TestAPICompatAliasReach(t *testing.T) {
+	targets, mod, err := Load(filepath.Join("testdata", "src", "apicompat"), []string{".", "./inner"})
+	if err != nil || len(targets) != 2 {
+		t.Fatalf("loading the apicompat fixture and its inner package: %d targets, %v", len(targets), err)
+	}
+	root, inner := targets[0], targets[1]
+	if strings.HasSuffix(root.Path, "/inner") {
+		root, inner = inner, root
+	}
+	writeTestBaseline(t, root.Path, map[string]string{
+		"Opts":        "type Opts = " + inner.Path + ".Opts",
+		"Opts.Rounds": "Rounds int",
+		"Opts.Seed":   "Seed int64",
+	}, map[string]map[string]string{inner.Path: {"Helper": "func Helper()"}})
+
+	res := Run(mod, targets, []*Analyzer{APICompat})
+	var removed []string
+	for _, f := range res.Findings {
+		switch {
+		case strings.Contains(f.Message, "was removed"):
+			removed = append(removed, f.Message)
+		case !strings.Contains(f.Message, "without a reason"):
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	if len(removed) != 1 || !strings.Contains(removed[0], "symbol Opts.Seed was removed") {
+		t.Errorf("removals = %v, want exactly Opts.Seed (the aliased type's field); inner's Helper is out of reach", removed)
+	}
+}
+
+// TestProtoStateRepoFactsNonVacuous guards the protocol analyzers against
+// silently matching nothing on the real module: internal/emu's frame kinds
+// must be matched writer to reader, and the root's exported surface must be
+// compared with the baseline, or the zero-findings acceptance run proves
+// nothing.
 func TestProtoStateRepoFactsNonVacuous(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads and type-checks internal/emu")
+		t.Skip("loads and type-checks the root and internal/emu")
 	}
-	targets, mod, err := Load(filepath.Join("..", ".."), []string{"./internal/emu", "./internal/emu/shard"})
+	targets, mod, err := Load(filepath.Join("..", ".."), []string{".", "./internal/emu", "./internal/emu/shard"})
 	if err != nil {
-		t.Fatalf("loading internal/emu: %v", err)
+		t.Fatalf("loading the root and internal/emu: %v", err)
 	}
-	_, tf := analyze(mod, targets, []*Analyzer{ProtoState, APICompat}, nil)
-	ops := make(map[string]int)
-	var apiSyms int
-	for _, target := range tf {
-		for _, f := range target.Facts.Proto {
-			ops[f.Op+"/"+f.Side]++
+	res, counts := subjects(mod, targets, []*Analyzer{ProtoState, APICompat})
+	for _, f := range res.Findings {
+		t.Errorf("repo finding: %s", f)
+	}
+	for _, a := range []*Analyzer{ProtoState, APICompat} {
+		if counts[a.Name] == 0 {
+			t.Errorf("%s has no subject in the root and internal/emu: it went vacuous", a.Name)
 		}
-		apiSyms += len(target.Facts.API)
-	}
-	for _, want := range []string{"frame-write/client", "frame-write/server", "frame-read/client", "frame-read/server"} {
-		if ops[want] == 0 {
-			t.Errorf("no %q facts recovered from internal/emu: the automaton recovery went vacuous (got %v)", want, ops)
-		}
-	}
-	if apiSyms == 0 {
-		t.Error("no API surface facts recovered from internal/emu")
 	}
 }

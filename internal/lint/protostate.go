@@ -417,7 +417,7 @@ func mergeProtoState(mp *MergePass) {
 		}
 	}
 
-	reported := make(map[string]bool)
+	reported, matched := make(map[string]bool), make(map[string]bool)
 	for _, f := range all {
 		if f.Op != "frame-write" || reported[f.Kind] {
 			continue
@@ -436,6 +436,9 @@ func mergeProtoState(mp *MergePass) {
 			mp.Reportf(f.File, f.Line, f.Column,
 				"frame kind %s is written on the %s side but has no %s-side reader: the peer cannot consume it",
 				f.Kind, f.Side, sideName(need))
+		} else if !matched[f.Kind] {
+			matched[f.Kind] = true // a subject: a written kind with its dual reader
+			mp.Subject()
 		}
 	}
 }

@@ -129,6 +129,8 @@ func checkSeedCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 		// R4: no seed arithmetic into the seed slot.
 		if seedTaint(pass.Pkg, call.Args[0]) == TaintSeedArith {
 			pass.Reportf(call.Args[0].Pos(), "seed arithmetic feeding xrand.Derive defeats stream independence: pass the root seed and vary purpose or id")
+		} else if ok {
+			pass.Subject()
 		}
 		return
 	}

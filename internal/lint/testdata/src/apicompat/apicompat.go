@@ -6,6 +6,8 @@
 // a defect.
 package apicompat
 
+import "cmfl/internal/lint/testdata/src/apicompat/inner"
+
 //cmfl:api-change
 
 // Old's baseline entry (written by the test) claims it returns string.
@@ -18,3 +20,7 @@ type Cfg struct {
 
 // Grown is absent from the baseline: additions are never findings.
 func Grown() {}
+
+// Opts re-exports a type of another module package: its fields are part of
+// this package's surface.
+type Opts = inner.Opts

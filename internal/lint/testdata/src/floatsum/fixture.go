@@ -109,3 +109,10 @@ func unpinnedChanRange(ch chan float64) float64 {
 	}
 	return sum
 }
+
+// stalePin: the marker sits above a fold outside any loop — there is no
+// order to pin, so the marker outlived its reduction.
+func stalePin(dst, src []float64) {
+	//cmfl:order-pinned nothing here folds across iterations // want "pins no order-sensitive reduction"
+	dst[0] += src[0]
+}

@@ -14,8 +14,8 @@ type server struct {
 	wg   sync.WaitGroup
 }
 
-// run drains until the stop channel closes — joined because Close closes
-// it (stop-channel evidence).
+// run drains until the stop channel closes: Close can stop it but has
+// nothing to wait on, so it is not joined.
 func (s *server) run() {
 	for {
 		select {
@@ -36,7 +36,7 @@ func (s *server) start() {
 	go func() { // waitgroup join
 		defer s.wg.Done()
 	}()
-	go s.run()   // stop-channel join
+	go s.run()   // want "spawns run with no provable join"
 	go s.serve() // done-channel join
 	go orphan()  // want "spawns orphan with no provable join"
 	fn := orphan
@@ -65,9 +65,9 @@ func (s *server) Close() {
 // orphan ends, but nothing can wait for it to.
 func orphan() {}
 
-// watch joins through context cancellation.
+// watch observes cancellation, which stops it but joins nothing.
 func watch(ctx context.Context) {
-	go func() { // context join
+	go func() { // want "spawns function literal with no provable join"
 		<-ctx.Done()
 	}()
 }
@@ -90,7 +90,7 @@ func (s *server) loops() {
 			}
 		}
 	}()
-	go func() { // silent: the stop case returns
+	go func() { // want "spawns function literal with no provable join": the stop case returns, but nothing waits
 		for {
 			select {
 			case <-s.stop:
@@ -102,7 +102,7 @@ func (s *server) loops() {
 	}()
 	go deep()           // want "spawns deep with no reachable exit"
 	go s.selectBreak()  // want "spawns selectBreak with no reachable exit"
-	go s.labeledBreak() // silent: break Loop leaves the loop
+	go s.labeledBreak() // want "spawns labeledBreak with no provable join": break Loop leaves the loop
 	go s.innerLabel()   // want "spawns innerLabel with no reachable exit"
 	s.wg.Add(2)
 	go s.accept()        // want "spawns accept with no reachable exit"

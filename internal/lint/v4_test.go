@@ -22,7 +22,7 @@ func TestFloatSumFixture(t *testing.T) {
 	defer delete(FloatSumPackages, pkg.Path)
 
 	wants := collectWants(t, mod, pkg)
-	res := Run(mod, []*Package{pkg}, []*Analyzer{FloatSum})
+	res, counts := subjects(mod, []*Package{pkg}, []*Analyzer{FloatSum})
 
 	var malformed int
 	rest := res
@@ -39,19 +39,10 @@ func TestFloatSumFixture(t *testing.T) {
 	}
 	matchWants(t, wants, rest)
 
-	_, tf := analyze(mod, []*Package{pkg}, []*Analyzer{FloatSum}, nil)
-	var pinned int
-	for _, target := range tf {
-		for _, f := range target.Facts.FloatSums {
-			if f.Kind == "pinned" {
-				pinned++
-			}
-		}
-	}
 	// pinnedSlice and pinnedStmt are the two honored pins; the map, channel,
-	// and reasonless pins must all be refused.
-	if pinned != 2 {
-		t.Errorf("pinned facts = %d, want 2 (pinnedSlice, pinnedStmt)", pinned)
+	// reasonless and stale pins must all be refused.
+	if counts["floatsum"] != 2 {
+		t.Errorf("subjects = %d, want 2 (pinnedSlice, pinnedStmt)", counts["floatsum"])
 	}
 }
 
@@ -67,8 +58,9 @@ func TestWallClockFixture(t *testing.T) {
 }
 
 // TestGoLifeFixture checks the goroutine-lifecycle prover's findings and
-// that every join kind the analyzer claims to prove is actually exercised
-// by the fixture's clean spawns.
+// that both join kinds it proves are exercised: a spawn whose join went
+// unseen would surface as an unexpected finding, and the subject count
+// names the joined spawns.
 func TestGoLifeFixture(t *testing.T) {
 	pkg, mod := loadFixture(t, "golife")
 	if GoLifePackages[pkg.Path] {
@@ -78,20 +70,12 @@ func TestGoLifeFixture(t *testing.T) {
 	defer delete(GoLifePackages, pkg.Path)
 
 	wants := collectWants(t, mod, pkg)
-	res := Run(mod, []*Package{pkg}, []*Analyzer{GoLife})
+	res, counts := subjects(mod, []*Package{pkg}, []*Analyzer{GoLife})
 	matchWants(t, wants, res)
-
-	_, tf := analyze(mod, []*Package{pkg}, []*Analyzer{GoLife}, nil)
-	joins := make(map[string]int)
-	for _, target := range tf {
-		for _, f := range target.Facts.GoLife {
-			joins[f.Join]++
-		}
-	}
-	for _, kind := range []string{"waitgroup", "done-channel", "stop-channel", "context"} {
-		if joins[kind] == 0 {
-			t.Errorf("no %q join proven in the fixture: the evidence path went vacuous (got %v)", kind, joins)
-		}
+	// start's WaitGroup literal, serve (done channel), viaHelper's literal,
+	// nested's inner literal and continueOuter.
+	if counts["golife"] != 5 {
+		t.Errorf("subjects = %d, want 5 joined spawns", counts["golife"])
 	}
 }
 
@@ -189,9 +173,9 @@ func TestSARIFOutput(t *testing.T) {
 
 // TestV4RepoFactsNonVacuous guards the three v4 provers against silently
 // matching nothing on the real module: the runtime packages must yield
-// accumulator routings, honored pins, vclock hook reads, scanned scopes,
-// and proven goroutine joins, or TestRepoClean's zero findings for these
-// analyzers proves nothing.
+// routed accumulations or honored pins, vclock hook reads, and proven
+// goroutine joins, or TestRepoClean's zero findings for these analyzers
+// proves nothing.
 func TestV4RepoFactsNonVacuous(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the runtime packages")
@@ -203,33 +187,14 @@ func TestV4RepoFactsNonVacuous(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading runtime packages: %v", err)
 	}
-	_, tf := analyze(mod, targets, []*Analyzer{FloatSum, WallClock, GoLife}, nil)
-
-	floatKinds := make(map[string]int)
-	clockKinds := make(map[string]int)
-	joinKinds := make(map[string]int)
-	for _, target := range tf {
-		for _, f := range target.Facts.FloatSums {
-			floatKinds[f.Kind]++
-		}
-		for _, f := range target.Facts.Clocks {
-			clockKinds[f.Kind]++
-		}
-		for _, f := range target.Facts.GoLife {
-			joinKinds[f.Join]++
-		}
+	analyzers := []*Analyzer{FloatSum, WallClock, GoLife}
+	res, counts := subjects(mod, targets, analyzers)
+	for _, f := range res.Findings {
+		t.Errorf("repo finding: %s", f)
 	}
-	for _, want := range []string{"accumulator", "pinned"} {
-		if floatKinds[want] == 0 {
-			t.Errorf("no %q floatsum facts recovered: the prover went vacuous (got %v)", want, floatKinds)
+	for _, a := range analyzers {
+		if counts[a.Name] == 0 {
+			t.Errorf("%s has no subject in the runtime packages: the prover went vacuous", a.Name)
 		}
-	}
-	for _, want := range []string{"hook-read", "scope"} {
-		if clockKinds[want] == 0 {
-			t.Errorf("no %q wallclock facts recovered: the prover went vacuous (got %v)", want, clockKinds)
-		}
-	}
-	if joinKinds["waitgroup"] == 0 || len(joinKinds) == 0 {
-		t.Errorf("no waitgroup joins recovered from the runtime packages: the prover went vacuous (got %v)", joinKinds)
 	}
 }

@@ -36,8 +36,8 @@ var WallClockPackages = map[string]bool{
 	"cmfl/internal/emu":  true,
 }
 
-// vclockPath is the sanctioned time source; calls into it are the goal
-// state, recorded as "hook-read" facts.
+// vclockPath is the sanctioned time source; each call into it is a
+// subject.
 const vclockPath = "cmfl/internal/vclock"
 
 // bannedTimeFuncs are the package-level time functions that read or
@@ -64,19 +64,12 @@ func runWallClock(pass *Pass) {
 		memo:     make(map[*types.Func]*timeWitness),
 		visiting: make(map[*types.Func]bool),
 	}
-	scanned := 0
 	for _, f := range pass.SourceFiles() {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				w.scanScopeFunc(fd)
 			}
-			w.scanScopeFunc(fd)
-			scanned++
 		}
-	}
-	if scanned > 0 {
-		pass.Facts.Clocks = append(pass.Facts.Clocks, ClockFact{Kind: "scope", Count: scanned})
 	}
 }
 
@@ -104,11 +97,7 @@ func (w *wallClockWalker) scanScopeFunc(fd *ast.FuncDecl) {
 			w.pass.Reportf(call.Pos(), "%s calls time.%s directly: the %s package must read time through the internal/vclock hook",
 				fd.Name.Name, fn.Name(), w.pass.Pkg.Types.Name())
 		case fn.Pkg().Path() == vclockPath:
-			pos := w.pass.Fset().Position(call.Pos())
-			w.pass.Facts.Clocks = append(w.pass.Facts.Clocks, ClockFact{
-				Kind: "hook-read", Func: fd.Name.Name,
-				File: pos.Filename, Line: pos.Line, Column: pos.Column,
-			})
+			w.pass.Subject()
 		default:
 			if wit := w.witnessFor(fn); wit != nil {
 				w.pass.Reportf(call.Pos(), "%s calls %s, which reaches %s (%s via %s): route time through the internal/vclock hook",

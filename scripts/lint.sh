@@ -9,8 +9,8 @@
 #                   deterministic aggregation order, the cmfl_* metric
 #                   schema, discarded errors, float equality, goroutine and
 #                   mutex discipline, seed-provenance taint, wire-protocol
-#                   duality, lock-order acyclicity, enum exhaustiveness,
-#                   and the exported-API baseline.
+#                   duality, enum exhaustiveness, and the baseline of the
+#                   API an importer can reach.
 #
 # Usage:
 #   scripts/lint.sh                  # whole module
@@ -24,7 +24,8 @@
 # want the machine-readable findings document instead. It reads the
 # standard library from the export data go vet has just left in Go's build
 # cache, so a whole-module run takes about half a second; -stats below
-# shows the load and per-analyzer wall time.
+# shows the load and wall time and each analyzer's time, findings and
+# subjects (the sites where its rule applied and held).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
