@@ -42,7 +42,7 @@ import (
 	"cmfl/internal/xrand"
 )
 
-//cmfl:api-change the API contract is what an importer can reach: internal/* packages, which Go forbids importing from outside the module, leave the baseline, and every root alias to a module type now carries that type's exported fields and methods under the alias name. No declaration changed; callers migrate nothing.
+//cmfl:api-change MTLRoundStats and MTLResult.Trace are gone: an MTL run's History is now []RoundStats, the record every engine keeps; callers name RoundStats instead and build an AccuracyTrace from the History's CumUploads and Accuracy, as for a federated run.
 
 // ---- The paper's contribution (internal/core, internal/gaia) ----
 
@@ -354,10 +354,6 @@ type MTLConfig = mtl.Config
 
 // MTLResult is the outcome of RunMTL.
 type MTLResult = mtl.Result
-
-// MTLRoundStats records one synchronous MTL round; its communication core
-// is the embedded RoundEvent.
-type MTLRoundStats = mtl.RoundStats
 
 // OmegaMode selects the relationship-matrix strategy.
 type OmegaMode = mtl.OmegaMode

@@ -211,6 +211,12 @@ func TestFig5AndFig6(t *testing.T) {
 	if r.MochaRun == nil || r.CMFLRun == nil {
 		t.Fatal("runs not retained")
 	}
+	if n := len(r.Mocha.Trace.CumUploads); n != len(r.MochaRun.History) {
+		t.Fatalf("mocha trace has %d points, its history %d rounds", n, len(r.MochaRun.History))
+	}
+	if _, ok := r.Mocha.Trace.RoundsToAccuracy(0.5); !ok {
+		t.Fatal("mocha trace should reach 50% accuracy")
+	}
 	if !strings.Contains(r.Render(), "MOCHA vs MOCHA+CMFL") {
 		t.Fatal("fig5 render missing title")
 	}

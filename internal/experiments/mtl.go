@@ -8,6 +8,7 @@ import (
 
 	"cmfl/internal/core"
 	"cmfl/internal/dataset"
+	"cmfl/internal/fl"
 	"cmfl/internal/mtl"
 	"cmfl/internal/report"
 	"cmfl/internal/stats"
@@ -166,7 +167,7 @@ func (s MTLSetup) Build() (clients []*dataset.Set, outliers []int, err error) {
 	}
 }
 
-func (s MTLSetup) mtlConfig(clients []*dataset.Set, filter mtlFilter) mtl.Config {
+func (s MTLSetup) mtlConfig(clients []*dataset.Set, filter fl.UploadFilter) mtl.Config {
 	return mtl.Config{
 		Clients:   clients,
 		Lambda:    s.Lambda,
@@ -178,13 +179,6 @@ func (s MTLSetup) mtlConfig(clients []*dataset.Set, filter mtlFilter) mtl.Config
 		Filter:    filter,
 		Seed:      s.Seed,
 	}
-}
-
-// mtlFilter is the subset of fl.UploadFilter the MTL engine needs; defined
-// locally so a nil literal reads clearly at call sites.
-type mtlFilter = interface {
-	Name() string
-	Check(local, model, prevGlobal []float64, t int) (core.Decision, error)
 }
 
 // Fig5Result compares plain MOCHA against MOCHA+CMFL on one dataset.
@@ -215,13 +209,14 @@ func Fig5(s MTLSetup) (*Fig5Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5 %s mocha+cmfl: %w", s.Name, err)
 	}
+	plainTrace, cmflTrace := TraceOf(plain.History), TraceOf(withCMFL.History)
 	return &Fig5Result{
 		Workload:   s.Name,
-		Mocha:      AlgorithmTrace{Name: "mocha", Trace: plain.Trace()},
-		WithCMFL:   AlgorithmTrace{Name: "mocha+cmfl", Trace: withCMFL.Trace()},
+		Mocha:      AlgorithmTrace{Name: "mocha", Trace: plainTrace},
+		WithCMFL:   AlgorithmTrace{Name: "mocha+cmfl", Trace: cmflTrace},
 		Targets:    s.AccuracyTargets,
-		MochaBest:  plain.Trace().BestAccuracy(),
-		CMFLBest:   withCMFL.Trace().BestAccuracy(),
+		MochaBest:  plainTrace.BestAccuracy(),
+		CMFLBest:   cmflTrace.BestAccuracy(),
 		MochaRun:   plain,
 		CMFLRun:    withCMFL,
 		OutlierIdx: outliers,
@@ -253,11 +248,12 @@ func (r *Fig5Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 5 — %s: MOCHA vs MOCHA+CMFL\n", r.Workload)
 	b.WriteString(report.Plot("accuracy vs uploads", 64, 14, toSeries(r.Mocha), toSeries(r.WithCMFL)))
+	sv := r.Savings()
 	rows := make([][]string, 0, len(r.Targets))
 	for i, target := range r.Targets {
 		rows = append(rows, []string{
 			fmt.Sprintf("%s %.0f%% accuracy", r.Workload, 100*target),
-			fmtSaving(r.Savings()[i], !math.IsNaN(r.Savings()[i])),
+			fmtSaving(sv[i], !math.IsNaN(sv[i])),
 		})
 	}
 	b.WriteString(report.Table([]string{"target", "MOCHA+CMFL saving"}, rows))

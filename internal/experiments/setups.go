@@ -300,7 +300,7 @@ func (s NWPSetup) FLConfig(fed *Federation, filter fl.UploadFilter) fl.Config {
 
 // TraceOf converts any engine history into an accuracy trace. It accepts
 // every stats type embedding the shared telemetry.RoundEvent core
-// (fl.RoundStats, emu.RoundStats, mtl.RoundStats, ...).
+// (fl.RoundStats, which mtl keeps as is and emu and sim embed).
 func TraceOf[S telemetry.Eventer](history []S) *stats.AccuracyTrace {
 	tr := &stats.AccuracyTrace{}
 	for _, h := range history {

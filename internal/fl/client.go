@@ -11,12 +11,12 @@ import (
 )
 
 // ClientStep is the client half of Algorithm 1, written once for every
-// engine (the loop behind Run and sim.Run, emu.RunClient and RunAsync):
-// local solve, differential-privacy noise, the upload gate, then — for an
-// upload — the error-feedback fold-in and the codec round trip. It holds
-// what is the same for every client and round; the engine supplies the rest
-// per call. Methods only read it, so one value serves all of an engine's
-// goroutines.
+// engine (the loop behind Run and sim.Run, emu.RunClient, RunAsync and,
+// after its own solver, mtl.Run): local solve, differential-privacy noise,
+// the upload gate, then — for an upload — the error-feedback fold-in and the
+// codec round trip. It holds what is the same for every client and round;
+// the engine supplies the rest per call. Methods only read it, so one value
+// serves all of an engine's goroutines.
 type ClientStep struct {
 	// Epochs, Batch and ProxMu parameterise the local solver (LocalTrainProx).
 	Epochs int
@@ -90,9 +90,7 @@ type Scratch struct {
 
 // Train runs the local solver from the broadcast model on sc's buffers and
 // gates the result into r, whose Delta buffer it reuses: a steady-state round
-// allocates nothing. The order is the determinism contract: DP noise is drawn
-// from rng after the solver's draws, and the gate and the relevance trace see
-// the post-DP delta. A caller that trains clients concurrently holds a
+// allocates nothing. A caller that trains clients concurrently holds a
 // local-round mark over its turns, so that their products are not split onto
 // each other's cores (tensor.EnterLocalRound).
 func (s *ClientStep) Train(sc *Scratch, net *nn.Network, data *dataset.Set, rng *xrand.Stream, b *Broadcast, r *Reply) error {
@@ -100,12 +98,21 @@ func (s *ClientStep) Train(sc *Scratch, net *nn.Network, data *dataset.Set, rng 
 	if err != nil {
 		return fmt.Errorf("local training: %w", err)
 	}
-	privatize(delta, s.DPClip, s.DPNoiseSigma, rng)
-	dec, err := checkUpload(s.Filter, delta, b.Params, b.Feedback, b.Signs, b.Round)
+	*r = Reply{Delta: delta, Loss: loss}
+	return s.Gate(rng, b, r)
+}
+
+// Gate is what follows any local solve, nn or not: it privatizes r.Delta in
+// place, then sets r's upload verdict and relevance trace. The order is the
+// determinism contract: DP noise is drawn from rng after the solver's draws,
+// and the gate and the relevance trace see the post-DP delta.
+func (s *ClientStep) Gate(rng *xrand.Stream, b *Broadcast, r *Reply) error {
+	privatize(r.Delta, s.DPClip, s.DPNoiseSigma, rng)
+	dec, err := checkUpload(s.Filter, r.Delta, b.Params, b.Feedback, b.Signs, b.Round)
 	if err != nil {
 		return fmt.Errorf("filter: %w", err)
 	}
-	*r = Reply{Delta: delta, Loss: loss, Relevance: b.Relevance(delta), Upload: dec.Upload}
+	r.Relevance, r.Upload = b.Relevance(r.Delta), dec.Upload
 	return nil
 }
 
@@ -121,7 +128,7 @@ func (s *ClientStep) Train(sc *Scratch, net *nn.Network, data *dataset.Set, rng 
 // dim-long decode and subtract. A withheld update leaves the residual
 // untouched. The returned payload is the wire form of the upload; it aliases
 // sc and is valid until sc is packed again. It is nil for a skip or a raw
-// upload.
+// upload, and without a Compressor sc is not read and may be nil.
 //
 //cmfl:hotpath
 func (s *ClientStep) Pack(sc *Scratch, r *Reply) ([]byte, error) {

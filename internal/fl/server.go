@@ -12,12 +12,12 @@ import (
 )
 
 // Aggregator is the server half of Algorithm 1, written once for every
-// engine (the loop behind Run and sim, the emu server and RunAsync): the
-// per-round feedback prelude, the exact FedAvg fold of the accepted replies,
-// the apply step with its feedback rule, the cumulative communication
-// counters, and the round tail: diagnostics, evaluation and telemetry. What
-// the loop's Schedule or the emu server decides is who participates and whose
-// reply is accepted; each hands Finish the exact sum of the accepted uploads.
+// engine (the loop behind Run and sim, the emu server, RunAsync and mtl.Run):
+// the per-round feedback prelude, the exact FedAvg fold of the accepted
+// replies, the apply step with its feedback rule, the cumulative
+// communication counters, and the round tail: diagnostics, evaluation and
+// telemetry. What the engine decides is who participates and whose reply is
+// accepted; each hands Finish the exact sum of the accepted uploads.
 type Aggregator struct {
 	// Params is the global parameter vector, updated in place every round.
 	Params []float64

@@ -19,13 +19,12 @@ package mtl
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"cmfl/internal/core"
 	"cmfl/internal/dataset"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/fl"
-	"cmfl/internal/stats"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/tensor"
 	"cmfl/internal/xrand"
@@ -85,20 +84,12 @@ type Config struct {
 	Observers []telemetry.Observer
 }
 
-// RoundStats records one synchronous MTL round. The communication core is
-// the embedded telemetry.RoundEvent (Participants is the task count m;
-// Accuracy is the sample-weighted mean test accuracy across tasks).
-type RoundStats struct {
-	telemetry.RoundEvent
-
-	// MeanRelevance is the client-mean CMFL relevance this round (NaN
-	// before feedback exists).
-	MeanRelevance float64
-}
-
 // Result is the outcome of a Run.
 type Result struct {
-	History []RoundStats
+	// History holds one record per round. Accuracy is the sample-weighted
+	// mean of the task models' test accuracies; MeanSignificance and
+	// DeltaUpdate stay NaN.
+	History []fl.RoundStats
 	// Weights holds the final per-task weight vectors (d features + bias).
 	Weights [][]float64
 	// SkipCounts counts withheld updates per task over the run.
@@ -109,30 +100,23 @@ type Result struct {
 	FilterName     string
 }
 
-// FinalAccuracy returns the last round's accuracy.
-func (r *Result) FinalAccuracy() float64 {
-	if len(r.History) == 0 {
-		return math.NaN()
-	}
-	return r.History[len(r.History)-1].Accuracy
-}
-
-// Trace converts the history into a stats.AccuracyTrace.
-func (r *Result) Trace() *stats.AccuracyTrace {
-	tr := &stats.AccuracyTrace{}
-	for _, h := range r.History {
-		tr.CumUploads = append(tr.CumUploads, h.CumUploads)
-		tr.Accuracy = append(tr.Accuracy, h.Accuracy)
-	}
-	return tr
-}
+// FinalAccuracy returns the last evaluated accuracy, or NaN if none.
+func (r *Result) FinalAccuracy() float64 { return telemetry.FinalAccuracy(r.History) }
 
 type task struct {
 	train, test *dataset.Set
 	rng         *xrand.Stream
 }
 
-// Run executes federated multi-task training.
+// Run executes federated multi-task training. MOCHA's solver is its own;
+// what follows it is Algorithm 1 as every engine runs it. Each task gates
+// its update through fl.ClientStep against the round's broadcast with its
+// own w_k as the model, so Gaia's significance sees the task model, and an
+// fl.Aggregator closes the round: the collaborative feedback, the filter's
+// round feedback, the pricing, the counters, the refusal of a non-finite sum
+// and the telemetry. MOCHA has no global model, so the aggregator's Params
+// only traces the sum of the collaborative updates; the accuracy is the task
+// models'.
 //
 //cmfl:deterministic
 func Run(cfg Config) (*Result, error) {
@@ -159,34 +143,27 @@ func Run(cfg Config) (*Result, error) {
 	}
 	omega := meanRegularizedOmega(m)
 
-	res := &Result{
-		SkipCounts: make([]int, m),
-		FilterName: "mocha",
-	}
-	if cfg.Filter != nil {
+	step := fl.ClientStep{Filter: cfg.Filter}
+	res := &Result{FilterName: "mocha"}
+	if cfg.Filter == nil {
+		step.Filter = fl.Vanilla{}
+	} else {
 		res.FilterName = "mocha+" + cfg.Filter.Name()
 	}
-
-	feedback := make([]float64, dim) // zero: no feedback yet
-	var feedbackSigns []int8
-	cumUploads := 0
-	var cumBytes int64
-
-	type taskResult struct {
-		delta     []float64
-		upload    bool
-		relevance float64
-		err       error
+	agg := fl.NewAggregator(telemetry.EngineMTL, make([]float64, dim), m, step.Filter, cfg.Observers)
+	agg.Eval.Target = cfg.TargetAccuracy
+	res.SkipCounts = agg.SkipCounts
+	all := make([]int, m) // every task takes part, and every reply counts
+	for k := range all {
+		all[k] = k
 	}
-	results := make([]taskResult, m)
+	replies := make([]fl.Reply, m)
+	errs := make([]error, m)
+	sum := shard.New(dim)
 	sem := make(chan struct{}, cfg.Parallelism)
 
 	for t := 1; t <= cfg.Rounds; t++ {
-		lr := cfg.LR.At(t)
-		haveFeedback := !core.AllZero(feedback)
-		if haveFeedback {
-			feedbackSigns = core.SignsInto(feedbackSigns, feedback)
-		}
+		b := agg.Begin(t, cfg.LR.At(t))
 		var wg sync.WaitGroup
 		for k := 0; k < m; k++ {
 			wg.Add(1)
@@ -194,99 +171,40 @@ func Run(cfg Config) (*Result, error) {
 			go func(k int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				delta := localSolve(tasks[k], w, omega, k, cfg.Lambda, lr, cfg.Epochs, cfg.Batch)
-				upload := true
-				if cfg.Filter != nil {
-					dec, err := cfg.Filter.Check(delta, w[k], feedback, t)
-					if err != nil {
-						results[k] = taskResult{err: err}
-						return
-					}
-					upload = dec.Upload
+				r := &replies[k]
+				r.Delta, r.Loss = localSolve(tasks[k], w, omega, k, cfg.Lambda, b.LR, cfg.Epochs, cfg.Batch)
+				bk := b
+				bk.Params = w[k]
+				if errs[k] = step.Gate(tasks[k].rng, &bk, r); errs[k] == nil {
+					_, errs[k] = step.Pack(nil, r) // no codec: Pack only prices
 				}
-				// The reported relevance is Eq. 9 whatever the gate
-				// decided with (a Gaia gate's metric is significance).
-				rel := math.NaN()
-				if haveFeedback {
-					if r, err := core.SignAgreement(delta, feedbackSigns); err == nil {
-						rel = r
-					}
-				}
-				results[k] = taskResult{delta: delta, upload: upload, relevance: rel}
 			}(k)
 		}
 		wg.Wait()
 
-		uploaded := 0
-		collab := make([]float64, dim)
-		var relSum float64
-		relCount := 0
-		for k := 0; k < m; k++ {
-			r := &results[k]
-			if r.err != nil {
-				return nil, fmt.Errorf("mtl: round %d task %d: %w", t, k, r.err)
+		sum.Reset(dim)
+		for k := range replies {
+			if errs[k] != nil {
+				return nil, fmt.Errorf("mtl: round %d task %d: %w", t, k, errs[k])
 			}
-			if !math.IsNaN(r.relevance) {
-				relSum += r.relevance
-				relCount++
-			}
-			if r.upload {
-				tensor.Axpy(1, r.delta, w[k])
-				tensor.Axpy(1, r.delta, collab)
-				uploaded++
-			} else {
-				res.SkipCounts[k]++
+			if r := &replies[k]; r.Upload {
+				tensor.Axpy(1, r.Delta, w[k])
+				sum.Add(r.Delta)
 			}
 		}
-		if uploaded > 0 {
-			tensor.ScaleVec(1/float64(uploaded), collab)
-			feedback = collab
-		}
-		cumUploads += uploaded
-		cumBytes += int64(uploaded)*int64(dim)*8 + int64(m-uploaded)*fl.SkipNotificationBytes
-
 		if cfg.Omega == OmegaLearned && t%cfg.OmegaEvery == 0 {
 			if next, err := learnOmega(w); err == nil {
 				omega = next
 			}
 		}
-
-		acc := weightedAccuracy(tasks, w)
-		st := RoundStats{
-			RoundEvent: telemetry.RoundEvent{
-				Engine:         telemetry.EngineMTL,
-				Round:          t,
-				Participants:   m,
-				Uploaded:       uploaded,
-				Skipped:        m - uploaded,
-				CumUploads:     cumUploads,
-				CumUplinkBytes: cumBytes,
-				Accuracy:       acc,
-			},
-			MeanRelevance: math.NaN(),
+		done, err := agg.Finish(t, m, all, replies, sum, func(st *fl.RoundStats, _ []float64) {
+			st.Accuracy = weightedAccuracy(tasks, w)
+			res.History = append(res.History, *st)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("mtl: %w", err)
 		}
-		if relCount > 0 {
-			st.MeanRelevance = relSum / float64(relCount)
-		}
-		res.History = append(res.History, st)
-		if len(cfg.Observers) > 0 {
-			for k := 0; k < m; k++ {
-				uplink := int64(dim) * 8
-				if !results[k].upload {
-					uplink = fl.SkipNotificationBytes
-				}
-				telemetry.EmitClient(cfg.Observers, telemetry.ClientEvent{
-					Engine:      telemetry.EngineMTL,
-					Round:       t,
-					Client:      k,
-					Uploaded:    results[k].upload,
-					Relevance:   results[k].relevance,
-					UplinkBytes: uplink,
-				})
-			}
-			telemetry.EmitRound(cfg.Observers, st.RoundEvent)
-		}
-		if cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy {
+		if done {
 			break
 		}
 	}
@@ -297,19 +215,19 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.TaskAccuracies = make([]float64, m)
 	for k, tk := range tasks {
-		res.TaskAccuracies[k] = taskAccuracy(tk, w[k])
+		res.TaskAccuracies[k] = float64(taskCorrect(tk, w[k])) / float64(tk.test.Len())
 	}
 	return res, nil
 }
 
-// taskAccuracy evaluates one task's model on its held-out split.
-func taskAccuracy(tk *task, w []float64) float64 {
+// taskCorrect counts the held-out samples of one task its model classifies
+// right.
+func taskCorrect(tk *task, w []float64) int {
 	d := len(w) - 1
 	correct := 0
 	for i := 0; i < tk.test.Len(); i++ {
-		row := tk.test.X.Data[i*d : (i+1)*d]
 		score := w[d]
-		for j, x := range row {
+		for j, x := range tk.test.X.Data[i*d : (i+1)*d] {
 			score += w[j] * x
 		}
 		pred := 0
@@ -320,16 +238,23 @@ func taskAccuracy(tk *task, w []float64) float64 {
 			correct++
 		}
 	}
-	if tk.test.Len() == 0 {
-		return math.NaN()
+	return correct
+}
+
+// weightedAccuracy is the sample-weighted mean test accuracy across tasks.
+func weightedAccuracy(tasks []*task, w [][]float64) float64 {
+	correct, total := 0, 0
+	for k, tk := range tasks {
+		correct += taskCorrect(tk, w[k])
+		total += tk.test.Len()
 	}
-	return float64(correct) / float64(tk.test.Len())
+	return float64(correct) / float64(total)
 }
 
 // localSolve runs E epochs of subgradient descent on task k's hinge loss
 // plus the Ω-coupled regulariser, starting from the broadcast W, and returns
-// the delta of w_k.
-func localSolve(tk *task, w [][]float64, omega *tensor.Tensor, k int, lambda, lr float64, epochs, batch int) []float64 {
+// the delta of w_k and the mean minibatch hinge loss.
+func localSolve(tk *task, w [][]float64, omega *tensor.Tensor, k int, lambda, lr float64, epochs, batch int) ([]float64, float64) {
 	dim := len(w[k])
 	local := append([]float64(nil), w[k]...)
 	n := tk.train.Len()
@@ -348,16 +273,14 @@ func localSolve(tk *task, w [][]float64, omega *tensor.Tensor, k int, lambda, lr
 	okk := lambda * omega.At(k, k)
 
 	grad := make([]float64, dim)
+	var lossSum float64
+	batches := 0
 	for e := 0; e < epochs; e++ {
 		order := tk.rng.Perm(n)
 		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			for i := range grad {
-				grad[i] = 0
-			}
+			hi := min(lo+batch, n)
+			clear(grad)
+			var hinge float64
 			for _, idx := range order[lo:hi] {
 				row := tk.train.X.Data[idx*d : (idx+1)*d]
 				y := float64(tk.train.Y[idx])*2 - 1 // {0,1} -> {-1,+1}
@@ -366,6 +289,7 @@ func localSolve(tk *task, w [][]float64, omega *tensor.Tensor, k int, lambda, lr
 					margin += local[j] * x
 				}
 				if y*margin < 1 {
+					hinge += 1 - y*margin
 					for j, x := range row {
 						grad[j] -= y * x
 					}
@@ -373,40 +297,15 @@ func localSolve(tk *task, w [][]float64, omega *tensor.Tensor, k int, lambda, lr
 				}
 			}
 			inv := 1.0 / float64(hi-lo)
+			lossSum += hinge * inv
+			batches++
 			for j := 0; j < dim; j++ {
 				g := grad[j]*inv + regOther[j] + okk*local[j]
 				local[j] -= lr * g
 			}
 		}
 	}
-	return tensor.Sub(local, w[k])
-}
-
-// weightedAccuracy is the sample-weighted mean test accuracy across tasks.
-func weightedAccuracy(tasks []*task, w [][]float64) float64 {
-	correct, total := 0, 0
-	for k, tk := range tasks {
-		d := len(w[k]) - 1
-		for i := 0; i < tk.test.Len(); i++ {
-			row := tk.test.X.Data[i*d : (i+1)*d]
-			score := w[k][d]
-			for j, x := range row {
-				score += w[k][j] * x
-			}
-			pred := 0
-			if score >= 0 {
-				pred = 1
-			}
-			if pred == tk.test.Y[i] {
-				correct++
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(correct) / float64(total)
+	return tensor.Sub(local, w[k]), lossSum / float64(batches)
 }
 
 // meanRegularizedOmega returns Ω = I − 11ᵀ/m.

@@ -1,12 +1,18 @@
 package mtl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"cmfl/internal/core"
 	"cmfl/internal/dataset"
-	"cmfl/internal/stats"
+	"cmfl/internal/emu/shard"
+	"cmfl/internal/fl"
 	"cmfl/internal/xrand"
 )
 
@@ -148,23 +154,6 @@ func TestSemeionTask(t *testing.T) {
 	}
 }
 
-func TestTraceConversion(t *testing.T) {
-	cfg, _ := harConfig(t, 6, 1)
-	cfg.Rounds = 5
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Trace()
-	if len(tr.CumUploads) != len(res.History) {
-		t.Fatalf("trace length %d != history %d", len(tr.CumUploads), len(res.History))
-	}
-	if _, ok := tr.RoundsToAccuracy(0.5); !ok {
-		t.Fatal("trace should reach 50% accuracy")
-	}
-	var _ *stats.AccuracyTrace = tr
-}
-
 func TestEarlyStop(t *testing.T) {
 	cfg, _ := harConfig(t, 6, 1)
 	cfg.Rounds = 100
@@ -257,4 +246,91 @@ func TestTaskAccuraciesReported(t *testing.T) {
 		}
 	}
 	_ = har
+}
+
+// TestMTLPinnedTrace pins four HAR runs bit for bit: Ω mean-regularised and
+// learned every 5 rounds, each ungated and under CMFL at 0.55. The hash
+// covers the task weights, the skip counts and every round's uploads, uplink
+// bytes and accuracy. MeanRelevance stays out: it is a diagnostic that
+// feeds nothing else.
+func TestMTLPinnedTrace(t *testing.T) {
+	h := sha256.New()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	skipped := false
+	for _, omega := range []OmegaMode{OmegaMeanRegularized, OmegaLearned} {
+		for _, filter := range []fl.UploadFilter{nil, core.NewFilter(core.Constant(0.55))} {
+			cfg, _ := harConfig(t, 16, 4)
+			cfg.Rounds = 30
+			cfg.Omega, cfg.OmegaEvery, cfg.Filter = omega, 5, filter
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range res.Weights {
+				for _, v := range w {
+					put(math.Float64bits(v))
+				}
+			}
+			for _, s := range res.SkipCounts {
+				put(uint64(s))
+				skipped = skipped || s > 0
+			}
+			for _, st := range res.History {
+				put(uint64(st.Uploaded))
+				put(uint64(st.CumUplinkBytes))
+				put(math.Float64bits(st.Accuracy))
+			}
+		}
+	}
+	// The vector kernels fuse multiply-adds and the portable loops do not,
+	// so each path has its own bits.
+	const wantSIMD, wantPortable = "f5357d81071772568ca564acfa2b97e65c1a45cf31050c7114e6c2977ab8de15",
+		"55a7a6034047327de168e8193abb37a300c66f93b19cf139304ac509c2d18094"
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantSIMD && got != wantPortable {
+		t.Errorf("mtl runs SHA-256 %s, want %s (AVX-512) or %s (portable)", got, wantSIMD, wantPortable)
+	}
+	if !skipped {
+		t.Error("the gate withheld nothing: the pin does not cover a skip")
+	}
+}
+
+// TestMTLAdaptiveGateAdapts: every round reports its upload count to the
+// filter, so an AdaptiveFilter steers the tasks' upload fraction to its
+// target from either side. A gate that is never told stays at its start
+// threshold and uploads one fraction whatever the target.
+func TestMTLAdaptiveGateAdapts(t *testing.T) {
+	for _, target := range []float64{0.3, 0.9} {
+		cfg, _ := harConfig(t, 16, 4)
+		cfg.Rounds = 40
+		cfg.Filter = core.NewAdaptiveFilter(0.5, target)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(res.History)
+		uploads := res.History[n-1].CumUploads - res.History[n/2-1].CumUploads
+		if frac := float64(uploads) / float64(16*(n-n/2)); math.Abs(frac-target) > 0.1 {
+			t.Errorf("target %v: second-half upload fraction %.3f, want within 0.1", target, frac)
+		}
+	}
+}
+
+// TestMTLRefusesNonFiniteUpdate: a task whose data holds one +Inf feature
+// trains to a non-finite update in round 2, and that round fails instead of
+// turning the task's weights to NaN.
+func TestMTLRefusesNonFiniteUpdate(t *testing.T) {
+	cfg, _ := harConfig(t, 6, 1)
+	cfg.InitScale = 0.3
+	cfg.Clients[2].X.Data[0] = math.Inf(1)
+	_, err := Run(cfg)
+	if !errors.Is(err, shard.ErrNonFinite) {
+		t.Fatalf("err = %v, want one wrapping shard.ErrNonFinite", err)
+	}
+	if !strings.Contains(err.Error(), "round 2:") {
+		t.Errorf("err = %q, want it to name round 2", err)
+	}
 }

@@ -7,11 +7,11 @@
 // communication rounds (Eq. 4) and uplink bytes — so those quantities must
 // be observable *while* a run is in flight, not reconstructed from result
 // histories afterwards. Every engine (fl.Run and sim.Run, which share fl's
-// synchronous loop, the TCP emulation master and fl.RunAsync, all four
-// through fl.Aggregator, and mtl.Run directly) emits the same
-// RoundEvent through the same Observer interface; Collector turns the event
-// stream into registry metrics, and Handler exposes the registry as a
-// Prometheus-text /metrics and JSON /healthz endpoint.
+// synchronous loop, the TCP emulation master, fl.RunAsync and mtl.Run, all
+// through fl.Aggregator) emits the same RoundEvent through the same Observer
+// interface; Collector turns the event stream into registry metrics, and
+// Handler exposes the registry as a Prometheus-text /metrics and JSON
+// /healthz endpoint.
 //
 // Instrumentation stays off the per-step training hot path: events are
 // emitted once per round (or per async completion), never per minibatch,
@@ -32,9 +32,9 @@ const (
 // RoundEvent is the communication-cost core every engine records per round:
 // who participated, who uploaded, what it cost so far, and where accuracy
 // stands. The per-engine stats types embed it instead of re-declaring the
-// fields (fl.RoundStats, which sim.RoundStats and emu.RoundStats embed in
-// turn, and mtl.RoundStats), so one schema serves result histories and live
-// observation alike.
+// fields (fl.RoundStats, which mtl keeps as is and sim.RoundStats and
+// emu.RoundStats embed in turn), so one schema serves result histories and
+// live observation alike.
 type RoundEvent struct {
 	// Engine identifies the emitting engine (see the Engine* constants).
 	Engine string
