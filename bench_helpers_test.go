@@ -5,14 +5,8 @@ import (
 	"math"
 
 	"cmfl/internal/experiments"
-	"cmfl/internal/fl"
 	"cmfl/internal/tensor"
 )
-
-// flConfigFor builds the engine config for a bench run.
-func flConfigFor(mn experiments.MNISTSetup, fed *experiments.Federation, filter fl.UploadFilter) fl.Config {
-	return mn.FLConfig(fed, filter)
-}
 
 // firstSaving extracts the first defined saving of a sweep's first point.
 func firstSaving(r *experiments.SweepResult) float64 {

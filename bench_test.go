@@ -69,7 +69,7 @@ func BenchmarkFig3DeltaUpdate(b *testing.B) {
 // communication rounds for vanilla / Gaia / CMFL on the digit CNN.
 func BenchmarkFig4aMNIST(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4MNIST(experiments.QuickMNIST())
+		r, err := experiments.Fig4(experiments.QuickMNIST())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkFig4aMNIST(b *testing.B) {
 // BenchmarkFig4bNWP regenerates Fig. 4b on the next-word LSTM.
 func BenchmarkFig4bNWP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4NWP(experiments.QuickNWP())
+		r, err := experiments.Fig4(experiments.QuickNWP())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,11 +96,11 @@ func BenchmarkFig4bNWP(b *testing.B) {
 // vanilla FL at the target accuracies on both workloads.
 func BenchmarkTable1Saving(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mn, err := experiments.Fig4MNIST(experiments.QuickMNIST())
+		mn, err := experiments.Fig4(experiments.QuickMNIST())
 		if err != nil {
 			b.Fatal(err)
 		}
-		nw, err := experiments.Fig4NWP(experiments.QuickNWP())
+		nw, err := experiments.Fig4(experiments.QuickNWP())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,11 +311,11 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 func BenchmarkAblationThresholdSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mn := experiments.QuickMNIST()
-		constant, err := experiments.SweepCMFLMNIST(mn, []float64{mn.CMFLThreshold}, false)
+		constant, err := experiments.Sweep(mn, "cmfl", []float64{mn.CMFLThreshold}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		decay, err := experiments.SweepCMFLMNIST(mn, []float64{0.8}, true)
+		decay, err := experiments.Sweep(mn, "cmfl", []float64{0.8}, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func BenchmarkAblationStaleFeedback(b *testing.B) {
 			b.Fatal(err)
 		}
 		run := func(stale int) float64 {
-			cfg := flConfigFor(mn, fed, core.NewFilter(core.Constant(mn.CMFLThreshold)))
+			cfg := mn.FLConfig(fed, core.NewFilter(core.Constant(mn.CMFLThreshold)))
 			cfg.FeedbackStaleness = stale
 			res, err := fl.Run(cfg)
 			if err != nil {
@@ -359,7 +359,7 @@ func BenchmarkAblationCosineRelevance(b *testing.B) {
 		run := func(useCosine bool, thr float64) float64 {
 			f := core.NewFilter(core.Constant(thr))
 			f.UseCosine = useCosine
-			res, err := fl.Run(flConfigFor(mn, fed, f))
+			res, err := fl.Run(mn.FLConfig(fed, f))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -384,7 +384,7 @@ func BenchmarkAblationClientScale(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := fl.Run(flConfigFor(mn, fed, core.NewFilter(core.Constant(mn.CMFLThreshold))))
+				res, err := fl.Run(mn.FLConfig(fed, core.NewFilter(core.Constant(mn.CMFLThreshold))))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -408,7 +408,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 			b.Fatal(err)
 		}
 		bytesTo := func(filter fl.UploadFilter, codec fl.UpdateCodec) float64 {
-			cfg := flConfigFor(mn, fed, filter)
+			cfg := mn.FLConfig(fed, filter)
 			cfg.Compressor = codec
 			res, err := fl.Run(cfg)
 			if err != nil {
@@ -445,7 +445,7 @@ func BenchmarkAblationClientSampling(b *testing.B) {
 			b.Fatal(err)
 		}
 		run := func(fraction float64) (acc, uploads float64) {
-			cfg := flConfigFor(mn, fed, core.NewFilter(core.Constant(mn.CMFLThreshold)))
+			cfg := mn.FLConfig(fed, core.NewFilter(core.Constant(mn.CMFLThreshold)))
 			cfg.ClientFraction = fraction
 			res, err := fl.Run(cfg)
 			if err != nil {
@@ -472,7 +472,7 @@ func BenchmarkAblationAdaptiveThreshold(b *testing.B) {
 			b.Fatal(err)
 		}
 		run := func(filter fl.UploadFilter) (acc, frac float64) {
-			res, err := fl.Run(flConfigFor(mn, fed, filter))
+			res, err := fl.Run(mn.FLConfig(fed, filter))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -502,7 +502,7 @@ func BenchmarkAblationServerMomentum(b *testing.B) {
 			b.Fatal(err)
 		}
 		run := func(momentum float64, filter fl.UploadFilter) float64 {
-			cfg := flConfigFor(mn, fed, filter)
+			cfg := mn.FLConfig(fed, filter)
 			cfg.ServerMomentum = momentum
 			// Momentum amplifies the effective step by ~1/(1-μ); rescale
 			// the learning rate so the comparison is step-size-fair.
@@ -624,7 +624,7 @@ func BenchmarkAblationFedProx(b *testing.B) {
 			b.Fatal(err)
 		}
 		run := func(mu float64) (acc, rel float64) {
-			cfg := flConfigFor(mn, fed, core.NewFilter(core.Constant(mn.CMFLThreshold)))
+			cfg := mn.FLConfig(fed, core.NewFilter(core.Constant(mn.CMFLThreshold)))
 			cfg.ProxMu = mu
 			res, err := fl.Run(cfg)
 			if err != nil {

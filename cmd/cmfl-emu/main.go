@@ -28,32 +28,24 @@ func main() {
 	csvDir := flag.String("csv", "", "also write the figure's data series as CSV into this directory")
 	flag.Parse()
 
-	var setup experiments.EmulationSetup
-	switch *scale {
-	case "quick":
-		setup = experiments.QuickEmulation()
-	case "paper":
-		setup = experiments.PaperEmulation()
-	default:
-		log.Fatalf("unknown -scale %q (want quick or paper)", *scale)
-	}
-	if *clients > 0 {
-		setup.Clients = *clients
-		setup.NWP.Dialogue.Roles = *clients
-	}
-	if *rounds > 0 {
-		setup.NWP.Rounds = *rounds
-	}
-
-	start := time.Now()
-	res, err := experiments.Fig7(setup)
+	w, err := experiments.Preset("emu", *scale)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *csvDir != "" {
-		if err := experiments.WriteCSV(*csvDir, "fig7.csv", res.CSV()); err != nil {
-			log.Fatal(err)
-		}
+	if *clients > 0 {
+		w.(*experiments.NWPSetup).Dialogue.Roles = *clients // one client per role
+	}
+	if *rounds > 0 {
+		w.Train().Rounds = *rounds
+	}
+
+	start := time.Now()
+	res, err := experiments.Fig7(w)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := experiments.WriteCSV(*csvDir, "fig7.csv", res.CSV()); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println(res.Render())
 	fmt.Fprintf(os.Stderr, "[fig7 finished in %v]\n", time.Since(start).Round(time.Millisecond))

@@ -51,31 +51,41 @@ func main() {
 
 	var rows []row
 	for _, wl := range strings.Split(*workload, ",") {
-		switch wl {
-		case "both":
+		if wl == "both" {
 			rows = append(rows, sweep("mnist", *codecList, *rounds, *gate, *errorFeedback)...)
 			rows = append(rows, sweep("nwp", *codecList, *rounds, *gate, *errorFeedback)...)
-		case "mnist", "nwp":
+		} else {
 			rows = append(rows, sweep(wl, *codecList, *rounds, *gate, *errorFeedback)...)
-		default:
-			log.Fatalf("unknown -workload %q", wl)
 		}
 	}
 	printRows(rows, *markdown)
 }
 
-// sweep runs every codec over one workload and returns the frontier points.
+// sweep runs every codec over one built federation of the workload's quick
+// preset and returns the frontier points.
 func sweep(workload, codecList string, rounds int, gate, errorFeedback bool) []row {
+	w, err := experiments.Preset(workload, "quick")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if rounds > 0 {
+		w.Train().Rounds = rounds
+	}
+	fed, err := w.Build()
+	if err != nil {
+		log.Fatalf("%s: %v", workload, err)
+	}
 	var rows []row
 	for _, name := range strings.Split(codecList, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		r, err := runOne(workload, name, rounds, gate, errorFeedback)
+		r, err := runOne(w, fed, name, gate, errorFeedback)
 		if err != nil {
 			log.Fatalf("%s/%s: %v", workload, name, err)
 		}
+		r.workload = workload
 		log.Printf("%s/%-18s acc %.3f, uplink %d bytes (%.0f per upload, %.1fx vs raw)",
 			workload, name, r.acc, r.uplink, r.perUp, r.ratio)
 		rows = append(rows, r)
@@ -86,7 +96,7 @@ func sweep(workload, codecList string, rounds int, gate, errorFeedback bool) []r
 // runOne executes one (workload, codec) cell and reads the communication
 // totals back from the telemetry registry — the frontier is generated from
 // the exported counters, not from ad-hoc accounting.
-func runOne(workload, codecName string, rounds int, gate, errorFeedback bool) (row, error) {
+func runOne(w experiments.Workload, fed *experiments.Federation, codecName string, gate, errorFeedback bool) (row, error) {
 	codec, err := compress.ParseName(codecName)
 	if err != nil {
 		return row{}, err
@@ -94,45 +104,15 @@ func runOne(workload, codecName string, rounds int, gate, errorFeedback bool) (r
 	reg := telemetry.NewRegistry()
 	col := telemetry.NewCollector(reg)
 
-	var cfg fl.Config
-	var dim int
-	switch workload {
-	case "mnist":
-		setup := experiments.QuickMNIST()
-		if rounds > 0 {
-			setup.Rounds = rounds
-		}
-		fed, err := setup.Build()
-		if err != nil {
-			return row{}, err
-		}
-		var filter fl.UploadFilter
-		if gate {
-			filter = core.NewFilter(core.Constant(setup.CMFLThreshold))
-		}
-		cfg = setup.FLConfig(fed, filter)
-		dim = fed.Model().NumParams()
-	case "nwp":
-		setup := experiments.QuickNWP()
-		if rounds > 0 {
-			setup.Rounds = rounds
-		}
-		fed, err := setup.Build()
-		if err != nil {
-			return row{}, err
-		}
-		var filter fl.UploadFilter
-		if gate {
-			filter = core.NewFilter(core.Constant(setup.CMFLThreshold))
-		}
-		cfg = setup.FLConfig(fed, filter)
-		dim = fed.Model().NumParams()
-	default:
-		return row{}, fmt.Errorf("unknown workload %q", workload)
+	var filter fl.UploadFilter
+	if gate {
+		filter = core.NewFilter(core.Constant(w.Train().CMFLThreshold))
 	}
+	cfg := w.Train().FLConfig(fed, filter)
 	cfg.Compressor = codec
 	cfg.ErrorFeedback = errorFeedback
 	cfg.Observers = append(cfg.Observers, col)
+	dim := fed.Model().NumParams()
 
 	res, err := fl.Run(cfg)
 	if err != nil {
@@ -152,13 +132,12 @@ func runOne(workload, codecName string, rounds int, gate, errorFeedback bool) (r
 		ratio = float64(dim*8) / perUp
 	}
 	return row{
-		workload: workload,
-		codec:    codecName,
-		acc:      res.FinalAccuracy(),
-		uplink:   uplink,
-		uploads:  uploads,
-		perUp:    perUp,
-		ratio:    ratio,
+		codec:   codecName,
+		acc:     res.FinalAccuracy(),
+		uplink:  uplink,
+		uploads: uploads,
+		perUp:   perUp,
+		ratio:   ratio,
 	}, nil
 }
 

@@ -63,7 +63,7 @@ func main() {
 				return err
 			}
 			harRes = r
-			if err := writeCSV(*csvDir, "fig5a.csv", r.CSV()); err != nil {
+			if err := experiments.WriteCSV(*csvDir, "fig5a.csv", r.CSV()); err != nil {
 				return err
 			}
 			fmt.Println(r.Render())
@@ -77,7 +77,7 @@ func main() {
 				return err
 			}
 			semRes = r
-			if err := writeCSV(*csvDir, "fig5b.csv", r.CSV()); err != nil {
+			if err := experiments.WriteCSV(*csvDir, "fig5b.csv", r.CSV()); err != nil {
 				return err
 			}
 			fmt.Println(r.Render())
@@ -93,19 +93,11 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if err := writeCSV(*csvDir, "fig6.csv", r.CSV()); err != nil {
+			if err := experiments.WriteCSV(*csvDir, "fig6.csv", r.CSV()); err != nil {
 				return err
 			}
 			fmt.Println(r.Render())
 			return nil
 		})
 	}
-}
-
-// writeCSV writes a figure's CSV when -csv is set.
-func writeCSV(dir, name, content string) error {
-	if dir == "" {
-		return nil
-	}
-	return experiments.WriteCSV(dir, name, content)
 }

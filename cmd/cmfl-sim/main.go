@@ -19,6 +19,10 @@ import (
 	"cmfl/internal/experiments"
 )
 
+// figure is what every experiment prints; those with a CSV() method also
+// write their data series under -csv.
+type figure interface{ Render() string }
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cmfl-sim: ")
@@ -32,166 +36,83 @@ func main() {
 	repeat := flag.Int("repeat", 0, "for fig4a/fig4b: rerun across this many seeds and report mean ± std savings")
 	flag.Parse()
 
-	var mn experiments.MNISTSetup
-	var nw experiments.NWPSetup
-	switch *scale {
-	case "quick":
-		mn, nw = experiments.QuickMNIST(), experiments.QuickNWP()
-	case "paper":
-		mn, nw = experiments.PaperMNIST(), experiments.PaperNWP()
-	default:
-		log.Fatalf("unknown -scale %q (want quick or paper)", *scale)
+	known := map[string]bool{"all": true, "fig1": true, "fig2": true, "fig3": true, "fig4a": true, "fig4b": true, "table1": true, "overhead": true}
+	if !known[*exp] {
+		log.Fatalf("unknown -exp %q", *exp)
 	}
-	if *rounds > 0 {
-		mn.Rounds, nw.Rounds = *rounds, *rounds
+	var ws [2]experiments.Workload
+	for i, name := range []string{"mnist", "nwp"} {
+		w, err := experiments.Preset(name, *scale)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if *seed != 0 {
+			w = w.Reseed(*seed)
+		}
+		if *rounds > 0 {
+			w.Train().Rounds = *rounds
+		}
+		ws[i] = w
 	}
+	mn, nw := ws[0], ws[1]
 	if *clients > 0 {
-		mn.Clients = *clients
-	}
-	if *seed != 0 {
-		mn.Seed, nw.Seed = *seed, *seed
-		nw.Dialogue.Seed = *seed + 1
+		mn.(*experiments.MNISTSetup).Clients = *clients
 	}
 
-	run := func(name string, f func() (fmt.Stringer, error)) {
+	run := func(name string, f func() (figure, error)) {
 		start := time.Now()
-		out, err := f()
+		r, err := f()
+		if c, ok := r.(interface{ CSV() string }); ok && err == nil {
+			err = experiments.WriteCSV(*csvDir, name+".csv", c.CSV())
+		}
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		fmt.Println(out)
+		fmt.Println(strings.TrimRight(r.Render(), "\n"))
 		fmt.Fprintf(os.Stderr, "[%s finished in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 
-	var fig4a, fig4b *experiments.Fig4Result
 	if want("fig1") {
-		run("fig1", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig1(mn, nw)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeCSV(*csvDir, "fig1.csv", r.CSV()); err != nil {
-				return nil, err
-			}
-			return render{r.Render, true}, nil
-		})
+		run("fig1", func() (figure, error) { return experiments.Fig1(mn, nw) })
 	}
 	if want("fig2") {
-		run("fig2", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig2(mn)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeCSV(*csvDir, "fig2.csv", r.CSV()); err != nil {
-				return nil, err
-			}
-			return render{r.Render, true}, nil
-		})
+		run("fig2", func() (figure, error) { return experiments.Fig2(mn) })
 	}
 	if want("fig3") {
-		run("fig3", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig3(mn, nw)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeCSV(*csvDir, "fig3.csv", r.CSV()); err != nil {
-				return nil, err
-			}
-			return render{r.Render, true}, nil
-		})
+		run("fig3", func() (figure, error) { return experiments.Fig3(mn, nw) })
 	}
-	if want("fig4a") || want("table1") {
-		run("fig4a", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig4MNIST(mn)
-			if err != nil {
-				return nil, err
-			}
-			fig4a = r
-			if err := writeCSV(*csvDir, "fig4a.csv", r.CSV()); err != nil {
-				return nil, err
-			}
-			return render{r.Render, true}, nil
-		})
+	fig4 := []string{"fig4a", "fig4b"}
+	var table1 []*experiments.Fig4Result
+	for i, name := range fig4 {
+		if want(name) || want("table1") {
+			run(name, func() (figure, error) {
+				r, err := experiments.Fig4(ws[i])
+				table1 = append(table1, r)
+				return r, err
+			})
+		}
 	}
-	if want("fig4b") || want("table1") {
-		run("fig4b", func() (fmt.Stringer, error) {
-			r, err := experiments.Fig4NWP(nw)
-			if err != nil {
-				return nil, err
-			}
-			fig4b = r
-			if err := writeCSV(*csvDir, "fig4b.csv", r.CSV()); err != nil {
-				return nil, err
-			}
-			return render{r.Render, true}, nil
-		})
-	}
-	if (want("table1")) && fig4a != nil && fig4b != nil {
-		fmt.Println(experiments.Table1Render(fig4a, fig4b))
+	if want("table1") {
+		fmt.Println(experiments.Table1Render(table1[0], table1[1]))
 	}
 	if *repeat > 1 {
+		// Both repeats count up from the MNIST preset's seed.
 		seeds := make([]int64, *repeat)
-		for i := range seeds {
-			seeds[i] = mn.Seed + int64(i)
+		for k := range seeds {
+			seeds[k] = mn.Train().Seed + int64(k)
 		}
-		if want("fig4a") {
-			r, err := experiments.MultiSeedFig4MNIST(mn, seeds)
-			if err != nil {
-				log.Fatalf("fig4a multiseed: %v", err)
+		for i, name := range fig4 {
+			if want(name) {
+				r, err := experiments.MultiSeedFig4(ws[i], seeds)
+				if err != nil {
+					log.Fatalf("%s multiseed: %v", name, err)
+				}
+				fmt.Println(r.Render())
 			}
-			fmt.Println(r.Render())
-		}
-		if want("fig4b") {
-			r, err := experiments.MultiSeedFig4NWP(nw, seeds)
-			if err != nil {
-				log.Fatalf("fig4b multiseed: %v", err)
-			}
-			fmt.Println(r.Render())
 		}
 	}
 	if want("overhead") {
-		run("overhead", func() (fmt.Stringer, error) {
-			r, err := experiments.Overhead(mn)
-			if err != nil {
-				return nil, err
-			}
-			return render{r.Render, true}, nil
-		})
+		run("overhead", func() (figure, error) { return experiments.Overhead(mn) })
 	}
-	if !anyKnown(*exp) {
-		log.Fatalf("unknown -exp %q", *exp)
-	}
-}
-
-func anyKnown(exp string) bool {
-	known := []string{"all", "fig1", "fig2", "fig3", "fig4a", "fig4b", "table1", "overhead"}
-	for _, k := range known {
-		if exp == k {
-			return true
-		}
-	}
-	return false
-}
-
-// writeCSV writes a figure's CSV when -csv is set.
-func writeCSV(dir, name, content string) error {
-	if dir == "" {
-		return nil
-	}
-	return experiments.WriteCSV(dir, name, content)
-}
-
-// render adapts a Render method to fmt.Stringer.
-type render struct {
-	f  func() string
-	ok bool
-}
-
-func (r render) String() string {
-	if !r.ok || r.f == nil {
-		return ""
-	}
-	return strings.TrimRight(r.f(), "\n")
 }

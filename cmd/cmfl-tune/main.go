@@ -19,7 +19,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cmfl-tune: ")
 
-	workload := flag.String("workload", "mnist", "workload: mnist|nwp")
+	workload := flag.String("workload", "mnist", "workload: mnist|nwp|emu")
 	alg := flag.String("alg", "cmfl", "algorithm: cmfl|gaia")
 	scale := flag.String("scale", "quick", "preset scale: quick|paper")
 	decay := flag.Bool("decay", false, "use v0/sqrt(t) decay for the CMFL threshold")
@@ -33,37 +33,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var res *experiments.SweepResult
-	switch *workload {
-	case "mnist":
-		mn := experiments.QuickMNIST()
-		if *scale == "paper" {
-			mn = experiments.PaperMNIST()
-		}
-		if *rounds > 0 {
-			mn.Rounds = *rounds
-		}
-		if *alg == "cmfl" {
-			res, err = experiments.SweepCMFLMNIST(mn, thresholds, *decay)
-		} else {
-			res, err = experiments.SweepGaiaMNIST(mn, thresholds)
-		}
-	case "nwp":
-		nw := experiments.QuickNWP()
-		if *scale == "paper" {
-			nw = experiments.PaperNWP()
-		}
-		if *rounds > 0 {
-			nw.Rounds = *rounds
-		}
-		if *alg == "cmfl" {
-			res, err = experiments.SweepCMFLNWP(nw, thresholds, *decay)
-		} else {
-			res, err = experiments.SweepGaiaNWP(nw, thresholds)
-		}
-	default:
-		log.Fatalf("unknown -workload %q", *workload)
+	w, err := experiments.Preset(*workload, *scale)
+	if err != nil {
+		log.Fatal(err)
 	}
+	if *rounds > 0 {
+		w.Train().Rounds = *rounds
+	}
+	res, err := experiments.Sweep(w, *alg, thresholds, *decay)
 	if err != nil {
 		log.Fatal(err)
 	}

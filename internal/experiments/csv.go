@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"cmfl/internal/report"
-	"cmfl/internal/stats"
 )
 
 // CSV renders the Fig. 1 divergence CDFs as comma-separated series.
@@ -28,32 +27,18 @@ func (r *Fig3Result) CSV() string {
 	return report.CSV([]string{"mnist_du", "mnist_cdf", "nwp_du", "nwp_cdf"}, mx, mp, nx, np)
 }
 
-// traceColumns flattens an accuracy trace into float columns.
-func traceColumns(tr *stats.AccuracyTrace) (uploads, acc []float64) {
-	uploads = make([]float64, len(tr.CumUploads))
-	for i, c := range tr.CumUploads {
-		uploads[i] = float64(c)
-	}
-	return uploads, tr.Accuracy
-}
-
 // CSV renders the Fig. 4 three-algorithm traces.
 func (r *Fig4Result) CSV() string {
-	vu, va := traceColumns(r.Vanilla.Trace)
-	gu, ga := traceColumns(r.Gaia.Trace)
-	cu, ca := traceColumns(r.CMFL.Trace)
+	v, g, c := r.Vanilla.series(), r.Gaia.series(), r.CMFL.series()
 	return report.CSV(
 		[]string{"vanilla_uploads", "vanilla_acc", "gaia_uploads", "gaia_acc", "cmfl_uploads", "cmfl_acc"},
-		vu, va, gu, ga, cu, ca)
+		v.X, v.Y, g.X, g.Y, c.X, c.Y)
 }
 
 // CSV renders the Fig. 5 MOCHA comparison traces.
 func (r *Fig5Result) CSV() string {
-	mu, ma := traceColumns(r.Mocha.Trace)
-	cu, ca := traceColumns(r.WithCMFL.Trace)
-	return report.CSV(
-		[]string{"mocha_uploads", "mocha_acc", "cmfl_uploads", "cmfl_acc"},
-		mu, ma, cu, ca)
+	m, c := r.Mocha.series(), r.WithCMFL.series()
+	return report.CSV([]string{"mocha_uploads", "mocha_acc", "cmfl_uploads", "cmfl_acc"}, m.X, m.Y, c.X, c.Y)
 }
 
 // CSV renders the Fig. 6 divergence CDFs by population.
@@ -65,20 +50,17 @@ func (r *Fig6Result) CSV() string {
 
 // CSV renders the Fig. 7 cluster traces plus the per-target byte table.
 func (r *Fig7Result) CSV() string {
-	vu, va := traceColumns(r.Vanilla.Trace)
-	gu, ga := traceColumns(r.Gaia.Trace)
-	cu, ca := traceColumns(r.CMFL.Trace)
-	head := report.CSV(
-		[]string{"vanilla_uploads", "vanilla_acc", "gaia_uploads", "gaia_acc", "cmfl_uploads", "cmfl_acc"},
-		vu, va, gu, ga, cu, ca)
-	bytes := report.CSV(
+	return r.Fig4Result.CSV() + report.CSV(
 		[]string{"target", "vanilla_bytes", "gaia_bytes", "cmfl_bytes"},
 		r.Targets, r.VanillaBytes, r.GaiaBytes, r.CMFLBytes)
-	return head + bytes
 }
 
-// WriteCSV writes content into dir/name, creating dir if needed.
+// WriteCSV writes content into dir/name, creating dir if needed. An empty
+// dir means no CSV was asked for: it writes nothing.
 func WriteCSV(dir, name, content string) error {
+	if dir == "" {
+		return nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: create csv dir: %w", err)
 	}

@@ -9,60 +9,46 @@ import (
 	"cmfl/internal/core"
 	"cmfl/internal/emu"
 	"cmfl/internal/fl"
-	"cmfl/internal/gaia"
 	"cmfl/internal/report"
+	"cmfl/internal/stats"
 	"cmfl/internal/xrand"
 )
 
-// EmulationSetup describes the Fig. 7 testbed: the next-word workload split
-// across a TCP master–slave cluster (paper: 30 EC2 nodes, dialogue of 3
-// roles per client).
-type EmulationSetup struct {
-	NWP NWPSetup
-	// Clients is the cluster size (paper: 30).
-	Clients int
-	// CMFLThreshold / GaiaThreshold are the paper-tuned 0.65 / 0.15.
-	CMFLThreshold float64
-	GaiaThreshold float64
-	// AccuracyTargets are the three Fig. 7b bars.
-	AccuracyTargets []float64
-	Timeout         time.Duration
+// QuickEmulation is the Fig. 7 testbed at seconds scale: the quick
+// next-word workload on an 8-client cluster, one client per role, with the
+// cluster's own thresholds and the three Fig. 7b targets.
+func QuickEmulation() *NWPSetup {
+	s := QuickNWP()
+	s.Dialogue.Roles = 8
+	s.OutlierRoles = 2
+	s.Rounds = 150
+	s.CMFLThreshold = 0.5
+	s.GaiaThreshold = 0.02
+	s.AccuracyTargets = []float64{0.20, 0.24, 0.26}
+	return s
 }
 
-// QuickEmulation is the seconds-scale preset (fewer clients, small LSTM).
-func QuickEmulation() EmulationSetup {
-	nwp := QuickNWP()
-	nwp.Dialogue.Roles = 8
-	nwp.OutlierRoles = 2
-	nwp.Rounds = 150
-	return EmulationSetup{
-		NWP:             nwp,
-		Clients:         8,
-		CMFLThreshold:   0.5,
-		GaiaThreshold:   0.02,
-		AccuracyTargets: []float64{0.20, 0.24, 0.26},
-		Timeout:         120 * time.Second,
-	}
-}
-
-// PaperEmulation mirrors the paper's 30-client EC2 benchmark shape.
-func PaperEmulation() EmulationSetup {
-	s := QuickEmulation()
-	s.NWP = PaperNWP()
-	s.NWP.Dialogue.Roles = 30
-	s.Clients = 30
+// PaperEmulation mirrors the paper's 30-client EC2 benchmark shape, with
+// its tuned 0.65 / 0.15 thresholds.
+func PaperEmulation() *NWPSetup {
+	s := PaperNWP()
+	s.Dialogue.Roles = 30
 	s.CMFLThreshold = 0.65
 	s.GaiaThreshold = 0.15
 	s.AccuracyTargets = []float64{0.50, 0.60, 0.70}
 	return s
 }
 
-// Fig7Result holds the cluster traces and footprint comparison.
+// clusterTimeout bounds Fig. 7's dials and rounds.
+const clusterTimeout = 120 * time.Second
+
+// Fig7Result holds the cluster traces and footprint comparison: the Fig. 4
+// comparison run over TCP, with byte accounting.
 type Fig7Result struct {
-	Vanilla, Gaia, CMFL AlgorithmTrace
-	// BytesAt maps each target accuracy to the application-level uplink
-	// bytes each algorithm needed (NaN when unreached).
-	Targets      []float64
+	Fig4Result
+	// VanillaBytes, GaiaBytes and CMFLBytes are the application-level
+	// uplink bytes each algorithm needed to reach each target (NaN when
+	// unreached).
 	VanillaBytes []float64
 	GaiaBytes    []float64
 	CMFLBytes    []float64
@@ -70,55 +56,39 @@ type Fig7Result struct {
 	VanillaWire, GaiaWire, CMFLWire int64
 }
 
-// Fig7 runs the three algorithms over a real localhost TCP cluster.
-func Fig7(s EmulationSetup) (*Fig7Result, error) {
-	fed, err := s.NWP.Build()
+// Fig7 runs the three algorithms over a real localhost TCP cluster of one
+// client per shard the workload builds (the paper: the next-word workload
+// on 30 EC2 nodes).
+func Fig7(w Workload) (*Fig7Result, error) {
+	fed, err := w.Build()
 	if err != nil {
 		return nil, err
 	}
-	if len(fed.Shards) < s.Clients {
-		return nil, fmt.Errorf("experiments: fig7 needs %d shards, have %d", s.Clients, len(fed.Shards))
-	}
-	shards := fed.Shards[:s.Clients]
-	test, model := fed.Test, fed.Model
-
-	run := func(filter fl.UploadFilter) (*emu.ServerResult, error) {
+	t := w.Train()
+	runs, err := compare(w, "fig7", func(f fl.UploadFilter) (*emu.ServerResult, error) {
 		res, err := emu.RunCluster(emu.ClusterConfig{
-			Model:      model,
-			ClientData: shards,
-			TestData:   test,
-			Epochs:     s.NWP.Epochs,
-			Batch:      s.NWP.Batch,
-			LR:         core.InvSqrt{V0: s.NWP.Eta0},
-			Filter:     filter,
-			Rounds:     s.NWP.Rounds,
-			Seed:       s.NWP.Seed,
-			Limits:     emu.Limits{DialTimeout: s.Timeout, RoundDeadline: s.Timeout},
+			Model:      fed.Model,
+			ClientData: fed.Shards,
+			TestData:   fed.Test,
+			Epochs:     t.Epochs,
+			Batch:      t.Batch,
+			LR:         core.InvSqrt{V0: t.Eta0},
+			Filter:     f,
+			Rounds:     t.Rounds,
+			Seed:       t.Seed,
+			Limits:     emu.Limits{DialTimeout: clusterTimeout, RoundDeadline: clusterTimeout},
 		})
 		if err != nil {
 			return nil, err
 		}
 		return res.Server, nil
-	}
-
-	v, err := run(nil)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig7 vanilla: %w", err)
+		return nil, err
 	}
-	g, err := run(gaia.NewFilter(core.Constant(s.GaiaThreshold)))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig7 gaia: %w", err)
-	}
-	c, err := run(core.NewFilter(core.Constant(s.CMFLThreshold)))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig7 cmfl: %w", err)
-	}
-
+	v, g, c := runs[0], runs[1], runs[2]
 	out := &Fig7Result{
-		Vanilla:     AlgorithmTrace{Name: "vanilla", Trace: TraceOf(v.History)},
-		Gaia:        AlgorithmTrace{Name: "gaia", Trace: TraceOf(g.History)},
-		CMFL:        AlgorithmTrace{Name: "cmfl", Trace: TraceOf(c.History)},
-		Targets:     s.AccuracyTargets,
+		Fig4Result:  *newFig4Result(w, [3]*stats.AccuracyTrace{TraceOf(v.History), TraceOf(g.History), TraceOf(c.History)}),
 		VanillaWire: v.UplinkWireBytes,
 		GaiaWire:    g.UplinkWireBytes,
 		CMFLWire:    c.UplinkWireBytes,
@@ -131,7 +101,7 @@ func Fig7(s EmulationSetup) (*Fig7Result, error) {
 		}
 		return math.NaN()
 	}
-	for _, target := range s.AccuracyTargets {
+	for _, target := range t.AccuracyTargets {
 		out.VanillaBytes = append(out.VanillaBytes, bytesAt(v.History, target))
 		out.GaiaBytes = append(out.GaiaBytes, bytesAt(g.History, target))
 		out.CMFLBytes = append(out.CMFLBytes, bytesAt(c.History, target))
@@ -141,17 +111,10 @@ func Fig7(s EmulationSetup) (*Fig7Result, error) {
 
 // Render plots the Fig. 7a traces and prints the Fig. 7b footprint table.
 func (r *Fig7Result) Render() string {
-	toSeries := func(at AlgorithmTrace) report.Series {
-		xs := make([]float64, len(at.Trace.CumUploads))
-		for i, cu := range at.Trace.CumUploads {
-			xs[i] = float64(cu)
-		}
-		return report.Series{Name: at.Name, X: xs, Y: at.Trace.Accuracy}
-	}
 	var b strings.Builder
-	b.WriteString("Fig. 7 — TCP emulation of the EC2 deployment (NWP LSTM)\n")
+	fmt.Fprintf(&b, "Fig. 7 — TCP emulation of the EC2 deployment (%s)\n", r.Workload)
 	b.WriteString(report.Plot("(a) accuracy vs accumulated communication rounds", 64, 14,
-		toSeries(r.Vanilla), toSeries(r.Gaia), toSeries(r.CMFL)))
+		r.Vanilla.series(), r.Gaia.series(), r.CMFL.series()))
 	rows := make([][]string, 0, len(r.Targets))
 	for i, target := range r.Targets {
 		red := math.NaN()
@@ -163,7 +126,7 @@ func (r *Fig7Result) Render() string {
 			fmtBytes(r.VanillaBytes[i]),
 			fmtBytes(r.GaiaBytes[i]),
 			fmtBytes(r.CMFLBytes[i]),
-			fmtSaving(red, !math.IsNaN(red)),
+			fmtSaving(red),
 		})
 	}
 	b.WriteString("(b) uplink footprint to reach each accuracy\n")
@@ -195,9 +158,9 @@ type OverheadResult struct {
 	Dim            int
 }
 
-// Overhead measures both costs on the MNIST workload.
-func Overhead(mn MNISTSetup) (*OverheadResult, error) {
-	fed, err := mn.Build()
+// Overhead measures both costs on a workload (the paper's: MNIST).
+func Overhead(w Workload) (*OverheadResult, error) {
+	fed, err := w.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -205,9 +168,10 @@ func Overhead(mn MNISTSetup) (*OverheadResult, error) {
 	params := net.ParamVector()
 	dim := len(params)
 	// Produce a real update by one local training pass.
-	rng := xrand.Derive(mn.Seed, "overhead", 0)
+	t := w.Train()
+	rng := xrand.Derive(t.Seed, "overhead", 0)
 	start := time.Now()
-	delta, _, err := fl.LocalTrain(net, fed.Shards[0], params, 0.1, mn.Epochs, mn.Batch, rng)
+	delta, _, err := fl.LocalTrain(net, fed.Shards[0], params, 0.1, t.Epochs, t.Batch, rng)
 	if err != nil {
 		return nil, err
 	}

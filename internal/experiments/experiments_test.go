@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,7 +16,7 @@ import (
 )
 
 // miniMNIST shrinks the quick preset to test scale (a couple of seconds).
-func miniMNIST() MNISTSetup {
+func miniMNIST() *MNISTSetup {
 	s := QuickMNIST()
 	s.Clients = 8
 	s.SamplesPerClient = 20
@@ -26,7 +29,7 @@ func miniMNIST() MNISTSetup {
 	return s
 }
 
-func miniNWP() NWPSetup {
+func miniNWP() *NWPSetup {
 	s := QuickNWP()
 	s.Dialogue.Roles = 6
 	s.Dialogue.SamplesPerRole = 24
@@ -66,7 +69,7 @@ func TestMNISTOutliersAreCorrupted(t *testing.T) {
 	}
 	// Rebuild without corruption and compare label distributions of the
 	// outlier shards.
-	clean := s
+	clean := *s
 	clean.OutlierClients = 0
 	cfed, err := clean.Build()
 	if err != nil {
@@ -152,7 +155,7 @@ func TestFig1AndFig3Run(t *testing.T) {
 }
 
 func TestFig4RunsAndRenders(t *testing.T) {
-	r, err := Fig4MNIST(miniMNIST())
+	r, err := Fig4(miniMNIST())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +174,7 @@ func TestFig4RunsAndRenders(t *testing.T) {
 
 func TestSweepFindsBest(t *testing.T) {
 	s := miniMNIST()
-	r, err := SweepCMFLMNIST(s, []float64{0.3, 0.9}, false)
+	r, err := Sweep(s, "cmfl", []float64{0.3, 0.9}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +254,21 @@ func TestFig6RequiresOutlierGroundTruth(t *testing.T) {
 	}
 }
 
-func TestFig7SmallCluster(t *testing.T) {
+// miniEmulation is a three-client cluster: one client per role. At this
+// size the preset thresholds withhold nothing; 0.7 / 0.1 make CMFL and
+// Gaia each skip, so the three runs differ.
+func miniEmulation() *NWPSetup {
 	s := QuickEmulation()
-	s.Clients = 3
-	s.NWP.Dialogue.Roles = 3
-	s.NWP.OutlierRoles = 1
-	s.NWP.Rounds = 6
+	s.Dialogue.Roles = 3
+	s.OutlierRoles = 1
+	s.Rounds = 6
 	s.AccuracyTargets = []float64{0.05}
-	r, err := Fig7(s)
+	s.CMFLThreshold, s.GaiaThreshold = 0.7, 0.1
+	return s
+}
+
+func TestFig7SmallCluster(t *testing.T) {
+	r, err := Fig7(miniEmulation())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +276,7 @@ func TestFig7SmallCluster(t *testing.T) {
 		t.Fatal("wire byte counts missing")
 	}
 	if r.VanillaWire <= r.CMFLWire {
-		t.Logf("note: vanilla wire %d vs cmfl %d (filtering may not trigger in 6 rounds)", r.VanillaWire, r.CMFLWire)
+		t.Fatalf("vanilla wire %d vs cmfl %d: the CMFL gate withheld nothing", r.VanillaWire, r.CMFLWire)
 	}
 	if !strings.Contains(r.Render(), "TCP emulation") {
 		t.Fatal("fig7 render missing title")
@@ -323,7 +333,7 @@ func TestCSVExports(t *testing.T) {
 	if !strings.HasPrefix(f2.CSV(), "round,significance,relevance") {
 		t.Fatal("fig2 csv header wrong")
 	}
-	f4, err := Fig4MNIST(mn)
+	f4, err := Fig4(mn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +361,21 @@ func TestWriteCSV(t *testing.T) {
 	if string(data) != "a,b\n1,2\n" {
 		t.Fatalf("written content = %q", data)
 	}
+	// An empty directory means no CSV was asked for: nothing is written,
+	// not even where the name alone points.
+	name := filepath.Join(dir, "y.csv")
+	if err := WriteCSV("", name, "a\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(name); !os.IsNotExist(err) {
+		t.Fatalf("WriteCSV with no directory wrote %s (stat: %v)", name, err)
+	}
 }
 
 func TestMultiSeedFig4(t *testing.T) {
 	s := miniMNIST()
 	s.Rounds = 8
-	r, err := MultiSeedFig4MNIST(s, []int64{11, 12})
+	r, err := MultiSeedFig4(s, []int64{11, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,5 +385,105 @@ func TestMultiSeedFig4(t *testing.T) {
 	out := r.Render()
 	if !strings.Contains(out, "across 2 seeds") {
 		t.Fatalf("render missing seed count:\n%s", out)
+	}
+}
+
+// TestBadNamesRejected: a preset or sweep that does not exist is an error
+// naming the bad value, never a silent fallback to some other run.
+func TestBadNamesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		workload      string
+		scale         string
+		alg           string
+		wantInMessage string
+	}{
+		{"workload", "bogus", "quick", "cmfl", `"bogus"`},
+		{"scale", "mnist", "huge", "cmfl", `"huge"`},
+		{"algorithm", "nwp", "quick", "fedavg", `"fedavg"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := Preset(tc.workload, tc.scale)
+			if err == nil {
+				_, err = Sweep(w, tc.alg, []float64{0.5}, false)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantInMessage) {
+				t.Fatalf("error %v, want one naming %s", err, tc.wantInMessage)
+			}
+		})
+	}
+}
+
+func TestPresetsAndReseed(t *testing.T) {
+	for _, name := range []string{"mnist", "nwp", "emu"} {
+		for _, scale := range []string{"quick", "paper"} {
+			if _, err := Preset(name, scale); err != nil {
+				t.Fatalf("Preset(%q, %q): %v", name, scale, err)
+			}
+		}
+	}
+	nw := QuickNWP()
+	r := nw.Reseed(7).(*NWPSetup)
+	if r.Seed != 7 || r.Dialogue.Seed != 8 || nw.Seed != 202 {
+		t.Fatalf("reseed: copy seeds %d/%d, original %d; want 7/8, 202", r.Seed, r.Dialogue.Seed, nw.Seed)
+	}
+	if m := QuickMNIST().Reseed(7).Train(); m.Seed != 7 {
+		t.Fatalf("mnist reseed: seed %d, want 7", m.Seed)
+	}
+}
+
+// TestExperimentsPinned pins every simulation figure's printed output:
+// one SHA-256 over Render and CSV of Figs. 1–4 and 7, Table I, a sweep
+// per algorithm and workload and a multi-seed Fig. 4 per workload, at
+// test scale. The AVX-512 and portable (CMFL_NOSIMD=1) kernels round
+// differently, so each path has its pin. Sec. V-C's overhead is left out:
+// it prints wall-clock time.
+func TestExperimentsPinned(t *testing.T) {
+	h := sha256.New()
+	add := func(parts ...string) {
+		for _, p := range parts {
+			_, _ = io.WriteString(h, p)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mn, nw := miniMNIST(), miniNWP()
+	f1, err := Fig1(mn, nw)
+	must(err)
+	add(f1.Render(), f1.CSV())
+	f2, err := Fig2(mn)
+	must(err)
+	add(f2.Render(), f2.CSV())
+	f3, err := Fig3(mn, nw)
+	must(err)
+	add(f3.Render(), f3.CSV())
+	f4a, err := Fig4(mn)
+	must(err)
+	f4b, err := Fig4(nw)
+	must(err)
+	add(f4a.Render(), f4a.CSV(), f4b.Render(), f4b.CSV(), Table1Render(f4a, f4b))
+	for _, w := range []Workload{mn, nw} {
+		for _, alg := range []string{"cmfl", "gaia"} {
+			r, err := Sweep(w, alg, []float64{0.3, 0.6}, false)
+			must(err)
+			add(r.Render())
+		}
+	}
+	for _, w := range []Workload{mn, nw} {
+		r, err := MultiSeedFig4(w, []int64{11, 12})
+		must(err)
+		add(r.Render())
+	}
+	f7, err := Fig7(miniEmulation())
+	must(err)
+	add(f7.Render(), f7.CSV())
+	const wantSIMD, wantPortable = "9e324ad2b60cb2c706b8704e2c271193769326d716feb6767321770f8be2a960",
+		"2a78b0b00803e825f37740876b8bb0bdb2eec66f40f6684d93b1c3784c0658e8"
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantSIMD && got != wantPortable {
+		t.Errorf("experiment outputs SHA-256 %s, want %s (AVX-512) or %s (portable)", got, wantSIMD, wantPortable)
 	}
 }

@@ -18,39 +18,36 @@ type Fig1Result struct {
 	NWP   *stats.CDF
 }
 
+// vanilla builds a workload and trains it with every client uploading
+// every round: the run Figs. 1–3 measure.
+func vanilla(w Workload) (*fl.Result, error) {
+	fed, err := w.Build()
+	if err != nil {
+		return nil, err
+	}
+	res, err := fl.Run(w.Train().FLConfig(fed, nil))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: vanilla %s: %w", w.Name(), err)
+	}
+	return res, nil
+}
+
 // Fig1 trains both workloads with vanilla FL and measures the per-parameter
 // divergence (Eq. 7) between the final local models and the global model.
-func Fig1(mn MNISTSetup, nw NWPSetup) (*Fig1Result, error) {
-	out := &Fig1Result{}
-
-	fed, err := mn.Build()
-	if err != nil {
-		return nil, err
+func Fig1(mn, nw Workload) (*Fig1Result, error) {
+	var cdfs [2]*stats.CDF
+	for i, w := range []Workload{mn, nw} {
+		res, err := vanilla(w)
+		if err != nil {
+			return nil, err
+		}
+		div, err := stats.NormalizedModelDivergence(res.ClientParams, res.FinalParams)
+		if err != nil {
+			return nil, err
+		}
+		cdfs[i] = stats.NewCDF(div)
 	}
-	res, err := fl.Run(mn.FLConfig(fed, nil))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig1 mnist run: %w", err)
-	}
-	div, err := stats.NormalizedModelDivergence(res.ClientParams, res.FinalParams)
-	if err != nil {
-		return nil, err
-	}
-	out.MNIST = stats.NewCDF(div)
-
-	nfed, err := nw.Build()
-	if err != nil {
-		return nil, err
-	}
-	res, err = fl.Run(nw.FLConfig(nfed, nil))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig1 nwp run: %w", err)
-	}
-	div, err = stats.NormalizedModelDivergence(res.ClientParams, res.FinalParams)
-	if err != nil {
-		return nil, err
-	}
-	out.NWP = stats.NewCDF(div)
-	return out, nil
+	return &Fig1Result{MNIST: cdfs[0], NWP: cdfs[1]}, nil
 }
 
 // Render prints the CDFs and the headline statistics the paper quotes
@@ -79,16 +76,13 @@ type Fig2Result struct {
 	Relevance    []float64 // CMFL's Eq. 9, expected to stay stable
 }
 
-// Fig2 trains the MNIST CNN with vanilla FL and records both candidate
-// measures every round (paper: 168 clients; scaled presets use fewer).
-func Fig2(mn MNISTSetup) (*Fig2Result, error) {
-	fed, err := mn.Build()
+// Fig2 trains a workload (the paper's: the MNIST CNN) with vanilla FL and
+// records both candidate measures every round (paper: 168 clients; scaled
+// presets use fewer).
+func Fig2(w Workload) (*Fig2Result, error) {
+	res, err := vanilla(w)
 	if err != nil {
 		return nil, err
-	}
-	res, err := fl.Run(mn.FLConfig(fed, nil))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig2 run: %w", err)
 	}
 	out := &Fig2Result{}
 	for _, h := range res.History {
@@ -137,33 +131,22 @@ type Fig3Result struct {
 
 // Fig3 trains both workloads with vanilla FL and collects the normalized
 // difference between sequential global updates (Eq. 8).
-func Fig3(mn MNISTSetup, nw NWPSetup) (*Fig3Result, error) {
-	collect := func(history []fl.RoundStats) *stats.CDF {
+func Fig3(mn, nw Workload) (*Fig3Result, error) {
+	var cdfs [2]*stats.CDF
+	for i, w := range []Workload{mn, nw} {
+		res, err := vanilla(w)
+		if err != nil {
+			return nil, err
+		}
 		var ds []float64
-		for _, h := range history {
+		for _, h := range res.History {
 			if !math.IsNaN(h.DeltaUpdate) && !math.IsInf(h.DeltaUpdate, 0) {
 				ds = append(ds, h.DeltaUpdate)
 			}
 		}
-		return stats.NewCDF(ds)
+		cdfs[i] = stats.NewCDF(ds)
 	}
-	mfed, err := mn.Build()
-	if err != nil {
-		return nil, err
-	}
-	mres, err := fl.Run(mn.FLConfig(mfed, nil))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig3 mnist run: %w", err)
-	}
-	nfed, err := nw.Build()
-	if err != nil {
-		return nil, err
-	}
-	nres, err := fl.Run(nw.FLConfig(nfed, nil))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig3 nwp run: %w", err)
-	}
-	return &Fig3Result{MNIST: collect(mres.History), NWP: collect(nres.History)}, nil
+	return &Fig3Result{MNIST: cdfs[0], NWP: cdfs[1]}, nil
 }
 
 // Render prints the ΔUpdate CDFs and the small-difference fractions the
@@ -191,6 +174,15 @@ type AlgorithmTrace struct {
 	Trace *stats.AccuracyTrace
 }
 
+// series is the trace's accuracy-vs-uploads plot line.
+func (at AlgorithmTrace) series() report.Series {
+	uploads := make([]float64, len(at.Trace.CumUploads))
+	for i, c := range at.Trace.CumUploads {
+		uploads[i] = float64(c)
+	}
+	return report.Series{Name: at.Name, X: uploads, Y: at.Trace.Accuracy}
+}
+
 // Fig4Result holds the three-algorithm comparison for one workload.
 type Fig4Result struct {
 	Workload string
@@ -201,145 +193,105 @@ type Fig4Result struct {
 	Targets []float64
 }
 
-// Fig4MNIST runs vanilla, Gaia and CMFL on the digit CNN.
-func Fig4MNIST(mn MNISTSetup) (*Fig4Result, error) {
-	fed, err := mn.Build()
-	if err != nil {
-		return nil, err
-	}
-	run := func(f fl.UploadFilter) (*stats.AccuracyTrace, error) {
-		res, err := fl.Run(mn.FLConfig(fed, f))
+// algorithms names the three runs of Figs. 4 and 7, in run order.
+var algorithms = [3]string{"vanilla", "gaia", "cmfl"}
+
+// compare runs the comparison of Figs. 4 and 7: vanilla FL, Gaia at the
+// workload's GaiaThreshold and CMFL at its CMFLThreshold, in that order,
+// each with a fresh filter.
+func compare[R any](w Workload, fig string, run func(fl.UploadFilter) (R, error)) ([3]R, error) {
+	t := w.Train()
+	filters := [3]fl.UploadFilter{nil, gaia.NewFilter(core.Constant(t.GaiaThreshold)), core.NewFilter(scheduleFor(t.CMFLThreshold, t.CMFLDecay))}
+	var out [3]R
+	for i, f := range filters {
+		r, err := run(f)
 		if err != nil {
-			return nil, err
+			return out, fmt.Errorf("experiments: %s %s %s: %w", fig, w.Name(), algorithms[i], err)
 		}
-		return TraceOf(res.History), nil
+		out[i] = r
 	}
-	v, err := run(nil)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig4a vanilla: %w", err)
-	}
-	g, err := run(gaia.NewFilter(core.Constant(mn.GaiaThreshold)))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig4a gaia: %w", err)
-	}
-	c, err := run(core.NewFilter(scheduleFor(mn.CMFLThreshold, mn.CMFLDecay)))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig4a cmfl: %w", err)
-	}
-	return &Fig4Result{
-		Workload: "MNIST CNN",
-		Vanilla:  AlgorithmTrace{Name: "vanilla", Trace: v},
-		Gaia:     AlgorithmTrace{Name: "gaia", Trace: g},
-		CMFL:     AlgorithmTrace{Name: "cmfl", Trace: c},
-		Targets:  mn.AccuracyTargets,
-	}, nil
+	return out, nil
 }
 
-// Fig4NWP runs vanilla, Gaia and CMFL on the next-word LSTM.
-func Fig4NWP(nw NWPSetup) (*Fig4Result, error) {
-	fed, err := nw.Build()
+// newFig4Result labels the three traces compare produced.
+func newFig4Result(w Workload, traces [3]*stats.AccuracyTrace) *Fig4Result {
+	return &Fig4Result{
+		Workload: w.Name(),
+		Vanilla:  AlgorithmTrace{Name: algorithms[0], Trace: traces[0]},
+		Gaia:     AlgorithmTrace{Name: algorithms[1], Trace: traces[1]},
+		CMFL:     AlgorithmTrace{Name: algorithms[2], Trace: traces[2]},
+		Targets:  w.Train().AccuracyTargets,
+	}
+}
+
+// Fig4 runs vanilla, Gaia and CMFL on one built federation of the workload
+// (Fig. 4a: the digit CNN, Fig. 4b: the next-word LSTM).
+func Fig4(w Workload) (*Fig4Result, error) {
+	fed, err := w.Build()
 	if err != nil {
 		return nil, err
 	}
-	run := func(f fl.UploadFilter) (*stats.AccuracyTrace, error) {
-		res, err := fl.Run(nw.FLConfig(fed, f))
+	traces, err := compare(w, "fig4", func(f fl.UploadFilter) (*stats.AccuracyTrace, error) {
+		res, err := fl.Run(w.Train().FLConfig(fed, f))
 		if err != nil {
 			return nil, err
 		}
 		return TraceOf(res.History), nil
-	}
-	v, err := run(nil)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig4b vanilla: %w", err)
+		return nil, err
 	}
-	g, err := run(gaia.NewFilter(core.Constant(nw.GaiaThreshold)))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig4b gaia: %w", err)
-	}
-	c, err := run(core.NewFilter(scheduleFor(nw.CMFLThreshold, nw.CMFLDecay)))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig4b cmfl: %w", err)
-	}
-	return &Fig4Result{
-		Workload: "NWP LSTM",
-		Vanilla:  AlgorithmTrace{Name: "vanilla", Trace: v},
-		Gaia:     AlgorithmTrace{Name: "gaia", Trace: g},
-		CMFL:     AlgorithmTrace{Name: "cmfl", Trace: c},
-		Targets:  nw.AccuracyTargets,
-	}, nil
+	return newFig4Result(w, traces), nil
 }
 
 // Render plots accuracy against accumulated communication rounds.
 func (r *Fig4Result) Render() string {
-	toSeries := func(at AlgorithmTrace) report.Series {
-		xs := make([]float64, len(at.Trace.CumUploads))
-		for i, c := range at.Trace.CumUploads {
-			xs[i] = float64(c)
-		}
-		return report.Series{Name: at.Name, X: xs, Y: at.Trace.Accuracy}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 4 — %s: accuracy vs accumulated communication rounds\n", r.Workload)
 	b.WriteString(report.Plot("accuracy vs uploads", 64, 16,
-		toSeries(r.Vanilla), toSeries(r.Gaia), toSeries(r.CMFL)))
-	b.WriteString(r.SavingsTable())
+		r.Vanilla.series(), r.Gaia.series(), r.CMFL.series()))
+	b.WriteString(report.Table([]string{"target", "Gaia saving", "CMFL saving"}, r.savingsRows()))
 	return b.String()
-}
-
-// SavingsTable renders the Table I rows derived from this workload.
-func (r *Fig4Result) SavingsTable() string {
-	rows := make([][]string, 0, len(r.Targets))
-	for _, target := range r.Targets {
-		gs, gok := stats.Saving(r.Vanilla.Trace, r.Gaia.Trace, target)
-		cs, cok := stats.Saving(r.Vanilla.Trace, r.CMFL.Trace, target)
-		rows = append(rows, []string{
-			fmt.Sprintf("%s %.0f%% accuracy", r.Workload, 100*target),
-			fmtSaving(gs, gok),
-			fmtSaving(cs, cok),
-		})
-	}
-	return report.Table([]string{"target", "Gaia saving", "CMFL saving"}, rows)
 }
 
 // Savings returns (gaia, cmfl) savings for each target; NaN when a trace
 // never reaches the target.
 func (r *Fig4Result) Savings() (gaiaS, cmflS []float64) {
-	for _, target := range r.Targets {
-		gs, gok := stats.Saving(r.Vanilla.Trace, r.Gaia.Trace, target)
-		cs, cok := stats.Saving(r.Vanilla.Trace, r.CMFL.Trace, target)
-		if !gok {
-			gs = math.NaN()
-		}
-		if !cok {
-			cs = math.NaN()
-		}
-		gaiaS = append(gaiaS, gs)
-		cmflS = append(cmflS, cs)
+	return savingsAt(r.Vanilla.Trace, r.Gaia.Trace, r.Targets), savingsAt(r.Vanilla.Trace, r.CMFL.Trace, r.Targets)
+}
+
+// savingsRows are this workload's Table I rows.
+func (r *Fig4Result) savingsRows() [][]string {
+	gs, cs := r.Savings()
+	rows := make([][]string, len(r.Targets))
+	for i, target := range r.Targets {
+		rows[i] = []string{fmt.Sprintf("%s %.0f%% accuracy", r.Workload, 100*target), fmtSaving(gs[i]), fmtSaving(cs[i])}
 	}
-	return gaiaS, cmflS
+	return rows
 }
 
 // Table1Render combines both workloads into the paper's Table I.
 func Table1Render(mnist, nwp *Fig4Result) string {
-	var rows [][]string
-	add := func(r *Fig4Result) {
-		gs, cs := r.Savings()
-		for i, target := range r.Targets {
-			rows = append(rows, []string{
-				fmt.Sprintf("%s %.0f%% accuracy", r.Workload, 100*target),
-				fmtSaving(gs[i], !math.IsNaN(gs[i])),
-				fmtSaving(cs[i], !math.IsNaN(cs[i])),
-			})
-		}
-	}
-	add(mnist)
-	add(nwp)
 	return "Table I — communication saving vs vanilla FL\n" +
-		report.Table([]string{"target", "Gaia", "CMFL"}, rows)
+		report.Table([]string{"target", "Gaia", "CMFL"}, append(mnist.savingsRows(), nwp.savingsRows()...))
 }
 
-func fmtSaving(s float64, ok bool) string {
-	if !ok || math.IsNaN(s) {
+// savingsAt is alg's saving over base (stats.Saving) at each target, NaN
+// where either trace never reaches it.
+func savingsAt(base, alg *stats.AccuracyTrace, targets []float64) []float64 {
+	out := make([]float64, len(targets))
+	for i, target := range targets {
+		s, ok := stats.Saving(base, alg, target)
+		if !ok {
+			s = math.NaN()
+		}
+		out[i] = s
+	}
+	return out
+}
+
+func fmtSaving(s float64) string {
+	if math.IsNaN(s) {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.2fx", s)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -225,38 +224,25 @@ func Fig5(s MTLSetup) (*Fig5Result, error) {
 
 // Savings returns the Table II savings per target.
 func (r *Fig5Result) Savings() []float64 {
-	out := make([]float64, 0, len(r.Targets))
-	for _, target := range r.Targets {
-		s, ok := stats.Saving(r.Mocha.Trace, r.WithCMFL.Trace, target)
-		if !ok {
-			s = math.NaN()
-		}
-		out = append(out, s)
+	return savingsAt(r.Mocha.Trace, r.WithCMFL.Trace, r.Targets)
+}
+
+// savingsRows are this workload's Table II rows.
+func (r *Fig5Result) savingsRows() [][]string {
+	sv := r.Savings()
+	rows := make([][]string, len(r.Targets))
+	for i, target := range r.Targets {
+		rows[i] = []string{fmt.Sprintf("%s %.0f%% accuracy", r.Workload, 100*target), fmtSaving(sv[i])}
 	}
-	return out
+	return rows
 }
 
 // Render plots the comparison and prints the savings and accuracy gain.
 func (r *Fig5Result) Render() string {
-	toSeries := func(at AlgorithmTrace) report.Series {
-		xs := make([]float64, len(at.Trace.CumUploads))
-		for i, c := range at.Trace.CumUploads {
-			xs[i] = float64(c)
-		}
-		return report.Series{Name: at.Name, X: xs, Y: at.Trace.Accuracy}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 5 — %s: MOCHA vs MOCHA+CMFL\n", r.Workload)
-	b.WriteString(report.Plot("accuracy vs uploads", 64, 14, toSeries(r.Mocha), toSeries(r.WithCMFL)))
-	sv := r.Savings()
-	rows := make([][]string, 0, len(r.Targets))
-	for i, target := range r.Targets {
-		rows = append(rows, []string{
-			fmt.Sprintf("%s %.0f%% accuracy", r.Workload, 100*target),
-			fmtSaving(sv[i], !math.IsNaN(sv[i])),
-		})
-	}
-	b.WriteString(report.Table([]string{"target", "MOCHA+CMFL saving"}, rows))
+	b.WriteString(report.Plot("accuracy vs uploads", 64, 14, r.Mocha.series(), r.WithCMFL.series()))
+	b.WriteString(report.Table([]string{"target", "MOCHA+CMFL saving"}, r.savingsRows()))
 	fmt.Fprintf(&b, "best accuracy: mocha %.4f, mocha+cmfl %.4f (%.2fx)\n",
 		r.MochaBest, r.CMFLBest, r.CMFLBest/r.MochaBest)
 	return b.String()
@@ -264,20 +250,8 @@ func (r *Fig5Result) Render() string {
 
 // Table2Render combines both MTL workloads into the paper's Table II.
 func Table2Render(har, semeion *Fig5Result) string {
-	var rows [][]string
-	add := func(r *Fig5Result) {
-		sv := r.Savings()
-		for i, target := range r.Targets {
-			rows = append(rows, []string{
-				fmt.Sprintf("%s %.0f%% accuracy", r.Workload, 100*target),
-				fmtSaving(sv[i], !math.IsNaN(sv[i])),
-			})
-		}
-	}
-	add(har)
-	add(semeion)
 	return "Table II — saving of MOCHA+CMFL over plain MOCHA\n" +
-		report.Table([]string{"target", "MOCHA with CMFL"}, rows)
+		report.Table([]string{"target", "MOCHA with CMFL"}, append(har.savingsRows(), semeion.savingsRows()...))
 }
 
 // Fig6Result splits the per-parameter model divergence by outlier status.

@@ -20,50 +20,24 @@ type MultiSeedResult struct {
 	CMFL []stats.Summary
 }
 
-// MultiSeedFig4MNIST repeats the Fig. 4a comparison across seeds.
-func MultiSeedFig4MNIST(base MNISTSetup, seeds []int64) (*MultiSeedResult, error) {
+// MultiSeedFig4 repeats the workload's Fig. 4 comparison once per seed,
+// each on a copy reseeded by the workload's own rule.
+func MultiSeedFig4(w Workload, seeds []int64) (*MultiSeedResult, error) {
+	targets := w.Train().AccuracyTargets
 	out := &MultiSeedResult{
-		Workload: "MNIST CNN",
-		Targets:  base.AccuracyTargets,
+		Workload: w.Name(),
+		Targets:  targets,
 		Seeds:    seeds,
-		Gaia:     make([]stats.Summary, len(base.AccuracyTargets)),
-		CMFL:     make([]stats.Summary, len(base.AccuracyTargets)),
+		Gaia:     make([]stats.Summary, len(targets)),
+		CMFL:     make([]stats.Summary, len(targets)),
 	}
 	for _, seed := range seeds {
-		s := base
-		s.Seed = seed
-		r, err := Fig4MNIST(s)
+		r, err := Fig4(w.Reseed(seed))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: multiseed fig4a seed %d: %w", seed, err)
+			return nil, fmt.Errorf("experiments: multiseed fig4 seed %d: %w", seed, err)
 		}
 		gs, cs := r.Savings()
-		for i := range base.AccuracyTargets {
-			out.Gaia[i].Add(gs[i])
-			out.CMFL[i].Add(cs[i])
-		}
-	}
-	return out, nil
-}
-
-// MultiSeedFig4NWP repeats the Fig. 4b comparison across seeds.
-func MultiSeedFig4NWP(base NWPSetup, seeds []int64) (*MultiSeedResult, error) {
-	out := &MultiSeedResult{
-		Workload: "NWP LSTM",
-		Targets:  base.AccuracyTargets,
-		Seeds:    seeds,
-		Gaia:     make([]stats.Summary, len(base.AccuracyTargets)),
-		CMFL:     make([]stats.Summary, len(base.AccuracyTargets)),
-	}
-	for _, seed := range seeds {
-		s := base
-		s.Seed = seed
-		s.Dialogue.Seed = seed + 1
-		r, err := Fig4NWP(s)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: multiseed fig4b seed %d: %w", seed, err)
-		}
-		gs, cs := r.Savings()
-		for i := range base.AccuracyTargets {
+		for i := range targets {
 			out.Gaia[i].Add(gs[i])
 			out.CMFL[i].Add(cs[i])
 		}

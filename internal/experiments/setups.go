@@ -23,6 +23,81 @@ import (
 	"cmfl/internal/xrand"
 )
 
+// Training is the federated-training block both simulation workloads
+// share: the local SGD schedule, the two gates' thresholds, the round
+// budget, the Table I targets and the seed. Each setup embeds one, so its
+// fields read as the setup's own (mn.Rounds, nw.Seed).
+type Training struct {
+	Epochs int     // E (paper: 4)
+	Batch  int     // B (paper: 2)
+	Eta0   float64 // η_t = Eta0/√t
+
+	CMFLThreshold float64 // paper-tuned: 0.8 (MNIST) / 0.7 (NWP); quick presets re-tuned by cmfl-tune
+	// CMFLDecay applies v_t = CMFLThreshold/√t instead of a constant
+	// threshold (the paper's Theorem 1 schedule; the constant variant is
+	// what the quick presets tune best).
+	CMFLDecay     bool
+	GaiaThreshold float64 // paper-tuned: 0.05 (MNIST) / 0.25 (NWP)
+
+	Rounds int
+	// AccuracyTargets are the Table I rows (paper: 0.60 and 0.80).
+	AccuracyTargets []float64
+
+	Seed        int64
+	Parallelism int
+}
+
+// Train returns the block itself; through the embedding it is how generic
+// code reads and overrides a workload's training.
+func (t *Training) Train() *Training { return t }
+
+// FLConfig assembles the engine configuration for a built federation.
+func (t *Training) FLConfig(fed *Federation, filter fl.UploadFilter) fl.Config {
+	return fl.Config{
+		Model:       fed.Model,
+		ClientData:  fed.Shards,
+		TestData:    fed.Test,
+		Epochs:      t.Epochs,
+		Batch:       t.Batch,
+		LR:          core.InvSqrt{V0: t.Eta0},
+		Filter:      filter,
+		Rounds:      t.Rounds,
+		Seed:        t.Seed,
+		Parallelism: t.Parallelism,
+	}
+}
+
+// Workload is one of the paper's simulation workloads: a named federation
+// plus its training block. *MNISTSetup and *NWPSetup implement it.
+type Workload interface {
+	Name() string
+	Build() (*Federation, error)
+	Train() *Training
+	// Reseed returns a copy drawn from another seed: its data, shards,
+	// outliers, model initialisation and client streams all change.
+	Reseed(seed int64) Workload
+}
+
+// Preset looks up a workload preset: name is mnist, nwp or emu (the
+// Fig. 7 cluster's next-word workload), scale is quick or paper.
+func Preset(name, scale string) (Workload, error) {
+	presets, ok := map[string][2]Workload{
+		"mnist": {QuickMNIST(), PaperMNIST()},
+		"nwp":   {QuickNWP(), PaperNWP()},
+		"emu":   {QuickEmulation(), PaperEmulation()},
+	}[name]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown workload %q (want mnist, nwp or emu)", name)
+	}
+	switch scale {
+	case "quick":
+		return presets[0], nil
+	case "paper":
+		return presets[1], nil
+	}
+	return nil, fmt.Errorf("experiments: unknown scale %q (want quick or paper)", scale)
+}
+
 // MNISTSetup describes the digit-CNN federation (paper Sec. V-A workload 1).
 type MNISTSetup struct {
 	Clients          int
@@ -30,21 +105,6 @@ type MNISTSetup struct {
 	ShardsPerClient  int
 	TestSamples      int
 	CNN              nn.CNNConfig
-
-	Epochs int     // E (paper: 4)
-	Batch  int     // B (paper: 2)
-	Eta0   float64 // η_t = Eta0/√t
-
-	CMFLThreshold float64 // paper-tuned: 0.8; quick preset re-tuned by cmfl-tune
-	// CMFLDecay applies v_t = CMFLThreshold/√t instead of a constant
-	// threshold (the paper's Theorem 1 schedule; the constant variant is
-	// what the quick presets tune best).
-	CMFLDecay     bool
-	GaiaThreshold float64 // paper-tuned: 0.05
-
-	Rounds int
-	// AccuracyTargets are the Table I rows (paper: 0.60 and 0.80).
-	AccuracyTargets []float64
 
 	// OutlierClients is the number of clients whose labels are corrupted
 	// (fraction OutlierLabelNoise randomised). Real federated populations
@@ -55,34 +115,35 @@ type MNISTSetup struct {
 	OutlierClients    int
 	OutlierLabelNoise float64
 
-	Seed        int64
-	Parallelism int
+	Training
 }
 
 // QuickMNIST is the seconds-scale preset.
-func QuickMNIST() MNISTSetup {
-	return MNISTSetup{
+func QuickMNIST() *MNISTSetup {
+	return &MNISTSetup{
 		Clients:           20,
 		SamplesPerClient:  30,
 		ShardsPerClient:   2,
 		TestSamples:       300,
 		CNN:               nn.CNNConfig{ImageSize: 12, Kernel: 3, Conv1: 3, Conv2: 6, Hidden: 24, Classes: 10},
-		Epochs:            4,
-		Batch:             2,
-		Eta0:              0.15,
-		CMFLThreshold:     0.52,
-		GaiaThreshold:     0.05,
-		Rounds:            80,
-		AccuracyTargets:   []float64{0.55, 0.70},
 		OutlierClients:    5,
 		OutlierLabelNoise: 1.0,
-		Seed:              101,
+		Training: Training{
+			Epochs:          4,
+			Batch:           2,
+			Eta0:            0.15,
+			CMFLThreshold:   0.52,
+			GaiaThreshold:   0.05,
+			Rounds:          80,
+			AccuracyTargets: []float64{0.55, 0.70},
+			Seed:            101,
+		},
 	}
 }
 
 // PaperMNIST mirrors the paper's configuration (100 clients × 600 samples,
 // 28×28 images, 5×5 kernels, E=4, B=2). Expect a long run.
-func PaperMNIST() MNISTSetup {
+func PaperMNIST() *MNISTSetup {
 	s := QuickMNIST()
 	s.Clients = 100
 	s.SamplesPerClient = 600
@@ -95,6 +156,15 @@ func PaperMNIST() MNISTSetup {
 	s.AccuracyTargets = []float64{0.60, 0.80}
 	s.OutlierClients = 26 // same outlier share the paper measures on HAR
 	return s
+}
+
+// Name labels the workload in figures and tables.
+func (MNISTSetup) Name() string { return "MNIST CNN" }
+
+// Reseed draws the digits, shards, outliers and model from seed.
+func (s MNISTSetup) Reseed(seed int64) Workload {
+	s.Seed = seed
+	return &s
 }
 
 // Federation is a materialised federated workload: client shards, a global
@@ -156,52 +226,25 @@ func corruptOutliers(shards []*dataset.Set, count int, noise float64, classes in
 	return pick
 }
 
-// FLConfig assembles the engine configuration for this setup.
-func (s MNISTSetup) FLConfig(fed *Federation, filter fl.UploadFilter) fl.Config {
-	return fl.Config{
-		Model:       fed.Model,
-		ClientData:  fed.Shards,
-		TestData:    fed.Test,
-		Epochs:      s.Epochs,
-		Batch:       s.Batch,
-		LR:          core.InvSqrt{V0: s.Eta0},
-		Filter:      filter,
-		Rounds:      s.Rounds,
-		Seed:        s.Seed,
-		Parallelism: s.Parallelism,
-	}
-}
-
 // NWPSetup describes the next-word-prediction federation (workload 2).
 type NWPSetup struct {
 	Dialogue dataset.DialogueConfig
 	LSTM     nn.LSTMConfig
-
-	Epochs int
-	Batch  int
-	Eta0   float64
-
-	CMFLThreshold float64 // paper-tuned: 0.7; quick preset re-tuned by cmfl-tune
-	CMFLDecay     bool
-	GaiaThreshold float64 // paper-tuned: 0.25
-
-	Rounds          int
-	AccuracyTargets []float64
 
 	// OutlierRoles / OutlierLabelNoise reintroduce tangential clients, as
 	// in MNISTSetup.
 	OutlierRoles      int
 	OutlierLabelNoise float64
 
-	Seed        int64
-	Parallelism int
 	// TestPerRole holds out this many of each role's samples for the
 	// global evaluation set.
 	TestPerRole int
+
+	Training
 }
 
 // QuickNWP is the seconds-scale preset.
-func QuickNWP() NWPSetup {
+func QuickNWP() *NWPSetup {
 	dc := dataset.DialogueConfig{
 		Roles:           12,
 		Vocab:           40,
@@ -212,26 +255,28 @@ func QuickNWP() NWPSetup {
 		BranchesPerWord: 3,
 		Seed:            201,
 	}
-	return NWPSetup{
+	return &NWPSetup{
 		Dialogue:          dc,
 		LSTM:              nn.LSTMConfig{Vocab: dc.Vocab, Embed: 12, Hidden: 20, Layers: 1},
-		Epochs:            1,
-		Batch:             4,
-		Eta0:              1.5,
-		CMFLThreshold:     0.5,
-		GaiaThreshold:     0.05,
-		Rounds:            220,
-		AccuracyTargets:   []float64{0.22, 0.26},
 		OutlierRoles:      2,
 		OutlierLabelNoise: 1.0,
-		Seed:              202,
 		TestPerRole:       12,
+		Training: Training{
+			Epochs:          1,
+			Batch:           4,
+			Eta0:            1.5,
+			CMFLThreshold:   0.5,
+			GaiaThreshold:   0.05,
+			Rounds:          220,
+			AccuracyTargets: []float64{0.22, 0.26},
+			Seed:            202,
+		},
 	}
 }
 
 // PaperNWP approaches the paper's configuration (100 roles, 1675-word
 // vocabulary, 10-word window, 2×256 LSTM).
-func PaperNWP() NWPSetup {
+func PaperNWP() *NWPSetup {
 	s := QuickNWP()
 	s.Dialogue.Roles = 100
 	s.Dialogue.Vocab = 1675
@@ -247,6 +292,17 @@ func PaperNWP() NWPSetup {
 	s.AccuracyTargets = []float64{0.60, 0.80}
 	s.OutlierRoles = 26
 	return s
+}
+
+// Name labels the workload in figures and tables.
+func (NWPSetup) Name() string { return "NWP LSTM" }
+
+// Reseed draws the model and client streams from seed and the dialogue
+// from seed+1.
+func (s NWPSetup) Reseed(seed int64) Workload {
+	s.Seed = seed
+	s.Dialogue.Seed = seed + 1
+	return &s
 }
 
 // Build materialises the per-role shards, test set and model factory.
@@ -281,21 +337,6 @@ func (s NWPSetup) Build() (*Federation, error) {
 	seed := s.Seed
 	model := func() *nn.Network { return nn.NewNextWordLSTM(lstm, xrand.Derive(seed, "init", 0)) }
 	return &Federation{Shards: shards, Test: test, Model: model, OutlierIdx: outliers}, nil
-}
-
-func (s NWPSetup) FLConfig(fed *Federation, filter fl.UploadFilter) fl.Config {
-	return fl.Config{
-		Model:       fed.Model,
-		ClientData:  fed.Shards,
-		TestData:    fed.Test,
-		Epochs:      s.Epochs,
-		Batch:       s.Batch,
-		LR:          core.InvSqrt{V0: s.Eta0},
-		Filter:      filter,
-		Rounds:      s.Rounds,
-		Seed:        s.Seed,
-		Parallelism: s.Parallelism,
-	}
 }
 
 // TraceOf converts any engine history into an accuracy trace. It accepts

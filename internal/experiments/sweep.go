@@ -67,7 +67,7 @@ func (r *SweepResult) Render() string {
 			fmt.Sprintf("%.3f", p.BestAccuracy),
 		}
 		for _, s := range p.Savings {
-			row = append(row, fmtSaving(s, !math.IsNaN(s)))
+			row = append(row, fmtSaving(s))
 		}
 		rows = append(rows, row)
 	}
@@ -75,57 +75,53 @@ func (r *SweepResult) Render() string {
 	return b.String()
 }
 
-// sweepRunner abstracts "run the workload once with this filter" so MNIST
-// and NWP sweeps share the code.
-type sweepRunner struct {
-	run     func(filter fl.UploadFilter) (*stats.AccuracyTrace, float64, error) // trace, uploadFraction
-	targets []float64
-	vanilla *stats.AccuracyTrace
-}
-
-// SweepCMFLMNIST sweeps CMFL relevance thresholds on the digit workload.
-func SweepCMFLMNIST(mn MNISTSetup, thresholds []float64, decay bool) (*SweepResult, error) {
-	r, err := mnistRunner(mn)
+// Sweep runs the paper's tuning procedure for one algorithm (cmfl or gaia)
+// on one built federation of the workload: a vanilla run, then one run per
+// threshold, each scored by its saving over the vanilla run at the
+// workload's targets. decay gives CMFL the v0/√t schedule; Gaia's
+// thresholds stay constant.
+func Sweep(w Workload, alg string, thresholds []float64, decay bool) (*SweepResult, error) {
+	var filter func(v float64) fl.UploadFilter
+	switch alg {
+	case "cmfl":
+		filter = func(v float64) fl.UploadFilter { return core.NewFilter(scheduleFor(v, decay)) }
+	case "gaia":
+		filter = func(v float64) fl.UploadFilter { return gaia.NewFilter(core.Constant(v)) }
+	default:
+		return nil, fmt.Errorf("experiments: unknown algorithm %q (want cmfl or gaia)", alg)
+	}
+	fed, err := w.Build()
 	if err != nil {
 		return nil, err
 	}
-	return sweep(r, "cmfl on MNIST CNN", thresholds, func(v float64) fl.UploadFilter {
-		return core.NewFilter(scheduleFor(v, decay))
-	})
-}
-
-// SweepGaiaMNIST sweeps Gaia significance thresholds on the digit workload.
-func SweepGaiaMNIST(mn MNISTSetup, thresholds []float64) (*SweepResult, error) {
-	r, err := mnistRunner(mn)
-	if err != nil {
-		return nil, err
+	t := w.Train()
+	run := func(f fl.UploadFilter) (*stats.AccuracyTrace, float64, error) {
+		res, err := fl.Run(t.FLConfig(fed, f))
+		if err != nil {
+			return nil, 0, err
+		}
+		last := res.History[len(res.History)-1]
+		return TraceOf(res.History), float64(last.CumUploads) / float64(len(fed.Shards)*len(res.History)), nil
 	}
-	return sweep(r, "gaia on MNIST CNN", thresholds, func(v float64) fl.UploadFilter {
-		return gaia.NewFilter(core.Constant(v))
-	})
-}
-
-// SweepCMFLNWP sweeps CMFL relevance thresholds on the next-word workload.
-func SweepCMFLNWP(nw NWPSetup, thresholds []float64, decay bool) (*SweepResult, error) {
-	r, err := nwpRunner(nw)
+	name := alg + " on " + w.Name()
+	base, _, err := run(nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: sweep %s vanilla: %w", name, err)
 	}
-	return sweep(r, "cmfl on NWP LSTM", thresholds, func(v float64) fl.UploadFilter {
-		return core.NewFilter(scheduleFor(v, decay))
-	})
-}
-
-// SweepGaiaNWP sweeps Gaia significance thresholds on the next-word
-// workload.
-func SweepGaiaNWP(nw NWPSetup, thresholds []float64) (*SweepResult, error) {
-	r, err := nwpRunner(nw)
-	if err != nil {
-		return nil, err
+	out := &SweepResult{Algorithm: name, Targets: t.AccuracyTargets}
+	for _, v := range thresholds {
+		trace, frac, err := run(filter(v))
+		if err != nil {
+			return nil, fmt.Errorf("experiments: sweep %s at %v: %w", name, v, err)
+		}
+		out.Points = append(out.Points, SweepPoint{
+			Threshold:      v,
+			Savings:        savingsAt(base, trace, t.AccuracyTargets),
+			UploadFraction: frac,
+			BestAccuracy:   trace.BestAccuracy(),
+		})
 	}
-	return sweep(r, "gaia on NWP LSTM", thresholds, func(v float64) fl.UploadFilter {
-		return gaia.NewFilter(core.Constant(v))
-	})
+	return out, nil
 }
 
 func scheduleFor(v float64, decay bool) core.Schedule {
@@ -133,66 +129,4 @@ func scheduleFor(v float64, decay bool) core.Schedule {
 		return core.InvSqrt{V0: v}
 	}
 	return core.Constant(v)
-}
-
-func mnistRunner(mn MNISTSetup) (*sweepRunner, error) {
-	fed, err := mn.Build()
-	if err != nil {
-		return nil, err
-	}
-	run := func(filter fl.UploadFilter) (*stats.AccuracyTrace, float64, error) {
-		res, err := fl.Run(mn.FLConfig(fed, filter))
-		if err != nil {
-			return nil, 0, err
-		}
-		last := res.History[len(res.History)-1]
-		frac := float64(last.CumUploads) / float64(len(fed.Shards)*len(res.History))
-		return TraceOf(res.History), frac, nil
-	}
-	vanilla, _, err := run(nil)
-	if err != nil {
-		return nil, err
-	}
-	return &sweepRunner{run: run, targets: mn.AccuracyTargets, vanilla: vanilla}, nil
-}
-
-func nwpRunner(nw NWPSetup) (*sweepRunner, error) {
-	fed, err := nw.Build()
-	if err != nil {
-		return nil, err
-	}
-	run := func(filter fl.UploadFilter) (*stats.AccuracyTrace, float64, error) {
-		res, err := fl.Run(nw.FLConfig(fed, filter))
-		if err != nil {
-			return nil, 0, err
-		}
-		last := res.History[len(res.History)-1]
-		frac := float64(last.CumUploads) / float64(len(fed.Shards)*len(res.History))
-		return TraceOf(res.History), frac, nil
-	}
-	vanilla, _, err := run(nil)
-	if err != nil {
-		return nil, err
-	}
-	return &sweepRunner{run: run, targets: nw.AccuracyTargets, vanilla: vanilla}, nil
-}
-
-func sweep(r *sweepRunner, name string, thresholds []float64, mk func(v float64) fl.UploadFilter) (*SweepResult, error) {
-	out := &SweepResult{Algorithm: name, Targets: r.targets}
-	for _, v := range thresholds {
-		trace, frac, err := r.run(mk(v))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: sweep %s at %v: %w", name, v, err)
-		}
-		p := SweepPoint{Threshold: v, UploadFraction: frac, BestAccuracy: trace.BestAccuracy()}
-		for _, target := range r.targets {
-			s, ok := stats.Saving(r.vanilla, trace, target)
-			if !ok {
-				s = math.NaN()
-			}
-			p.Savings = append(p.Savings, s)
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out, nil
 }
