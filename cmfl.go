@@ -42,8 +42,6 @@ import (
 	"cmfl/internal/xrand"
 )
 
-//cmfl:api-change MTLRoundStats and MTLResult.Trace are gone: an MTL run's History is now []RoundStats, the record every engine keeps; callers name RoundStats instead and build an AccuracyTrace from the History's CumUploads and Accuracy, as for a federated run.
-
 // ---- The paper's contribution (internal/core, internal/gaia) ----
 
 // Relevance computes the paper's Eq. 9: the fraction of same-sign

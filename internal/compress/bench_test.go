@@ -76,12 +76,13 @@ func BenchmarkCodecDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKSelect measures the histogram selection at the acceptance
-// point (100k dim, K=1000) and a decade either side.
+// BenchmarkTopKSelect measures the selection (sampled floor, one sweep,
+// exact cut) at the acceptance point (100k dim, K=1000) and a decade
+// either side; CMFL_NOSIMD=1 prices the portable sweep.
 func BenchmarkTopKSelect(b *testing.B) {
 	u := benchVec()
 	for _, k := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("histogram/k=%d", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			c := TopK{K: k}
 			var idx []uint32
 			var vals []float64

@@ -205,11 +205,12 @@ func (c TopK) EncodeInto(dst []byte, update []float64) ([]byte, error) {
 }
 
 // selectIndices fills idx with the K first-ranked coordinate indices of
-// update, ascending, reusing idx's capacity. Pass one histograms every
-// magnitude by its leading bits and finds the bucket holding the K-th rank;
-// pass two collects, in index order, that bucket and everything above it.
-// Only the bucket's members are quickselected for the exact cut, and
-// dropping what ranks after it leaves the kept set already sorted.
+// update, ascending, reusing idx's capacity. A strided sample sets a
+// magnitude floor that a few more than K coordinates reach; one vector
+// sweep collects those candidates in index order (in the rare case that
+// fewer than K came through, a second sweep takes every coordinate); an
+// exact cut among the candidates alone drops whatever ranks after the K-th,
+// which leaves the kept set already ascending.
 //
 //cmfl:hotpath
 func (c TopK) selectIndices(idx []uint32, update []float64) ([]uint32, error) {
@@ -220,42 +221,89 @@ func (c TopK) selectIndices(idx []uint32, update []float64) ([]uint32, error) {
 	if k == 0 {
 		return idx[:0], nil
 	}
-	var hist [histBuckets]uint32
-	for _, v := range update {
-		hist[magKey(v)>>histShift]++
+	kp := f64Scratch.Get().(*[]float64)
+	floor, room := sampledFloor(kp, update, k)
+	idx = candidates(idx, update, floor, room)
+	if len(idx) < k {
+		idx = candidates(idx, update, 0, len(update))
 	}
-	// 1 <= k <= len(update): the walk ends at a non-empty bucket.
-	bucket, above := histBuckets-1, 0
-	for above+int(hist[bucket]) < k {
-		above += int(hist[bucket])
-		bucket--
+	if len(idx) > k {
+		idx = cutAt(idx, kp, update, k)
 	}
-	m := int(hist[bucket])
-	// kept gets the bucket's members and everything above it; cand, behind
-	// it in the same buffer, a second copy of the members to reorder.
-	idx = growU32(idx, above+2*m)
-	kept, cand := idx[:above+m], idx[above+m:]
-	nk, nc := 0, 0
-	for i, v := range update {
-		if b := int(magKey(v) >> histShift); b >= bucket {
-			kept[nk] = uint32(i)
-			nk++
-			if b == bucket {
-				cand[nc] = uint32(i)
-				nc++
-			}
+	f64Scratch.Put(kp)
+	return idx, nil
+}
+
+// The floor's sample: sampleSize magnitudes read at a stride, from updates
+// of at least minSampled coordinates (shorter ones are swept whole).
+const (
+	sampleSize = 1024
+	minSampled = 8 * sampleSize
+)
+
+// samplePoint is the coordinate of an n-long update that sample j reads.
+func samplePoint(j, n int) int { return j * n / sampleSize }
+
+// sampledFloor returns a magnitude key that a few more than k of update's
+// coordinates reach, and how many candidates to make room for. Of the
+// sampled keys, e = k·sampleSize/n are expected to rank among the top k;
+// the floor is the r-th largest sampled key with r = ⌈e + 3√e + 2⌉, three
+// standard deviations and two keys beyond, so that fewer than k coordinates
+// reach it only rarely. An update too short to sample, or a k whose margin
+// takes in the whole sample, gets floor 0: every coordinate is a candidate.
+// kp lends the sample its storage.
+func sampledFloor(kp *[]float64, update []float64, k int) (floor uint64, room int) {
+	n := len(update)
+	e := float64(k) * sampleSize / float64(n)
+	r := int(math.Ceil(e + 3*math.Sqrt(e) + 2))
+	if n < minSampled || r >= sampleSize {
+		return 0, n
+	}
+	keys := growFloats(*kp, sampleSize)
+	*kp = keys
+	for j := range keys {
+		keys[j] = magnitude(update[samplePoint(j, n)])
+	}
+	floor, _ = nthLargest(keys, r)
+	return floor, 2 * r * n / sampleSize
+}
+
+// candidates overwrites idx with the ascending indices of update whose
+// magnitude key is at least floor, sized for room of them and resized for
+// all of update when they outnumber that.
+func candidates(idx []uint32, update []float64, floor uint64, room int) []uint32 {
+	idx, ok := tensor.IndicesAtLeast(growU32(idx, room+16), update, floor)
+	if !ok {
+		idx, _ = tensor.IndicesAtLeast(growU32(idx, len(update)+16), update, floor)
+	}
+	return idx
+}
+
+// cutAt keeps the k first-ranked of the more than k ascending candidates in
+// idx. Their magnitudes, gathered into kp's contiguous storage, give up the
+// k-th largest; then, in index order, every candidate above it is kept, and
+// of those equal to it the first k − (the number above) — the lower index
+// wins a tie.
+func cutAt(idx []uint32, kp *[]float64, update []float64, k int) []uint32 {
+	keys := growFloats(*kp, len(idx))
+	*kp = keys
+	for j, i := range idx {
+		keys[j] = magnitude(update[i])
+	}
+	cutKey, above := nthLargest(keys, k)
+	ties, kept := k-above, 0
+	for _, i := range idx {
+		key := magKey(update[i])
+		if key < cutKey || key == cutKey && ties == 0 {
+			continue
 		}
-	}
-	// The bucket owes k-above of its m members; the last of them is the cut.
-	cut := quickselectRank(cand, update, k-above)
-	nk = 0
-	for _, i := range kept {
-		if !ranksBefore(update, cut, i) {
-			kept[nk] = i
-			nk++
+		if key == cutKey {
+			ties--
 		}
+		idx[kept] = i
+		kept++
 	}
-	return kept[:nk], nil
+	return idx[:kept]
 }
 
 // SelectInto implements Selector.

@@ -14,7 +14,8 @@ import (
 // that the //cmfl:lint-ignore markers justify to cmfl-vet so it does not
 // re-surface at every //cmfl:hotpath caller. The sync.Pools cover scratch
 // the Codec interface cannot route through the caller (TopK's candidate
-// indices, Chain's intermediate selections, a dense decode's sparse view).
+// indices and magnitudes, Chain's intermediate selections, a dense
+// decode's sparse view).
 
 // growBytes returns a length-n byte slice reusing dst's capacity. Contents
 // are unspecified — callers overwrite every element.
@@ -103,79 +104,54 @@ func densify(dst []float64, dim int, ip *[]uint32, vp *[]float64, idx []uint32, 
 	return dst, nil
 }
 
-// The selection histogram buckets a magnitude by its exponent and top two
-// mantissa bits: 8192 counters (32 KB), ≈1.5% of a bell-shaped update in
-// the bucket at its 99th percentile.
-const (
-	histShift   = 50
-	histBuckets = 1 << (63 - histShift)
-)
-
 // magKey returns v's magnitude as an integer that orders exactly as |v|
 // does: the float bits with the sign cleared, NaN clamped to +Inf's bits so
 // the order stays total (a NaN coordinate ranks as largest and is
 // transmitted verbatim — TopK passes damage through, it never launders it).
 func magKey(v float64) uint64 { return min(math.Float64bits(v)&^(1<<63), 0x7FF<<52) }
 
-// ranksBefore reports whether coordinate a precedes coordinate b in the
-// selection order.
-func ranksBefore(vals []float64, a, b uint32) bool {
-	ka, kb := magKey(vals[a]), magKey(vals[b])
-	return ka > kb || (ka == kb && a < b)
-}
+// magnitude is magKey as the float it stands for: |v|, NaN as +Inf. The
+// selection keeps these in float64 scratch and compares their bits, which
+// order as the magnitudes do.
+func magnitude(v float64) float64 { return math.Float64frombits(magKey(v)) }
 
-// quickselectRank returns the k-th ranked (k >= 1) coordinate of idx,
-// reordering idx, in expected O(len(idx)): Hoare partition with
-// median-of-three pivoting. The order is total, so even an all-equal input
-// (an all-zero delta) partitions by index and stays linear.
-func quickselectRank(idx []uint32, vals []float64, k int) uint32 {
-	lo, hi := 0, len(idx)-1
-	for lo < hi {
-		p := hoarePartition(idx, vals, lo, hi)
-		// Hoare: everything in [lo, p] ranks before everything in [p+1, hi].
-		left := p - lo + 1
-		if k <= left {
-			hi = p
-		} else {
-			k -= left
-			lo = p + 1
-		}
-	}
-	return idx[lo]
-}
-
-// hoarePartition partitions idx[lo..hi] around a median-of-three pivot,
-// returning j such that every element of idx[lo..j] ranks at or before
-// every element of idx[j+1..hi].
-func hoarePartition(idx []uint32, vals []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	a, b, c := idx[lo], idx[mid], idx[hi]
-	// Move the median of (a, b, c) to lo to serve as the pivot.
-	if ranksBefore(vals, a, b) != ranksBefore(vals, a, c) { // a is the median
-		// already at lo
-	} else if ranksBefore(vals, b, a) != ranksBefore(vals, b, c) { // b is the median
-		idx[lo], idx[mid] = idx[mid], idx[lo]
-	} else {
-		idx[lo], idx[hi] = idx[hi], idx[lo]
-	}
-	pivot := idx[lo]
-	i, j := lo-1, hi+1
+// nthLargest returns the key of the k-th largest (1 <= k <= len(s)) of the
+// magnitudes in s and how many of them are larger, reordering s. Each round
+// moves the live range's keys above a median-of-three pivot to its front
+// and, when rank k lies past them, the keys equal to the pivot next, one
+// sweep each; a key's side is a coin flip to a branch predictor, so the
+// sweeps count it by the sign of a difference instead of branching on it.
+// The round keeps only the part that holds rank k. Keys equal to the pivot
+// end the search, so an all-equal input (an all-zero delta) takes one
+// round, and a random one expected O(len(s)).
+func nthLargest(s []float64, k int) (kth uint64, above int) {
+	// Every key in s[:lo] is above every key in s[lo:hi], and those above
+	// every key in s[hi:]. Keys are below 1<<63, so pivot−key wraps to a
+	// set top bit exactly when key > pivot, and pivot−1−key when key >=
+	// pivot.
+	lo, hi := 0, len(s)
 	for {
-		for {
-			i++
-			if !ranksBefore(vals, idx[i], pivot) {
-				break
-			}
+		a, b, c := math.Float64bits(s[lo]), math.Float64bits(s[lo+(hi-lo)/2]), math.Float64bits(s[hi-1])
+		pivot := max(min(a, b), min(max(a, b), c))
+		gt := lo
+		for i := lo; i < hi; i++ {
+			x := s[i]
+			s[i], s[gt] = s[gt], x
+			gt += int((pivot - math.Float64bits(x)) >> 63)
 		}
-		for {
-			j--
-			if !ranksBefore(vals, pivot, idx[j]) {
-				break
-			}
+		if k <= gt {
+			hi = gt
+			continue
 		}
-		if i >= j {
-			return j
+		eq := gt // s[gt:hi] are at most the pivot: find those equal to it
+		for i := gt; i < hi; i++ {
+			x := s[i]
+			s[i], s[eq] = s[eq], x
+			eq += int((pivot - 1 - math.Float64bits(x)) >> 63)
 		}
-		idx[i], idx[j] = idx[j], idx[i]
+		if k <= eq {
+			return pivot, gt
+		}
+		lo = eq
 	}
 }

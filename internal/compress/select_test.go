@@ -108,6 +108,100 @@ func TestTopKSelectMatchesFullSortThreshold(t *testing.T) {
 	checkSelectExact(t, xrand.New(4).NormVec(5000, 0, 1), 250)
 }
 
+// sweptCandidates is how many coordinates the first sweep lets through: those
+// whose magnitude key reaches the sampled floor.
+func sweptCandidates(u []float64, k int) (floor uint64, n int) {
+	var sample []float64
+	floor, _ = sampledFloor(&sample, u, min(k, len(u)))
+	for _, v := range u {
+		if math.Float64bits(v)&^(1<<63) >= floor {
+			n++
+		}
+	}
+	return floor, n
+}
+
+// TestTopKSelectSampledFloor holds the sampled path to the oracle on
+// updates long enough to be sampled, one case per way it can go: the floor
+// lets k or more through; spikes on every sample point set it so high that
+// too few pass and the sweep is retried from 0; a dense block of large
+// values between sample points floods the cut with candidates; ties at the
+// cut; non-finite values; an all-zero update; k = n and k > n. Each case
+// first checks that it takes the path it is named for.
+func TestTopKSelectSampledFloor(t *testing.T) {
+	const n = 16384
+	rng := xrand.New(29)
+	gauss := func(n int) []float64 { return rng.NormVec(n, 0, 1) }
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+
+	type pathCheck func(floor uint64, swept, k int) bool
+	admits := func(floor uint64, swept, k int) bool { return floor > 0 && swept >= k }
+	cases := []struct {
+		name string
+		u    []float64
+		ks   []int
+		path pathCheck
+	}{
+		{"floor-admits-k", gauss(n), []int{1, 10, 100, 1000, 2500}, admits},
+		{"floor-admits-k-wide", gauss(102538), []int{1000}, admits},
+		{"stride-spikes-retry", func() []float64 {
+			u := gauss(n)
+			for j := 0; j < sampleSize; j++ {
+				u[samplePoint(j, n)] = math.Copysign(100+float64(j%3), u[j])
+			}
+			return u
+		}(), []int{1100, 2000, 5000}, func(floor uint64, swept, k int) bool { return floor > 0 && swept < k }},
+		{"dense-block-between-samples", func() []float64 {
+			u := gauss(2 * n)
+			for i := 100 * 32; i < 164*32; i++ { // 64 sample gaps of 31
+				if i%32 != 0 {
+					u[i] = math.Copysign(50+float64(i%7), u[i])
+				}
+			}
+			return u
+		}(), []int{1, 100, 1000, 1984, 2500}, func(floor uint64, swept, k int) bool { return floor > 0 && swept >= 1984 }},
+		{"ties-at-the-cut", func() []float64 {
+			u := gauss(n)
+			for i := range u {
+				if i%10 < 3 {
+					u[i] = math.Copysign(1.5, u[i])
+				}
+			}
+			return u
+		}(), []int{1200, 2000, 3000}, admits},
+		{"non-finite", func() []float64 {
+			u := gauss(n)
+			specials := []float64{nan, -nan, math.Float64frombits(0x7FF0000000000001), inf, -inf, math.MaxFloat64}
+			for i := 0; i < 600; i++ {
+				u[(i*7919)%n] = specials[i%len(specials)]
+			}
+			for j := 0; j < sampleSize; j += 97 {
+				u[samplePoint(j, n)] = nan
+			}
+			return u
+		}(), []int{1, 50, 500, 600, 700, 3000}, func(floor uint64, swept, k int) bool { return swept >= k }},
+		{"all-zero", func() []float64 {
+			u := make([]float64, n)
+			for i := 0; i < n; i += 3 {
+				u[i] = negZero
+			}
+			return u
+		}(), []int{1, 100, n - 1}, func(floor uint64, swept, k int) bool { return floor == 0 && swept == n }},
+		{"k>=n", gauss(n), []int{n, n + 1, 65535}, func(floor uint64, swept, k int) bool { return floor == 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, k := range tc.ks {
+				if floor, swept := sweptCandidates(tc.u, k); !tc.path(floor, swept, k) {
+					t.Fatalf("k=%d: floor %#x lets %d of %d through: not the path under test", k, floor, swept, len(tc.u))
+				}
+				checkSelectExact(t, tc.u, k)
+			}
+		})
+	}
+}
+
 // fuzzPalette is what FuzzTopKSelect's coarse mode draws from: few distinct
 // magnitudes, so ties at the cut are the rule, plus every special value.
 var fuzzPalette = []float64{
@@ -115,14 +209,17 @@ var fuzzPalette = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -1e-310, math.MaxFloat64,
 }
 
-// FuzzTopKSelect holds the histogram selection to the full-sort oracle on
-// arbitrary bit patterns (fine mode: 8 input bytes per coordinate) and on
-// tie-heavy vectors (coarse mode: one byte picks from fuzzPalette).
+// FuzzTopKSelect holds the selection to the full-sort oracle on arbitrary
+// bit patterns (fine mode: 8 input bytes per coordinate) and on tie-heavy
+// vectors (coarse mode: one byte picks from fuzzPalette). Tiled, the vector
+// repeats until it has at least 16384 coordinates, long enough for the
+// sampled floor.
 func FuzzTopKSelect(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint16(4), true)
-	f.Add([]byte{2, 2, 2, 2, 2, 2}, uint16(3), true)
-	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(-3)), 0x7FF8000000000001), uint16(1), false)
-	f.Fuzz(func(t *testing.T, data []byte, k uint16, coarse bool) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint16(4), true, false)
+	f.Add([]byte{2, 2, 2, 2, 2, 2}, uint16(3), true, false)
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(-3)), 0x7FF8000000000001), uint16(1), false, false)
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 4, 4, 7}, uint16(3000), true, true)
+	f.Fuzz(func(t *testing.T, data []byte, k uint16, coarse, tiled bool) {
 		var u []float64
 		if coarse {
 			for _, b := range data {
@@ -135,6 +232,11 @@ func FuzzTopKSelect(f *testing.F) {
 		}
 		if k == 0 {
 			return
+		}
+		if tiled && len(u) > 0 {
+			for len(u) < 16384 {
+				u = append(u, u...)
+			}
 		}
 		checkSelectExact(t, u, int(k))
 	})

@@ -389,23 +389,26 @@ func TestMultiSeedFig4(t *testing.T) {
 }
 
 // TestBadNamesRejected: a preset or sweep that does not exist is an error
-// naming the bad value, never a silent fallback to some other run.
+// naming the bad value, never a silent fallback to some other run; so is a
+// decay Gaia's sweep would ignore.
 func TestBadNamesRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		workload      string
 		scale         string
 		alg           string
+		decay         bool
 		wantInMessage string
 	}{
-		{"workload", "bogus", "quick", "cmfl", `"bogus"`},
-		{"scale", "mnist", "huge", "cmfl", `"huge"`},
-		{"algorithm", "nwp", "quick", "fedavg", `"fedavg"`},
+		{"workload", "bogus", "quick", "cmfl", false, `"bogus"`},
+		{"scale", "mnist", "huge", "cmfl", false, `"huge"`},
+		{"algorithm", "nwp", "quick", "fedavg", false, `"fedavg"`},
+		{"gaia-decay", "mnist", "quick", "gaia", true, "decay applies to CMFL's threshold only, not Gaia's"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := Preset(tc.workload, tc.scale)
 			if err == nil {
-				_, err = Sweep(w, tc.alg, []float64{0.5}, false)
+				_, err = Sweep(w, tc.alg, []float64{0.5}, tc.decay)
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantInMessage) {
 				t.Fatalf("error %v, want one naming %s", err, tc.wantInMessage)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -79,13 +80,16 @@ func (r *SweepResult) Render() string {
 // on one built federation of the workload: a vanilla run, then one run per
 // threshold, each scored by its saving over the vanilla run at the
 // workload's targets. decay gives CMFL the v0/√t schedule; Gaia's
-// thresholds stay constant.
+// thresholds stay constant, so asking to decay them is an error.
 func Sweep(w Workload, alg string, thresholds []float64, decay bool) (*SweepResult, error) {
 	var filter func(v float64) fl.UploadFilter
 	switch alg {
 	case "cmfl":
 		filter = func(v float64) fl.UploadFilter { return core.NewFilter(scheduleFor(v, decay)) }
 	case "gaia":
+		if decay {
+			return nil, errors.New("experiments: decay applies to CMFL's threshold only, not Gaia's")
+		}
 		filter = func(v float64) fl.UploadFilter { return gaia.NewFilter(core.Constant(v)) }
 	default:
 		return nil, fmt.Errorf("experiments: unknown algorithm %q (want cmfl or gaia)", alg)

@@ -44,10 +44,11 @@ func detectAVX512() bool {
 		return false
 	}
 	_, _, ecx1, _ := cpuidAsm(1, 0)
-	const fma = 1 << 12 // math.archExp's FMA branch, which expAVX copies
+	const fma = 1 << 12    // math.archExp's FMA branch, which expAVX copies
+	const popcnt = 1 << 23 // indicesAtLeastAVX counts its mask with POPCNT
 	const osxsave = 1 << 27
 	const avx = 1 << 28
-	if ecx1&fma == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
+	if ecx1&fma == 0 || ecx1&popcnt == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
 		return false
 	}
 	// XCR0 must enable XMM, YMM, opmask and both ZMM state components.
@@ -196,6 +197,9 @@ func signMatchesAVX(v *float64, signs *int8, n uintptr) uintptr
 
 //go:noescape
 func subSignsAVX(dst *int8, prev, cur *float64, n uintptr) bool
+
+//go:noescape
+func indicesAtLeastAVX(dst *uint32, room uintptr, v *float64, n uintptr, floor2 uint64) (written, read uintptr)
 
 //go:noescape
 func maxPool2x2AVX(out *float64, argmax *int, x *float64, base, w, oh, ow uintptr)

@@ -53,6 +53,10 @@ func subSignsAVX(dst *int8, prev, cur *float64, n uintptr) bool {
 	panic("tensor: SIMD signs unavailable on this platform")
 }
 
+func indicesAtLeastAVX(dst *uint32, room uintptr, v *float64, n uintptr, floor2 uint64) (written, read uintptr) {
+	panic("tensor: SIMD signs unavailable on this platform")
+}
+
 func maxPool2x2AVX(out *float64, argmax *int, x *float64, base, w, oh, ow uintptr) {
 	panic("tensor: SIMD max pool unavailable on this platform")
 }

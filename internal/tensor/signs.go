@@ -2,13 +2,13 @@ package tensor
 
 import "math"
 
-// Sign kernels for the relevance check (Eq. 9), with AVX-512 fast paths (see
-// signs_avx512_amd64.s) behind the same simdGEMM switch as the other
-// elementwise kernels. The Go loops are the reference semantics and the path
-// every other platform runs: a coordinate's sign is +1, −1, or 0 for ±0 and
-// NaN. Gradient signs are coin flips to a branch predictor, so the loops
-// carry no data-dependent branch: each comparison becomes a flag
-// materialised into a register.
+// Sign kernels for the relevance check (Eq. 9) and the magnitude sweep of
+// top-k selection, with AVX-512 fast paths (see signs_avx512_amd64.s) behind
+// the same simdGEMM switch as the other elementwise kernels. The Go loops
+// are the reference semantics and the path every other platform runs: a
+// coordinate's sign is +1, −1, or 0 for ±0 and NaN. Gradient signs are coin
+// flips to a branch predictor, so the sign loops carry no data-dependent
+// branch: each comparison becomes a flag materialised into a register.
 
 // sign returns (x > 0) − (x < 0). The compiler turns each `if` into a SETcc.
 func sign(x float64) int8 {
@@ -90,4 +90,43 @@ func SubSigns(dst []int8, prev, cur []float64) bool {
 		nonZero |= math.Float64bits(d) << 1 // every bit but the sign: zero only for ±0
 	}
 	return nonZero != 0
+}
+
+// IndicesAtLeast overwrites dst, from its start and in ascending order, with
+// the index of every v[i] whose bits with the sign cleared are at least
+// floor, and returns them. Those bits order as |v| does, and a NaN's exceed
+// +Inf's, so a NaN passes every floor up to +Inf's bits. The kernel stores
+// 16 indices at a time, so dst's capacity must hold the indices and 16 more;
+// when it does not, ok is false and the caller grows dst and asks again.
+// v must have fewer than 2³² coordinates.
+//
+//cmfl:hotpath
+func IndicesAtLeast(dst []uint32, v []float64, floor uint64) (idx []uint32, ok bool) {
+	dst = dst[:cap(dst)]
+	limit := len(dst) - 16 // the most indices dst can return
+	if limit < 0 {
+		return dst[:0], false
+	}
+	if floor>>63 != 0 { // above every sign-cleared bit pattern
+		return dst[:0], true
+	}
+	floor <<= 1 // compare bits<<1 instead: the sign bit drops out
+	n, i := 0, 0
+	if simdGEMM && len(v) >= 16 {
+		written, read := indicesAtLeastAVX(&dst[0], uintptr(len(dst)), &v[0], uintptr(len(v)), floor)
+		n, i = int(written), int(read)
+		if n > limit {
+			return dst[:0], false
+		}
+	}
+	for ; i < len(v); i++ { // the portable loop, and the kernel's last <16
+		if math.Float64bits(v[i])<<1 >= floor {
+			if n == limit {
+				return dst[:0], false
+			}
+			dst[n] = uint32(i)
+			n++
+		}
+	}
+	return dst[:n], true
 }

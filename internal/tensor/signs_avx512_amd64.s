@@ -3,6 +3,8 @@
 // and the fused "difference in place + its signs + any non-zero" sweep of the
 // emu client. Eight coordinates per step; the tail goes through the same
 // sequence under a lane mask (masked-off lanes are neither read nor written).
+// Beside them, the magnitude sweep of top-k selection, sixteen coordinates a
+// step, whose tail of fewer than sixteen the Go loop finishes.
 //
 // A coordinate's sign is two ordered compares against zero, so ±0 and NaN
 // (which fails both) come out 0, and it is materialised as a qword −1/0/+1:
@@ -10,10 +12,12 @@
 // eight stored bytes to compare against them.
 //
 // Instruction-set note: everything here is AVX-512F (VCMPPD→k, masked
-// VMOVDQA64, VPMOVQB, VPMOVSXBQ, VPCMPEQQ→k, VPADDQ, VPORQ, VPTESTMQ,
-// VPTERNLOGQ, VPBROADCASTQ, VEXTRACTI64X4, KMOVW, KORTESTW) or older
-// (VEXTRACTI128, VPSRLDQ). No AVX-512BW/VL instruction is used, so the F+DQ
-// probe in detectAVX512 covers these kernels.
+// VMOVDQA64, VPMOVQB, VPMOVSXBQ, VPCMPEQQ→k, VPCMPUQ→k, VPADDQ, VPADDD,
+// VPSLLQ, VPORQ, VPTESTMQ, VPTERNLOGQ, VPBROADCASTQ/D, VPCOMPRESSD,
+// VEXTRACTI64X4, KMOVW, KUNPCKBW, KORTESTW) or older (VEXTRACTI128,
+// VPSRLDQ). No AVX-512BW/VL instruction is used, so the F+DQ probe in
+// detectAVX512 covers these kernels; it also requires the POPCNT bit the
+// magnitude sweep relies on.
 
 #include "textflag.h"
 
@@ -168,5 +172,73 @@ subdone:
 	VPTESTMQ Z5, Z5, K3
 	KORTESTW K3, K3
 	SETNE ret+32(FP)
+	VZEROUPPER
+	RET
+
+// Lane j of a block holds coordinate j: the indices the first step stores.
+DATA atLeastIota<>+0(SB)/8, $0x0000000100000000
+DATA atLeastIota<>+8(SB)/8, $0x0000000300000002
+DATA atLeastIota<>+16(SB)/8, $0x0000000500000004
+DATA atLeastIota<>+24(SB)/8, $0x0000000700000006
+DATA atLeastIota<>+32(SB)/8, $0x0000000900000008
+DATA atLeastIota<>+40(SB)/8, $0x0000000b0000000a
+DATA atLeastIota<>+48(SB)/8, $0x0000000d0000000c
+DATA atLeastIota<>+56(SB)/8, $0x0000000f0000000e
+GLOBL atLeastIota<>(SB), RODATA|NOPTR, $64
+
+// func indicesAtLeastAVX(dst *uint32, room uintptr, v *float64, n uintptr, floor2 uint64) (written, read uintptr)
+// Stores, ascending, the index i of every v[i] with bits<<1 >= floor2, over
+// whole blocks of sixteen coordinates, while the next block's 64-byte store
+// fits in dst's room (>= 16) entries. Each step compares two qword halves
+// unsigned, joins their masks into one of sixteen bits, compresses the
+// lanes' indices into a register (the memory form of VPCOMPRESSD is
+// microcoded on some cores) and stores all sixteen: the ones past the
+// mask's count are overwritten by the next step or lie beyond the result.
+// Returns how many indices it stored and how many coordinates it read.
+TEXT ·indicesAtLeastAVX(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ room+8(FP), R8
+	MOVQ v+16(FP), SI
+	MOVQ n+24(FP), CX
+	MOVQ floor2+32(FP), AX
+	VPBROADCASTQ AX, Z0
+	VMOVDQU32 atLeastIota<>(SB), Z1
+	MOVL $16, AX
+	VPBROADCASTD AX, Z2
+	MOVQ DI, R9                // the start of both, for the counts
+	MOVQ SI, R10
+	LEAQ -64(DI)(R8*4), R8     // the last store address inside the room
+	ANDQ $~15, CX
+	LEAQ (SI)(CX*8), CX        // the end of the whole blocks
+	CMPQ SI, CX
+	JAE  atleastdone
+
+atleastloop:
+	VMOVDQU64 (SI), Z3
+	VMOVDQU64 64(SI), Z4
+	VPSLLQ $1, Z3, Z3          // drop the sign bit
+	VPSLLQ $1, Z4, Z4
+	VPCMPUQ $5, Z0, Z3, K1     // predicate 5 is NLT: bits<<1 >= floor2
+	VPCMPUQ $5, Z0, Z4, K2
+	KUNPCKBW K1, K2, K3        // K3 = K2<<8 | K1
+	VPCOMPRESSD.Z Z1, K3, Z5
+	VMOVDQU32 Z5, (DI)
+	KMOVW K3, AX
+	POPCNTL AX, AX
+	LEAQ (DI)(AX*4), DI
+	VPADDD Z2, Z1, Z1
+	ADDQ $128, SI
+	CMPQ DI, R8
+	JA   atleastdone
+	CMPQ SI, CX
+	JB   atleastloop
+
+atleastdone:
+	SUBQ R9, DI
+	SHRQ $2, DI
+	MOVQ DI, written+40(FP)
+	SUBQ R10, SI
+	SHRQ $3, SI
+	MOVQ SI, read+48(FP)
 	VZEROUPPER
 	RET

@@ -192,9 +192,91 @@ func TestSignKernelsLengthMismatchPanics(t *testing.T) {
 	}
 }
 
+// keysAtLeast is IndicesAtLeast's definition: the ascending indices whose
+// bits with the sign cleared are at least floor.
+func keysAtLeast(v []float64, floor uint64) []uint32 {
+	var want []uint32
+	for i, x := range v {
+		if math.Float64bits(x)&^(1<<63) >= floor {
+			want = append(want, uint32(i))
+		}
+	}
+	return want
+}
+
+// checkIndicesAtLeast holds IndicesAtLeast to keysAtLeast at every floor in
+// floors. dst is carved out of a larger buffer, so a store past its
+// capacity lands on a sentinel. With exactly 16 entries of slack the sweep
+// must fit; with 15 it must say it does not.
+func checkIndicesAtLeast(t *testing.T, v []float64, floors []uint64) {
+	t.Helper()
+	const sentinel = 0xDEADBEEF
+	for _, floor := range floors {
+		want := keysAtLeast(v, floor)
+		for _, slack := range []int{16, 15, 40} {
+			c := len(want) + slack
+			buf := make([]uint32, c+8)
+			for i := range buf {
+				buf[i] = sentinel
+			}
+			got, ok := IndicesAtLeast(buf[:0:c], v, floor)
+			for _, x := range buf[c:] {
+				if x != sentinel {
+					t.Fatalf("n=%d floor %#x: stored past dst's capacity", len(v), floor)
+				}
+			}
+			if ok != (slack >= 16) {
+				t.Fatalf("n=%d floor %#x: ok = %v with %d indices in capacity %d", len(v), floor, ok, len(want), c)
+			}
+			if !ok {
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("n=%d floor %#x: %d indices, want %d", len(v), floor, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("n=%d floor %#x: index %d is %d, want %d", len(v), floor, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// atLeastFloors are the floors each input is swept at: everything, keys
+// that sit exactly on coordinates of v (−0's and a NaN's among them when v
+// has them), a subnormal's, +Inf's, and past every key.
+func atLeastFloors(v []float64) []uint64 {
+	floors := []uint64{0, 1, math.Float64bits(math.Inf(1)), 0x7FF0000000000001, 1 << 63, math.MaxUint64}
+	for i := 0; i < len(v); i += 1 + len(v)/5 {
+		floors = append(floors, math.Float64bits(v[i])&^(1<<63))
+	}
+	return floors
+}
+
+// TestIndicesAtLeastMatchesLoop is the differential table of the magnitude
+// sweep: every length from 0 to 130 (each tail, with and without whole
+// blocks before it) plus the wide-model length, on edge-laden inputs at
+// unaligned offsets, at floors on and between the keys.
+func TestIndicesAtLeastMatchesLoop(t *testing.T) {
+	withBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		lengths := []int{102538}
+		for n := 0; n <= 130; n++ {
+			lengths = append(lengths, n)
+		}
+		for _, n := range lengths {
+			v := signVector(rng, n+1)[1:]
+			checkIndicesAtLeast(t, v, atLeastFloors(v))
+		}
+	})
+}
+
 // FuzzSignKernels feeds raw float bit patterns and sign bytes to all three
-// kernels on both paths. Every 17 input bytes make one coordinate: eight of
-// v, eight of prev, one sign byte.
+// sign kernels and to the magnitude sweep on both paths. Every 17 input
+// bytes make one coordinate: eight of v, eight of prev, one sign byte; the
+// sweep runs over v at atLeastFloors(v) and at the bits of each of the
+// first prev values.
 func FuzzSignKernels(f *testing.F) {
 	seed := make([]byte, 0, 17*len(signEdgeValues))
 	for i, x := range signEdgeValues {
@@ -215,6 +297,13 @@ func FuzzSignKernels(f *testing.F) {
 			prev[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
 			signs[i] = int8(rec[16])
 		}
-		withBothPaths(t, func(t *testing.T) { checkSignKernels(t, v, prev, signs) })
+		floors := atLeastFloors(v)
+		for _, p := range prev[:min(len(prev), 4)] {
+			floors = append(floors, math.Float64bits(p))
+		}
+		withBothPaths(t, func(t *testing.T) {
+			checkSignKernels(t, v, prev, signs)
+			checkIndicesAtLeast(t, v, floors)
+		})
 	})
 }
