@@ -27,7 +27,7 @@ import (
 // Normalized Model Divergence (Eq. 7) on both workloads.
 func BenchmarkFig1ModelDivergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(experiments.QuickMNIST(), experiments.QuickNWP())
+		r, err := experiments.Fig1(&experiments.Runs{}, experiments.QuickMNIST(), experiments.QuickNWP())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func BenchmarkFig1ModelDivergence(b *testing.B) {
 // rounds while CMFL's relevance stays stable (late/early ratios).
 func BenchmarkFig2Measures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(experiments.QuickMNIST())
+		r, err := experiments.Fig2(&experiments.Runs{}, experiments.QuickMNIST())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func BenchmarkFig2Measures(b *testing.B) {
 // difference between sequential global updates (Eq. 8).
 func BenchmarkFig3DeltaUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3(experiments.QuickMNIST(), experiments.QuickNWP())
+		r, err := experiments.Fig3(&experiments.Runs{}, experiments.QuickMNIST(), experiments.QuickNWP())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig3DeltaUpdate(b *testing.B) {
 // communication rounds for vanilla / Gaia / CMFL on the digit CNN.
 func BenchmarkFig4aMNIST(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(experiments.QuickMNIST())
+		r, err := experiments.Fig4(&experiments.Runs{}, experiments.QuickMNIST())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkFig4aMNIST(b *testing.B) {
 // BenchmarkFig4bNWP regenerates Fig. 4b on the next-word LSTM.
 func BenchmarkFig4bNWP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(experiments.QuickNWP())
+		r, err := experiments.Fig4(&experiments.Runs{}, experiments.QuickNWP())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,11 +96,12 @@ func BenchmarkFig4bNWP(b *testing.B) {
 // vanilla FL at the target accuracies on both workloads.
 func BenchmarkTable1Saving(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mn, err := experiments.Fig4(experiments.QuickMNIST())
+		runs := &experiments.Runs{}
+		mn, err := experiments.Fig4(runs, experiments.QuickMNIST())
 		if err != nil {
 			b.Fatal(err)
 		}
-		nw, err := experiments.Fig4(experiments.QuickNWP())
+		nw, err := experiments.Fig4(runs, experiments.QuickNWP())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,11 +312,12 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 func BenchmarkAblationThresholdSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mn := experiments.QuickMNIST()
-		constant, err := experiments.Sweep(mn, "cmfl", []float64{mn.CMFLThreshold}, false)
+		runs := &experiments.Runs{}
+		constant, err := experiments.Sweep(runs, mn, "cmfl", []float64{mn.CMFLThreshold}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		decay, err := experiments.Sweep(mn, "cmfl", []float64{0.8}, true)
+		decay, err := experiments.Sweep(runs, mn, "cmfl", []float64{0.8}, true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func main() {
 	if *rounds > 0 {
 		w.Train().Rounds = *rounds
 	}
-	res, err := experiments.Sweep(w, *alg, thresholds, *decay)
+	res, err := experiments.Sweep(&experiments.Runs{}, w, *alg, thresholds, *decay)
 	if err != nil {
 		log.Fatal(err)
 	}

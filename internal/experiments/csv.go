@@ -10,9 +10,8 @@ import (
 
 // CSV renders the Fig. 1 divergence CDFs as comma-separated series.
 func (r *Fig1Result) CSV() string {
-	mx, mp := r.MNIST.Points(100)
-	nx, np := r.NWP.Points(100)
-	return report.CSV([]string{"mnist_dj", "mnist_cdf", "nwp_dj", "nwp_cdf"}, mx, mp, nx, np)
+	s := cdfSeries(100, r.MNIST, r.NWP, "", "")
+	return report.CSV([]string{"mnist_dj", "mnist_cdf", "nwp_dj", "nwp_cdf"}, s[0].X, s[0].Y, s[1].X, s[1].Y)
 }
 
 // CSV renders the Fig. 2 per-round measures.
@@ -22,9 +21,8 @@ func (r *Fig2Result) CSV() string {
 
 // CSV renders the Fig. 3 ΔUpdate CDFs.
 func (r *Fig3Result) CSV() string {
-	mx, mp := r.MNIST.Points(100)
-	nx, np := r.NWP.Points(100)
-	return report.CSV([]string{"mnist_du", "mnist_cdf", "nwp_du", "nwp_cdf"}, mx, mp, nx, np)
+	s := cdfSeries(100, r.MNIST, r.NWP, "", "")
+	return report.CSV([]string{"mnist_du", "mnist_cdf", "nwp_du", "nwp_cdf"}, s[0].X, s[0].Y, s[1].X, s[1].Y)
 }
 
 // CSV renders the Fig. 4 three-algorithm traces.
@@ -43,9 +41,8 @@ func (r *Fig5Result) CSV() string {
 
 // CSV renders the Fig. 6 divergence CDFs by population.
 func (r *Fig6Result) CSV() string {
-	ox, op := r.Outliers.Points(100)
-	nx, np := r.NonOutliers.Points(100)
-	return report.CSV([]string{"outlier_dj", "outlier_cdf", "inlier_dj", "inlier_cdf"}, ox, op, nx, np)
+	s := cdfSeries(100, r.Outliers, r.NonOutliers, "", "")
+	return report.CSV([]string{"outlier_dj", "outlier_cdf", "inlier_dj", "inlier_cdf"}, s[0].X, s[0].Y, s[1].X, s[1].Y)
 }
 
 // CSV renders the Fig. 7 cluster traces plus the per-target byte table.

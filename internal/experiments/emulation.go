@@ -65,7 +65,8 @@ func Fig7(w Workload) (*Fig7Result, error) {
 		return nil, err
 	}
 	t := w.Train()
-	runs, err := compare(w, "fig7", func(f fl.UploadFilter) (*emu.ServerResult, error) {
+	var runs [3]*emu.ServerResult
+	for i, g := range gates(t) {
 		res, err := emu.RunCluster(emu.ClusterConfig{
 			Model:      fed.Model,
 			ClientData: fed.Shards,
@@ -73,18 +74,15 @@ func Fig7(w Workload) (*Fig7Result, error) {
 			Epochs:     t.Epochs,
 			Batch:      t.Batch,
 			LR:         core.InvSqrt{V0: t.Eta0},
-			Filter:     f,
+			Filter:     g.filter(),
 			Rounds:     t.Rounds,
 			Seed:       t.Seed,
 			Limits:     emu.Limits{DialTimeout: clusterTimeout, RoundDeadline: clusterTimeout},
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: fig7 %s %s: %w", w.Name(), g.Alg, err)
 		}
-		return res.Server, nil
-	})
-	if err != nil {
-		return nil, err
+		runs[i] = res.Server
 	}
 	v, g, c := runs[0], runs[1], runs[2]
 	out := &Fig7Result{

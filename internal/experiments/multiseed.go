@@ -21,8 +21,9 @@ type MultiSeedResult struct {
 }
 
 // MultiSeedFig4 repeats the workload's Fig. 4 comparison once per seed,
-// each on a copy reseeded by the workload's own rule.
-func MultiSeedFig4(w Workload, seeds []int64) (*MultiSeedResult, error) {
+// each on a copy reseeded by the workload's own rule; a seed whose copy
+// equals a setup already run reads that run.
+func MultiSeedFig4(s *Runs, w Workload, seeds []int64) (*MultiSeedResult, error) {
 	targets := w.Train().AccuracyTargets
 	out := &MultiSeedResult{
 		Workload: w.Name(),
@@ -32,7 +33,7 @@ func MultiSeedFig4(w Workload, seeds []int64) (*MultiSeedResult, error) {
 		CMFL:     make([]stats.Summary, len(targets)),
 	}
 	for _, seed := range seeds {
-		r, err := Fig4(w.Reseed(seed))
+		r, err := Fig4(s, w.Reseed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: multiseed fig4 seed %d: %w", seed, err)
 		}
