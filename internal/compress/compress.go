@@ -208,9 +208,10 @@ func (c TopK) EncodeInto(dst []byte, update []float64) ([]byte, error) {
 // update, ascending, reusing idx's capacity. A strided sample sets a
 // magnitude floor that a few more than K coordinates reach; one vector
 // sweep collects those candidates in index order (in the rare case that
-// fewer than K came through, a second sweep takes every coordinate); an
-// exact cut among the candidates alone drops whatever ranks after the K-th,
-// which leaves the kept set already ascending.
+// fewer than K came through, a second sweep tries a floor twice as far
+// below, and only if that misses too does a third take every coordinate);
+// an exact cut among the candidates alone drops whatever ranks after the
+// K-th, which leaves the kept set already ascending.
 //
 //cmfl:hotpath
 func (c TopK) selectIndices(idx []uint32, update []float64) ([]uint32, error) {
@@ -222,10 +223,13 @@ func (c TopK) selectIndices(idx []uint32, update []float64) ([]uint32, error) {
 		return idx[:0], nil
 	}
 	kp := f64Scratch.Get().(*[]float64)
-	floor, room := sampledFloor(kp, update, k)
+	floor, room := sampledFloor(kp, update, k, 1)
 	idx = candidates(idx, update, floor, room)
 	if len(idx) < k {
-		idx = candidates(idx, update, 0, len(update))
+		floor, room = sampledFloor(kp, update, k, 2)
+		if idx = candidates(idx, update, floor, room); len(idx) < k {
+			idx = candidates(idx, update, 0, len(update))
+		}
 	}
 	if len(idx) > k {
 		idx = cutAt(idx, kp, update, k)
@@ -247,15 +251,16 @@ func samplePoint(j, n int) int { return j * n / sampleSize }
 // sampledFloor returns a magnitude key that a few more than k of update's
 // coordinates reach, and how many candidates to make room for. Of the
 // sampled keys, e = k·sampleSize/n are expected to rank among the top k;
-// the floor is the r-th largest sampled key with r = ⌈e + 3√e + 2⌉, three
-// standard deviations and two keys beyond, so that fewer than k coordinates
-// reach it only rarely. An update too short to sample, or a k whose margin
-// takes in the whole sample, gets floor 0: every coordinate is a candidate.
-// kp lends the sample its storage.
-func sampledFloor(kp *[]float64, update []float64, k int) (floor uint64, room int) {
+// the floor is the r-th largest sampled key with r = ⌈e + margin·(3√e + 2)⌉:
+// at margin 1, three standard deviations and two keys beyond, so that fewer
+// than k coordinates reach it only rarely; the retry's margin 2 doubles
+// that. An update too short to sample, or a k whose margin takes in the
+// whole sample, gets floor 0: every coordinate is a candidate. kp lends the
+// sample its storage.
+func sampledFloor(kp *[]float64, update []float64, k, margin int) (floor uint64, room int) {
 	n := len(update)
 	e := float64(k) * sampleSize / float64(n)
-	r := int(math.Ceil(e + 3*math.Sqrt(e) + 2))
+	r := int(math.Ceil(e + float64(margin)*3*math.Sqrt(e) + float64(2*margin)))
 	if n < minSampled || r >= sampleSize {
 		return 0, n
 	}

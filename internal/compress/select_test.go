@@ -108,23 +108,33 @@ func TestTopKSelectMatchesFullSortThreshold(t *testing.T) {
 	checkSelectExact(t, xrand.New(4).NormVec(5000, 0, 1), 250)
 }
 
-// sweptCandidates is how many coordinates the first sweep lets through: those
-// whose magnitude key reaches the sampled floor.
-func sweptCandidates(u []float64, k int) (floor uint64, n int) {
+// sweep is what one candidate sweep at a sampled floor lets through: the
+// coordinates whose magnitude key reaches the floor.
+type sweep struct {
+	floor uint64
+	n     int
+}
+
+// sweptCandidates is the sweep at the floor sampled with the given margin:
+// 1 for the first sweep, 2 for the retry.
+func sweptCandidates(u []float64, k, margin int) sweep {
 	var sample []float64
-	floor, _ = sampledFloor(&sample, u, min(k, len(u)))
+	s := sweep{}
+	s.floor, _ = sampledFloor(&sample, u, min(k, len(u)), margin)
 	for _, v := range u {
-		if math.Float64bits(v)&^(1<<63) >= floor {
-			n++
+		if math.Float64bits(v)&^(1<<63) >= s.floor {
+			s.n++
 		}
 	}
-	return floor, n
+	return s
 }
 
 // TestTopKSelectSampledFloor holds the sampled path to the oracle on
 // updates long enough to be sampled, one case per way it can go: the floor
-// lets k or more through; spikes on every sample point set it so high that
-// too few pass and the sweep is retried from 0; a dense block of large
+// lets k or more through; spikes on a few dozen sample points set it so
+// high that too few pass, and the retry's lower floor lets k through, still
+// far fewer than n; spikes on every sample point set both floors so high
+// that the sweep is retried from 0; a dense block of large
 // values between sample points floods the cut with candidates; ties at the
 // cut; non-finite values; an all-zero update; k = n and k > n. Each case
 // first checks that it takes the path it is named for.
@@ -135,8 +145,12 @@ func TestTopKSelectSampledFloor(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
 
-	type pathCheck func(floor uint64, swept, k int) bool
-	admits := func(floor uint64, swept, k int) bool { return floor > 0 && swept >= k }
+	sparse := gauss(n)
+	for j := 0; j < 40; j++ {
+		sparse[samplePoint(25*j, n)] = math.Copysign(100+float64(j), sparse[j])
+	}
+	type pathCheck func(k int, first, retry sweep) bool
+	admits := func(k int, first, _ sweep) bool { return first.floor > 0 && first.n >= k }
 	cases := []struct {
 		name string
 		u    []float64
@@ -151,7 +165,12 @@ func TestTopKSelectSampledFloor(t *testing.T) {
 				u[samplePoint(j, n)] = math.Copysign(100+float64(j%3), u[j])
 			}
 			return u
-		}(), []int{1100, 2000, 5000}, func(floor uint64, swept, k int) bool { return floor > 0 && swept < k }},
+		}(), []int{1100, 2000, 5000}, func(k int, first, retry sweep) bool { return first.floor > 0 && retry.n < k }},
+		{"sparse-spikes-lower-floor", sparse, []int{1000}, func(k int, first, retry sweep) bool {
+			// The index scratch SelectInto grows shows which floor it swept at.
+			idx, _, _ := TopK{K: k}.SelectInto(nil, nil, sparse)
+			return first.n < k && retry.floor > 0 && k <= retry.n && retry.n < n/8 && cap(idx) < n/4
+		}},
 		{"dense-block-between-samples", func() []float64 {
 			u := gauss(2 * n)
 			for i := 100 * 32; i < 164*32; i++ { // 64 sample gaps of 31
@@ -160,7 +179,7 @@ func TestTopKSelectSampledFloor(t *testing.T) {
 				}
 			}
 			return u
-		}(), []int{1, 100, 1000, 1984, 2500}, func(floor uint64, swept, k int) bool { return floor > 0 && swept >= 1984 }},
+		}(), []int{1, 100, 1000, 1984, 2500}, func(k int, first, _ sweep) bool { return first.floor > 0 && first.n >= 1984 }},
 		{"ties-at-the-cut", func() []float64 {
 			u := gauss(n)
 			for i := range u {
@@ -180,21 +199,23 @@ func TestTopKSelectSampledFloor(t *testing.T) {
 				u[samplePoint(j, n)] = nan
 			}
 			return u
-		}(), []int{1, 50, 500, 600, 700, 3000}, func(floor uint64, swept, k int) bool { return swept >= k }},
+		}(), []int{1, 50, 500, 600, 700, 3000}, func(k int, first, _ sweep) bool { return first.n >= k }},
 		{"all-zero", func() []float64 {
 			u := make([]float64, n)
 			for i := 0; i < n; i += 3 {
 				u[i] = negZero
 			}
 			return u
-		}(), []int{1, 100, n - 1}, func(floor uint64, swept, k int) bool { return floor == 0 && swept == n }},
-		{"k>=n", gauss(n), []int{n, n + 1, 65535}, func(floor uint64, swept, k int) bool { return floor == 0 }},
+		}(), []int{1, 100, n - 1}, func(k int, first, _ sweep) bool { return first.floor == 0 && first.n == n }},
+		{"k>=n", gauss(n), []int{n, n + 1, 65535}, func(k int, first, _ sweep) bool { return first.floor == 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, k := range tc.ks {
-				if floor, swept := sweptCandidates(tc.u, k); !tc.path(floor, swept, k) {
-					t.Fatalf("k=%d: floor %#x lets %d of %d through: not the path under test", k, floor, swept, len(tc.u))
+				first, retry := sweptCandidates(tc.u, k, 1), sweptCandidates(tc.u, k, 2)
+				if !tc.path(k, first, retry) {
+					t.Fatalf("k=%d: floors %#x and %#x let %d and %d of %d through: not the path under test",
+						k, first.floor, retry.floor, first.n, retry.n, len(tc.u))
 				}
 				checkSelectExact(t, tc.u, k)
 			}
