@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # unreached.sh — functions that no binary and no example reaches.
 #
-# ROADMAP item 14(c) deletes code that ships without a caller; this prints
+# ROADMAP item 16(b) deletes code that ships without a caller; this prints
 # the candidates. It links every cmd/* and examples/* main package with
 # inlining off (-gcflags=all=-l, so an inlined function keeps its symbol)
 # and the linker's dependency dump (-ldflags=-dumpdep, every symbol the
@@ -11,9 +11,10 @@
 # its line count, file:line and linker symbol, sorted by file and line. The
 # last line is the count and the line total.
 #
-# It only reports and gates nothing. What it lists may be reached on purpose
-# by tests, benchmarks or the root facade; whether to delete it, or to name
-# the command that should reach it, is decided per function. A method the
+# CI's lint job holds the count on the last line to a ratchet: it may only
+# fall. What it lists may be reached on purpose by tests, benchmarks or the
+# root facade; whether to delete it, or to name the command that should
+# reach it, is decided per function. A method the
 # linker keeps because an interface might call it counts as reached.
 #
 # Usage:
